@@ -257,6 +257,11 @@ func main() {
 			db.Len(), db.Dim(), db.IndexInfo().Backend)
 	}
 
+	// Installed before the listeners come up: a SIGTERM that lands right
+	// after /healthz first answers must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+
 	var s *server.Server
 	var err error
 	if set != nil {
@@ -279,8 +284,6 @@ func main() {
 		fmt.Printf("ops on %s (/metrics, /debug/vars, /debug/pprof)\n", opsSrv.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
 	fmt.Printf("%s: draining...\n", got)
 	start := time.Now()

@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"os"
+	"os/exec"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// TestMain lets the test binary stand in for qserve: re-executed with
+// QSERVE_TEST_RUN_MAIN=1 it runs main() on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("QSERVE_TEST_RUN_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestSIGTERMRightAfterBootDrains signals qserve the moment it prints
+// "serving on" — before the ops listener exists — and expects the drain
+// path and exit 0, not death by the signal's default action.
+func TestSIGTERMRightAfterBootDrains(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-ops", "127.0.0.1:0",
+		"-cats", "2", "-percat", "20", "-dim", "3")
+	cmd.Env = append(os.Environ(), "QSERVE_TEST_RUN_MAIN=1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(30*time.Second, func() { _ = cmd.Process.Kill() })
+	var out strings.Builder
+	r := bufio.NewReader(stdout)
+	for {
+		line, err := r.ReadString('\n')
+		out.WriteString(line)
+		if strings.HasPrefix(line, "serving on ") {
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatalf("qserve exited before serving: %v\n%s%s", err, out.String(), stderr.String())
+		}
+	}
+	rest, _ := io.ReadAll(r)
+	out.Write(rest)
+	err = cmd.Wait()
+	timer.Stop()
+	if err != nil {
+		t.Fatalf("qserve did not exit 0 after SIGTERM: %v\n%s%s", err, out.String(), stderr.String())
+	}
+	if s := out.String(); !strings.Contains(s, "terminated: draining...") || !strings.Contains(s, "drained in ") {
+		t.Fatalf("no drain in output:\n%s", s)
+	}
+}

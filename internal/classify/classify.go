@@ -59,25 +59,32 @@ func New(cs []*cluster.Cluster, opt Options) *Classifier {
 		panic("classify: no clusters")
 	}
 	opt = opt.withDefaults()
-	pooled := cluster.PooledAll(cs)
-	inv := cluster.InverseOf(pooled, opt.Scheme)
-	ws := cluster.NormalizedWeights(cs)
-	lp := make([]float64, len(ws))
-	for i, w := range ws {
-		if w <= 0 {
-			// A zero-weight cluster cannot attract points; -Inf prior is
-			// avoided by an extremely small stand-in.
-			lp[i] = -1e300
-			continue
-		}
-		lp[i] = math.Log(w)
+	c := &Classifier{
+		radius: stat.ChiSquareQuantile(1-opt.Alpha, float64(cs[0].Dim())),
+		opt:    opt,
 	}
-	return &Classifier{
-		clusters:  cs,
-		pooledInv: inv,
-		logPriors: lp,
-		radius:    stat.ChiSquareQuantile(1-opt.Alpha, float64(cs[0].Dim())),
-		opt:       opt,
+	c.reset(cs)
+	return c
+}
+
+// reset points the classifier at cs and recomputes what depends on the
+// clusters' statistics — the pooled inverse covariance and the log-priors
+// — reusing the log-prior buffer. The effective radius depends only on
+// (α, p) and is kept.
+func (c *Classifier) reset(cs []*cluster.Cluster) {
+	c.clusters = cs
+	c.pooledInv = cluster.InverseOf(cluster.PooledAll(cs), c.opt.Scheme)
+	total := cluster.TotalWeight(cs)
+	c.logPriors = c.logPriors[:0]
+	for _, cl := range cs {
+		// w_i = m_i / Σ m_k (Sec. 4.2.1). A zero-weight cluster (0/0 when
+		// all are) cannot attract points; -Inf prior is avoided by an
+		// extremely small stand-in.
+		lp := -1e300
+		if w := cl.Weight / total; w > 0 {
+			lp = math.Log(w)
+		}
+		c.logPriors = append(c.logPriors, lp)
 	}
 }
 
@@ -85,8 +92,7 @@ func New(cs []*cluster.Cluster, opt Options) *Classifier {
 // Eq. 10 for cluster index i:
 // d̂_i(x) = -½ (x - x̄_i)' S_pooled⁻¹ (x - x̄_i) + ln(w_i).
 func (c *Classifier) Score(i int, x linalg.Vector) float64 {
-	d := x.Sub(c.clusters[i].Mean)
-	return -0.5*c.pooledInv.QuadForm(d) + c.logPriors[i]
+	return -0.5*c.pooledInv.QuadFormDiff(x, c.clusters[i].Mean) + c.logPriors[i]
 }
 
 // Best returns the index k maximizing d̂_k(x) (Algorithm 2 line 3) along
@@ -176,12 +182,15 @@ func (c *Classifier) Assign(x linalg.Vector) int {
 // ClassifyAll runs Algorithm 2 over a batch of new points against the
 // given starting clusters: each point is appended to the chosen cluster
 // (updating its statistics incrementally) or becomes a new singleton
-// cluster. The classifier is rebuilt after every insertion so later
-// points see updated statistics, matching the sequential loop of
-// Algorithm 2. It returns the resulting cluster set.
+// cluster. The classifier's cluster statistics are recomputed after every
+// insertion so later points see updated statistics, matching the
+// sequential loop of Algorithm 2; only what an insertion cannot change
+// (the χ² radius, the buffers) is kept across points. It returns the
+// resulting cluster set.
 func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) []*cluster.Cluster {
 	work := make([]*cluster.Cluster, len(cs))
 	copy(work, cs)
+	var cl *Classifier
 	for _, p := range points {
 		if len(work) == 0 {
 			work = append(work, cluster.FromPoint(p))
@@ -189,7 +198,11 @@ func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) []*
 				obs.F("point_id", p.ID), obs.F("clusters", len(work)))
 			continue
 		}
-		cl := New(work, opt)
+		if cl == nil {
+			cl = New(work, opt)
+		} else {
+			cl.reset(work)
+		}
 		// The decision of Assign, opened up so the trace can record the
 		// Eq. 10 winner and the radius test outcome.
 		k, score := cl.Best(p.Vec)

@@ -144,8 +144,7 @@ func MergeStats(a, b *Cluster) *Cluster {
 	if a.Dim() != b.Dim() {
 		panic("cluster: merge dimension mismatch")
 	}
-	m := New(a.Dim())
-	m.Weight = a.Weight + b.Weight // Eq. 11
+	m := &Cluster{Weight: a.Weight + b.Weight} // Eq. 11
 	// Eq. 12: weighted mean of means.
 	m.Mean = a.Mean.Scale(a.Weight / m.Weight).Add(b.Mean.Scale(b.Weight / m.Weight))
 	// Scatter form of Eq. 13: S_new = S_a + S_b +

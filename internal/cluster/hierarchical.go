@@ -41,31 +41,65 @@ type HierarchicalOptions struct {
 // paper's basic clustering method (Sec. 3.1) used to form the initial
 // clusters of the first feedback iteration.
 func Agglomerate(points []Point, opt HierarchicalOptions) []*Cluster {
-	if len(points) == 0 {
+	return agglomerate(points, opt.Linkage, func(live int, best float64) bool {
+		return opt.TargetClusters > 0 && live <= opt.TargetClusters ||
+			opt.DistanceCutoff > 0 && best > opt.DistanceCutoff
+	})
+}
+
+// agglomerate is the merge loop behind Agglomerate and AgglomerateGap.
+// Before each merge it asks stop(live clusters, closest-pair distance) and
+// returns the current clusters when told to. It keeps one pairwise
+// linkage-distance matrix and, after a merge, refreshes only the merged
+// cluster's row and column. The closest pair is the first minimum in
+// (i, j) scan order over the live clusters, i < j, exactly as if every
+// distance were recomputed from scratch each step, so ties break the same
+// way.
+func agglomerate(points []Point, l Linkage, stop func(live int, best float64) bool) []*Cluster {
+	n := len(points)
+	if n == 0 {
 		return nil
 	}
-	work := make([]*Cluster, len(points))
+	work := make([]*Cluster, n)
 	for i, p := range points {
 		work[i] = FromPoint(p)
 	}
-	for len(work) > 1 {
-		if opt.TargetClusters > 0 && len(work) <= opt.TargetClusters {
-			break
+	// slot[a] is the matrix row/column of work[a]. Slots stay ascending
+	// because a merged cluster keeps the lower slot and removal preserves
+	// order, so dist[slot[a]*n+slot[b]] with a < b is always the upper
+	// triangle.
+	slot := make([]int, n)
+	dist := make([]float64, n*n)
+	for i := range work {
+		slot[i] = i
+		for j := i + 1; j < n; j++ {
+			dist[i*n+j] = linkageDistance(work[i], work[j], l)
 		}
+	}
+	for len(work) > 1 {
 		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < len(work); i++ {
+		for i := range work {
+			row := dist[slot[i]*n:]
 			for j := i + 1; j < len(work); j++ {
-				if d := linkageDistance(work[i], work[j], opt.Linkage); d < best {
+				if d := row[slot[j]]; d < best {
 					best, bi, bj = d, i, j
 				}
 			}
 		}
-		if opt.DistanceCutoff > 0 && best > opt.DistanceCutoff {
+		if stop(len(work), best) {
 			break
 		}
-		m := MergeStats(work[bi], work[bj])
-		work[bi] = m
+		work[bi] = MergeStats(work[bi], work[bj])
 		work = append(work[:bj], work[bj+1:]...)
+		slot = append(slot[:bj], slot[bj+1:]...)
+		for k := range work {
+			switch {
+			case k < bi:
+				dist[slot[k]*n+slot[bi]] = linkageDistance(work[k], work[bi], l)
+			case k > bi:
+				dist[slot[bi]*n+slot[k]] = linkageDistance(work[bi], work[k], l)
+			}
+		}
 	}
 	return work
 }
@@ -113,68 +147,38 @@ func linkageDistance(a, b *Cluster, l Linkage) float64 {
 }
 
 // AgglomerateGap runs agglomerative clustering with an automatic
-// stopping rule: it performs the full merge sequence, finds the largest
-// relative jump between consecutive merge distances, and — when that jump
-// exceeds gapFactor — cuts the sequence just before it. A unimodal point
-// set has a smoothly growing merge-distance sequence and collapses to one
-// cluster; a set with well-separated modes shows a sharp jump at the
-// first cross-mode merge and is cut there, yielding one cluster per mode.
-// This makes the initial clustering of the relevant set (Sec. 4.1)
-// self-calibrating: no distance threshold has to be guessed.
+// stopping rule: it watches the sequence of merge distances and cuts it
+// just before the first merge whose distance jumps by more than gapFactor
+// over the largest distance seen so far. A unimodal point set has a
+// smoothly growing merge-distance sequence and collapses to one cluster; a
+// set with well-separated modes shows a sharp jump at the first cross-mode
+// merge and is cut there, yielding one cluster per mode. This makes the
+// initial clustering of the relevant set (Sec. 4.1) self-calibrating: no
+// distance threshold has to be guessed.
+//
+// Cutting at the first (not the largest) jump keeps every mode separate
+// when there are more than two. Only the second half of the n-1 merges is
+// eligible: cross-mode merges always happen late, while early ratios are
+// dominated by noise (e.g. two nearly coincident points make the first
+// distance vanishingly small). Both conditions depend only on merges
+// already made, so the cut is taken in the same single pass that builds
+// the clusters — nothing is replayed.
 //
 // gapFactor defaults to 2 when <= 1.
 func AgglomerateGap(points []Point, linkage Linkage, gapFactor float64) []*Cluster {
 	if gapFactor <= 1 {
 		gapFactor = 2
 	}
-	if len(points) <= 1 {
-		return Agglomerate(points, HierarchicalOptions{Linkage: linkage, TargetClusters: 1})
-	}
-	// Full merge sequence, recording each merge distance.
-	work := make([]*Cluster, len(points))
-	for i, p := range points {
-		work[i] = FromPoint(p)
-	}
-	distances := make([]float64, 0, len(points)-1)
-	for len(work) > 1 {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < len(work); i++ {
-			for j := i + 1; j < len(work); j++ {
-				if d := linkageDistance(work[i], work[j], linkage); d < best {
-					best, bi, bj = d, i, j
-				}
-			}
-		}
-		distances = append(distances, best)
-		m := MergeStats(work[bi], work[bj])
-		work[bi] = m
-		work = append(work[:bj], work[bj+1:]...)
-	}
-	// Cut at the FIRST merge whose distance jumps by more than gapFactor
-	// over the largest distance seen so far — the first cross-mode merge.
-	// Cutting at the first (not the largest) jump keeps every mode
-	// separate when there are more than two. Only the second half of the
-	// sequence is eligible: cross-mode merges always happen late, while
-	// early ratios are dominated by noise (e.g. two nearly coincident
-	// points make d_0 vanishingly small).
-	cut := len(distances) // default: all merges (one cluster)
-	prevMax := 0.0
-	for i, d := range distances {
-		if prevMax > 0 && 2*i >= len(distances) && d/prevMax > gapFactor {
-			cut = i
-			break
+	step, prevMax := 0, 0.0
+	return agglomerate(points, linkage, func(_ int, d float64) bool {
+		if prevMax > 0 && 2*step >= len(points)-1 && d/prevMax > gapFactor {
+			return true
 		}
 		if d > prevMax {
 			prevMax = d
 		}
-	}
-	if cut == len(distances) {
-		return Agglomerate(points, HierarchicalOptions{Linkage: linkage, TargetClusters: 1})
-	}
-	// Replay the sequence up to the cut.
-	return Agglomerate(points, HierarchicalOptions{
-		Linkage:        linkage,
-		TargetClusters: len(points) - cut,
+		step++
+		return false
 	})
 }
 

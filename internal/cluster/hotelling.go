@@ -71,16 +71,22 @@ func ShrunkCov(c *Cluster, pooled *linalg.Matrix, tau float64) *linalg.Matrix {
 	return out
 }
 
+// pooledGap returns the centroid gap under the two-cluster pooled
+// within-covariance, (x̄_i - x̄_j)' S_pooled⁻¹ (x̄_i - x̄_j) — the quadratic
+// form T² scales and the small-sample/overlap merge criterion thresholds.
+func pooledGap(a, b *Cluster, scheme Scheme) float64 {
+	inv := InverseOf(PooledTwo(a, b), scheme)
+	return inv.QuadForm(a.Mean.Sub(b.Mean))
+}
+
 // T2 computes Hotelling's two-sample T² statistic (Definition 3):
 // T² = (m_i m_j / (m_i + m_j)) (x̄_i - x̄_j)' S_pooled⁻¹ (x̄_i - x̄_j),
 // under the given covariance scheme (full inverse or diagonal).
 func T2(a, b *Cluster, scheme Scheme) float64 {
-	pooled := PooledTwo(a, b)
-	inv := InverseOf(pooled, scheme)
-	d := a.Mean.Sub(b.Mean)
-	factor := a.Weight * b.Weight / (a.Weight + b.Weight)
-	return factor * inv.QuadForm(d)
+	return t2Factor(a, b) * pooledGap(a, b, scheme)
 }
+
+func t2Factor(a, b *Cluster) float64 { return a.Weight * b.Weight / (a.Weight + b.Weight) }
 
 // CriticalValue returns c² of Eq. 16 at significance level alpha:
 // c² = p (m_i + m_j - 2) / (m_i + m_j - p - 1) · F_{p, m_i+m_j-p-1}(α),

@@ -38,21 +38,6 @@ func (o MergeOptions) withDefaults() MergeOptions {
 	return o
 }
 
-// smallSampleMergeTest decides merging when the F test is undefined
-// (m_i + m_j <= p + 1): it falls back to an effective-radius style test,
-// merging when the pooled Mahalanobis distance between centroids is within
-// the χ²_p(1-α) contour. This keeps genuinely distant singleton clusters
-// separate (they are the point of disjunctive queries) while nearby
-// fragments still coalesce.
-func smallSampleMergeTest(a, b *Cluster, scheme Scheme, alpha float64) (bool, float64, float64) {
-	pooled := PooledTwo(a, b)
-	inv := InverseOf(pooled, scheme)
-	d := a.Mean.Sub(b.Mean)
-	dist := inv.QuadForm(d)
-	radius := stat.ChiSquareQuantile(1-alpha, float64(a.Dim()))
-	return dist <= radius, dist, radius
-}
-
 // decideMerge runs the merge tests for a pair. Two criteria, either of
 // which merges:
 //
@@ -66,26 +51,27 @@ func smallSampleMergeTest(a, b *Cluster, scheme Scheme, alpha float64) (bool, fl
 //     n), but their gap is small relative to their within-spread, so
 //     they describe one perceptual region and must stay one query
 //     cluster.
+//
+// When the F test is undefined (too few points), criterion 2 alone
+// decides: genuinely distant singleton clusters stay separate (they are
+// the point of disjunctive queries) while nearby fragments still coalesce.
+// Both criteria share one pooled inverse: T² is the same gap scaled by
+// m_i m_j / (m_i + m_j).
 func decideMerge(a, b *Cluster, opt MergeOptions) (merge bool, t2, c2 float64) {
-	overlap, gap, radius := smallSampleMergeTest(a, b, opt.Scheme, opt.Alpha)
-	if opt.DisableOverlap {
-		overlap = false
-	}
+	gap := pooledGap(a, b, opt.Scheme)
+	radius := stat.ChiSquareQuantile(1-opt.Alpha, float64(a.Dim()))
 	// The F test needs real degrees of freedom: POINT counts, not
 	// relevance mass (a pair of heavily-scored singletons has weight
 	// above p+1 but a zero pooled covariance, and the tiny-df F quantile
 	// is so large the test would merge anything).
 	if float64(a.N()+b.N())-float64(a.Dim())-1 > 0 {
-		merge, t2, c2 = MergeTest(a, b, opt.Scheme, opt.Alpha)
-		return merge || overlap, t2, c2
+		t2 = t2Factor(a, b) * gap
+		c2 = CriticalValue(a, b, a.Dim(), opt.Alpha)
+		return t2 <= c2 || !opt.DisableOverlap && gap <= radius, t2, c2
 	}
-	if opt.DisableOverlap {
-		// Literal-Algorithm-3 mode still needs some small-sample rule;
-		// keep the χ² gap decision (without it singletons could never
-		// form initial clusters at all).
-		return gap <= radius, gap, radius
-	}
-	return overlap, gap, radius
+	// DisableOverlap (literal Algorithm 3) still needs this small-sample
+	// rule: without it singletons could never form initial clusters.
+	return gap <= radius, gap, radius
 }
 
 // Merge implements Algorithm 3. Starting from the given clusters it

@@ -1,6 +1,9 @@
 package index
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // resultHeap is a bounded max-heap keeping the k smallest results under
 // the total order (Dist, ID). The ID tie-break makes the kept set — not
@@ -99,6 +102,8 @@ func (h *resultHeap) down(i int) {
 func (h *resultHeap) sorted() []Result {
 	out := make([]Result, len(h.items))
 	copy(out, h.items)
-	sort.Slice(out, func(i, j int) bool { return resultLess(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
 	return out
 }

@@ -11,12 +11,15 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/stat"
 )
 
 // DebugServer serves a Registry over HTTP for operational inspection:
 //
 //	/debug/vars    expvar-style JSON (the registry snapshot plus
-//	               runtime gauges: goroutines, heap bytes, GC count)
+//	               runtime gauges: goroutines, heap bytes, GC count and
+//	               total pause)
 //	/metrics       Prometheus text exposition format
 //	/debug/pprof/  the standard net/http/pprof handlers
 //
@@ -55,6 +58,12 @@ func ServeDebugWith(addr string, extra map[string]http.Handler, reg *Registry, m
 			}
 			s.Merge(r.Snapshot())
 		}
+		// The χ²/F critical-value cache is process-wide (internal/stat), so
+		// it is reported here and not by any one registry.
+		qc := stat.ReadQuantileCacheStats()
+		s.Counters["stat.quantile_cache.hits"] = qc.Hits
+		s.Counters["stat.quantile_cache.misses"] = qc.Misses
+		s.Gauges["stat.quantile_cache.entries"] = float64(qc.Entries)
 		return s
 	}
 	mux := http.NewServeMux()
@@ -65,12 +74,13 @@ func ServeDebugWith(addr string, extra map[string]http.Handler, reg *Registry, m
 		doc := map[string]any{
 			"qcluster": snapshot(),
 			"runtime": map[string]any{
-				"goroutines":     runtime.NumGoroutine(),
-				"heap_alloc":     ms.HeapAlloc,
-				"total_alloc":    ms.TotalAlloc,
-				"num_gc":         ms.NumGC,
-				"gomaxprocs":     runtime.GOMAXPROCS(0),
-				"uptime_seconds": time.Since(startTime).Seconds(),
+				"goroutines":        runtime.NumGoroutine(),
+				"heap_alloc":        ms.HeapAlloc,
+				"total_alloc":       ms.TotalAlloc,
+				"num_gc":            ms.NumGC,
+				"gc_pause_total_ns": ms.PauseTotalNs,
+				"gomaxprocs":        runtime.GOMAXPROCS(0),
+				"uptime_seconds":    time.Since(startTime).Seconds(),
 			},
 		}
 		enc := json.NewEncoder(w)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stat"
 )
 
 func newTestServer(t *testing.T) (*Registry, *DebugServer) {
@@ -60,8 +62,34 @@ func TestServeDebugVars(t *testing.T) {
 	if doc.Qcluster.Gauges["db.items"] != 42 {
 		t.Fatalf("db.items = %v, want 42", doc.Qcluster.Gauges["db.items"])
 	}
-	if doc.Runtime["goroutines"] == nil {
-		t.Fatal("runtime.goroutines missing")
+	for _, key := range []string{"goroutines", "num_gc", "gc_pause_total_ns"} {
+		if doc.Runtime[key] == nil {
+			t.Fatalf("runtime.%s missing", key)
+		}
+	}
+	// The process-wide critical-value cache is reported with every
+	// registry: one χ² quantile asked twice is two lookups (a miss and a
+	// hit the first time the test runs in a process) and an entry.
+	lookups := func(s Snapshot) int64 {
+		return s.Counters["stat.quantile_cache.hits"] + s.Counters["stat.quantile_cache.misses"]
+	}
+	stat.ChiSquareQuantile(0.95, 4321)
+	stat.ChiSquareQuantile(0.95, 4321)
+	var after struct {
+		Qcluster Snapshot `json:"qcluster"`
+	}
+	_, body = get(t, "http://"+d.Addr()+"/debug/vars")
+	if err := json.Unmarshal([]byte(body), &after); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookups(after.Qcluster) - lookups(doc.Qcluster); got != 2 {
+		t.Errorf("stat.quantile_cache.hits+misses moved by %d, want 2", got)
+	}
+	if after.Qcluster.Counters["stat.quantile_cache.hits"] == doc.Qcluster.Counters["stat.quantile_cache.hits"] {
+		t.Error("stat.quantile_cache.hits did not move on a repeated quantile")
+	}
+	if after.Qcluster.Gauges["stat.quantile_cache.entries"] < 1 {
+		t.Errorf("stat.quantile_cache.entries = %v", after.Qcluster.Gauges["stat.quantile_cache.entries"])
 	}
 }
 
@@ -82,6 +110,9 @@ func TestServeDebugPrometheus(t *testing.T) {
 		`qcluster_search_latency_seconds_bucket{le="0.01"} 2`,
 		`qcluster_search_latency_seconds_bucket{le="+Inf"} 3`,
 		"qcluster_search_latency_seconds_count 3",
+		"# TYPE qcluster_stat_quantile_cache_hits counter",
+		"# TYPE qcluster_stat_quantile_cache_misses counter",
+		"# TYPE qcluster_stat_quantile_cache_entries gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

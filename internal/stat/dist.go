@@ -72,7 +72,8 @@ func ChiSquareCDF(x float64, df float64) float64 {
 // ChiSquareQuantile returns the p-quantile of the χ²_df distribution —
 // the paper's effective radius χ²_p(α) uses the (1-α) quantile
 // (Lemma 1: for significance level α, 100(1-α)% of the data falls inside
-// the ellipsoid of radius χ²_p at that quantile).
+// the ellipsoid of radius χ²_p at that quantile). Values come from the
+// exact-value quantile cache (quantilecache.go).
 func ChiSquareQuantile(p float64, df float64) float64 {
 	switch {
 	case df <= 0 || math.IsNaN(p):
@@ -82,6 +83,12 @@ func ChiSquareQuantile(p float64, df float64) float64 {
 	case p >= 1:
 		return math.Inf(1)
 	}
+	return quantiles.get(p, df, 0, chiSquareQuantile)
+}
+
+// chiSquareQuantile is the uncached root-find behind ChiSquareQuantile
+// (0 < p < 1, df > 0); the third argument is the cache key's unused slot.
+func chiSquareQuantile(p, df, _ float64) float64 {
 	// Wilson-Hilferty initial estimate.
 	z := NormalQuantile(p)
 	t := 2.0 / (9 * df)
@@ -102,7 +109,8 @@ func FCDF(x, d1, d2 float64) float64 {
 
 // FQuantile returns the p-quantile of the F(d1, d2) distribution. The
 // paper's critical value uses F_{p, m_i+m_j-p-1}(α) as "the upper
-// 100(1-α)th percentile", i.e. FQuantile(1-α, d1, d2).
+// 100(1-α)th percentile", i.e. FQuantile(1-α, d1, d2). Values come from the
+// exact-value quantile cache (quantilecache.go).
 func FQuantile(p, d1, d2 float64) float64 {
 	switch {
 	case d1 <= 0 || d2 <= 0 || math.IsNaN(p):
@@ -112,6 +120,12 @@ func FQuantile(p, d1, d2 float64) float64 {
 	case p >= 1:
 		return math.Inf(1)
 	}
+	return quantiles.get(p, d1, d2, fQuantile)
+}
+
+// fQuantile is the uncached root-find behind FQuantile (0 < p < 1,
+// d1, d2 > 0).
+func fQuantile(p, d1, d2 float64) float64 {
 	// Initial estimate from chi-square ratio heuristic.
 	x := ChiSquareQuantile(p, d1) / d1
 	if d2 > 2 {

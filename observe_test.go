@@ -261,6 +261,9 @@ func TestServeDebugEndToEnd(t *testing.T) {
 	if !strings.Contains(string(body), "qcluster_index_prune_ratio_bucket") {
 		t.Fatalf("metrics missing prune-ratio histogram:\n%s", body)
 	}
+	if !strings.Contains(string(body), "qcluster_stat_quantile_cache_hits ") {
+		t.Fatalf("metrics missing the critical-value cache counters:\n%s", body)
+	}
 }
 
 // TestInstrumentationAllocationFree asserts the zero-overhead claim for
