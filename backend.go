@@ -8,8 +8,6 @@ import (
 	"repro/internal/ann"
 	"repro/internal/distance"
 	"repro/internal/index"
-	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -141,61 +139,55 @@ func (db *Database) checkQuantizable(i int, v []float64) error {
 	return nil
 }
 
-// knnBackend is the one dispatch point every search path funnels
+// knnBackend is the one dispatch point execute funnels every search
 // through: it runs one k-NN on the active backend under the read lock.
-// rs (the session's refinement cache) and sb (the cross-shard shared
-// bound) only apply to the tree route — the VA-file has no leaf cache
-// and the ANN path prunes nothing, so both are ignored there and the
-// scatter-gather merge still works (each leg returns its full local
-// top-k, a superset of what a bound would have kept).
+// The session's refinement cache and the cross-shard shared bound only
+// apply to the tree route — the VA-file has no leaf cache and the ANN
+// path prunes nothing, so both are ignored there and the scatter-gather
+// merge still works (each leg returns its full local top-k, a superset
+// of what a bound would have kept).
 //
 // With an adaptive planner attached, the route (and the tree's worker
 // count and batch size) is chosen per query from the rolling cost
 // models; completed searches feed back into the chosen route's model.
 // Exact routes are bit-identical to each other, so adaptive routing
-// never changes exact results — only their cost.
-func (db *Database) knnBackend(ctx context.Context, m distance.Metric, k int, sb *index.SharedBound, rs *index.RefinementSearcher) ([]index.Result, index.SearchStats, error) {
+// never changes exact results — only their cost. An approx request is
+// never planned: it runs the ANN graph (execute checked it exists) at
+// the caller's beam width, and still warms the planner's ANN model so
+// AllowApprox-planned queries start from real measurements.
+func (db *Database) knnBackend(ctx context.Context, req searchRequest) ([]index.Result, index.SearchStats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	// The static decision: exactly the configured backend, no tuning.
+	d := plan.Decision{Route: plan.Route(db.backend), EfSearch: req.ef}
 	if db.planner == nil {
-		return db.knnStaticLocked(ctx, m, k, sb, rs)
+		return db.knnRouteLocked(ctx, d, req)
 	}
-	q := db.planQueryLocked(m, k, rs)
-	d := db.planner.Plan(q)
+	q := db.planQueryLocked(req)
+	if !req.approx {
+		d = db.planner.Plan(q)
+	}
 	start := time.Now()
-	res, stats, err := db.knnRouteLocked(ctx, d, m, k, sb, rs)
+	res, stats, err := db.knnRouteLocked(ctx, d, req)
 	elapsed := time.Since(start)
 	if err == nil {
 		// Interrupted searches are not observed: their truncated latency
 		// would teach the models that expensive queries are cheap.
 		db.planner.Observe(d, q, stats, elapsed)
 	}
-	stats.PlanRoute = string(d.Route)
-	stats.PlanAdaptive = d.Adaptive
-	stats.PlanPredictedSeconds = d.PredictedSeconds
-	db.met.observePlan(d, elapsed)
+	if !req.approx {
+		stats.PlanRoute = string(d.Route)
+		stats.PlanAdaptive = d.Adaptive
+		stats.PlanPredictedSeconds = d.PredictedSeconds
+		db.met.observePlan(d, elapsed)
+	}
 	return res, stats, err
 }
 
-// knnStaticLocked is the planner-free dispatch: exactly the statically
-// configured backend. The adaptive path's cold-start fallback must
-// behave identically, which knnRouteLocked guarantees by executing a
-// zero-tuning static decision through the same backend calls.
-func (db *Database) knnStaticLocked(ctx context.Context, m distance.Metric, k int, sb *index.SharedBound, rs *index.RefinementSearcher) ([]index.Result, index.SearchStats, error) {
-	switch db.backend {
-	case BackendVAFile:
-		return db.va.KNNContext(ctx, m, k)
-	case BackendANN:
-		return db.annIdx.KNNEf(ctx, m, k, 0)
-	}
-	if rs != nil {
-		return rs.KNNSharedContext(ctx, m, k, sb)
-	}
-	return db.tree.KNNSharedContext(ctx, m, k, sb)
-}
-
-// knnRouteLocked executes one planner decision.
-func (db *Database) knnRouteLocked(ctx context.Context, d plan.Decision, m distance.Metric, k int, sb *index.SharedBound, rs *index.RefinementSearcher) ([]index.Result, index.SearchStats, error) {
+// knnRouteLocked executes one decision — the planner's, or the static
+// one (zero tuning, which the tree runs exactly as configured).
+func (db *Database) knnRouteLocked(ctx context.Context, d plan.Decision, req searchRequest) ([]index.Result, index.SearchStats, error) {
+	m, k := req.metric, req.k
 	switch d.Route {
 	case plan.RouteVAFile:
 		return db.va.KNNContext(ctx, m, k)
@@ -206,29 +198,29 @@ func (db *Database) knnRouteLocked(ctx context.Context, d plan.Decision, m dista
 	if d.Workers > 1 {
 		tu.MinItems = -1 // the planner already decided fan-out pays off
 	}
-	if rs != nil {
-		return rs.KNNSharedTuned(ctx, m, k, sb, tu)
+	if req.cache != nil {
+		return req.cache.KNNSharedTuned(ctx, m, k, req.bound, tu)
 	}
 	if tu == (index.SearchTuning{}) {
-		return db.tree.KNNSharedContext(ctx, m, k, sb)
+		return db.tree.KNNSharedContext(ctx, m, k, req.bound)
 	}
-	return db.tree.WithTuning(tu).KNNSharedContext(ctx, m, k, sb)
+	return db.tree.WithTuning(tu).KNNSharedContext(ctx, m, k, req.bound)
 }
 
 // planQueryLocked builds the planner's view of one query.
-func (db *Database) planQueryLocked(m distance.Metric, k int, rs *index.RefinementSearcher) plan.Query {
+func (db *Database) planQueryLocked(req searchRequest) plan.Query {
 	q := plan.Query{
-		K:           k,
+		K:           req.k,
 		M:           1,
-		Scheme:      schemeOf(m),
+		Scheme:      schemeOf(req.metric),
 		N:           db.store.Len(),
 		AllowApprox: db.allowApprox,
 	}
-	if cs := distance.Centers(m); len(cs) > 1 {
+	if cs := distance.Centers(req.metric); len(cs) > 1 {
 		q.M = len(cs)
 	}
-	if rs != nil {
-		q.CachedLeaves = rs.CachedLeaves()
+	if req.cache != nil {
+		q.CachedLeaves = req.cache.CachedLeaves()
 	}
 	return q
 }
@@ -255,104 +247,16 @@ func schemeOf(m distance.Metric) string {
 // explicit efSearch override (0 = the index default) — the recall knob
 // per query instead of per database. See SearchApproxContext.
 func (db *Database) SearchApprox(example []float64, k, efSearch int) []Result {
-	res, err := db.SearchApproxContext(context.Background(), example, k, efSearch)
-	if err != nil {
-		return nil
-	}
+	res, _ := db.SearchApproxContext(context.Background(), example, k, efSearch)
 	return res
 }
 
-// SearchApproxContext is SearchApprox with cooperative cancellation and
-// a panic barrier. It requires IndexOptions.Backend "ann"
-// (ErrBackendUnavailable otherwise); results are the exact-refined
-// candidates of one graph search, so they are bit-exact given the
-// candidate set, and efSearch >= Len() degenerates to an exhaustive
-// exact search.
-func (db *Database) SearchApproxContext(ctx context.Context, example []float64, k, efSearch int) (_ []Result, err error) {
-	defer barrier("SearchApproxContext", &err)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("qcluster: search not started: %w", cerr)
-	}
-	if db.backend != BackendANN {
-		return nil, fmt.Errorf("qcluster: backend is %q: %w", string(db.backend), ErrBackendUnavailable)
-	}
-	if len(example) != db.Dim() {
-		db.met.dimMismatch.Inc()
-		return nil, fmt.Errorf("qcluster: example has dimension %d, database has %d: %w",
-			len(example), db.Dim(), ErrDimensionMismatch)
-	}
-	m := &distance.Euclidean{Center: linalg.Vector(example)}
-	start := time.Now()
-	db.mu.RLock()
-	res, stats, cerr := db.annIdx.KNNEf(ctx, m, k, efSearch)
-	if db.planner != nil && cerr == nil {
-		// Explicit approximate traffic warms the ANN cost model too, so
-		// AllowApprox-planned queries start from real measurements.
-		q := db.planQueryLocked(m, k, nil)
-		db.planner.Observe(plan.Decision{Route: plan.RouteANN}, q, stats, time.Since(start))
-	}
-	db.mu.RUnlock()
-	elapsed := time.Since(start)
-	db.met.observeSearch(elapsed, k, len(res), stats, cerr != nil)
-	obs.ProfileFromContext(ctx).AddSearch(start, elapsed, costStatsFromIndex(stats))
-	return convertResults(res), wrapInterrupt(cerr, len(res))
-}
-
-// ResultsApprox is the session's approximate retrieval: the current
-// query (refined multipoint after feedback, the plain example before)
-// answered by the ANN backend with an explicit efSearch override (0 =
-// index default). See ResultsApproxContext.
-func (s *Session) ResultsApprox(k, efSearch int) []Result {
-	res, err := s.ResultsApproxContext(context.Background(), k, efSearch)
-	if err != nil {
-		return nil
-	}
-	return res
-}
-
-// ResultsApproxContext is ResultsApprox with cooperative cancellation
-// and a panic barrier. Like SearchApproxContext it requires
-// IndexOptions.Backend "ann" and returns ErrBackendUnavailable on any
-// other backend — the same contract on every path (root, session,
-// sharded). The ANN path has no leaf cache, so the session's
-// refinement cache is neither consulted nor refreshed.
-func (s *Session) ResultsApproxContext(ctx context.Context, k, efSearch int) (_ []Result, err error) {
-	defer barrier("ResultsApproxContext", &err)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("qcluster: search not started: %w", cerr)
-	}
-	if s.db.backend != BackendANN {
-		return nil, fmt.Errorf("qcluster: backend is %q: %w", string(s.db.backend), ErrBackendUnavailable)
-	}
-	var m distance.Metric
-	if s.query.Ready() {
-		m = s.query.metric()
-		if s.query.Health().Degraded() {
-			s.met.degraded.Inc()
-			s.db.met.degraded.Inc()
-		}
-	} else {
-		if len(s.example) != s.db.Dim() {
-			s.db.met.dimMismatch.Inc()
-			return nil, fmt.Errorf("qcluster: session example has dimension %d, database has %d: %w",
-				len(s.example), s.db.Dim(), ErrDimensionMismatch)
-		}
-		m = &distance.Euclidean{Center: s.example}
-	}
-	start := time.Now()
-	s.mu.Lock()
-	s.db.mu.RLock()
-	res, stats, cerr := s.db.annIdx.KNNEf(ctx, m, k, efSearch)
-	if s.db.planner != nil && cerr == nil {
-		q := s.db.planQueryLocked(m, k, nil)
-		s.db.planner.Observe(plan.Decision{Route: plan.RouteANN}, q, stats, time.Since(start))
-	}
-	s.db.mu.RUnlock()
-	s.lastStats = stats
-	s.mu.Unlock()
-	elapsed := time.Since(start)
-	s.met.observeSearch(elapsed, stats, cerr != nil)
-	s.db.met.observeSearch(elapsed, k, len(res), stats, cerr != nil)
-	obs.ProfileFromContext(ctx).AddSearch(start, elapsed, costStatsFromIndex(stats))
-	return convertResults(res), wrapInterrupt(cerr, len(res))
+// SearchApproxContext is SearchApprox with cooperative cancellation. It
+// requires IndexOptions.Backend "ann" (ErrBackendUnavailable
+// otherwise); results are the exact-refined candidates of one graph
+// search, so they are bit-exact given the candidate set, and
+// efSearch >= Len() degenerates to an exhaustive exact search.
+func (db *Database) SearchApproxContext(ctx context.Context, example []float64, k, efSearch int) ([]Result, error) {
+	res, _, err := db.execute(ctx, searchRequest{op: "SearchApproxContext", example: example, k: k, approx: true, ef: efSearch})
+	return res, err
 }

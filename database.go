@@ -2,6 +2,7 @@ package qcluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -319,44 +320,125 @@ func (db *Database) VectorOK(id int) ([]float64, bool) {
 	return db.store.Vector(id), true
 }
 
-// SearchByExample answers a plain k-NN query around an example vector —
-// the initial retrieval of a feedback session. An example whose
-// dimensionality does not match the database's yields nil (use
-// SearchByExampleContext for a typed ErrDimensionMismatch).
-func (db *Database) SearchByExample(example []float64, k int) []Result {
-	if len(example) != db.Dim() {
-		db.met.dimMismatch.Inc()
-		return nil
+// searchRequest is one retrieval as the search pipeline sees it. Every
+// public entry point — stateless searches, session rounds, the per-shard
+// legs of a scatter-gather query — builds one and hands it to execute;
+// the entry points differ in nothing but these fields.
+type searchRequest struct {
+	op string // the public entry point, reported as InternalError.Op
+	// metric is the distance to rank by when the caller already built it
+	// (session rounds, shard legs); nil resolves query/example instead.
+	metric  distance.Metric
+	query   *Query
+	example linalg.Vector
+	k       int
+	// approx demands the ANN backend (ErrBackendUnavailable otherwise)
+	// with beam width ef (0 = the index default), bypassing the planner.
+	approx bool
+	ef     int
+	bound  *index.SharedBound        // cross-shard k-th-best bound (tree route only)
+	cache  *index.RefinementSearcher // session refinement cache (tree route only)
+	// leg marks one shard's leg of a scatter-gather query: the gather
+	// attributes the request's search stage and per-shard work itself,
+	// and merges whatever the legs of an interrupted query had found.
+	leg bool
+}
+
+// execute is the one pipeline every retrieval on this database runs
+// through: panic barrier, cancellation check, backend check, metric
+// resolution, refinement-cache rule, timed dispatch, metrics, cost
+// profile and the partial-results error — each exactly once.
+func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result, stats index.SearchStats, err error) {
+	defer db.trapSearch(req.op, &err)
+	if cerr := ctx.Err(); cerr != nil {
+		if req.leg {
+			return nil, stats, wrapInterrupt(cerr, 0)
+		}
+		return nil, stats, fmt.Errorf("qcluster: search not started: %w", cerr)
 	}
-	m := &distance.Euclidean{Center: linalg.Vector(example)}
+	if req.approx && db.backend != BackendANN {
+		return nil, stats, fmt.Errorf("qcluster: backend is %q: %w", string(db.backend), ErrBackendUnavailable)
+	}
+	if req.metric == nil {
+		if req.metric, _, err = resolveMetric(req.query, req.example, db.Dim(), &db.met.source); err != nil {
+			return nil, stats, err
+		}
+	}
+	if db.backend != BackendTree && db.planner == nil {
+		// Refinement caches live on the tree path only — but with the
+		// adaptive planner the tree is always an eligible route, so the
+		// cache stays attached and warms whenever the planner picks it.
+		req.cache = nil
+	}
 	start := time.Now()
-	res, stats, _ := db.knnBackend(context.Background(), m, k, nil, nil)
-	db.met.observeSearch(time.Since(start), k, len(res), stats, false)
-	return convertResults(res)
+	raw, stats, cerr := db.knnBackend(ctx, req)
+	elapsed := time.Since(start)
+	db.met.observeSearch(elapsed, req.k, len(raw), stats, cerr != nil)
+	if !req.leg {
+		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats.Cost())
+	}
+	res := make([]Result, len(raw))
+	for i, r := range raw {
+		res[i] = Result{ID: r.ID, Dist: r.Dist}
+	}
+	return res, stats, wrapInterrupt(cerr, len(raw))
+}
+
+// trapSearch is execute's panic barrier: barrier, plus "search.errors" —
+// execute is the one place that sees every search.
+func (db *Database) trapSearch(op string, err *error) {
+	if r := recover(); r != nil {
+		db.met.searchErrors.Inc()
+		*err = &InternalError{Op: op, Value: r}
+	}
+}
+
+// resolveMetric is the one place a retrieval's distance function is
+// chosen: the query model's aggregate disjunctive distance once it has
+// absorbed feedback (Eq. 5), the plain Euclidean example query before.
+// The returned Health is that of the built aggregate — zero for the
+// example query. Outcomes are counted on c, the backend's registry.
+func resolveMetric(q *Query, example linalg.Vector, dim int, c *sourceCounters) (distance.Metric, Health, error) {
+	if q != nil {
+		if q.Ready() {
+			m := q.metric()
+			h := q.Health()
+			if h.Degraded() {
+				c.degraded.Inc()
+			}
+			return m, h, nil
+		}
+		if example == nil { // Search(q): no example to fall back on
+			c.notReady.Inc()
+			return nil, Health{}, fmt.Errorf("qcluster: %w", ErrNotReady)
+		}
+	}
+	if len(example) != dim {
+		c.dimMismatch.Inc()
+		return nil, Health{}, fmt.Errorf("qcluster: example has dimension %d, database has %d: %w",
+			len(example), dim, ErrDimensionMismatch)
+	}
+	return &distance.Euclidean{Center: example}, Health{}, nil
+}
+
+// SearchByExample answers a plain k-NN query around an example vector —
+// the initial retrieval of a feedback session. Any failure — a
+// mismatched example dimensionality, a trapped internal panic — yields
+// nil (use SearchByExampleContext for the typed error).
+func (db *Database) SearchByExample(example []float64, k int) []Result {
+	res, _ := db.SearchByExampleContext(context.Background(), example, k)
+	return res
 }
 
 // SearchByExampleContext is SearchByExample with cooperative
-// cancellation and a panic barrier. An already-expired context returns
-// promptly with its (wrapped) error and no results; a context that
-// expires mid-search returns the best-effort results found so far along
-// with an error matching both ErrPartialResults and the context error.
-func (db *Database) SearchByExampleContext(ctx context.Context, example []float64, k int) (_ []Result, err error) {
-	defer barrier("SearchByExampleContext", &err)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("qcluster: search not started: %w", err)
-	}
-	if len(example) != db.Dim() {
-		db.met.dimMismatch.Inc()
-		return nil, fmt.Errorf("qcluster: example has dimension %d, database has %d: %w",
-			len(example), db.Dim(), ErrDimensionMismatch)
-	}
-	m := &distance.Euclidean{Center: linalg.Vector(example)}
-	start := time.Now()
-	res, stats, cerr := db.knnBackend(ctx, m, k, nil, nil)
-	elapsed := time.Since(start)
-	db.met.observeSearch(elapsed, k, len(res), stats, cerr != nil)
-	obs.ProfileFromContext(ctx).AddSearch(start, elapsed, costStatsFromIndex(stats))
-	return convertResults(res), wrapInterrupt(cerr, len(res))
+// cancellation. An already-expired context returns promptly with its
+// (wrapped) error and no results; a context that expires mid-search
+// returns the best-effort results found so far along with an error
+// matching both ErrPartialResults and the context error. A mismatched
+// example dimensionality returns ErrDimensionMismatch.
+func (db *Database) SearchByExampleContext(ctx context.Context, example []float64, k int) ([]Result, error) {
+	res, _, err := db.execute(ctx, searchRequest{op: "SearchByExampleContext", example: example, k: k})
+	return res, err
 }
 
 // Search answers a k-NN query under the query model's aggregate
@@ -365,64 +447,67 @@ func (db *Database) SearchByExampleContext(ctx context.Context, example []float6
 // for it rather than panicking — use SearchContext for the typed
 // ErrNotReady, or SearchByExample for the initial retrieval.
 func (db *Database) Search(q *Query, k int) []Result {
-	if !q.Ready() {
-		db.met.notReady.Inc()
-		return nil
-	}
-	m := q.metric()
-	if q.Health().Degraded() {
-		db.met.degraded.Inc()
-	}
-	start := time.Now()
-	res, stats, _ := db.knnBackend(context.Background(), m, k, nil, nil)
-	db.met.observeSearch(time.Since(start), k, len(res), stats, false)
-	return convertResults(res)
+	res, _ := db.SearchContext(context.Background(), q, k)
+	return res
 }
 
-// SearchContext is Search with cooperative cancellation and a panic
-// barrier (see SearchByExampleContext for the context semantics). A
-// query without feedback returns ErrNotReady instead of panicking, and
-// covariance degradations encountered while building the metric are
-// recorded on the query's Health.
-func (db *Database) SearchContext(ctx context.Context, q *Query, k int) (_ []Result, err error) {
-	defer barrier("SearchContext", &err)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("qcluster: search not started: %w", err)
-	}
-	if !q.Ready() {
-		db.met.notReady.Inc()
-		return nil, fmt.Errorf("qcluster: %w", ErrNotReady)
-	}
-	m := q.metric()
-	if q.Health().Degraded() {
-		db.met.degraded.Inc()
-	}
-	start := time.Now()
-	res, stats, cerr := db.knnBackend(ctx, m, k, nil, nil)
-	elapsed := time.Since(start)
-	db.met.observeSearch(elapsed, k, len(res), stats, cerr != nil)
-	obs.ProfileFromContext(ctx).AddSearch(start, elapsed, costStatsFromIndex(stats))
-	return convertResults(res), wrapInterrupt(cerr, len(res))
+// SearchContext is Search with cooperative cancellation (see
+// SearchByExampleContext for the context semantics). A query without
+// feedback returns ErrNotReady instead of panicking, and covariance
+// degradations encountered while building the metric are recorded on
+// the query's Health.
+func (db *Database) SearchContext(ctx context.Context, q *Query, k int) ([]Result, error) {
+	res, _, err := db.execute(ctx, searchRequest{op: "SearchContext", query: q, k: k})
+	return res, err
 }
 
-func convertResults(rs []index.Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
+// SessionSearcher is where a Session retrieves — the seam between the
+// one feedback loop and the two places it can search: a single Database
+// with the session's refinement cache (NewSession), or a shard set's
+// scatter-gather over per-shard caches (internal/shard).
+type SessionSearcher interface {
+	// Dim is the collection's feature dimensionality.
+	Dim() int
+	// Registry is the backend registry the session counts its feedback
+	// rounds, degraded metrics and dimension mismatches on.
+	Registry() *Registry
+	// SearchMetric answers one retrieval under m: exact, or — with
+	// approx — on the ANN backend at beam width efSearch. An interrupted
+	// search returns best-effort results with ErrPartialResults. The
+	// session serializes its calls.
+	SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error)
 }
 
-// Session is the end-to-end feedback loop over one database: retrieve,
-// mark, refine — Algorithm 1 behind a two-method API. A Session is safe
-// for concurrent use; its refinement cache and query model are guarded
-// internally.
+// dbSearcher is the unsharded SessionSearcher: the database plus the
+// session's cross-iteration refinement cache.
+type dbSearcher struct {
+	*Database
+	cache *index.RefinementSearcher
+}
+
+func (d *dbSearcher) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error) {
+	return d.execute(ctx, searchRequest{op: sessionOp(approx), metric: m, k: k, approx: approx, ef: efSearch, cache: d.cache})
+}
+
+// sessionOp names the session entry point a retrieval came through.
+func sessionOp(approx bool) string {
+	if approx {
+		return "ResultsApproxContext"
+	}
+	return "ResultsContext"
+}
+
+// Session is the end-to-end feedback loop over one collection: retrieve,
+// mark, refine — Algorithm 1 behind a two-method API, and its only
+// implementation: a sharded session is this type over another
+// SessionSearcher. A Session is safe for concurrent use; its searcher
+// and query model are guarded internally.
 type Session struct {
-	mu        sync.Mutex // guards searcher and lastStats (and orders query snapshots)
-	db        *Database
+	mu        sync.Mutex // guards the searcher's caches and lastStats (and orders query snapshots)
+	on        SessionSearcher
+	dim       int // on.Dim(), fixed for the collection's lifetime
 	query     *Query
 	example   linalg.Vector
-	searcher  *index.RefinementSearcher
 	met       *sessionMetrics   // always non-nil; see Stats
 	lastStats index.SearchStats // index work of the most recent search
 	sink      Sink              // trace sink from Options (nil = disabled)
@@ -434,102 +519,110 @@ type Session struct {
 // (Results) or ErrDimensionMismatch (ResultsContext) instead of
 // panicking inside the index.
 func (db *Database) NewSession(example []float64, opt Options) *Session {
+	return NewSessionOver(&dbSearcher{Database: db, cache: index.NewRefinementSearcher(db.tree)}, example, opt)
+}
+
+// NewSessionOver starts a retrieval session that searches through on —
+// how the sharded tier builds its sessions (see Database.NewSession).
+func NewSessionOver(on SessionSearcher, example []float64, opt Options) *Session {
 	return &Session{
-		db:       db,
-		query:    NewQuery(opt),
-		example:  linalg.Vector(example).Clone(),
-		searcher: index.NewRefinementSearcher(db.tree),
-		met:      newSessionMetrics(),
-		sink:     opt.Sink,
+		on:      on,
+		dim:     on.Dim(),
+		query:   NewQuery(opt),
+		example: linalg.Vector(example).Clone(),
+		met:     newSessionMetrics(on.Registry()),
+		sink:    opt.Sink,
 	}
 }
 
 // Results retrieves the current top-k. Before any feedback this is the
 // plain example query; afterwards it is the refined multipoint query.
 // Successive calls reuse index work from the previous iteration (the
-// multipoint refinement caching of the paper's Fig. 7).
+// multipoint refinement caching of the paper's Fig. 7). Any failure
+// yields nil (use ResultsContext for the typed error).
 func (s *Session) Results(k int) []Result {
-	res, _ := s.results(context.Background(), k)
+	res, _ := s.ResultsContext(context.Background(), k)
 	return res
 }
 
-// ResultsContext is Results with cooperative cancellation and a panic
-// barrier (see SearchByExampleContext for the context semantics). An
-// interrupted search still refreshes the session's refinement cache with
-// the leaves it visited, so the next call starts warmer.
-func (s *Session) ResultsContext(ctx context.Context, k int) (_ []Result, err error) {
-	defer barrier("ResultsContext", &err)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("qcluster: search not started: %w", err)
-	}
-	return s.results(ctx, k)
+// ResultsContext is Results with cooperative cancellation (see
+// SearchByExampleContext for the context semantics). An interrupted
+// search still refreshes the session's refinement cache with the leaves
+// it visited, so the next call starts warmer.
+func (s *Session) ResultsContext(ctx context.Context, k int) ([]Result, error) {
+	return s.retrieve(ctx, k, false, 0)
 }
 
-func (s *Session) results(ctx context.Context, k int) ([]Result, error) {
-	var m distance.Metric
-	refined := s.query.Ready()
-	if refined {
-		m = s.query.metric()
-		if s.query.Health().Degraded() {
-			s.met.degraded.Inc()
-			s.db.met.degraded.Inc()
-		}
-	} else {
-		if len(s.example) != s.db.Dim() {
-			s.db.met.dimMismatch.Inc()
-			return nil, fmt.Errorf("qcluster: session example has dimension %d, database has %d: %w",
-				len(s.example), s.db.Dim(), ErrDimensionMismatch)
-		}
-		m = &distance.Euclidean{Center: s.example}
+// ResultsApprox is the session's approximate retrieval: the current
+// query (refined multipoint after feedback, the plain example before)
+// answered by the ANN backend with an explicit efSearch override (0 =
+// index default). See ResultsApproxContext.
+func (s *Session) ResultsApprox(k, efSearch int) []Result {
+	res, _ := s.ResultsApproxContext(context.Background(), k, efSearch)
+	return res
+}
+
+// ResultsApproxContext is ResultsApprox with cooperative cancellation.
+// Like SearchApproxContext it requires IndexOptions.Backend "ann" and
+// returns ErrBackendUnavailable on any other backend — the same
+// contract on every path (root, session, sharded). The ANN path has no
+// leaf cache, so the session's refinement cache is neither consulted
+// nor refreshed.
+func (s *Session) ResultsApproxContext(ctx context.Context, k, efSearch int) ([]Result, error) {
+	return s.retrieve(ctx, k, true, efSearch)
+}
+
+// retrieve is the session's one retrieval: resolve the current metric,
+// search where the session searches, record. Searches that never ran
+// (cancelled up front, wrong backend, trapped panic) are not counted.
+func (s *Session) retrieve(ctx context.Context, k int, approx bool, efSearch int) (_ []Result, err error) {
+	defer barrier(sessionOp(approx), &err)
+	m, health, err := resolveMetric(s.query, s.example, s.dim, &s.met.backend)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	s.mu.Lock()
-	rs := s.searcher
-	if s.db.backend != BackendTree && s.db.planner == nil {
-		// Refinement caches live on the tree path only — but with the
-		// adaptive planner the tree is always an eligible route, so the
-		// cache stays attached and warms whenever the planner picks it.
-		rs = nil
+	res, stats, err := s.on.SearchMetric(ctx, m, k, approx, efSearch)
+	partial := errors.Is(err, ErrPartialResults)
+	if err != nil && !partial {
+		s.mu.Unlock()
+		return nil, err
 	}
-	res, stats, cerr := s.db.knnBackend(ctx, m, k, nil, rs)
 	s.lastStats = stats
 	s.mu.Unlock()
 	elapsed := time.Since(start)
-	s.met.observeSearch(elapsed, stats, cerr != nil)
-	s.db.met.observeSearch(elapsed, k, len(res), stats, cerr != nil)
-	obs.ProfileFromContext(ctx).AddSearch(start, elapsed, costStatsFromIndex(stats))
+	s.met.observeRetrieval(elapsed, stats, health.Degraded(), partial)
 	if s.sink != nil {
 		obs.EmitEvent(s.sink, "search.done",
 			obs.F("k", k), obs.F("results", len(res)),
-			obs.F("refined", refined),
+			obs.F("refined", health.Clusters > 0),
 			obs.F("latency_ms", elapsed.Seconds()*1e3),
 			obs.F("leaves_visited", stats.LeavesVisited),
 			obs.F("cache_seed_leaves", stats.CacheSeedLeaves),
 			obs.F("prune_ratio", stats.PruneRatio()),
-			obs.F("partial", cerr != nil))
+			obs.F("partial", partial))
 	}
-	return convertResults(res), wrapInterrupt(cerr, len(res))
+	return res, err
 }
 
 // MarkRelevant feeds the user's relevance judgement back into the query.
 // It returns an error — absorbing nothing — when a positively scored
-// point's dimensionality does not match the database's or its vector has
-// non-finite (NaN or ±Inf) components, which would silently corrupt the
-// cluster means.
+// point's dimensionality does not match the collection's or its vector
+// has non-finite (NaN or ±Inf) components, which would silently corrupt
+// the cluster means.
 func (s *Session) MarkRelevant(points []Point) (err error) {
 	defer barrier("MarkRelevant", &err)
-	dim := s.db.Dim()
+	marked := 0
 	for i, p := range points {
 		if p.Score <= 0 {
 			continue
 		}
-		if len(p.Vec) != dim {
+		if len(p.Vec) != s.dim {
 			return fmt.Errorf("qcluster: point %d has dimension %d, database has %d",
-				i, len(p.Vec), dim)
+				i, len(p.Vec), s.dim)
 		}
-		if err := checkFinite(i, p.Vec); err != nil {
-			return err
-		}
+		marked++
 	}
 	rounds := s.query.Rounds()
 	if err := s.query.Feedback(points); err != nil {
@@ -539,15 +632,9 @@ func (s *Session) MarkRelevant(points []Point) (err error) {
 	// model skips rounds of already-seen or non-positive points).
 	if s.query.Rounds() > rounds {
 		s.met.rounds.Inc()
-		s.db.met.feedbackRnds.Inc()
-		marked := 0
-		for _, p := range points {
-			if p.Score > 0 {
-				marked++
-			}
-		}
+		s.met.beRounds.Inc()
 		s.met.points.Add(int64(marked))
-		s.db.met.feedbackPts.Add(int64(marked))
+		s.met.bePoints.Add(int64(marked))
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // Store is an append-only in-memory feature-vector database. Vector i
@@ -188,6 +189,26 @@ func (s SearchStats) PruneRatio() float64 {
 		return 0
 	}
 	return 1 - float64(s.LeavesVisited)/float64(s.LeavesTotal)
+}
+
+// Cost is the one derivation of the obs layer's dependency-free
+// CostStats from a search's statistics — what request cost profiles,
+// per-shard legs and /debug/slow report.
+func (s SearchStats) Cost() obs.CostStats {
+	return obs.CostStats{
+		NodesVisited:    s.NodesVisited,
+		LeavesVisited:   s.LeavesVisited,
+		LeavesTotal:     s.LeavesTotal,
+		DistanceEvals:   s.DistanceEvals,
+		BatchedEvals:    s.BatchedEvals,
+		AbandonedEvals:  s.AbandonedEvals,
+		CacheSeedLeaves: s.CacheSeedLeaves,
+		GraphHops:       s.GraphHops,
+		RefineEvals:     s.RefineEvals,
+		PlanRoute:       s.PlanRoute,
+		PlanAdaptive:    s.PlanAdaptive,
+		PlanPredictedMS: s.PlanPredictedSeconds * 1e3,
+	}
 }
 
 // Searcher answers k-NN queries for a metric.

@@ -8,17 +8,6 @@ import (
 	"repro/internal/shard"
 )
 
-// Session is the per-tenant feedback loop the serving layer manages:
-// retrieve, mark, refine. Implemented by qcluster.Session (single
-// database) and shard.Session (scatter-gather over a shard set).
-type Session interface {
-	Results(k int) []qcluster.Result
-	ResultsContext(ctx context.Context, k int) ([]qcluster.Result, error)
-	MarkRelevant(points []qcluster.Point) error
-	Health() qcluster.Health
-	Query() *qcluster.Query
-}
-
 // Backend is the retrieval engine behind the HTTP layer: one unsharded
 // database or a sharded set, behind the same searcher surface. The
 // refactor point for future backends (replicas, ANN indexes, planners):
@@ -31,7 +20,7 @@ type Backend interface {
 	// NewSessionRouted opens a feedback session for routing key (the
 	// session id) and returns it with its home shard: the consistent-hash
 	// member that owns the key, or -1 when the backend is unsharded.
-	NewSessionRouted(example []float64, opt qcluster.Options, key string) (Session, int)
+	NewSessionRouted(example []float64, opt qcluster.Options, key string) (*qcluster.Session, int)
 	// AddBatchContext is the fallback ingest path when Options.Ingestor
 	// is unset.
 	AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, error)
@@ -52,7 +41,7 @@ type dbBackend struct {
 	*qcluster.Database
 }
 
-func (b dbBackend) NewSessionRouted(example []float64, opt qcluster.Options, _ string) (Session, int) {
+func (b dbBackend) NewSessionRouted(example []float64, opt qcluster.Options, _ string) (*qcluster.Session, int) {
 	return b.Database.NewSession(example, opt), -1
 }
 
@@ -63,9 +52,9 @@ type setBackend struct {
 	*shard.Set
 }
 
-func (b setBackend) NewSessionRouted(example []float64, opt qcluster.Options, key string) (Session, int) {
+func (b setBackend) NewSessionRouted(example []float64, opt qcluster.Options, key string) (*qcluster.Session, int) {
 	sess := b.Set.NewSessionRouted(example, opt, key)
-	return sess, sess.Home()
+	return sess.Session, sess.Home()
 }
 
 // shardHealthBlock is one shard's /healthz block: the set's per-shard

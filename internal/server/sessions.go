@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	qcluster "repro"
 	"repro/internal/obs"
 )
 
@@ -20,7 +21,7 @@ import (
 type managedSession struct {
 	id   string
 	mu   sync.Mutex // serializes this session's request handling
-	sess Session
+	sess *qcluster.Session
 	home int // home shard (-1 when the backend is unsharded)
 	// relay is the session query's trace sink (nil when neither span
 	// export nor a user sink is configured); a sampled request activates
@@ -101,7 +102,7 @@ func newSessionID() string {
 // least-recently-used session when the capacity is reached. The caller
 // generates the id first (newSessionID) because a sharded backend
 // routes the session by it before the session exists.
-func (m *sessionManager) insert(id string, sess Session, home int, relay *relaySink, now time.Time) {
+func (m *sessionManager) insert(id string, sess *qcluster.Session, home int, relay *relaySink, now time.Time) {
 	ms := &managedSession{id: id, sess: sess, home: home, relay: relay, lastUsed: now, created: now}
 	m.mu.Lock()
 	for m.capacity > 0 && len(m.sessions) >= m.capacity {

@@ -15,7 +15,7 @@ func managerFixture(t *testing.T, capacity int, ttl time.Duration) (*sessionMana
 
 // insertSession mimics the handler's id-first registration for manager
 // unit tests (no routing affinity).
-func insertSession(m *sessionManager, sess Session, now time.Time) string {
+func insertSession(m *sessionManager, sess *qcluster.Session, now time.Time) string {
 	id := newSessionID()
 	m.insert(id, sess, -1, nil, now)
 	return id

@@ -42,9 +42,10 @@ func TestShardedApproxUnavailable(t *testing.T) {
 
 // TestShardedApproxEquivalence runs the sharded ANN path with an
 // exhaustive efSearch (candidates = collection, so exact refinement
-// degenerates to exact search) and checks both approximate surfaces are
-// bit-identical to the unsharded exact answer — example query and
-// refined multipoint query alike.
+// degenerates to exact search) and checks the stateless approximate
+// surface is bit-identical to the unsharded exact answer. The session
+// surface — example and refined multipoint query alike — is a column of
+// TestSessionParity.
 func TestShardedApproxEquivalence(t *testing.T) {
 	const n, dim, k = 1200, 6, 25
 	vectors := makeVectors(n, dim, 13)
@@ -70,29 +71,6 @@ func TestShardedApproxEquivalence(t *testing.T) {
 			t.Fatal(gerr)
 		}
 		sameResults(t, fmt.Sprintf("approx example %d", q), want, got)
-	}
-
-	cs := control.NewSession(vectors[0], qcluster.Options{})
-	ss := set.NewSession(vectors[0], qcluster.Options{})
-	for round := 0; round < 3; round++ {
-		want, _ := cs.ResultsContext(ctx, k)
-		got, gerr := ss.ResultsApproxContext(ctx, k, ef)
-		if gerr != nil {
-			t.Fatal(gerr)
-		}
-		sameResults(t, fmt.Sprintf("approx session round %d", round), want, got)
-		var marked []qcluster.Point
-		for i, r := range want {
-			if i%3 == 0 {
-				marked = append(marked, qcluster.Point{ID: r.ID, Vec: control.Vector(r.ID), Score: 2})
-			}
-		}
-		if err := cs.MarkRelevant(marked); err != nil {
-			t.Fatal(err)
-		}
-		if err := ss.MarkRelevant(marked); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -1,0 +1,282 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	qcluster "repro"
+	"repro/internal/faultinject"
+	"repro/internal/obs"
+)
+
+// parityColumn is one place a session can search: an unsharded
+// database or a shard set, on one backend.
+type parityColumn struct {
+	name       string
+	approx     bool // ann columns retrieve through ResultsApproxContext
+	newSession func(example []float64, opt qcluster.Options) *qcluster.Session
+	registry   *obs.Registry
+	metrics    func() obs.Snapshot
+}
+
+func parityColumns(t *testing.T, vectors [][]float64, ef int) []parityColumn {
+	t.Helper()
+	var cols []parityColumn
+	for _, be := range []struct {
+		name string
+		opt  qcluster.IndexOptions
+	}{
+		{"tree", qcluster.IndexOptions{}},
+		{"ann", qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: ef, Seed: 4}}},
+	} {
+		db, err := qcluster.NewDatabaseWithOptions(vectors, be.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, parityColumn{
+			name: be.name + "/database", approx: be.name == "ann",
+			newSession: db.NewSession, registry: db.Registry(), metrics: db.Metrics,
+		})
+		for _, shards := range []int{1, 3} {
+			set, err := New(vectors, shards, be.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols = append(cols, parityColumn{
+				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), approx: be.name == "ann",
+				newSession: func(example []float64, opt qcluster.Options) *qcluster.Session {
+					return set.NewSession(example, opt).Session
+				},
+				registry: set.Registry(), metrics: set.Metrics,
+			})
+		}
+	}
+	return cols
+}
+
+// TestSessionParity runs one seeded feedback script against every place
+// a session can search — {Database, 1-shard Set, 3-shard Set} × {tree,
+// ann with an exhaustive beam} — and asserts there is one Session: the
+// same pages bit for bit, the same sentinel errors, the same Stats, the
+// same "search.done" events, and the same movement of the backend
+// registry's feedback and degradation counters, sharded or not.
+func TestSessionParity(t *testing.T) {
+	defer faultinject.Reset()
+	const n, dim, k = 1200, 6, 25
+	vectors := makeVectors(n, dim, 31)
+	ef := n + 1
+	ctx := context.Background()
+	cols := parityColumns(t, vectors, ef)
+
+	// The script's oracle: makeVectors puts id i in cluster i%16.
+	example := vectors[5]
+	relevant := func(id int) bool { return id%16 == 5 }
+
+	type outcome struct {
+		pages    [][]qcluster.Result
+		stats    qcluster.SessionStats
+		events   int
+		counters map[string]int64
+	}
+	outcomes := make([]outcome, len(cols))
+
+	for c, col := range cols {
+		t.Run(col.name, func(t *testing.T) {
+			sink := &obs.MemorySink{}
+			// FullInverse: the first rounds' clusters hold fewer points
+			// than dimensions, so the degraded-covariance path runs.
+			opt := qcluster.Options{Scheme: qcluster.FullInverse, Sink: sink}
+			sess := col.newSession(example, opt)
+			retrieve := func(ctx context.Context) ([]qcluster.Result, error) {
+				if col.approx {
+					return sess.ResultsApproxContext(ctx, k, ef)
+				}
+				return sess.ResultsContext(ctx, k)
+			}
+			out := &outcomes[c]
+			page := func(label string) []qcluster.Result {
+				res, err := retrieve(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				out.pages = append(out.pages, res)
+				return res
+			}
+
+			// Example query, then 3 rounds of oracle marks; each round
+			// re-marks the previous round's first id.
+			res := page("example query")
+			remark := -1
+			for round := 0; round < 3; round++ {
+				var marks []qcluster.Point
+				if remark >= 0 {
+					marks = append(marks, qcluster.Point{ID: remark, Vec: vectors[remark], Score: 3})
+				}
+				for _, r := range res {
+					if relevant(r.ID) && len(marks) < 4+3*round {
+						marks = append(marks, qcluster.Point{ID: r.ID, Vec: vectors[r.ID], Score: 3})
+					}
+				}
+				if len(marks) == 0 {
+					t.Fatalf("round %d: the oracle marked nothing", round)
+				}
+				remark = marks[len(marks)-1].ID
+				if err := sess.MarkRelevant(marks); err != nil {
+					t.Fatalf("round %d: MarkRelevant: %v", round, err)
+				}
+				res = page(fmt.Sprintf("round %d", round))
+			}
+
+			// A NaN mark is rejected and absorbs nothing.
+			rounds := sess.Query().Rounds()
+			if err := sess.MarkRelevant([]qcluster.Point{{ID: 7, Vec: []float64{1, math.NaN(), 0, 0, 0, 0}, Score: 3}}); err == nil {
+				t.Fatal("NaN mark accepted")
+			}
+			if err := sess.MarkRelevant([]qcluster.Point{{ID: 7, Vec: []float64{1, 2}, Score: 3}}); err == nil {
+				t.Fatal("wrong-dimension mark accepted")
+			}
+			if got := sess.Query().Rounds(); got != rounds {
+				t.Fatalf("rejected marks moved the model: rounds %d → %d", rounds, got)
+			}
+
+			// A wrong-dimension example.
+			bad := col.newSession(append([]float64{0}, example...), opt)
+			if _, err := bad.ResultsContext(ctx, k); !errors.Is(err, qcluster.ErrDimensionMismatch) {
+				t.Fatalf("wrong-dimension example: err = %v, want ErrDimensionMismatch", err)
+			}
+
+			// A pre-cancelled context: its error, not partial results.
+			done, cancel := context.WithCancel(ctx)
+			cancel()
+			if _, err := retrieve(done); !errors.Is(err, context.Canceled) || errors.Is(err, qcluster.ErrPartialResults) {
+				t.Fatalf("pre-cancelled: err = %v, want context.Canceled and not ErrPartialResults", err)
+			}
+
+			// A context cancelled at the first tree-traversal pop: the
+			// tree columns return partial results; the ANN graph never
+			// pops the tree, so there the retrieval simply completes.
+			mid, cancelMid := context.WithCancel(ctx)
+			var fired atomic.Bool
+			faultinject.Set(faultinject.KNNPop, func() {
+				if fired.CompareAndSwap(false, true) {
+					cancelMid()
+				}
+			})
+			_, err := retrieve(mid)
+			faultinject.Clear(faultinject.KNNPop)
+			cancelMid()
+			if col.approx {
+				if err != nil {
+					t.Fatalf("ann retrieval under the tree hook: %v", err)
+				}
+			} else if !errors.Is(err, qcluster.ErrPartialResults) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-search cancel: err = %v, want ErrPartialResults and context.Canceled", err)
+			}
+
+			// The approximate form over an exact backend.
+			if !col.approx {
+				if _, err := sess.ResultsApproxContext(ctx, k, 0); !errors.Is(err, qcluster.ErrBackendUnavailable) {
+					t.Fatalf("ResultsApproxContext on a tree: err = %v, want ErrBackendUnavailable", err)
+				}
+			}
+
+			out.stats = sess.Stats()
+			out.events = sink.Count("search.done")
+			snap := col.registry.Snapshot()
+			out.counters = map[string]int64{}
+			for _, name := range []string{"feedback.rounds", "feedback.points", "search.degraded", "search.dimension_mismatch"} {
+				out.counters[name] = snap.Counters[name]
+			}
+			if int64(out.events) != out.stats.Searches {
+				t.Errorf("%d search.done events for %d retrievals, want one each", out.events, out.stats.Searches)
+			}
+			// A set exports the feedback series once, at set level — not
+			// as N per-shard series no session ever moves.
+			for name := range col.metrics().Counters {
+				if strings.HasPrefix(name, "shard") && strings.Contains(name, ".feedback.") {
+					t.Errorf("dead per-shard series %q exported", name)
+				}
+			}
+		})
+	}
+	if t.Failed() {
+		return
+	}
+
+	ref := outcomes[0]
+	if ref.stats.Searches != 5 || ref.stats.FeedbackRounds != 3 || ref.stats.FeedbackPoints == 0 ||
+		ref.stats.DegradedSearches == 0 || ref.counters["search.dimension_mismatch"] != 1 {
+		t.Fatalf("script did not exercise what it claims: stats %+v counters %v", ref.stats, ref.counters)
+	}
+	for c, col := range cols[1:] {
+		got := outcomes[c+1]
+		for p := range ref.pages {
+			sameResults(t, fmt.Sprintf("%s page %d vs %s", col.name, p, cols[0].name), ref.pages[p], got.pages[p])
+		}
+		if got.stats.Searches != ref.stats.Searches || got.stats.PartialSearches+boolInt(col.approx) != ref.stats.PartialSearches ||
+			got.stats.FeedbackRounds != ref.stats.FeedbackRounds || got.stats.FeedbackPoints != ref.stats.FeedbackPoints ||
+			got.stats.DegradedSearches != ref.stats.DegradedSearches || got.stats.QueryPoints != ref.stats.QueryPoints {
+			t.Errorf("%s: Stats %+v diverge from %s's %+v", col.name, got.stats, cols[0].name, ref.stats)
+		}
+		if got.events != ref.events {
+			t.Errorf("%s: %d search.done events, %s emitted %d", col.name, got.events, cols[0].name, ref.events)
+		}
+		// Registry movement is compared sharded against unsharded on the
+		// same backend (the tree columns also resolved a metric for the
+		// rejected ResultsApproxContext call).
+		unsharded := outcomes[(c+1)/3*3]
+		for name, want := range unsharded.counters {
+			if got.counters[name] != want {
+				t.Errorf("%s: registry %s = %d, unsharded moved it by %d", col.name, name, got.counters[name], want)
+			}
+		}
+		if got.counters["feedback.rounds"] != got.stats.FeedbackRounds || got.counters["feedback.points"] != got.stats.FeedbackPoints {
+			t.Errorf("%s: registry feedback counters %v disagree with Stats %+v", col.name, got.counters, got.stats)
+		}
+	}
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestShardLegsCarryPlan is the regression test for the one
+// SearchStats → CostStats derivation: on a set whose shards plan
+// adaptively, every per-shard leg of a profiled session retrieval
+// reports the route that ran (the shard-side copy of the mapping used
+// to drop the plan fields), and the request's index work is attributed
+// once — by the gather, not again by each leg's pipeline.
+func TestShardLegsCarryPlan(t *testing.T) {
+	vectors := makeVectors(1500, 6, 19)
+	set, err := New(vectors, 2, qcluster.IndexOptions{Plan: qcluster.PlanOptions{Adaptive: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := &obs.CostProfile{}
+	ctx := obs.ContextWithProfile(context.Background(), prof)
+	if _, err := set.NewSession(vectors[0], qcluster.Options{}).ResultsContext(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	legs := prof.Shards()
+	if len(legs) != 2 {
+		t.Fatalf("profile has %d shard legs, want 2", len(legs))
+	}
+	evals := 0
+	for _, leg := range legs {
+		if leg.Stats.PlanRoute == "" {
+			t.Errorf("shard %d leg dropped the plan that ran: %+v", leg.Shard, leg.Stats)
+		}
+		evals += leg.Stats.DistanceEvals
+	}
+	if prof.Stats.DistanceEvals != evals || evals == 0 {
+		t.Errorf("request counts %d distance evals, its legs sum to %d — work attributed other than once", prof.Stats.DistanceEvals, evals)
+	}
+}

@@ -13,27 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// costStats converts per-shard index statistics into the obs layer's
-// dependency-free CostStats for the request profile.
-func costStats(s index.SearchStats) obs.CostStats {
-	return obs.CostStats{
-		NodesVisited:    s.NodesVisited,
-		LeavesVisited:   s.LeavesVisited,
-		LeavesTotal:     s.LeavesTotal,
-		DistanceEvals:   s.DistanceEvals,
-		BatchedEvals:    s.BatchedEvals,
-		AbandonedEvals:  s.AbandonedEvals,
-		CacheSeedLeaves: s.CacheSeedLeaves,
-		GraphHops:       s.GraphHops,
-		RefineEvals:     s.RefineEvals,
-	}
-}
-
-// shardSearch is one per-shard leg of a scatter-gather query: it
-// returns the shard's local top-k (local ids) computed against the
-// shared bound.
-type shardSearch func(ctx context.Context, i int, sb *index.SharedBound) ([]qcluster.Result, index.SearchStats, error)
-
 // gather fans a query out to every shard with one shared k-th-best
 // bound, remaps the per-shard results to global ids, and merges them
 // with the deterministic (Dist, ID) order.
@@ -47,12 +26,26 @@ type shardSearch func(ctx context.Context, i int, sb *index.SharedBound) ([]qclu
 // vectors, and sorting the union by (Dist, ID) reproduces the
 // unsharded result list exactly, ties included.
 //
-// Cancellation: an interrupted query merges whatever each shard had
+// Cancellation: an already-expired context returns its (wrapped) error
+// and no results; an interrupted query merges whatever each shard had
 // found (some shards may have finished, others return partial or empty
 // sets) and reports it with an error matching both ErrPartialResults
 // and the context error.
-func (s *Set) gather(ctx context.Context, k int, run shardSearch) ([]qcluster.Result, index.SearchStats, error) {
-	n := len(s.shards)
+//
+// gather is the one body behind every retrieval on the set: stateless
+// searches run it over the set's uncached legs, a session over its own
+// cached ones. With approx every leg runs the ANN graph at beam width
+// efSearch; the backend is checked up front (all shards share one
+// IndexOptions) so every path surfaces the same ErrBackendUnavailable,
+// not a "shard 0: ..." flavored one.
+func (s *Set) gather(ctx context.Context, legs []*qcluster.ShardSearcher, m distance.Metric, k int, approx bool, efSearch int) ([]qcluster.Result, index.SearchStats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, index.SearchStats{}, fmt.Errorf("shard: search not started: %w", err)
+	}
+	if b := s.IndexInfo().Backend; approx && b != string(qcluster.BackendANN) {
+		return nil, index.SearchStats{}, fmt.Errorf("shard: backend is %q: %w", b, qcluster.ErrBackendUnavailable)
+	}
+	n := len(legs)
 	sb := index.NewSharedBound()
 	type out struct {
 		res   []qcluster.Result
@@ -66,7 +59,7 @@ func (s *Set) gather(ctx context.Context, k int, run shardSearch) ([]qcluster.Re
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			res, stats, err := run(ctx, i, sb)
+			res, stats, err := legs[i].Search(ctx, m, k, approx, efSearch, sb)
 			// Remap local ids to global under the mapping lock: any
 			// vector visible to the search had its mapping entry
 			// published before it entered the shard's tree.
@@ -95,7 +88,7 @@ func (s *Set) gather(ctx context.Context, k int, run shardSearch) ([]qcluster.Re
 	partial := false
 	for i := range outs {
 		stats.Add(outs[i].stats)
-		prof.AddShard(i, start, outs[i].dur, costStats(outs[i].stats))
+		prof.AddShard(i, start, outs[i].dur, outs[i].stats.Cost())
 		merged = append(merged, outs[i].res...)
 		if err := outs[i].err; err != nil {
 			if errors.Is(err, qcluster.ErrPartialResults) {
@@ -145,22 +138,7 @@ func (s *Set) gather(ctx context.Context, k int, run shardSearch) ([]qcluster.Re
 // Database.SearchByExampleContext, bit-identical to it over the same
 // collection. k <= 0 yields no results.
 func (s *Set) SearchByExampleContext(ctx context.Context, example []float64, k int) ([]qcluster.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shard: search not started: %w", err)
-	}
-	if len(example) != s.dim {
-		return nil, fmt.Errorf("shard: example has dimension %d, set has %d: %w",
-			len(example), s.dim, qcluster.ErrDimensionMismatch)
-	}
-	m := qcluster.EuclideanMetric(example)
-	res, _, err := s.searchMetric(ctx, m, k)
-	return res, err
-}
-
-func (s *Set) searchMetric(ctx context.Context, m distance.Metric, k int) ([]qcluster.Result, index.SearchStats, error) {
-	return s.gather(ctx, k, func(ctx context.Context, i int, sb *index.SharedBound) ([]qcluster.Result, index.SearchStats, error) {
-		return s.shards[i].SearchMetricShared(ctx, m, k, sb)
-	})
+	return s.searchExample(ctx, example, k, false, 0)
 }
 
 // SearchApproxContext answers a plain k-NN query around an example
@@ -169,30 +147,14 @@ func (s *Set) searchMetric(ctx context.Context, m distance.Metric, k int) ([]qcl
 // equivalent of Database.SearchApproxContext, with the same contract:
 // any other backend returns ErrBackendUnavailable.
 func (s *Set) SearchApproxContext(ctx context.Context, example []float64, k, efSearch int) ([]qcluster.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shard: search not started: %w", err)
-	}
-	if err := s.approxAvailable(); err != nil {
-		return nil, err
-	}
+	return s.searchExample(ctx, example, k, true, efSearch)
+}
+
+func (s *Set) searchExample(ctx context.Context, example []float64, k int, approx bool, efSearch int) ([]qcluster.Result, error) {
 	if len(example) != s.dim {
 		return nil, fmt.Errorf("shard: example has dimension %d, set has %d: %w",
 			len(example), s.dim, qcluster.ErrDimensionMismatch)
 	}
-	m := qcluster.EuclideanMetric(example)
-	res, _, err := s.gather(ctx, k, func(ctx context.Context, i int, sb *index.SharedBound) ([]qcluster.Result, index.SearchStats, error) {
-		return s.shards[i].SearchApproxMetric(ctx, m, k, efSearch)
-	})
+	res, _, err := s.gather(ctx, s.legs, qcluster.EuclideanMetric(example), k, approx, efSearch)
 	return res, err
-}
-
-// approxAvailable checks the set's backend up front so every shard path
-// surfaces the same wrapped ErrBackendUnavailable instead of one
-// "shard 0: ..." flavored error per topology. All shards are built from
-// the same IndexOptions, so shard 0 speaks for the set.
-func (s *Set) approxAvailable() error {
-	if b := s.shards[0].IndexInfo().Backend; b != string(qcluster.BackendANN) {
-		return fmt.Errorf("shard: backend is %q: %w", b, qcluster.ErrBackendUnavailable)
-	}
-	return nil
 }

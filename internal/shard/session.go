@@ -2,32 +2,23 @@ package shard
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"sync"
 
 	qcluster "repro"
 	"repro/internal/distance"
 	"repro/internal/index"
 )
 
-// Session is the sharded counterpart of qcluster.Session: one shared
-// query model (retrieve, mark, refine) over the whole set, with one
-// refinement searcher per shard so every shard keeps its own
-// cross-iteration leaf cache. Retrieval fans out to all shards — the
-// multipoint query's exact top-k needs every shard's candidates — while
-// the session itself is pinned to a home shard member by consistent-hash
-// routing (see Set.HomeShard) purely as a serving-tier affinity signal.
-//
-// A Session is safe for concurrent use; searches and feedback are
-// serialized internally like qcluster.Session.
+// Session is a feedback session over the whole set: qcluster.Session —
+// the one implementation of retrieve, mark, refine — searching through
+// the set's scatter-gather, with one refinement searcher per shard so
+// every shard keeps its own cross-iteration leaf cache. Retrieval fans
+// out to all shards — the multipoint query's exact top-k needs every
+// shard's candidates — while the session itself is pinned to a home
+// shard member by consistent-hash routing (see Set.HomeShard) purely as
+// a serving-tier affinity signal.
 type Session struct {
-	mu        sync.Mutex
-	set       *Set
-	query     *qcluster.Query
-	example   []float64
-	searchers []*qcluster.ShardSearcher
-	home      int
+	*qcluster.Session
+	home int
 }
 
 // NewSession starts a sharded retrieval session from an example vector
@@ -44,123 +35,30 @@ func (s *Set) NewSessionRouted(example []float64, opt qcluster.Options, key stri
 }
 
 func (s *Set) newSession(example []float64, opt qcluster.Options, home int) *Session {
-	searchers := make([]*qcluster.ShardSearcher, len(s.shards))
+	on := &searcher{Set: s, legs: s.newLegs(true)}
+	return &Session{Session: qcluster.NewSessionOver(on, example, opt), home: home}
+}
+
+// newLegs returns one leg handle per shard: cached for a session,
+// uncached for the set's stateless searches.
+func (s *Set) newLegs(cached bool) []*qcluster.ShardSearcher {
+	legs := make([]*qcluster.ShardSearcher, len(s.shards))
 	for i, db := range s.shards {
-		searchers[i] = db.NewShardSearcher()
+		legs[i] = db.NewShardSearcher(cached)
 	}
-	return &Session{
-		set:       s,
-		query:     qcluster.NewQuery(opt),
-		example:   append([]float64(nil), example...),
-		searchers: searchers,
-		home:      home,
-	}
+	return legs
 }
 
 // Home returns the session's home shard (-1 when unrouted).
 func (sess *Session) Home() int { return sess.home }
 
-// Results retrieves the current top-k (see ResultsContext).
-func (sess *Session) Results(k int) []qcluster.Result {
-	res, _ := sess.ResultsContext(context.Background(), k)
-	return res
+// searcher is the sharded qcluster.SessionSearcher: the set (its Dim and
+// its Registry, where sessions count) plus the session's cached legs.
+type searcher struct {
+	*Set
+	legs []*qcluster.ShardSearcher
 }
 
-// ResultsContext retrieves the current global top-k: the plain example
-// query before any feedback, the refined multipoint query afterwards —
-// bit-identical to qcluster.Session.ResultsContext over the same
-// unsharded collection. Successive calls reuse each shard's refinement
-// cache from the previous iteration.
-func (sess *Session) ResultsContext(ctx context.Context, k int) ([]qcluster.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shard: search not started: %w", err)
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	var m distance.Metric
-	if sess.query.Ready() {
-		m = sess.query.Metric()
-	} else {
-		if len(sess.example) != sess.set.dim {
-			return nil, fmt.Errorf("shard: session example has dimension %d, set has %d: %w",
-				len(sess.example), sess.set.dim, qcluster.ErrDimensionMismatch)
-		}
-		m = qcluster.EuclideanMetric(sess.example)
-	}
-	res, _, err := sess.set.gather(ctx, k, func(ctx context.Context, i int, sb *index.SharedBound) ([]qcluster.Result, index.SearchStats, error) {
-		return sess.searchers[i].KNNShared(ctx, m, k, sb)
-	})
-	return res, err
+func (ss *searcher) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]qcluster.Result, index.SearchStats, error) {
+	return ss.gather(ctx, ss.legs, m, k, approx, efSearch)
 }
-
-// ResultsApprox is the session's approximate retrieval (see
-// ResultsApproxContext).
-func (sess *Session) ResultsApprox(k, efSearch int) []qcluster.Result {
-	res, err := sess.ResultsApproxContext(context.Background(), k, efSearch)
-	if err != nil {
-		return nil
-	}
-	return res
-}
-
-// ResultsApproxContext retrieves the current query's top-k on the ANN
-// backend across all shards with an explicit efSearch override — the
-// sharded counterpart of qcluster.Session.ResultsApproxContext, with
-// the same contract: a non-ANN backend returns ErrBackendUnavailable.
-func (sess *Session) ResultsApproxContext(ctx context.Context, k, efSearch int) ([]qcluster.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shard: search not started: %w", err)
-	}
-	if err := sess.set.approxAvailable(); err != nil {
-		return nil, err
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	var m distance.Metric
-	if sess.query.Ready() {
-		m = sess.query.Metric()
-	} else {
-		if len(sess.example) != sess.set.dim {
-			return nil, fmt.Errorf("shard: session example has dimension %d, set has %d: %w",
-				len(sess.example), sess.set.dim, qcluster.ErrDimensionMismatch)
-		}
-		m = qcluster.EuclideanMetric(sess.example)
-	}
-	res, _, err := sess.set.gather(ctx, k, func(ctx context.Context, i int, sb *index.SharedBound) ([]qcluster.Result, index.SearchStats, error) {
-		return sess.set.shards[i].SearchApproxMetric(ctx, m, k, efSearch)
-	})
-	return res, err
-}
-
-// MarkRelevant feeds the user's relevance judgement back into the
-// shared query model, with the same validation as
-// qcluster.Session.MarkRelevant.
-func (sess *Session) MarkRelevant(points []qcluster.Point) error {
-	for i, p := range points {
-		if p.Score <= 0 {
-			continue
-		}
-		if len(p.Vec) != sess.set.dim {
-			return fmt.Errorf("shard: point %d has dimension %d, set has %d",
-				i, len(p.Vec), sess.set.dim)
-		}
-		for d, x := range p.Vec {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("shard: feedback point %d component %d is not finite (%v)", i, d, x)
-			}
-		}
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.query.Feedback(points)
-}
-
-// Health returns the session query's health status.
-func (sess *Session) Health() qcluster.Health {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.query.Health()
-}
-
-// Query exposes the underlying query model for inspection.
-func (sess *Session) Query() *qcluster.Query { return sess.query }

@@ -52,6 +52,7 @@ func placement(id, shards int) int {
 // (each spans every shard) while searches share read access.
 type Set struct {
 	shards  []*qcluster.Database
+	legs    []*qcluster.ShardSearcher   // uncached per-shard legs of the stateless searches
 	durable []*qcluster.DurableDatabase // nil when memory-only
 	dim     int
 	ring    *ring
@@ -248,6 +249,7 @@ func newSet(shards int) *Set {
 // set-level gauges. Called once from New/Open before the Set escapes.
 func (s *Set) finishInit(n int) {
 	s.dim = s.shards[0].Dim()
+	s.legs = s.newLegs(false)
 	s.locals = make([]int, n)
 	for g := 0; g < n; g++ {
 		p := placement(g, len(s.shards))

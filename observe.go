@@ -216,12 +216,10 @@ func (c CostSignals) EstimatedSeconds() float64 { return c.SearchSeconds.Mean() 
 type dbMetrics struct {
 	reg *obs.Registry
 
+	source        sourceCounters
 	searches      *obs.Counter
 	searchErrors  *obs.Counter
 	partial       *obs.Counter
-	notReady      *obs.Counter
-	dimMismatch   *obs.Counter
-	degraded      *obs.Counter
 	latency       *obs.Histogram
 	resultCounts  *obs.Histogram
 	kRequested    *obs.Histogram
@@ -240,8 +238,6 @@ type dbMetrics struct {
 	resplits      *obs.Counter
 	resplitNS     *obs.Counter
 	resplitQueue  *obs.Gauge
-	feedbackRnds  *obs.Counter
-	feedbackPts   *obs.Counter
 
 	// Rolling windowed estimators (see CostSignals). Snapshot alongside
 	// the cumulative histograms under their "cost.window." names.
@@ -264,16 +260,31 @@ type dbMetrics struct {
 	wPlanErrRatio *obs.Window
 }
 
+// sourceCounters are the registry series metric resolution moves (see
+// resolveMetric). A Database's registry and a shard set's carry them
+// under the same names, so a session counts alike on either.
+type sourceCounters struct {
+	notReady    *obs.Counter
+	dimMismatch *obs.Counter
+	degraded    *obs.Counter
+}
+
+func newSourceCounters(reg *obs.Registry) sourceCounters {
+	return sourceCounters{
+		notReady:    reg.Counter("search.not_ready"),
+		dimMismatch: reg.Counter("search.dimension_mismatch"),
+		degraded:    reg.Counter("search.degraded"),
+	}
+}
+
 func newDBMetrics() *dbMetrics {
 	reg := obs.NewRegistry()
 	return &dbMetrics{
 		reg:           reg,
+		source:        newSourceCounters(reg),
 		searches:      reg.Counter("search.total"),
 		searchErrors:  reg.Counter("search.errors"),
 		partial:       reg.Counter("search.partial"),
-		notReady:      reg.Counter("search.not_ready"),
-		dimMismatch:   reg.Counter("search.dimension_mismatch"),
-		degraded:      reg.Counter("search.degraded"),
 		latency:       reg.Histogram("search.latency_seconds", obs.LatencyBuckets()),
 		resultCounts:  reg.Histogram("search.results", obs.SizeBuckets()),
 		kRequested:    reg.Histogram("search.k", obs.SizeBuckets()),
@@ -292,8 +303,6 @@ func newDBMetrics() *dbMetrics {
 		resplits:      reg.Counter("index.resplits"),
 		resplitNS:     reg.Counter("search.resplit_ns"),
 		resplitQueue:  reg.Gauge("index.resplit_pending"),
-		feedbackRnds:  reg.Counter("feedback.rounds"),
-		feedbackPts:   reg.Counter("feedback.points"),
 		wPrune:        reg.Window("cost.window.prune_ratio", obs.RatioBuckets(), CostWindowSpan),
 		wAbandon:      reg.Window("cost.window.abandon_rate", obs.RatioBuckets(), CostWindowSpan),
 		wLeaves:       reg.Window("cost.window.leaves_visited", obs.SizeBuckets(), CostWindowSpan),
@@ -399,9 +408,9 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 // "index.prune_ratio", plus "index.graph_hops" and
 // "index.refine_evals" on the ANN backend), insert-maintenance
 // counters ("index.resplits", "search.resplit_ns",
-// "index.resplit_pending") and feedback counters ("feedback.rounds",
-// "feedback.points"). Safe to call at any time, including while
-// searches are running.
+// "index.resplit_pending"), "search.errors" (trapped search panics) and,
+// once a session exists, "feedback.rounds" / "feedback.points". Safe to
+// call at any time, including while searches are running.
 func (db *Database) Metrics() MetricsSnapshot { return db.met.reg.Snapshot() }
 
 // ServeDebug starts an HTTP debug server for this database's metrics on
@@ -433,28 +442,15 @@ func (db *Database) CostSignals() CostSignals {
 	}
 }
 
-// costStatsFromIndex converts the index layer's per-search statistics
-// into the obs layer's dependency-free CostStats for request profiles.
-func costStatsFromIndex(s index.SearchStats) obs.CostStats {
-	return obs.CostStats{
-		NodesVisited:    s.NodesVisited,
-		LeavesVisited:   s.LeavesVisited,
-		LeavesTotal:     s.LeavesTotal,
-		DistanceEvals:   s.DistanceEvals,
-		BatchedEvals:    s.BatchedEvals,
-		AbandonedEvals:  s.AbandonedEvals,
-		CacheSeedLeaves: s.CacheSeedLeaves,
-		GraphHops:       s.GraphHops,
-		RefineEvals:     s.RefineEvals,
-		PlanRoute:       s.PlanRoute,
-		PlanAdaptive:    s.PlanAdaptive,
-		PlanPredictedMS: s.PlanPredictedSeconds * 1e3,
-	}
-}
-
 // sessionMetrics is the per-session slice of the instrumentation: the
-// same allocation-free primitives, owned by one Session.
+// same allocation-free primitives, owned by one Session, plus handles
+// on the series the session moves in its backend's registry. The
+// feedback series are registered by the first session, so the shard
+// databases under a set — which never own a session — export none.
 type sessionMetrics struct {
+	backend    sourceCounters
+	beRounds   *obs.Counter
+	bePoints   *obs.Counter
 	searches   obs.Counter
 	partial    obs.Counter
 	degraded   obs.Counter
@@ -468,16 +464,22 @@ type sessionMetrics struct {
 	prune      *obs.Histogram
 }
 
-func newSessionMetrics() *sessionMetrics {
+func newSessionMetrics(reg *obs.Registry) *sessionMetrics {
 	return &sessionMetrics{
-		latency: obs.NewHistogram(obs.LatencyBuckets()),
-		prune:   obs.NewHistogram(obs.RatioBuckets()),
+		backend:  newSourceCounters(reg),
+		beRounds: reg.Counter("feedback.rounds"),
+		bePoints: reg.Counter("feedback.points"),
+		latency:  obs.NewHistogram(obs.LatencyBuckets()),
+		prune:    obs.NewHistogram(obs.RatioBuckets()),
 	}
 }
 
-// observeSearch records one session retrieval (allocation-free).
-func (m *sessionMetrics) observeSearch(elapsed time.Duration, stats index.SearchStats, partial bool) {
+// observeRetrieval records one session retrieval (allocation-free).
+func (m *sessionMetrics) observeRetrieval(elapsed time.Duration, stats index.SearchStats, degraded, partial bool) {
 	m.searches.Inc()
+	if degraded {
+		m.degraded.Inc()
+	}
 	m.latency.Observe(elapsed.Seconds())
 	m.leavesVis.Add(int64(stats.LeavesVisited))
 	if pruned := stats.LeavesTotal - stats.LeavesVisited; pruned > 0 {

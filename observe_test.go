@@ -168,6 +168,9 @@ func TestSessionStats(t *testing.T) {
 	if st.DistanceEvals <= 0 || st.LeavesVisited <= 0 {
 		t.Fatalf("cumulative index work missing: %+v", st)
 	}
+	if got := db.Metrics().Counters["search.errors"]; got != 0 {
+		t.Fatalf("search.errors = %d across a healthy session, want 0", got)
+	}
 }
 
 // TestDatabaseMetrics checks the registry-backed snapshot across all
@@ -208,6 +211,9 @@ func TestDatabaseMetrics(t *testing.T) {
 	m := db.Metrics()
 	if got := m.Counters["search.total"]; got != 4 {
 		t.Fatalf("search.total = %d, want 4", got)
+	}
+	if got := m.Counters["search.errors"]; got != 0 {
+		t.Fatalf("search.errors = %d with no trapped panic, want 0", got)
 	}
 	if got := m.Counters["search.not_ready"]; got != 2 {
 		t.Fatalf("search.not_ready = %d, want 2", got)
@@ -271,14 +277,14 @@ func TestServeDebugEndToEnd(t *testing.T) {
 // finished search and the nil-sink trace guards allocate nothing.
 func TestInstrumentationAllocationFree(t *testing.T) {
 	met := newDBMetrics()
-	smet := newSessionMetrics()
+	smet := newSessionMetrics(met.reg)
 	stats := index.SearchStats{
 		NodesVisited: 10, LeavesVisited: 5, LeavesTotal: 20,
 		DistanceEvals: 100, CacheSeedLeaves: 2, Workers: 1,
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		met.observeSearch(time.Millisecond, 10, 10, stats, false)
-		smet.observeSearch(time.Millisecond, stats, false)
+		smet.observeRetrieval(time.Millisecond, stats, false, false)
 	}); n != 0 {
 		t.Fatalf("observeSearch allocates %v/op, want 0", n)
 	}

@@ -221,8 +221,8 @@ func TestApproxEntryPointsRequireANN(t *testing.T) {
 			_, err := db.NewSession(db.Vector(0), Options{}).ResultsApproxContext(ctx, 5, 0)
 			return err
 		}},
-		{"SearchApproxMetric", func(db *Database) error {
-			_, _, err := db.SearchApproxMetric(ctx, EuclideanMetric(db.Vector(0)), 5, 0)
+		{"ShardSearcher.Search(approx)", func(db *Database) error {
+			_, _, err := db.NewShardSearcher(false).Search(ctx, EuclideanMetric(db.Vector(0)), 5, true, 0, nil)
 			return err
 		}},
 	}
@@ -247,34 +247,12 @@ func TestApproxEntryPointsRequireANN(t *testing.T) {
 			t.Errorf("ann backend %s: %v", ep.name, err)
 		}
 	}
-}
-
-// TestSessionResultsApprox checks the session-level approximate
-// retrieval on the ANN backend: before feedback it answers the example
-// query; with an exhaustive efSearch it is bit-identical to the exact
-// session results, refined query included.
-func TestSessionResultsApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	vectors, labels := buildVectors(rng)
-	ef := len(vectors) + 1
-	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: ef, Seed: 5}})
+	// The error-free session form: nil where the Context form errors.
+	if res := annDB.NewSession(annDB.Vector(0), Options{}).ResultsApprox(5, 0); len(res) != 5 {
+		t.Errorf("ann backend Session.ResultsApprox: %d results, want 5", len(res))
+	}
 	tree := buildDB(t, vectors, IndexOptions{})
-
-	sa := annDB.NewSession(annDB.Vector(0), Options{})
-	st := tree.NewSession(tree.Vector(0), Options{})
-	identicalResults(t, sa.ResultsApprox(20, ef), st.Results(20), "pre-feedback approx")
-
-	var marked []Point
-	for _, r := range st.Results(20) {
-		if labels[r.ID] == 0 {
-			marked = append(marked, Point{ID: r.ID, Vec: tree.Vector(r.ID), Score: 2})
-		}
+	if res := tree.NewSession(tree.Vector(0), Options{}).ResultsApprox(5, 0); res != nil {
+		t.Errorf("tree backend Session.ResultsApprox: %d results, want nil", len(res))
 	}
-	if err := sa.MarkRelevant(marked); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.MarkRelevant(marked); err != nil {
-		t.Fatal(err)
-	}
-	identicalResults(t, sa.ResultsApprox(20, ef), st.Results(20), "refined approx")
 }

@@ -2,27 +2,22 @@ package qcluster
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/distance"
 	"repro/internal/index"
 	"repro/internal/linalg"
-	"repro/internal/plan"
 )
 
 // This file is the root package's contract with the sharded
-// scatter-gather tier (internal/shard): per-shard search entry points
-// that run one shard-local k-NN under the shard database's read lock
-// while sharing one atomic k-th-best bound with the sibling shards.
-// Results carry shard-local ids; the shard set remaps and merges them.
+// scatter-gather tier (internal/shard): the per-shard leg handle that
+// runs one shard-local k-NN through the database's search pipeline while
+// sharing one atomic k-th-best bound with the sibling shards. Results
+// carry shard-local ids; the shard set remaps and merges them. The
+// session half of the contract is SessionSearcher / NewSessionOver.
 
 // Metric exposes the query model's current aggregate distance function.
-// Every shard of a scatter-gather search must evaluate the identical
-// metric, so the sharded session builds it once from the shared query
-// and hands it to every per-shard searcher. The query must be Ready —
-// a query without feedback has no metric and this panics (the sharded
-// session checks Ready first, like Search does).
+// The query must be Ready — a query without feedback has no metric and
+// this panics.
 func (q *Query) Metric() distance.Metric { return q.metric() }
 
 // EuclideanMetric builds the plain example-query metric — the one
@@ -32,80 +27,40 @@ func EuclideanMetric(example []float64) distance.Metric {
 	return &distance.Euclidean{Center: linalg.Vector(example).Clone()}
 }
 
-// SearchMetricShared runs one shard-local k-NN under the database's
-// read lock with an externally owned shared bound (nil behaves like a
-// private bound). It is the stateless per-shard leg of a scatter-gather
-// query: results use this database's local ids and the caller merges
-// them across shards with the usual (Dist, ID) order. An interrupted
-// search returns its best-effort results with an error matching both
-// ErrPartialResults and the context error.
-func (db *Database) SearchMetricShared(ctx context.Context, m distance.Metric, k int, sb *index.SharedBound) (_ []Result, _ index.SearchStats, err error) {
-	defer barrier("SearchMetricShared", &err)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, index.SearchStats{}, wrapInterrupt(cerr, 0)
-	}
-	start := time.Now()
-	res, stats, cerr := db.knnBackend(ctx, m, k, sb, nil)
-	db.met.observeSearch(time.Since(start), k, len(res), stats, cerr != nil)
-	return convertResults(res), stats, wrapInterrupt(cerr, len(res))
-}
-
-// SearchApproxMetric runs one shard-local approximate k-NN leg: the ANN
-// graph proposes candidates, exact refinement scores them with m. It
-// requires the "ann" backend — ErrBackendUnavailable otherwise, the
-// same contract as SearchApproxContext — and takes no shared bound (the
-// ANN path prunes nothing, so each leg returns its full local top-k and
-// the caller's (Dist, ID) merge stays correct).
-func (db *Database) SearchApproxMetric(ctx context.Context, m distance.Metric, k, efSearch int) (_ []Result, _ index.SearchStats, err error) {
-	defer barrier("SearchApproxMetric", &err)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, index.SearchStats{}, wrapInterrupt(cerr, 0)
-	}
-	if db.backend != BackendANN {
-		return nil, index.SearchStats{}, fmt.Errorf("qcluster: backend is %q: %w", string(db.backend), ErrBackendUnavailable)
-	}
-	start := time.Now()
-	db.mu.RLock()
-	res, stats, cerr := db.annIdx.KNNEf(ctx, m, k, efSearch)
-	if db.planner != nil && cerr == nil {
-		q := db.planQueryLocked(m, k, nil)
-		db.planner.Observe(plan.Decision{Route: plan.RouteANN}, q, stats, time.Since(start))
-	}
-	db.mu.RUnlock()
-	db.met.observeSearch(time.Since(start), k, len(res), stats, cerr != nil)
-	return convertResults(res), stats, wrapInterrupt(cerr, len(res))
-}
-
-// ShardSearcher is the per-shard session-scoped search handle of the
-// scatter-gather tier: it owns a RefinementSearcher (the cross-iteration
-// leaf cache of the multipoint refinement approach) over one shard
-// database and runs each query under that database's read lock. Not
-// safe for concurrent use — the owning sharded session serializes its
-// searchers, exactly as Session serializes its single searcher.
+// ShardSearcher is one shard database's leg handle in the scatter-gather
+// tier. A cached searcher owns a RefinementSearcher (the cross-iteration
+// leaf cache of the multipoint refinement approach) and belongs to one
+// session, which serializes its use exactly as Session serializes its
+// single searcher; an uncached one is stateless and safe for concurrent
+// use.
 type ShardSearcher struct {
 	db *Database
 	rs *index.RefinementSearcher
 }
 
-// NewShardSearcher returns a searcher with an empty refinement cache.
-func (db *Database) NewShardSearcher() *ShardSearcher {
-	return &ShardSearcher{db: db, rs: index.NewRefinementSearcher(db.tree)}
+// NewShardSearcher returns a leg handle over this database, with an
+// empty refinement cache when cached is set.
+func (db *Database) NewShardSearcher(cached bool) *ShardSearcher {
+	ss := &ShardSearcher{db: db}
+	if cached {
+		ss.rs = index.NewRefinementSearcher(db.tree)
+	}
+	return ss
 }
 
-// KNNShared answers one per-shard leg of a scatter-gather query,
-// seeding from (and refreshing) the shard's refinement cache. See
-// SearchMetricShared for bound sharing and error semantics.
-func (ss *ShardSearcher) KNNShared(ctx context.Context, m distance.Metric, k int, sb *index.SharedBound) (_ []Result, _ index.SearchStats, err error) {
-	defer barrier("ShardSearcher.KNNShared", &err)
-	db := ss.db
-	start := time.Now()
-	rs := ss.rs
-	if db.backend != BackendTree && db.planner == nil {
-		// See Session.results: with an adaptive planner the tree stays an
-		// eligible route, so the per-shard cache remains attached.
-		rs = nil
-	}
-	res, stats, cerr := db.knnBackend(ctx, m, k, sb, rs)
-	db.met.observeSearch(time.Since(start), k, len(res), stats, cerr != nil)
-	return convertResults(res), stats, wrapInterrupt(cerr, len(res))
+// Search answers one per-shard leg of a scatter-gather query under the
+// database's read lock with an externally owned shared bound (nil
+// behaves like a private bound), seeding from and refreshing the
+// refinement cache when the searcher has one. Results use this
+// database's local ids; the caller merges them across shards by (Dist,
+// ID). With approx the leg runs the ANN graph at beam width efSearch —
+// ErrBackendUnavailable on any other backend — and ignores the bound
+// (the ANN path prunes nothing, so each leg returns its full local
+// top-k and the merge stays correct). An interrupted leg returns its
+// best-effort results with an error matching both ErrPartialResults and
+// the context error. The leg feeds only this shard database's registry;
+// the request's cost profile is the gather's to fill.
+func (ss *ShardSearcher) Search(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int, sb *index.SharedBound) ([]Result, index.SearchStats, error) {
+	return ss.db.execute(ctx, searchRequest{op: "ShardSearcher.Search", metric: m, k: k,
+		approx: approx, ef: efSearch, bound: sb, cache: ss.rs, leg: true})
 }
