@@ -374,10 +374,9 @@ func BenchmarkT2PCSpaceSpeedup(b *testing.B) {
 var sink float64
 
 // BenchmarkKNN times the k-NN hot path itself — the parallel leaf stage
-// against the sequential traversal — over random collections at the
-// BENCH_search.json grid (dim ∈ {8, 32}, N ∈ {10k, 100k}). CI runs this
-// with -benchtime=1x as a smoke test; `qbench -exp search` produces the
-// recorded trajectory from the same workload.
+// against the sequential traversal — over random collections on a
+// dim ∈ {8, 32} × N ∈ {10k, 100k} grid. CI runs this with -benchtime=1x
+// as a smoke test.
 func BenchmarkKNN(b *testing.B) {
 	const k = 100
 	for _, n := range []int{10000, 100000} {

@@ -9,71 +9,17 @@
 //	qbench -data snapshot.gob -exp fig8   # reuse a cmd/qgen snapshot
 //
 // Experiment ids: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-// fig14 fig15 fig16 fig17 fig18 fig19 table2 table3 (or "all").
-//
-// The "search" experiment (not part of "all") benchmarks the k-NN hot
-// path itself — parallel vs sequential traversal over random
-// collections — and writes BENCH_search.json (see EXPERIMENTS.md):
-//
-//	qbench -exp search -queries 50 -benchout BENCH_search.json
-//
-// The "obs" experiment (also not part of "all") exercises the
-// instrumentation layer: traced feedback sessions yield the per-round
-// cluster evolution and prune ratios, and the same search is timed with
-// tracing on and off. Writes BENCH_obs.json (see EXPERIMENTS.md):
-//
-//	qbench -exp obs -queries 20 -iters 4 -obsout BENCH_obs.json
-//
-// The "kernel" experiment (also not part of "all") benchmarks the
-// distance kernels themselves — the scalar Eval loop vs the batched,
-// bound-aware EvalBatch kernels with early abandonment — and writes
-// BENCH_kernel.json (see EXPERIMENTS.md):
-//
-//	qbench -exp kernel -queries 20 -kerneln 20000 -kernelout BENCH_kernel.json
-//
-// The "serve" experiment (also not part of "all") load-tests the HTTP
-// serving layer (internal/server) closed-loop: concurrent simulated
-// users run feedback rounds over localhost HTTP under steady, pressure
-// (admission shedding) and churn (LRU session eviction) regimes. Writes
-// BENCH_serve.json (see EXPERIMENTS.md):
-//
-//	qbench -exp serve -users 64 -iters 3 -serveout BENCH_serve.json
-//
-// The "ingest" experiment (also not part of "all") benchmarks the
-// durable write path: concurrent writers push fsync-acknowledged Adds
-// through the WAL group-commit batcher while searchers query the same
-// database, sweeping the fsync-batch size. Writes BENCH_ingest.json
-// (see EXPERIMENTS.md):
-//
-//	qbench -exp ingest -ingestn 4000 -ingestout BENCH_ingest.json
-//
-// The "shard" experiment (also not part of "all") benchmarks the
-// scatter-gather sharded tier (internal/shard): a bit-identity check of
-// every sharded configuration against the unsharded control (non-zero
-// exit on any divergence — the CI gate), then a shard count x
-// concurrent-users throughput sweep. Writes BENCH_shard.json (see
-// EXPERIMENTS.md):
-//
-//	qbench -exp shard -shardn 20000 -users 16 -shardout BENCH_shard.json
-//
-// The "plan" experiment (also not part of "all") benchmarks the
-// cost-based adaptive query planner: narrow / broad / mixed selectivity
-// regimes, each run under the sequential tree, parallel tree, VA-file
-// and adaptive configurations, with a bit-identity gate against the
-// sequential-tree control (non-zero exit on divergence). -planstrict
-// additionally fails unless adaptive matches or beats the best static
-// configuration on aggregate. Writes BENCH_plan.json (see
-// EXPERIMENTS.md):
-//
-//	qbench -exp plan -plann 20000 -planqueries 150 -planstrict -planout BENCH_plan.json
+// fig14 fig15 fig16 fig17 fig18 fig19 table2 table3 (or "all"), plus the
+// companions fig10c fig12c fig10v fig12v ablation convergence. Serving and
+// performance measurements are not here: bench/ is the repo's one benchmark.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -97,45 +43,10 @@ type config struct {
 	pairs   int
 	trials  int
 	seed    int64
-
-	// search-experiment knobs
-	parallelism int
-	benchOut    string
-	annN        int
-	annDim      int
-	annQueries  int
-	annOnly     bool
-
-	// obs-experiment knob
-	obsOut string
-
-	// kernel-experiment knobs
-	kernelN   int
-	kernelOut string
-
-	// serve-experiment knobs
-	users    int
-	serveOut string
-
-	// ingest-experiment knobs
-	ingestN   int
-	ingestOut string
-
-	// shard-experiment knobs
-	shardN   int
-	shardDur time.Duration
-	shardOut string
-
-	// plan-experiment knobs
-	planN       int
-	planDim     int
-	planQueries int
-	planOut     string
-	planStrict  bool
 }
 
-func main() {
-	var cfg config
+// registerFlags declares the paper-protocol flags on flag.CommandLine.
+func registerFlags(cfg *config) {
 	flag.StringVar(&cfg.exp, "exp", "all", "comma-separated experiment ids, or 'all'")
 	flag.StringVar(&cfg.data, "data", "", "dataset snapshot from cmd/qgen (optional; built on the fly otherwise)")
 	flag.IntVar(&cfg.cats, "cats", 30, "categories in the generated collection")
@@ -148,27 +59,11 @@ func main() {
 	flag.IntVar(&cfg.pairs, "pairs", 100, "cluster pairs for tables 2-3 (paper: 100)")
 	flag.IntVar(&cfg.trials, "trials", 10, "trials for classification error rates")
 	flag.Int64Var(&cfg.seed, "seed", 2003, "master random seed")
-	flag.IntVar(&cfg.parallelism, "parallelism", 0, "search workers for -exp search (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.benchOut, "benchout", "BENCH_search.json", "JSON output path for -exp search (empty to skip)")
-	flag.IntVar(&cfg.annN, "annn", 65536, "collection size for the ANN recall-latency frontier in -exp search (0 disables the ANN section)")
-	flag.IntVar(&cfg.annDim, "anndim", 32, "dimensionality for the ANN frontier")
-	flag.IntVar(&cfg.annQueries, "annqueries", 40, "queries per efSearch point in the ANN frontier")
-	flag.BoolVar(&cfg.annOnly, "annonly", false, "-exp search: skip the exact-tree sweep, run only the ANN frontier + gates (CI smoke)")
-	flag.StringVar(&cfg.obsOut, "obsout", "BENCH_obs.json", "JSON output path for -exp obs (empty to skip)")
-	flag.IntVar(&cfg.kernelN, "kerneln", 20000, "collection size for -exp kernel")
-	flag.StringVar(&cfg.kernelOut, "kernelout", "BENCH_kernel.json", "JSON output path for -exp kernel (empty to skip)")
-	flag.IntVar(&cfg.users, "users", 64, "concurrent simulated users for -exp serve")
-	flag.StringVar(&cfg.serveOut, "serveout", "BENCH_serve.json", "JSON output path for -exp serve (empty to skip)")
-	flag.IntVar(&cfg.ingestN, "ingestn", 4000, "vectors ingested per phase for -exp ingest")
-	flag.StringVar(&cfg.ingestOut, "ingestout", "BENCH_ingest.json", "JSON output path for -exp ingest (empty to skip)")
-	flag.IntVar(&cfg.shardN, "shardn", 20000, "collection size for -exp shard")
-	flag.DurationVar(&cfg.shardDur, "sharddur", 1500*time.Millisecond, "closed-loop duration per sweep cell for -exp shard")
-	flag.StringVar(&cfg.shardOut, "shardout", "BENCH_shard.json", "JSON output path for -exp shard (empty to skip)")
-	flag.IntVar(&cfg.planN, "plann", 20000, "collection size for -exp plan")
-	flag.IntVar(&cfg.planDim, "plandim", 8, "dimensionality for -exp plan")
-	flag.IntVar(&cfg.planQueries, "planqueries", 150, "timed queries per regime for -exp plan")
-	flag.StringVar(&cfg.planOut, "planout", "BENCH_plan.json", "JSON output path for -exp plan (empty to skip)")
-	flag.BoolVar(&cfg.planStrict, "planstrict", false, "-exp plan: fail unless adaptive matches/beats the best static configuration")
+}
+
+func main() {
+	var cfg config
+	registerFlags(&cfg)
 	flag.Parse()
 
 	ids := expandExperiments(cfg.exp)
@@ -180,7 +75,8 @@ func main() {
 	for _, id := range ids {
 		fn, ok := runner.experiments[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; registered: %s\n",
+				id, strings.Join(runner.ids(), " "))
 			os.Exit(2)
 		}
 		fmt.Printf("==== %s ====\n", id)
@@ -250,44 +146,18 @@ func newRunner(cfg config) *runner {
 		// Convergence study (the paper's second experimental goal):
 		// per-iteration recall gain, result churn and query-model drift.
 		"convergence": r.convergence,
-		// k-NN hot-path microbenchmark: parallel vs sequential traversal,
-		// machine-readable trajectory in BENCH_search.json. Excluded from
-		// "all" — it measures the index, not the paper's figures.
-		"search": r.searchBench,
-		// Distance-kernel microbenchmark: scalar vs batched bound-aware
-		// evaluation over a contiguous sweep, machine-readable in
-		// BENCH_kernel.json. Excluded from "all" — it measures the
-		// kernels, not the paper's figures.
-		"kernel": r.kernelBench,
-		// Instrumentation exercise: per-round cluster evolution from the
-		// trace events, prune ratios, tracing overhead on/off. Excluded
-		// from "all" — it measures the observability layer.
-		"obs": r.obsBench,
-		// Closed-loop load benchmark of the HTTP serving layer: steady /
-		// pressure / churn regimes, shed rates and end-to-end latency in
-		// BENCH_serve.json. Excluded from "all" — it measures the server,
-		// not the paper's figures.
-		"serve": r.serveBench,
-		// Durable-ingest benchmark: fsync-batch sweep of sustained
-		// write QPS and ack latency with concurrent search, in
-		// BENCH_ingest.json. Excluded from "all" — it measures the WAL,
-		// not the paper's figures.
-		"ingest": r.ingestBench,
-		// Scatter-gather sharding benchmark: bit-identity gate vs the
-		// unsharded control (exits non-zero on divergence) plus a shard
-		// count x users throughput sweep, in BENCH_shard.json. Excluded
-		// from "all" — it measures the sharded tier, not the paper's
-		// figures.
-		"shard": r.shardBench,
-		// Adaptive-planner benchmark: a mixed-selectivity sweep of the
-		// cost-based query planner vs every static configuration, with a
-		// bit-identity gate against the sequential-tree control (non-zero
-		// exit on divergence) and optional -planstrict performance gates,
-		// in BENCH_plan.json. Excluded from "all" — it measures the
-		// planner, not the paper's figures.
-		"plan": r.planBench,
 	}
 	return r
+}
+
+// ids returns the registered experiment ids, sorted.
+func (r *runner) ids() []string {
+	out := make([]string, 0, len(r.experiments))
+	for id := range r.experiments {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // dataset lazily builds or loads the image collection.

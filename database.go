@@ -359,8 +359,11 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 	if req.approx && db.backend != BackendANN {
 		return nil, stats, fmt.Errorf("qcluster: backend is %q: %w", string(db.backend), ErrBackendUnavailable)
 	}
+	// A caller that built the metric itself (a session) counts its
+	// degradation itself; health stays zero here.
+	var health Health
 	if req.metric == nil {
-		if req.metric, _, err = resolveMetric(req.query, req.example, db.Dim(), &db.met.source); err != nil {
+		if req.metric, health, err = resolveMetric(req.query, req.example, db.Dim(), &db.met.source); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -373,7 +376,7 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 	start := time.Now()
 	raw, stats, cerr := db.knnBackend(ctx, req)
 	elapsed := time.Since(start)
-	db.met.observeSearch(elapsed, req.k, len(raw), stats, cerr != nil)
+	db.met.observeSearch(elapsed, req.k, len(raw), stats, health.Degraded(), cerr != nil)
 	if !req.leg {
 		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats.Cost())
 	}
@@ -397,16 +400,14 @@ func (db *Database) trapSearch(op string, err *error) {
 // chosen: the query model's aggregate disjunctive distance once it has
 // absorbed feedback (Eq. 5), the plain Euclidean example query before.
 // The returned Health is that of the built aggregate — zero for the
-// example query. Outcomes are counted on c, the backend's registry.
+// example query. Refusals are counted on c, the backend's registry; a
+// degraded aggregate is counted by the caller once its search has run,
+// so a search that never starts is a degraded search nowhere.
 func resolveMetric(q *Query, example linalg.Vector, dim int, c *sourceCounters) (distance.Metric, Health, error) {
 	if q != nil {
 		if q.Ready() {
 			m := q.metric()
-			h := q.Health()
-			if h.Degraded() {
-				c.degraded.Inc()
-			}
-			return m, h, nil
+			return m, q.Health(), nil
 		}
 		if example == nil { // Search(q): no example to fall back on
 			c.notReady.Inc()

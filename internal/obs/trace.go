@@ -130,7 +130,7 @@ func (s *SlogSink) Emit(e Event) {
 }
 
 // MemorySink collects events in memory — the collection backend for
-// tests and for cmd/qbench's obs experiment. Safe for concurrent use.
+// tests and offline analysis. Safe for concurrent use.
 type MemorySink struct {
 	mu     sync.Mutex
 	events []Event

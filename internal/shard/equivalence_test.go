@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	qcluster "repro"
@@ -190,10 +191,9 @@ func TestScatterGatherCancellation(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	pops := 0
+	var pops atomic.Int32 // the hook fires on every shard's leg at once
 	faultinject.Set(faultinject.KNNPop, func() {
-		pops++
-		if pops == 40 {
+		if pops.Add(1) == 40 {
 			cancel() // some shards mid-traversal, others possibly done: a subset answers
 		}
 	})

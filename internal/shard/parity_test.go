@@ -185,6 +185,36 @@ func TestSessionParity(t *testing.T) {
 				}
 			}
 
+			// A singular full-inverse model: the searches that never run
+			// — cancelled up front, wrong backend — are degraded searches
+			// on neither the session nor the backend registry; the one
+			// that runs is one on both.
+			faultinject.Set(faultinject.SingularCovariance, nil)
+			degraded := func() int64 {
+				n := sess.Stats().DegradedSearches
+				if reg := col.registry.Snapshot().Counters["search.degraded"]; reg != n {
+					t.Fatalf("registry search.degraded = %d, Stats().DegradedSearches = %d", reg, n)
+				}
+				return n
+			}
+			before := degraded()
+			if _, err := sess.ResultsContext(done, k); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled, singular model: err = %v, want context.Canceled", err)
+			}
+			if !col.approx {
+				if _, err := sess.ResultsApproxContext(ctx, k, 0); !errors.Is(err, qcluster.ErrBackendUnavailable) {
+					t.Fatalf("ResultsApproxContext on a tree, singular model: err = %v, want ErrBackendUnavailable", err)
+				}
+			}
+			if got := degraded(); got != before {
+				t.Fatalf("searches that never ran moved the degraded count %d → %d", before, got)
+			}
+			page("singular model")
+			if got := degraded(); got != before+1 {
+				t.Fatalf("one degraded retrieval moved the degraded count %d → %d", before, got)
+			}
+			faultinject.Clear(faultinject.SingularCovariance)
+
 			out.stats = sess.Stats()
 			out.events = sink.Count("search.done")
 			snap := col.registry.Snapshot()
@@ -209,7 +239,7 @@ func TestSessionParity(t *testing.T) {
 	}
 
 	ref := outcomes[0]
-	if ref.stats.Searches != 5 || ref.stats.FeedbackRounds != 3 || ref.stats.FeedbackPoints == 0 ||
+	if ref.stats.Searches != 6 || ref.stats.FeedbackRounds != 3 || ref.stats.FeedbackPoints == 0 ||
 		ref.stats.DegradedSearches == 0 || ref.counters["search.dimension_mismatch"] != 1 {
 		t.Fatalf("script did not exercise what it claims: stats %+v counters %v", ref.stats, ref.counters)
 	}
@@ -227,8 +257,7 @@ func TestSessionParity(t *testing.T) {
 			t.Errorf("%s: %d search.done events, %s emitted %d", col.name, got.events, cols[0].name, ref.events)
 		}
 		// Registry movement is compared sharded against unsharded on the
-		// same backend (the tree columns also resolved a metric for the
-		// rejected ResultsApproxContext call).
+		// same backend.
 		unsharded := outcomes[(c+1)/3*3]
 		for name, want := range unsharded.counters {
 			if got.counters[name] != want {

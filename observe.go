@@ -356,8 +356,11 @@ func (m *dbMetrics) observePlan(d plan.Decision, elapsed time.Duration) {
 
 // observeSearch records one finished retrieval. It is allocation-free:
 // every write is an atomic add on a pre-resolved handle.
-func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats index.SearchStats, partial bool) {
+func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats index.SearchStats, degraded, partial bool) {
 	m.searches.Inc()
+	if degraded {
+		m.source.degraded.Inc()
+	}
 	m.latency.Observe(elapsed.Seconds())
 	m.kRequested.Observe(float64(k))
 	m.resultCounts.Observe(float64(results))
@@ -479,6 +482,7 @@ func (m *sessionMetrics) observeRetrieval(elapsed time.Duration, stats index.Sea
 	m.searches.Inc()
 	if degraded {
 		m.degraded.Inc()
+		m.backend.degraded.Inc()
 	}
 	m.latency.Observe(elapsed.Seconds())
 	m.leavesVis.Add(int64(stats.LeavesVisited))

@@ -283,8 +283,8 @@ func TestInstrumentationAllocationFree(t *testing.T) {
 		DistanceEvals: 100, CacheSeedLeaves: 2, Workers: 1,
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		met.observeSearch(time.Millisecond, 10, 10, stats, false)
-		smet.observeRetrieval(time.Millisecond, stats, false, false)
+		met.observeSearch(time.Millisecond, 10, 10, stats, true, false)
+		smet.observeRetrieval(time.Millisecond, stats, true, false)
 	}); n != 0 {
 		t.Fatalf("observeSearch allocates %v/op, want 0", n)
 	}
