@@ -3,23 +3,18 @@ package qcluster
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/ann"
-	"repro/internal/distance"
 	"repro/internal/index"
-	"repro/internal/plan"
 )
 
 // This file is the backend-selection layer: every Database carries one
-// of three k-NN execution paths behind the same search API. The exact
+// of two k-NN execution paths behind the same search API. The exact
 // hybrid tree stays the default and the substrate of sessions'
-// refinement caches; the VA-file trades tree traversal for a
-// filter-and-refine scan (still exact); the ANN backend trades recall
-// for latency — an HNSW-style graph over float32-quantized vectors
-// proposes candidates, and exact full-precision refinement keeps every
-// result list (and all downstream feedback math) bit-exact given the
-// candidates.
+// refinement caches; the ANN backend trades recall for latency — an
+// HNSW-style graph over float32-quantized vectors proposes candidates,
+// and exact full-precision refinement keeps every result list (and all
+// downstream feedback math) bit-exact given the candidates.
 
 // IndexBackend names a k-NN execution path.
 type IndexBackend string
@@ -27,8 +22,6 @@ type IndexBackend string
 const (
 	// BackendTree is the exact hybrid-tree best-first search (default).
 	BackendTree IndexBackend = "tree"
-	// BackendVAFile is the exact VA-file filter-and-refine scan.
-	BackendVAFile IndexBackend = "vafile"
 	// BackendANN is the approximate HNSW-graph search with exact
 	// refinement of the candidate set.
 	BackendANN IndexBackend = "ann"
@@ -39,10 +32,19 @@ func (b IndexBackend) normalize() (IndexBackend, error) {
 	switch b {
 	case "", BackendTree:
 		return BackendTree, nil
-	case BackendVAFile, BackendANN:
+	case BackendANN:
 		return b, nil
+	case "vafile":
+		return "", fmt.Errorf("qcluster: index backend %q was removed; tree is the exact backend", string(b))
 	}
-	return "", fmt.Errorf("qcluster: unknown index backend %q (want tree, vafile or ann)", string(b))
+	return "", fmt.Errorf("qcluster: unknown index backend %q (want tree or ann)", string(b))
+}
+
+// Validate reports whether b names a backend — the check constructors
+// and qserve run before they load, copy or replay anything.
+func (b IndexBackend) Validate() error {
+	_, err := b.normalize()
+	return err
 }
 
 // ANNOptions tunes the "ann" backend (ignored by the others). Zero
@@ -62,7 +64,7 @@ type ANNOptions struct {
 // IndexInfo describes the database's active search backend — the block
 // qserve reports in /healthz and session-create responses.
 type IndexInfo struct {
-	// Backend is the execution path: "tree", "vafile" or "ann".
+	// Backend is the execution path: "tree" or "ann".
 	Backend string `json:"backend"`
 	// ANNM / ANNEfConstruction / ANNEfSearch echo the resolved graph
 	// parameters (0 unless Backend is "ann").
@@ -83,42 +85,34 @@ func (db *Database) IndexInfo() IndexInfo {
 	return info
 }
 
-// buildBackend constructs the auxiliary index for non-tree backends
-// (the tree itself is always built: it is the durability snapshot's
-// substrate and the refinement-cache path).
+// buildBackend constructs the ANN backend's graph (the tree itself is
+// always built: it is the durability snapshot's substrate and the
+// refinement-cache path).
 func (db *Database) buildBackend(opt IndexOptions) error {
-	switch db.backend {
-	case BackendVAFile:
-		db.va = index.NewVAFile(db.store, index.VAFileOptions{})
-	case BackendANN:
-		idx, err := ann.New(db.store, ann.Options{
-			M:              opt.ANN.M,
-			EfConstruction: opt.ANN.EfConstruction,
-			EfSearch:       opt.ANN.EfSearch,
-			Seed:           opt.ANN.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("qcluster: building ann index: %w", err)
-		}
-		db.annIdx = idx
+	if db.backend != BackendANN {
+		return nil
 	}
+	idx, err := ann.New(db.store, ann.Options{
+		M:              opt.ANN.M,
+		EfConstruction: opt.ANN.EfConstruction,
+		EfSearch:       opt.ANN.EfSearch,
+		Seed:           opt.ANN.Seed,
+	})
+	if err != nil {
+		return fmt.Errorf("qcluster: building ann index: %w", err)
+	}
+	db.annIdx = idx
 	return nil
 }
 
-// syncBackendLocked brings the auxiliary indexes up to date with store
-// rows appended by the current (write-locked) insert. Presence-based
-// rather than backend-switched: the adaptive planner keeps auxiliary
-// indexes alive as alternate routes even when they are not the
-// configured backend, and a stale mirror would silently serve wrong
-// results.
+// syncBackendLocked brings the ANN graph up to date with store rows
+// appended by the current (write-locked) insert.
 func (db *Database) syncBackendLocked(ids []int) error {
-	if db.va != nil {
-		db.va.Extend()
+	if db.annIdx == nil {
+		return nil
 	}
-	if db.annIdx != nil {
-		if err := db.annIdx.InsertBatch(ids); err != nil {
-			return fmt.Errorf("qcluster: ann insert: %w", err)
-		}
+	if err := db.annIdx.InsertBatch(ids); err != nil {
+		return fmt.Errorf("qcluster: ann insert: %w", err)
 	}
 	return nil
 }
@@ -142,105 +136,19 @@ func (db *Database) checkQuantizable(i int, v []float64) error {
 // knnBackend is the one dispatch point execute funnels every search
 // through: it runs one k-NN on the active backend under the read lock.
 // The session's refinement cache and the cross-shard shared bound only
-// apply to the tree route — the VA-file has no leaf cache and the ANN
-// path prunes nothing, so both are ignored there and the scatter-gather
-// merge still works (each leg returns its full local top-k, a superset
-// of what a bound would have kept).
-//
-// With an adaptive planner attached, the route (and the tree's worker
-// count and batch size) is chosen per query from the rolling cost
-// models; completed searches feed back into the chosen route's model.
-// Exact routes are bit-identical to each other, so adaptive routing
-// never changes exact results — only their cost. An approx request is
-// never planned: it runs the ANN graph (execute checked it exists) at
-// the caller's beam width, and still warms the planner's ANN model so
-// AllowApprox-planned queries start from real measurements.
+// apply to the tree — the ANN path prunes nothing, so both are ignored
+// there and the scatter-gather merge still works (each leg returns its
+// full local top-k, a superset of what a bound would have kept).
 func (db *Database) knnBackend(ctx context.Context, req searchRequest) ([]index.Result, index.SearchStats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	// The static decision: exactly the configured backend, no tuning.
-	d := plan.Decision{Route: plan.Route(db.backend), EfSearch: req.ef}
-	if db.planner == nil {
-		return db.knnRouteLocked(ctx, d, req)
-	}
-	q := db.planQueryLocked(req)
-	if !req.approx {
-		d = db.planner.Plan(q)
-	}
-	start := time.Now()
-	res, stats, err := db.knnRouteLocked(ctx, d, req)
-	elapsed := time.Since(start)
-	if err == nil {
-		// Interrupted searches are not observed: their truncated latency
-		// would teach the models that expensive queries are cheap.
-		db.planner.Observe(d, q, stats, elapsed)
-	}
-	if !req.approx {
-		stats.PlanRoute = string(d.Route)
-		stats.PlanAdaptive = d.Adaptive
-		stats.PlanPredictedSeconds = d.PredictedSeconds
-		db.met.observePlan(d, elapsed)
-	}
-	return res, stats, err
-}
-
-// knnRouteLocked executes one decision — the planner's, or the static
-// one (zero tuning, which the tree runs exactly as configured).
-func (db *Database) knnRouteLocked(ctx context.Context, d plan.Decision, req searchRequest) ([]index.Result, index.SearchStats, error) {
-	m, k := req.metric, req.k
-	switch d.Route {
-	case plan.RouteVAFile:
-		return db.va.KNNContext(ctx, m, k)
-	case plan.RouteANN:
-		return db.annIdx.KNNEf(ctx, m, k, d.EfSearch)
-	}
-	tu := index.SearchTuning{Workers: d.Workers, BatchItems: d.BatchItems}
-	if d.Workers > 1 {
-		tu.MinItems = -1 // the planner already decided fan-out pays off
+	if db.backend == BackendANN {
+		return db.annIdx.KNNEf(ctx, req.metric, req.k, req.ef)
 	}
 	if req.cache != nil {
-		return req.cache.KNNSharedTuned(ctx, m, k, req.bound, tu)
+		return req.cache.KNNSharedContext(ctx, req.metric, req.k, req.bound)
 	}
-	if tu == (index.SearchTuning{}) {
-		return db.tree.KNNSharedContext(ctx, m, k, req.bound)
-	}
-	return db.tree.WithTuning(tu).KNNSharedContext(ctx, m, k, req.bound)
-}
-
-// planQueryLocked builds the planner's view of one query.
-func (db *Database) planQueryLocked(req searchRequest) plan.Query {
-	q := plan.Query{
-		K:           req.k,
-		M:           1,
-		Scheme:      schemeOf(req.metric),
-		N:           db.store.Len(),
-		AllowApprox: db.allowApprox,
-	}
-	if cs := distance.Centers(req.metric); len(cs) > 1 {
-		q.M = len(cs)
-	}
-	if req.cache != nil {
-		q.CachedLeaves = req.cache.CachedLeaves()
-	}
-	return q
-}
-
-// schemeOf classifies the metric family for cost-model keying: cost per
-// evaluation differs by family (a full-scheme quadratic form costs
-// O(d²) where Euclidean costs O(d)), so each family learns its own
-// latency curve.
-func schemeOf(m distance.Metric) string {
-	switch m.(type) {
-	case *distance.Euclidean:
-		return "euclidean"
-	case *distance.Quadratic:
-		return "quadratic"
-	case *distance.Disjunctive, *distance.Aggregate:
-		return "multipoint"
-	case *distance.ConvexCombination:
-		return "convex"
-	}
-	return "other"
+	return db.tree.KNNSharedContext(ctx, req.metric, req.k, req.bound)
 }
 
 // SearchApprox answers a plain k-NN query on the ANN backend with an

@@ -5,6 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -34,44 +38,59 @@ func identicalResults(t *testing.T, got, want []Result, label string) {
 	}
 }
 
+// TestBackendUnknownRejected: a bad backend name fails every
+// constructor before it does any work. The durable open is the one with
+// something to lose — WAL replay truncates a torn tail on disk — so a
+// refused open must leave the data directory byte-identical.
 func TestBackendUnknownRejected(t *testing.T) {
-	_, err := NewDatabaseWithOptions([][]float64{{1, 2}}, IndexOptions{Backend: "lsh"})
-	if err == nil {
-		t.Fatal("unknown backend must fail construction")
+	dir := t.TempDir()
+	d := openTestDB(t, dir, DurableOptions{})
+	if _, err := d.AddBatch(genVectors(8, 10, 4)); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestVAFileBackendEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	vectors, _ := buildVectors(rng)
-	tree := buildDB(t, vectors, IndexOptions{})
-	va := buildDB(t, vectors, IndexOptions{Backend: BackendVAFile})
-	if got := va.IndexInfo().Backend; got != "vafile" {
-		t.Fatalf("IndexInfo().Backend = %q", got)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
-
-	for trial := 0; trial < 10; trial++ {
-		q := vectors[rng.Intn(len(vectors))]
-		identicalResults(t, va.SearchByExample(q, 15), tree.SearchByExample(q, 15), "vafile search")
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Inserts reach the VA-file through Extend: appended vectors must be
-	// visible and the two exact backends must still agree.
-	for i := 0; i < 25; i++ {
-		v := []float64{rng.NormFloat64() * 4, rng.NormFloat64() * 4, rng.NormFloat64() * 4}
-		if _, err := tree.Add(v); err != nil {
+	if _, err := f.Write([]byte{0xAA, 0xBB, 0xCC}); err != nil { // torn tail
+		t.Fatal(err)
+	}
+	f.Close()
+	readDir := func() map[string]string {
+		files := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := va.Add(v); err != nil {
-			t.Fatal(err)
+		for _, e := range entries {
+			blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(blob)
+		}
+		return files
+	}
+	before := readDir()
+
+	for _, tc := range []struct{ backend, wantInErr string }{
+		{"vafile", "tree is the exact backend"},
+		{"nope", "unknown index backend"},
+	} {
+		opt := IndexOptions{Backend: IndexBackend(tc.backend)}
+		if _, err := NewDatabaseWithOptions([][]float64{{1, 2}}, opt); err == nil || !strings.Contains(err.Error(), tc.wantInErr) {
+			t.Errorf("NewDatabaseWithOptions(%q): err = %v, want one containing %q", tc.backend, err, tc.wantInErr)
+		}
+		if _, err := OpenDatabase(dir, DurableOptions{Index: opt}); err == nil || !strings.Contains(err.Error(), tc.wantInErr) {
+			t.Errorf("OpenDatabase(%q): err = %v, want one containing %q", tc.backend, err, tc.wantInErr)
+		}
+		if after := readDir(); !reflect.DeepEqual(after, before) {
+			t.Errorf("OpenDatabase(%q) refused the backend after changing the data dir", tc.backend)
 		}
 	}
-	q := va.Vector(va.Len() - 1)
-	res := va.SearchByExample(q, 5)
-	if len(res) == 0 || res[0].ID != va.Len()-1 {
-		t.Fatalf("appended vector not first in its own self-query: %+v", res)
-	}
-	identicalResults(t, res, tree.SearchByExample(q, 5), "vafile search after Add")
 }
 
 // TestANNBackendBitIdentityWithFeedback is the refinement bit-identity
@@ -247,5 +266,54 @@ func TestResplitMetricsSurface(t *testing.T) {
 	res := db.SearchByExample([]float64{0, 0}, db.Len())
 	if len(res) != db.Len() {
 		t.Fatalf("found %d of %d items", len(res), db.Len())
+	}
+}
+
+// TestApproxEntryPointsRequireANN is the cross-surface contract table:
+// every approximate entry point — stateless, session, and the sharded
+// per-shard leg — returns ErrBackendUnavailable on the exact backend
+// and works on the ANN backend.
+func TestApproxEntryPointsRequireANN(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	vectors, _ := buildVectors(rng)
+	ctx := context.Background()
+
+	entryPoints := []struct {
+		name string
+		call func(db *Database) error
+	}{
+		{"SearchApproxContext", func(db *Database) error {
+			_, err := db.SearchApproxContext(ctx, db.Vector(0), 5, 0)
+			return err
+		}},
+		{"Session.ResultsApproxContext", func(db *Database) error {
+			_, err := db.NewSession(db.Vector(0), Options{}).ResultsApproxContext(ctx, 5, 0)
+			return err
+		}},
+		{"ShardSearcher.Search(approx)", func(db *Database) error {
+			_, _, err := db.NewShardSearcher(false).Search(ctx, EuclideanMetric(db.Vector(0)), 5, true, 0, nil)
+			return err
+		}},
+	}
+
+	tree := buildDB(t, vectors, IndexOptions{Backend: BackendTree})
+	for _, ep := range entryPoints {
+		if err := ep.call(tree); !errors.Is(err, ErrBackendUnavailable) {
+			t.Errorf("tree backend %s: err = %v, want ErrBackendUnavailable", ep.name, err)
+		}
+	}
+
+	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{Seed: 2}})
+	for _, ep := range entryPoints {
+		if err := ep.call(annDB); err != nil {
+			t.Errorf("ann backend %s: %v", ep.name, err)
+		}
+	}
+	// The error-free session form: nil where the Context form errors.
+	if res := annDB.NewSession(annDB.Vector(0), Options{}).ResultsApprox(5, 0); len(res) != 5 {
+		t.Errorf("ann backend Session.ResultsApprox: %d results, want 5", len(res))
+	}
+	if res := tree.NewSession(tree.Vector(0), Options{}).ResultsApprox(5, 0); res != nil {
+		t.Errorf("tree backend Session.ResultsApprox: %d results, want nil", len(res))
 	}
 }

@@ -277,8 +277,8 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// BenchmarkIndexComparison times the three search substrates — linear
-// scan, hybrid tree, VA-file — on identical k-NN workloads over a
+// BenchmarkIndexComparison times the two search substrates — linear
+// scan and hybrid tree — on identical k-NN workloads over a
 // 30,000-vector store (single-point and disjunctive queries). Reported:
 // exact distance evaluations per query (the filtering power).
 func BenchmarkIndexComparison(b *testing.B) {
@@ -293,7 +293,6 @@ func BenchmarkIndexComparison(b *testing.B) {
 		b.Fatal(err)
 	}
 	tree := index.NewHybridTree(store, index.TreeOptions{})
-	va := index.NewVAFile(store, index.VAFileOptions{})
 	scan := index.NewLinearScan(store)
 
 	q1 := distance.NewQuadraticDiag(linalg.Vector{-2, -2, -2}, linalg.Vector{1, 1, 1})
@@ -308,7 +307,6 @@ func BenchmarkIndexComparison(b *testing.B) {
 	}{
 		{"scan", scan},
 		{"hybridtree", tree},
-		{"vafile", va},
 	}
 	for mName, m := range metrics {
 		for _, sc := range searchers {

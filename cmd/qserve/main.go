@@ -37,18 +37,12 @@
 // each shard keeps its own WAL directory under the data root.
 //
 // With -backend the k-NN execution path is selectable: tree (default,
-// exact hybrid-tree), vafile (exact VA-file filter-and-refine) or ann
-// (approximate HNSW-style graph over float32-quantized vectors with
-// exact full-precision refinement of the candidates; recall tuned by
-// -ann-ef). /healthz's info block and session-create responses report
-// the active backend so clients know which contract results carry.
-//
-// With -plan the cost-based adaptive query planner picks the execution
-// path per query (tree vs VA-file route, parallel leaf workers, metric
-// batch size) from live per-route cost models, staying bit-identical on
-// exact routes; -plan-approx additionally lets it route exact searches
-// through the ANN graph (an explicit recall trade-in). Plan decisions
-// and predicted-vs-actual cost surface under plan.* in /metrics.
+// exact hybrid-tree) or ann (approximate HNSW-style graph over
+// float32-quantized vectors with exact full-precision refinement of the
+// candidates; recall tuned by -ann-ef). /healthz's info block and
+// session-create responses report the active backend so clients know
+// which contract results carry. An unknown backend exits before any
+// data is loaded.
 //
 // Every request is traced: qserve honors and propagates W3C
 // traceparent headers, and -trace-sample exports span trees (admission
@@ -113,21 +107,15 @@ func main() {
 		parallelism    = flag.Int("parallelism", 0, "search workers per query (0 = GOMAXPROCS)")
 		shards         = flag.Int("shards", 1, "partition the collection into N scatter-gather shards, bit-identical to unsharded (1 = unsharded)")
 
-		// Search backend. The tree and vafile backends are exact; ann is
-		// an HNSW-style graph over float32-quantized vectors whose
+		// Search backend. The tree backend is exact; ann is an
+		// HNSW-style graph over float32-quantized vectors whose
 		// candidates are exactly refined at full precision (recall <= 1
 		// controlled by -ann-ef, results bit-exact given the candidates).
-		backend = flag.String("backend", "tree", "k-NN execution path: tree (exact), vafile (exact filter-and-refine), ann (approximate graph + exact refinement)")
+		backend = flag.String("backend", "tree", "k-NN execution path: tree (exact) or ann (approximate graph + exact refinement)")
 		annM    = flag.Int("ann-m", 0, "ann: max graph degree above layer 0 (0 = 16)")
 		annEf   = flag.Int("ann-ef", 0, "ann: query-time beam width efSearch, the recall/latency knob (0 = 64)")
 		annEfc  = flag.Int("ann-efc", 0, "ann: construction beam width efConstruction (0 = 128)")
 		annSeed = flag.Int64("ann-seed", 0, "ann: level-assignment seed (graph is deterministic given seed + insertion order)")
-
-		// Adaptive query planning: per-query route + tuning selection from
-		// live cost models. Exact-only by default; -plan-approx lets the
-		// planner route exact entry points through the ANN graph.
-		planAdaptive = flag.Bool("plan", false, "enable the cost-based adaptive query planner (per-query route + parallelism selection)")
-		planApprox   = flag.Bool("plan-approx", false, "allow the planner to route exact searches through the ANN backend (results become approximate)")
 
 		// Tracing and slow queries.
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling probability for span export, 0..1 (slow requests are always exported once a sink exists)")
@@ -143,6 +131,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := qcluster.IndexBackend(*backend).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *crash != "" {
 		armCrash(*crash, *crashAt)
 	}
@@ -155,10 +147,6 @@ func main() {
 			EfConstruction: *annEfc,
 			EfSearch:       *annEf,
 			Seed:           *annSeed,
-		},
-		Plan: qcluster.PlanOptions{
-			Adaptive:    *planAdaptive,
-			AllowApprox: *planApprox,
 		},
 	}
 	opt := server.Options{

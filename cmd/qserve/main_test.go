@@ -65,3 +65,35 @@ func TestSIGTERMRightAfterBootDrains(t *testing.T) {
 		t.Fatalf("no drain in output:\n%s", s)
 	}
 }
+
+// TestRemovedBackendAndFlagsExitBeforeLoading: -backend vafile and -plan
+// no longer exist; both must fail before any collection is loaded or any
+// data directory is created, and the backend error must name tree.
+func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-backend", "vafile"}, "tree is the exact backend"},
+		{[]string{"-backend", "nope"}, "unknown index backend"},
+		{[]string{"-plan"}, "flag provided but not defined: -plan"},
+	} {
+		data := t.TempDir() + "/data"
+		cmd := exec.Command(os.Args[0], append(tc.args, "-addr", "127.0.0.1:0", "-data", data,
+			"-dataset", "/nonexistent/collection.gob")...)
+		cmd.Env = append(os.Environ(), "QSERVE_TEST_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("qserve %v exited 0:\n%s", tc.args, out)
+		}
+		if !strings.Contains(string(out), tc.wantErr) {
+			t.Errorf("qserve %v: output lacks %q:\n%s", tc.args, tc.wantErr, out)
+		}
+		if strings.Contains(string(out), "loading") {
+			t.Errorf("qserve %v tried to load the collection first:\n%s", tc.args, out)
+		}
+		if _, err := os.Stat(data); !os.IsNotExist(err) {
+			t.Errorf("qserve %v created the data directory before refusing", tc.args)
+		}
+	}
+}

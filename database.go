@@ -13,7 +13,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // Result is one retrieval answer.
@@ -39,22 +38,11 @@ type Database struct {
 	tree  *index.HybridTree
 	met   *dbMetrics // always non-nil; see Metrics and ServeDebug
 
-	// backend selects the statically configured k-NN execution path; the
-	// auxiliary indexes below are non-nil when their backend is active
-	// or when the adaptive planner keeps them as alternate routes. The
-	// tree is always built regardless — it is the substrate of
-	// durability snapshots and session refinement caches.
+	// backend selects the k-NN execution path; annIdx is non-nil exactly
+	// when it is BackendANN. The tree is always built regardless — it is
+	// the substrate of durability snapshots and session refinement caches.
 	backend IndexBackend
 	annIdx  *ann.Index
-	va      *index.VAFile
-
-	// planner is the cost-based adaptive query planner (nil unless
-	// IndexOptions.Plan.Adaptive); allowApprox marks exact entry points
-	// eligible for the ANN route (PlanOptions.AllowApprox opt-in, or an
-	// "ann" static backend, where approximation is already the caller's
-	// explicit choice).
-	planner     *plan.Planner
-	allowApprox bool
 }
 
 // IndexOptions tunes the database's search index. The zero value is the
@@ -65,58 +53,17 @@ type IndexOptions struct {
 	NodeSizeBytes int
 	// SearchParallelism is the worker count for the parallel k-NN leaf
 	// stage: 0 uses GOMAXPROCS, 1 forces sequential search. Searches on
-	// small collections (below SearchParallelMinItems) stay sequential
-	// regardless.
+	// small collections (below 8192 items) stay sequential regardless.
 	SearchParallelism int
-	// SearchParallelMinItems is the smallest collection for which the
-	// parallel leaf stage engages: 0 uses the default (8192), negative
-	// removes the threshold. The adaptive planner overrides this per
-	// query once its models are warm.
-	SearchParallelMinItems int
 	// Backend selects the k-NN execution path: BackendTree (default,
-	// exact), BackendVAFile (exact filter-and-refine) or BackendANN
-	// (approximate graph navigation + exact refinement).
+	// exact) or BackendANN (approximate graph navigation + exact
+	// refinement).
 	Backend IndexBackend
 	// ANN tunes the BackendANN graph (ignored by the other backends).
 	ANN ANNOptions
 	// MaxResplitsPerBatch caps inline leaf re-splits per insert batch
 	// (0 = default 8, negative = unlimited). See index.InsertStats.
 	MaxResplitsPerBatch int
-	// Plan configures the cost-based adaptive query planner.
-	Plan PlanOptions
-}
-
-// PlanOptions configures the cost-based adaptive query planner (see
-// internal/plan): per-query choice of execution route (tree vs VA-file
-// vs ANN), parallel leaf fan-out, and metric batch size, driven by
-// rolling cost models fitted from the live SearchStats stream.
-type PlanOptions struct {
-	// Adaptive enables the planner. Enabling it also builds the exact
-	// VA-file mirror when it is not already the configured backend, so
-	// the tree ↔ VA-file choice always exists; both routes are exact
-	// and bit-identical, so adaptive routing never changes results.
-	// While the planner's windows are cold it executes exactly the
-	// static configuration.
-	Adaptive bool
-	// AllowApprox additionally lets the planner route exact entry
-	// points (Search, SearchByExample, session Results) to the ANN
-	// graph when one exists and the models predict it cheaper. Off by
-	// default: without this opt-in, exact entry points only ever run
-	// exact routes, and the ANN path stays behind SearchApprox*.
-	AllowApprox bool
-	// MinObservations is the per-model warm-up: a cost model only
-	// predicts once its rolling window holds this many live
-	// observations. 0 uses the default (8).
-	MinObservations int
-	// MaxWorkers caps planner-chosen parallelism. 0 caps at the
-	// resolved SearchParallelism — by default the planner only ever
-	// turns fan-out off, never above the configured level.
-	MaxWorkers int
-	// ProbeEvery routes every n-th query down a not-yet-warmed
-	// alternate route so its model can start predicting (exact routes
-	// only, unless the query tolerates approximation). 0 uses the
-	// default (16); negative disables probing.
-	ProbeEvery int
 }
 
 // NewDatabase indexes the given vectors with default index options. All
@@ -129,6 +76,9 @@ func NewDatabase(vectors [][]float64) (*Database, error) {
 // NewDatabaseWithOptions is NewDatabase with explicit index tuning.
 func NewDatabaseWithOptions(vectors [][]float64, opt IndexOptions) (_ *Database, err error) {
 	defer barrier("NewDatabase", &err)
+	if err := opt.Backend.Validate(); err != nil {
+		return nil, err
+	}
 	vecs := make([]linalg.Vector, len(vectors))
 	for i, v := range vectors {
 		vecs[i] = linalg.Vector(v)
@@ -152,7 +102,6 @@ func newDatabaseFromStore(store *index.Store, opt IndexOptions) (*Database, erro
 		tree: index.NewHybridTree(store, index.TreeOptions{
 			NodeSizeBytes:       opt.NodeSizeBytes,
 			Parallelism:         opt.SearchParallelism,
-			ParallelMinItems:    opt.SearchParallelMinItems,
 			MaxResplitsPerBatch: opt.MaxResplitsPerBatch,
 		}),
 		met:     newDBMetrics(),
@@ -160,27 +109,6 @@ func newDatabaseFromStore(store *index.Store, opt IndexOptions) (*Database, erro
 	}
 	if err := db.buildBackend(opt); err != nil {
 		return nil, err
-	}
-	if opt.Plan.Adaptive {
-		if db.va == nil {
-			// The VA-file mirror is cheap (4 bits/dim) and exact, so the
-			// planner always has the tree ↔ VA-file choice.
-			db.va = index.NewVAFile(db.store, index.VAFileOptions{})
-		}
-		db.allowApprox = opt.Plan.AllowApprox || backend == BackendANN
-		routes := []plan.Route{plan.RouteTree, plan.RouteVAFile}
-		if db.annIdx != nil {
-			routes = append(routes, plan.RouteANN)
-		}
-		db.planner = plan.New(plan.Config{
-			Static:          plan.Route(backend),
-			StaticWorkers:   db.tree.Parallelism(),
-			Routes:          routes,
-			MaxWorkers:      opt.Plan.MaxWorkers,
-			MinObservations: opt.Plan.MinObservations,
-			ProbeEvery:      opt.Plan.ProbeEvery,
-			WindowSpan:      CostWindowSpan,
-		})
 	}
 	db.met.items.Set(float64(store.Len()))
 	return db, nil
@@ -333,11 +261,11 @@ type searchRequest struct {
 	example linalg.Vector
 	k       int
 	// approx demands the ANN backend (ErrBackendUnavailable otherwise)
-	// with beam width ef (0 = the index default), bypassing the planner.
+	// with beam width ef (0 = the index default).
 	approx bool
 	ef     int
-	bound  *index.SharedBound        // cross-shard k-th-best bound (tree route only)
-	cache  *index.RefinementSearcher // session refinement cache (tree route only)
+	bound  *index.SharedBound        // cross-shard k-th-best bound (tree backend only)
+	cache  *index.RefinementSearcher // session refinement cache (tree backend only)
 	// leg marks one shard's leg of a scatter-gather query: the gather
 	// attributes the request's search stage and per-shard work itself,
 	// and merges whatever the legs of an interrupted query had found.
@@ -346,8 +274,8 @@ type searchRequest struct {
 
 // execute is the one pipeline every retrieval on this database runs
 // through: panic barrier, cancellation check, backend check, metric
-// resolution, refinement-cache rule, timed dispatch, metrics, cost
-// profile and the partial-results error — each exactly once.
+// resolution, timed dispatch, metrics, cost profile and the
+// partial-results error — each exactly once.
 func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result, stats index.SearchStats, err error) {
 	defer db.trapSearch(req.op, &err)
 	if cerr := ctx.Err(); cerr != nil {
@@ -366,12 +294,6 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 		if req.metric, health, err = resolveMetric(req.query, req.example, db.Dim(), &db.met.source); err != nil {
 			return nil, stats, err
 		}
-	}
-	if db.backend != BackendTree && db.planner == nil {
-		// Refinement caches live on the tree path only — but with the
-		// adaptive planner the tree is always an eligible route, so the
-		// cache stays attached and warms whenever the planner picks it.
-		req.cache = nil
 	}
 	start := time.Now()
 	raw, stats, cerr := db.knnBackend(ctx, req)

@@ -192,6 +192,9 @@ const (
 // opt.Seed. The caller must Close the returned database.
 func OpenDatabase(dir string, opt DurableOptions) (_ *DurableDatabase, err error) {
 	defer barrier("OpenDatabase", &err)
+	if err := opt.Index.Backend.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qcluster: create data dir: %w", err)

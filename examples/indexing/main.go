@@ -1,8 +1,8 @@
-// Indexing compares the three k-NN substrates on the same 50,000-vector
-// store: linear scan, the hybrid-tree-style index (the structure the
-// paper indexes its features with) and a VA-file. All three answer
-// single-point and disjunctive multipoint queries exactly; they differ in
-// how much work each query costs. The demo also shows a range query —
+// Indexing compares the two k-NN substrates on the same 50,000-vector
+// store: linear scan and the hybrid-tree-style index (the structure the
+// paper indexes its features with). Both answer single-point and
+// disjunctive multipoint queries exactly; they differ in how much work
+// each query costs. The demo also shows a range query —
 // "everything within radius r" — which is how Example 3's ground truth
 // is defined.
 //
@@ -38,12 +38,8 @@ func main() {
 	fmt.Printf("store: %d vectors, %d dims\n\n", store.Len(), store.Dim())
 	buildStart := time.Now()
 	tree := index.NewHybridTree(store, index.TreeOptions{})
-	fmt.Printf("hybrid tree built in %v (height %d, leaf capacity %d)\n",
+	fmt.Printf("hybrid tree built in %v (height %d, leaf capacity %d)\n\n",
 		time.Since(buildStart).Round(time.Microsecond), tree.Height(), tree.LeafCapacity())
-	buildStart = time.Now()
-	va := index.NewVAFile(store, index.VAFileOptions{})
-	fmt.Printf("VA-file built in %v (%d bits/dim)\n\n",
-		time.Since(buildStart).Round(time.Microsecond), va.BitsPerDim())
 
 	scan := index.NewLinearScan(store)
 	searchers := []struct {
@@ -52,7 +48,6 @@ func main() {
 	}{
 		{"linear scan", scan},
 		{"hybrid tree", tree},
-		{"VA-file", va},
 	}
 
 	// A single-point query and a two-cluster disjunctive query (Eq. 5).
@@ -94,7 +89,7 @@ func main() {
 		name string
 		r    index.RangeSearcher
 	}{
-		{"linear scan", scan}, {"hybrid tree", tree}, {"VA-file", va},
+		{"linear scan", scan}, {"hybrid tree", tree},
 	} {
 		start := time.Now()
 		res, stats := rs.r.Range(&distance.Euclidean{Center: center}, 1.0)

@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("  latency p50=%.3fms p95=%.3fms; last search: %d/%d leaves visited (prune %.2f)\n",
 		st.SearchLatencySeconds.Quantile(0.5)*1e3,
 		st.SearchLatencySeconds.Quantile(0.95)*1e3,
-		st.LastSearch.LeavesVisited, st.LastSearch.LeavesTotal, st.LastSearch.PruneRatio)
+		st.LastSearch.LeavesVisited, st.LastSearch.LeavesTotal, st.LastSearch.PruneRatio())
 	m := db.Metrics()
 	fmt.Println("\n== Database.Metrics ==")
 	fmt.Printf("  search.total=%d index.distance_evals=%d db.items=%.0f\n",

@@ -16,10 +16,10 @@ import (
 // Identity with the scalar path: an abandoned candidate's true distance
 // is strictly greater than the bound it was abandoned against, and every
 // bound the index passes (the k-th-best heap distance, the shared
-// parallel bound, a range radius) is an upper bound of the final
-// admission threshold — so dropping abandoned candidates can never
-// change the merged result set, and non-abandoned values are
-// bit-identical to Eval by the BatchMetric contract.
+// parallel bound) is an upper bound of the final admission threshold —
+// so dropping abandoned candidates can never change the merged result
+// set, and non-abandoned values are bit-identical to Eval by the
+// BatchMetric contract.
 //
 // Not safe for concurrent use: each goroutine needs its own evaluator
 // (the parallel leaf workers construct one apiece).

@@ -62,8 +62,8 @@ func assertSameKNN(t *testing.T, label string, want, got []Result) {
 }
 
 // The batched leaf sweep must return bit-identical k-NN results to the
-// scalar path on every substrate — sequential tree, parallel tree, and
-// VA-file — across metric families and dimensions.
+// scalar path on every substrate — sequential tree and parallel tree —
+// across metric families and dimensions.
 func TestBatchKNNMatchesScalarAllSubstrates(t *testing.T) {
 	rng := rand.New(rand.NewSource(140))
 	for _, dim := range []int{4, 32} {
@@ -71,7 +71,6 @@ func TestBatchKNNMatchesScalarAllSubstrates(t *testing.T) {
 		s := randStore(rng, n, dim)
 		tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
 		par := forceParallel(tree, 4)
-		va := NewVAFile(s, VAFileOptions{})
 		for name, m := range testMetrics(rng, dim) {
 			scalar := scalarOnly{m}
 			for _, k := range []int{1, 10, 64} {
@@ -93,13 +92,6 @@ func TestBatchKNNMatchesScalarAllSubstrates(t *testing.T) {
 					t.Fatalf("%s dim=%d par: BatchedEvals %d != DistanceEvals %d",
 						name, dim, stats.BatchedEvals, stats.DistanceEvals)
 				}
-
-				wantVA, _ := va.KNN(scalar, k)
-				gotVA, vstats := va.KNN(m, k)
-				assertSameKNN(t, name+"/va", wantVA, gotVA)
-				if vstats.BatchedEvals == 0 {
-					t.Fatalf("%s dim=%d va: batch path did not engage", name, dim)
-				}
 			}
 		}
 	}
@@ -120,27 +112,6 @@ func TestBatchKNNAbandonsAndCounts(t *testing.T) {
 	}
 	if stats.AbandonedEvals > stats.BatchedEvals || stats.BatchedEvals > stats.DistanceEvals {
 		t.Fatalf("counter ordering violated: %+v", stats)
-	}
-}
-
-// VA-file Range must keep the exact in-range set when the radius doubles
-// as the abandonment bound.
-func TestBatchRangeMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(142))
-	const n, dim = 1500, 8
-	s := randStore(rng, n, dim)
-	va := NewVAFile(s, VAFileOptions{})
-	for name, m := range testMetrics(rng, dim) {
-		// Radius around the 1% quantile of distances: small enough to
-		// abandon most refined candidates.
-		d0, _ := va.KNN(scalarOnly{m}, n/100+1)
-		radius := d0[len(d0)-1].Dist
-		want, _ := va.Range(scalarOnly{m}, radius)
-		got, stats := va.Range(m, radius)
-		assertSameKNN(t, name+"/range", want, got)
-		if stats.BatchedEvals == 0 {
-			t.Fatalf("%s: range batch path did not engage", name)
-		}
 	}
 }
 
@@ -178,14 +149,10 @@ func FuzzBatchKNN(f *testing.F) {
 		k := int(k8)%48 + 1
 		s := randStore(rng, 400+rng.Intn(200), dim)
 		tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
-		va := NewVAFile(s, VAFileOptions{})
 		for name, m := range testMetrics(rng, dim) {
 			want, _ := tree.KNN(scalarOnly{m}, k)
 			got, _ := tree.KNN(m, k)
 			assertSameKNN(t, name+"/seq", want, got)
-			wantVA, _ := va.KNN(scalarOnly{m}, k)
-			gotVA, _ := va.KNN(m, k)
-			assertSameKNN(t, name+"/va", wantVA, gotVA)
 		}
 	})
 }

@@ -29,7 +29,6 @@ type HybridTree struct {
 	epoch        uint64             // bumped by every Insert; see Epoch
 	parallelism  int                // resolved worker count for leaf evaluation (>= 1)
 	parMinItems  int                // smallest store for which the parallel path engages
-	batchItems   int                // target evaluations per parallel work unit
 	numLeaves    int                // leaf count, maintained by build and Insert re-splits
 	maxResplits  int                // re-split budget per insert batch (<0 = unlimited)
 	pending      []*treeNode        // overflowed leaves awaiting re-split
@@ -51,15 +50,10 @@ type TreeOptions struct {
 	NodeSizeBytes int
 	// Parallelism is the worker count for the parallel leaf-evaluation
 	// stage of k-NN search: 0 means GOMAXPROCS, 1 forces the sequential
-	// path, higher values cap the pool. Small stores (below
-	// ParallelMinItems) always search sequentially — fan-out costs more
-	// than the scan there.
+	// path, higher values cap the pool. Small stores (below 8192 items)
+	// always search sequentially — fan-out costs more than the scan
+	// there.
 	Parallelism int
-	// ParallelMinItems is the smallest store size for which the parallel
-	// leaf stage engages. 0 uses the default (8192); negative means no
-	// threshold — the parallel path engages at any size (the cost-based
-	// planner uses this when it has already decided fan-out pays off).
-	ParallelMinItems int
 	// MaxResplitsPerBatch caps how many overflowed leaves one Insert or
 	// InsertBatch call may rebuild while it holds the write lock; the
 	// rest stay queued (still exact, just oversized) for later batches.
@@ -94,8 +88,7 @@ func NewHybridTree(s *Store, opt TreeOptions) *HybridTree {
 		store:        s,
 		leafCapacity: capacity,
 		parallelism:  resolveParallelism(opt.Parallelism),
-		parMinItems:  resolveParallelMinItems(opt.ParallelMinItems),
-		batchItems:   parallelBatchItems,
+		parMinItems:  parallelMinItems,
 		maxResplits:  maxResplits,
 	}
 	t.root = t.build(ids)
@@ -130,44 +123,6 @@ func (t *HybridTree) Parallelism() int { return t.parallelism }
 func (t *HybridTree) WithParallelism(p int) *HybridTree {
 	view := *t
 	view.parallelism = resolveParallelism(p)
-	return &view
-}
-
-// SearchTuning is a per-query override of the tree's search knobs — the
-// handle the cost-based planner drives. The zero value changes nothing:
-// every zero field keeps the tree's configured behavior.
-type SearchTuning struct {
-	// Workers overrides the leaf-evaluation worker count: 1 forces the
-	// sequential path, >1 the parallel path (still subject to MinItems),
-	// 0 keeps the tree's configured parallelism.
-	Workers int
-	// MinItems overrides the parallel engagement threshold: negative
-	// engages the parallel path regardless of store size, positive sets
-	// the threshold, 0 keeps the configured one.
-	MinItems int
-	// BatchItems overrides the target evaluations per parallel work unit
-	// (0 keeps the default). Smaller batches tighten the shared bound
-	// more often — worth it when the abandonment rate is high; larger
-	// batches amortize hand-off when almost nothing is abandoned.
-	BatchItems int
-}
-
-// WithTuning returns a search-only view of the same tree (shared store
-// and nodes) with per-query overrides applied; see WithParallelism for
-// the view contract. Both the sequential and parallel paths are
-// bit-identical, so any tuning yields exactly the same results — only
-// the cost profile moves.
-func (t *HybridTree) WithTuning(tu SearchTuning) *HybridTree {
-	view := *t
-	if tu.Workers != 0 {
-		view.parallelism = resolveParallelism(tu.Workers)
-	}
-	if tu.MinItems != 0 {
-		view.parMinItems = resolveParallelMinItems(tu.MinItems)
-	}
-	if tu.BatchItems > 0 {
-		view.batchItems = tu.BatchItems
-	}
 	return &view
 }
 
@@ -454,23 +409,10 @@ func (r *RefinementSearcher) KNNContext(ctx context.Context, m distance.Metric, 
 // the global k-th best while each keeps its own cross-iteration leaf
 // cache. A nil ext behaves exactly like KNNContext.
 func (r *RefinementSearcher) KNNSharedContext(ctx context.Context, m distance.Metric, k int, ext *SharedBound) ([]Result, SearchStats, error) {
-	return r.KNNSharedTuned(ctx, m, k, ext, SearchTuning{})
-}
-
-// KNNSharedTuned is KNNSharedContext executed through a per-query
-// tuning view of the underlying tree (see HybridTree.WithTuning): the
-// cost-based planner picks worker count and batch size per query while
-// the cross-iteration leaf cache — which belongs to the searcher, not
-// the view — keeps working across differently tuned iterations.
-func (r *RefinementSearcher) KNNSharedTuned(ctx context.Context, m distance.Metric, k int, ext *SharedBound, tu SearchTuning) ([]Result, SearchStats, error) {
 	if r.epoch != r.tree.epoch {
 		r.cached = nil
 	}
-	t := r.tree
-	if tu != (SearchTuning{}) {
-		t = t.WithTuning(tu)
-	}
-	res, stats, visited, err := t.knnSeeded(ctx, m, k, r.cached, ext)
+	res, stats, visited, err := r.tree.knnSeeded(ctx, m, k, r.cached, ext)
 	if err != nil {
 		r.cached = unionLeaves(visited, r.cached)
 	} else {

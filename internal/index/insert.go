@@ -12,10 +12,9 @@ import (
 // and returns its new id. The vector must match the store's
 // dimensionality and be finite. Indexes built over the store do NOT see
 // the new vector automatically — call the index's Insert with the
-// returned id (HybridTree supports this; a VA-file quantizes new rows
-// against its existing marks via Extend). A grow may reallocate the
-// block; subslices handed out earlier by Vector stay valid (they alias
-// the old block, whose contents are never mutated).
+// returned id. A grow may reallocate the block; subslices handed out
+// earlier by Vector stay valid (they alias the old block, whose contents
+// are never mutated).
 func (s *Store) Append(v linalg.Vector) (int, error) {
 	if v.Dim() != s.dim {
 		return 0, fmt.Errorf("index: append dim %d, store has %d", v.Dim(), s.dim)

@@ -35,19 +35,6 @@ func resolveParallelism(p int) int {
 	return p
 }
 
-// resolveParallelMinItems maps the engagement-threshold knob to an item
-// count: 0 means the default, negative means no threshold (engage at any
-// store size).
-func resolveParallelMinItems(n int) int {
-	if n == 0 {
-		return parallelMinItems
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
 // SharedBound is the k-th-best distance published across search workers
 // — and, since the sharded scatter-gather tier, across whole per-shard
 // searches — stored as float64 bits in an atomic. Distances are
@@ -110,10 +97,6 @@ func (t *HybridTree) knnSeededParallel(ctx context.Context, m distance.Metric, k
 	bound := ext
 	if bound == nil {
 		bound = NewSharedBound()
-	}
-	batchItems := t.batchItems
-	if batchItems <= 0 {
-		batchItems = parallelBatchItems
 	}
 
 	ch := make(chan []*treeNode, workers)
@@ -190,7 +173,7 @@ func (t *HybridTree) knnSeededParallel(ctx context.Context, m distance.Metric, k
 		}
 		pending = append(pending, n)
 		pendingItems += len(n.items)
-		if pendingItems >= batchItems {
+		if pendingItems >= parallelBatchItems {
 			flush()
 		}
 	}

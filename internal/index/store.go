@@ -141,17 +141,6 @@ type SearchStats struct {
 	// RefineEvals counts full-precision exact re-evaluations of ANN
 	// candidates — a subset of DistanceEvals. 0 on the exact backends.
 	RefineEvals int
-	// PlanRoute is the execution route the cost-based planner chose for
-	// this search ("tree", "vafile", "ann"); empty when no planner ran
-	// and the statically configured backend answered.
-	PlanRoute string
-	// PlanAdaptive reports whether the plan came from warm cost models;
-	// false means the planner fell back to the static configuration
-	// (cold windows) or no planner ran at all.
-	PlanAdaptive bool
-	// PlanPredictedSeconds is the planner's pre-execution latency
-	// estimate for this search (0 when no warm model predicted it).
-	PlanPredictedSeconds float64
 }
 
 // Add accumulates other into s: work counters sum; Workers keeps the
@@ -170,15 +159,15 @@ func (s *SearchStats) Add(other SearchStats) {
 	if other.Workers > s.Workers {
 		s.Workers = other.Workers
 	}
-	// Plan metadata: the first route observed speaks for the aggregate
-	// (per-shard plans are independent; the merged view keeps shard 0's
-	// route), predictions sum, and adaptivity is sticky — any adaptively
-	// planned leg marks the whole search adaptive.
-	if s.PlanRoute == "" {
-		s.PlanRoute = other.PlanRoute
+}
+
+// LeavesPruned counts the index leaves the search never touched:
+// LeavesTotal - LeavesVisited, or 0 when no leaf structure exists.
+func (s SearchStats) LeavesPruned() int {
+	if s.LeavesVisited >= s.LeavesTotal {
+		return 0
 	}
-	s.PlanAdaptive = s.PlanAdaptive || other.PlanAdaptive
-	s.PlanPredictedSeconds += other.PlanPredictedSeconds
+	return s.LeavesTotal - s.LeavesVisited
 }
 
 // PruneRatio is the fraction of index leaves the search never touched:
@@ -205,9 +194,6 @@ func (s SearchStats) Cost() obs.CostStats {
 		CacheSeedLeaves: s.CacheSeedLeaves,
 		GraphHops:       s.GraphHops,
 		RefineEvals:     s.RefineEvals,
-		PlanRoute:       s.PlanRoute,
-		PlanAdaptive:    s.PlanAdaptive,
-		PlanPredictedMS: s.PlanPredictedSeconds * 1e3,
 	}
 }
 

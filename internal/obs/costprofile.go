@@ -72,13 +72,6 @@ type CostStats struct {
 	// with the full-precision metric. 0 on the exact backends.
 	GraphHops   int `json:"graph_hops,omitempty"`
 	RefineEvals int `json:"refine_evals,omitempty"`
-	// PlanRoute/PlanAdaptive/PlanPredictedMS describe the cost-based
-	// planner's decision for this search: the execution path it chose,
-	// whether warm models (vs. the static fallback) chose it, and the
-	// pre-execution latency estimate. Zero values when no planner ran.
-	PlanRoute       string  `json:"plan_route,omitempty"`
-	PlanAdaptive    bool    `json:"plan_adaptive,omitempty"`
-	PlanPredictedMS float64 `json:"plan_predicted_ms,omitempty"`
 }
 
 // Add accumulates other into s.
@@ -92,11 +85,6 @@ func (s *CostStats) Add(other CostStats) {
 	s.CacheSeedLeaves += other.CacheSeedLeaves
 	s.GraphHops += other.GraphHops
 	s.RefineEvals += other.RefineEvals
-	if s.PlanRoute == "" {
-		s.PlanRoute = other.PlanRoute
-	}
-	s.PlanAdaptive = s.PlanAdaptive || other.PlanAdaptive
-	s.PlanPredictedMS += other.PlanPredictedMS
 }
 
 // PruneRatio is the fraction of index leaves the search never touched.
@@ -443,12 +431,6 @@ func (t *Tracer) export(p *CostProfile) {
 		F("graph_hops", p.Stats.GraphHops),
 		F("refine_evals", p.Stats.RefineEvals),
 		F("prune_ratio", p.Stats.PruneRatio()),
-	}
-	if p.Stats.PlanRoute != "" {
-		rootEnd = append(rootEnd,
-			F("plan_route", p.Stats.PlanRoute),
-			F("plan_adaptive", p.Stats.PlanAdaptive),
-			F("plan_predicted_ms", p.Stats.PlanPredictedMS))
 	}
 	t.sink.Emit(Event{Span: rootName, Name: "end", Time: p.End, Fields: rootEnd})
 }

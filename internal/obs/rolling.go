@@ -12,17 +12,17 @@ import (
 // snapshots reflect only the last `span` of observations instead of
 // the process lifetime. It is the substrate for the live per-query
 // cost estimators (recent prune ratio, abandonment rate, leaf counts,
-// per-shard latency p95) that a cost-based planner and admission
-// control consume — a cumulative histogram would let yesterday's
-// workload drown out the last thirty seconds.
+// per-shard latency p95) that admission control consumes — a
+// cumulative histogram would let yesterday's workload drown out the
+// last thirty seconds.
 //
 // Observe is lock-free and allocation-free: locate the current time
 // slot, lazily recycle it when its epoch is stale, then the same
 // atomic bucket writes as Histogram. Recycling races are tolerated by
 // design — a writer straddling a slot boundary may land an observation
 // in a just-reset slot or lose one to the reset — which bounds the
-// error to the boundary instants; the estimators feed planners, not
-// accounting.
+// error to the boundary instants; the estimators feed admission
+// pricing, not accounting.
 type Window struct {
 	bounds   []float64 // ascending upper value bounds
 	slotDur  int64     // nanoseconds per time slot

@@ -117,7 +117,7 @@ type createSessionResponse struct {
 	// pin the tenant with. Absent when unsharded.
 	HomeShard *int `json:"home_shard,omitempty"`
 	// The embedded IndexInfo tells the client which search path will
-	// serve this session's retrievals ("tree", "vafile" or "ann" + graph
+	// serve this session's retrievals ("tree", or "ann" + graph
 	// parameters) — an "ann" session's results carry a recall contract,
 	// not an exactness one.
 	qcluster.IndexInfo

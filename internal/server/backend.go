@@ -10,7 +10,7 @@ import (
 
 // Backend is the retrieval engine behind the HTTP layer: one unsharded
 // database or a sharded set, behind the same searcher surface. The
-// refactor point for future backends (replicas, ANN indexes, planners):
+// refactor point for future backends (replicas, ANN indexes):
 // the handlers only ever talk to this interface.
 type Backend interface {
 	Len() int
@@ -29,8 +29,8 @@ type Backend interface {
 	// CostSignals exposes the backend's rolling windowed cost
 	// estimators — admission control's read-only per-query cost hook.
 	CostSignals() qcluster.CostSignals
-	// IndexInfo reports the active k-NN execution path ("tree", "vafile"
-	// or "ann") and, for the ANN backend, the resolved graph parameters —
+	// IndexInfo reports the active k-NN execution path ("tree" or
+	// "ann") and, for the ANN backend, the resolved graph parameters —
 	// surfaced in /healthz's info block and session-create responses so a
 	// client can tell which recall contract its results carry.
 	IndexInfo() qcluster.IndexInfo

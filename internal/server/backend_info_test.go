@@ -12,59 +12,49 @@ import (
 // results carry an exactness or a recall contract.
 func TestBackendInfoSurfaced(t *testing.T) {
 	vectors, _ := mixture(11, 6, 30, 5)
-	annDB, err := qcluster.NewDatabaseWithOptions(vectors, qcluster.IndexOptions{
-		Backend: qcluster.BackendANN,
-		ANN:     qcluster.ANNOptions{M: 8, EfSearch: 48},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startServer(t, annDB, Options{})
+	for _, tc := range []struct {
+		opt  qcluster.IndexOptions
+		want qcluster.IndexInfo
+	}{
+		// The exact default reports "tree" and no ANN block.
+		{qcluster.IndexOptions{}, qcluster.IndexInfo{Backend: "tree"}},
+		{qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{M: 8, EfSearch: 48}},
+			qcluster.IndexInfo{Backend: "ann", ANNM: 8, ANNEfConstruction: 128, ANNEfSearch: 48}},
+	} {
+		db, err := qcluster.NewDatabaseWithOptions(vectors, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := startServer(t, db, Options{})
 
-	var hz healthzResponse
-	if st, _ := call(t, s, "GET", "/healthz", nil, &hz); st != 200 {
-		t.Fatalf("healthz = %d", st)
-	}
-	if hz.Info == nil || hz.Info.Backend != "ann" {
-		t.Fatalf("healthz info backend = %+v, want ann", hz.Info)
-	}
-	if hz.Info.ANNM != 8 || hz.Info.ANNEfSearch != 48 || hz.Info.ANNEfConstruction == 0 {
-		t.Fatalf("healthz ANN params = %+v", hz.Info.IndexInfo)
-	}
+		var hz healthzResponse
+		if st, _ := call(t, s, "GET", "/healthz", nil, &hz); st != 200 {
+			t.Fatalf("healthz = %d", st)
+		}
+		if hz.Info == nil || hz.Info.IndexInfo != tc.want {
+			t.Fatalf("healthz info = %+v, want %+v", hz.Info, tc.want)
+		}
 
-	var cs createSessionResponse
-	if st, raw := call(t, s, "POST", "/v1/sessions",
-		createSessionRequest{Example: vectors[0]}, &cs); st != 201 {
-		t.Fatalf("create session = %d %s", st, raw)
-	}
-	if cs.Backend != "ann" || cs.ANNEfSearch != 48 {
-		t.Fatalf("session-create backend info = %+v", cs.IndexInfo)
-	}
+		var cs createSessionResponse
+		if st, raw := call(t, s, "POST", "/v1/sessions",
+			createSessionRequest{Example: vectors[0]}, &cs); st != 201 {
+			t.Fatalf("create session = %d %s", st, raw)
+		}
+		if cs.IndexInfo != tc.want {
+			t.Fatalf("session-create backend info = %+v, want %+v", cs.IndexInfo, tc.want)
+		}
 
-	// A session on the ann backend still completes a feedback round.
-	var fb feedbackResponse
-	if st, raw := call(t, s, "POST", "/v1/sessions/"+cs.SessionID+"/feedback",
-		feedbackRequest{Points: []feedbackPoint{
-			{ID: 0, Score: 3}, {ID: 1, Score: 3}, {ID: 2, Score: 3},
-		}}, &fb); st != 200 || !fb.Absorbed {
-		t.Fatalf("feedback = %d %s", st, raw)
-	}
-	var rr resultsResponse
-	if st, _ := call(t, s, "GET", "/v1/sessions/"+cs.SessionID+"/results?k=10", nil, &rr); st != 200 || len(rr.Results) != 10 {
-		t.Fatalf("results = %d, %d results", st, len(rr.Results))
-	}
-
-	// The exact default reports "tree" and no ANN block.
-	treeDB, err := qcluster.NewDatabase(vectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 := startServer(t, treeDB, Options{})
-	var hz2 healthzResponse
-	if st, _ := call(t, st2, "GET", "/healthz", nil, &hz2); st != 200 {
-		t.Fatalf("healthz = %d", st)
-	}
-	if hz2.Info == nil || hz2.Info.Backend != "tree" || hz2.Info.ANNM != 0 {
-		t.Fatalf("tree healthz info = %+v", hz2.Info)
+		// A session on either backend completes a feedback round.
+		var fb feedbackResponse
+		if st, raw := call(t, s, "POST", "/v1/sessions/"+cs.SessionID+"/feedback",
+			feedbackRequest{Points: []feedbackPoint{
+				{ID: 0, Score: 3}, {ID: 1, Score: 3}, {ID: 2, Score: 3},
+			}}, &fb); st != 200 || !fb.Absorbed {
+			t.Fatalf("feedback = %d %s", st, raw)
+		}
+		var rr resultsResponse
+		if st, _ := call(t, s, "GET", "/v1/sessions/"+cs.SessionID+"/results?k=10", nil, &rr); st != 200 || len(rr.Results) != 10 {
+			t.Fatalf("results = %d, %d results", st, len(rr.Results))
+		}
 	}
 }

@@ -131,6 +131,9 @@ func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, erro
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
 	}
+	if err := opt.Backend.Validate(); err != nil {
+		return nil, err
+	}
 	parts, err := partition(vectors, shards)
 	if err != nil {
 		return nil, err
@@ -164,6 +167,9 @@ func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, erro
 func Open(dir string, shards int, opt qcluster.DurableOptions) (*Set, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
+	}
+	if err := opt.Index.Backend.Validate(); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: create data dir: %w", err)

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	qcluster "repro"
@@ -166,6 +169,24 @@ func TestSetRejectsEmptyShards(t *testing.T) {
 	}
 }
 
+// A bad backend name is refused before the seed is partitioned or any
+// shard directory is created.
+func TestSetRejectsBadBackend(t *testing.T) {
+	for _, backend := range []qcluster.IndexBackend{"vafile", "nope"} {
+		opt := qcluster.IndexOptions{Backend: backend}
+		if _, err := New(makeVectors(100, 4, 1), 2, opt); err == nil {
+			t.Errorf("New with backend %q must fail", backend)
+		}
+		dir := filepath.Join(t.TempDir(), "set")
+		if _, err := Open(dir, 2, qcluster.DurableOptions{Index: opt, Seed: makeVectors(100, 4, 1)}); err == nil {
+			t.Errorf("Open with backend %q must fail", backend)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("Open with backend %q created %s before refusing", backend, dir)
+		}
+	}
+}
+
 func TestSetMetricsAndHealth(t *testing.T) {
 	vectors := makeVectors(1000, 4, 2)
 	set, err := New(vectors, 2, qcluster.IndexOptions{})
@@ -194,6 +215,17 @@ func TestSetMetricsAndHealth(t *testing.T) {
 	}
 	if perShard != 2 {
 		t.Fatalf("per-shard search counters sum to %d, want 2 (one leg each)", perShard)
+	}
+	// No planner series, set-level or re-keyed per shard.
+	for name := range snap.Counters {
+		if strings.Contains(name, "plan.") {
+			t.Errorf("merged snapshot carries counter %q", name)
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.Contains(name, "plan.") {
+			t.Errorf("merged snapshot carries histogram %q", name)
+		}
 	}
 
 	health := set.Health()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/plan"
 )
 
 // This file is the public observability surface: trace sinks (Sink,
@@ -70,80 +69,11 @@ type DebugServer = obs.DebugServer
 // endpoint.
 type Registry = obs.Registry
 
-// SearchStats describes the index work one search performed — the
-// public mirror of the internal search statistics that every Search*
-// path previously discarded.
-type SearchStats struct {
-	// NodesVisited counts internal + leaf nodes the best-first
-	// traversal expanded.
-	NodesVisited int
-	// LeavesVisited counts leaves whose vectors were evaluated.
-	LeavesVisited int
-	// LeavesPruned counts leaves the traversal never touched
-	// (LeavesTotal - LeavesVisited).
-	LeavesPruned int
-	// LeavesTotal is the index leaf count at search time.
-	LeavesTotal int
-	// DistanceEvals counts query-distance evaluations (vectors scored).
-	DistanceEvals int
-	// CacheSeedLeaves counts leaves replayed from the session's
-	// cross-iteration refinement cache before the traversal started.
-	CacheSeedLeaves int
-	// Workers is the leaf-evaluation worker count the search ran with
-	// (1 = sequential path).
-	Workers int
-	// BatchedEvals counts the distance evaluations served by the
-	// bound-aware batch kernels (a subset of DistanceEvals; 0 when the
-	// metric has no batch implementation).
-	BatchedEvals int
-	// AbandonedEvals counts batched evaluations cut short because the
-	// partial sum provably exceeded the k-th-best pruning bound.
-	AbandonedEvals int
-	// PruneRatio is the fraction of leaves pruned: 1 -
-	// LeavesVisited/LeavesTotal.
-	PruneRatio float64
-	// GraphHops counts HNSW graph nodes expanded (ANN backend only; 0 on
-	// exact backends and on the exhaustive-sweep degenerate case).
-	GraphHops int
-	// RefineEvals counts candidates re-scored at full precision by the
-	// ANN exact-refinement stage (a subset of DistanceEvals; 0 on exact
-	// backends).
-	RefineEvals int
-	// PlanRoute is the execution route the cost-based planner chose
-	// ("tree", "vafile", "ann"); empty when no planner ran.
-	PlanRoute string
-	// PlanAdaptive reports a model-driven plan (false = the static
-	// fallback or no planner).
-	PlanAdaptive bool
-	// PlanPredictedSeconds is the planner's pre-execution latency
-	// estimate for this search (0 when no warm model predicted it).
-	PlanPredictedSeconds float64
-}
-
-func searchStatsFromIndex(s index.SearchStats) SearchStats {
-	pruned := s.LeavesTotal - s.LeavesVisited
-	if pruned < 0 {
-		pruned = 0
-	}
-	return SearchStats{
-		NodesVisited:    s.NodesVisited,
-		LeavesVisited:   s.LeavesVisited,
-		LeavesPruned:    pruned,
-		LeavesTotal:     s.LeavesTotal,
-		DistanceEvals:   s.DistanceEvals,
-		CacheSeedLeaves: s.CacheSeedLeaves,
-		Workers:         s.Workers,
-		BatchedEvals:    s.BatchedEvals,
-		AbandonedEvals:  s.AbandonedEvals,
-		PruneRatio:      s.PruneRatio(),
-		GraphHops:       s.GraphHops,
-		RefineEvals:     s.RefineEvals,
-
-		PlanRoute:            s.PlanRoute,
-		PlanAdaptive:         s.PlanAdaptive,
-		PlanPredictedSeconds: s.PlanPredictedSeconds,
-	}
-}
+// SearchStats describes the index work one search performed: nodes and
+// leaves visited against the leaf total, distance evaluations (batched,
+// abandoned, ANN-refined), cache seeds, workers and graph hops, with
+// LeavesPruned and PruneRatio derived from them.
+type SearchStats = index.SearchStats
 
 // SessionStats is a Session's observability snapshot: cumulative search
 // and feedback counters, latency and prune-ratio histograms, and the
@@ -186,9 +116,9 @@ type SessionStats struct {
 const CostWindowSpan = 60 * time.Second
 
 // CostSignals is the live per-query cost estimate substrate: rolling
-// windowed (not lifetime-cumulative) distributions of the signals a
-// cost-based planner and admission control consume. Each field is a
-// histogram snapshot over roughly the trailing CostWindowSpan.
+// windowed (not lifetime-cumulative) distributions of the signals
+// admission control consumes. Each field is a histogram snapshot over
+// roughly the trailing CostWindowSpan.
 type CostSignals struct {
 	// PruneRatio is the recent distribution of per-search leaf prune
 	// ratios (only searches that saw a non-empty index contribute).
@@ -245,19 +175,6 @@ type dbMetrics struct {
 	wAbandon *obs.Window
 	wLeaves  *obs.Window
 	wSearch  *obs.Window
-
-	// Cost-based planner decisions ("plan.*"): route counters, fallback
-	// and probe counts, and the predicted-vs-actual error windows.
-	planDecisions *obs.Counter
-	planStatic    *obs.Counter
-	planProbes    *obs.Counter
-	planTree      *obs.Counter
-	planVAFile    *obs.Counter
-	planANN       *obs.Counter
-	planParallel  *obs.Counter
-	wPlanPredict  *obs.Window
-	wPlanAbsErr   *obs.Window
-	wPlanErrRatio *obs.Window
 }
 
 // sourceCounters are the registry series metric resolution moves (see
@@ -307,50 +224,6 @@ func newDBMetrics() *dbMetrics {
 		wAbandon:      reg.Window("cost.window.abandon_rate", obs.RatioBuckets(), CostWindowSpan),
 		wLeaves:       reg.Window("cost.window.leaves_visited", obs.SizeBuckets(), CostWindowSpan),
 		wSearch:       reg.Window("cost.window.search_seconds", obs.LatencyBuckets(), CostWindowSpan),
-		planDecisions: reg.Counter("plan.decisions"),
-		planStatic:    reg.Counter("plan.static_fallback"),
-		planProbes:    reg.Counter("plan.probes"),
-		planTree:      reg.Counter("plan.route.tree"),
-		planVAFile:    reg.Counter("plan.route.vafile"),
-		planANN:       reg.Counter("plan.route.ann"),
-		planParallel:  reg.Counter("plan.parallel_searches"),
-		wPlanPredict:  reg.Window("plan.window.predicted_seconds", obs.LatencyBuckets(), CostWindowSpan),
-		wPlanAbsErr:   reg.Window("plan.window.abs_error_seconds", obs.LatencyBuckets(), CostWindowSpan),
-		wPlanErrRatio: reg.Window("plan.window.error_ratio", obs.RatioBuckets(), CostWindowSpan),
-	}
-}
-
-// observePlan records one planner decision and, when a warm model made
-// a prediction, its predicted-vs-actual error. Allocation-free.
-func (m *dbMetrics) observePlan(d plan.Decision, elapsed time.Duration) {
-	m.planDecisions.Inc()
-	switch d.Route {
-	case plan.RouteTree:
-		m.planTree.Inc()
-	case plan.RouteVAFile:
-		m.planVAFile.Inc()
-	case plan.RouteANN:
-		m.planANN.Inc()
-	}
-	if d.Probe {
-		m.planProbes.Inc()
-	} else if !d.Adaptive {
-		m.planStatic.Inc()
-	}
-	if d.Workers > 1 {
-		m.planParallel.Inc()
-	}
-	if d.PredictedSeconds > 0 {
-		m.wPlanPredict.Observe(d.PredictedSeconds)
-		actual := elapsed.Seconds()
-		err := d.PredictedSeconds - actual
-		if err < 0 {
-			err = -err
-		}
-		m.wPlanAbsErr.Observe(err)
-		if actual > 0 {
-			m.wPlanErrRatio.Observe(err / actual)
-		}
 	}
 }
 
@@ -366,9 +239,7 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	m.resultCounts.Observe(float64(results))
 	m.nodesVisited.Add(int64(stats.NodesVisited))
 	m.leavesVisited.Add(int64(stats.LeavesVisited))
-	if pruned := stats.LeavesTotal - stats.LeavesVisited; pruned > 0 {
-		m.leavesPruned.Add(int64(pruned))
-	}
+	m.leavesPruned.Add(int64(stats.LeavesPruned()))
 	m.distanceEvals.Add(int64(stats.DistanceEvals))
 	m.batchedEvals.Add(int64(stats.BatchedEvals))
 	m.abandonEvals.Add(int64(stats.AbandonedEvals))
@@ -433,7 +304,7 @@ func (db *Database) ServeDebug(addr string) (*DebugServer, error) {
 func (db *Database) Registry() *Registry { return db.met.reg }
 
 // CostSignals returns the database's rolling windowed cost estimators —
-// the read-only hook admission control and a cost-based planner consume.
+// the read-only hook admission control consumes.
 // Safe to call at any time; each snapshot covers roughly the trailing
 // CostWindowSpan.
 func (db *Database) CostSignals() CostSignals {
@@ -486,9 +357,7 @@ func (m *sessionMetrics) observeRetrieval(elapsed time.Duration, stats index.Sea
 	}
 	m.latency.Observe(elapsed.Seconds())
 	m.leavesVis.Add(int64(stats.LeavesVisited))
-	if pruned := stats.LeavesTotal - stats.LeavesVisited; pruned > 0 {
-		m.leavesPrn.Add(int64(pruned))
-	}
+	m.leavesPrn.Add(int64(stats.LeavesPruned()))
 	m.distEvals.Add(int64(stats.DistanceEvals))
 	m.cacheSeeds.Add(int64(stats.CacheSeedLeaves))
 	if stats.LeavesTotal > 0 {
@@ -514,7 +383,7 @@ func (s *Session) Stats() SessionStats {
 		FeedbackRounds:       s.met.rounds.Value(),
 		FeedbackPoints:       s.met.points.Value(),
 		QueryPoints:          s.query.NumQueryPoints(),
-		LastSearch:           searchStatsFromIndex(last),
+		LastSearch:           last,
 		SearchLatencySeconds: s.met.latency.Snapshot(),
 		PruneRatio:           s.met.prune.Snapshot(),
 		LeavesVisited:        s.met.leavesVis.Value(),

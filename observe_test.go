@@ -159,10 +159,10 @@ func TestSessionStats(t *testing.T) {
 	if st.LastSearch.LeavesTotal <= 0 || st.LastSearch.LeavesVisited <= 0 {
 		t.Fatalf("LastSearch index work missing: %+v", st.LastSearch)
 	}
-	if st.LastSearch.PruneRatio < 0 || st.LastSearch.PruneRatio > 1 {
-		t.Fatalf("LastSearch.PruneRatio = %v", st.LastSearch.PruneRatio)
+	if pr := st.LastSearch.PruneRatio(); pr < 0 || pr > 1 {
+		t.Fatalf("LastSearch.PruneRatio() = %v", pr)
 	}
-	if st.LastSearch.LeavesPruned != st.LastSearch.LeavesTotal-st.LastSearch.LeavesVisited {
+	if st.LastSearch.LeavesPruned() != st.LastSearch.LeavesTotal-st.LastSearch.LeavesVisited {
 		t.Fatalf("LeavesPruned inconsistent: %+v", st.LastSearch)
 	}
 	if st.DistanceEvals <= 0 || st.LeavesVisited <= 0 {
@@ -233,6 +233,37 @@ func TestDatabaseMetrics(t *testing.T) {
 	h, ok := m.Histograms["search.latency_seconds"]
 	if !ok || h.Count != 4 {
 		t.Fatalf("search.latency_seconds histogram: ok=%v count=%d, want 4", ok, h.Count)
+	}
+}
+
+// TestNoPlanSeries pins the shrunken metric namespace: a fresh database
+// on either backend registers no "plan." series, and the backend it
+// reports is one of the two that exist.
+func TestNoPlanSeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	vectors, _ := buildVectors(rng)
+	for _, backend := range []IndexBackend{"", BackendTree, BackendANN} {
+		db, err := NewDatabaseWithOptions(vectors, IndexOptions{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.IndexInfo().Backend; got != "tree" && got != "ann" {
+			t.Errorf("backend %q: IndexInfo().Backend = %q, want tree or ann", backend, got)
+		}
+		m := db.Metrics()
+		if len(m.Counters) == 0 || len(m.Histograms) == 0 {
+			t.Fatalf("backend %q: empty registry snapshot", backend)
+		}
+		for name := range m.Counters {
+			if strings.HasPrefix(name, "plan.") {
+				t.Errorf("backend %q registers counter %q", backend, name)
+			}
+		}
+		for name := range m.Histograms {
+			if strings.HasPrefix(name, "plan.") {
+				t.Errorf("backend %q registers histogram %q", backend, name)
+			}
+		}
 	}
 }
 

@@ -128,11 +128,10 @@ func funcRefs(t *testing.T, dir string) map[string]map[string]bool {
 // to execute, not another copy of the wrapper.
 func TestSearchChokePoint(t *testing.T) {
 	pipeline := map[string]bool{
-		"database.go:execute":       true,
-		"backend.go:knnBackend":     true,
-		"backend.go:knnRouteLocked": true,
+		"database.go:execute":   true,
+		"backend.go:knnBackend": true,
 	}
-	guarded := []string{"knnBackend", "knnRouteLocked", "KNNEf", "observeSearch", "AddSearch", "wrapInterrupt"}
+	guarded := []string{"knnBackend", "KNNEf", "observeSearch", "AddSearch", "wrapInterrupt"}
 	root := funcRefs(t, ".")
 	for name := range pipeline {
 		if root[name] == nil {
