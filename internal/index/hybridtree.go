@@ -113,9 +113,6 @@ func (t *HybridTree) LeafCapacity() int { return t.leafCapacity }
 // prune ratios).
 func (t *HybridTree) NumLeaves() int { return t.numLeaves }
 
-// Parallelism reports the resolved search worker count.
-func (t *HybridTree) Parallelism() int { return t.parallelism }
-
 // WithParallelism returns a search-only view of the same tree (shared
 // store and nodes) whose k-NN queries use the given worker count (0 =
 // GOMAXPROCS, 1 = sequential). The view is meant for searching — Insert

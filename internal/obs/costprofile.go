@@ -253,7 +253,7 @@ func ProfileFromContext(ctx context.Context) *CostProfile {
 // TracerOptions configures a Tracer.
 type TracerOptions struct {
 	// Sink receives exported span events (nil: profiles still flow to
-	// the slow log and estimators, but no spans are exported).
+	// the slow log, but no spans are exported).
 	Sink Sink
 	// SampleRate is the head-based export probability in [0, 1] for
 	// requests that do not arrive with a sampled traceparent. An

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -204,7 +203,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	windows    map[string]*Window
 }
 
 // NewRegistry returns an empty registry.
@@ -213,7 +211,6 @@ func NewRegistry() *Registry {
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
-		windows:    map[string]*Window{},
 	}
 }
 
@@ -255,24 +252,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Window returns the named rolling windowed histogram, creating it
-// with the given bounds and span on first use. Later calls return the
-// existing window regardless of the arguments. Windows snapshot into
-// Snapshot.Histograms alongside cumulative histograms (the name should
-// make the windowed semantics obvious, e.g. "cost.window.prune_ratio"),
-// so they export through /metrics and /debug/vars with no extra
-// plumbing.
-func (r *Registry) Window(name string, bounds []float64, span time.Duration) *Window {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.windows[name]
-	if !ok {
-		w = NewWindow(bounds, span)
-		r.windows[name] = w
-	}
-	return w
-}
-
 // Snapshot copies every metric's current value. Safe to call while
 // writers are active (see Histogram.Snapshot for the consistency
 // contract).
@@ -292,9 +271,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
-	}
-	for name, w := range r.windows {
-		s.Histograms[name] = w.Snapshot()
 	}
 	return s
 }

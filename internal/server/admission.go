@@ -3,171 +3,68 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
+	"math"
+	"strconv"
 	"time"
 )
 
-// errShed is returned by admission.acquire when the request's cost units
-// do not free up within the queue-wait budget; the HTTP layer maps it to
-// 429.
+// errShed is returned by admission.acquire when no in-flight slot frees
+// up within the queue-wait budget; the HTTP layer maps it to 429.
 var errShed = errors.New("server: overloaded, request shed")
 
-// minRequestCost floors per-request pricing: even the cheapest route
-// holds a quarter of an average-request unit, so mispriced or trivially
-// cheap requests cannot admit unbounded concurrency.
-const minRequestCost = 0.25
-
-// admission is the weighted cost-unit semaphore in front of every /v1
-// endpoint. Capacity is expressed in units where 1 unit is one
-// average-priced request, so the configured MaxInFlight bound keeps its
-// meaning for a uniform workload — but a route whose rolling window
-// shows it costs 3× the average holds 3 units, and the server admits
-// fewer of them at once. Requests queue FIFO for at most wait before
-// being shed, bounding both concurrency (units) and queueing delay
-// (wait), so the server degrades by rejecting quickly instead of
-// collapsing under unbounded queues.
+// admission is the bounded in-flight semaphore in front of every /v1
+// endpoint: one slot per admitted request. A request first tries for a
+// slot without blocking; when the server is saturated it queues for at
+// most wait before being shed — bounding both concurrency (slots) and
+// queueing delay (wait), so the server degrades by rejecting quickly
+// instead of collapsing under unbounded queues.
 type admission struct {
-	mu      sync.Mutex
-	total   float64 // capacity in cost units
-	used    float64 // units currently held
-	held    int     // requests currently holding units
-	waiters []*admWaiter
-	wait    time.Duration // <= 0: shed immediately when saturated
-	// costOf, when non-nil, returns the backend's current per-query cost
-	// estimate in seconds — a read-only signal from the rolling cost
-	// windows, surfaced via /healthz.
-	costOf func() float64
-}
-
-// admWaiter is one queued request. granted flips under the admission
-// mutex before ready is closed, so a waiter that times out can tell a
-// lost race (grant already charged — must be undone) from a plain
-// timeout (still queued — must be unlinked).
-type admWaiter struct {
-	cost    float64
-	ready   chan struct{}
-	granted bool
+	slots chan struct{}
+	wait  time.Duration // <= 0: shed immediately when saturated
+	// retryAfter is a 429's Retry-After header: the queue-wait budget in
+	// whole seconds, rounded up and clamped to [1, 30].
+	retryAfter string
 }
 
 func newAdmission(maxInFlight int, wait time.Duration) *admission {
-	return &admission{total: float64(maxInFlight), wait: wait}
+	secs := min(max(int(math.Ceil(wait.Seconds())), 1), 30)
+	return &admission{
+		slots:      make(chan struct{}, maxInFlight),
+		wait:       wait,
+		retryAfter: strconv.Itoa(secs),
+	}
 }
 
-// clampCost bounds a priced request to [minRequestCost, total]: the cap
-// guarantees even a pathologically expensive request can run (alone),
-// instead of queueing forever for units that can never free up.
-func (a *admission) clampCost(cost float64) float64 {
-	if !(cost > minRequestCost) { // also catches NaN
-		return minRequestCost
-	}
-	if cost > a.total {
-		return a.total
-	}
-	return cost
-}
-
-// acquire takes cost units, waiting up to the queue-wait budget behind
-// earlier waiters (FIFO — a large request at the head is not starved by
-// small ones slipping past it). It returns errShed on timeout and the
-// context error if the caller gave up first; on any error no units are
-// held. queued reports whether the fast path missed. The returned cost
-// is the clamped charge the caller must pass to release.
-func (a *admission) acquire(ctx context.Context, cost float64) (charged float64, queued bool, err error) {
-	cost = a.clampCost(cost)
-	a.mu.Lock()
-	if len(a.waiters) == 0 && a.used+cost <= a.total {
-		a.used += cost
-		a.held++
-		a.mu.Unlock()
-		return cost, false, nil
+// acquire takes an in-flight slot, waiting up to the queue-wait budget.
+// It returns errShed on timeout and the context error if the caller
+// gave up first; on any error no slot is held. queued reports whether
+// the fast path missed (the request spent time in the queue).
+func (a *admission) acquire(ctx context.Context) (queued bool, err error) {
+	select {
+	case a.slots <- struct{}{}:
+		return false, nil
+	default:
 	}
 	if a.wait <= 0 {
-		a.mu.Unlock()
-		return 0, true, errShed
+		return true, errShed
 	}
-	w := &admWaiter{cost: cost, ready: make(chan struct{})}
-	a.waiters = append(a.waiters, w)
-	a.mu.Unlock()
-
 	timer := time.NewTimer(a.wait)
 	defer timer.Stop()
 	select {
-	case <-w.ready:
-		return cost, true, nil
+	case a.slots <- struct{}{}:
+		return true, nil
 	case <-timer.C:
-		err = errShed
+		return true, errShed
 	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	// Timeout/cancel can race a concurrent grant: settle under the mutex.
-	a.mu.Lock()
-	if w.granted {
-		// The grant already charged us; undo it and pass the units on.
-		a.used -= w.cost
-		a.held--
-		a.grantLocked()
-		a.mu.Unlock()
-		return 0, true, err
-	}
-	for i, q := range a.waiters {
-		if q == w {
-			a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
-			break
-		}
-	}
-	a.mu.Unlock()
-	return 0, true, err
-}
-
-// release frees the units taken by acquire and admits queued waiters in
-// FIFO order while they fit.
-func (a *admission) release(cost float64) {
-	a.mu.Lock()
-	a.used -= cost
-	a.held--
-	a.grantLocked()
-	a.mu.Unlock()
-}
-
-// grantLocked admits the longest-waiting requests while their units fit.
-// Strict FIFO: the head waiter blocks everything behind it until its
-// full cost fits, trading a little utilization for no starvation.
-func (a *admission) grantLocked() {
-	for len(a.waiters) > 0 {
-		w := a.waiters[0]
-		if a.used+w.cost > a.total {
-			return
-		}
-		a.used += w.cost
-		a.held++
-		w.granted = true
-		close(w.ready)
-		a.waiters = a.waiters[1:]
+		return true, ctx.Err()
 	}
 }
 
-// inFlight returns the number of requests currently holding units.
-func (a *admission) inFlight() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.held
-}
+// release frees a slot taken by acquire.
+func (a *admission) release() { <-a.slots }
 
-// usedUnits returns the cost units currently held.
-func (a *admission) usedUnits() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.used
-}
+// inFlight returns the number of slots currently held.
+func (a *admission) inFlight() int { return len(a.slots) }
 
-// capacity returns the admission bound in cost units.
-func (a *admission) capacity() int { return int(a.total) }
-
-// costEstimate returns the read-only per-query cost estimate in seconds
-// (0 without a hook or recent signal).
-func (a *admission) costEstimate() float64 {
-	if a.costOf == nil {
-		return 0
-	}
-	return a.costOf()
-}
+// capacity returns the in-flight bound.
+func (a *admission) capacity() int { return cap(a.slots) }

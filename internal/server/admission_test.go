@@ -11,18 +11,15 @@ import (
 func TestAdmissionFastPath(t *testing.T) {
 	a := newAdmission(2, time.Second)
 	for i := 0; i < 2; i++ {
-		charged, queued, err := a.acquire(context.Background(), 1)
-		if err != nil || queued || charged != 1 {
-			t.Fatalf("acquire %d: charged=%v queued=%v err=%v", i, charged, queued, err)
+		queued, err := a.acquire(context.Background())
+		if err != nil || queued {
+			t.Fatalf("acquire %d: queued=%v err=%v", i, queued, err)
 		}
 	}
 	if a.inFlight() != 2 || a.capacity() != 2 {
 		t.Fatalf("inFlight=%d capacity=%d", a.inFlight(), a.capacity())
 	}
-	if u := a.usedUnits(); u != 2 {
-		t.Fatalf("usedUnits = %v, want 2", u)
-	}
-	a.release(1)
+	a.release()
 	if a.inFlight() != 1 {
 		t.Fatalf("inFlight after release = %d", a.inFlight())
 	}
@@ -30,16 +27,16 @@ func TestAdmissionFastPath(t *testing.T) {
 
 func TestAdmissionShedsAfterQueueWait(t *testing.T) {
 	a := newAdmission(1, 10*time.Millisecond)
-	if _, _, err := a.acquire(context.Background(), 1); err != nil {
+	if _, err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	charged, queued, err := a.acquire(context.Background(), 1)
+	queued, err := a.acquire(context.Background())
 	if !queued || !errors.Is(err, errShed) {
 		t.Fatalf("saturated acquire: queued=%v err=%v, want shed", queued, err)
 	}
-	if charged != 0 {
-		t.Fatalf("shed acquire charged %v units", charged)
+	if a.inFlight() != 1 {
+		t.Fatalf("shed acquire holds a slot: inFlight=%d", a.inFlight())
 	}
 	if waited := time.Since(start); waited < 10*time.Millisecond {
 		t.Fatalf("shed after %v, before the queue-wait budget", waited)
@@ -48,11 +45,11 @@ func TestAdmissionShedsAfterQueueWait(t *testing.T) {
 
 func TestAdmissionImmediateShed(t *testing.T) {
 	a := newAdmission(1, -1)
-	if _, _, err := a.acquire(context.Background(), 1); err != nil {
+	if _, err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, _, err := a.acquire(context.Background(), 1); !errors.Is(err, errShed) {
+	if _, err := a.acquire(context.Background()); !errors.Is(err, errShed) {
 		t.Fatalf("err = %v, want immediate shed", err)
 	}
 	if time.Since(start) > 50*time.Millisecond {
@@ -62,16 +59,16 @@ func TestAdmissionImmediateShed(t *testing.T) {
 
 func TestAdmissionQueuedRequestGetsFreedSlot(t *testing.T) {
 	a := newAdmission(1, time.Second)
-	if _, _, err := a.acquire(context.Background(), 1); err != nil {
+	if _, err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, _, err := a.acquire(context.Background(), 1)
+		_, err := a.acquire(context.Background())
 		got <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
-	a.release(1)
+	a.release()
 	select {
 	case err := <-got:
 		if err != nil {
@@ -84,163 +81,43 @@ func TestAdmissionQueuedRequestGetsFreedSlot(t *testing.T) {
 
 func TestAdmissionContextCancelWhileQueued(t *testing.T) {
 	a := newAdmission(1, time.Minute)
-	if _, _, err := a.acquire(context.Background(), 1); err != nil {
+	if _, err := a.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	if _, _, err := a.acquire(ctx, 1); !errors.Is(err, context.Canceled) {
+	if _, err := a.acquire(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if a.inFlight() != 1 || a.usedUnits() != 1 {
-		t.Fatalf("after canceled waiter: held=%d used=%v, want 1/1", a.inFlight(), a.usedUnits())
-	}
-}
-
-// TestAdmissionWeightedCosts checks the cost-unit semantics: a request
-// priced above 1 unit consumes proportionally more of the capacity, so
-// fewer run concurrently.
-func TestAdmissionWeightedCosts(t *testing.T) {
-	a := newAdmission(2, -1)
-	if _, _, err := a.acquire(context.Background(), 1.5); err != nil {
-		t.Fatal(err)
-	}
-	// 1.5 of 2 units held: a 1-unit request no longer fits.
-	if _, _, err := a.acquire(context.Background(), 1); !errors.Is(err, errShed) {
-		t.Fatalf("err = %v, want shed at 1.5/2 units for a 1-unit request", err)
-	}
-	// But a cheap 0.5-unit request still does.
-	charged, _, err := a.acquire(context.Background(), 0.5)
-	if err != nil || charged != 0.5 {
-		t.Fatalf("0.5-unit acquire: charged=%v err=%v", charged, err)
-	}
-	a.release(1.5)
-	a.release(0.5)
-	if a.inFlight() != 0 || a.usedUnits() != 0 {
-		t.Fatalf("units leaked: held=%d used=%v", a.inFlight(), a.usedUnits())
-	}
-}
-
-// TestAdmissionCostClamps checks both clamp edges: a pathologically
-// expensive request is capped at the full capacity (it can run, alone),
-// and a near-zero price is floored so cheap routes cannot admit
-// unbounded concurrency.
-func TestAdmissionCostClamps(t *testing.T) {
-	a := newAdmission(4, -1)
-	charged, _, err := a.acquire(context.Background(), 1e9)
-	if err != nil {
-		t.Fatalf("over-capacity request must still run alone: %v", err)
-	}
-	if charged != 4 {
-		t.Fatalf("charged = %v, want capacity clamp 4", charged)
-	}
-	a.release(charged)
-
-	charged, _, err = a.acquire(context.Background(), 1e-9)
-	if err != nil || charged != minRequestCost {
-		t.Fatalf("tiny request: charged=%v err=%v, want floor %v", charged, err, minRequestCost)
-	}
-	a.release(charged)
-}
-
-// TestAdmissionFIFONoStarvation checks that a large queued request is
-// not starved: while it waits at the head, later small requests queue
-// behind it instead of slipping past, and it is granted first once
-// enough units free up.
-func TestAdmissionFIFONoStarvation(t *testing.T) {
-	a := newAdmission(2, time.Second)
-	if _, _, err := a.acquire(context.Background(), 1.5); err != nil {
-		t.Fatal(err)
-	}
-	bigReady := make(chan struct{})
-	go func() {
-		if _, _, err := a.acquire(context.Background(), 2); err != nil {
-			t.Errorf("big acquire: %v", err)
-		}
-		close(bigReady)
-	}()
-	time.Sleep(5 * time.Millisecond) // big request is queued at the head
-	smallReady := make(chan struct{})
-	go func() {
-		if _, _, err := a.acquire(context.Background(), 0.25); err != nil {
-			t.Errorf("small acquire: %v", err)
-		}
-		close(smallReady)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	select {
-	case <-smallReady:
-		t.Fatal("small request slipped past the queued head")
-	default:
-	}
-	a.release(1.5)
-	select {
-	case <-bigReady:
-	case <-time.After(time.Second):
-		t.Fatal("head-of-queue request never granted")
-	}
-	a.release(2)
-	select {
-	case <-smallReady:
-	case <-time.After(time.Second):
-		t.Fatal("second waiter never granted")
-	}
-	a.release(0.25)
-	if a.inFlight() != 0 || a.usedUnits() != 0 {
-		t.Fatalf("units leaked: held=%d used=%v", a.inFlight(), a.usedUnits())
+	if a.inFlight() != 1 {
+		t.Fatalf("after canceled waiter: inFlight=%d, want 1", a.inFlight())
 	}
 }
 
 // TestAdmissionConcurrentAccounting hammers the semaphore from many
-// goroutines under -race with mixed costs: the held weight must never
-// exceed capacity and every admitted request must release cleanly.
+// goroutines under -race: the admitted count must never exceed the cap
+// and every admitted request must release cleanly.
 func TestAdmissionConcurrentAccounting(t *testing.T) {
 	const cap, workers, rounds = 4, 32, 200
 	a := newAdmission(cap, time.Millisecond)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			cost := 0.5 + float64(w%4)*0.5 // 0.5, 1, 1.5, 2
 			for i := 0; i < rounds; i++ {
-				charged, _, err := a.acquire(context.Background(), cost)
-				if err != nil {
+				if _, err := a.acquire(context.Background()); err != nil {
 					continue // shed under pressure: expected
 				}
-				if n := a.inFlight(); n > cap*4 { // floor 0.25 => at most 16 held
-					t.Errorf("in-flight %d exceeds the admissible maximum", n)
+				if n := a.inFlight(); n > cap {
+					t.Errorf("in-flight %d exceeds the cap %d", n, cap)
 				}
-				a.release(charged)
+				a.release()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if a.inFlight() != 0 || a.usedUnits() != 0 {
-		t.Fatalf("units leaked: held=%d used=%v", a.inFlight(), a.usedUnits())
-	}
-}
-
-// TestRequestPriceColdIsOneUnit checks the cold-start contract: with no
-// signal in either window the price is exactly 1 unit (the uniform
-// pre-cost-model behavior) with no prediction; once both windows are
-// warm the price is the route's share of the mean.
-func TestRequestPriceColdIsOneUnit(t *testing.T) {
-	m := newServerMetrics(nil)
-	rw := m.routeWindow("search")
-	if units, pred := requestPrice(rw, m.requestW); units != 1 || pred != 0 {
-		t.Fatalf("cold price = (%v, %v), want (1, 0)", units, pred)
-	}
-	// Warm the overall window only: still 1 unit (route is cold).
-	m.requestW.Observe(0.010)
-	if units, pred := requestPrice(rw, m.requestW); units != 1 || pred != 0 {
-		t.Fatalf("route-cold price = (%v, %v), want (1, 0)", units, pred)
-	}
-	// Warm both: a route at 3x the overall mean prices at 3 units.
-	rw.Observe(0.030)
-	m.requestW.Observe(0.030)
-	units, pred := requestPrice(rw, m.requestW)
-	if units < 1.2 || pred <= 0 {
-		t.Fatalf("warm price = (%v, %v), want >1.2 units with a prediction", units, pred)
+	if a.inFlight() != 0 {
+		t.Fatalf("slots leaked: inFlight=%d", a.inFlight())
 	}
 }

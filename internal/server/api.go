@@ -35,18 +35,9 @@ type healthzResponse struct {
 	Sessions    int    `json:"sessions"`
 	InFlight    int    `json:"in_flight"`
 	MaxInFlight int    `json:"max_in_flight,omitempty"`
-	// CostUnitsInUse is the admission weight currently held: requests
-	// are priced in units of one average request against the
-	// MaxInFlight unit capacity, so this can differ from InFlight once
-	// the pricing windows are warm.
-	CostUnitsInUse float64 `json:"cost_units_in_use,omitempty"`
 	// Info identifies the serving box and binary — so bench artifacts
 	// can record where numbers came from without manual caveats.
 	Info *healthzInfo `json:"info,omitempty"`
-	// CostEstimateSeconds is admission control's read-only per-query
-	// cost estimate: the backend's windowed mean search wall-clock (0
-	// when the window is empty).
-	CostEstimateSeconds float64 `json:"cost_estimate_seconds,omitempty"`
 	// Durability is present when the ingestor is a durable database:
 	// WAL footprint, boot-recovery stats, and the read-only degraded
 	// flag (which also flips Status to "degraded").

@@ -26,9 +26,6 @@ type Backend interface {
 	AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, error)
 	Metrics() obs.Snapshot
 	Registry() *obs.Registry
-	// CostSignals exposes the backend's rolling windowed cost
-	// estimators — admission control's read-only per-query cost hook.
-	CostSignals() qcluster.CostSignals
 	// IndexInfo reports the active k-NN execution path ("tree" or
 	// "ann") and, for the ANN backend, the resolved graph parameters —
 	// surfaced in /healthz's info block and session-create responses so a

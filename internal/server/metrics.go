@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	qcluster "repro"
 	"repro/internal/obs"
 )
 
@@ -36,17 +35,6 @@ type serverMetrics struct {
 	sessExpiredTTL *obs.Counter // reaper TTL evictions
 	sessMisses     *obs.Counter // requests naming an unknown/evicted session
 	feedbackRounds *obs.Counter // feedback requests that absorbed points
-	queueWaitW     *obs.Window  // rolling queue-wait window (Retry-After p95)
-
-	// Cost-unit admission pricing: one rolling execution-seconds window
-	// per route plus the all-routes window. A request is priced at
-	// route-mean / overall-mean units; both windows cold prices it at
-	// exactly 1 unit — the pre-cost-model behavior.
-	requestW  *obs.Window            // execution seconds, all routes
-	routeW    map[string]*obs.Window // execution seconds per route
-	admCold   *obs.Counter           // requests priced at the flat 1 unit
-	admAbsErr *obs.Window            // |actual - predicted| seconds, priced requests
-	admErrRat *obs.Window            // actual / predicted ratio, priced requests
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -74,52 +62,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		sessExpiredTTL: reg.Counter("sessions.expired_ttl"),
 		sessMisses:     reg.Counter("sessions.misses"),
 		feedbackRounds: reg.Counter("sessions.feedback_rounds"),
-		queueWaitW:     reg.Window("server.window.queue_wait_seconds", obs.LatencyBuckets(), qcluster.CostWindowSpan),
-		requestW:       reg.Window("server.window.request_seconds", obs.LatencyBuckets(), qcluster.CostWindowSpan),
-		routeW:         make(map[string]*obs.Window),
-		admCold:        reg.Counter("server.admission.cold_priced"),
-		admAbsErr:      reg.Window("server.window.admission_abs_error_seconds", obs.LatencyBuckets(), qcluster.CostWindowSpan),
-		admErrRat:      reg.Window("server.window.admission_error_ratio", errRatioBuckets(), qcluster.CostWindowSpan),
-	}
-}
-
-// errRatioBuckets ladders actual/predicted cost ratios symmetrically
-// around 1.0, covering both over-prediction (<1) and under-prediction
-// (>1) — obs.RatioBuckets tops out at 1.0 and would fold every
-// under-prediction into one bucket.
-func errRatioBuckets() []float64 {
-	return []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2, 4, 10}
-}
-
-// routeWindow returns (creating on first use) the route's rolling
-// execution-seconds window. Called once per route at mux setup — the
-// request hot path holds the handle, not the map.
-func (m *serverMetrics) routeWindow(route string) *obs.Window {
-	w, ok := m.routeW[route]
-	if !ok {
-		w = m.reg.Window("server.window.route_seconds."+route, obs.LatencyBuckets(), qcluster.CostWindowSpan)
-		m.routeW[route] = w
-	}
-	return w
-}
-
-// observeAdmission records one admitted request's execution time into
-// the pricing windows, plus the predicted-vs-actual error when the
-// request was priced from a warm window (predictedSeconds > 0).
-func (m *serverMetrics) observeAdmission(rw *obs.Window, execSeconds, predictedSeconds float64) {
-	m.requestW.Observe(execSeconds)
-	if rw != nil {
-		rw.Observe(execSeconds)
-	}
-	if predictedSeconds > 0 {
-		diff := execSeconds - predictedSeconds
-		if diff < 0 {
-			diff = -diff
-		}
-		m.admAbsErr.Observe(diff)
-		m.admErrRat.Observe(execSeconds / predictedSeconds)
-	} else {
-		m.admCold.Inc()
 	}
 }
 

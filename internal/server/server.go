@@ -26,12 +26,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,16 +53,13 @@ type Options struct {
 	// ReapInterval is how often the reaper scans for expired sessions.
 	// Default 30s.
 	ReapInterval time.Duration
-	// MaxInFlight bounds concurrently executing /v1 requests in
-	// admission cost units, where 1 unit is one average-priced request:
-	// each request is priced at its route's rolling mean execution time
-	// relative to the all-routes mean (cold windows price at exactly
-	// 1 unit), so expensive routes admit proportionally less
-	// concurrency. Default 4 × GOMAXPROCS.
+	// MaxInFlight caps concurrently executing /v1 requests: every
+	// admitted request holds one slot, whatever its route. Default
+	// 4 × GOMAXPROCS.
 	MaxInFlight int
-	// QueueWait is how long a request may wait for its admission cost
-	// units before being shed as 429. Default 100ms; negative sheds
-	// immediately when saturated.
+	// QueueWait is how long a request may wait for a free slot before
+	// being shed as 429. Default 100ms; negative sheds immediately when
+	// saturated.
 	QueueWait time.Duration
 	// RequestTimeout is the per-request deadline propagated into the
 	// search core; a search interrupted by it returns a 206 partial
@@ -92,8 +87,7 @@ type Options struct {
 	Ingestor Ingestor
 	// TraceSink receives exported request span trees (W3C traceparent
 	// in, root span + stage/shard children out). Nil disables span
-	// export; cost profiles, the slow log and the rolling estimators
-	// still run.
+	// export; cost profiles and the slow log still run.
 	TraceSink obs.Sink
 	// TraceSampleRate is the head-based span export probability in
 	// [0, 1] for requests arriving without a sampled traceparent (an
@@ -232,10 +226,6 @@ func newServer(be Backend, opt Options) *Server {
 		reapStop: make(chan struct{}),
 		reapDone: make(chan struct{}),
 	}
-	// Read-only cost hook: the backend's recent per-query cost estimate
-	// in seconds, exported via /healthz alongside the unit-based
-	// admission accounting.
-	s.adm.costOf = func() float64 { return be.CostSignals().EstimatedSeconds() }
 	if s.opt.Ingestor == nil {
 		s.opt.Ingestor = be
 	}
@@ -323,10 +313,6 @@ func (s *Server) ServeOps(addr string) (*obs.DebugServer, error) {
 // a negative Options.SlowLogSize) — the same data /debug/slow serves.
 func (s *Server) SlowLog() *obs.SlowLog { return s.trc.SlowLog() }
 
-// CostEstimate returns admission control's read-only per-query cost
-// estimate: the backend's windowed mean search seconds (0 when idle).
-func (s *Server) CostEstimate() float64 { return s.adm.costEstimate() }
-
 // Draining reports whether Close has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
@@ -370,14 +356,11 @@ func (s *Server) reapLoop() {
 
 // wrap is the common /v1 request pipeline: drain rejection, request
 // tracing (W3C traceparent in, root span + cost profile always),
-// cost-priced admission control with queue-wait shedding, the
-// per-request deadline, latency metrics and a panic barrier. route is
-// the span/profile label — passed explicitly because the profile
-// outlives the request and must not retain mux internals.
+// admission control with queue-wait shedding, the per-request deadline,
+// latency metrics and a panic barrier. route is the span/profile label —
+// passed explicitly because the profile outlives the request and must
+// not retain mux internals.
 func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) (status int)) http.HandlerFunc {
-	// Resolved once at mux setup so the hot path records into the
-	// route's pricing window without a map lookup.
-	rw := s.met.routeWindow(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.met.drainRejects.Inc()
@@ -388,21 +371,17 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) (
 		// "Traceparent" (canonical form) avoids the header-key
 		// canonicalization alloc on the always-on path.
 		prof := s.trc.Start(route, r.Header.Get("Traceparent"), start)
-		cost, predicted := requestPrice(rw, s.met.requestW)
-		charged, queued, err := s.adm.acquire(r.Context(), cost)
+		queued, err := s.adm.acquire(r.Context())
 		queueWait := time.Since(start)
 		prof.StageAt(obs.StageQueue, start, queueWait)
 		if queued {
 			s.met.queueWait.Observe(queueWait.Seconds())
-			s.met.queueWaitW.Observe(queueWait.Seconds())
 		}
 		if err != nil {
 			status := statusClientClosedRequest
 			if errors.Is(err, errShed) {
 				s.met.shed.Inc()
-				// Backpressure reflects observed saturation: the windowed
-				// queue-wait p95 rounded up, clamped to [1s, 30s].
-				w.Header().Set("Retry-After", s.retryAfter())
+				w.Header().Set("Retry-After", s.adm.retryAfter)
 				status = http.StatusTooManyRequests
 				writeError(w, status, "server overloaded, retry later")
 			} else { // client gave up while queued
@@ -418,10 +397,8 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) (
 		// Set-from-snapshot on either edge can race another request's
 		// release and leave the gauge stuck above zero on an idle server.
 		s.met.inFlight.Add(1)
-		admitted := time.Now()
 		defer func() {
-			s.met.observeAdmission(rw, time.Since(admitted).Seconds(), predicted)
-			s.adm.release(charged)
+			s.adm.release()
 			s.met.inFlight.Add(-1)
 		}()
 		if s.testBlock != nil {
@@ -466,40 +443,6 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) (
 		}()
 		status = h(sr, r.WithContext(ctx))
 	}
-}
-
-// requestPrice prices one request in admission cost units from the
-// rolling execution-time windows: the route's windowed mean over the
-// all-routes mean, so 1 unit is one average request and a route running
-// 3× the average holds 3 units. Either window cold (no recent signal)
-// prices the request at exactly 1 unit — the uniform "one slot per
-// request" behavior admission control had before cost pricing — and
-// reports no prediction. predictedSeconds is the route's windowed mean
-// wall-clock: the admission layer's pre-execution estimate for this
-// request, later compared against the actual execution time in the
-// server.window.admission_* error metrics.
-func requestPrice(rw, overall *obs.Window) (units, predictedSeconds float64) {
-	routeMean := rw.Mean()
-	mean := overall.Mean()
-	if routeMean <= 0 || mean <= 0 {
-		return 1, 0
-	}
-	return routeMean / mean, routeMean
-}
-
-// retryAfter derives the 429 Retry-After value from the observed
-// admission queue-wait p95 over the trailing window, rounded up and
-// clamped to [1s, 30s] — so backpressure tracks real saturation instead
-// of a constant.
-func (s *Server) retryAfter() string {
-	secs := int(math.Ceil(s.met.queueWaitW.Quantile(0.95)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return strconv.Itoa(secs)
 }
 
 // statusRecorder tracks whether the wrapped handler has begun writing
@@ -569,14 +512,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		IndexInfo:     s.be.IndexInfo(),
 	}
 	resp := healthzResponse{
-		Status:              "ok",
-		Items:               s.be.Len(),
-		Sessions:            s.mgr.len(),
-		InFlight:            s.adm.inFlight(),
-		MaxInFlight:         s.adm.capacity(),
-		CostUnitsInUse:      s.adm.usedUnits(),
-		Info:                info,
-		CostEstimateSeconds: s.adm.costEstimate(),
+		Status:      "ok",
+		Items:       s.be.Len(),
+		Sessions:    s.mgr.len(),
+		InFlight:    s.adm.inFlight(),
+		MaxInFlight: s.adm.capacity(),
+		Info:        info,
 	}
 	if hr, ok := s.opt.Ingestor.(healthReporter); ok {
 		h := hr.Health()

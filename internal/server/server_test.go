@@ -268,58 +268,109 @@ func TestServerPartialResults(t *testing.T) {
 // TestServerAdmissionShed saturates the single in-flight slot with a
 // request parked on the test hook; the next request must be shed 429
 // within the queue-wait budget, with Retry-After set and the shed
-// counter bumped.
+// counter bumped. MaxInFlight caps requests whatever their route: the
+// warm case first serves mixed traffic in which session.delete is far
+// cheaper than the all-routes mean, then parks one session.delete — a
+// second one must still be shed, and must not have run.
 func TestServerAdmissionShed(t *testing.T) {
 	db, _ := testDB(t)
-	s := startServer(t, db, Options{MaxInFlight: 1, QueueWait: 20 * time.Millisecond})
-	s.testBlock = make(chan struct{})
-
-	type result struct {
-		status int
-		err    error
-	}
-	first := make(chan result, 1)
-	go func() {
-		resp, err := http.Post("http://"+s.Addr()+"/v1/search", "application/json",
-			strings.NewReader(`{"vector":[0,0,0,0,0,0],"k":5}`))
+	const search = `{"vector":[0,0,0,0,0,0],"k":100}`
+	do := func(s *Server, method, path, body string) (status int, retryAfter string, err error) {
+		req, err := http.NewRequest(method, "http://"+s.Addr()+path, strings.NewReader(body))
 		if err != nil {
-			first <- result{0, err}
-			return
+			return 0, "", err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, "", err
 		}
 		defer resp.Body.Close()
 		io.Copy(io.Discard, resp.Body)
-		first <- result{resp.StatusCode, nil}
-	}()
-
-	// Wait until the first request holds the slot (parked on testBlock).
-	deadline := time.Now().Add(2 * time.Second)
-	for s.adm.inFlight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never acquired the slot")
+		return resp.StatusCode, resp.Header.Get("Retry-After"), nil
+	}
+	newSession := func(s *Server) string {
+		var created createSessionResponse
+		if st, raw := call(t, s, "POST", "/v1/sessions", createSessionRequest{Example: db.Vector(0)}, &created); st != 201 {
+			t.Fatalf("create session = %d %s", st, raw)
 		}
-		time.Sleep(time.Millisecond)
+		return created.SessionID
 	}
 
-	resp, err := http.Post("http://"+s.Addr()+"/v1/search", "application/json",
-		strings.NewReader(`{"vector":[0,0,0,0,0,0],"k":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 429 {
-		t.Fatalf("saturated request = %d %s, want 429", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 must carry Retry-After")
-	}
+	for _, tc := range []struct {
+		name       string
+		warm       bool
+		wantParked int
+	}{
+		{name: "cold search", wantParked: 200},
+		{name: "session.delete after warm traffic", warm: true, wantParked: 204},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, db, Options{MaxInFlight: 1, QueueWait: 20 * time.Millisecond})
+			method, parked, second, body := "POST", "/v1/search", "/v1/search", search
+			if tc.warm {
+				for i := 0; i < 20; i++ {
+					for j := 0; j < 4; j++ {
+						if st, _, err := do(s, "POST", "/v1/search", search); err != nil || st != 200 {
+							t.Fatalf("warm search = %d %v", st, err)
+						}
+					}
+					if st, _, err := do(s, "DELETE", "/v1/sessions/"+newSession(s), ""); err != nil || st != 204 {
+						t.Fatalf("warm delete = %d %v", st, err)
+					}
+				}
+				method, body = "DELETE", ""
+				parked, second = "/v1/sessions/"+newSession(s), "/v1/sessions/"+newSession(s)
+			}
+			s.testBlock = make(chan struct{})
 
-	s.testBlock <- struct{}{} // release the parked request
-	if r := <-first; r.err != nil || r.status != 200 {
-		t.Fatalf("parked request finished %d %v, want 200", r.status, r.err)
-	}
-	if shed := s.Metrics().Counters["server.shed"]; shed != 1 {
-		t.Errorf("shed counter = %d, want 1", shed)
+			type result struct {
+				status     int
+				retryAfter string
+				err        error
+			}
+			send := func(path string) <-chan result {
+				ch := make(chan result, 1)
+				go func() {
+					st, ra, err := do(s, method, path, body)
+					ch <- result{st, ra, err}
+				}()
+				return ch
+			}
+			first := send(parked)
+
+			// Wait until the first request holds the slot (parked on testBlock).
+			deadline := time.Now().Add(2 * time.Second)
+			for s.adm.inFlight() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("first request never acquired the slot")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			select {
+			case r := <-send(second):
+				if r.err != nil || r.status != 429 {
+					t.Fatalf("saturated request = %d %v, want 429", r.status, r.err)
+				}
+				if r.retryAfter == "" {
+					t.Error("429 must carry Retry-After")
+				}
+			case <-time.After(2 * time.Second):
+				close(s.testBlock) // unpark both so the server can drain
+				t.Fatal("second request admitted beside the parked one: two requests ran under MaxInFlight 1")
+			}
+
+			s.testBlock <- struct{}{} // release the parked request
+			if r := <-first; r.err != nil || r.status != tc.wantParked {
+				t.Fatalf("parked request finished %d %v, want %d", r.status, r.err, tc.wantParked)
+			}
+			if shed := s.Metrics().Counters["server.shed"]; shed != 1 {
+				t.Errorf("shed counter = %d, want 1", shed)
+			}
+			if tc.warm && s.Sessions() != 1 {
+				t.Errorf("sessions = %d, want 1: the shed delete must not have run", s.Sessions())
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -294,36 +295,21 @@ func TestTracePropagationConcurrent(t *testing.T) {
 }
 
 // TestRetryAfterDerivation pins the 429 backpressure contract: the
-// header is the windowed queue-wait p95 rounded up to whole seconds and
+// header is the queue-wait budget rounded up to whole seconds and
 // clamped to [1, 30].
 func TestRetryAfterDerivation(t *testing.T) {
-	db, _ := testDB(t)
-	s := startServer(t, db, Options{})
-
-	// Empty window: the floor.
-	if got := s.retryAfter(); got != "1" {
-		t.Fatalf("empty window Retry-After = %s, want 1", got)
-	}
-
-	// Sub-second observed waits still round up to the 1s floor.
-	for i := 0; i < 50; i++ {
-		s.met.queueWaitW.Observe(0.030)
-	}
-	if got := s.retryAfter(); got != "1" {
-		t.Fatalf("30ms waits Retry-After = %s, want 1", got)
-	}
-
-	// Multi-second p95 surfaces (bucketed upper estimate), whole
-	// seconds only, never above 30.
-	for i := 0; i < 200; i++ {
-		s.met.queueWaitW.Observe(6)
-	}
-	secs, err := strconv.Atoi(s.retryAfter())
-	if err != nil {
-		t.Fatalf("Retry-After not an integer: %v", err)
-	}
-	if secs < 6 || secs > 30 {
-		t.Fatalf("Retry-After = %d, want within [6, 30]", secs)
+	for _, tc := range []struct {
+		wait time.Duration
+		want string
+	}{
+		{-1, "1"},
+		{100 * time.Millisecond, "1"},
+		{2500 * time.Millisecond, "3"},
+		{2 * time.Minute, "30"},
+	} {
+		if got := newAdmission(1, tc.wait).retryAfter; got != tc.want {
+			t.Errorf("QueueWait %v: Retry-After = %s, want %s", tc.wait, got, tc.want)
+		}
 	}
 }
 
@@ -374,8 +360,8 @@ func TestRetryAfterOnShed(t *testing.T) {
 	<-done
 }
 
-// TestHealthzInfo verifies the /healthz identity block and the cost
-// estimate surface on both backends.
+// TestHealthzInfo verifies the /healthz identity block on both
+// backends.
 func TestHealthzInfo(t *testing.T) {
 	vectors, _ := mixture(17, 6, 40, 6)
 	set, err := shard.New(vectors, 4, qcluster.IndexOptions{})
@@ -404,22 +390,6 @@ func TestHealthzInfo(t *testing.T) {
 		t.Errorf("info.shards = %d, want 4", hz.Info.Shards)
 	}
 
-	// The cost estimate goes live once searches feed the rolling window.
-	if st, _ := call(t, s, "POST", "/v1/search", searchRequest{Vector: vectors[0], K: 10}, nil); st != 200 {
-		t.Fatal("search failed")
-	}
-	if st, _ := call(t, s, "GET", "/healthz", nil, &hz); st != 200 {
-		t.Fatal("healthz failed")
-	}
-	if hz.CostEstimateSeconds <= 0 {
-		t.Errorf("cost_estimate_seconds = %v after a search, want > 0", hz.CostEstimateSeconds)
-	}
-	if hz.CostEstimateSeconds != s.CostEstimate() {
-		// Both read the same window; a second search between the two
-		// reads is the only legitimate divergence, and none happened.
-		t.Errorf("healthz estimate %v != CostEstimate() %v", hz.CostEstimateSeconds, s.CostEstimate())
-	}
-
 	// Unsharded: one shard, same identity fields.
 	db, _ := testDB(t)
 	us := startServer(t, db, Options{})
@@ -428,6 +398,49 @@ func TestHealthzInfo(t *testing.T) {
 	}
 	if hz.Info == nil || hz.Info.Shards != 1 {
 		t.Fatalf("unsharded info = %+v, want shards 1", hz.Info)
+	}
+}
+
+// TestNoPricingSeries is TestNoPlanSeries' serving-layer twin: after
+// traffic, neither backend's merged registry carries a series under a
+// deleted admission-pricing prefix, and /healthz reports no cost field.
+func TestNoPricingSeries(t *testing.T) {
+	deleted := []string{"server.window.", "server.admission."}
+
+	db, _ := testDB(t)
+	vectors, _ := mixture(17, 6, 40, 6)
+	set, err := shard.New(vectors, 2, qcluster.IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for owner, s := range map[string]*Server{
+		"unsharded": startServer(t, db, Options{}),
+		"sharded":   startShardedServer(t, set, Options{}),
+	} {
+		if st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: vectors[0], K: 10}, nil); st != 200 {
+			t.Fatalf("%s: search = %d %s", owner, st, raw)
+		}
+		m := s.Metrics()
+		check := func(name string) {
+			for _, prefix := range deleted {
+				if strings.HasPrefix(name, prefix) {
+					t.Errorf("%s registers %q under the deleted prefix %q", owner, name, prefix)
+				}
+			}
+		}
+		for name := range m.Counters {
+			check(name)
+		}
+		for name := range m.Gauges {
+			check(name)
+		}
+		for name := range m.Histograms {
+			check(name)
+		}
+		st, raw := call(t, s, "GET", "/healthz", nil, nil)
+		if st != 200 || strings.Contains(raw, `"cost_`) {
+			t.Errorf("%s: healthz = %d with a cost_ key: %s", owner, st, raw)
+		}
 	}
 }
 

@@ -111,9 +111,7 @@ func (s *Set) gather(ctx context.Context, legs []*qcluster.ShardSearcher, m dist
 	}
 	prof.StageAt(obs.StageMerge, mergeStart, time.Since(mergeStart))
 	s.met.searches.Inc()
-	elapsed := time.Since(start)
-	s.met.searchS.Observe(elapsed.Seconds())
-	s.met.observeGather(elapsed, stats)
+	s.met.searchS.Observe(time.Since(start).Seconds())
 	if partial {
 		s.met.partials.Inc()
 		cause := ctx.Err()

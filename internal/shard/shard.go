@@ -26,10 +26,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	qcluster "repro"
-	"repro/internal/index"
 	"repro/internal/obs"
 )
 
@@ -80,14 +78,6 @@ type setMetrics struct {
 	items    *obs.Gauge
 	degraded *obs.Gauge
 	searchS  *obs.Histogram
-
-	// Rolling windowed cost estimators over whole scatter-gather
-	// searches (per-shard equivalents live in each shard database's own
-	// registry and export re-keyed "shard<i>.cost.window.*").
-	wPrune   *obs.Window
-	wAbandon *obs.Window
-	wLeaves  *obs.Window
-	wSearch  *obs.Window
 }
 
 func newSetMetrics() *setMetrics {
@@ -102,23 +92,6 @@ func newSetMetrics() *setMetrics {
 		items:    reg.Gauge("shard.items"),
 		degraded: reg.Gauge("shard.degraded"),
 		searchS:  reg.Histogram("shard.search_seconds", obs.LatencyBuckets()),
-		wPrune:   reg.Window("cost.window.prune_ratio", obs.RatioBuckets(), qcluster.CostWindowSpan),
-		wAbandon: reg.Window("cost.window.abandon_rate", obs.RatioBuckets(), qcluster.CostWindowSpan),
-		wLeaves:  reg.Window("cost.window.leaves_visited", obs.SizeBuckets(), qcluster.CostWindowSpan),
-		wSearch:  reg.Window("cost.window.search_seconds", obs.LatencyBuckets(), qcluster.CostWindowSpan),
-	}
-}
-
-// observeGather feeds the rolling estimators with one whole
-// scatter-gather search (aggregate stats across shards).
-func (m *setMetrics) observeGather(elapsed time.Duration, stats index.SearchStats) {
-	m.wSearch.Observe(elapsed.Seconds())
-	m.wLeaves.Observe(float64(stats.LeavesVisited))
-	if stats.LeavesTotal > 0 {
-		m.wPrune.Observe(stats.PruneRatio())
-	}
-	if stats.BatchedEvals > 0 {
-		m.wAbandon.Observe(float64(stats.AbandonedEvals) / float64(stats.BatchedEvals))
 	}
 }
 
@@ -519,19 +492,6 @@ func (s *Set) ReadOnly() bool {
 
 // Registry exposes the set-level metrics registry (for ServeDebug).
 func (s *Set) Registry() *obs.Registry { return s.met.reg }
-
-// CostSignals returns the set's rolling windowed cost estimators over
-// whole scatter-gather searches — the sharded counterpart of
-// Database.CostSignals and the same read-only hook admission control
-// consumes.
-func (s *Set) CostSignals() qcluster.CostSignals {
-	return qcluster.CostSignals{
-		PruneRatio:    s.met.wPrune.Snapshot(),
-		AbandonRate:   s.met.wAbandon.Snapshot(),
-		LeavesVisited: s.met.wLeaves.Snapshot(),
-		SearchSeconds: s.met.wSearch.Snapshot(),
-	}
-}
 
 // Metrics returns the set-level snapshot merged with every shard's own
 // snapshot re-keyed under a "shard<i>." prefix (the obs merge

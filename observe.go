@@ -35,18 +35,9 @@ type MemorySink = obs.MemorySink
 // logger as structured records (nil logger = slog.Default()).
 func NewSlogSink(l *slog.Logger) Sink { return obs.NewSlogSink(l) }
 
-// SlowEntry is one slow request frozen in the serving layer's
-// slow-query ring — the JSON document /debug/slow serves, one entry
-// per request: trace/span ids, stage timings, index-work stats and the
-// per-shard scatter legs.
-type SlowEntry = obs.SlowEntry
-
-// SlowShard is one shard's scatter leg of a SlowEntry.
-type SlowShard = obs.SlowShard
-
 // StageNames returns the canonical request-stage names of a cost
 // profile in pipeline order: queue, lock, search, merge, feedback,
-// encode, resplit — the keys of SlowEntry.StageMS.
+// encode, resplit — the keys of a /debug/slow entry's stage_ms.
 func StageNames() []string { return obs.StageNames[:] }
 
 // MetricsSnapshot is a point-in-time copy of a metrics registry:
@@ -109,36 +100,6 @@ type SessionStats struct {
 	CacheSeedLeaves int64
 }
 
-// CostWindowSpan is the trailing horizon of the rolling cost
-// estimators: recent enough that a feedback-driven workload shift (m
-// growing, prune ratio collapsing) shows up within a minute, long
-// enough to smooth individual queries.
-const CostWindowSpan = 60 * time.Second
-
-// CostSignals is the live per-query cost estimate substrate: rolling
-// windowed (not lifetime-cumulative) distributions of the signals
-// admission control consumes. Each field is a histogram snapshot over
-// roughly the trailing CostWindowSpan.
-type CostSignals struct {
-	// PruneRatio is the recent distribution of per-search leaf prune
-	// ratios (only searches that saw a non-empty index contribute).
-	PruneRatio HistogramSnapshot
-	// AbandonRate is the recent distribution of per-search batched-eval
-	// abandonment rates (only searches that ran batch kernels
-	// contribute).
-	AbandonRate HistogramSnapshot
-	// LeavesVisited is the recent distribution of leaves evaluated per
-	// search.
-	LeavesVisited HistogramSnapshot
-	// SearchSeconds is the recent distribution of search wall-clock.
-	SearchSeconds HistogramSnapshot
-}
-
-// EstimatedSeconds is the headline per-query cost estimate: the
-// windowed mean search wall-clock (0 when the window is empty — e.g. an
-// idle or freshly started process).
-func (c CostSignals) EstimatedSeconds() float64 { return c.SearchSeconds.Mean() }
-
 // dbMetrics holds the database's registry plus cached handles for every
 // metric the search hot path touches — the handles make recording a
 // search a fixed set of atomic operations with no map lookups, no
@@ -168,13 +129,6 @@ type dbMetrics struct {
 	resplits      *obs.Counter
 	resplitNS     *obs.Counter
 	resplitQueue  *obs.Gauge
-
-	// Rolling windowed estimators (see CostSignals). Snapshot alongside
-	// the cumulative histograms under their "cost.window." names.
-	wPrune   *obs.Window
-	wAbandon *obs.Window
-	wLeaves  *obs.Window
-	wSearch  *obs.Window
 }
 
 // sourceCounters are the registry series metric resolution moves (see
@@ -220,10 +174,6 @@ func newDBMetrics() *dbMetrics {
 		resplits:      reg.Counter("index.resplits"),
 		resplitNS:     reg.Counter("search.resplit_ns"),
 		resplitQueue:  reg.Gauge("index.resplit_pending"),
-		wPrune:        reg.Window("cost.window.prune_ratio", obs.RatioBuckets(), CostWindowSpan),
-		wAbandon:      reg.Window("cost.window.abandon_rate", obs.RatioBuckets(), CostWindowSpan),
-		wLeaves:       reg.Window("cost.window.leaves_visited", obs.SizeBuckets(), CostWindowSpan),
-		wSearch:       reg.Window("cost.window.search_seconds", obs.LatencyBuckets(), CostWindowSpan),
 	}
 }
 
@@ -248,15 +198,9 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	m.refineEvals.Add(int64(stats.RefineEvals))
 	if stats.LeavesTotal > 0 {
 		m.pruneRatio.Observe(stats.PruneRatio())
-		m.wPrune.Observe(stats.PruneRatio())
 	}
 	if partial {
 		m.partial.Inc()
-	}
-	m.wSearch.Observe(elapsed.Seconds())
-	m.wLeaves.Observe(float64(stats.LeavesVisited))
-	if stats.BatchedEvals > 0 {
-		m.wAbandon.Observe(float64(stats.AbandonedEvals) / float64(stats.BatchedEvals))
 	}
 }
 
@@ -302,19 +246,6 @@ func (db *Database) ServeDebug(addr string) (*DebugServer, error) {
 // serve it (or merge it with their own registries onto one ops
 // endpoint) observe the same counters Metrics snapshots.
 func (db *Database) Registry() *Registry { return db.met.reg }
-
-// CostSignals returns the database's rolling windowed cost estimators —
-// the read-only hook admission control consumes.
-// Safe to call at any time; each snapshot covers roughly the trailing
-// CostWindowSpan.
-func (db *Database) CostSignals() CostSignals {
-	return CostSignals{
-		PruneRatio:    db.met.wPrune.Snapshot(),
-		AbandonRate:   db.met.wAbandon.Snapshot(),
-		LeavesVisited: db.met.wLeaves.Snapshot(),
-		SearchSeconds: db.met.wSearch.Snapshot(),
-	}
-}
 
 // sessionMetrics is the per-session slice of the instrumentation: the
 // same allocation-free primitives, owned by one Session, plus handles

@@ -236,37 +236,6 @@ func TestDatabaseMetrics(t *testing.T) {
 	}
 }
 
-// TestNoPlanSeries pins the shrunken metric namespace: a fresh database
-// on either backend registers no "plan." series, and the backend it
-// reports is one of the two that exist.
-func TestNoPlanSeries(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	vectors, _ := buildVectors(rng)
-	for _, backend := range []IndexBackend{"", BackendTree, BackendANN} {
-		db, err := NewDatabaseWithOptions(vectors, IndexOptions{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := db.IndexInfo().Backend; got != "tree" && got != "ann" {
-			t.Errorf("backend %q: IndexInfo().Backend = %q, want tree or ann", backend, got)
-		}
-		m := db.Metrics()
-		if len(m.Counters) == 0 || len(m.Histograms) == 0 {
-			t.Fatalf("backend %q: empty registry snapshot", backend)
-		}
-		for name := range m.Counters {
-			if strings.HasPrefix(name, "plan.") {
-				t.Errorf("backend %q registers counter %q", backend, name)
-			}
-		}
-		for name := range m.Histograms {
-			if strings.HasPrefix(name, "plan.") {
-				t.Errorf("backend %q registers histogram %q", backend, name)
-			}
-		}
-	}
-}
-
 // TestServeDebugEndToEnd starts the database's debug server and checks
 // a recorded search shows up in the Prometheus exposition.
 func TestServeDebugEndToEnd(t *testing.T) {
