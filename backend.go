@@ -10,11 +10,10 @@ import (
 
 // This file is the backend-selection layer: every Database carries one
 // of two k-NN execution paths behind the same search API. The exact
-// hybrid tree stays the default and the substrate of sessions'
-// refinement caches; the ANN backend trades recall for latency — an
-// HNSW-style graph over float32-quantized vectors proposes candidates,
-// and exact full-precision refinement keeps every result list (and all
-// downstream feedback math) bit-exact given the candidates.
+// hybrid tree stays the default; the ANN backend trades recall for
+// latency — an HNSW-style graph over float32-quantized vectors proposes
+// candidates, and exact full-precision refinement keeps every result
+// list (and all downstream feedback math) bit-exact given the candidates.
 
 // IndexBackend names a k-NN execution path.
 type IndexBackend string
@@ -86,8 +85,7 @@ func (db *Database) IndexInfo() IndexInfo {
 }
 
 // buildBackend constructs the ANN backend's graph (the tree itself is
-// always built: it is the durability snapshot's substrate and the
-// refinement-cache path).
+// always built: it is the durability snapshot's substrate).
 func (db *Database) buildBackend(opt IndexOptions) error {
 	if db.backend != BackendANN {
 		return nil
@@ -135,18 +133,15 @@ func (db *Database) checkQuantizable(i int, v []float64) error {
 
 // knnBackend is the one dispatch point execute funnels every search
 // through: it runs one k-NN on the active backend under the read lock.
-// The session's refinement cache and the cross-shard shared bound only
-// apply to the tree — the ANN path prunes nothing, so both are ignored
-// there and the scatter-gather merge still works (each leg returns its
-// full local top-k, a superset of what a bound would have kept).
+// The cross-shard shared bound only applies to the tree — the ANN path
+// prunes nothing, so it is ignored there and the scatter-gather merge
+// still works (each leg returns its full local top-k, a superset of what
+// a bound would have kept).
 func (db *Database) knnBackend(ctx context.Context, req searchRequest) ([]index.Result, index.SearchStats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.backend == BackendANN {
 		return db.annIdx.KNNEf(ctx, req.metric, req.k, req.ef)
-	}
-	if req.cache != nil {
-		return req.cache.KNNSharedContext(ctx, req.metric, req.k, req.bound)
 	}
 	return db.tree.KNNSharedContext(ctx, req.metric, req.k, req.bound)
 }

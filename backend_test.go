@@ -290,8 +290,8 @@ func TestApproxEntryPointsRequireANN(t *testing.T) {
 			_, err := db.NewSession(db.Vector(0), Options{}).ResultsApproxContext(ctx, 5, 0)
 			return err
 		}},
-		{"ShardSearcher.Search(approx)", func(db *Database) error {
-			_, _, err := db.NewShardSearcher(false).Search(ctx, EuclideanMetric(db.Vector(0)), 5, true, 0, nil)
+		{"SearchLeg(approx)", func(db *Database) error {
+			_, _, err := db.SearchLeg(ctx, EuclideanMetric(db.Vector(0)), 5, true, 0, nil)
 			return err
 		}},
 	}

@@ -29,9 +29,7 @@ type Result struct {
 // supported through lower-boundable metrics.
 //
 // A Database is safe for concurrent use: Add takes a write lock while
-// searches share a read lock, and the index keeps an epoch counter so
-// per-session refinement caches taken before an Add are discarded rather
-// than reused against a re-split tree.
+// searches share a read lock.
 type Database struct {
 	mu    sync.RWMutex
 	store *index.Store
@@ -40,7 +38,7 @@ type Database struct {
 
 	// backend selects the k-NN execution path; annIdx is non-nil exactly
 	// when it is BackendANN. The tree is always built regardless — it is
-	// the substrate of durability snapshots and session refinement caches.
+	// the substrate of durability snapshots.
 	backend IndexBackend
 	annIdx  *ann.Index
 }
@@ -140,13 +138,11 @@ func (db *Database) Add(vector []float64) (id int, err error) {
 	return id, nil
 }
 
-// AddBatch appends a batch of items under one write lock and one index
-// epoch bump, returning their ids in input order. Compared with looping
-// over Add, a batch takes the store lock once (readers see either none
-// or all of the batch) and invalidates per-session refinement caches
-// once instead of per vector. The whole batch is validated up front:
-// on error (dimension mismatch, non-finite component) nothing is
-// applied. An empty batch is a no-op.
+// AddBatch appends a batch of items under one write lock, returning
+// their ids in input order. Compared with looping over Add, a batch
+// takes the store lock once, so readers see either none or all of it.
+// The whole batch is validated up front: on error (dimension mismatch,
+// non-finite component) nothing is applied. An empty batch is a no-op.
 func (db *Database) AddBatch(vectors [][]float64) (ids []int, err error) {
 	defer barrier("AddBatch", &err)
 	return db.addBatch(context.Background(), vectors)
@@ -264,8 +260,7 @@ type searchRequest struct {
 	// with beam width ef (0 = the index default).
 	approx bool
 	ef     int
-	bound  *index.SharedBound        // cross-shard k-th-best bound (tree backend only)
-	cache  *index.RefinementSearcher // session refinement cache (tree backend only)
+	bound  *index.SharedBound // cross-shard k-th-best bound (tree backend only)
 	// leg marks one shard's leg of a scatter-gather query: the gather
 	// attributes the request's search stage and per-shard work itself,
 	// and merges whatever the legs of an interrupted query had found.
@@ -385,9 +380,9 @@ func (db *Database) SearchContext(ctx context.Context, q *Query, k int) ([]Resul
 }
 
 // SessionSearcher is where a Session retrieves — the seam between the
-// one feedback loop and the two places it can search: a single Database
-// with the session's refinement cache (NewSession), or a shard set's
-// scatter-gather over per-shard caches (internal/shard).
+// one feedback loop and the two places it can search: a single Database,
+// or a shard set's scatter-gather (internal/shard). Both implement it
+// themselves; a session holds nothing of theirs but the pointer.
 type SessionSearcher interface {
 	// Dim is the collection's feature dimensionality.
 	Dim() int
@@ -396,20 +391,15 @@ type SessionSearcher interface {
 	Registry() *Registry
 	// SearchMetric answers one retrieval under m: exact, or — with
 	// approx — on the ANN backend at beam width efSearch. An interrupted
-	// search returns best-effort results with ErrPartialResults. The
-	// session serializes its calls.
+	// search returns best-effort results with ErrPartialResults. Safe for
+	// concurrent use.
 	SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error)
 }
 
-// dbSearcher is the unsharded SessionSearcher: the database plus the
-// session's cross-iteration refinement cache.
-type dbSearcher struct {
-	*Database
-	cache *index.RefinementSearcher
-}
-
-func (d *dbSearcher) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error) {
-	return d.execute(ctx, searchRequest{op: sessionOp(approx), metric: m, k: k, approx: approx, ef: efSearch, cache: d.cache})
+// SearchMetric makes *Database a SessionSearcher: one session round under
+// the metric the session built.
+func (db *Database) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error) {
+	return db.execute(ctx, searchRequest{op: sessionOp(approx), metric: m, k: k, approx: approx, ef: efSearch})
 }
 
 // sessionOp names the session entry point a retrieval came through.
@@ -423,10 +413,12 @@ func sessionOp(approx bool) string {
 // Session is the end-to-end feedback loop over one collection: retrieve,
 // mark, refine — Algorithm 1 behind a two-method API, and its only
 // implementation: a sharded session is this type over another
-// SessionSearcher. A Session is safe for concurrent use; its searcher
-// and query model are guarded internally.
+// SessionSearcher. A Session is a query model and nothing else: every
+// retrieval is an independent search under the model's current metric,
+// so it is safe for concurrent use and an Add between rounds changes
+// nothing but the page.
 type Session struct {
-	mu        sync.Mutex // guards the searcher's caches and lastStats (and orders query snapshots)
+	mu        sync.Mutex // guards lastStats
 	on        SessionSearcher
 	dim       int // on.Dim(), fixed for the collection's lifetime
 	query     *Query
@@ -442,11 +434,11 @@ type Session struct {
 // (Results) or ErrDimensionMismatch (ResultsContext) instead of
 // panicking inside the index.
 func (db *Database) NewSession(example []float64, opt Options) *Session {
-	return NewSessionOver(&dbSearcher{Database: db, cache: index.NewRefinementSearcher(db.tree)}, example, opt)
+	return NewSessionOver(db, example, opt)
 }
 
 // NewSessionOver starts a retrieval session that searches through on —
-// how the sharded tier builds its sessions (see Database.NewSession).
+// how Database.NewSession and the sharded tier build theirs.
 func NewSessionOver(on SessionSearcher, example []float64, opt Options) *Session {
 	return &Session{
 		on:      on,
@@ -460,18 +452,14 @@ func NewSessionOver(on SessionSearcher, example []float64, opt Options) *Session
 
 // Results retrieves the current top-k. Before any feedback this is the
 // plain example query; afterwards it is the refined multipoint query.
-// Successive calls reuse index work from the previous iteration (the
-// multipoint refinement caching of the paper's Fig. 7). Any failure
-// yields nil (use ResultsContext for the typed error).
+// Any failure yields nil (use ResultsContext for the typed error).
 func (s *Session) Results(k int) []Result {
 	res, _ := s.ResultsContext(context.Background(), k)
 	return res
 }
 
 // ResultsContext is Results with cooperative cancellation (see
-// SearchByExampleContext for the context semantics). An interrupted
-// search still refreshes the session's refinement cache with the leaves
-// it visited, so the next call starts warmer.
+// SearchByExampleContext for the context semantics).
 func (s *Session) ResultsContext(ctx context.Context, k int) ([]Result, error) {
 	return s.retrieve(ctx, k, false, 0)
 }
@@ -488,9 +476,7 @@ func (s *Session) ResultsApprox(k, efSearch int) []Result {
 // ResultsApproxContext is ResultsApprox with cooperative cancellation.
 // Like SearchApproxContext it requires IndexOptions.Backend "ann" and
 // returns ErrBackendUnavailable on any other backend — the same
-// contract on every path (root, session, sharded). The ANN path has no
-// leaf cache, so the session's refinement cache is neither consulted
-// nor refreshed.
+// contract on every path (root, session, sharded).
 func (s *Session) ResultsApproxContext(ctx context.Context, k, efSearch int) ([]Result, error) {
 	return s.retrieve(ctx, k, true, efSearch)
 }
@@ -505,13 +491,12 @@ func (s *Session) retrieve(ctx context.Context, k int, approx bool, efSearch int
 		return nil, err
 	}
 	start := time.Now()
-	s.mu.Lock()
 	res, stats, err := s.on.SearchMetric(ctx, m, k, approx, efSearch)
 	partial := errors.Is(err, ErrPartialResults)
 	if err != nil && !partial {
-		s.mu.Unlock()
 		return nil, err
 	}
+	s.mu.Lock()
 	s.lastStats = stats
 	s.mu.Unlock()
 	elapsed := time.Since(start)
@@ -522,7 +507,6 @@ func (s *Session) retrieve(ctx context.Context, k int, approx bool, efSearch int
 			obs.F("refined", health.Clusters > 0),
 			obs.F("latency_ms", elapsed.Seconds()*1e3),
 			obs.F("leaves_visited", stats.LeavesVisited),
-			obs.F("cache_seed_leaves", stats.CacheSeedLeaves),
 			obs.F("prune_ratio", stats.PruneRatio()),
 			obs.F("partial", partial))
 	}

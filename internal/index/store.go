@@ -185,15 +185,14 @@ func (s SearchStats) PruneRatio() float64 {
 // per-shard legs and /debug/slow report.
 func (s SearchStats) Cost() obs.CostStats {
 	return obs.CostStats{
-		NodesVisited:    s.NodesVisited,
-		LeavesVisited:   s.LeavesVisited,
-		LeavesTotal:     s.LeavesTotal,
-		DistanceEvals:   s.DistanceEvals,
-		BatchedEvals:    s.BatchedEvals,
-		AbandonedEvals:  s.AbandonedEvals,
-		CacheSeedLeaves: s.CacheSeedLeaves,
-		GraphHops:       s.GraphHops,
-		RefineEvals:     s.RefineEvals,
+		NodesVisited:   s.NodesVisited,
+		LeavesVisited:  s.LeavesVisited,
+		LeavesTotal:    s.LeavesTotal,
+		DistanceEvals:  s.DistanceEvals,
+		BatchedEvals:   s.BatchedEvals,
+		AbandonedEvals: s.AbandonedEvals,
+		GraphHops:      s.GraphHops,
+		RefineEvals:    s.RefineEvals,
 	}
 }
 

@@ -60,13 +60,12 @@ func (s Stage) String() string {
 // CostStats is the index work of one request — the dependency-free
 // mirror of the index layer's SearchStats, aggregated across shards.
 type CostStats struct {
-	NodesVisited    int `json:"nodes_visited"`
-	LeavesVisited   int `json:"leaves_visited"`
-	LeavesTotal     int `json:"leaves_total"`
-	DistanceEvals   int `json:"distance_evals"`
-	BatchedEvals    int `json:"batched_evals"`
-	AbandonedEvals  int `json:"abandoned_evals"`
-	CacheSeedLeaves int `json:"cache_seed_leaves,omitempty"`
+	NodesVisited   int `json:"nodes_visited"`
+	LeavesVisited  int `json:"leaves_visited"`
+	LeavesTotal    int `json:"leaves_total"`
+	DistanceEvals  int `json:"distance_evals"`
+	BatchedEvals   int `json:"batched_evals"`
+	AbandonedEvals int `json:"abandoned_evals"`
 	// GraphHops/RefineEvals describe the ANN backend's work: graph
 	// nodes expanded during navigation and candidates exactly re-scored
 	// with the full-precision metric. 0 on the exact backends.
@@ -82,7 +81,6 @@ func (s *CostStats) Add(other CostStats) {
 	s.DistanceEvals += other.DistanceEvals
 	s.BatchedEvals += other.BatchedEvals
 	s.AbandonedEvals += other.AbandonedEvals
-	s.CacheSeedLeaves += other.CacheSeedLeaves
 	s.GraphHops += other.GraphHops
 	s.RefineEvals += other.RefineEvals
 }

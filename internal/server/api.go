@@ -249,11 +249,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) int
 		relay = &relaySink{base: opt.Sink}
 		opt.Sink = relay
 	}
-	// The id is generated before the session: on a sharded backend it is
-	// the consistent-hash routing key that picks the session's home.
+	// On a sharded backend the id is the consistent-hash routing key that
+	// picks the session's home.
 	id := newSessionID()
-	sess, home := s.be.NewSessionRouted(example, opt, id)
-	s.mgr.insert(id, sess, home, relay, timeNow())
+	home := s.be.HomeShard(id)
+	s.mgr.insert(id, s.be.NewSession(example, opt), home, relay, timeNow())
 	resp := createSessionResponse{
 		SessionID:  id,
 		TTLSeconds: s.opt.SessionTTL.Seconds(),
@@ -404,13 +404,16 @@ func writeJSONProfiled(ctx context.Context, w http.ResponseWriter, status int, v
 	p.StageAt(obs.StageEncode, start, time.Since(start))
 }
 
-// decodeBody parses a bounded JSON request body into v, returning a
-// non-zero status (already written) on failure.
+// decodeBody parses a bounded JSON request body — one value, then EOF —
+// into v, returning a non-zero status (already written) on failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) int {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fail(w, http.StatusBadRequest, "bad request body: trailing data after the JSON value")
 	}
 	return 0
 }

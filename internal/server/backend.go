@@ -17,10 +17,10 @@ type Backend interface {
 	Dim() int
 	VectorOK(id int) ([]float64, bool)
 	SearchByExampleContext(ctx context.Context, example []float64, k int) ([]qcluster.Result, error)
-	// NewSessionRouted opens a feedback session for routing key (the
-	// session id) and returns it with its home shard: the consistent-hash
-	// member that owns the key, or -1 when the backend is unsharded.
-	NewSessionRouted(example []float64, opt qcluster.Options, key string) (*qcluster.Session, int)
+	NewSession(example []float64, opt qcluster.Options) *qcluster.Session
+	// HomeShard is the consistent-hash member that owns routing key (the
+	// session id), or -1 when the backend is unsharded.
+	HomeShard(key string) int
 	// AddBatchContext is the fallback ingest path when Options.Ingestor
 	// is unset.
 	AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, error)
@@ -38,20 +38,13 @@ type dbBackend struct {
 	*qcluster.Database
 }
 
-func (b dbBackend) NewSessionRouted(example []float64, opt qcluster.Options, _ string) (*qcluster.Session, int) {
-	return b.Database.NewSession(example, opt), -1
-}
+func (dbBackend) HomeShard(string) int { return -1 }
 
 // setBackend adapts a sharded set: searches scatter-gather across every
 // shard, sessions pin to a consistent-hash home member, ingest routes
 // by placement, and healthz/metrics grow per-shard blocks.
 type setBackend struct {
 	*shard.Set
-}
-
-func (b setBackend) NewSessionRouted(example []float64, opt qcluster.Options, key string) (*qcluster.Session, int) {
-	sess := b.Set.NewSessionRouted(example, opt, key)
-	return sess.Session, sess.Home()
 }
 
 // shardHealthBlock is one shard's /healthz block: the set's per-shard

@@ -475,3 +475,29 @@ func TestServerBadRouteAndID(t *testing.T) {
 		t.Error("session miss not counted")
 	}
 }
+
+// TestServerRejectsTrailingBody: a request body is one JSON value, then
+// EOF. A second value or garbage after it is a 400 that runs no search.
+func TestServerRejectsTrailingBody(t *testing.T) {
+	db, _ := testDB(t)
+	s := startServer(t, db, Options{})
+	for _, body := range []string{
+		`{"example_id":1}{"k":9}`,
+		`{"example_id":1} garbage`,
+	} {
+		resp, err := http.Post("http://"+s.Addr()+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %q = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if st, raw := call(t, s, "POST", "/v1/search", searchRequest{ExampleID: new(int)}, nil); st != 200 {
+		t.Fatalf("well-formed body = %d: %s", st, raw)
+	}
+	if got := s.Metrics().Counters["server.searches"]; got != 1 {
+		t.Errorf("server.searches = %d after two malformed bodies and one search, want 1", got)
+	}
+}

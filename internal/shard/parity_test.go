@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,12 +20,17 @@ import (
 type parityColumn struct {
 	name       string
 	approx     bool // ann columns retrieve through ResultsApproxContext
+	shards     int  // 0 for the database
 	newSession func(example []float64, opt qcluster.Options) *qcluster.Session
+	search     func(ctx context.Context, example []float64, k int) ([]qcluster.Result, error)
+	add        func(ctx context.Context, vectors [][]float64) ([]int, error)
 	registry   *obs.Registry
 	metrics    func() obs.Snapshot
 }
 
-func parityColumns(t *testing.T, vectors [][]float64, ef int) []parityColumn {
+// parityColumns builds, per backend, the database column and then one
+// set column per shard count.
+func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int) []parityColumn {
 	t.Helper()
 	var cols []parityColumn
 	for _, be := range []struct {
@@ -40,18 +46,17 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int) []parityColumn {
 		}
 		cols = append(cols, parityColumn{
 			name: be.name + "/database", approx: be.name == "ann",
-			newSession: db.NewSession, registry: db.Registry(), metrics: db.Metrics,
+			newSession: db.NewSession, search: db.SearchByExampleContext, add: db.AddBatchContext,
+			registry: db.Registry(), metrics: db.Metrics,
 		})
-		for _, shards := range []int{1, 3} {
+		for _, shards := range shardCounts {
 			set, err := New(vectors, shards, be.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cols = append(cols, parityColumn{
-				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), approx: be.name == "ann",
-				newSession: func(example []float64, opt qcluster.Options) *qcluster.Session {
-					return set.NewSession(example, opt).Session
-				},
+				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), approx: be.name == "ann", shards: shards,
+				newSession: set.NewSession, search: set.SearchByExampleContext, add: set.AddBatchContext,
 				registry: set.Registry(), metrics: set.Metrics,
 			})
 		}
@@ -71,7 +76,7 @@ func TestSessionParity(t *testing.T) {
 	vectors := makeVectors(n, dim, 31)
 	ef := n + 1
 	ctx := context.Background()
-	cols := parityColumns(t, vectors, ef)
+	cols := parityColumns(t, vectors, ef, 1, 3)
 
 	// The script's oracle: makeVectors puts id i in cluster i%16.
 	example := vectors[5]
@@ -144,10 +149,14 @@ func TestSessionParity(t *testing.T) {
 				t.Fatalf("rejected marks moved the model: rounds %d → %d", rounds, got)
 			}
 
-			// A wrong-dimension example.
-			bad := col.newSession(append([]float64{0}, example...), opt)
-			if _, err := bad.ResultsContext(ctx, k); !errors.Is(err, qcluster.ErrDimensionMismatch) {
+			// A wrong-dimension example, to a session and to a stateless
+			// search.
+			wrongDim := append([]float64{0}, example...)
+			if _, err := col.newSession(wrongDim, opt).ResultsContext(ctx, k); !errors.Is(err, qcluster.ErrDimensionMismatch) {
 				t.Fatalf("wrong-dimension example: err = %v, want ErrDimensionMismatch", err)
+			}
+			if _, err := col.search(ctx, wrongDim, k); !errors.Is(err, qcluster.ErrDimensionMismatch) {
+				t.Fatalf("wrong-dimension stateless search: err = %v, want ErrDimensionMismatch", err)
 			}
 
 			// A pre-cancelled context: its error, not partial results.
@@ -240,7 +249,7 @@ func TestSessionParity(t *testing.T) {
 
 	ref := outcomes[0]
 	if ref.stats.Searches != 6 || ref.stats.FeedbackRounds != 3 || ref.stats.FeedbackPoints == 0 ||
-		ref.stats.DegradedSearches == 0 || ref.counters["search.dimension_mismatch"] != 1 {
+		ref.stats.DegradedSearches == 0 || ref.counters["search.dimension_mismatch"] != 2 {
 		t.Fatalf("script did not exercise what it claims: stats %+v counters %v", ref.stats, ref.counters)
 	}
 	for c, col := range cols[1:] {
@@ -267,6 +276,98 @@ func TestSessionParity(t *testing.T) {
 		if got.counters["feedback.rounds"] != got.stats.FeedbackRounds || got.counters["feedback.points"] != got.stats.FeedbackPoints {
 			t.Errorf("%s: registry feedback counters %v disagree with Stats %+v", col.name, got.counters, got.stats)
 		}
+	}
+}
+
+// TestSessionStateless: a session is a query model and nothing else. On
+// {Database, 2-shard Set} × {tree, ann}, the same session retrieving
+// twice with no feedback in between returns the same page bit for bit
+// and reports the same index work — a session that kept leaves from its
+// last round seeded the second search from them, so the tree rows
+// diverged; the ann rows pin that the graph route never kept any.
+// Concurrent retrievals on one session agree with the serial page, and
+// an ingest between two rounds changes nothing but the page.
+func TestSessionStateless(t *testing.T) {
+	const n, dim, k = 1200, 6, 25
+	vectors := makeVectors(n, dim, 37)
+	ctx := context.Background()
+	for _, col := range parityColumns(t, vectors, n+8, 2) {
+		t.Run(col.name, func(t *testing.T) {
+			sess := col.newSession(vectors[5], qcluster.Options{})
+			retrievals := int64(0)
+			twice := func(label string) []qcluster.Result {
+				t.Helper()
+				var pages [2][]qcluster.Result
+				var work [2]qcluster.SearchStats
+				for i := range pages {
+					var err error
+					if pages[i], err = sess.ResultsContext(ctx, k); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					retrievals++
+					work[i] = sess.Stats().LastSearch
+					if col.shards > 1 && !col.approx {
+						// Tree legs prune against a bound their siblings
+						// tighten concurrently, so how much each visits is
+						// timing; what no timing moves is compared.
+						st := work[i]
+						work[i] = qcluster.SearchStats{LeavesTotal: st.LeavesTotal, CacheSeedLeaves: st.CacheSeedLeaves, Workers: st.Workers}
+					}
+				}
+				sameResults(t, label+": second retrieval vs first", pages[0], pages[1])
+				if work[0] != work[1] {
+					t.Errorf("%s: second retrieval reports %+v, first %+v", label, work[1], work[0])
+				}
+				return pages[0]
+			}
+
+			page := twice("example query")
+			var marks []qcluster.Point
+			for _, r := range page {
+				if r.ID%16 == 5 && len(marks) < 6 { // makeVectors puts id i in cluster i%16
+					marks = append(marks, qcluster.Point{ID: r.ID, Vec: vectors[r.ID], Score: 3})
+				}
+			}
+			if err := sess.MarkRelevant(marks); err != nil {
+				t.Fatal(err)
+			}
+			refined := twice("refined query")
+
+			const users, each = 4, 3
+			pages := make([][]qcluster.Result, users*each)
+			errs := make([]error, users*each)
+			var wg sync.WaitGroup
+			for u := 0; u < users; u++ {
+				wg.Add(1)
+				go func(u int) {
+					defer wg.Done()
+					for i := u * each; i < (u+1)*each; i++ {
+						pages[i], errs[i] = sess.ResultsContext(ctx, k)
+					}
+				}(u)
+			}
+			wg.Wait()
+			retrievals += users * each
+			for i := range pages {
+				if errs[i] != nil {
+					t.Fatalf("concurrent retrieval %d: %v", i, errs[i])
+				}
+				sameResults(t, fmt.Sprintf("concurrent retrieval %d vs serial", i), refined, pages[i])
+			}
+
+			// A twin of the best hit lands right behind it (same distance
+			// bits, larger id); everything else keeps its place.
+			ids, err := col.add(ctx, [][]float64{vectors[refined[0].ID]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]qcluster.Result{refined[0], {ID: ids[0], Dist: refined[0].Dist}}, refined[1:k-1]...)
+			sameResults(t, "after ingest", want, twice("after ingest"))
+			st := sess.Stats()
+			if st.Searches != retrievals || st.PartialSearches != 0 || st.FeedbackRounds != 1 || sess.Query().Rounds() != 1 {
+				t.Errorf("after %d retrievals, 1 round and an ingest: Stats %+v, model rounds %d", retrievals, st, sess.Query().Rounds())
+			}
+		})
 	}
 }
 

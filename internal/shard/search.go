@@ -13,7 +13,7 @@ import (
 	"repro/internal/obs"
 )
 
-// gather fans a query out to every shard with one shared k-th-best
+// SearchMetric fans a query out to every shard with one shared k-th-best
 // bound, remaps the per-shard results to global ids, and merges them
 // with the deterministic (Dist, ID) order.
 //
@@ -32,20 +32,20 @@ import (
 // sets) and reports it with an error matching both ErrPartialResults
 // and the context error.
 //
-// gather is the one body behind every retrieval on the set: stateless
-// searches run it over the set's uncached legs, a session over its own
-// cached ones. With approx every leg runs the ANN graph at beam width
-// efSearch; the backend is checked up front (all shards share one
+// SearchMetric is the one body behind every retrieval on the set — the
+// stateless searches and, as the set's qcluster.SessionSearcher method,
+// every session round. With approx every leg runs the ANN graph at beam
+// width efSearch; the backend is checked up front (all shards share one
 // IndexOptions) so every path surfaces the same ErrBackendUnavailable,
 // not a "shard 0: ..." flavored one.
-func (s *Set) gather(ctx context.Context, legs []*qcluster.ShardSearcher, m distance.Metric, k int, approx bool, efSearch int) ([]qcluster.Result, index.SearchStats, error) {
+func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]qcluster.Result, index.SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, index.SearchStats{}, fmt.Errorf("shard: search not started: %w", err)
 	}
 	if b := s.IndexInfo().Backend; approx && b != string(qcluster.BackendANN) {
 		return nil, index.SearchStats{}, fmt.Errorf("shard: backend is %q: %w", b, qcluster.ErrBackendUnavailable)
 	}
-	n := len(legs)
+	n := len(s.shards)
 	sb := index.NewSharedBound()
 	type out struct {
 		res   []qcluster.Result
@@ -59,7 +59,7 @@ func (s *Set) gather(ctx context.Context, legs []*qcluster.ShardSearcher, m dist
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			res, stats, err := legs[i].Search(ctx, m, k, approx, efSearch, sb)
+			res, stats, err := s.shards[i].SearchLeg(ctx, m, k, approx, efSearch, sb)
 			// Remap local ids to global under the mapping lock: any
 			// vector visible to the search had its mapping entry
 			// published before it entered the shard's tree.
@@ -150,9 +150,10 @@ func (s *Set) SearchApproxContext(ctx context.Context, example []float64, k, efS
 
 func (s *Set) searchExample(ctx context.Context, example []float64, k int, approx bool, efSearch int) ([]qcluster.Result, error) {
 	if len(example) != s.dim {
+		s.met.badDim.Inc()
 		return nil, fmt.Errorf("shard: example has dimension %d, set has %d: %w",
 			len(example), s.dim, qcluster.ErrDimensionMismatch)
 	}
-	res, _, err := s.gather(ctx, s.legs, qcluster.EuclideanMetric(example), k, approx, efSearch)
+	res, _, err := s.SearchMetric(ctx, qcluster.EuclideanMetric(example), k, approx, efSearch)
 	return res, err
 }

@@ -50,7 +50,6 @@ func placement(id, shards int) int {
 // (each spans every shard) while searches share read access.
 type Set struct {
 	shards  []*qcluster.Database
-	legs    []*qcluster.ShardSearcher   // uncached per-shard legs of the stateless searches
 	durable []*qcluster.DurableDatabase // nil when memory-only
 	dim     int
 	ring    *ring
@@ -78,6 +77,9 @@ type setMetrics struct {
 	items    *obs.Gauge
 	degraded *obs.Gauge
 	searchS  *obs.Histogram
+	// badDim carries the database's series name, so a bad example counts
+	// alike sharded or not, from a session or a stateless search.
+	badDim *obs.Counter
 }
 
 func newSetMetrics() *setMetrics {
@@ -92,6 +94,7 @@ func newSetMetrics() *setMetrics {
 		items:    reg.Gauge("shard.items"),
 		degraded: reg.Gauge("shard.degraded"),
 		searchS:  reg.Histogram("shard.search_seconds", obs.LatencyBuckets()),
+		badDim:   reg.Counter("search.dimension_mismatch"),
 	}
 }
 
@@ -228,7 +231,6 @@ func newSet(shards int) *Set {
 // set-level gauges. Called once from New/Open before the Set escapes.
 func (s *Set) finishInit(n int) {
 	s.dim = s.shards[0].Dim()
-	s.legs = s.newLegs(false)
 	s.locals = make([]int, n)
 	for g := 0; g < n; g++ {
 		p := placement(g, len(s.shards))
@@ -283,6 +285,13 @@ func (s *Set) Placement(id int) int { return placement(id, len(s.shards)) }
 // the serving tier — searches always fan out to every shard, because
 // the exact global top-k needs every shard's candidates.
 func (s *Set) HomeShard(key string) int { return s.ring.route(key) }
+
+// NewSession starts a feedback session over the whole set:
+// qcluster.Session — the one implementation of retrieve, mark, refine —
+// searching through the set's scatter-gather.
+func (s *Set) NewSession(example []float64, opt qcluster.Options) *qcluster.Session {
+	return qcluster.NewSessionOver(s, example, opt)
+}
 
 // Vector returns global id's feature vector (read-only), or nil when
 // the id is out of range.

@@ -145,21 +145,6 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
-func TestSessionRoutingPinsHome(t *testing.T) {
-	vectors := makeVectors(1200, 4, 5)
-	set, err := New(vectors, 4, qcluster.IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := set.NewSessionRouted(vectors[0], qcluster.Options{}, "sess-abc")
-	if home := sess.Home(); home != set.HomeShard("sess-abc") {
-		t.Fatalf("session home %d != ring route %d", home, set.HomeShard("sess-abc"))
-	}
-	if sess := set.NewSession(vectors[0], qcluster.Options{}); sess.Home() != -1 {
-		t.Fatalf("unrouted session has home %d, want -1", sess.Home())
-	}
-}
-
 func TestSetRejectsEmptyShards(t *testing.T) {
 	if _, err := New(makeVectors(3, 4, 1), 8, qcluster.IndexOptions{}); err == nil {
 		t.Fatal("3 vectors across 8 shards must fail (some shard is empty)")

@@ -15,7 +15,7 @@ import (
 // shard's, re-keyed "shard<i>.") export no series under a deleted
 // prefix, and the backend they report is one of the two that exist.
 func TestNoPlanSeries(t *testing.T) {
-	deleted := []string{"plan.", "cost.window."}
+	deleted := []string{"plan.", "cost.window.", "index.cache_seed_leaves"}
 
 	rng := rand.New(rand.NewSource(6))
 	vectors := make([][]float64, 240)

@@ -62,8 +62,8 @@ type Registry = obs.Registry
 
 // SearchStats describes the index work one search performed: nodes and
 // leaves visited against the leaf total, distance evaluations (batched,
-// abandoned, ANN-refined), cache seeds, workers and graph hops, with
-// LeavesPruned and PruneRatio derived from them.
+// abandoned, ANN-refined), workers and graph hops, with LeavesPruned and
+// PruneRatio derived from them.
 type SearchStats = index.SearchStats
 
 // SessionStats is a Session's observability snapshot: cumulative search
@@ -92,12 +92,11 @@ type SessionStats struct {
 	SearchLatencySeconds HistogramSnapshot
 	// PruneRatio is the per-search leaf prune-ratio histogram.
 	PruneRatio HistogramSnapshot
-	// LeavesVisited, LeavesPruned, DistanceEvals and CacheSeedLeaves
-	// accumulate the index work across all of the session's searches.
-	LeavesVisited   int64
-	LeavesPruned    int64
-	DistanceEvals   int64
-	CacheSeedLeaves int64
+	// LeavesVisited, LeavesPruned and DistanceEvals accumulate the index
+	// work across all of the session's searches.
+	LeavesVisited int64
+	LeavesPruned  int64
+	DistanceEvals int64
 }
 
 // dbMetrics holds the database's registry plus cached handles for every
@@ -120,7 +119,6 @@ type dbMetrics struct {
 	distanceEvals *obs.Counter
 	batchedEvals  *obs.Counter
 	abandonEvals  *obs.Counter
-	cacheSeeds    *obs.Counter
 	pruneRatio    *obs.Histogram
 	graphHops     *obs.Counter
 	refineEvals   *obs.Counter
@@ -165,7 +163,6 @@ func newDBMetrics() *dbMetrics {
 		distanceEvals: reg.Counter("index.distance_evals"),
 		batchedEvals:  reg.Counter("index.batched_evals"),
 		abandonEvals:  reg.Counter("index.abandoned_evals"),
-		cacheSeeds:    reg.Counter("index.cache_seed_leaves"),
 		pruneRatio:    reg.Histogram("index.prune_ratio", obs.RatioBuckets()),
 		graphHops:     reg.Counter("index.graph_hops"),
 		refineEvals:   reg.Counter("index.refine_evals"),
@@ -193,7 +190,6 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	m.distanceEvals.Add(int64(stats.DistanceEvals))
 	m.batchedEvals.Add(int64(stats.BatchedEvals))
 	m.abandonEvals.Add(int64(stats.AbandonedEvals))
-	m.cacheSeeds.Add(int64(stats.CacheSeedLeaves))
 	m.graphHops.Add(int64(stats.GraphHops))
 	m.refineEvals.Add(int64(stats.RefineEvals))
 	if stats.LeavesTotal > 0 {
@@ -222,9 +218,8 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 // histograms ("search.latency_seconds", "search.results", "search.k"),
 // index-work counters ("index.leaves_visited", "index.leaves_pruned",
 // "index.distance_evals", "index.batched_evals",
-// "index.abandoned_evals", "index.cache_seed_leaves",
-// "index.prune_ratio", plus "index.graph_hops" and
-// "index.refine_evals" on the ANN backend), insert-maintenance
+// "index.abandoned_evals", "index.prune_ratio", plus "index.graph_hops"
+// and "index.refine_evals" on the ANN backend), insert-maintenance
 // counters ("index.resplits", "search.resplit_ns",
 // "index.resplit_pending"), "search.errors" (trapped search panics) and,
 // once a session exists, "feedback.rounds" / "feedback.points". Safe to
@@ -253,20 +248,19 @@ func (db *Database) Registry() *Registry { return db.met.reg }
 // feedback series are registered by the first session, so the shard
 // databases under a set — which never own a session — export none.
 type sessionMetrics struct {
-	backend    sourceCounters
-	beRounds   *obs.Counter
-	bePoints   *obs.Counter
-	searches   obs.Counter
-	partial    obs.Counter
-	degraded   obs.Counter
-	rounds     obs.Counter
-	points     obs.Counter
-	leavesVis  obs.Counter
-	leavesPrn  obs.Counter
-	distEvals  obs.Counter
-	cacheSeeds obs.Counter
-	latency    *obs.Histogram
-	prune      *obs.Histogram
+	backend   sourceCounters
+	beRounds  *obs.Counter
+	bePoints  *obs.Counter
+	searches  obs.Counter
+	partial   obs.Counter
+	degraded  obs.Counter
+	rounds    obs.Counter
+	points    obs.Counter
+	leavesVis obs.Counter
+	leavesPrn obs.Counter
+	distEvals obs.Counter
+	latency   *obs.Histogram
+	prune     *obs.Histogram
 }
 
 func newSessionMetrics(reg *obs.Registry) *sessionMetrics {
@@ -290,7 +284,6 @@ func (m *sessionMetrics) observeRetrieval(elapsed time.Duration, stats index.Sea
 	m.leavesVis.Add(int64(stats.LeavesVisited))
 	m.leavesPrn.Add(int64(stats.LeavesPruned()))
 	m.distEvals.Add(int64(stats.DistanceEvals))
-	m.cacheSeeds.Add(int64(stats.CacheSeedLeaves))
 	if stats.LeavesTotal > 0 {
 		m.prune.Observe(stats.PruneRatio())
 	}
@@ -320,6 +313,5 @@ func (s *Session) Stats() SessionStats {
 		LeavesVisited:        s.met.leavesVis.Value(),
 		LeavesPruned:         s.met.leavesPrn.Value(),
 		DistanceEvals:        s.met.distEvals.Value(),
-		CacheSeedLeaves:      s.met.cacheSeeds.Value(),
 	}
 }

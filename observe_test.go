@@ -280,7 +280,7 @@ func TestInstrumentationAllocationFree(t *testing.T) {
 	smet := newSessionMetrics(met.reg)
 	stats := index.SearchStats{
 		NodesVisited: 10, LeavesVisited: 5, LeavesTotal: 20,
-		DistanceEvals: 100, CacheSeedLeaves: 2, Workers: 1,
+		DistanceEvals: 100, Workers: 1,
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		met.observeSearch(time.Millisecond, 10, 10, stats, true, false)
