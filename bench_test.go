@@ -371,12 +371,22 @@ func BenchmarkT2PCSpaceSpeedup(b *testing.B) {
 
 var sink float64
 
-// BenchmarkKNN times the k-NN hot path itself — the parallel leaf stage
-// against the sequential traversal — over random collections on a
-// dim ∈ {8, 32} × N ∈ {10k, 100k} grid. CI runs this with -benchtime=1x
-// as a smoke test.
+// BenchmarkKNN times the k-NN hot path itself on one worker and on
+// GOMAXPROCS: Euclidean queries over random collections on a dim ∈
+// {8, 32} × N ∈ {10k, 100k} grid, plus a cell shaped like the benchmark's
+// mix16 workloads (64k 16-d vectors in 64-point clusters, full-inverse
+// queries, k = 100). Each cell reports the share of its searches that
+// finished as a sweep beside exact-evals per search, so the regime
+// boundary shows in one run. CI runs this with -benchtime=1x as a smoke
+// test.
 func BenchmarkKNN(b *testing.B) {
 	const k = 100
+	type cell struct {
+		name    string
+		store   *index.Store
+		metrics []distance.Metric
+	}
+	var cells []cell
 	for _, n := range []int{10000, 100000} {
 		for _, dim := range []int{8, 32} {
 			rng := rand.New(rand.NewSource(int64(31*n + dim)))
@@ -388,35 +398,66 @@ func BenchmarkKNN(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			seq := index.NewHybridTree(store, index.TreeOptions{Parallelism: 1})
-			par := seq.WithParallelism(0)
-			centers := make([]linalg.Vector, 16)
-			for i := range centers {
+			metrics := make([]distance.Metric, 16)
+			for i := range metrics {
 				c := make(linalg.Vector, dim)
 				for d := range c {
 					c[d] = rng.NormFloat64() * 3
 				}
-				centers[i] = c
+				metrics[i] = &distance.Euclidean{Center: c}
 			}
-			modes := []struct {
-				name string
-				tree *index.HybridTree
-			}{
-				{"seq", seq},
-				{"par", par},
+			cells = append(cells, cell{fmt.Sprintf("dim%d/n%d", dim, n), store, metrics})
+		}
+	}
+	{
+		const cats, perCat, dim = 1000, 64, 16
+		rng := rand.New(rand.NewSource(16))
+		data := make([]float64, 0, cats*perCat*dim)
+		for cat := 0; cat < cats; cat++ {
+			center := make([]float64, dim)
+			for d := range center {
+				center[d] = rng.NormFloat64() * 5
 			}
-			for _, mode := range modes {
-				mode := mode
-				name := fmt.Sprintf("dim%d/n%d/%s", dim, n, mode.name)
-				b.Run(name, func(b *testing.B) {
-					var stats index.SearchStats
-					for i := 0; i < b.N; i++ {
-						m := &distance.Euclidean{Center: centers[i%len(centers)]}
-						_, stats = mode.tree.KNN(m, k)
-					}
-					b.ReportMetric(float64(stats.DistanceEvals), "exact-evals")
-				})
+			for i := 0; i < perCat; i++ {
+				for d := 0; d < dim; d++ {
+					data = append(data, center[d]+rng.NormFloat64())
+				}
 			}
+		}
+		store, err := index.NewStoreFlat(data, dim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		metrics := make([]distance.Metric, 16)
+		for i := range metrics {
+			first := rng.Intn(cats) * perCat
+			pts := make([]cluster.Point, perCat)
+			for j := range pts {
+				pts[j] = cluster.Point{ID: first + j, Vec: store.Vector(first + j), Score: 1}
+			}
+			metrics[i] = distance.FromCluster(cluster.FromPoints(pts), cluster.FullInverse)
+		}
+		cells = append(cells, cell{"dim16/n64k", store, metrics})
+	}
+	for _, c := range cells {
+		seq := index.NewHybridTree(c.store, index.TreeOptions{Parallelism: 1})
+		modes := []struct {
+			name string
+			tree *index.HybridTree
+		}{
+			{"seq", seq},
+			{"par", seq.WithParallelism(0)},
+		}
+		for _, mode := range modes {
+			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
+				var total index.SearchStats
+				for i := 0; i < b.N; i++ {
+					_, stats := mode.tree.KNN(c.metrics[i%len(c.metrics)], k)
+					total.Add(stats)
+				}
+				b.ReportMetric(float64(total.DistanceEvals)/float64(b.N), "exact-evals")
+				b.ReportMetric(float64(total.Swept)/float64(b.N), "swept")
+			})
 		}
 	}
 }

@@ -104,7 +104,7 @@ func main() {
 		queueWait      = flag.Duration("queue-wait", 0, "max wait for an in-flight slot before shedding 429 (0 = default)")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request deadline (0 = default)")
 		drainTimeout   = flag.Duration("drain-timeout", 0, "graceful-drain budget on shutdown (0 = default)")
-		parallelism    = flag.Int("parallelism", 0, "search workers per query (0 = GOMAXPROCS)")
+		parallelism    = flag.Int("parallelism", 0, "workers of a swept search, one the tree cannot prune (0 = GOMAXPROCS)")
 		shards         = flag.Int("shards", 1, "partition the collection into N scatter-gather shards, bit-identical to unsharded (1 = unsharded)")
 
 		// Search backend. The tree backend is exact; ann is an

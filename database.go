@@ -49,9 +49,11 @@ type IndexOptions struct {
 	// NodeSizeBytes models the index node size (leaf capacity =
 	// NodeSizeBytes / (8 × dim)). Defaults to 4096.
 	NodeSizeBytes int
-	// SearchParallelism is the worker count for the parallel k-NN leaf
-	// stage: 0 uses GOMAXPROCS, 1 forces sequential search. Searches on
-	// small collections (below 8192 items) stay sequential regardless.
+	// SearchParallelism is the worker count of a swept search — one the
+	// tree cannot prune, which finishes as a scan of the store in storage
+	// order: 0 uses GOMAXPROCS, 1 scans on the calling goroutine. The
+	// tree traversal itself, and the scan of a small collection (below
+	// 8192 items), are sequential regardless.
 	SearchParallelism int
 	// Backend selects the k-NN execution path: BackendTree (default,
 	// exact) or BackendANN (approximate graph navigation + exact

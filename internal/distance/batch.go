@@ -45,6 +45,10 @@ func checkBatch(metricDim, dim int, flat, out []float64) {
 // sum-of-squares loop even when no candidate is abandoned.
 const abandonChunk = 8
 
+// disjunctiveSlack is the relative margin Disjunctive.EvalBatch leaves
+// between the caller's bound and the bound it abandons parts against.
+const disjunctiveSlack = 1e-9
+
 // evalRowBound is the Euclidean row kernel: ||c - row||² with early
 // abandonment once the partial sum exceeds bound. Eval routes through
 // this same function (bound = +Inf), so completed batch evaluations
@@ -167,14 +171,23 @@ func (q *Quadratic) EvalBatch(flat []float64, dim int, bound float64, out []floa
 // surviving part pays exact re-evaluation of its abandoned parts so
 // the aggregate — accumulated in the same part order as the scalar
 // path — stays bit-identical.
+//
+// The inequality holds in real arithmetic; the reported aggregate goes
+// through one rounding per part and two more, and can land a few ulps
+// under the smallest part. A caller may pass a bound that is exactly some
+// candidate's aggregate (a sweep re-evaluates the vector that set its
+// k-th best), so the parts are held to a bound loosened by
+// disjunctiveSlack, orders of magnitude more than those roundings: a
+// candidate whose aggregate is at or under bound is never abandoned.
 func (d *Disjunctive) EvalBatch(flat []float64, dim int, bound float64, out []float64) {
 	checkBatch(d.Dim(), dim, flat, out)
 	parts := make([]float64, len(d.Parts))
+	partBound := bound * (1 + disjunctiveSlack)
 	for r := range out {
 		row := flat[r*dim : (r+1)*dim]
 		alive := false
 		for i, p := range d.Parts {
-			parts[i] = p.evalRowBound(row, bound)
+			parts[i] = p.evalRowBound(row, partBound)
 			if !math.IsInf(parts[i], 1) {
 				alive = true
 			}

@@ -137,6 +137,30 @@ func TestEvalBatchAbandonment(t *testing.T) {
 	}
 }
 
+// A bound that is exactly a candidate's own distance must keep that
+// candidate: a sweep re-evaluates the vector that set the k-th best
+// against it. For the Eq. 5 aggregate this is a rounding question — the
+// parts are compared, the aggregate is reported, and fl(total/Σ w/d) can
+// fall an ulp under the smallest part — so the one-part disjunctive a
+// single-cluster session builds is in the grid.
+func TestEvalBatchKeepsCandidateAtItsOwnDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	for _, dim := range []int{3, 16} {
+		ms := batchMetrics(rng, dim)
+		ms["disjunctive-1"] = NewDisjunctive(
+			[]*Quadratic{NewQuadraticFull(randVec(rng, dim, 1), randSPDMatrix(rng, dim, 0.5))}, []float64{3})
+		for name, m := range ms {
+			rows := make([]linalg.Vector, 256)
+			for i := range rows {
+				rows[i] = randVec(rng, dim, 3)
+			}
+			for _, v := range rows {
+				checkAbandonInvariant(t, name, m, rows, m.Eval(v))
+			}
+		}
+	}
+}
+
 func percentile(xs []float64, p float64) float64 {
 	s := append([]float64(nil), xs...)
 	for i := 1; i < len(s); i++ { // insertion sort: tiny slices

@@ -23,6 +23,10 @@ const (
 	// traversal. A test hook can cancel a context or block here to
 	// exercise mid-search deadlines with deterministic timing.
 	KNNPop = "index.knn-pop"
+	// KNNSweepChunk fires before every chunk of a swept k-NN search, on
+	// whichever sweep worker takes it (so a hook must be safe for
+	// concurrent calls) — KNNPop's twin for the sweep phase.
+	KNNSweepChunk = "index.knn-sweep-chunk"
 	// FeedbackBatch fires at the entry of QueryModel.Feedback, before the
 	// batch is filtered, so tests can observe or perturb feedback timing.
 	FeedbackBatch = "core.feedback-batch"

@@ -7,22 +7,23 @@ import (
 )
 
 // batchEvaluator adapts a distance.BatchMetric to the index's candidate
-// evaluation sites. It gathers candidate rows from the store's contiguous
-// block into a reusable scratch buffer and hands the whole batch to the
-// metric's bound-aware kernel, so the hot per-dimension loops sweep
-// sequential memory and abandon candidates that provably exceed the
-// caller's pruning bound.
+// evaluation sites and hands whole batches to the metric's bound-aware
+// kernel, so the hot per-dimension loops sweep sequential memory and
+// abandon candidates that provably exceed the caller's pruning bound. A
+// leaf's ids are scattered over the store's block, so evalInto gathers
+// their rows into a reusable scratch buffer first; a sweep's id range is
+// contiguous, so evalRange runs the kernel over the block itself.
 //
 // Identity with the scalar path: an abandoned candidate's true distance
 // is strictly greater than the bound it was abandoned against, and every
 // bound the index passes (the k-th-best heap distance, the shared
-// parallel bound) is an upper bound of the final admission threshold —
-// so dropping abandoned candidates can never change the merged result
-// set, and non-abandoned values are bit-identical to Eval by the
-// BatchMetric contract.
+// bound) is an upper bound of the final admission threshold — so
+// dropping abandoned candidates can never change the merged result set,
+// and non-abandoned values are bit-identical to Eval by the BatchMetric
+// contract.
 //
 // Not safe for concurrent use: each goroutine needs its own evaluator
-// (the parallel leaf workers construct one apiece).
+// (the sweep's workers construct one apiece).
 type batchEvaluator struct {
 	bm   distance.BatchMetric
 	s    *Store
@@ -41,47 +42,57 @@ func newBatchEvaluator(m distance.Metric, s *Store) *batchEvaluator {
 	return &batchEvaluator{bm: bm, s: s}
 }
 
-// eval runs the batch kernel over the given candidate ids. The returned
-// slice (valid until the next call) holds one distance per id;
-// abandonOn reports whether early abandonment was armed — only then may
-// +Inf entries be abandonment markers rather than genuine distances.
-// A bound at or above the heap sentinel (heap not full yet, so every
-// candidate must be admitted) disables abandonment entirely.
-func (b *batchEvaluator) eval(ids []int, bound float64) (dists []float64, abandonOn bool) {
+// evalInto evaluates the given candidate ids against bound and offers
+// the survivors to h. It returns the number of abandoned candidates
+// (certified farther than bound without full evaluation).
+func (b *batchEvaluator) evalInto(ids []int, bound float64, h *resultHeap) (abandoned int) {
 	dim := b.s.dim
 	need := len(ids) * dim
 	if cap(b.rows) < need {
 		b.rows = make([]float64, need)
 	}
-	if cap(b.out) < len(ids) {
-		b.out = make([]float64, len(ids))
-	}
 	rows := b.rows[:need]
-	dists = b.out[:len(ids)]
 	flat := b.s.data
 	for k, id := range ids {
 		copy(rows[k*dim:(k+1)*dim], flat[id*dim:(id+1)*dim])
 	}
-	if bound >= inf {
-		bound = math.Inf(1)
-	} else {
-		abandonOn = true
-	}
-	b.bm.EvalBatch(rows, dim, bound, dists)
-	return dists, abandonOn
+	return b.run(rows, bound, h, ids, 0)
 }
 
-// evalInto evaluates ids against bound and offers the survivors to h.
-// It returns the number of abandoned candidates (certified farther than
-// bound without full evaluation).
-func (b *batchEvaluator) evalInto(ids []int, bound float64, h *resultHeap) (abandoned int) {
-	dists, abandonOn := b.eval(ids, bound)
-	for k, id := range ids {
-		if abandonOn && math.IsInf(dists[k], 1) {
+// evalRange is evalInto for the contiguous ids [lo, hi), evaluated in
+// place over the store's block.
+func (b *batchEvaluator) evalRange(lo, hi int, bound float64, h *resultHeap) (abandoned int) {
+	dim := b.s.dim
+	return b.run(b.s.data[lo*dim:hi*dim], bound, h, nil, lo)
+}
+
+// run hands rows to the batch kernel and offers the survivors to h: row
+// k is candidate ids[k], or lo+k when ids is nil. A bound at or above
+// the heap sentinel (heap not full yet, so every candidate must be
+// admitted) disables abandonment entirely; only when it is armed are
+// +Inf entries abandonment markers rather than genuine distances.
+func (b *batchEvaluator) run(rows []float64, bound float64, h *resultHeap, ids []int, lo int) (abandoned int) {
+	dim := b.s.dim
+	n := len(rows) / dim
+	if cap(b.out) < n {
+		b.out = make([]float64, n)
+	}
+	dists := b.out[:n]
+	abandonOn := bound < inf
+	if !abandonOn {
+		bound = math.Inf(1)
+	}
+	b.bm.EvalBatch(rows, dim, bound, dists)
+	for k, d := range dists {
+		if abandonOn && math.IsInf(d, 1) {
 			abandoned++
 			continue
 		}
-		h.offer(Result{ID: id, Dist: dists[k]})
+		id := lo + k
+		if ids != nil {
+			id = ids[k]
+		}
+		h.offer(Result{ID: id, Dist: d})
 	}
 	return abandoned
 }

@@ -49,14 +49,16 @@ func testMetrics(rng *rand.Rand, dim int) map[string]distance.Metric {
 	}
 }
 
+// assertSameKNN holds got to want bit for bit: same ids, same
+// Float64bits, same order.
 func assertSameKNN(t *testing.T, label string, want, got []Result) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d results vs %d scalar", label, len(got), len(want))
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: result %d batch %+v != scalar %+v", label, i, got[i], want[i])
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+			t.Fatalf("%s: result %d is %+v, want %+v", label, i, got[i], want[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"sort"
@@ -27,8 +26,8 @@ type HybridTree struct {
 	root         *treeNode
 	leafCapacity int
 	epoch        uint64             // bumped by every Insert; see Epoch
-	parallelism  int                // resolved worker count for leaf evaluation (>= 1)
-	parMinItems  int                // smallest store for which the parallel path engages
+	parallelism  int                // resolved worker count of a swept search (>= 1)
+	parMinItems  int                // smallest store a sweep spreads over more than one worker
 	numLeaves    int                // leaf count, maintained by build and Insert re-splits
 	maxResplits  int                // re-split budget per insert batch (<0 = unlimited)
 	pending      []*treeNode        // overflowed leaves awaiting re-split
@@ -39,6 +38,7 @@ type treeNode struct {
 	lo, hi      linalg.Vector // live-space bounding box
 	left, right *treeNode
 	items       []int // leaf payload (object ids); nil for internal nodes
+	count       int   // vectors stored beneath (len(items) for a leaf)
 }
 
 func (n *treeNode) isLeaf() bool { return n.items != nil }
@@ -48,11 +48,11 @@ type TreeOptions struct {
 	// NodeSizeBytes models the paper's 4 KB index node: the leaf capacity
 	// is NodeSizeBytes / (8 bytes × dim). Defaults to 4096.
 	NodeSizeBytes int
-	// Parallelism is the worker count for the parallel leaf-evaluation
-	// stage of k-NN search: 0 means GOMAXPROCS, 1 forces the sequential
-	// path, higher values cap the pool. Small stores (below 8192 items)
-	// always search sequentially — fan-out costs more than the scan
-	// there.
+	// Parallelism is the worker count of a swept k-NN search (see
+	// knnSeeded): 0 means GOMAXPROCS, 1 sweeps on the calling goroutine.
+	// The best-first traversal is always sequential, and so is the sweep
+	// of a small store (below 8192 items), where hand-off costs more than
+	// the scan.
 	Parallelism int
 	// MaxResplitsPerBatch caps how many overflowed leaves one Insert or
 	// InsertBatch call may rebuild while it holds the write lock; the
@@ -114,9 +114,9 @@ func (t *HybridTree) LeafCapacity() int { return t.leafCapacity }
 func (t *HybridTree) NumLeaves() int { return t.numLeaves }
 
 // WithParallelism returns a search-only view of the same tree (shared
-// store and nodes) whose k-NN queries use the given worker count (0 =
-// GOMAXPROCS, 1 = sequential). The view is meant for searching — Insert
-// through a view diverges the epoch counters and must be avoided.
+// store and nodes) whose swept k-NN queries use the given worker count
+// (0 = GOMAXPROCS, 1 = sequential). The view is meant for searching —
+// Insert through a view diverges the epoch counters and must be avoided.
 func (t *HybridTree) WithParallelism(p int) *HybridTree {
 	view := *t
 	view.parallelism = resolveParallelism(p)
@@ -149,7 +149,7 @@ func height(n *treeNode) int {
 }
 
 func (t *HybridTree) build(ids []int) *treeNode {
-	n := &treeNode{}
+	n := &treeNode{count: len(ids)}
 	n.lo, n.hi = t.bbox(ids)
 	if len(ids) <= t.leafCapacity {
 		n.items = ids
@@ -207,7 +207,10 @@ func (t *HybridTree) bbox(ids []int) (lo, hi linalg.Vector) {
 	return lo, hi
 }
 
-// nodeQueue is a min-heap of tree nodes keyed by metric lower bound.
+// nodeQueue is a min-heap of tree nodes keyed by metric lower bound. It
+// is typed rather than a container/heap client — that interface boxes
+// an entry per push and pop — and sifts exactly as container/heap does,
+// so nodes with tied bounds leave in the same order.
 type nodeEntry struct {
 	node  *treeNode
 	bound float64
@@ -215,16 +218,41 @@ type nodeEntry struct {
 
 type nodeQueue []nodeEntry
 
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(i, j int) bool  { return q[i].bound < q[j].bound }
-func (q nodeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(nodeEntry)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+func (q *nodeQueue) push(e nodeEntry) {
+	s := append(*q, e)
+	*q = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent].bound <= s[i].bound {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (q *nodeQueue) pop() nodeEntry {
+	s := *q
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s = s[:n]
+	*q = s
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s[r].bound < s[child].bound {
+			child = r
+		}
+		if s[i].bound <= s[child].bound {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	return top
 }
 
 // KNN answers a k-nearest-neighbor query with best-first (Hjaltason &
@@ -263,8 +291,13 @@ func (t *HybridTree) KNNSharedContext(ctx context.Context, m distance.Metric, k 
 // the pruning bound before any tree node is expanded — the mechanism by
 // which the multipoint refinement approach reuses work across feedback
 // iterations. It returns the leaves visited so callers can cache them,
-// plus a non-nil ctx.Err() when the traversal was cut short (results are
+// plus a non-nil ctx.Err() when the search was cut short (results are
 // then the best found so far, still sorted).
+//
+// The traversal is sequential. Once, after the leaf that brings the
+// count to max(sweepCheckLeaves, numLeaves/sweepCheckShare), it asks
+// whether the tree is still pruning (sweepPays); if not, the search
+// finishes as a sweep of the store in storage order.
 //
 // A non-nil ext couples this search to concurrent sibling-shard searches
 // through one shared atomic bound (see KNNSharedContext): pruning and
@@ -279,24 +312,14 @@ func (t *HybridTree) knnSeeded(ctx context.Context, m distance.Metric, k int, se
 	if k <= 0 {
 		return nil, stats, nil, ctx.Err()
 	}
-	if t.parallelism > 1 && t.store.Len() >= t.parMinItems {
-		return t.knnSeededParallel(ctx, m, k, seed, ext)
-	}
 	h := newResultHeap(k)
-	seen := map[*treeNode]bool{}
 	var visited []*treeNode
 
 	// bound is the effective pruning bound: the local k-th best, further
 	// tightened by the cross-shard shared bound when one is attached.
 	bound := h.bound
 	if ext != nil {
-		bound = func() float64 {
-			b := h.bound()
-			if sb := ext.Load(); sb < b {
-				b = sb
-			}
-			return b
-		}
+		bound = func() float64 { return min(h.bound(), ext.Load()) }
 	}
 
 	be := newBatchEvaluator(m, t.store)
@@ -320,44 +343,56 @@ func (t *HybridTree) knnSeeded(ctx context.Context, m distance.Metric, k int, se
 		visited = append(visited, n)
 	}
 
+	// Only a seed leaf can be met twice (the traversal pops each node
+	// once), so an unseeded search keeps no set at all.
+	var seeded map[*treeNode]bool
+	if len(seed) > 0 {
+		seeded = make(map[*treeNode]bool, len(seed))
+	}
 	for _, n := range seed {
 		if err := ctx.Err(); err != nil {
 			return h.sorted(), stats, visited, err
 		}
-		if n.isLeaf() && !seen[n] {
-			seen[n] = true
+		if n.isLeaf() && !seeded[n] {
+			seeded[n] = true
 			stats.CacheSeedLeaves++
 			evalLeaf(n)
 		}
 	}
 
-	q := &nodeQueue{{node: t.root, bound: m.LowerBound(t.root.lo, t.root.hi)}}
-	heap.Init(q)
-	for q.Len() > 0 {
+	checkAt := max(sweepCheckLeaves, t.numLeaves/sweepCheckShare)
+	q := nodeQueue{{node: t.root, bound: m.LowerBound(t.root.lo, t.root.hi)}}
+	for len(q) > 0 {
 		faultinject.Fire(faultinject.KNNPop)
 		if err := ctx.Err(); err != nil {
 			return h.sorted(), stats, visited, err
 		}
-		e := heap.Pop(q).(nodeEntry)
+		e := q.pop()
 		if e.bound > bound() {
 			break // every remaining node is at least this far
 		}
 		stats.NodesVisited++
 		n := e.node
-		if n.isLeaf() {
-			if !seen[n] {
-				seen[n] = true
-				evalLeaf(n)
+		if !n.isLeaf() {
+			for _, child := range [2]*treeNode{n.left, n.right} {
+				if child == nil {
+					continue
+				}
+				if b := m.LowerBound(child.lo, child.hi); b <= bound() {
+					q.push(nodeEntry{node: child, bound: b})
+				}
 			}
 			continue
 		}
-		for _, child := range []*treeNode{n.left, n.right} {
-			if child == nil {
-				continue
-			}
-			b := m.LowerBound(child.lo, child.hi)
-			if b <= bound() {
-				heap.Push(q, nodeEntry{node: child, bound: b})
+		if seeded[n] {
+			continue
+		}
+		evalLeaf(n)
+		if stats.LeavesVisited >= checkAt {
+			checkAt = math.MaxInt // the check runs once
+			if t.sweepPays(q, bound()) {
+				res, err := t.sweep(ctx, m, h, ext, &stats)
+				return res, stats, visited, err
 			}
 		}
 	}

@@ -96,6 +96,7 @@ func (t *HybridTree) insertOne(id int) {
 	n := t.root
 	for !n.isLeaf() {
 		growBox(n, v)
+		n.count++
 		if enlargement(n.left, v) <= enlargement(n.right, v) {
 			n = n.left
 		} else {
@@ -103,6 +104,7 @@ func (t *HybridTree) insertOne(id int) {
 		}
 	}
 	growBox(n, v)
+	n.count++
 	n.items = append(n.items, id)
 	if len(n.items) > t.leafCapacity && !t.pendingSet[n] {
 		if t.pendingSet == nil {

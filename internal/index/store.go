@@ -103,10 +103,10 @@ type Result struct {
 }
 
 // SearchStats records the work a search performed, the cost measures the
-// execution-cost experiments report. For a parallel search the counts
-// cover all workers; LeavesVisited and DistanceEvals can exceed the
-// sequential traversal's because workers prune against a bound that
-// tightens asynchronously.
+// execution-cost experiments report. A swept search (Swept) reports the
+// whole store as visited: LeavesVisited = LeavesTotal, so PruneRatio
+// reads 0, and DistanceEvals is the probe phase's evaluations plus one
+// per stored vector, summed over the sweep's workers.
 type SearchStats struct {
 	NodesVisited  int // internal + leaf nodes expanded
 	LeavesVisited int
@@ -119,12 +119,13 @@ type SearchStats struct {
 	// searcher's cross-iteration cache before the traversal started —
 	// the cache hits of the multipoint refinement approach.
 	CacheSeedLeaves int
-	// Workers is the resolved leaf-evaluation worker count the search
-	// ran with (1 = sequential path).
+	// Workers is the number of goroutines that evaluated candidates: 1
+	// unless the search swept a store large enough to share out.
 	Workers int
-	// ParallelBatches counts leaf batches dispatched to the worker pool
-	// (0 on the sequential path).
-	ParallelBatches int
+	// Swept counts tree searches that found the tree not pruning and
+	// finished as a sweep of the store in storage order (0 or 1 for one
+	// search; Add sums the legs of a sharded one).
+	Swept int
 	// BatchedEvals counts the distance evaluations that went through the
 	// bound-aware batch kernels — a subset of DistanceEvals; 0 when the
 	// metric does not implement distance.BatchMetric.
@@ -151,7 +152,7 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.DistanceEvals += other.DistanceEvals
 	s.LeavesTotal += other.LeavesTotal
 	s.CacheSeedLeaves += other.CacheSeedLeaves
-	s.ParallelBatches += other.ParallelBatches
+	s.Swept += other.Swept
 	s.BatchedEvals += other.BatchedEvals
 	s.AbandonedEvals += other.AbandonedEvals
 	s.GraphHops += other.GraphHops
@@ -189,6 +190,7 @@ func (s SearchStats) Cost() obs.CostStats {
 		LeavesVisited:  s.LeavesVisited,
 		LeavesTotal:    s.LeavesTotal,
 		DistanceEvals:  s.DistanceEvals,
+		Swept:          s.Swept,
 		BatchedEvals:   s.BatchedEvals,
 		AbandonedEvals: s.AbandonedEvals,
 		GraphHops:      s.GraphHops,

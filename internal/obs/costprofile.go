@@ -66,6 +66,10 @@ type CostStats struct {
 	DistanceEvals  int `json:"distance_evals"`
 	BatchedEvals   int `json:"batched_evals"`
 	AbandonedEvals int `json:"abandoned_evals"`
+	// Swept counts tree searches (one per shard leg) that finished as a
+	// sweep of the store: the tree was not pruning, so LeavesVisited is
+	// LeavesTotal by construction and PruneRatio reads 0.
+	Swept int `json:"swept,omitempty"`
 	// GraphHops/RefineEvals describe the ANN backend's work: graph
 	// nodes expanded during navigation and candidates exactly re-scored
 	// with the full-precision metric. 0 on the exact backends.
@@ -81,6 +85,7 @@ func (s *CostStats) Add(other CostStats) {
 	s.DistanceEvals += other.DistanceEvals
 	s.BatchedEvals += other.BatchedEvals
 	s.AbandonedEvals += other.AbandonedEvals
+	s.Swept += other.Swept
 	s.GraphHops += other.GraphHops
 	s.RefineEvals += other.RefineEvals
 }
@@ -412,6 +417,7 @@ func (t *Tracer) export(p *CostProfile) {
 			F("distance_evals", sc.Stats.DistanceEvals),
 			F("batched_evals", sc.Stats.BatchedEvals),
 			F("abandoned_evals", sc.Stats.AbandonedEvals),
+			F("swept", sc.Stats.Swept),
 			F("graph_hops", sc.Stats.GraphHops),
 			F("refine_evals", sc.Stats.RefineEvals),
 			F("prune_ratio", sc.Stats.PruneRatio()),
@@ -426,6 +432,7 @@ func (t *Tracer) export(p *CostProfile) {
 		F("leaves_visited", p.Stats.LeavesVisited),
 		F("distance_evals", p.Stats.DistanceEvals),
 		F("abandoned_evals", p.Stats.AbandonedEvals),
+		F("swept", p.Stats.Swept),
 		F("graph_hops", p.Stats.GraphHops),
 		F("refine_evals", p.Stats.RefineEvals),
 		F("prune_ratio", p.Stats.PruneRatio()),

@@ -62,8 +62,8 @@ type Registry = obs.Registry
 
 // SearchStats describes the index work one search performed: nodes and
 // leaves visited against the leaf total, distance evaluations (batched,
-// abandoned, ANN-refined), workers and graph hops, with LeavesPruned and
-// PruneRatio derived from them.
+// abandoned, ANN-refined), whether it finished as a sweep, workers and
+// graph hops, with LeavesPruned and PruneRatio derived from them.
 type SearchStats = index.SearchStats
 
 // SessionStats is a Session's observability snapshot: cumulative search
@@ -110,6 +110,7 @@ type dbMetrics struct {
 	searches      *obs.Counter
 	searchErrors  *obs.Counter
 	partial       *obs.Counter
+	swept         *obs.Counter
 	latency       *obs.Histogram
 	resultCounts  *obs.Histogram
 	kRequested    *obs.Histogram
@@ -154,6 +155,7 @@ func newDBMetrics() *dbMetrics {
 		searches:      reg.Counter("search.total"),
 		searchErrors:  reg.Counter("search.errors"),
 		partial:       reg.Counter("search.partial"),
+		swept:         reg.Counter("search.swept"),
 		latency:       reg.Histogram("search.latency_seconds", obs.LatencyBuckets()),
 		resultCounts:  reg.Histogram("search.results", obs.SizeBuckets()),
 		kRequested:    reg.Histogram("search.k", obs.SizeBuckets()),
@@ -181,6 +183,7 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	if degraded {
 		m.source.degraded.Inc()
 	}
+	m.swept.Add(int64(stats.Swept))
 	m.latency.Observe(elapsed.Seconds())
 	m.kRequested.Observe(float64(k))
 	m.resultCounts.Observe(float64(results))
@@ -214,7 +217,9 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 
 // Metrics returns a point-in-time snapshot of the database's metrics
 // registry: search totals and outcome counters ("search.total",
-// "search.partial", "search.degraded", ...), latency and size
+// "search.partial", "search.degraded", "search.swept" — tree searches
+// that found the tree not pruning and finished as a sweep of the store,
+// which then report every leaf visited — ...), latency and size
 // histograms ("search.latency_seconds", "search.results", "search.k"),
 // index-work counters ("index.leaves_visited", "index.leaves_pruned",
 // "index.distance_evals", "index.batched_evals",

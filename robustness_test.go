@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 func randomVectors(rng *rand.Rand, n, dim int) [][]float64 {
@@ -87,6 +89,59 @@ func TestSearchContextMidSearchDeadline(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, must also wrap context.DeadlineExceeded", err)
+	}
+	for i := 1; i < len(res); i++ {
+		if res[i].Dist < res[i-1].Dist {
+			t.Fatal("partial results must stay sorted")
+		}
+	}
+}
+
+// A search the tree cannot prune finishes as a sweep of the store, and
+// says so wherever search cost is reported: the session's last-search
+// stats, the request's cost profile, the "search.swept" counter and a
+// prune ratio of 0. Interrupted mid-sweep (the KNNSweepChunk hook gives
+// deterministic timing) it answers like an interrupted traversal: the
+// best found so far, sorted, tagged ErrPartialResults and wrapping the
+// context error.
+func TestSweptSearchReportedAndInterruptible(t *testing.T) {
+	defer faultinject.Reset()
+	rng := rand.New(rand.NewSource(14))
+	db, err := NewDatabase(randomVectors(rng, 4000, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 25
+	sess := db.NewSession(db.Vector(0), Options{})
+	prof := &obs.CostProfile{}
+	if _, err := sess.ResultsContext(obs.ContextWithProfile(context.Background(), prof), k); err != nil {
+		t.Fatal(err)
+	}
+	last := sess.Stats().LastSearch
+	if last.Swept != 1 || last.LeavesVisited != last.LeavesTotal || last.PruneRatio() != 0 || last.DistanceEvals <= db.Len() {
+		t.Fatalf("12-d search did not report a sweep: %+v", last)
+	}
+	if prof.Stats.Swept != 1 {
+		t.Fatalf("cost profile lost the sweep: %+v", prof.Stats)
+	}
+	if got := db.Metrics().Counters["search.swept"]; got != 1 {
+		t.Fatalf("search.swept = %d after one swept search", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var chunks atomic.Int32
+	faultinject.Set(faultinject.KNNSweepChunk, func() {
+		if chunks.Add(1) == 3 {
+			cancel()
+		}
+	})
+	res, err := db.SearchByExampleContext(ctx, db.Vector(0), k)
+	if !errors.Is(err, ErrPartialResults) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrPartialResults wrapping context.Canceled", err)
+	}
+	if len(res) != k {
+		t.Fatalf("%d partial results, want the probe phase's %d", len(res), k)
 	}
 	for i := 1; i < len(res); i++ {
 		if res[i].Dist < res[i-1].Dist {
