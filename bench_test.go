@@ -435,7 +435,9 @@ func BenchmarkKNN(b *testing.B) {
 			for j := range pts {
 				pts[j] = cluster.Point{ID: first + j, Vec: store.Vector(first + j), Score: 1}
 			}
-			metrics[i] = distance.FromCluster(cluster.FromPoints(pts), cluster.FullInverse)
+			// A session searches with the Eq. 5 aggregate even over one
+			// cluster (core.MetricInfo), never with a bare *Quadratic.
+			metrics[i] = distance.FromClusters([]*cluster.Cluster{cluster.FromPoints(pts)}, cluster.FullInverse)
 		}
 		cells = append(cells, cell{"dim16/n64k", store, metrics})
 	}

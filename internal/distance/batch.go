@@ -49,6 +49,18 @@ const abandonChunk = 8
 // between the caller's bound and the bound it abandons parts against.
 const disjunctiveSlack = 1e-9
 
+// disjunctivePart is what Disjunctive.EvalBatch keeps per part: the
+// candidate's distance to it and the call's point-filter state.
+type disjunctivePart struct {
+	dist   float64
+	filter pointFilter
+}
+
+// disjunctiveStackParts is how many of them stay on EvalBatch's stack: a
+// sweep calls it once per 256-id chunk, and a session's model has at
+// most MaxQueryPoints (default 5) parts.
+const disjunctiveStackParts = 8
+
 // evalRowBound is the Euclidean row kernel: ||c - row||² with early
 // abandonment once the partial sum exceeds bound. Eval routes through
 // this same function (bound = +Inf), so completed batch evaluations
@@ -155,11 +167,18 @@ func (q *Quadratic) evalRowBound(row []float64, bound float64) float64 {
 	return q.invFull.QuadFormDiff(linalg.Vector(row), c)
 }
 
-// EvalBatch implements BatchMetric.
+// EvalBatch implements BatchMetric. A candidate the point filter rejects
+// is one evalRowBound would have abandoned, so it gets the same +Inf.
 func (q *Quadratic) EvalBatch(flat []float64, dim int, bound float64, out []float64) {
 	checkBatch(len(q.Center), dim, flat, out)
+	f := q.filter(bound)
 	for r := range out {
-		out[r] = q.evalRowBound(flat[r*dim:(r+1)*dim], bound)
+		row := flat[r*dim : (r+1)*dim]
+		if f.rejects(q, row) {
+			out[r] = math.Inf(1)
+			continue
+		}
+		out[r] = q.evalRowBound(row, bound)
 	}
 }
 
@@ -181,14 +200,27 @@ func (q *Quadratic) EvalBatch(flat []float64, dim int, bound float64, out []floa
 // candidate whose aggregate is at or under bound is never abandoned.
 func (d *Disjunctive) EvalBatch(flat []float64, dim int, bound float64, out []float64) {
 	checkBatch(d.Dim(), dim, flat, out)
-	parts := make([]float64, len(d.Parts))
+	var few [disjunctiveStackParts]disjunctivePart
+	parts := few[:]
+	if len(d.Parts) > len(few) {
+		parts = make([]disjunctivePart, len(d.Parts))
+	}
+	parts = parts[:len(d.Parts)]
 	partBound := bound * (1 + disjunctiveSlack)
+	for i, p := range d.Parts {
+		parts[i].filter = p.filter(partBound)
+	}
 	for r := range out {
 		row := flat[r*dim : (r+1)*dim]
 		alive := false
 		for i, p := range d.Parts {
-			parts[i] = p.evalRowBound(row, partBound)
-			if !math.IsInf(parts[i], 1) {
+			part := &parts[i]
+			if part.filter.rejects(p, row) {
+				part.dist = math.Inf(1)
+				continue
+			}
+			part.dist = p.evalRowBound(row, partBound)
+			if !math.IsInf(part.dist, 1) {
 				alive = true
 			}
 		}
@@ -200,7 +232,8 @@ func (d *Disjunctive) EvalBatch(flat []float64, dim int, bound float64, out []fl
 			continue
 		}
 		var denom float64
-		for i, di := range parts {
+		for i := range parts {
+			di := parts[i].dist
 			if math.IsInf(di, 1) {
 				di = d.Parts[i].evalRowBound(row, math.Inf(1))
 			}

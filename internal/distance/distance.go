@@ -70,14 +70,19 @@ func (e *Euclidean) LowerBound(lo, hi linalg.Vector) float64 {
 // Cholesky-whitened: with W = Uᵀ U the form becomes ||U(x-c)||² — a
 // triangular mat-vec over a packed factor whose partial sums are
 // monotone non-decreasing, which is what lets the batch kernels abandon
-// a candidate the moment the accumulation exceeds a pruning bound. The
+// a candidate the moment the accumulation exceeds a pruning bound. In
+// front of them sits the point filter (filter.go): floor holds the
+// diagonal scheme's weights scaled by μ, a floor of λ_min(D^-½WD^-½)
+// with D = diag(W) that a shifted Cholesky factorization certifies, so
+// the O(d) form Σ floor_k(x_k-c_k)² never exceeds the O(d²) one. The
 // dense inverse is kept only for the rare non-positive-definite input,
 // where the factorization fails and evaluation falls back to the
-// general (non-abandonable) quadratic form.
+// general (non-abandonable, unfiltered) quadratic form.
 type Quadratic struct {
 	Center  linalg.Vector
 	invDiag linalg.Vector    // diagonal scheme
 	whiten  *linalg.UpperTri // full scheme: packed U with W = UᵀU
+	floor   linalg.Vector    // full scheme: μ·W_kk, nil when μ is too small to arm
 	invFull *linalg.Matrix   // full scheme fallback when W is not PD
 	lambda  float64          // certified floor of λ_min(W) for rectangle bounds
 }
@@ -96,9 +101,10 @@ func NewQuadraticDiag(center, invDiag linalg.Vector) *Quadratic {
 // the factor both whitens evaluation (||U(x-c)||², half the flops of
 // the dense form with early-abandonment support) and certifies the
 // λ_min floor for rectangle lower bounds without the per-rebuild Jacobi
-// eigensolve this constructor used to pay. Non-positive-definite input
-// (possible for degraded regularized inverses) keeps the old dense
-// path and eigensolve.
+// eigensolve this constructor used to pay. A second certified floor, of
+// the unit-diagonal scaling of W, arms the point filter's diagonal stage
+// (diagonalFloor). Non-positive-definite input (possible for degraded
+// regularized inverses) keeps the old dense path and eigensolve.
 func NewQuadraticFull(center linalg.Vector, inv *linalg.Matrix) *Quadratic {
 	if center.Dim() != inv.Rows || !inv.IsSquare() {
 		panic("distance: dimension mismatch")
@@ -106,6 +112,7 @@ func NewQuadraticFull(center linalg.Vector, inv *linalg.Matrix) *Quadratic {
 	q := &Quadratic{Center: center.Clone()}
 	if u, err := inv.CholeskyUpper(); err == nil {
 		q.whiten = u
+		q.floor = diagonalFloor(inv)
 		q.lambda = linalg.SymLambdaMinFloor(inv)
 		return q
 	}
@@ -132,10 +139,10 @@ func FromCluster(c *cluster.Cluster, scheme cluster.Scheme) *Quadratic {
 func (q *Quadratic) Dim() int { return q.Center.Dim() }
 
 // Eval returns (x-c)' W (x-c). It keeps no per-call state, so one
-// metric may be evaluated from many goroutines at once — the parallel
-// k-NN leaf workers rely on this. Both schemes share the batch kernels'
-// row evaluators (with abandonment disabled), so scalar and batched
-// results are bit-identical by construction.
+// metric may be evaluated from many goroutines at once — the sweep's
+// workers rely on this. Both schemes share the batch kernels' row
+// evaluators (with abandonment disabled, and never the point filter), so
+// scalar and batched results are bit-identical by construction.
 func (q *Quadratic) Eval(x linalg.Vector) float64 {
 	return q.evalRowBound(x, math.Inf(1))
 }

@@ -118,14 +118,13 @@ func SymLambdaMinFloor(m *Matrix) float64 {
 	if hi <= lo {
 		return lo * (1 - 1e-9)
 	}
-	a := NewMatrix(n, n) // shifted copy, reused across attempts
 	l := NewMatrix(n, n) // factor scratch, reused across attempts
 	for iter := 0; iter < 24 && hi-lo > 1e-3*hi; iter++ {
 		mid := lo + 0.5*(hi-lo)
 		if mid <= lo || mid >= hi {
 			break
 		}
-		if shiftedCholeskyOK(m, mid, a, l) {
+		if shiftedCholeskyOK(m, mid, l) {
 			lo = mid
 		} else {
 			hi = mid
@@ -135,20 +134,19 @@ func SymLambdaMinFloor(m *Matrix) float64 {
 }
 
 // shiftedCholeskyOK reports whether m - shift*I is positive definite by
-// attempting an in-scratch Cholesky factorization (no allocation).
-func shiftedCholeskyOK(m *Matrix, shift float64, a, l *Matrix) bool {
+// attempting a Cholesky factorization into the scratch l (no allocation,
+// and no copy of m: the shift is taken off each diagonal entry as it is
+// read). Only l's lower triangle is written, and every entry read was
+// written earlier in the same attempt, so l needs no clearing.
+func shiftedCholeskyOK(m *Matrix, shift float64, l *Matrix) bool {
 	n := m.Rows
-	copy(a.Data, m.Data)
-	for i := 0; i < n; i++ {
-		a.Data[i*n+i] -= shift
-	}
-	for i := range l.Data {
-		l.Data[i] = 0
-	}
 	for i := 0; i < n; i++ {
 		li := l.Data[i*n : (i+1)*n]
 		for j := 0; j <= i; j++ {
-			sum := a.Data[i*n+j]
+			sum := m.Data[i*n+j]
+			if i == j {
+				sum -= shift
+			}
 			lj := l.Data[j*n : (j+1)*n]
 			for k := 0; k < j; k++ {
 				sum -= li[k] * lj[k]
