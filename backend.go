@@ -141,25 +141,7 @@ func (db *Database) knnBackend(ctx context.Context, req searchRequest) ([]index.
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.backend == BackendANN {
-		return db.annIdx.KNNEf(ctx, req.metric, req.k, req.ef)
+		return db.annIdx.KNNContext(ctx, req.metric, req.k)
 	}
 	return db.tree.KNNSharedContext(ctx, req.metric, req.k, req.bound)
-}
-
-// SearchApprox answers a plain k-NN query on the ANN backend with an
-// explicit efSearch override (0 = the index default) — the recall knob
-// per query instead of per database. See SearchApproxContext.
-func (db *Database) SearchApprox(example []float64, k, efSearch int) []Result {
-	res, _ := db.SearchApproxContext(context.Background(), example, k, efSearch)
-	return res
-}
-
-// SearchApproxContext is SearchApprox with cooperative cancellation. It
-// requires IndexOptions.Backend "ann" (ErrBackendUnavailable
-// otherwise); results are the exact-refined candidates of one graph
-// search, so they are bit-exact given the candidate set, and
-// efSearch >= Len() degenerates to an exhaustive exact search.
-func (db *Database) SearchApproxContext(ctx context.Context, example []float64, k, efSearch int) ([]Result, error) {
-	res, _, err := db.execute(ctx, searchRequest{op: "SearchApproxContext", example: example, k: k, approx: true, ef: efSearch})
-	return res, err
 }

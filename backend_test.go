@@ -183,26 +183,22 @@ func TestANNBackendApproxRecall(t *testing.T) {
 	}
 }
 
-func TestSearchApprox(t *testing.T) {
+func TestANNBackendStatelessSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	vectors, _ := buildVectors(rng)
-	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{Seed: 1}})
+	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: len(vectors) + 1, Seed: 1}})
 
-	res := annDB.SearchApprox(annDB.Vector(3), 5, len(vectors)+1)
-	if len(res) != 5 || res[0].ID != 3 || res[0].Dist != 0 {
-		t.Fatalf("self-query results: %+v", res)
+	res, err := annDB.SearchByExampleContext(context.Background(), annDB.Vector(3), 5)
+	if err != nil || len(res) != 5 || res[0].ID != 3 || res[0].Dist != 0 {
+		t.Fatalf("self-query results: %+v, err %v", res, err)
 	}
-	// The per-query efSearch override degenerates to exact: compare with
+	// A beam covering the collection degenerates to exact: compare with
 	// the tree.
 	tree := buildDB(t, vectors, IndexOptions{})
-	identicalResults(t, res, tree.SearchByExample(tree.Vector(3), 5), "SearchApprox exhaustive")
+	identicalResults(t, res, tree.SearchByExample(tree.Vector(3), 5), "exhaustive EfSearch")
 
-	// Wrong backend → ErrBackendUnavailable.
-	if _, err := tree.SearchApproxContext(context.Background(), tree.Vector(0), 5, 0); !errors.Is(err, ErrBackendUnavailable) {
-		t.Fatalf("tree backend SearchApprox err = %v, want ErrBackendUnavailable", err)
-	}
 	// Dimension mismatch still checked.
-	if _, err := annDB.SearchApproxContext(context.Background(), []float64{1}, 5, 0); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := annDB.SearchByExampleContext(context.Background(), []float64{1}, 5); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("err = %v, want ErrDimensionMismatch", err)
 	}
 }
@@ -223,7 +219,7 @@ func TestANNBackendRejectsUnquantizable(t *testing.T) {
 	if annDB.Len() != n {
 		t.Fatalf("failed adds changed Len: %d -> %d", n, annDB.Len())
 	}
-	if res := annDB.SearchApprox(annDB.Vector(0), 3, 0); len(res) != 3 {
+	if res := annDB.SearchByExample(annDB.Vector(0), 3); len(res) != 3 {
 		t.Fatalf("search after rejected adds: %d results", len(res))
 	}
 	// The exact backends accept the same vector (no quantization there).
@@ -266,54 +262,5 @@ func TestResplitMetricsSurface(t *testing.T) {
 	res := db.SearchByExample([]float64{0, 0}, db.Len())
 	if len(res) != db.Len() {
 		t.Fatalf("found %d of %d items", len(res), db.Len())
-	}
-}
-
-// TestApproxEntryPointsRequireANN is the cross-surface contract table:
-// every approximate entry point — stateless, session, and the sharded
-// per-shard leg — returns ErrBackendUnavailable on the exact backend
-// and works on the ANN backend.
-func TestApproxEntryPointsRequireANN(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	vectors, _ := buildVectors(rng)
-	ctx := context.Background()
-
-	entryPoints := []struct {
-		name string
-		call func(db *Database) error
-	}{
-		{"SearchApproxContext", func(db *Database) error {
-			_, err := db.SearchApproxContext(ctx, db.Vector(0), 5, 0)
-			return err
-		}},
-		{"Session.ResultsApproxContext", func(db *Database) error {
-			_, err := db.NewSession(db.Vector(0), Options{}).ResultsApproxContext(ctx, 5, 0)
-			return err
-		}},
-		{"SearchLeg(approx)", func(db *Database) error {
-			_, _, err := db.SearchLeg(ctx, EuclideanMetric(db.Vector(0)), 5, true, 0, nil)
-			return err
-		}},
-	}
-
-	tree := buildDB(t, vectors, IndexOptions{Backend: BackendTree})
-	for _, ep := range entryPoints {
-		if err := ep.call(tree); !errors.Is(err, ErrBackendUnavailable) {
-			t.Errorf("tree backend %s: err = %v, want ErrBackendUnavailable", ep.name, err)
-		}
-	}
-
-	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{Seed: 2}})
-	for _, ep := range entryPoints {
-		if err := ep.call(annDB); err != nil {
-			t.Errorf("ann backend %s: %v", ep.name, err)
-		}
-	}
-	// The error-free session form: nil where the Context form errors.
-	if res := annDB.NewSession(annDB.Vector(0), Options{}).ResultsApprox(5, 0); len(res) != 5 {
-		t.Errorf("ann backend Session.ResultsApprox: %d results, want 5", len(res))
-	}
-	if res := tree.NewSession(tree.Vector(0), Options{}).ResultsApprox(5, 0); res != nil {
-		t.Errorf("tree backend Session.ResultsApprox: %d results, want nil", len(res))
 	}
 }

@@ -7,11 +7,13 @@
 package qcluster_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -371,6 +373,48 @@ func BenchmarkT2PCSpaceSpeedup(b *testing.B) {
 
 var sink float64
 
+// gaussianStore is n isotropic dim-d Gaussian vectors; the returned rng
+// continues the stream that drew them.
+func gaussianStore(b *testing.B, n, dim int) (*index.Store, *rand.Rand) {
+	rng := rand.New(rand.NewSource(int64(31*n + dim)))
+	data := make([]float64, n*dim)
+	for i := range data {
+		data[i] = rng.NormFloat64() * 3
+	}
+	store, err := index.NewStoreFlat(data, dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return store, rng
+}
+
+const mix16Cats, mix16PerCat = 1000, 64
+
+// mix16Store is shaped like the benchmark's mix16 workloads: 1000
+// clusters of 64 16-d vectors, cluster c at ids [64c, 64c+64). The
+// returned rng continues the stream that drew them.
+func mix16Store(b *testing.B) (*index.Store, *rand.Rand) {
+	const dim = 16
+	rng := rand.New(rand.NewSource(16))
+	data := make([]float64, 0, mix16Cats*mix16PerCat*dim)
+	for cat := 0; cat < mix16Cats; cat++ {
+		center := make([]float64, dim)
+		for d := range center {
+			center[d] = rng.NormFloat64() * 5
+		}
+		for i := 0; i < mix16PerCat; i++ {
+			for d := 0; d < dim; d++ {
+				data = append(data, center[d]+rng.NormFloat64())
+			}
+		}
+	}
+	store, err := index.NewStoreFlat(data, dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return store, rng
+}
+
 // BenchmarkKNN times the k-NN hot path itself on one worker and on
 // GOMAXPROCS: Euclidean queries over random collections on a dim ∈
 // {8, 32} × N ∈ {10k, 100k} grid, plus a cell shaped like the benchmark's
@@ -389,15 +433,7 @@ func BenchmarkKNN(b *testing.B) {
 	var cells []cell
 	for _, n := range []int{10000, 100000} {
 		for _, dim := range []int{8, 32} {
-			rng := rand.New(rand.NewSource(int64(31*n + dim)))
-			data := make([]float64, n*dim)
-			for i := range data {
-				data[i] = rng.NormFloat64() * 3
-			}
-			store, err := index.NewStoreFlat(data, dim)
-			if err != nil {
-				b.Fatal(err)
-			}
+			store, rng := gaussianStore(b, n, dim)
 			metrics := make([]distance.Metric, 16)
 			for i := range metrics {
 				c := make(linalg.Vector, dim)
@@ -410,28 +446,11 @@ func BenchmarkKNN(b *testing.B) {
 		}
 	}
 	{
-		const cats, perCat, dim = 1000, 64, 16
-		rng := rand.New(rand.NewSource(16))
-		data := make([]float64, 0, cats*perCat*dim)
-		for cat := 0; cat < cats; cat++ {
-			center := make([]float64, dim)
-			for d := range center {
-				center[d] = rng.NormFloat64() * 5
-			}
-			for i := 0; i < perCat; i++ {
-				for d := 0; d < dim; d++ {
-					data = append(data, center[d]+rng.NormFloat64())
-				}
-			}
-		}
-		store, err := index.NewStoreFlat(data, dim)
-		if err != nil {
-			b.Fatal(err)
-		}
+		store, rng := mix16Store(b)
 		metrics := make([]distance.Metric, 16)
 		for i := range metrics {
-			first := rng.Intn(cats) * perCat
-			pts := make([]cluster.Point, perCat)
+			first := rng.Intn(mix16Cats) * mix16PerCat
+			pts := make([]cluster.Point, mix16PerCat)
 			for j := range pts {
 				pts[j] = cluster.Point{ID: first + j, Vec: store.Vector(first + j), Score: 1}
 			}
@@ -460,6 +479,87 @@ func BenchmarkKNN(b *testing.B) {
 				b.ReportMetric(float64(total.DistanceEvals)/float64(b.N), "exact-evals")
 				b.ReportMetric(float64(total.Swept)/float64(b.N), "swept")
 			})
+		}
+	}
+}
+
+// BenchmarkANN is what the ANN backend has earned (ROADMAP item 12, the
+// ledger row in EXPERIMENTS.md): ann.Index.KNNEf at beam widths 100 and
+// 512 beside the exact tree on one worker, k = 100, on BenchmarkKNN's
+// dim16/n64k and dim32/n100000 stores, under the three metrics a session
+// searches with — the Euclidean example query, the Eq. 5 aggregate over
+// one cluster of 20 marks, and over two such clusters from two categories.
+// A cluster's marks are the 20 nearest stored neighbours of a stored
+// vector, which is what marking the first page gives (on dim16/n64k they
+// share its 64-point category). Each graph cell reports recall@100
+// against the tree's page: the graph is built under Euclidean distance,
+// so the one-cluster cell, whose k = 100 reaches past the category into a
+// Mahalanobis tail, is the one it does not answer.
+func BenchmarkANN(b *testing.B) {
+	const k, queries, marks = 100, 16, 20
+	mix16, mixRng := mix16Store(b)
+	dim32, dimRng := gaussianStore(b, 100000, 32)
+	for _, c := range []struct {
+		name  string
+		store *index.Store
+		rng   *rand.Rand
+	}{{"dim16/n64k", mix16, mixRng}, {"dim32/n100000", dim32, dimRng}} {
+		tree := index.NewHybridTree(c.store, index.TreeOptions{Parallelism: 1})
+		graph, err := ann.New(c.store, ann.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		marked := func(seed int) *cluster.Cluster {
+			page, _ := tree.KNN(&distance.Euclidean{Center: c.store.Vector(seed)}, marks)
+			pts := make([]cluster.Point, len(page))
+			for i, r := range page {
+				pts[i] = cluster.Point{ID: r.ID, Vec: c.store.Vector(r.ID), Score: 1}
+			}
+			return cluster.FromPoints(pts)
+		}
+		families := [3]string{"euclid", "one-cluster", "two-clusters"}
+		var byFamily [3][]distance.Metric
+		for q := 0; q < queries; q++ {
+			// Two seeds at least one category apart on the clustered store.
+			seed := c.rng.Intn(c.store.Len() / 2)
+			c1, c2 := marked(seed), marked(seed+c.store.Len()/2)
+			byFamily[0] = append(byFamily[0], &distance.Euclidean{Center: c.store.Vector(seed)})
+			byFamily[1] = append(byFamily[1], distance.FromClusters([]*cluster.Cluster{c1}, cluster.FullInverse))
+			byFamily[2] = append(byFamily[2], distance.FromClusters([]*cluster.Cluster{c1, c2}, cluster.FullInverse))
+		}
+		for f, family := range families {
+			metrics := byFamily[f]
+			exact := make([]map[int]bool, len(metrics))
+			for i, m := range metrics {
+				page, _ := tree.KNN(m, k)
+				exact[i] = make(map[int]bool, len(page))
+				for _, r := range page {
+					exact[i][r.ID] = true
+				}
+			}
+			b.Run(c.name+"/"+family+"/exact", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tree.KNN(metrics[i%len(metrics)], k)
+				}
+			})
+			for _, ef := range []int{100, 512} {
+				b.Run(fmt.Sprintf("%s/%s/ef%d", c.name, family, ef), func(b *testing.B) {
+					hits := 0
+					for i, m := range metrics {
+						page, _, _ := graph.KNNEf(context.Background(), m, k, ef)
+						for _, r := range page {
+							if exact[i][r.ID] {
+								hits++
+							}
+						}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						graph.KNNEf(context.Background(), metrics[i%len(metrics)], k, ef)
+					}
+					b.ReportMetric(float64(hits)/float64(k*len(metrics)), "recall@100")
+				})
+			}
 		}
 	}
 }

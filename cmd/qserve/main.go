@@ -65,15 +65,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	qcluster "repro"
 	"repro/internal/dataset"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -122,21 +119,12 @@ func main() {
 		traceLog    = flag.String("trace-log", "", "span export destination: a JSON-lines file path, or '-' for stderr (implied stderr when -trace-sample > 0)")
 		slowThresh  = flag.Duration("slow-threshold", 0, "request latency that counts as a slow query (0 = 250ms default, negative records every request)")
 		slowLogSize = flag.Int("slowlog", 0, "slow-query ring entries served at /debug/slow (0 = 64 default, negative disables)")
-
-		// Crash testing: SIGKILL this process when a named faultinject
-		// point fires (optionally the Nth firing), so an external harness
-		// can verify warm restart at exact durability boundaries.
-		crash   = flag.String("crash", "", "SIGKILL at this faultinject point (e.g. wal.post-fsync); crash testing only")
-		crashAt = flag.Int("crash-at", 1, "fire -crash on the Nth hit of the point")
 	)
 	flag.Parse()
 
 	if err := qcluster.IndexBackend(*backend).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *crash != "" {
-		armCrash(*crash, *crashAt)
 	}
 
 	indexOpt := qcluster.IndexOptions{
@@ -318,23 +306,6 @@ func (s *traceSink) Emit(e obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, _ = s.w.Write(append(blob, '\n'))
-}
-
-// armCrash installs a faultinject hook that SIGKILLs the process on the
-// n-th firing of point — no deferred functions, no flushes, exactly the
-// kill-9 the durability design must survive.
-func armCrash(point string, n int) {
-	if n < 1 {
-		n = 1
-	}
-	var hits atomic.Int64
-	faultinject.Set(point, func() {
-		if hits.Add(1) == int64(n) {
-			fmt.Fprintf(os.Stderr, "crash point %s hit %s: SIGKILL\n", point, strconv.Itoa(n))
-			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			select {} // unreachable: SIGKILL is not catchable
-		}
-	})
 }
 
 // loadVectors reads a qgen snapshot (serving its color-moment feature

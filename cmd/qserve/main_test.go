@@ -66,9 +66,9 @@ func TestSIGTERMRightAfterBootDrains(t *testing.T) {
 	}
 }
 
-// TestRemovedBackendAndFlagsExitBeforeLoading: -backend vafile and -plan
-// no longer exist; both must fail before any collection is loaded or any
-// data directory is created, and the backend error must name tree.
+// TestRemovedBackendAndFlagsExitBeforeLoading: -backend vafile, -plan and
+// -crash no longer exist; each must fail before any collection is loaded
+// or any data directory is created, and the backend error must name tree.
 func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -77,6 +77,7 @@ func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
 		{[]string{"-backend", "vafile"}, "tree is the exact backend"},
 		{[]string{"-backend", "nope"}, "unknown index backend"},
 		{[]string{"-plan"}, "flag provided but not defined: -plan"},
+		{[]string{"-crash", "wal.post-fsync"}, "flag provided but not defined: -crash"},
 	} {
 		data := t.TempDir() + "/data"
 		cmd := exec.Command(os.Args[0], append(tc.args, "-addr", "127.0.0.1:0", "-data", data,

@@ -55,9 +55,9 @@ type IndexOptions struct {
 	// tree traversal itself, and the scan of a small collection (below
 	// 8192 items), are sequential regardless.
 	SearchParallelism int
-	// Backend selects the k-NN execution path: BackendTree (default,
-	// exact) or BackendANN (approximate graph navigation + exact
-	// refinement).
+	// Backend selects the k-NN execution path, fixed for the database's
+	// lifetime: BackendTree (default, exact) or BackendANN (graph
+	// navigation + exact refinement, recall below 1).
 	Backend IndexBackend
 	// ANN tunes the BackendANN graph (ignored by the other backends).
 	ANN ANNOptions
@@ -258,11 +258,7 @@ type searchRequest struct {
 	query   *Query
 	example linalg.Vector
 	k       int
-	// approx demands the ANN backend (ErrBackendUnavailable otherwise)
-	// with beam width ef (0 = the index default).
-	approx bool
-	ef     int
-	bound  *index.SharedBound // cross-shard k-th-best bound (tree backend only)
+	bound   *index.SharedBound // cross-shard k-th-best bound (tree backend only)
 	// leg marks one shard's leg of a scatter-gather query: the gather
 	// attributes the request's search stage and per-shard work itself,
 	// and merges whatever the legs of an interrupted query had found.
@@ -270,9 +266,9 @@ type searchRequest struct {
 }
 
 // execute is the one pipeline every retrieval on this database runs
-// through: panic barrier, cancellation check, backend check, metric
-// resolution, timed dispatch, metrics, cost profile and the
-// partial-results error — each exactly once.
+// through: panic barrier, cancellation check, metric resolution, timed
+// dispatch, metrics, cost profile and the partial-results error — each
+// exactly once.
 func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result, stats index.SearchStats, err error) {
 	defer db.trapSearch(req.op, &err)
 	if cerr := ctx.Err(); cerr != nil {
@@ -280,9 +276,6 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 			return nil, stats, wrapInterrupt(cerr, 0)
 		}
 		return nil, stats, fmt.Errorf("qcluster: search not started: %w", cerr)
-	}
-	if req.approx && db.backend != BackendANN {
-		return nil, stats, fmt.Errorf("qcluster: backend is %q: %w", string(db.backend), ErrBackendUnavailable)
 	}
 	// A caller that built the metric itself (a session) counts its
 	// degradation itself; health stays zero here.
@@ -297,7 +290,7 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 	elapsed := time.Since(start)
 	db.met.observeSearch(elapsed, req.k, len(raw), stats, health.Degraded(), cerr != nil)
 	if !req.leg {
-		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats.Cost())
+		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats)
 	}
 	res := make([]Result, len(raw))
 	for i, r := range raw {
@@ -391,25 +384,16 @@ type SessionSearcher interface {
 	// Registry is the backend registry the session counts its feedback
 	// rounds, degraded metrics and dimension mismatches on.
 	Registry() *Registry
-	// SearchMetric answers one retrieval under m: exact, or — with
-	// approx — on the ANN backend at beam width efSearch. An interrupted
-	// search returns best-effort results with ErrPartialResults. Safe for
-	// concurrent use.
-	SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error)
+	// SearchMetric answers one retrieval under m on the backend the
+	// collection was built with. An interrupted search returns
+	// best-effort results with ErrPartialResults. Safe for concurrent use.
+	SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, error)
 }
 
 // SearchMetric makes *Database a SessionSearcher: one session round under
 // the metric the session built.
-func (db *Database) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]Result, index.SearchStats, error) {
-	return db.execute(ctx, searchRequest{op: sessionOp(approx), metric: m, k: k, approx: approx, ef: efSearch})
-}
-
-// sessionOp names the session entry point a retrieval came through.
-func sessionOp(approx bool) string {
-	if approx {
-		return "ResultsApproxContext"
-	}
-	return "ResultsContext"
+func (db *Database) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, error) {
+	return db.execute(ctx, searchRequest{op: "ResultsContext", metric: m, k: k})
 }
 
 // Session is the end-to-end feedback loop over one collection: retrieve,
@@ -463,37 +447,21 @@ func (s *Session) Results(k int) []Result {
 // ResultsContext is Results with cooperative cancellation (see
 // SearchByExampleContext for the context semantics).
 func (s *Session) ResultsContext(ctx context.Context, k int) ([]Result, error) {
-	return s.retrieve(ctx, k, false, 0)
-}
-
-// ResultsApprox is the session's approximate retrieval: the current
-// query (refined multipoint after feedback, the plain example before)
-// answered by the ANN backend with an explicit efSearch override (0 =
-// index default). See ResultsApproxContext.
-func (s *Session) ResultsApprox(k, efSearch int) []Result {
-	res, _ := s.ResultsApproxContext(context.Background(), k, efSearch)
-	return res
-}
-
-// ResultsApproxContext is ResultsApprox with cooperative cancellation.
-// Like SearchApproxContext it requires IndexOptions.Backend "ann" and
-// returns ErrBackendUnavailable on any other backend — the same
-// contract on every path (root, session, sharded).
-func (s *Session) ResultsApproxContext(ctx context.Context, k, efSearch int) ([]Result, error) {
-	return s.retrieve(ctx, k, true, efSearch)
+	return s.retrieve(ctx, k)
 }
 
 // retrieve is the session's one retrieval: resolve the current metric,
 // search where the session searches, record. Searches that never ran
-// (cancelled up front, wrong backend, trapped panic) are not counted.
-func (s *Session) retrieve(ctx context.Context, k int, approx bool, efSearch int) (_ []Result, err error) {
-	defer barrier(sessionOp(approx), &err)
+// (cancelled up front, trapped panic) are not counted.
+func (s *Session) retrieve(ctx context.Context, k int) (_ []Result, err error) {
+	defer barrier("ResultsContext", &err)
 	m, health, err := resolveMetric(s.query, s.example, s.dim, &s.met.backend)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, stats, err := s.on.SearchMetric(ctx, m, k, approx, efSearch)
+	res, stats, err := s.on.SearchMetric(ctx, m, k)
+	elapsed := time.Since(start) // before s.mu: another retrieval's lock hold is not this one's latency
 	partial := errors.Is(err, ErrPartialResults)
 	if err != nil && !partial {
 		return nil, err
@@ -501,7 +469,6 @@ func (s *Session) retrieve(ctx context.Context, k int, approx bool, efSearch int
 	s.mu.Lock()
 	s.lastStats = stats
 	s.mu.Unlock()
-	elapsed := time.Since(start)
 	s.met.observeRetrieval(elapsed, stats, health.Degraded(), partial)
 	if s.sink != nil {
 		obs.EmitEvent(s.sink, "search.done",

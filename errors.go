@@ -48,12 +48,6 @@ var ErrReadOnly = errors.New("database is read-only (durability degraded)")
 // core sentinel so the public and internal views cannot drift.
 var ErrCorruptSnapshot = core.ErrCorruptSnapshot
 
-// ErrBackendUnavailable is returned by SearchApprox/SearchApproxContext
-// when the database was not built with IndexOptions.Backend "ann" — the
-// approximate path needs the graph index, which only that backend
-// constructs.
-var ErrBackendUnavailable = errors.New("search backend unavailable")
-
 // ErrCorruptLog tags write-ahead-log damage that cannot be a torn tail
 // (a checksum failure followed by intact records): truncating there
 // would silently drop acknowledged writes, so OpenDatabase refuses to

@@ -2,9 +2,7 @@
 // store: linear scan and the hybrid-tree-style index (the structure the
 // paper indexes its features with). Both answer single-point and
 // disjunctive multipoint queries exactly; they differ in how much work
-// each query costs. The demo also shows a range query —
-// "everything within radius r" — which is how Example 3's ground truth
-// is defined.
+// each query costs.
 //
 //	go run ./examples/indexing
 package main
@@ -81,20 +79,6 @@ func main() {
 				sc.name, elapsed.Round(time.Microsecond), stats.DistanceEvals, n, agree)
 		}
 		fmt.Println()
-	}
-
-	// Range query: everything within 1.0 of the center.
-	fmt.Println("range query (Euclidean² <= 1.0):")
-	for _, rs := range []struct {
-		name string
-		r    index.RangeSearcher
-	}{
-		{"linear scan", scan}, {"hybrid tree", tree},
-	} {
-		start := time.Now()
-		res, stats := rs.r.Range(&distance.Euclidean{Center: center}, 1.0)
-		fmt.Printf("  %-12s %8v  %d results, %d exact evals\n",
-			rs.name, time.Since(start).Round(time.Microsecond), len(res), stats.DistanceEvals)
 	}
 }
 

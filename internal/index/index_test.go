@@ -238,29 +238,3 @@ func TestNewStoreRejectsNonFinite(t *testing.T) {
 		t.Error("Inf component must be rejected")
 	}
 }
-
-func TestHybridTreeRangeMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(205))
-	s := randStore(rng, 5000, 3)
-	tree := NewHybridTree(s, TreeOptions{})
-	scan := NewLinearScan(s)
-	m := &distance.Euclidean{Center: linalg.Vector{1, 1, 1}}
-
-	want, _ := scan.Range(m, 2.0)
-	got, stats := tree.Range(m, 2.0)
-	if len(got) != len(want) {
-		t.Fatalf("range sizes: tree %d scan %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("range result %d differs", i)
-		}
-	}
-	if stats.DistanceEvals >= s.Len() {
-		t.Error("tree range did not prune")
-	}
-	// Empty result for an impossible radius.
-	if empty, _ := tree.Range(m, -1); len(empty) != 0 {
-		t.Error("negative radius must return nothing")
-	}
-}

@@ -103,100 +103,9 @@ type Result struct {
 }
 
 // SearchStats records the work a search performed, the cost measures the
-// execution-cost experiments report. A swept search (Swept) reports the
-// whole store as visited: LeavesVisited = LeavesTotal, so PruneRatio
-// reads 0, and DistanceEvals is the probe phase's evaluations plus one
-// per stored vector, summed over the sweep's workers.
-type SearchStats struct {
-	NodesVisited  int // internal + leaf nodes expanded
-	LeavesVisited int
-	DistanceEvals int
-	// LeavesTotal is the number of leaves in the index at search time;
-	// LeavesTotal - LeavesVisited is the pruned count (see PruneRatio).
-	// 0 for searchers without a leaf structure (LinearScan).
-	LeavesTotal int
-	// CacheSeedLeaves counts leaves evaluated from the refinement
-	// searcher's cross-iteration cache before the traversal started —
-	// the cache hits of the multipoint refinement approach.
-	CacheSeedLeaves int
-	// Workers is the number of goroutines that evaluated candidates: 1
-	// unless the search swept a store large enough to share out.
-	Workers int
-	// Swept counts tree searches that found the tree not pruning and
-	// finished as a sweep of the store in storage order (0 or 1 for one
-	// search; Add sums the legs of a sharded one).
-	Swept int
-	// BatchedEvals counts the distance evaluations that went through the
-	// bound-aware batch kernels — a subset of DistanceEvals; 0 when the
-	// metric does not implement distance.BatchMetric.
-	BatchedEvals int
-	// AbandonedEvals counts batched evaluations the kernel cut short
-	// because the partial accumulation provably exceeded the pruning
-	// bound. Each still counts in DistanceEvals (it is work the search
-	// asked for), so AbandonedEvals/BatchedEvals is the fraction of
-	// candidate evaluations the kernels did not pay in full.
-	AbandonedEvals int
-	// GraphHops counts ANN graph nodes expanded during navigation
-	// (greedy descent + layer-0 beam). 0 on the exact backends.
-	GraphHops int
-	// RefineEvals counts full-precision exact re-evaluations of ANN
-	// candidates — a subset of DistanceEvals. 0 on the exact backends.
-	RefineEvals int
-}
-
-// Add accumulates other into s: work counters sum; Workers keeps the
-// maximum (it describes a configuration, not work done).
-func (s *SearchStats) Add(other SearchStats) {
-	s.NodesVisited += other.NodesVisited
-	s.LeavesVisited += other.LeavesVisited
-	s.DistanceEvals += other.DistanceEvals
-	s.LeavesTotal += other.LeavesTotal
-	s.CacheSeedLeaves += other.CacheSeedLeaves
-	s.Swept += other.Swept
-	s.BatchedEvals += other.BatchedEvals
-	s.AbandonedEvals += other.AbandonedEvals
-	s.GraphHops += other.GraphHops
-	s.RefineEvals += other.RefineEvals
-	if other.Workers > s.Workers {
-		s.Workers = other.Workers
-	}
-}
-
-// LeavesPruned counts the index leaves the search never touched:
-// LeavesTotal - LeavesVisited, or 0 when no leaf structure exists.
-func (s SearchStats) LeavesPruned() int {
-	if s.LeavesVisited >= s.LeavesTotal {
-		return 0
-	}
-	return s.LeavesTotal - s.LeavesVisited
-}
-
-// PruneRatio is the fraction of index leaves the search never touched:
-// 1 - LeavesVisited/LeavesTotal, or 0 when no leaf structure exists.
-// Accumulated stats yield the visit-weighted aggregate ratio.
-func (s SearchStats) PruneRatio() float64 {
-	if s.LeavesTotal <= 0 || s.LeavesVisited >= s.LeavesTotal {
-		return 0
-	}
-	return 1 - float64(s.LeavesVisited)/float64(s.LeavesTotal)
-}
-
-// Cost is the one derivation of the obs layer's dependency-free
-// CostStats from a search's statistics — what request cost profiles,
-// per-shard legs and /debug/slow report.
-func (s SearchStats) Cost() obs.CostStats {
-	return obs.CostStats{
-		NodesVisited:   s.NodesVisited,
-		LeavesVisited:  s.LeavesVisited,
-		LeavesTotal:    s.LeavesTotal,
-		DistanceEvals:  s.DistanceEvals,
-		Swept:          s.Swept,
-		BatchedEvals:   s.BatchedEvals,
-		AbandonedEvals: s.AbandonedEvals,
-		GraphHops:      s.GraphHops,
-		RefineEvals:    s.RefineEvals,
-	}
-}
+// execution-cost experiments report. The struct is declared once, in
+// obs, where cost profiles and /debug/slow carry it unconverted.
+type SearchStats = obs.SearchStats
 
 // Searcher answers k-NN queries for a metric.
 type Searcher interface {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,17 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 	if swept == 0 || stayed == 0 {
 		t.Fatalf("generator covered one regime only: %d swept, %d stayed in the tree", swept, stayed)
 	}
+}
+
+// sortResults orders a merged page the way every searcher does: by
+// (Dist, ID).
+func sortResults(rs []Result) {
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Dist != rs[j].Dist {
+			return rs[i].Dist < rs[j].Dist
+		}
+		return rs[i].ID < rs[j].ID
+	})
 }
 
 // splitStore deals s's vectors alternately into two stores, each under

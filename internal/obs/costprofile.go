@@ -57,28 +57,55 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// CostStats is the index work of one request — the dependency-free
-// mirror of the index layer's SearchStats, aggregated across shards.
-type CostStats struct {
-	NodesVisited   int `json:"nodes_visited"`
-	LeavesVisited  int `json:"leaves_visited"`
-	LeavesTotal    int `json:"leaves_total"`
-	DistanceEvals  int `json:"distance_evals"`
-	BatchedEvals   int `json:"batched_evals"`
+// SearchStats records the work a search performed — the one declaration
+// of the counters every layer reports: the index fills it, a shard gather
+// sums its legs with Add, and request cost profiles, span ends and
+// /debug/slow carry it as is. A swept search (Swept) reports the whole
+// store as visited: LeavesVisited = LeavesTotal, so PruneRatio reads 0,
+// and DistanceEvals is the probe phase's evaluations plus one per stored
+// vector, summed over the sweep's workers.
+type SearchStats struct {
+	NodesVisited  int `json:"nodes_visited"` // internal + leaf nodes expanded
+	LeavesVisited int `json:"leaves_visited"`
+	// LeavesTotal is the number of leaves in the index at search time;
+	// LeavesTotal - LeavesVisited is the pruned count (see PruneRatio).
+	// 0 for searchers without a leaf structure (LinearScan).
+	LeavesTotal   int `json:"leaves_total"`
+	DistanceEvals int `json:"distance_evals"`
+	// BatchedEvals counts the distance evaluations that went through the
+	// bound-aware batch kernels — a subset of DistanceEvals; 0 when the
+	// metric does not implement distance.BatchMetric.
+	BatchedEvals int `json:"batched_evals"`
+	// AbandonedEvals counts batched evaluations the kernel cut short
+	// because the partial accumulation provably exceeded the pruning
+	// bound. Each still counts in DistanceEvals (it is work the search
+	// asked for), so AbandonedEvals/BatchedEvals is the fraction of
+	// candidate evaluations the kernels did not pay in full.
 	AbandonedEvals int `json:"abandoned_evals"`
-	// Swept counts tree searches (one per shard leg) that finished as a
-	// sweep of the store: the tree was not pruning, so LeavesVisited is
-	// LeavesTotal by construction and PruneRatio reads 0.
+	// Swept counts tree searches that found the tree not pruning and
+	// finished as a sweep of the store in storage order (0 or 1 for one
+	// search; Add sums the legs of a sharded one).
 	Swept int `json:"swept,omitempty"`
-	// GraphHops/RefineEvals describe the ANN backend's work: graph
-	// nodes expanded during navigation and candidates exactly re-scored
-	// with the full-precision metric. 0 on the exact backends.
-	GraphHops   int `json:"graph_hops,omitempty"`
+	// GraphHops counts ANN graph nodes expanded during navigation
+	// (greedy descent + layer-0 beam). 0 on the exact backends.
+	GraphHops int `json:"graph_hops,omitempty"`
+	// RefineEvals counts full-precision exact re-evaluations of ANN
+	// candidates — a subset of DistanceEvals. 0 on the exact backends.
 	RefineEvals int `json:"refine_evals,omitempty"`
+	// Workers is the number of goroutines that evaluated candidates: 1
+	// unless the search swept a store large enough to share out. Like
+	// CacheSeedLeaves it is read in process (Session.Stats, benchmarks)
+	// and is no /debug/slow key.
+	Workers int `json:"-"`
+	// CacheSeedLeaves counts leaves evaluated from the refinement
+	// searcher's cross-iteration cache before the traversal started —
+	// the cache hits of the multipoint refinement approach.
+	CacheSeedLeaves int `json:"-"`
 }
 
-// Add accumulates other into s.
-func (s *CostStats) Add(other CostStats) {
+// Add accumulates other into s: work counters sum; Workers keeps the
+// maximum (it describes a configuration, not work done).
+func (s *SearchStats) Add(other SearchStats) {
 	s.NodesVisited += other.NodesVisited
 	s.LeavesVisited += other.LeavesVisited
 	s.LeavesTotal += other.LeavesTotal
@@ -88,23 +115,29 @@ func (s *CostStats) Add(other CostStats) {
 	s.Swept += other.Swept
 	s.GraphHops += other.GraphHops
 	s.RefineEvals += other.RefineEvals
+	s.CacheSeedLeaves += other.CacheSeedLeaves
+	if other.Workers > s.Workers {
+		s.Workers = other.Workers
+	}
 }
 
-// PruneRatio is the fraction of index leaves the search never touched.
-func (s CostStats) PruneRatio() float64 {
+// LeavesPruned counts the index leaves the search never touched:
+// LeavesTotal - LeavesVisited, or 0 when no leaf structure exists.
+func (s SearchStats) LeavesPruned() int {
+	if s.LeavesVisited >= s.LeavesTotal {
+		return 0
+	}
+	return s.LeavesTotal - s.LeavesVisited
+}
+
+// PruneRatio is the fraction of index leaves the search never touched:
+// 1 - LeavesVisited/LeavesTotal, or 0 when no leaf structure exists.
+// Accumulated stats yield the visit-weighted aggregate ratio.
+func (s SearchStats) PruneRatio() float64 {
 	if s.LeavesTotal <= 0 || s.LeavesVisited >= s.LeavesTotal {
 		return 0
 	}
 	return 1 - float64(s.LeavesVisited)/float64(s.LeavesTotal)
-}
-
-// AbandonRate is the fraction of batched evaluations cut short by the
-// bound (0 when no batched kernels ran).
-func (s CostStats) AbandonRate() float64 {
-	if s.BatchedEvals <= 0 {
-		return 0
-	}
-	return float64(s.AbandonedEvals) / float64(s.BatchedEvals)
 }
 
 // ShardCost is one shard's contribution to a scatter-gather request:
@@ -113,7 +146,7 @@ type ShardCost struct {
 	Shard    int           `json:"shard"`
 	Span     SpanID        `json:"-"`
 	Duration time.Duration `json:"-"`
-	Stats    CostStats     `json:"stats"`
+	Stats    SearchStats   `json:"stats"`
 }
 
 // stageRecord is one timed stage: when it started and how long it ran.
@@ -153,7 +186,7 @@ type CostProfile struct {
 	// BytesIn/BytesOut are the request/response body sizes.
 	BytesIn, BytesOut int64
 	// Stats is the aggregate index work across all shards.
-	Stats CostStats
+	Stats SearchStats
 
 	stages [numStages]stageRecord
 	shards []ShardCost
@@ -195,7 +228,7 @@ func (p *CostProfile) StageDuration(s Stage) time.Duration {
 // AddSearch records index work and its wall-clock under the search
 // stage — the single-database path's equivalent of the shard layer's
 // AddShard+merge accounting.
-func (p *CostProfile) AddSearch(start time.Time, d time.Duration, stats CostStats) {
+func (p *CostProfile) AddSearch(start time.Time, d time.Duration, stats SearchStats) {
 	if p == nil {
 		return
 	}
@@ -205,7 +238,7 @@ func (p *CostProfile) AddSearch(start time.Time, d time.Duration, stats CostStat
 
 // AddShard records one shard's scatter-gather leg as a child span of
 // the search stage, reusing the recycled profile's slice capacity.
-func (p *CostProfile) AddShard(shard int, start time.Time, d time.Duration, stats CostStats) {
+func (p *CostProfile) AddShard(shard int, start time.Time, d time.Duration, stats SearchStats) {
 	if p == nil {
 		return
 	}

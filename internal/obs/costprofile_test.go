@@ -85,7 +85,7 @@ func TestTracerTailKeepsSlowRequests(t *testing.T) {
 	p := tr.Start("search", "", start)
 	p.Status = 200
 	p.K = 7
-	p.AddSearch(start, 40*time.Millisecond, CostStats{LeavesVisited: 3, LeavesTotal: 12})
+	p.AddSearch(start, 40*time.Millisecond, SearchStats{LeavesVisited: 3, LeavesTotal: 12})
 	tr.Finish(p, start.Add(50*time.Millisecond)) // past the threshold
 
 	if len(rootStarts(sink.Events())) != 1 {
@@ -128,8 +128,8 @@ func TestTracerExportsStageAndShardChildren(t *testing.T) {
 	p.StageAt(StageQueue, start, time.Millisecond)
 	p.StageAt(StageSearch, start, 8*time.Millisecond)
 	p.StageAt(StageMerge, start.Add(8*time.Millisecond), time.Millisecond)
-	p.AddShard(0, start, 3*time.Millisecond, CostStats{LeavesVisited: 1, LeavesTotal: 2, DistanceEvals: 10})
-	p.AddShard(1, start, 5*time.Millisecond, CostStats{LeavesVisited: 2, LeavesTotal: 2, DistanceEvals: 20})
+	p.AddShard(0, start, 3*time.Millisecond, SearchStats{LeavesVisited: 1, LeavesTotal: 2, DistanceEvals: 10})
+	p.AddShard(1, start, 5*time.Millisecond, SearchStats{LeavesVisited: 2, LeavesTotal: 2, DistanceEvals: 20})
 	rootSpan := p.Ctx.SpanID.String()
 	traceID := p.Ctx.TraceID.String()
 	tr.Finish(p, start.Add(10*time.Millisecond))
@@ -183,8 +183,8 @@ func TestProfileStageAccumulates(t *testing.T) {
 	// Nil-safety: every method must be a no-op on a nil profile.
 	var nilP *CostProfile
 	nilP.StageAt(StageQueue, t0, time.Millisecond)
-	nilP.AddSearch(t0, time.Millisecond, CostStats{})
-	nilP.AddShard(0, t0, time.Millisecond, CostStats{})
+	nilP.AddSearch(t0, time.Millisecond, SearchStats{})
+	nilP.AddShard(0, t0, time.Millisecond, SearchStats{})
 	if nilP.StageDuration(StageQueue) != 0 || nilP.Sampled() || nilP.Shards() != nil {
 		t.Fatal("nil profile methods must no-op")
 	}
@@ -205,7 +205,7 @@ func TestUnsampledPathZeroAllocs(t *testing.T) {
 	remote := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
 	header := remote.Traceparent()
 	start := time.Now()
-	stats := CostStats{LeavesVisited: 4, LeavesTotal: 16, DistanceEvals: 128}
+	stats := SearchStats{LeavesVisited: 4, LeavesTotal: 16, DistanceEvals: 128}
 
 	allocs := testing.AllocsPerRun(200, func() {
 		p := tr.Start("search", header, start)

@@ -37,17 +37,17 @@ type SlowEntry struct {
 	Sampled    bool      `json:"sampled"`
 	// StageMS maps stage name → milliseconds for stages that ran.
 	StageMS    map[string]float64 `json:"stage_ms,omitempty"`
-	Stats      CostStats          `json:"stats"`
+	Stats      SearchStats        `json:"stats"`
 	PruneRatio float64            `json:"prune_ratio"`
 	Shards     []SlowShard        `json:"shards,omitempty"`
 }
 
 // SlowShard is one shard's leg of a slow request.
 type SlowShard struct {
-	Shard      int       `json:"shard"`
-	DurationMS float64   `json:"duration_ms"`
-	Stats      CostStats `json:"stats"`
-	PruneRatio float64   `json:"prune_ratio"`
+	Shard      int         `json:"shard"`
+	DurationMS float64     `json:"duration_ms"`
+	Stats      SearchStats `json:"stats"`
+	PruneRatio float64     `json:"prune_ratio"`
 }
 
 // NewSlowLog builds a ring holding the size most recent slow requests

@@ -8,10 +8,10 @@ import (
 	"repro/internal/shard"
 )
 
-// Backend is the retrieval engine behind the HTTP layer: one unsharded
-// database or a sharded set, behind the same searcher surface. The
-// refactor point for future backends (replicas, ANN indexes):
-// the handlers only ever talk to this interface.
+// Backend is the retrieval engine behind the HTTP layer: the two
+// collection shapes bench/ and qserve serve, one unsharded database
+// (New) or a sharded set (NewSharded). The set is closed: an ANN index
+// is an IndexOptions.Backend of either shape, not a third one.
 type Backend interface {
 	Len() int
 	Dim() int

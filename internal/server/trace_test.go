@@ -498,3 +498,82 @@ func TestSlowLogEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchWorkReachesEverySurface fails if a work counter is lost
+// between the index that counts it and a place it is read — there is one
+// SearchStats struct, and a field dropped from it (or from the span's
+// field list) goes missing here: the graph counters of an ANN-built
+// collection in the root span's end event and in Session.Stats, and a
+// swept tree search's counters under /debug/slow's keys.
+func TestSearchWorkReachesEverySurface(t *testing.T) {
+	vectors, _ := mixture(11, 6, 30, 5)
+	annDB, err := qcluster.NewDatabaseWithOptions(vectors, qcluster.IndexOptions{
+		Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: 16, Seed: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &qcluster.MemorySink{}
+	s := startServer(t, annDB, Options{TraceSink: sink, TraceSampleRate: 1})
+	if st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: vectors[0], K: 5}, nil); st != 200 {
+		t.Fatalf("ann search = %d %s", st, raw)
+	}
+	ends := 0
+	for _, e := range sink.Events() {
+		if e.Span != "request.search" || e.Name != "end" {
+			continue
+		}
+		ends++
+		for _, key := range []string{"graph_hops", "refine_evals"} {
+			if n, _ := e.Field(key).(int); n <= 0 {
+				t.Errorf("root span end: %s = %v, want > 0 on an ANN search", key, e.Field(key))
+			}
+		}
+	}
+	if ends != 1 {
+		t.Fatalf("%d root end events for one search", ends)
+	}
+	sess := annDB.NewSession(vectors[0], qcluster.Options{})
+	if res := sess.Results(5); len(res) != 5 {
+		t.Fatalf("ann session returned %d results", len(res))
+	}
+	if last := sess.Stats().LastSearch; last.GraphHops <= 0 || last.RefineEvals <= 0 {
+		t.Errorf("Session.Stats().LastSearch lost the graph work: %+v", last)
+	}
+
+	// 12-d Gaussian noise: the tree cannot prune it, so the search sweeps.
+	noise, _ := mixture(14, 1, 4000, 12)
+	treeDB, err := qcluster.NewDatabase(noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, treeDB, Options{SlowThreshold: -time.Nanosecond, SlowLogSize: 4})
+	if st, raw := call(t, ts, "POST", "/v1/search", searchRequest{Vector: noise[0], K: 25}, nil); st != 200 {
+		t.Fatalf("tree search = %d %s", st, raw)
+	}
+	ops, err := ts.ServeOps("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ops.Close()
+	resp, err := http.Get("http://" + ops.Addr() + "/debug/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Slow []struct {
+			Stats map[string]int `json:"stats"`
+		} `json:"slow"`
+	}
+	if err := jsonDecode(resp.Body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Slow) != 1 {
+		t.Fatalf("/debug/slow has %d entries for one search", len(doc.Slow))
+	}
+	for _, key := range []string{"swept", "batched_evals", "abandoned_evals"} {
+		if doc.Slow[0].Stats[key] <= 0 {
+			t.Errorf("/debug/slow stats[%q] = %d, want > 0 on a swept search: %v", key, doc.Slow[0].Stats[key], doc.Slow[0].Stats)
+		}
+	}
+}

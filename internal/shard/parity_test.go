@@ -19,7 +19,7 @@ import (
 // database or a shard set, on one backend.
 type parityColumn struct {
 	name       string
-	approx     bool // ann columns retrieve through ResultsApproxContext
+	ann        bool // built with BackendANN
 	shards     int  // 0 for the database
 	newSession func(example []float64, opt qcluster.Options) *qcluster.Session
 	search     func(ctx context.Context, example []float64, k int) ([]qcluster.Result, error)
@@ -45,7 +45,7 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 			t.Fatal(err)
 		}
 		cols = append(cols, parityColumn{
-			name: be.name + "/database", approx: be.name == "ann",
+			name: be.name + "/database", ann: be.name == "ann",
 			newSession: db.NewSession, search: db.SearchByExampleContext, add: db.AddBatchContext,
 			registry: db.Registry(), metrics: db.Metrics,
 		})
@@ -55,7 +55,7 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 				t.Fatal(err)
 			}
 			cols = append(cols, parityColumn{
-				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), approx: be.name == "ann", shards: shards,
+				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), ann: be.name == "ann", shards: shards,
 				newSession: set.NewSession, search: set.SearchByExampleContext, add: set.AddBatchContext,
 				registry: set.Registry(), metrics: set.Metrics,
 			})
@@ -97,15 +97,9 @@ func TestSessionParity(t *testing.T) {
 			// than dimensions, so the degraded-covariance path runs.
 			opt := qcluster.Options{Scheme: qcluster.FullInverse, Sink: sink}
 			sess := col.newSession(example, opt)
-			retrieve := func(ctx context.Context) ([]qcluster.Result, error) {
-				if col.approx {
-					return sess.ResultsApproxContext(ctx, k, ef)
-				}
-				return sess.ResultsContext(ctx, k)
-			}
 			out := &outcomes[c]
 			page := func(label string) []qcluster.Result {
-				res, err := retrieve(ctx)
+				res, err := sess.ResultsContext(ctx, k)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -162,7 +156,7 @@ func TestSessionParity(t *testing.T) {
 			// A pre-cancelled context: its error, not partial results.
 			done, cancel := context.WithCancel(ctx)
 			cancel()
-			if _, err := retrieve(done); !errors.Is(err, context.Canceled) || errors.Is(err, qcluster.ErrPartialResults) {
+			if _, err := sess.ResultsContext(done, k); !errors.Is(err, context.Canceled) || errors.Is(err, qcluster.ErrPartialResults) {
 				t.Fatalf("pre-cancelled: err = %v, want context.Canceled and not ErrPartialResults", err)
 			}
 
@@ -176,10 +170,10 @@ func TestSessionParity(t *testing.T) {
 					cancelMid()
 				}
 			})
-			_, err := retrieve(mid)
+			_, err := sess.ResultsContext(mid, k)
 			faultinject.Clear(faultinject.KNNPop)
 			cancelMid()
-			if col.approx {
+			if col.ann {
 				if err != nil {
 					t.Fatalf("ann retrieval under the tree hook: %v", err)
 				}
@@ -187,17 +181,10 @@ func TestSessionParity(t *testing.T) {
 				t.Fatalf("mid-search cancel: err = %v, want ErrPartialResults and context.Canceled", err)
 			}
 
-			// The approximate form over an exact backend.
-			if !col.approx {
-				if _, err := sess.ResultsApproxContext(ctx, k, 0); !errors.Is(err, qcluster.ErrBackendUnavailable) {
-					t.Fatalf("ResultsApproxContext on a tree: err = %v, want ErrBackendUnavailable", err)
-				}
-			}
-
-			// A singular full-inverse model: the searches that never run
-			// — cancelled up front, wrong backend — are degraded searches
-			// on neither the session nor the backend registry; the one
-			// that runs is one on both.
+			// A singular full-inverse model: a search that never runs —
+			// cancelled up front — is a degraded search on neither the
+			// session nor the backend registry; the one that runs is one
+			// on both.
 			faultinject.Set(faultinject.SingularCovariance, nil)
 			degraded := func() int64 {
 				n := sess.Stats().DegradedSearches
@@ -210,13 +197,8 @@ func TestSessionParity(t *testing.T) {
 			if _, err := sess.ResultsContext(done, k); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled, singular model: err = %v, want context.Canceled", err)
 			}
-			if !col.approx {
-				if _, err := sess.ResultsApproxContext(ctx, k, 0); !errors.Is(err, qcluster.ErrBackendUnavailable) {
-					t.Fatalf("ResultsApproxContext on a tree, singular model: err = %v, want ErrBackendUnavailable", err)
-				}
-			}
 			if got := degraded(); got != before {
-				t.Fatalf("searches that never ran moved the degraded count %d → %d", before, got)
+				t.Fatalf("a search that never ran moved the degraded count %d → %d", before, got)
 			}
 			page("singular model")
 			if got := degraded(); got != before+1 {
@@ -257,7 +239,7 @@ func TestSessionParity(t *testing.T) {
 		for p := range ref.pages {
 			sameResults(t, fmt.Sprintf("%s page %d vs %s", col.name, p, cols[0].name), ref.pages[p], got.pages[p])
 		}
-		if got.stats.Searches != ref.stats.Searches || got.stats.PartialSearches+boolInt(col.approx) != ref.stats.PartialSearches ||
+		if got.stats.Searches != ref.stats.Searches || got.stats.PartialSearches+boolInt(col.ann) != ref.stats.PartialSearches ||
 			got.stats.FeedbackRounds != ref.stats.FeedbackRounds || got.stats.FeedbackPoints != ref.stats.FeedbackPoints ||
 			got.stats.DegradedSearches != ref.stats.DegradedSearches || got.stats.QueryPoints != ref.stats.QueryPoints {
 			t.Errorf("%s: Stats %+v diverge from %s's %+v", col.name, got.stats, cols[0].name, ref.stats)
@@ -306,7 +288,7 @@ func TestSessionStateless(t *testing.T) {
 					}
 					retrievals++
 					work[i] = sess.Stats().LastSearch
-					if col.shards > 1 && !col.approx {
+					if col.shards > 1 && !col.ann {
 						// Tree legs prune against a bound their siblings
 						// tighten concurrently, so how much each visits is
 						// timing; what no timing moves is compared.

@@ -34,16 +34,10 @@ import (
 //
 // SearchMetric is the one body behind every retrieval on the set — the
 // stateless searches and, as the set's qcluster.SessionSearcher method,
-// every session round. With approx every leg runs the ANN graph at beam
-// width efSearch; the backend is checked up front (all shards share one
-// IndexOptions) so every path surfaces the same ErrBackendUnavailable,
-// not a "shard 0: ..." flavored one.
-func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int, approx bool, efSearch int) ([]qcluster.Result, index.SearchStats, error) {
+// every session round — on the backend the shards were built with.
+func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcluster.Result, index.SearchStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, index.SearchStats{}, fmt.Errorf("shard: search not started: %w", err)
-	}
-	if b := s.IndexInfo().Backend; approx && b != string(qcluster.BackendANN) {
-		return nil, index.SearchStats{}, fmt.Errorf("shard: backend is %q: %w", b, qcluster.ErrBackendUnavailable)
 	}
 	n := len(s.shards)
 	sb := index.NewSharedBound()
@@ -59,7 +53,7 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int, approx
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			res, stats, err := s.shards[i].SearchLeg(ctx, m, k, approx, efSearch, sb)
+			res, stats, err := s.shards[i].SearchLeg(ctx, m, k, sb)
 			// Remap local ids to global under the mapping lock: any
 			// vector visible to the search had its mapping entry
 			// published before it entered the shard's tree.
@@ -88,7 +82,7 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int, approx
 	partial := false
 	for i := range outs {
 		stats.Add(outs[i].stats)
-		prof.AddShard(i, start, outs[i].dur, outs[i].stats.Cost())
+		prof.AddShard(i, start, outs[i].dur, outs[i].stats)
 		merged = append(merged, outs[i].res...)
 		if err := outs[i].err; err != nil {
 			if errors.Is(err, qcluster.ErrPartialResults) {
@@ -136,24 +130,11 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int, approx
 // Database.SearchByExampleContext, bit-identical to it over the same
 // collection. k <= 0 yields no results.
 func (s *Set) SearchByExampleContext(ctx context.Context, example []float64, k int) ([]qcluster.Result, error) {
-	return s.searchExample(ctx, example, k, false, 0)
-}
-
-// SearchApproxContext answers a plain k-NN query around an example
-// vector on the ANN backend across all shards, with an explicit
-// efSearch override per shard (0 = index default) — the sharded
-// equivalent of Database.SearchApproxContext, with the same contract:
-// any other backend returns ErrBackendUnavailable.
-func (s *Set) SearchApproxContext(ctx context.Context, example []float64, k, efSearch int) ([]qcluster.Result, error) {
-	return s.searchExample(ctx, example, k, true, efSearch)
-}
-
-func (s *Set) searchExample(ctx context.Context, example []float64, k int, approx bool, efSearch int) ([]qcluster.Result, error) {
 	if len(example) != s.dim {
 		s.met.badDim.Inc()
 		return nil, fmt.Errorf("shard: example has dimension %d, set has %d: %w",
 			len(example), s.dim, qcluster.ErrDimensionMismatch)
 	}
-	res, _, err := s.SearchMetric(ctx, qcluster.EuclideanMetric(example), k, approx, efSearch)
+	res, _, err := s.SearchMetric(ctx, qcluster.EuclideanMetric(example), k)
 	return res, err
 }

@@ -131,7 +131,7 @@ func TestSearchChokePoint(t *testing.T) {
 		"database.go:execute":   true,
 		"backend.go:knnBackend": true,
 	}
-	guarded := []string{"knnBackend", "KNNEf", "observeSearch", "AddSearch", "wrapInterrupt"}
+	guarded := []string{"knnBackend", "KNNContext", "KNNSharedContext", "observeSearch", "AddSearch", "wrapInterrupt"}
 	root := funcRefs(t, ".")
 	for name := range pipeline {
 		if root[name] == nil {
