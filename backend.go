@@ -46,18 +46,14 @@ func (b IndexBackend) Validate() error {
 	return err
 }
 
-// ANNOptions tunes the "ann" backend (ignored by the others). Zero
-// values use the defaults (M=16, efConstruction=128, efSearch=64).
+// ANNOptions tunes the "ann" backend (ignored by the others). The graph
+// itself is fixed at ann.Options' defaults: degree M = 16, insert beam
+// efConstruction = 128, level seed 0 (the graph is deterministic given
+// insertion order).
 type ANNOptions struct {
-	// M is the graph's maximum neighbor degree above layer 0.
-	M int
-	// EfConstruction is the insert-time candidate-beam width.
-	EfConstruction int
 	// EfSearch is the query-time beam width — the recall/latency knob.
+	// Zero uses 64.
 	EfSearch int
-	// Seed makes the level assignment (and so the whole graph, given
-	// insertion order) deterministic.
-	Seed int64
 }
 
 // IndexInfo describes the database's active search backend — the block
@@ -90,12 +86,7 @@ func (db *Database) buildBackend(opt IndexOptions) error {
 	if db.backend != BackendANN {
 		return nil
 	}
-	idx, err := ann.New(db.store, ann.Options{
-		M:              opt.ANN.M,
-		EfConstruction: opt.ANN.EfConstruction,
-		EfSearch:       opt.ANN.EfSearch,
-		Seed:           opt.ANN.Seed,
-	})
+	idx, err := ann.New(db.store, ann.Options{EfSearch: opt.ANN.EfSearch})
 	if err != nil {
 		return fmt.Errorf("qcluster: building ann index: %w", err)
 	}
@@ -111,22 +102,6 @@ func (db *Database) syncBackendLocked(ids []int) error {
 	}
 	if err := db.annIdx.InsertBatch(ids); err != nil {
 		return fmt.Errorf("qcluster: ann insert: %w", err)
-	}
-	return nil
-}
-
-// checkQuantizable pre-validates one vector against the ANN codec so a
-// float32-overflowing component rejects the Add before anything is
-// appended (the graph mirror cannot hold it, and a half-applied insert
-// would strand the store and graph at different lengths).
-func (db *Database) checkQuantizable(i int, v []float64) error {
-	if db.backend != BackendANN {
-		return nil
-	}
-	for d, x := range v {
-		if _, err := ann.Quantize(x); err != nil {
-			return fmt.Errorf("qcluster: vector %d component %d: %w", i, d, err)
-		}
 	}
 	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/index"
 )
 
 // buildDB constructs a database over vectors with the given backend (and
@@ -44,7 +46,7 @@ func identicalResults(t *testing.T, got, want []Result, label string) {
 // refused open must leave the data directory byte-identical.
 func TestBackendUnknownRejected(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	if _, err := d.AddBatch(genVectors(8, 10, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestANNBackendBitIdentityWithFeedback(t *testing.T) {
 	tree := buildDB(t, vectors, IndexOptions{})
 	annDB := buildDB(t, vectors, IndexOptions{
 		Backend: BackendANN,
-		ANN:     ANNOptions{EfSearch: len(vectors) + 1, Seed: 7},
+		ANN:     ANNOptions{EfSearch: len(vectors) + 1},
 	})
 	if got := annDB.IndexInfo(); got.Backend != "ann" || got.ANNEfSearch != len(vectors)+1 {
 		t.Fatalf("IndexInfo = %+v", got)
@@ -154,7 +156,7 @@ func TestANNBackendApproxRecall(t *testing.T) {
 		}
 	}
 	tree := buildDB(t, vectors, IndexOptions{})
-	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: 128, Seed: 3}})
+	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: 128}})
 
 	hits, total := 0, 0
 	for trial := 0; trial < 30; trial++ {
@@ -186,7 +188,7 @@ func TestANNBackendApproxRecall(t *testing.T) {
 func TestANNBackendStatelessSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	vectors, _ := buildVectors(rng)
-	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: len(vectors) + 1, Seed: 1}})
+	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: len(vectors) + 1}})
 
 	res, err := annDB.SearchByExampleContext(context.Background(), annDB.Vector(3), 5)
 	if err != nil || len(res) != 5 || res[0].ID != 3 || res[0].Dist != 0 {
@@ -227,6 +229,28 @@ func TestANNBackendRejectsUnquantizable(t *testing.T) {
 	if _, err := tree.Add([]float64{1, 2, 1e39}); err != nil {
 		t.Fatalf("tree backend rejected a finite vector: %v", err)
 	}
+
+	// A durable ann collection refuses it before the WAL: the record
+	// would not apply, and would not replay on the next boot either.
+	dir, opt := t.TempDir(), DurableOptions{Index: IndexOptions{Backend: BackendANN}, Seed: vectors}
+	d, err := OpenDatabase(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddBatch([][]float64{{1e300, 0, 0}}); err == nil || errors.Is(err, ErrReadOnly) || d.Health().ReadOnly {
+		t.Fatalf("unquantizable durable add: err %v, health %+v", err, d.Health())
+	}
+	if _, err := d.Add([]float64{1, 2, 3}); err != nil {
+		t.Fatalf("valid add after the refusal: %v", err)
+	}
+	d.Close()
+	if d, err = OpenDatabase(dir, opt); err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	defer d.Close()
+	if d.Len() != n+1 {
+		t.Fatalf("reboot Len = %d, want %d", d.Len(), n+1)
+	}
 }
 
 func TestResplitMetricsSurface(t *testing.T) {
@@ -238,7 +262,8 @@ func TestResplitMetricsSurface(t *testing.T) {
 	for i := range vectors {
 		vectors[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 	}
-	db := buildDB(t, vectors, IndexOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: 1})
+	db := buildDB(t, vectors, IndexOptions{})
+	db.tree = index.NewHybridTree(db.store, index.TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: 1})
 	batch := make([][]float64, 256)
 	for i := range batch {
 		batch[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}

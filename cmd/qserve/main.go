@@ -10,7 +10,8 @@
 // kill-9 — boots warm from snapshot + WAL replay with every
 // acknowledged write intact. A first boot seeds the directory from a
 // cmd/qgen snapshot (-dataset) or a synthetic Gaussian mixture
-// (-n/-dim/-cats/-seed). Without -data the collection is memory-only:
+// (-cats/-percat/-dim/-seed). Without -data the collection is
+// memory-only:
 //
 //	qserve -addr :8080 -ops :8081 -data /var/lib/qserve
 //	qserve -addr :8080 -cats 20 -percat 100 -dim 8          # ephemeral
@@ -32,9 +33,9 @@
 // With -shards N the collection is partitioned into N scatter-gather
 // shards (deterministic hash placement by id): searches fan out to all
 // shards under one shared k-th-best bound and merge bit-identically to
-// the unsharded answer, sessions pin to a consistent-hash home shard,
-// and /healthz + /metrics carry per-shard blocks. Combined with -data,
-// each shard keeps its own WAL directory under the data root.
+// the unsharded answer, and /healthz + /metrics carry per-shard blocks.
+// Combined with -data, each shard keeps its own WAL directory under the
+// data root. -parallelism sizes a swept search's workers.
 //
 // With -backend the k-NN execution path is selectable: tree (default,
 // exact hybrid-tree) or ann (approximate HNSW-style graph over
@@ -47,9 +48,13 @@
 // Every request is traced: qserve honors and propagates W3C
 // traceparent headers, and -trace-sample exports span trees (admission
 // queue, session lock, per-shard search legs, merge, encode) as JSON
-// lines to -trace-log; slow requests are always kept regardless of the
-// sampling rate. The -slow-threshold / -slowlog knobs size the
-// slow-query ring served at /debug/slow on the ops port.
+// lines to -trace-log; requests slower than 250ms are always kept
+// regardless of the sampling rate and fill the slow-query log served at
+// /debug/slow on the ops port.
+//
+// Everything else — session capacity and TTL, admission, deadlines,
+// WAL group commit and rotation, the ANN graph's shape — is a fixed
+// constant (README "Fixed serving constants").
 //
 // The ops port (-ops) serves /debug/vars, /metrics (Prometheus text),
 // /debug/slow and /debug/pprof with the server and database registries
@@ -82,10 +87,7 @@ func main() {
 		ops  = flag.String("ops", "", "ops listen address for /metrics, /debug/vars, /debug/pprof (empty to disable)")
 
 		// Durability.
-		data      = flag.String("data", "", "durable data directory: WAL + snapshots, warm restart (empty = memory-only)")
-		walBatch  = flag.Int("wal-batch", 0, "max adds coalesced into one WAL fsync (0 = default)")
-		walWait   = flag.Duration("wal-maxwait", 0, "max time an add waits for co-batchers before its fsync (0 = default)")
-		snapBytes = flag.Int64("snapshot-bytes", 0, "WAL size that triggers a background snapshot rotation (0 = default, negative disables)")
+		data = flag.String("data", "", "durable data directory: WAL + snapshots, warm restart (empty = memory-only)")
 
 		// First-boot / memory-only collection: snapshot or synthetic mixture.
 		datasetPath = flag.String("dataset", "", "seed collection from a cmd/qgen dataset snapshot (optional)")
@@ -94,31 +96,20 @@ func main() {
 		dim         = flag.Int("dim", 8, "synthetic mixture: dimensionality")
 		seed        = flag.Int64("seed", 2003, "synthetic mixture: random seed")
 
-		// Serving knobs (zero = internal/server default).
-		maxSessions    = flag.Int("max-sessions", 0, "session capacity before LRU eviction (0 = default)")
-		sessionTTL     = flag.Duration("session-ttl", 0, "idle session lifetime (0 = default)")
-		maxInFlight    = flag.Int("max-inflight", 0, "concurrent request cap (0 = default)")
-		queueWait      = flag.Duration("queue-wait", 0, "max wait for an in-flight slot before shedding 429 (0 = default)")
-		requestTimeout = flag.Duration("request-timeout", 0, "per-request deadline (0 = default)")
-		drainTimeout   = flag.Duration("drain-timeout", 0, "graceful-drain budget on shutdown (0 = default)")
-		parallelism    = flag.Int("parallelism", 0, "workers of a swept search, one the tree cannot prune (0 = GOMAXPROCS)")
-		shards         = flag.Int("shards", 1, "partition the collection into N scatter-gather shards, bit-identical to unsharded (1 = unsharded)")
+		// Search.
+		parallelism = flag.Int("parallelism", 0, "workers of a swept search, one the tree cannot prune (0 = GOMAXPROCS)")
+		shards      = flag.Int("shards", 1, "partition the collection into N scatter-gather shards, bit-identical to unsharded (1 = unsharded)")
 
 		// Search backend. The tree backend is exact; ann is an
 		// HNSW-style graph over float32-quantized vectors whose
 		// candidates are exactly refined at full precision (recall <= 1
 		// controlled by -ann-ef, results bit-exact given the candidates).
 		backend = flag.String("backend", "tree", "k-NN execution path: tree (exact) or ann (approximate graph + exact refinement)")
-		annM    = flag.Int("ann-m", 0, "ann: max graph degree above layer 0 (0 = 16)")
 		annEf   = flag.Int("ann-ef", 0, "ann: query-time beam width efSearch, the recall/latency knob (0 = 64)")
-		annEfc  = flag.Int("ann-efc", 0, "ann: construction beam width efConstruction (0 = 128)")
-		annSeed = flag.Int64("ann-seed", 0, "ann: level-assignment seed (graph is deterministic given seed + insertion order)")
 
-		// Tracing and slow queries.
+		// Tracing.
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling probability for span export, 0..1 (slow requests are always exported once a sink exists)")
 		traceLog    = flag.String("trace-log", "", "span export destination: a JSON-lines file path, or '-' for stderr (implied stderr when -trace-sample > 0)")
-		slowThresh  = flag.Duration("slow-threshold", 0, "request latency that counts as a slow query (0 = 250ms default, negative records every request)")
-		slowLogSize = flag.Int("slowlog", 0, "slow-query ring entries served at /debug/slow (0 = 64 default, negative disables)")
 	)
 	flag.Parse()
 
@@ -130,24 +121,9 @@ func main() {
 	indexOpt := qcluster.IndexOptions{
 		SearchParallelism: *parallelism,
 		Backend:           qcluster.IndexBackend(*backend),
-		ANN: qcluster.ANNOptions{
-			M:              *annM,
-			EfConstruction: *annEfc,
-			EfSearch:       *annEf,
-			Seed:           *annSeed,
-		},
+		ANN:               qcluster.ANNOptions{EfSearch: *annEf},
 	}
-	opt := server.Options{
-		MaxSessions:     *maxSessions,
-		SessionTTL:      *sessionTTL,
-		MaxInFlight:     *maxInFlight,
-		QueueWait:       *queueWait,
-		RequestTimeout:  *requestTimeout,
-		DrainTimeout:    *drainTimeout,
-		TraceSampleRate: *traceSample,
-		SlowThreshold:   *slowThresh,
-		SlowLogSize:     *slowLogSize,
-	}
+	opt := server.Options{TraceSampleRate: *traceSample}
 	if *traceLog != "" || *traceSample > 0 {
 		var w io.Writer = os.Stderr
 		if *traceLog != "" && *traceLog != "-" {
@@ -172,13 +148,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *data != "" {
-			set, err = shard.Open(*data, *shards, qcluster.DurableOptions{
-				Index:              indexOpt,
-				Seed:               seedVecs,
-				BatchSize:          *walBatch,
-				MaxWait:            *walWait,
-				SnapshotEveryBytes: *snapBytes,
-			})
+			set, err = shard.Open(*data, *shards, qcluster.DurableOptions{Index: indexOpt, Seed: seedVecs})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "opening sharded %s: %v\n", *data, err)
 				os.Exit(1)
@@ -201,13 +171,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		durable, err = qcluster.OpenDatabase(*data, qcluster.DurableOptions{
-			Index:              indexOpt,
-			Seed:               seedVecs,
-			BatchSize:          *walBatch,
-			MaxWait:            *walWait,
-			SnapshotEveryBytes: *snapBytes,
-		})
+		durable, err = qcluster.OpenDatabase(*data, qcluster.DurableOptions{Index: indexOpt, Seed: seedVecs})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "opening %s: %v\n", *data, err)
 			os.Exit(1)

@@ -66,19 +66,24 @@ func TestSIGTERMRightAfterBootDrains(t *testing.T) {
 	}
 }
 
-// TestRemovedBackendAndFlagsExitBeforeLoading: -backend vafile, -plan and
-// -crash no longer exist; each must fail before any collection is loaded
-// or any data directory is created, and the backend error must name tree.
+// TestRemovedBackendAndFlagsExitBeforeLoading: -backend vafile and every
+// removed flag (each limit it set is now a fixed constant) must fail
+// before any collection is loaded or any data directory is created, the
+// backend error must name tree, and -h must list exactly the kept flags.
 func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
-	for _, tc := range []struct {
+	type row struct {
 		args    []string
 		wantErr string
-	}{
+	}
+	rows := []row{
 		{[]string{"-backend", "vafile"}, "tree is the exact backend"},
 		{[]string{"-backend", "nope"}, "unknown index backend"},
-		{[]string{"-plan"}, "flag provided but not defined: -plan"},
-		{[]string{"-crash", "wal.post-fsync"}, "flag provided but not defined: -crash"},
-	} {
+	}
+	for _, name := range strings.Fields(`plan crash wal-batch wal-maxwait snapshot-bytes max-sessions session-ttl
+		max-inflight queue-wait request-timeout drain-timeout ann-m ann-efc ann-seed slow-threshold slowlog`) {
+		rows = append(rows, row{[]string{"-" + name, "1"}, "flag provided but not defined: -" + name})
+	}
+	for _, tc := range rows {
 		data := t.TempDir() + "/data"
 		cmd := exec.Command(os.Args[0], append(tc.args, "-addr", "127.0.0.1:0", "-data", data,
 			"-dataset", "/nonexistent/collection.gob")...)
@@ -96,5 +101,19 @@ func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
 		if _, err := os.Stat(data); !os.IsNotExist(err) {
 			t.Errorf("qserve %v created the data directory before refusing", tc.args)
 		}
+	}
+
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), "QSERVE_TEST_RUN_MAIN=1")
+	out, _ := cmd.CombinedOutput()
+	var flags []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok && !strings.HasPrefix(rest, "test.") { // the test binary's own
+			flags = append(flags, strings.Fields(rest)[0])
+		}
+	}
+	const want = "addr ann-ef backend cats data dataset dim ops parallelism percat seed shards trace-log trace-sample"
+	if got := strings.Join(flags, " "); got != want {
+		t.Errorf("qserve -h lists %d flags:\n%s\nwant the 14 kept:\n%s", len(flags), got, want)
 	}
 }

@@ -86,13 +86,12 @@ func TestCrashHelperProcess(t *testing.T) {
 			select {}
 		}
 	})
-	d, err := OpenDatabase(dir, DurableOptions{
-		Seed:      genVectors(1, crashSeedN, crashDim),
-		BatchSize: 4,
-		MaxWait:   100 * time.Microsecond,
+	d, err := openDatabase(dir, DurableOptions{Seed: genVectors(1, crashSeedN, crashDim)}, walTuning{
+		batch:   4,
+		maxWait: 100 * time.Microsecond,
 		// Tiny threshold: rotations happen constantly, so the snapshot
 		// fault points get exercised by ordinary ingest volume.
-		SnapshotEveryBytes: 2048,
+		rotateBytes: 2048,
 	})
 	if err != nil {
 		fmt.Printf("open-error %v\n", err)
@@ -258,7 +257,7 @@ func TestCrashRecoveryBackToBack(t *testing.T) {
 // reopen must both reproduce the final state exactly.
 func TestDurableConcurrentMixedWorkload(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{BatchSize: 8, MaxWait: 200 * time.Microsecond})
+	d := openTestDB(t, dir, walTuning{batch: 8, maxWait: 200 * time.Microsecond, rotateBytes: walRotateBytes})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -387,7 +386,7 @@ func TestDurableConcurrentMixedWorkload(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	d2 := openTestDB(t, dir, DurableOptions{})
+	d2 := openTestDB(t, dir, fixedWAL)
 	defer d2.Close()
 	for id := 0; id < wantLen; id++ {
 		a, b := d.Vector(id), d2.Vector(id)

@@ -44,11 +44,10 @@ type Database struct {
 }
 
 // IndexOptions tunes the database's search index. The zero value is the
-// default configuration.
+// default configuration. The rest is fixed: the paper's 4 KB index node
+// (leaf capacity 4096 / (8 × dim)) and at most 8 leaf re-splits per
+// insert batch (index.TreeOptions' defaults).
 type IndexOptions struct {
-	// NodeSizeBytes models the index node size (leaf capacity =
-	// NodeSizeBytes / (8 × dim)). Defaults to 4096.
-	NodeSizeBytes int
 	// SearchParallelism is the worker count of a swept search — one the
 	// tree cannot prune, which finishes as a scan of the store in storage
 	// order: 0 uses GOMAXPROCS, 1 scans on the calling goroutine. The
@@ -61,9 +60,6 @@ type IndexOptions struct {
 	Backend IndexBackend
 	// ANN tunes the BackendANN graph (ignored by the other backends).
 	ANN ANNOptions
-	// MaxResplitsPerBatch caps inline leaf re-splits per insert batch
-	// (0 = default 8, negative = unlimited). See index.InsertStats.
-	MaxResplitsPerBatch int
 }
 
 // NewDatabase indexes the given vectors with default index options. All
@@ -98,12 +94,8 @@ func newDatabaseFromStore(store *index.Store, opt IndexOptions) (*Database, erro
 		return nil, err
 	}
 	db := &Database{
-		store: store,
-		tree: index.NewHybridTree(store, index.TreeOptions{
-			NodeSizeBytes:       opt.NodeSizeBytes,
-			Parallelism:         opt.SearchParallelism,
-			MaxResplitsPerBatch: opt.MaxResplitsPerBatch,
-		}),
+		store:   store,
+		tree:    index.NewHybridTree(store, index.TreeOptions{Parallelism: opt.SearchParallelism}),
 		met:     newDBMetrics(),
 		backend: backend,
 	}
@@ -119,7 +111,7 @@ func newDatabaseFromStore(store *index.Store, opt IndexOptions) (*Database, erro
 // the database serializes the mutation internally against all readers.
 func (db *Database) Add(vector []float64) (id int, err error) {
 	defer barrier("Add", &err)
-	if err := db.checkQuantizable(0, vector); err != nil {
+	if err := db.ValidateBatch([][]float64{vector}); err != nil {
 		return 0, err
 	}
 	db.mu.Lock()
@@ -130,8 +122,8 @@ func (db *Database) Add(vector []float64) (id int, err error) {
 	}
 	ist := db.tree.Insert(id)
 	if err := db.syncBackendLocked([]int{id}); err != nil {
-		// Unreachable after checkQuantizable; a failure here would leave
-		// the graph behind the store, so surface it loudly.
+		// Unreachable after ValidateBatch; a failure here would leave the
+		// graph behind the store, so surface it loudly.
 		panic(err)
 	}
 	db.met.observeInsert(ist)
@@ -154,20 +146,8 @@ func (db *Database) addBatch(ctx context.Context, vectors [][]float64) (ids []in
 	if len(vectors) == 0 {
 		return nil, nil
 	}
-	dim := db.Dim()
-	for i, v := range vectors {
-		if len(v) != dim {
-			return nil, fmt.Errorf("qcluster: batch vector %d has dimension %d, database has %d: %w",
-				i, len(v), dim, ErrDimensionMismatch)
-		}
-		for d, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("qcluster: batch vector %d component %d is not finite (%v)", i, d, x)
-			}
-		}
-		if err := db.checkQuantizable(i, v); err != nil {
-			return nil, err
-		}
+	if err := db.ValidateBatch(vectors); err != nil {
+		return nil, err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -184,7 +164,7 @@ func (db *Database) addBatch(ctx context.Context, vectors [][]float64) (ids []in
 	resplitStart := time.Now()
 	ist := db.tree.InsertBatch(ids)
 	if err := db.syncBackendLocked(ids); err != nil {
-		panic(err) // unreachable after checkQuantizable, see Add
+		panic(err) // unreachable after ValidateBatch, see Add
 	}
 	db.met.observeInsert(ist)
 	if ist.ResplitTime > 0 {
@@ -210,6 +190,33 @@ func (db *Database) AddBatchContext(ctx context.Context, vectors [][]float64) (_
 		return nil, fmt.Errorf("qcluster: add not started: %w", cerr)
 	}
 	return db.addBatch(ctx, vectors)
+}
+
+// ValidateBatch is the ingest rule, checked by every write path before
+// it changes anything: each vector has the collection's dimension and
+// finite components, and on the ANN backend every component fits a
+// float32 (the graph mirror cannot hold it otherwise). DurableDatabase
+// checks it before a batch reaches the log and a shard set before its
+// id map moves, so a batch it accepts always applies.
+func (db *Database) ValidateBatch(vectors [][]float64) error {
+	dim := db.Dim()
+	for i, v := range vectors {
+		if len(v) != dim {
+			return fmt.Errorf("qcluster: batch vector %d has dimension %d, database has %d: %w",
+				i, len(v), dim, ErrDimensionMismatch)
+		}
+		for d, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("qcluster: batch vector %d component %d is not finite (%v)", i, d, x)
+			}
+			if db.backend == BackendANN {
+				if _, err := ann.Quantize(x); err != nil {
+					return fmt.Errorf("qcluster: vector %d component %d: %w", i, d, err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Len returns the number of items.

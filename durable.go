@@ -23,18 +23,6 @@ type DurableOptions struct {
 	// Seed provides the initial collection for a directory that holds no
 	// snapshot yet (first boot). Ignored once a snapshot exists.
 	Seed [][]float64
-	// BatchSize caps the adds coalesced into one WAL record + fsync
-	// (group commit). Default 256.
-	BatchSize int
-	// MaxWait bounds how long a forming batch may keep absorbing
-	// co-batchers before it is flushed anyway. The batcher flushes as
-	// soon as the queue runs empty, so this is an upper bound on added
-	// latency, not a fixed delay. Default 2ms.
-	MaxWait time.Duration
-	// SnapshotEveryBytes triggers a background snapshot rotation (which
-	// truncates the WAL) when the active log grows past it. Default
-	// 64 MiB; negative disables automatic rotation.
-	SnapshotEveryBytes int64
 	// TrimToItems, when positive, drops every recovered vector beyond the
 	// first TrimToItems at boot, before the boot checkpoint. The sharded
 	// set uses it to roll a shard back to the longest globally consistent
@@ -45,18 +33,23 @@ type DurableOptions struct {
 	TrimToItems int
 }
 
-func (o DurableOptions) withDefaults() DurableOptions {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
-	if o.SnapshotEveryBytes == 0 {
-		o.SnapshotEveryBytes = 64 << 20
-	}
-	return o
+// The write-ahead log's group commit and rotation, fixed because no
+// deployment or workload has set another value.
+const (
+	walBatch       = 256                  // adds coalesced into one WAL record + fsync
+	walMaxWait     = 2 * time.Millisecond // bound on a forming batch's absorb phase
+	walRotateBytes = 64 << 20             // active-log size that triggers a background snapshot
+)
+
+// walTuning carries those constants: OpenDatabase serves fixedWAL, and
+// only this package's tests call openDatabase with others.
+type walTuning struct {
+	batch       int
+	maxWait     time.Duration
+	rotateBytes int64
 }
+
+var fixedWAL = walTuning{batch: walBatch, maxWait: walMaxWait, rotateBytes: walRotateBytes}
 
 // DurabilityHealth is a DurableDatabase's durability status: whether a
 // disk failure degraded it to read-only, what boot recovery did, and
@@ -108,7 +101,7 @@ type DurabilityHealth struct {
 type DurableDatabase struct {
 	*Database
 	dir string
-	opt DurableOptions
+	tun walTuning
 
 	reqs    chan *addReq
 	stop    chan struct{}
@@ -190,12 +183,15 @@ const (
 // (repairing a torn tail), checkpoints the recovered state, and starts
 // the ingest batcher. A directory with no snapshot is seeded from
 // opt.Seed. The caller must Close the returned database.
-func OpenDatabase(dir string, opt DurableOptions) (_ *DurableDatabase, err error) {
+func OpenDatabase(dir string, opt DurableOptions) (*DurableDatabase, error) {
+	return openDatabase(dir, opt, fixedWAL)
+}
+
+func openDatabase(dir string, opt DurableOptions, tun walTuning) (_ *DurableDatabase, err error) {
 	defer barrier("OpenDatabase", &err)
 	if err := opt.Index.Backend.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qcluster: create data dir: %w", err)
 	}
@@ -260,8 +256,8 @@ func OpenDatabase(dir string, opt DurableOptions) (_ *DurableDatabase, err error
 	d := &DurableDatabase{
 		Database: db,
 		dir:      dir,
-		opt:      opt,
-		reqs:     make(chan *addReq, 4*opt.BatchSize),
+		tun:      tun,
+		reqs:     make(chan *addReq, 4*tun.batch),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		met:      newDurableMetrics(db.met.reg),
@@ -344,17 +340,8 @@ func (d *DurableDatabase) AddBatchContext(ctx context.Context, vectors [][]float
 	}
 	// Validate before anything reaches the log: a record that replays
 	// must be applicable.
-	dim := d.Dim()
-	for i, v := range vectors {
-		if len(v) != dim {
-			return nil, fmt.Errorf("qcluster: batch vector %d has dimension %d, database has %d: %w",
-				i, len(v), dim, ErrDimensionMismatch)
-		}
-		for dd, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("qcluster: batch vector %d component %d is not finite (%v)", i, dd, x)
-			}
-		}
+	if err := d.ValidateBatch(vectors); err != nil {
+		return nil, err
 	}
 	req := &addReq{vecs: vectors, done: make(chan struct{})}
 	d.closeMu.RLock()
@@ -390,14 +377,14 @@ func (d *DurableDatabase) AddBatchContext(ctx context.Context, vectors [][]float
 
 // run is the ingest batcher: classic group commit. It blocks for the
 // first queued add, greedily absorbs everything else already queued (up
-// to BatchSize vectors), and flushes the moment the queue runs empty —
+// to walBatch vectors), and flushes the moment the queue runs empty —
 // with closed-loop producers, everyone who could join the batch is
 // already in it, so waiting longer would add latency without adding
 // batching. Batches still form naturally: while one flush's fsync is in
 // flight, new adds pile up in the queue and ride the next flush
-// together. MaxWait bounds the absorb phase in the opposite regime,
+// together. walMaxWait bounds the absorb phase in the opposite regime,
 // where arrivals trickle in fast enough to keep the queue non-empty but
-// below BatchSize. The queue is drained on Close.
+// below walBatch. The queue is drained on Close.
 func (d *DurableDatabase) run() {
 	defer close(d.done)
 	timer := time.NewTimer(0)
@@ -413,9 +400,9 @@ func (d *DurableDatabase) run() {
 			d.drain()
 			return
 		}
-		timer.Reset(d.opt.MaxWait)
+		timer.Reset(d.tun.maxWait)
 	absorb:
-		for vecs < d.opt.BatchSize {
+		for vecs < d.tun.batch {
 			select {
 			case r := <-d.reqs:
 				batch = append(batch, r)
@@ -534,11 +521,11 @@ func (d *DurableDatabase) readOnlyErr() error {
 }
 
 // maybeRotate starts a background snapshot rotation when the active log
-// outgrew the configured threshold. At most one rotation runs at a
-// time; ingest continues against the fresh log while the snapshot
-// writes in the background.
+// outgrew walRotateBytes. At most one rotation runs at a time; ingest
+// continues against the fresh log while the snapshot writes in the
+// background.
 func (d *DurableDatabase) maybeRotate() {
-	if d.opt.SnapshotEveryBytes <= 0 || d.walB.Load() < d.opt.SnapshotEveryBytes {
+	if d.walB.Load() < d.tun.rotateBytes {
 		return
 	}
 	if !d.rotating.CompareAndSwap(false, true) {

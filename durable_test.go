@@ -32,12 +32,11 @@ func genVectors(seed int64, n, dim int) [][]float64 {
 	return out
 }
 
-func openTestDB(t *testing.T, dir string, opt DurableOptions) *DurableDatabase {
+// openTestDB opens dir (seeded with genVectors(1, 32, 4) on first boot)
+// under the given group-commit and rotation tuning.
+func openTestDB(t *testing.T, dir string, tun walTuning) *DurableDatabase {
 	t.Helper()
-	if opt.Seed == nil {
-		opt.Seed = genVectors(1, 32, 4)
-	}
-	d, err := OpenDatabase(dir, opt)
+	d, err := openDatabase(dir, DurableOptions{Seed: genVectors(1, 32, 4)}, tun)
 	if err != nil {
 		t.Fatalf("OpenDatabase: %v", err)
 	}
@@ -69,7 +68,7 @@ func requireSameSearch(t *testing.T, want, got *Database) {
 
 func TestDurableWarmRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	added := genVectors(2, 100, 4)
 	var ids []int
 	for i := 0; i < len(added); i += 10 {
@@ -95,7 +94,7 @@ func TestDurableWarmRestartRoundTrip(t *testing.T) {
 	// Reopen without a checkpoint: everything must come back via WAL
 	// replay, and searches must be bit-identical to a fresh in-memory
 	// database over the same vectors.
-	d2 := openTestDB(t, dir, DurableOptions{})
+	d2 := openTestDB(t, dir, fixedWAL)
 	defer d2.Close()
 	h2 := d2.Health()
 	if h2.Items != 132 {
@@ -114,7 +113,7 @@ func TestDurableWarmRestartRoundTrip(t *testing.T) {
 
 func TestDurableCheckpointSkipsReplay(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	if _, err := d.AddBatch(genVectors(3, 20, 4)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
@@ -127,7 +126,7 @@ func TestDurableCheckpointSkipsReplay(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	d2 := openTestDB(t, dir, DurableOptions{})
+	d2 := openTestDB(t, dir, fixedWAL)
 	defer d2.Close()
 	h := d2.Health()
 	if h.ReplayedRecords != 0 || h.ReplayedVectors != 0 {
@@ -142,7 +141,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny threshold: every flush overflows it, so rotation exercises
 	// concurrently with ingest.
-	d := openTestDB(t, dir, DurableOptions{SnapshotEveryBytes: 1, BatchSize: 4})
+	d := openTestDB(t, dir, walTuning{batch: 4, maxWait: walMaxWait, rotateBytes: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -164,7 +163,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 	if h := d.Health(); h.Snapshots < 2 {
 		t.Fatalf("expected automatic rotations, health %+v", h)
 	}
-	d2 := openTestDB(t, dir, DurableOptions{})
+	d2 := openTestDB(t, dir, fixedWAL)
 	defer d2.Close()
 	if got := d2.Len(); got != 32+4*40 {
 		t.Fatalf("after rotation+restart Len = %d, want %d", got, 32+4*40)
@@ -174,7 +173,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 func TestDurableDegradedModeOnFsyncError(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	defer d.Close()
 	if _, err := d.AddBatch(genVectors(4, 5, 4)); err != nil {
 		t.Fatalf("healthy AddBatch: %v", err)
@@ -205,7 +204,7 @@ func TestDurableDegradedModeOnFsyncError(t *testing.T) {
 
 func TestDurableRejectsBadVectors(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	defer d.Close()
 	if _, err := d.Add([]float64{1, 2}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("wrong dim: %v", err)
@@ -226,7 +225,7 @@ func TestDurableRejectsBadVectors(t *testing.T) {
 
 func TestDurableTornTailRecovered(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	if _, err := d.AddBatch(genVectors(8, 10, 4)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
@@ -244,7 +243,7 @@ func TestDurableTornTailRecovered(t *testing.T) {
 	}
 	f.Close()
 
-	d2 := openTestDB(t, dir, DurableOptions{})
+	d2 := openTestDB(t, dir, fixedWAL)
 	defer d2.Close()
 	h := d2.Health()
 	if h.TruncatedBytes != 3 {
@@ -257,7 +256,7 @@ func TestDurableTornTailRecovered(t *testing.T) {
 
 func TestDurableMidLogCorruptionRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{BatchSize: 1, MaxWait: time.Nanosecond})
+	d := openTestDB(t, dir, walTuning{batch: 1, maxWait: time.Nanosecond, rotateBytes: walRotateBytes})
 	// Sequential adds so the log holds several records.
 	for _, v := range genVectors(9, 6, 4) {
 		if _, err := d.Add(v); err != nil {
@@ -294,7 +293,7 @@ func TestDurableReplaySkipsSnapshotCoveredRecords(t *testing.T) {
 	// apply wal.old idempotently (all its records are covered by the
 	// snapshot) and lose nothing.
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	if _, err := d.AddBatch(genVectors(10, 10, 4)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
@@ -313,7 +312,7 @@ func TestDurableReplaySkipsSnapshotCoveredRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "snapshot"), buf.Bytes(), 0o644); err != nil {
 		t.Fatalf("write snapshot: %v", err)
 	}
-	d2 := openTestDB(t, dir, DurableOptions{})
+	d2 := openTestDB(t, dir, fixedWAL)
 	defer d2.Close()
 	h := d2.Health()
 	if h.Items != 42 {
@@ -360,7 +359,7 @@ func TestDurableSnapshotWriterRoundTrip(t *testing.T) {
 
 func TestDurableCloseIdempotentAndRejectsLateAdds(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -374,7 +373,7 @@ func TestDurableCloseIdempotentAndRejectsLateAdds(t *testing.T) {
 
 func TestDurableMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, DurableOptions{})
+	d := openTestDB(t, dir, fixedWAL)
 	defer d.Close()
 	if _, err := d.AddBatch(genVectors(13, 8, 4)); err != nil {
 		t.Fatalf("AddBatch: %v", err)

@@ -1,8 +1,8 @@
 // Serving demonstrates the HTTP serving layer end to end, in-process: it
 // starts a qserve-style server on a loopback port, then plays a full
 // client conversation against it over real HTTP — stateless search, a
-// feedback session refined over several rounds, a request that exceeds
-// the in-flight cap and is shed with 429, and finally a graceful drain.
+// feedback session refined over several rounds, and finally a graceful
+// drain.
 //
 //	go run ./examples/serving
 package main
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"time"
 
 	qcluster "repro"
 	"repro/internal/server"
@@ -44,9 +43,7 @@ func main() {
 		panic(err)
 	}
 
-	s, err := server.Start("127.0.0.1:0", db, server.Options{
-		SessionTTL: 5 * time.Minute,
-	})
+	s, err := server.Start("127.0.0.1:0", db, server.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -297,8 +297,7 @@ type TracerOptions struct {
 	SampleRate float64
 	// SlowThreshold is the tail-based policy: a request at least this
 	// slow is exported (and slow-logged) even when head sampling passed
-	// it by. 0 uses DefaultSlowThreshold; negative keeps every request
-	// (bench/test mode).
+	// it by. 0 uses DefaultSlowThreshold.
 	SlowThreshold time.Duration
 	// SlowLog, when non-nil, receives the profiles of slow requests.
 	SlowLog *SlowLog
@@ -386,7 +385,7 @@ func (t *Tracer) Finish(p *CostProfile, end time.Time) {
 		return
 	}
 	p.End = end
-	slow := t.slow < 0 || p.End.Sub(p.Start) >= t.slow
+	slow := p.End.Sub(p.Start) >= t.slow
 	if t.sink != nil && (p.Ctx.Sampled || slow) {
 		t.export(p)
 	}

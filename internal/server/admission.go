@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"math"
-	"strconv"
 	"time"
 )
 
@@ -20,19 +18,11 @@ var errShed = errors.New("server: overloaded, request shed")
 // instead of collapsing under unbounded queues.
 type admission struct {
 	slots chan struct{}
-	wait  time.Duration // <= 0: shed immediately when saturated
-	// retryAfter is a 429's Retry-After header: the queue-wait budget in
-	// whole seconds, rounded up and clamped to [1, 30].
-	retryAfter string
+	wait  time.Duration
 }
 
 func newAdmission(maxInFlight int, wait time.Duration) *admission {
-	secs := min(max(int(math.Ceil(wait.Seconds())), 1), 30)
-	return &admission{
-		slots:      make(chan struct{}, maxInFlight),
-		wait:       wait,
-		retryAfter: strconv.Itoa(secs),
-	}
+	return &admission{slots: make(chan struct{}, maxInFlight), wait: wait}
 }
 
 // acquire takes an in-flight slot, waiting up to the queue-wait budget.
@@ -44,9 +34,6 @@ func (a *admission) acquire(ctx context.Context) (queued bool, err error) {
 	case a.slots <- struct{}{}:
 		return false, nil
 	default:
-	}
-	if a.wait <= 0 {
-		return true, errShed
 	}
 	timer := time.NewTimer(a.wait)
 	defer timer.Stop()

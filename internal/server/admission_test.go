@@ -43,20 +43,6 @@ func TestAdmissionShedsAfterQueueWait(t *testing.T) {
 	}
 }
 
-func TestAdmissionImmediateShed(t *testing.T) {
-	a := newAdmission(1, -1)
-	if _, err := a.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := a.acquire(context.Background()); !errors.Is(err, errShed) {
-		t.Fatalf("err = %v, want immediate shed", err)
-	}
-	if time.Since(start) > 50*time.Millisecond {
-		t.Fatal("negative queue-wait must shed without blocking")
-	}
-}
-
 func TestAdmissionQueuedRequestGetsFreedSlot(t *testing.T) {
 	a := newAdmission(1, time.Second)
 	if _, err := a.acquire(context.Background()); err != nil {

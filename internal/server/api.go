@@ -12,6 +12,7 @@ import (
 
 	qcluster "repro"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // statusClientClosedRequest is the nginx convention for "the client
@@ -43,8 +44,8 @@ type healthzResponse struct {
 	// flag (which also flips Status to "degraded").
 	Durability *qcluster.DurabilityHealth `json:"durability,omitempty"`
 	// Shards is present on a sharded backend: one block per shard with
-	// its item count, durability state, and home-pinned session count.
-	Shards []shardHealthBlock `json:"shards,omitempty"`
+	// its item count and durability state.
+	Shards []shard.ShardHealth `json:"shards,omitempty"`
 }
 
 // healthzInfo is the box/binary identity block of /healthz. The
@@ -91,7 +92,7 @@ type searchResponse struct {
 
 // createSessionRequest opens a feedback session. Exactly one of example
 // / example_id is required; scheme, alpha and max_query_points override
-// the server's default query-model options when set.
+// the default query-model options (qcluster.Options{}) when set.
 type createSessionRequest struct {
 	Example        []float64 `json:"example,omitempty"`
 	ExampleID      *int      `json:"example_id,omitempty"`
@@ -103,10 +104,6 @@ type createSessionRequest struct {
 type createSessionResponse struct {
 	SessionID  string  `json:"session_id"`
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-	// HomeShard is the consistent-hash home of the session id on a
-	// sharded backend — the affinity hint a fronting load balancer can
-	// pin the tenant with. Absent when unsharded.
-	HomeShard *int `json:"home_shard,omitempty"`
 	// The embedded IndexInfo tells the client which search path will
 	// serve this session's retrievals ("tree", or "ann" + graph
 	// parameters) — an "ann" session's results carry a recall contract,
@@ -183,7 +180,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 	s.met.searches.Inc()
-	k := s.clampK(req.K)
+	k := clampK(req.K)
 	if p := obs.ProfileFromContext(r.Context()); p != nil {
 		p.K = k
 	}
@@ -218,7 +215,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) int
 		return fail(w, http.StatusBadRequest,
 			"example has dimension %d, database has %d", len(example), s.be.Dim())
 	}
-	opt := s.opt.Query
+	var opt qcluster.Options
 	switch req.Scheme {
 	case "":
 	case "diagonal":
@@ -238,31 +235,20 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) int
 	if req.MaxQueryPoints != 0 {
 		opt.MaxQueryPoints = req.MaxQueryPoints
 	}
-	// Install the trace relay as the session's sink when anything could
-	// consume its feedback spans: a user-provided sink always receives
-	// them, and while a sampled request holds the session its classify/
-	// cluster spans additionally become children of the request trace.
-	// Skipped entirely when neither exists, so the query model keeps its
-	// sink-nil zero-cost path.
+	// Install the trace relay as the session's sink when span export is
+	// on: while a sampled request holds the session its classify/cluster
+	// spans become children of the request trace. Skipped otherwise, so
+	// the query model keeps its sink-nil zero-cost path.
 	var relay *relaySink
-	if s.trc.Exports() || opt.Sink != nil {
-		relay = &relaySink{base: opt.Sink}
+	if s.trc.Exports() {
+		relay = &relaySink{}
 		opt.Sink = relay
 	}
-	// On a sharded backend the id is the consistent-hash routing key that
-	// picks the session's home.
-	id := newSessionID()
-	home := s.be.HomeShard(id)
-	s.mgr.insert(id, s.be.NewSession(example, opt), home, relay, timeNow())
-	resp := createSessionResponse{
-		SessionID:  id,
-		TTLSeconds: s.opt.SessionTTL.Seconds(),
+	writeJSON(w, http.StatusCreated, createSessionResponse{
+		SessionID:  s.mgr.insert(s.be.NewSession(example, opt), relay, timeNow()),
+		TTLSeconds: s.lim.sessionTTL.Seconds(),
 		IndexInfo:  s.be.IndexInfo(),
-	}
-	if home >= 0 {
-		resp.HomeShard = &home
-	}
-	writeJSON(w, http.StatusCreated, resp)
+	})
 	return http.StatusCreated
 }
 
@@ -271,13 +257,13 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) int {
 	if !ok {
 		return fail(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
 	}
-	k := s.clampK(0)
+	k := clampK(0)
 	if kq := r.URL.Query().Get("k"); kq != "" {
 		n, err := strconv.Atoi(kq)
 		if err != nil {
 			return fail(w, http.StatusBadRequest, "bad k %q", kq)
 		}
-		k = s.clampK(n)
+		k = clampK(n)
 	}
 	s.met.searches.Inc()
 	if p := obs.ProfileFromContext(r.Context()); p != nil {

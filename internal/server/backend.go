@@ -18,9 +18,6 @@ type Backend interface {
 	VectorOK(id int) ([]float64, bool)
 	SearchByExampleContext(ctx context.Context, example []float64, k int) ([]qcluster.Result, error)
 	NewSession(example []float64, opt qcluster.Options) *qcluster.Session
-	// HomeShard is the consistent-hash member that owns routing key (the
-	// session id), or -1 when the backend is unsharded.
-	HomeShard(key string) int
 	// AddBatchContext is the fallback ingest path when Options.Ingestor
 	// is unset.
 	AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, error)
@@ -38,18 +35,9 @@ type dbBackend struct {
 	*qcluster.Database
 }
 
-func (dbBackend) HomeShard(string) int { return -1 }
-
 // setBackend adapts a sharded set: searches scatter-gather across every
-// shard, sessions pin to a consistent-hash home member, ingest routes
-// by placement, and healthz/metrics grow per-shard blocks.
+// shard, ingest routes by placement, and healthz/metrics grow per-shard
+// blocks.
 type setBackend struct {
 	*shard.Set
-}
-
-// shardHealthBlock is one shard's /healthz block: the set's per-shard
-// health plus how many live sessions call the shard home.
-type shardHealthBlock struct {
-	shard.ShardHealth
-	Sessions int `json:"sessions"`
 }

@@ -18,8 +18,8 @@ func TestBackendInfoSurfaced(t *testing.T) {
 	}{
 		// The exact default reports "tree" and no ANN block.
 		{qcluster.IndexOptions{}, qcluster.IndexInfo{Backend: "tree"}},
-		{qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{M: 8, EfSearch: 48}},
-			qcluster.IndexInfo{Backend: "ann", ANNM: 8, ANNEfConstruction: 128, ANNEfSearch: 48}},
+		{qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: 48}},
+			qcluster.IndexInfo{Backend: "ann", ANNM: 16, ANNEfConstruction: 128, ANNEfSearch: 48}},
 	} {
 		db, err := qcluster.NewDatabaseWithOptions(vectors, tc.opt)
 		if err != nil {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/faultinject"
 )
 
-func durableTestDB(t *testing.T) *qcluster.DurableDatabase {
+func durableTestDB(t *testing.T, backend qcluster.IndexBackend) *qcluster.DurableDatabase {
 	t.Helper()
 	vectors, _ := mixture(7, 10, 40, 6)
-	d, err := qcluster.OpenDatabase(t.TempDir(), qcluster.DurableOptions{Seed: vectors})
+	d, err := qcluster.OpenDatabase(t.TempDir(), qcluster.DurableOptions{Index: qcluster.IndexOptions{Backend: backend}, Seed: vectors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func randVecs(seed int64, n, dim int) [][]float64 {
 }
 
 func TestIngestEndpoint(t *testing.T) {
-	d := durableTestDB(t)
+	d := durableTestDB(t, qcluster.BackendANN)
 	s := startServer(t, d.Database, Options{Ingestor: d})
 
 	before := d.Len()
@@ -67,6 +67,16 @@ func TestIngestEndpoint(t *testing.T) {
 		addVectorsRequest{Vector: []float64{1, 2}}, nil); status != http.StatusBadRequest {
 		t.Fatalf("dim mismatch: status %d, want 400", status)
 	}
+	// An ann collection refuses a float32-overflowing component before
+	// the WAL, so the node stays writable.
+	if status, _ = call(t, s, "POST", "/v1/vectors",
+		addVectorsRequest{Vector: []float64{1e300, 0, 0, 0, 0, 0}}, nil); status != http.StatusBadRequest {
+		t.Fatalf("unquantizable: status %d, want 400", status)
+	}
+	var hz healthzResponse
+	if call(t, s, "GET", "/healthz", nil, &hz); hz.Status != "ok" {
+		t.Fatalf("healthz after an unquantizable add: %+v", hz)
+	}
 	if status, _ = call(t, s, "POST", "/v1/vectors", addVectorsRequest{}, nil); status != http.StatusBadRequest {
 		t.Fatalf("empty request: status %d, want 400", status)
 	}
@@ -81,7 +91,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 func TestIngestDegradedModeSurfaces503AndHealthz(t *testing.T) {
 	defer faultinject.Reset()
-	d := durableTestDB(t)
+	d := durableTestDB(t, qcluster.BackendTree)
 	s := startServer(t, d.Database, Options{Ingestor: d})
 
 	// Healthy: healthz has a durability block, status ok.

@@ -35,13 +35,13 @@ func TestServeLoad64Users(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	s, err := Start("127.0.0.1:0", db, Options{
-		MaxSessions:    users / 2, // force LRU churn under load
-		SessionTTL:     time.Minute,
-		ReapInterval:   10 * time.Millisecond,
-		MaxInFlight:    8,
-		QueueWait:      250 * time.Millisecond,
-		RequestTimeout: 5 * time.Second,
+	s, err := startTuned(db, Options{}, func(l *limits) {
+		l.maxSessions = users / 2 // force LRU churn under load
+		l.sessionTTL = time.Minute
+		l.reapInterval = 10 * time.Millisecond
+		l.maxInFlight = 8
+		l.queueWait = 250 * time.Millisecond
+		l.requestTimeout = 5 * time.Second
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,10 +37,8 @@ type serverMetrics struct {
 	feedbackRounds *obs.Counter // feedback requests that absorbed points
 }
 
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+func newServerMetrics() *serverMetrics {
+	reg := obs.NewRegistry()
 	return &serverMetrics{
 		reg:            reg,
 		requests:       reg.Counter("server.requests"),

@@ -91,45 +91,12 @@ func TestPanicRecoveryAfterResponseStarted(t *testing.T) {
 	}
 }
 
-// TestDefaultKClampedToMaxK is the regression test for Options
-// validation: a DefaultK above MaxK used to pass through withDefaults
-// unchecked, handing requests that omit k more results than any request
-// may ask for.
-func TestDefaultKClampedToMaxK(t *testing.T) {
-	opt := Options{MaxK: 5, DefaultK: 50}.withDefaults()
-	if opt.DefaultK != 5 {
-		t.Fatalf("withDefaults DefaultK = %d, want clamped to MaxK 5", opt.DefaultK)
-	}
-
-	db, _ := testDB(t)
-	s := startServer(t, db, Options{MaxK: 5, DefaultK: 50})
-	var sr searchResponse
-	if st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: db.Vector(0)}, &sr); st != http.StatusOK {
-		t.Fatalf("search = %d: %s", st, raw)
-	}
-	if len(sr.Results) != 5 {
-		t.Fatalf("k-less search returned %d results, want MaxK 5", len(sr.Results))
-	}
-	ex := 0
-	var created createSessionResponse
-	if st, _ := call(t, s, "POST", "/v1/sessions", createSessionRequest{ExampleID: &ex}, &created); st != 201 {
-		t.Fatal("create session failed")
-	}
-	var rr resultsResponse
-	if st, raw := call(t, s, "GET", "/v1/sessions/"+created.SessionID+"/results", nil, &rr); st != http.StatusOK {
-		t.Fatalf("results = %d: %s", st, raw)
-	}
-	if len(rr.Results) != 5 {
-		t.Fatalf("k-less session results returned %d, want MaxK 5", len(rr.Results))
-	}
-}
-
 // TestSessionTTLEnforcedAtAccess is the regression test for TTL
 // resurrection: get used to refresh lastUsed unconditionally, so a
 // request landing between reaper passes would revive a session that
 // had already sat idle past its TTL.
 func TestSessionTTLEnforcedAtAccess(t *testing.T) {
-	m, db := managerFixture(t, 0, time.Minute)
+	m, db := managerFixture(t, 16, time.Minute)
 	now := time.Unix(1000, 0)
 	id := insertSession(m, db.NewSession(db.Vector(0), qcluster.Options{}), now)
 
@@ -153,12 +120,5 @@ func TestSessionTTLEnforcedAtAccess(t *testing.T) {
 	}
 	if got := m.met.sessMisses.Value(); got != 2 {
 		t.Fatalf("sessions.misses = %d, want 2 (expiry + later lookup)", got)
-	}
-
-	// TTL disabled: arbitrarily old sessions keep resolving.
-	m2, _ := managerFixture(t, 0, -1)
-	id2 := insertSession(m2, db.NewSession(db.Vector(1), qcluster.Options{}), now)
-	if _, ok := m2.get(id2, now.Add(1e6*time.Second)); !ok {
-		t.Fatal("TTL-disabled session expired")
 	}
 }

@@ -39,46 +39,10 @@ import (
 	"repro/internal/shard"
 )
 
-// Options tunes the serving layer. The zero value is a sane production
-// default for a single node.
+// Options are the serving layer's deployment wiring. Every limit is a
+// fixed constant (see below); the zero value serves memory-only ingest
+// and exports no spans.
 type Options struct {
-	// MaxSessions caps live sessions; creating one beyond the cap
-	// evicts the least-recently-used session. Default 1024; negative
-	// means unbounded.
-	MaxSessions int
-	// SessionTTL is the idle lifetime of a session: the reaper evicts
-	// sessions untouched for longer. Default 30m; negative disables
-	// expiry.
-	SessionTTL time.Duration
-	// ReapInterval is how often the reaper scans for expired sessions.
-	// Default 30s.
-	ReapInterval time.Duration
-	// MaxInFlight caps concurrently executing /v1 requests: every
-	// admitted request holds one slot, whatever its route. Default
-	// 4 × GOMAXPROCS.
-	MaxInFlight int
-	// QueueWait is how long a request may wait for a free slot before
-	// being shed as 429. Default 100ms; negative sheds immediately when
-	// saturated.
-	QueueWait time.Duration
-	// RequestTimeout is the per-request deadline propagated into the
-	// search core; a search interrupted by it returns a 206 partial
-	// response. Default 2s; negative disables the server-side deadline.
-	RequestTimeout time.Duration
-	// DrainTimeout bounds Close's wait for in-flight requests. Default 10s.
-	DrainTimeout time.Duration
-	// MaxK caps the per-request result size k. Default 1000.
-	MaxK int
-	// DefaultK is the result size when a request omits k. Default 20.
-	DefaultK int
-	// Query is the default query-model configuration for new sessions;
-	// per-session requests may override scheme, alpha and the query-point
-	// cap.
-	Query qcluster.Options
-	// Registry, when non-nil, receives the server's metrics; nil creates
-	// a private registry. Either way Metrics() also folds in the
-	// database's registry.
-	Registry *obs.Registry
 	// Ingestor, when non-nil, handles POST /v1/vectors — normally the
 	// qcluster.DurableDatabase wrapping db, so HTTP ingest is
 	// acknowledged only after the write is fsynced. Nil falls back to
@@ -92,15 +56,42 @@ type Options struct {
 	// TraceSampleRate is the head-based span export probability in
 	// [0, 1] for requests arriving without a sampled traceparent (an
 	// incoming sampled flag forces export). Slow requests export
-	// regardless (tail-based keep). Default 0.
+	// regardless (tail-based keep, obs.DefaultSlowThreshold). Default 0.
 	TraceSampleRate float64
-	// SlowThreshold is the slow-request cutoff for the tail-based keep
-	// policy and the slow-query log. 0 uses obs.DefaultSlowThreshold
-	// (250ms); negative records every request (bench/test mode).
-	SlowThreshold time.Duration
-	// SlowLogSize is the slow-query ring capacity served at /debug/slow
-	// on the ops endpoint. Default 64; negative disables the log.
-	SlowLogSize int
+}
+
+// The serving limits. No deployment or workload has needed another
+// value, so none is an option; README "Fixed serving constants" lists
+// them.
+const (
+	maxSessions    = 1024             // live sessions; one more evicts the least recently used
+	sessionTTL     = 30 * time.Minute // idle lifetime of a session
+	reapInterval   = 30 * time.Second // how often the reaper scans for idle sessions
+	queueWait      = 100 * time.Millisecond
+	retryAfter     = "1"             // a 429's Retry-After: queueWait in whole seconds, rounded up
+	requestTimeout = 2 * time.Second // per-request deadline; an interrupted search answers 206
+	drainTimeout   = 10 * time.Second
+	maxK           = 1000 // cap on a request's k
+	defaultK       = 20   // k when a request omits it
+	slowLogSize    = 64   // /debug/slow entries
+)
+
+// limits carries the constants a test shrinks: New and NewSharded serve
+// fixedLimits, and only this package's tests call newServer with others.
+type limits struct {
+	maxSessions    int
+	sessionTTL     time.Duration
+	reapInterval   time.Duration
+	maxInFlight    int // admitted requests, whatever their route
+	queueWait      time.Duration
+	requestTimeout time.Duration
+	slowThreshold  time.Duration
+}
+
+func fixedLimits() limits {
+	return limits{maxSessions: maxSessions, sessionTTL: sessionTTL, reapInterval: reapInterval,
+		maxInFlight: 4 * runtime.GOMAXPROCS(0), queueWait: queueWait,
+		requestTimeout: requestTimeout, slowThreshold: obs.DefaultSlowThreshold}
 }
 
 // Ingestor is the server's write path: it appends a validated batch and
@@ -117,45 +108,6 @@ type healthReporter interface {
 	Health() qcluster.DurabilityHealth
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxSessions == 0 {
-		o.MaxSessions = 1024
-	}
-	if o.MaxSessions < 0 {
-		o.MaxSessions = 0 // unbounded for the manager
-	}
-	if o.SessionTTL == 0 {
-		o.SessionTTL = 30 * time.Minute
-	}
-	if o.ReapInterval <= 0 {
-		o.ReapInterval = 30 * time.Second
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if o.QueueWait == 0 {
-		o.QueueWait = 100 * time.Millisecond
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 2 * time.Second
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
-	if o.MaxK <= 0 {
-		o.MaxK = 1000
-	}
-	if o.DefaultK <= 0 {
-		o.DefaultK = 20
-	}
-	if o.DefaultK > o.MaxK {
-		// A default above the cap would let requests that omit k receive
-		// more results than any request may ask for.
-		o.DefaultK = o.MaxK
-	}
-	return o
-}
-
 // Server is the serving layer. Create one with New (handler only) or
 // Start (listening); always Close it — Close stops the reaper goroutine
 // and, for a started server, drains in-flight requests and waits for
@@ -163,6 +115,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	be  Backend
 	opt Options
+	lim limits
 	mgr *sessionManager
 	adm *admission
 	met *serverMetrics
@@ -189,39 +142,31 @@ type Server struct {
 // session reaper. The caller owns serving Handler() and must Close the
 // server to stop the reaper.
 func New(db *qcluster.Database, opt Options) *Server {
-	return newServer(dbBackend{db}, opt)
+	return newServer(dbBackend{db}, opt, fixedLimits())
 }
 
 // NewSharded builds a server over a sharded set: /v1/search fans out to
-// every shard (scatter-gather, bit-identical to unsharded), sessions
-// pin to a consistent-hash home shard by session id, POST /v1/vectors
-// routes by placement, and healthz/metrics grow per-shard blocks.
+// every shard (scatter-gather, bit-identical to unsharded), POST
+// /v1/vectors routes by placement, and healthz/metrics grow per-shard
+// blocks.
 func NewSharded(set *shard.Set, opt Options) *Server {
-	return newServer(setBackend{set}, opt)
+	return newServer(setBackend{set}, opt, fixedLimits())
 }
 
-func newServer(be Backend, opt Options) *Server {
-	opt = opt.withDefaults()
-	met := newServerMetrics(opt.Registry)
-	var slowLog *obs.SlowLog
-	if opt.SlowLogSize >= 0 {
-		size := opt.SlowLogSize
-		if size == 0 {
-			size = 64
-		}
-		slowLog = obs.NewSlowLog(size)
-	}
+func newServer(be Backend, opt Options, lim limits) *Server {
+	met := newServerMetrics()
 	s := &Server{
 		be:  be,
 		opt: opt,
+		lim: lim,
 		met: met,
-		mgr: newSessionManager(opt.MaxSessions, opt.SessionTTL, met),
-		adm: newAdmission(opt.MaxInFlight, opt.QueueWait),
+		mgr: newSessionManager(lim.maxSessions, lim.sessionTTL, met),
+		adm: newAdmission(lim.maxInFlight, lim.queueWait),
 		trc: obs.NewTracer(obs.TracerOptions{
 			Sink:          opt.TraceSink,
 			SampleRate:    opt.TraceSampleRate,
-			SlowThreshold: opt.SlowThreshold,
-			SlowLog:       slowLog,
+			SlowThreshold: lim.slowThreshold,
+			SlowLog:       obs.NewSlowLog(slowLogSize),
 		}),
 		reapStop: make(chan struct{}),
 		reapDone: make(chan struct{}),
@@ -302,22 +247,19 @@ func (s *Server) Metrics() obs.Snapshot {
 // non-public ops port. The caller owns the returned server and must
 // Close it.
 func (s *Server) ServeOps(addr string) (*obs.DebugServer, error) {
-	var extra map[string]http.Handler
-	if sl := s.trc.SlowLog(); sl != nil {
-		extra = map[string]http.Handler{"/debug/slow": sl}
-	}
+	extra := map[string]http.Handler{"/debug/slow": s.trc.SlowLog()}
 	return obs.ServeDebugWith(addr, extra, s.met.reg, s.be.Registry())
 }
 
-// SlowLog returns the server's slow-query ring (nil when disabled via
-// a negative Options.SlowLogSize) — the same data /debug/slow serves.
+// SlowLog returns the server's slow-query log — the same data
+// /debug/slow serves.
 func (s *Server) SlowLog() *obs.SlowLog { return s.trc.SlowLog() }
 
 // Draining reports whether Close has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close drains the server: new requests are rejected 503, in-flight
-// requests get up to DrainTimeout to finish, the session reaper and
+// requests get up to drainTimeout to finish, the session reaper and
 // (for a Start-ed server) the acceptor goroutine are stopped and
 // waited for. Idempotent; the first call's result wins.
 func (s *Server) Close() error {
@@ -328,7 +270,7 @@ func (s *Server) Close() error {
 	s.met.draining.Set(1)
 	var err error
 	if s.srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), s.opt.DrainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		err = s.srv.Shutdown(ctx)
 		cancel()
 		<-s.serveDone
@@ -338,11 +280,11 @@ func (s *Server) Close() error {
 	return err
 }
 
-// reapLoop is the session reaper: every ReapInterval it evicts sessions
-// idle past the TTL. It exits on Close.
+// reapLoop is the session reaper: every reap interval it evicts
+// sessions idle past the TTL. It exits on Close.
 func (s *Server) reapLoop() {
 	defer close(s.reapDone)
-	ticker := time.NewTicker(s.opt.ReapInterval)
+	ticker := time.NewTicker(s.lim.reapInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -381,7 +323,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) (
 			status := statusClientClosedRequest
 			if errors.Is(err, errShed) {
 				s.met.shed.Inc()
-				w.Header().Set("Retry-After", s.adm.retryAfter)
+				w.Header().Set("Retry-After", retryAfter)
 				status = http.StatusTooManyRequests
 				writeError(w, status, "server overloaded, retry later")
 			} else { // client gave up while queued
@@ -405,12 +347,8 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) (
 			<-s.testBlock
 		}
 
-		ctx := r.Context()
-		if s.opt.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.opt.RequestTimeout)
-			defer cancel()
-		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.lim.requestTimeout)
+		defer cancel()
 		if prof != nil {
 			ctx = obs.ContextWithProfile(ctx, prof)
 			if r.ContentLength > 0 {
@@ -530,12 +468,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if sb, ok := s.be.(setBackend); ok {
 		info.Shards = sb.NumShards()
-		byHome := s.mgr.countByHome(sb.NumShards())
-		health := sb.Health()
-		resp.Shards = make([]shardHealthBlock, len(health))
-		for i, h := range health {
-			resp.Shards[i] = shardHealthBlock{ShardHealth: h, Sessions: byHome[i]}
-		}
+		resp.Shards = sb.Health()
 		if sb.ReadOnly() {
 			resp.Status = "degraded"
 		}
@@ -543,13 +476,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// clampK resolves a requested result size against the defaults and cap.
-func (s *Server) clampK(k int) int {
+// clampK resolves a requested result size against the default and cap.
+func clampK(k int) int {
 	if k <= 0 {
-		return s.opt.DefaultK
+		return defaultK
 	}
-	if k > s.opt.MaxK {
-		return s.opt.MaxK
+	if k > maxK {
+		return maxK
 	}
 	return k
 }

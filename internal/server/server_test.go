@@ -47,14 +47,29 @@ func testDB(t *testing.T) (*qcluster.Database, []int) {
 	return db, labels
 }
 
-func startServer(t *testing.T, db *qcluster.Database, opt Options) *Server {
+// startServer starts a listening server over db whose fixed limits each
+// tune has adjusted.
+func startServer(t *testing.T, db *qcluster.Database, opt Options, tune ...func(*limits)) *Server {
 	t.Helper()
-	s, err := Start("127.0.0.1:0", db, opt)
+	s, err := startTuned(db, opt, tune...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	return s
+}
+
+func startTuned(db *qcluster.Database, opt Options, tune ...func(*limits)) (*Server, error) {
+	lim := fixedLimits()
+	for _, f := range tune {
+		f(&lim)
+	}
+	return listen("127.0.0.1:0", newServer(dbBackend{db}, opt, lim))
+}
+
+// oneSlot shrinks admission to one in-flight slot and a queue wait.
+func oneSlot(wait time.Duration) func(*limits) {
+	return func(l *limits) { l.maxInFlight, l.queueWait = 1, wait }
 }
 
 // call does one JSON request against a started server and decodes the
@@ -253,7 +268,7 @@ func TestServerPartialResults(t *testing.T) {
 	db, _ := testDB(t)
 	defer faultinject.Reset()
 	faultinject.Set(faultinject.KNNPop, func() { time.Sleep(2 * time.Millisecond) })
-	s := startServer(t, db, Options{RequestTimeout: 10 * time.Millisecond})
+	s := startServer(t, db, Options{}, func(l *limits) { l.requestTimeout = 10 * time.Millisecond })
 
 	var resp searchResponse
 	st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: db.Vector(0), K: 50}, &resp)
@@ -268,7 +283,7 @@ func TestServerPartialResults(t *testing.T) {
 // TestServerAdmissionShed saturates the single in-flight slot with a
 // request parked on the test hook; the next request must be shed 429
 // within the queue-wait budget, with Retry-After set and the shed
-// counter bumped. MaxInFlight caps requests whatever their route: the
+// counter bumped. maxInFlight caps requests whatever their route: the
 // warm case first serves mixed traffic in which session.delete is far
 // cheaper than the all-routes mean, then parks one session.delete — a
 // second one must still be shed, and must not have run.
@@ -305,7 +320,7 @@ func TestServerAdmissionShed(t *testing.T) {
 		{name: "session.delete after warm traffic", warm: true, wantParked: 204},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startServer(t, db, Options{MaxInFlight: 1, QueueWait: 20 * time.Millisecond})
+			s := startServer(t, db, Options{}, oneSlot(20*time.Millisecond))
 			method, parked, second, body := "POST", "/v1/search", "/v1/search", search
 			if tc.warm {
 				for i := 0; i < 20; i++ {
@@ -357,7 +372,7 @@ func TestServerAdmissionShed(t *testing.T) {
 				}
 			case <-time.After(2 * time.Second):
 				close(s.testBlock) // unpark both so the server can drain
-				t.Fatal("second request admitted beside the parked one: two requests ran under MaxInFlight 1")
+				t.Fatal("second request admitted beside the parked one: two requests ran under one slot")
 			}
 
 			s.testBlock <- struct{}{} // release the parked request
@@ -412,7 +427,7 @@ func TestServerDrainNoLeak(t *testing.T) {
 	db, _ := testDB(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		s, err := Start("127.0.0.1:0", db, Options{ReapInterval: 5 * time.Millisecond})
+		s, err := startTuned(db, Options{}, func(l *limits) { l.reapInterval = 5 * time.Millisecond })
 		if err != nil {
 			t.Fatal(err)
 		}

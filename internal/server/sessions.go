@@ -22,10 +22,9 @@ type managedSession struct {
 	id   string
 	mu   sync.Mutex // serializes this session's request handling
 	sess *qcluster.Session
-	home int // home shard (-1 when the backend is unsharded)
-	// relay is the session query's trace sink (nil when neither span
-	// export nor a user sink is configured); a sampled request activates
-	// it under mu to capture feedback spans as trace children.
+	// relay is the session query's trace sink (nil when span export is
+	// off); a sampled request activates it under mu to capture feedback
+	// spans as trace children.
 	relay *relaySink
 
 	// Guarded by the manager's lock.
@@ -34,14 +33,13 @@ type managedSession struct {
 	created  time.Time
 }
 
-// relaySink is installed as a session query's trace sink: events (the
-// per-round feedback classify/cluster spans) always reach the
-// user-configured base sink, and — while a trace-exported request holds
-// the session — also the request's trace as child spans. The active
-// pointer is atomic out of caution (the per-session mutex already
-// serializes activate/deactivate with the feedback path).
+// relaySink is installed as a session query's trace sink: while a
+// trace-exported request holds the session, its events (the per-round
+// feedback classify/cluster spans) reach the request's trace as child
+// spans, and otherwise go nowhere. The active pointer is atomic out of
+// caution (the per-session mutex already serializes
+// activate/deactivate with the feedback path).
 type relaySink struct {
-	base   obs.Sink
 	active atomic.Pointer[sinkRef]
 }
 
@@ -53,9 +51,6 @@ func (r *relaySink) deactivate()         { r.active.Store(nil) }
 
 // Emit implements obs.Sink.
 func (r *relaySink) Emit(e obs.Event) {
-	if r.base != nil {
-		r.base.Emit(e)
-	}
 	if ref := r.active.Load(); ref != nil {
 		ref.s.Emit(e)
 	}
@@ -63,7 +58,7 @@ func (r *relaySink) Emit(e obs.Event) {
 
 // sessionManager maps opaque session IDs to live feedback sessions with
 // two eviction policies layered on one LRU list: capacity (creating a
-// session beyond MaxSessions evicts the least-recently-used one) and
+// session beyond the cap evicts the least-recently-used one) and
 // idle TTL (a reaper goroutine owned by the Server calls reapExpired
 // periodically). Evicting a session mid-request is safe — the holder
 // keeps a valid *managedSession whose qcluster.Session outlives its map
@@ -98,26 +93,21 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// insert registers sess under id with its routing home, evicting the
-// least-recently-used session when the capacity is reached. The caller
-// generates the id first (newSessionID) because a sharded backend
-// routes the session by it before the session exists.
-func (m *sessionManager) insert(id string, sess *qcluster.Session, home int, relay *relaySink, now time.Time) {
-	ms := &managedSession{id: id, sess: sess, home: home, relay: relay, lastUsed: now, created: now}
+// insert registers sess under a fresh id, evicting the
+// least-recently-used session when the capacity is reached.
+func (m *sessionManager) insert(sess *qcluster.Session, relay *relaySink, now time.Time) string {
+	ms := &managedSession{id: newSessionID(), sess: sess, relay: relay, lastUsed: now, created: now}
 	m.mu.Lock()
-	for m.capacity > 0 && len(m.sessions) >= m.capacity {
-		oldest := m.lru.Back()
-		if oldest == nil {
-			break
-		}
-		m.evictLocked(oldest.Value.(*managedSession))
+	for len(m.sessions) >= m.capacity {
+		m.evictLocked(m.lru.Back().Value.(*managedSession))
 		m.met.sessEvictedLRU.Inc()
 	}
-	m.sessions[id] = ms
+	m.sessions[ms.id] = ms
 	ms.elem = m.lru.PushFront(ms)
 	m.met.sessActive.Set(float64(len(m.sessions)))
 	m.mu.Unlock()
 	m.met.sessCreated.Inc()
+	return ms.id
 }
 
 // get resolves an id and marks the session used (moving it to the LRU
@@ -133,7 +123,7 @@ func (m *sessionManager) get(id string, now time.Time) (*managedSession, bool) {
 		m.met.sessMisses.Inc()
 		return nil, false
 	}
-	if m.ttl > 0 && !ms.lastUsed.After(now.Add(-m.ttl)) {
+	if !ms.lastUsed.After(now.Add(-m.ttl)) {
 		m.evictLocked(ms)
 		m.met.sessExpiredTTL.Inc()
 		m.met.sessMisses.Inc()
@@ -142,20 +132,6 @@ func (m *sessionManager) get(id string, now time.Time) (*managedSession, bool) {
 	ms.lastUsed = now
 	m.lru.MoveToFront(ms.elem)
 	return ms, true
-}
-
-// countByHome tallies live sessions by home shard for the sharded
-// healthz blocks; sessions without affinity (home -1) are skipped.
-func (m *sessionManager) countByHome(shards int) []int {
-	out := make([]int, shards)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ms := range m.sessions {
-		if ms.home >= 0 && ms.home < shards {
-			out[ms.home]++
-		}
-	}
-	return out
 }
 
 // remove deletes an id (explicit DELETE). It reports whether the id was
@@ -174,11 +150,8 @@ func (m *sessionManager) remove(id string) bool {
 }
 
 // reapExpired evicts every session idle longer than the TTL, returning
-// how many it removed. A TTL <= 0 disables expiry.
+// how many it removed.
 func (m *sessionManager) reapExpired(now time.Time) int {
-	if m.ttl <= 0 {
-		return 0
-	}
 	cutoff := now.Add(-m.ttl)
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -10,15 +10,13 @@ import (
 func managerFixture(t *testing.T, capacity int, ttl time.Duration) (*sessionManager, *qcluster.Database) {
 	t.Helper()
 	db, _ := testDB(t)
-	return newSessionManager(capacity, ttl, newServerMetrics(nil)), db
+	return newSessionManager(capacity, ttl, newServerMetrics()), db
 }
 
-// insertSession mimics the handler's id-first registration for manager
-// unit tests (no routing affinity).
+// insertSession registers sess the way the handler does, without a
+// trace relay.
 func insertSession(m *sessionManager, sess *qcluster.Session, now time.Time) string {
-	id := newSessionID()
-	m.insert(id, sess, -1, nil, now)
-	return id
+	return m.insert(sess, nil, now)
 }
 
 func TestSessionManagerLRUEviction(t *testing.T) {
@@ -54,7 +52,7 @@ func TestSessionManagerLRUEviction(t *testing.T) {
 }
 
 func TestSessionManagerTTLExpiry(t *testing.T) {
-	m, db := managerFixture(t, 0, time.Minute)
+	m, db := managerFixture(t, 16, time.Minute)
 	now := time.Unix(1000, 0)
 	old := insertSession(m, db.NewSession(db.Vector(0), qcluster.Options{}), now)
 	fresh := insertSession(m, db.NewSession(db.Vector(1), qcluster.Options{}), now.Add(50*time.Second))
@@ -75,17 +73,11 @@ func TestSessionManagerTTLExpiry(t *testing.T) {
 	if got := m.met.sessExpiredTTL.Value(); got != 2 {
 		t.Errorf("ttl expiries = %d, want 2", got)
 	}
-	// TTL <= 0 disables expiry entirely.
-	m2, _ := managerFixture(t, 0, -1)
-	insertSession(m2, db.NewSession(db.Vector(0), qcluster.Options{}), now)
-	if n := m2.reapExpired(now.Add(1e6 * time.Second)); n != 0 {
-		t.Errorf("disabled TTL reaped %d", n)
-	}
 }
 
 func TestSessionManagerReaperGoroutine(t *testing.T) {
 	db, _ := testDB(t)
-	s := startServer(t, db, Options{SessionTTL: 30 * time.Millisecond, ReapInterval: 5 * time.Millisecond})
+	s := startServer(t, db, Options{}, func(l *limits) { l.sessionTTL, l.reapInterval = 30*time.Millisecond, 5*time.Millisecond })
 	ex := 0
 	var created createSessionResponse
 	if st, _ := call(t, s, "POST", "/v1/sessions", createSessionRequest{ExampleID: &ex}, &created); st != 201 {

@@ -22,8 +22,9 @@ func startShardedServer(t *testing.T, set *shard.Set, opt Options) *Server {
 
 // TestShardedServerEndToEnd drives the full API against a sharded
 // backend and an unsharded control over the same collection: searches
-// must be bit-identical, sessions must pin a home shard, ingest must
-// route by placement, and healthz/metrics must carry per-shard blocks.
+// must be bit-identical, sessions must refine through the scatter-gather,
+// ingest must route by placement, and healthz/metrics must carry
+// per-shard blocks.
 func TestShardedServerEndToEnd(t *testing.T) {
 	vectors, _ := mixture(3, 8, 60, 6)
 	const shards = 3
@@ -59,18 +60,11 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Sessions pin to the consistent-hash home of their id and run the
-	// full feedback loop through the scatter-gather searchers.
+	// Sessions run the full feedback loop through the scatter-gather.
 	ex := 4
 	var created createSessionResponse
 	if st, raw := call(t, s, "POST", "/v1/sessions", createSessionRequest{ExampleID: &ex}, &created); st != http.StatusCreated {
 		t.Fatalf("create session = %d: %s", st, raw)
-	}
-	if created.HomeShard == nil {
-		t.Fatal("sharded session missing home_shard")
-	}
-	if want := set.HomeShard(created.SessionID); *created.HomeShard != want {
-		t.Fatalf("home_shard = %d, ring says %d", *created.HomeShard, want)
 	}
 	var rr resultsResponse
 	if st, raw := call(t, s, "GET", "/v1/sessions/"+created.SessionID+"/results?k=10", nil, &rr); st != http.StatusOK {
@@ -111,8 +105,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// healthz carries one block per shard; items sum to the collection,
-	// sessions attribute the live session to its home shard.
+	// healthz carries one block per shard; items sum to the collection.
 	var hz healthzResponse
 	if st, raw := call(t, s, "GET", "/healthz", nil, &hz); st != http.StatusOK {
 		t.Fatalf("healthz = %d: %s", st, raw)
@@ -120,19 +113,15 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if hz.Status != "ok" || len(hz.Shards) != shards {
 		t.Fatalf("healthz = %+v, want ok with %d shard blocks", hz, shards)
 	}
-	items, sessions := 0, 0
+	items := 0
 	for i, b := range hz.Shards {
 		if b.Shard != i {
 			t.Fatalf("shard block %d misnumbered: %+v", i, b)
 		}
 		items += b.Items
-		sessions += b.Sessions
 	}
 	if items != len(vectors)+2 {
 		t.Fatalf("per-shard items sum to %d, want %d", items, len(vectors)+2)
-	}
-	if sessions != 1 || hz.Shards[*created.HomeShard].Sessions != 1 {
-		t.Fatalf("session not attributed to home shard %d: %+v", *created.HomeShard, hz.Shards)
 	}
 
 	// Metrics carry the set block and per-shard re-keyed blocks.

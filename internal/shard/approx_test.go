@@ -23,7 +23,7 @@ func TestShardedApproxEquivalence(t *testing.T) {
 	}
 	set, err := New(vectors, 3, qcluster.IndexOptions{
 		Backend: qcluster.BackendANN,
-		ANN:     qcluster.ANNOptions{EfSearch: n + 1, Seed: 4},
+		ANN:     qcluster.ANNOptions{EfSearch: n + 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,5 +38,11 @@ func TestShardedApproxEquivalence(t *testing.T) {
 			t.Fatal(gerr)
 		}
 		sameResults(t, fmt.Sprintf("approx example %d", q), want, got)
+	}
+
+	// A float32-overflowing vector is refused before the id map moves:
+	// the set stays writable and its length unchanged.
+	if _, err := set.AddBatchContext(ctx, [][]float64{{1e300, 0, 0, 0, 0, 0}}); err == nil || set.ReadOnly() || set.Len() != n {
+		t.Fatalf("unquantizable batch: err %v, read-only %v, Len %d (want %d)", err, set.ReadOnly(), set.Len(), n)
 	}
 }

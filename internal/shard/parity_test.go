@@ -38,7 +38,7 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 		opt  qcluster.IndexOptions
 	}{
 		{"tree", qcluster.IndexOptions{}},
-		{"ann", qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: ef, Seed: 4}}},
+		{"ann", qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: ef}}},
 	} {
 		db, err := qcluster.NewDatabaseWithOptions(vectors, be.opt)
 		if err != nil {

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,7 +51,6 @@ type Set struct {
 	shards  []*qcluster.Database
 	durable []*qcluster.DurableDatabase // nil when memory-only
 	dim     int
-	ring    *ring
 	met     *setMetrics
 
 	// mu guards the id mapping; ingestMu serializes whole cross-shard
@@ -222,7 +220,6 @@ func newSet(shards int) *Set {
 	return &Set{
 		shards:  make([]*qcluster.Database, shards),
 		globals: make([][]int, shards),
-		ring:    newRing(shards, ringReplicas),
 		met:     newSetMetrics(),
 	}
 }
@@ -280,12 +277,6 @@ func (s *Set) Len() int {
 // Placement reports which shard holds (or will hold) global id.
 func (s *Set) Placement(id int) int { return placement(id, len(s.shards)) }
 
-// HomeShard routes an affinity key (a session id) to its home shard on
-// the consistent-hash ring. Routing is an ownership/affinity signal for
-// the serving tier — searches always fan out to every shard, because
-// the exact global top-k needs every shard's candidates.
-func (s *Set) HomeShard(key string) int { return s.ring.route(key) }
-
 // NewSession starts a feedback session over the whole set:
 // qcluster.Session — the one implementation of retrieve, mark, refine —
 // searching through the set's scatter-gather.
@@ -332,16 +323,10 @@ func (s *Set) AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, 
 	if len(vectors) == 0 {
 		return nil, nil
 	}
-	for i, v := range vectors {
-		if len(v) != s.dim {
-			return nil, fmt.Errorf("shard: batch vector %d has dimension %d, set has %d: %w",
-				i, len(v), s.dim, qcluster.ErrDimensionMismatch)
-		}
-		for d, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("shard: batch vector %d component %d is not finite (%v)", i, d, x)
-			}
-		}
+	// Every shard is built from the same IndexOptions, so shard 0's rule
+	// is the set's; a batch it refuses must not move the id map.
+	if err := s.shards[0].ValidateBatch(vectors); err != nil {
+		return nil, err
 	}
 
 	s.ingestMu.Lock()

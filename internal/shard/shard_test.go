@@ -123,28 +123,6 @@ func TestAddBatchRoutesByPlacement(t *testing.T) {
 	}
 }
 
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	r1 := newRing(5, ringReplicas)
-	r2 := newRing(5, ringReplicas)
-	counts := make([]int, 5)
-	for i := 0; i < 10000; i++ {
-		key := fmt.Sprintf("session-%d", i)
-		a, b := r1.route(key), r2.route(key)
-		if a != b {
-			t.Fatalf("ring routing not deterministic for %q: %d vs %d", key, a, b)
-		}
-		counts[a]++
-	}
-	for m, c := range counts {
-		if c < 1000 || c > 3000 {
-			t.Fatalf("member %d owns %d of 10000 keys — ring badly unbalanced: %v", m, c, counts)
-		}
-	}
-	if got := newRing(1, ringReplicas).route("anything"); got != 0 {
-		t.Fatalf("single-member ring routed to %d", got)
-	}
-}
-
 func TestSetRejectsEmptyShards(t *testing.T) {
 	if _, err := New(makeVectors(3, 4, 1), 8, qcluster.IndexOptions{}); err == nil {
 		t.Fatal("3 vectors across 8 shards must fail (some shard is empty)")
