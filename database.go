@@ -15,13 +15,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Result is one retrieval answer.
-type Result struct {
-	// ID is the database index of the item.
-	ID int
-	// Dist is its distance under the query's current distance function.
-	Dist float64
-}
+// Result is one retrieval answer: the database id of an item and its
+// distance under the query's current distance function.
+type Result = index.Result
 
 // Database is an indexed feature-vector collection. Searches run on a
 // hybrid-tree-style index with best-first pruning; arbitrary query
@@ -293,17 +289,13 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 		}
 	}
 	start := time.Now()
-	raw, stats, cerr := db.knnBackend(ctx, req)
+	res, stats, cerr := db.knnBackend(ctx, req)
 	elapsed := time.Since(start)
-	db.met.observeSearch(elapsed, req.k, len(raw), stats, health.Degraded(), cerr != nil)
+	db.met.observeSearch(elapsed, req.k, len(res), stats, health.Degraded(), cerr != nil)
 	if !req.leg {
 		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats)
 	}
-	res := make([]Result, len(raw))
-	for i, r := range raw {
-		res[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return res, stats, wrapInterrupt(cerr, len(raw))
+	return res, stats, wrapInterrupt(cerr, len(res))
 }
 
 // trapSearch is execute's panic barrier: barrier, plus "search.errors" —

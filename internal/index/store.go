@@ -98,7 +98,9 @@ func (s *Store) Vector(id int) linalg.Vector {
 
 // Result is one k-NN answer: an object id and its query distance.
 type Result struct {
-	ID   int
+	// ID is the database index of the item.
+	ID int
+	// Dist is its distance under the query's current distance function.
 	Dist float64
 }
 

@@ -72,22 +72,12 @@ type addVectorsResponse struct {
 	IDs []int `json:"ids"`
 }
 
-type resultItem struct {
-	ID   int     `json:"id"`
-	Dist float64 `json:"dist"`
-}
-
 // searchRequest asks for a stateless k-NN retrieval around an example
 // given inline (vector) or by database id (example_id).
 type searchRequest struct {
 	Vector    []float64 `json:"vector,omitempty"`
 	ExampleID *int      `json:"example_id,omitempty"`
 	K         int       `json:"k,omitempty"`
-}
-
-type searchResponse struct {
-	Results []resultItem `json:"results"`
-	Partial bool         `json:"partial,omitempty"`
 }
 
 // createSessionRequest opens a feedback session. Exactly one of example
@@ -119,23 +109,12 @@ type feedbackPoint struct {
 	Score  float64   `json:"score"`
 }
 
+// feedbackRequest is also parsed by parseMarks (wire.go). A field added
+// here reaches only decodeBody until parseMarks learns it: correct, but
+// every such body takes the slow path. The results page, the search page
+// and the feedback ack have no wire types; wire.go appends them.
 type feedbackRequest struct {
 	Points []feedbackPoint `json:"points"`
-}
-
-type feedbackResponse struct {
-	Absorbed    bool `json:"absorbed"`
-	Rounds      int  `json:"rounds"`
-	QueryPoints int  `json:"query_points"`
-}
-
-type resultsResponse struct {
-	Results     []resultItem `json:"results"`
-	Partial     bool         `json:"partial,omitempty"`
-	Refined     bool         `json:"refined"`
-	Rounds      int          `json:"rounds"`
-	QueryPoints int          `json:"query_points"`
-	Degraded    bool         `json:"degraded,omitempty"`
 }
 
 // ---- handlers ----
@@ -192,8 +171,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		status = http.StatusPartialContent
 	}
-	writeJSONProfiled(r.Context(), w, status, searchResponse{Results: convert(res), Partial: err != nil})
-	return status
+	return writePage(r.Context(), w, status, &page{results: res, partial: err != nil})
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) int {
@@ -272,12 +250,13 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) int {
 	s.lockSession(r.Context(), ms)
 	res, err := ms.sess.ResultsContext(r.Context(), k)
 	q := ms.sess.Query()
-	resp := resultsResponse{
-		Results:     convert(res),
-		Refined:     q.Ready(),
-		Rounds:      q.Rounds(),
-		QueryPoints: q.NumQueryPoints(),
-		Degraded:    ms.sess.Health().Degraded(),
+	pg := page{
+		results:     res,
+		session:     true,
+		refined:     q.Ready(),
+		rounds:      q.Rounds(),
+		queryPoints: q.NumQueryPoints(),
+		degraded:    ms.sess.Health().Degraded(),
 	}
 	s.unlockSession(ms)
 	if err != nil && !errors.Is(err, qcluster.ErrPartialResults) {
@@ -286,15 +265,14 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) int {
 	status := http.StatusOK
 	if err != nil {
 		status = http.StatusPartialContent
-		resp.Partial = true
+		pg.partial = true
 	}
-	writeJSONProfiled(r.Context(), w, status, resp)
-	return status
+	return writePage(r.Context(), w, status, &pg)
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) int {
 	var req feedbackRequest
-	if st := decodeBody(w, r, &req); st != 0 {
+	if st := decodeMarks(w, r, &req); st != 0 {
 		return st
 	}
 	if len(req.Points) == 0 {
@@ -323,19 +301,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) int {
 		p.StageAt(obs.StageFeedback, fbStart, time.Since(fbStart))
 	}
 	q := ms.sess.Query()
-	resp := feedbackResponse{
-		Absorbed:    q.Rounds() > before,
-		Rounds:      q.Rounds(),
-		QueryPoints: q.NumQueryPoints(),
-	}
+	rounds, queryPoints := q.Rounds(), q.NumQueryPoints()
 	s.unlockSession(ms)
 	if err != nil {
 		return failErr(w, err)
 	}
-	if resp.Absorbed {
+	absorbed := rounds > before
+	if absorbed {
 		s.met.feedbackRounds.Inc()
 	}
-	writeJSONProfiled(r.Context(), w, http.StatusOK, resp)
+	writeAck(r.Context(), w, absorbed, rounds, queryPoints)
 	return http.StatusOK
 }
 
@@ -446,12 +421,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func convert(rs []qcluster.Result) []resultItem {
-	out := make([]resultItem, len(rs))
-	for i, r := range rs {
-		out[i] = resultItem{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }

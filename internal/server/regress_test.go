@@ -122,3 +122,22 @@ func TestSessionTTLEnforcedAtAccess(t *testing.T) {
 		t.Fatalf("sessions.misses = %d, want 2 (expiry + later lookup)", got)
 	}
 }
+
+// TestNonFiniteDistanceIs500 is the regression test for a page whose
+// squared distance overflows to +Inf: encoding/json failed after the
+// 200 header, so the client got 200 with an empty body. The page is now
+// checked before any header and answered as a counted 500.
+func TestNonFiniteDistanceIs500(t *testing.T) {
+	db, err := qcluster.NewDatabase([][]float64{{1e200, 0}, {0, 0}, {1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, db, Options{})
+	st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: []float64{0, 0}, K: 3}, nil)
+	if st != http.StatusInternalServerError || raw != `{"error":"result 0 has a non-finite distance"}`+"\n" {
+		t.Fatalf("search over an overflowing distance = %d %q, want 500 naming result 0", st, raw)
+	}
+	if got := s.Metrics().Counters["server.errors_5xx"]; got != 1 {
+		t.Fatalf("server.errors_5xx = %d, want 1", got)
+	}
+}
