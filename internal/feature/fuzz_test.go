@@ -2,8 +2,8 @@ package feature
 
 import (
 	"image"
-	"image/color"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -36,29 +36,31 @@ func FuzzRGBToHSV(f *testing.F) {
 	})
 }
 
-// FuzzColorMoments checks that the feature extractor never produces
-// non-finite components, whatever the (tiny) image contents.
+// FuzzColorMoments checks that the RGBA kernels match the image.Image
+// reference bit for bit on a random sub-rectangle of a random image (at
+// most 32 × 32, a few flat colors with per-pixel perturbation), and never
+// produce non-finite components.
 func FuzzColorMoments(f *testing.F) {
-	f.Add(uint8(10), uint8(20), uint8(30), uint8(200), uint8(100), uint8(0))
-	f.Fuzz(func(t *testing.T, r1, g1, b1, r2, g2, b2 uint8) {
-		img := image.NewRGBA(image.Rect(0, 0, 4, 4))
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				if (x+y)%2 == 0 {
-					img.SetRGBA(x, y, color.RGBA{r1, g1, b1, 255})
-				} else {
-					img.SetRGBA(x, y, color.RGBA{r2, g2, b2, 255})
-				}
-			}
+	f.Add(int64(1), uint8(4), uint8(4), uint8(0), uint8(0), uint8(4), uint8(4))
+	f.Add(int64(2), uint8(32), uint8(7), uint8(3), uint8(1), uint8(20), uint8(6))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, w, h, x0, y0, x1, y1 uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		bounds := image.Rect(-3, 5, -3+1+int(w)%32, 5+1+int(h)%32)
+		img := randomRGBA(rng, bounds)
+		r := image.Rect(bounds.Min.X+int(x0)%bounds.Dx(), bounds.Min.Y+int(y0)%bounds.Dy(),
+			bounds.Min.X+int(x1)%(bounds.Dx()+1), bounds.Min.Y+int(y1)%(bounds.Dy()+1))
+		sub := img.SubImage(r).(*image.RGBA)
+		cm, tex := ColorMoments(sub), TextureFeatures(sub)
+		if want := refColorMoments(sub); !sameBits(cm, want) {
+			t.Fatalf("color moments of %v in %v:\n got  %v\n want %v", r, bounds, cm, want)
 		}
-		for i, v := range ColorMoments(img) {
+		if want := refTextureFeatures(sub); !sameBits(tex, want) {
+			t.Fatalf("texture of %v in %v:\n got  %v\n want %v", r, bounds, tex, want)
+		}
+		for i, v := range append(cm, tex...) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("component %d is %v", i, v)
-			}
-		}
-		for i, v := range TextureFeatures(img) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("texture component %d is %v", i, v)
 			}
 		}
 	})

@@ -17,52 +17,74 @@ const TextureDim = 16
 // while keeping the matrix small enough to extract at collection scale.
 const GLCMLevels = 32
 
-// glcmOffsets are the four standard adjacency directions (0°, 45°, 90°,
-// 135°); the final matrix is their symmetric average, making the feature
-// rotation-robust.
-var glcmOffsets = [4][2]int{{1, 0}, {1, 1}, {0, 1}, {-1, 1}}
-
 // GLCM builds the normalized gray-level co-occurrence matrix of the
 // image: cell (i, j) holds the probability that a pixel of quantized
-// level i is adjacent (over the four standard offsets, symmetrized) to a
+// level i is adjacent (over the four standard offsets — 0°, 45°, 90°,
+// 135° — symmetrized, which makes the feature rotation-robust) to a
 // pixel of level j.
-func GLCM(img image.Image) *linalg.Matrix {
+func GLCM(img *image.RGBA) *linalg.Matrix {
 	gray, w, h := Gray(img)
-	return glcmFromGray(gray, w, h)
+	m := linalg.NewMatrix(GLCMLevels, GLCMLevels)
+	glcmFromGray(m, gray, w, h)
+	return m
 }
 
-func glcmFromGray(gray []uint8, w, h int) *linalg.Matrix {
-	m := linalg.NewMatrix(GLCMLevels, GLCMLevels)
-	quant := func(g uint8) int { return int(g) * GLCMLevels / 256 }
-	var total float64
+// glcmFromGray writes the co-occurrence matrix of the w × h gray plane
+// into m, which is GLCMLevels square.
+func glcmFromGray(m *linalg.Matrix, gray []uint8, w, h int) {
+	// pairs[a*L+b] counts each adjacent pair once, as (pixel, neighbour);
+	// the matrix is pairs plus its transpose over twice the pair count,
+	// each cell an exact integer count divided once.
+	var pairs [GLCMLevels * GLCMLevels]uint32
+	quant := func(g uint8) uint { return uint(g) * GLCMLevels / 256 }
 	for y := 0; y < h; y++ {
+		row := gray[y*w : (y+1)*w]
+		var next []uint8 // the row below, nil on the last row
+		if y+1 < h {
+			next = gray[(y+1)*w : (y+2)*w]
+		}
 		for x := 0; x < w; x++ {
-			a := quant(gray[y*w+x])
-			for _, off := range glcmOffsets {
-				nx, ny := x+off[0], y+off[1]
-				if nx < 0 || nx >= w || ny >= h {
-					continue
-				}
-				b := quant(gray[ny*w+nx])
-				// Symmetric counting.
-				m.Data[a*GLCMLevels+b]++
-				m.Data[b*GLCMLevels+a]++
-				total += 2
+			a := quant(row[x]) * GLCMLevels
+			if x+1 < w {
+				pairs[a+quant(row[x+1])]++ // 0°
+			}
+			if next == nil {
+				continue
+			}
+			if x+1 < w {
+				pairs[a+quant(next[x+1])]++ // 45°
+			}
+			pairs[a+quant(next[x])]++ // 90°
+			if x > 0 {
+				pairs[a+quant(next[x-1])]++ // 135°
 			}
 		}
 	}
-	if total > 0 {
-		for i := range m.Data {
-			m.Data[i] /= total
+	var n uint64
+	for _, c := range pairs {
+		n += uint64(c)
+	}
+	if n == 0 {
+		clear(m.Data)
+		return
+	}
+	total := float64(2 * n)
+	for i := 0; i < GLCMLevels; i++ {
+		for j := 0; j < GLCMLevels; j++ {
+			m.Data[i*GLCMLevels+j] = float64(pairs[i*GLCMLevels+j]+pairs[j*GLCMLevels+i]) / total
 		}
 	}
-	return m
 }
 
 // TextureFeatures extracts the 16-D texture vector from the image's
 // co-occurrence matrix.
-func TextureFeatures(img image.Image) linalg.Vector {
-	return HaralickFeatures(GLCM(img))
+func TextureFeatures(img *image.RGBA) linalg.Vector {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	b := img.Bounds()
+	s.gray = grayPlane(img, s.gray[:0])
+	glcmFromGray(s.glcm, s.gray, b.Dx(), b.Dy())
+	return HaralickFeatures(s.glcm)
 }
 
 // HaralickFeatures computes 16 co-occurrence statistics from a normalized

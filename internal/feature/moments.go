@@ -3,6 +3,7 @@ package feature
 import (
 	"image"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/stat"
@@ -23,20 +24,58 @@ const ColorMomentsDim = 10
 // where the hue dispersion moments are computed on wrapped deviations
 // from the dominant hue lobe (see alignHueCircular) and scaled by 1/360,
 // so every component lives in a comparable O(1) range before PCA.
-func ColorMoments(img image.Image) linalg.Vector {
-	hs, ss, vs := hsvPixels(img)
+func ColorMoments(img *image.RGBA) linalg.Vector {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if b := img.Bounds(); len(s.planes) < 3*b.Dx()*b.Dy() {
+		s.planes = make([]float64, 3*b.Dx()*b.Dy())
+	}
+	hs, ss, vs := hsvPixels(img, s.planes)
 	alignHueCircular(hs)
 	for i := range hs {
 		hs[i] /= 360
 	}
-	hueMeanDeg := stat.Mean(hs) * 360 // reference + mean deviation, degrees
+	hueMean, hueSD, hueSkew := moments(hs)
+	hueMeanDeg := hueMean * 360 // reference + mean deviation, degrees
 	rad := hueMeanDeg * math.Pi / 180
 	out := make(linalg.Vector, 0, ColorMomentsDim)
-	out = append(out, math.Cos(rad), math.Sin(rad), stat.StdDev(hs), stat.Skewness(hs))
+	out = append(out, math.Cos(rad), math.Sin(rad), hueSD, hueSkew)
 	for _, ch := range [][]float64{ss, vs} {
-		out = append(out, stat.Mean(ch), stat.StdDev(ch), stat.Skewness(ch))
+		mean, sd, skew := moments(ch)
+		out = append(out, mean, sd, skew)
 	}
 	return out
+}
+
+// scratch is the working memory of one extraction, recycled through
+// scratchPool so that featurizing a collection does not allocate it per
+// image.
+type scratch struct {
+	planes []float64      // ColorMoments' H, S and V planes
+	gray   []uint8        // TextureFeatures' luminance plane
+	glcm   *linalg.Matrix // TextureFeatures' co-occurrence matrix
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{glcm: linalg.NewMatrix(GLCMLevels, GLCMLevels)}
+}}
+
+// moments returns stat.Mean, stat.StdDev and stat.Skewness of xs, bit for
+// bit, from one mean and one pass over the deviations instead of three
+// means and two passes.
+func moments(xs []float64) (mean, sd, skew float64) {
+	if len(xs) == 0 {
+		return 0, 0, 0
+	}
+	mean = stat.Mean(xs)
+	var s2, s3 float64
+	for _, x := range xs {
+		d := x - mean
+		s2 += d * d
+		s3 += d * d * d
+	}
+	n := float64(len(xs))
+	return mean, math.Sqrt(s2 / n), math.Cbrt(s3 / n)
 }
 
 // alignHueCircular rewrites the hue samples (degrees) as
@@ -53,7 +92,7 @@ func ColorMoments(img image.Image) linalg.Vector {
 // lobe is stable as long as one hue population holds a plurality.
 func alignHueCircular(hs []float64) (reference float64) {
 	const bins = 36
-	var hist [bins]float64
+	var hist [bins]int
 	for _, h := range hs {
 		b := int(h / (360 / bins))
 		if b >= bins {
@@ -72,13 +111,13 @@ func alignHueCircular(hs []float64) (reference float64) {
 	// Refine: circular mean of the dominant lobe only.
 	var sinSum, cosSum float64
 	for _, h := range hs {
-		d := math.Mod(h-modeDeg+540, 360) - 180
+		d := wrap360(h-modeDeg+540) - 180
 		if d < -60 || d > 60 {
 			continue
 		}
-		r := h * math.Pi / 180
-		sinSum += math.Sin(r)
-		cosSum += math.Cos(r)
+		sin, cos := math.Sincos(h * math.Pi / 180)
+		sinSum += sin
+		cosSum += cos
 	}
 	ref := modeDeg
 	if sinSum != 0 || cosSum != 0 {
@@ -88,8 +127,23 @@ func alignHueCircular(hs []float64) (reference float64) {
 		}
 	}
 	for i, h := range hs {
-		d := math.Mod(h-ref+540, 360) - 180
+		d := wrap360(h-ref+540) - 180
 		hs[i] = ref + d
 	}
 	return ref
+}
+
+// wrap360 is math.Mod(a, 360) for a in [0, 1080). Each subtraction is
+// exact: a and 360 are multiples of a's ulp and the difference is smaller
+// than a, so the result is the exact remainder Mod computes. The hue
+// samples and references are in [0, 360], so alignHueCircular's
+// arguments lie in (180, 900].
+func wrap360(a float64) float64 {
+	if a >= 360 {
+		a -= 360
+	}
+	if a >= 360 {
+		a -= 360
+	}
+	return a
 }

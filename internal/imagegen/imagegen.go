@@ -216,37 +216,43 @@ func renderVariant(v Variant, rng *rand.Rand, size int) *image.RGBA {
 	}
 	phase := rng.Intn(scale * 2)
 
-	// Pattern fill.
+	// Pattern fill, one row of Pix at a time. band[k] is the stripe
+	// index of coordinate k (or of x+y, for diagonals). Foreground bands
+	// cover one period in three, so the background hue always holds a
+	// clear plurality — which keeps the dominant-lobe hue reference of
+	// the color-moment feature stable across renditions of the same
+	// category.
+	band := make([]int, 2*size)
+	for k := range band {
+		band[k] = (k + phase) / scale
+	}
 	for y := 0; y < size; y++ {
+		row := img.Pix[y*img.Stride : y*img.Stride+4*size]
+		rowBG := bg
+		if v.Pattern == Gradient {
+			rowBG = lerpColor(bg, fg, float64(y)/float64(size-1))
+		}
 		for x := 0; x < size; x++ {
-			var on bool
+			c := rowBG
 			switch v.Pattern {
-			case Solid:
-				on = false
-			// Foreground bands cover one period in three, so the
-			// background hue always holds a clear plurality — which keeps
-			// the dominant-lobe hue reference of the color-moment feature
-			// stable across renditions of the same category.
 			case HStripes:
-				on = ((y+phase)/scale)%3 == 0
+				if band[y]%3 == 0 {
+					c = fg
+				}
 			case VStripes:
-				on = ((x+phase)/scale)%3 == 0
+				if band[x]%3 == 0 {
+					c = fg
+				}
 			case Checker:
-				on = (((x+phase)/scale)+((y+phase)/scale))%3 == 0
+				if (band[x]+band[y])%3 == 0 {
+					c = fg
+				}
 			case Diagonal:
-				on = ((x+y+phase)/scale)%3 == 0
-			case Gradient:
-				t := float64(y) / float64(size-1)
-				img.SetRGBA(x, y, lerpColor(bg, fg, t))
-				continue
-			case Blobs:
-				on = false // blobs drawn after the fill
+				if band[x+y]%3 == 0 {
+					c = fg
+				}
 			}
-			if on {
-				img.SetRGBA(x, y, fg)
-			} else {
-				img.SetRGBA(x, y, bg)
-			}
+			row[4*x], row[4*x+1], row[4*x+2], row[4*x+3] = c.R, c.G, c.B, c.A
 		}
 	}
 	if v.Pattern == Blobs {
@@ -260,27 +266,20 @@ func renderVariant(v Variant, rng *rand.Rand, size int) *image.RGBA {
 			drawDisc(img, cx, cy, r, fg)
 		}
 	}
-	// Per-pixel Gaussian noise.
+	// Per-pixel Gaussian noise, R then G then B, pixels in row order.
 	if v.Noise > 0 {
 		sigma := v.Noise * 255
-		for y := 0; y < size; y++ {
-			for x := 0; x < size; x++ {
-				px := img.RGBAAt(x, y)
-				px.R = addNoise(px.R, rng, sigma)
-				px.G = addNoise(px.G, rng, sigma)
-				px.B = addNoise(px.B, rng, sigma)
-				img.SetRGBA(x, y, px)
-			}
+		for i := 0; i+2 < len(img.Pix); i += 4 {
+			img.Pix[i] = addNoise(img.Pix[i], rng, sigma)
+			img.Pix[i+1] = addNoise(img.Pix[i+1], rng, sigma)
+			img.Pix[i+2] = addNoise(img.Pix[i+2], rng, sigma)
 		}
 	}
 	return img
 }
 
 func jitterColor(c color.RGBA, rng *rand.Rand, amp float64) color.RGBA {
-	j := func(v uint8) uint8 {
-		x := float64(v) + rng.NormFloat64()*amp
-		return uint8(math.Round(math.Min(255, math.Max(0, x))))
-	}
+	j := func(v uint8) uint8 { return to8bit(float64(v) + rng.NormFloat64()*amp) }
 	return color.RGBA{j(c.R), j(c.G), j(c.B), 255}
 }
 
@@ -292,8 +291,18 @@ func lerpColor(a, b color.RGBA, t float64) color.RGBA {
 }
 
 func addNoise(v uint8, rng *rand.Rand, sigma float64) uint8 {
-	x := float64(v) + rng.NormFloat64()*sigma
-	return uint8(math.Round(math.Min(255, math.Max(0, x))))
+	return to8bit(float64(v) + rng.NormFloat64()*sigma)
+}
+
+// to8bit clamps x to [0, 255] and rounds it to an 8-bit level. The
+// comparisons give the level math.Min(255, math.Max(0, x)) would.
+func to8bit(x float64) uint8 {
+	if x < 0 {
+		x = 0
+	} else if x > 255 {
+		x = 255
+	}
+	return uint8(math.Round(x))
 }
 
 func drawDisc(img *image.RGBA, cx, cy, r int, c color.RGBA) {
@@ -312,11 +321,4 @@ func drawDisc(img *image.RGBA, cx, cy, r int, c color.RGBA) {
 			}
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

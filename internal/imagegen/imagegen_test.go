@@ -1,7 +1,10 @@
 package imagegen
 
 import (
+	"bytes"
 	"image"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/feature"
@@ -176,6 +179,49 @@ func TestAllPatternsRender(t *testing.T) {
 		img := cat.Render(1, 24)
 		if img.Bounds().Dx() != 24 {
 			t.Fatalf("pattern %v: bad bounds", p)
+		}
+	}
+}
+
+// TestRenderMatchesReference checks renderVariant byte for byte against
+// the SetRGBA-based reference for every pattern, with noise on and off,
+// at sizes 1–48, and that both leave the generator in the same state
+// (the draw order is unchanged).
+func TestRenderMatchesReference(t *testing.T) {
+	cats := GenerateCategories(36, 6, 3, 1)
+	for p := Pattern(0); int(p) < numPatterns; p++ {
+		for ci, cat := range cats {
+			v := cat.Variants[len(cat.Variants)-1]
+			v.Pattern = p
+			if ci%2 == 0 {
+				v.Noise = 0
+			}
+			for size := 1; size <= 48; size++ {
+				seed := int64(size*100 + ci)
+				rng, refRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got, want := renderVariant(v, rng, size), refRenderVariant(v, refRNG, size)
+				if got.Rect != want.Rect || got.Stride != want.Stride || !bytes.Equal(got.Pix, want.Pix) {
+					t.Fatalf("%v, noise %v, size %d: rendering differs from the reference", p, v.Noise, size)
+				}
+				if a, b := rng.Int63(), refRNG.Int63(); a != b {
+					t.Fatalf("%v, noise %v, size %d: generator state differs after rendering", p, v.Noise, size)
+				}
+			}
+		}
+	}
+}
+
+// TestTo8bitMatchesMinMax checks the comparison clamp against the
+// math.Min/math.Max form it replaced, across and beyond [0, 255].
+func TestTo8bitMatchesMinMax(t *testing.T) {
+	xs := []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, -1e300, 1e300}
+	for k := -2000; k <= 2000; k++ {
+		x := float64(k) / 4
+		xs = append(xs, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+	}
+	for _, x := range xs {
+		if got, want := to8bit(x), uint8(math.Round(math.Min(255, math.Max(0, x)))); got != want {
+			t.Fatalf("to8bit(%v) = %d, want %d", x, got, want)
 		}
 	}
 }

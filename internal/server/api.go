@@ -278,6 +278,17 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) int {
 	if len(req.Points) == 0 {
 		return fail(w, http.StatusBadRequest, "no feedback points")
 	}
+	// A round clusters every positive mark in O(n²) memory, so the count
+	// is capped at the most results a client can have been shown.
+	positive := 0
+	for _, p := range req.Points {
+		if p.Score > 0 {
+			positive++
+		}
+	}
+	if positive > maxK {
+		return fail(w, http.StatusBadRequest, "feedback carries %d positively scored points; at most %d", positive, maxK)
+	}
 	ms, ok := s.mgr.get(r.PathValue("id"), timeNow())
 	if !ok {
 		return fail(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))

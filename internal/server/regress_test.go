@@ -141,3 +141,58 @@ func TestNonFiniteDistanceIs500(t *testing.T) {
 		t.Fatalf("server.errors_5xx = %d, want 1", got)
 	}
 }
+
+// TestFeedbackMarkCountCapped is the regression test for a feedback
+// body with more positive marks than any page can show: every mark
+// reached the first round's O(n²)-memory clustering under the session
+// lock, so 4 000 client vectors held the lock for half a minute and a
+// body at the size limit asked for a fatal allocation. Over maxK
+// positive marks is now a 400 before any model work; zero-score marks
+// do not count.
+func TestFeedbackMarkCountCapped(t *testing.T) {
+	db, _ := testDB(t)
+	s := startServer(t, db, Options{})
+	exID := 0
+	var created createSessionResponse
+	if st, raw := call(t, s, "POST", "/v1/sessions", createSessionRequest{ExampleID: &exID}, &created); st != 201 {
+		t.Fatalf("create session = %d %s", st, raw)
+	}
+	base := "/v1/sessions/" + created.SessionID
+	if st, raw := call(t, s, "POST", base+"/feedback",
+		feedbackRequest{Points: []feedbackPoint{{ID: 0, Score: 3}, {ID: 1, Score: 3}}}, nil); st != 200 {
+		t.Fatalf("first feedback = %d %s", st, raw)
+	}
+	var before resultsResponse
+	if st, _ := call(t, s, "GET", base+"/results?k=5", nil, &before); st != 200 {
+		t.Fatalf("results = %d", st)
+	}
+
+	dim := len(db.Vector(0))
+	over := feedbackRequest{Points: make([]feedbackPoint, maxK+1)}
+	for i := range over.Points {
+		vec := make([]float64, dim)
+		vec[0], vec[1] = float64(i), float64(i%7)
+		over.Points[i] = feedbackPoint{ID: -1, Vector: vec, Score: 1}
+	}
+	st, raw := call(t, s, "POST", base+"/feedback", over, nil)
+	if want := `{"error":"feedback carries 1001 positively scored points; at most 1000"}` + "\n"; st != 400 || raw != want {
+		t.Fatalf("over-limit feedback = %d %q, want 400 %q", st, raw, want)
+	}
+	var after resultsResponse
+	if st, _ := call(t, s, "GET", base+"/results?k=5", nil, &after); st != 200 {
+		t.Fatalf("results = %d", st)
+	}
+	if after.Rounds != before.Rounds || after.QueryPoints != before.QueryPoints {
+		t.Fatalf("rejected feedback moved the model: rounds %d → %d, query points %d → %d",
+			before.Rounds, after.Rounds, before.QueryPoints, after.QueryPoints)
+	}
+
+	zeros := feedbackRequest{Points: make([]feedbackPoint, maxK+1)}
+	for i := 0; i < maxK; i++ {
+		zeros.Points[i] = feedbackPoint{ID: i % db.Len(), Score: 0}
+	}
+	zeros.Points[maxK] = feedbackPoint{ID: 2, Score: 3}
+	if st, raw := call(t, s, "POST", base+"/feedback", zeros, nil); st != 200 {
+		t.Fatalf("1000 zero-score marks plus one positive = %d %s, want 200", st, raw)
+	}
+}
