@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/synth"
 )
 
 // buildDB constructs a database over vectors with the given backend (and
@@ -47,7 +48,7 @@ func identicalResults(t *testing.T, got, want []Result, label string) {
 func TestBackendUnknownRejected(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
-	if _, err := d.AddBatch(genVectors(8, 10, 4)); err != nil {
+	if _, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(8)), 10, 4, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -102,7 +103,7 @@ func TestBackendUnknownRejected(t *testing.T) {
 // bit-identical to the exact tree backend, adaptive metric included.
 func TestANNBackendBitIdentityWithFeedback(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	tree := buildDB(t, vectors, IndexOptions{})
 	annDB := buildDB(t, vectors, IndexOptions{
 		Backend: BackendANN,
@@ -187,7 +188,7 @@ func TestANNBackendApproxRecall(t *testing.T) {
 
 func TestANNBackendStatelessSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN, ANN: ANNOptions{EfSearch: len(vectors) + 1}})
 
 	res, err := annDB.SearchByExampleContext(context.Background(), annDB.Vector(3), 5)
@@ -207,7 +208,7 @@ func TestANNBackendStatelessSearch(t *testing.T) {
 
 func TestANNBackendRejectsUnquantizable(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	annDB := buildDB(t, vectors, IndexOptions{Backend: BackendANN})
 	n := annDB.Len()
 	// 1e39 overflows float32: the add must fail atomically — nothing

@@ -22,7 +22,6 @@ import (
 	"repro/internal/imagegen"
 	"repro/internal/index"
 	"repro/internal/linalg"
-	"repro/internal/pca"
 	"repro/internal/rf"
 	"repro/internal/synth"
 )
@@ -286,14 +285,7 @@ func mean(xs []float64) float64 {
 func BenchmarkIndexComparison(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
 	const n, dim = 30000, 3
-	vecs := make([]linalg.Vector, n)
-	for i := range vecs {
-		vecs[i] = linalg.Vector{rng.NormFloat64() * 3, rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-	}
-	store, err := index.NewStore(vecs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := mustStore(b, synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	tree := index.NewHybridTree(store, index.TreeOptions{})
 	scan := index.NewLinearScan(store)
 
@@ -324,96 +316,25 @@ func BenchmarkIndexComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkT2PCSpaceSpeedup measures the paper's Sec. 4.4 claim that
-// Hotelling's T² in principal-component space "becomes a quadratic form
-// which saves a lot of computing efforts": the diagonal PC-space sum
-// (Eq. 18) versus the full pooled-inverse quadratic form, at dimension
-// 16.
-func BenchmarkT2PCSpaceSpeedup(b *testing.B) {
-	rng := rand.New(rand.NewSource(88))
-	const dim, n = 16, 200
-	rows := make([]linalg.Vector, n)
-	for i := range rows {
-		v := make(linalg.Vector, dim)
-		for d := range v {
-			v[d] = rng.NormFloat64() * float64(1+d%4)
-		}
-		rows[i] = v
-	}
-	fitted, err := pca.Fit(rows)
+// mustStore wraps vectors a benchmark generated, which are always valid.
+func mustStore(b *testing.B, vecs []linalg.Vector) *index.Store {
+	store, err := index.NewStore(vecs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, y := rows[0], rows[1]
-	zx, zy := fitted.Project(x, dim), fitted.Project(y, dim)
-
-	// Full form: (x̄-ȳ)' S⁻¹ (x̄-ȳ) with S reconstructed from eigenpairs.
-	S := fitted.Components.Mul(linalg.Diag(fitted.Eigenvalues)).Mul(fitted.Components.T())
-	inv, err := S.Inverse()
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("full-quadratic", func(b *testing.B) {
-		var acc float64
-		for i := 0; i < b.N; i++ {
-			d := x.Sub(y)
-			acc += inv.QuadForm(d)
-		}
-		sink = acc
-	})
-	b.Run("pc-space-diagonal", func(b *testing.B) {
-		var acc float64
-		for i := 0; i < b.N; i++ {
-			acc += fitted.T2PC(zx, zy, 30, 30)
-		}
-		sink = acc
-	})
+	return store
 }
 
-var sink float64
-
-// gaussianStore is n isotropic dim-d Gaussian vectors; the returned rng
-// continues the stream that drew them.
-func gaussianStore(b *testing.B, n, dim int) (*index.Store, *rand.Rand) {
-	rng := rand.New(rand.NewSource(int64(31*n + dim)))
-	data := make([]float64, n*dim)
-	for i := range data {
-		data[i] = rng.NormFloat64() * 3
-	}
-	store, err := index.NewStoreFlat(data, dim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return store, rng
+// fullEq5 is the metric a full-scheme session searches with over cs:
+// Eq. 5 with each covariance shrunk toward the pooled one, prior dim+1.
+func fullEq5(cs ...*cluster.Cluster) distance.Metric {
+	m, _ := distance.FromClustersShrunkInfo(cs, cluster.FullInverse, float64(cs[0].Dim()+1))
+	return m
 }
 
-const mix16Cats, mix16PerCat = 1000, 64
-
-// mix16Store is shaped like the benchmark's mix16 workloads: 1000
-// clusters of 64 16-d vectors, cluster c at ids [64c, 64c+64). The
-// returned rng continues the stream that drew them.
-func mix16Store(b *testing.B) (*index.Store, *rand.Rand) {
-	const dim = 16
-	rng := rand.New(rand.NewSource(16))
-	data := make([]float64, 0, mix16Cats*mix16PerCat*dim)
-	for cat := 0; cat < mix16Cats; cat++ {
-		center := make([]float64, dim)
-		for d := range center {
-			center[d] = rng.NormFloat64() * 5
-		}
-		for i := 0; i < mix16PerCat; i++ {
-			for d := 0; d < dim; d++ {
-				data = append(data, center[d]+rng.NormFloat64())
-			}
-		}
-	}
-	store, err := index.NewStoreFlat(data, dim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return store, rng
-}
+// The mix16 cells are shaped like the benchmark's mix16 workloads: 1000
+// clusters of 64 16-d vectors, cluster c at ids [64c, 64c+64).
+const mix16Cats, mix16PerCat, mix16Seed = 1000, 64, 16
 
 // BenchmarkKNN times the k-NN hot path itself on one worker and on
 // GOMAXPROCS: Euclidean queries over random collections on a dim ∈
@@ -433,7 +354,8 @@ func BenchmarkKNN(b *testing.B) {
 	var cells []cell
 	for _, n := range []int{10000, 100000} {
 		for _, dim := range []int{8, 32} {
-			store, rng := gaussianStore(b, n, dim)
+			rng := rand.New(rand.NewSource(int64(31*n + dim)))
+			store := mustStore(b, synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 			metrics := make([]distance.Metric, 16)
 			for i := range metrics {
 				c := make(linalg.Vector, dim)
@@ -446,7 +368,9 @@ func BenchmarkKNN(b *testing.B) {
 		}
 	}
 	{
-		store, rng := mix16Store(b)
+		rng := rand.New(rand.NewSource(mix16Seed))
+		vecs, _ := synth.Mixture[linalg.Vector](rng, mix16Cats, mix16PerCat, 16, 5)
+		store := mustStore(b, vecs)
 		metrics := make([]distance.Metric, 16)
 		for i := range metrics {
 			first := rng.Intn(mix16Cats) * mix16PerCat
@@ -456,18 +380,17 @@ func BenchmarkKNN(b *testing.B) {
 			}
 			// A session searches with the Eq. 5 aggregate even over one
 			// cluster (core.MetricInfo), never with a bare *Quadratic.
-			metrics[i] = distance.FromClusters([]*cluster.Cluster{cluster.FromPoints(pts)}, cluster.FullInverse)
+			metrics[i] = fullEq5(cluster.FromPoints(pts))
 		}
 		cells = append(cells, cell{"dim16/n64k", store, metrics})
 	}
 	for _, c := range cells {
-		seq := index.NewHybridTree(c.store, index.TreeOptions{Parallelism: 1})
 		modes := []struct {
 			name string
 			tree *index.HybridTree
 		}{
-			{"seq", seq},
-			{"par", seq.WithParallelism(0)},
+			{"seq", index.NewHybridTree(c.store, index.TreeOptions{Parallelism: 1})},
+			{"par", index.NewHybridTree(c.store, index.TreeOptions{})},
 		}
 		for _, mode := range modes {
 			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
@@ -497,8 +420,11 @@ func BenchmarkKNN(b *testing.B) {
 // Mahalanobis tail, is the one it does not answer.
 func BenchmarkANN(b *testing.B) {
 	const k, queries, marks = 100, 16, 20
-	mix16, mixRng := mix16Store(b)
-	dim32, dimRng := gaussianStore(b, 100000, 32)
+	mixRng := rand.New(rand.NewSource(mix16Seed))
+	mixVecs, _ := synth.Mixture[linalg.Vector](mixRng, mix16Cats, mix16PerCat, 16, 5)
+	mix16 := mustStore(b, mixVecs)
+	dimRng := rand.New(rand.NewSource(31*100000 + 32))
+	dim32 := mustStore(b, synth.Gaussian[linalg.Vector](dimRng, 100000, 32, 3))
 	for _, c := range []struct {
 		name  string
 		store *index.Store
@@ -524,8 +450,8 @@ func BenchmarkANN(b *testing.B) {
 			seed := c.rng.Intn(c.store.Len() / 2)
 			c1, c2 := marked(seed), marked(seed+c.store.Len()/2)
 			byFamily[0] = append(byFamily[0], &distance.Euclidean{Center: c.store.Vector(seed)})
-			byFamily[1] = append(byFamily[1], distance.FromClusters([]*cluster.Cluster{c1}, cluster.FullInverse))
-			byFamily[2] = append(byFamily[2], distance.FromClusters([]*cluster.Cluster{c1, c2}, cluster.FullInverse))
+			byFamily[1] = append(byFamily[1], fullEq5(c1))
+			byFamily[2] = append(byFamily[2], fullEq5(c1, c2))
 		}
 		for f, family := range families {
 			metrics := byFamily[f]

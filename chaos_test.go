@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/synth"
 )
 
 // TestChaosConcurrentDatabase hammers one shared Database from 12
@@ -25,7 +27,7 @@ func TestChaosConcurrentDatabase(t *testing.T) {
 		sessions = 4
 	)
 	rng := rand.New(rand.NewSource(20))
-	db, err := NewDatabase(randomVectors(rng, initial, dim))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, initial, dim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ var engineFactories = map[string]func() rfEngine{
 	"qcluster-diag": func() rfEngine { return rf.NewQcluster(core.Options{Scheme: cluster.Diagonal}) },
 	"qcluster-inv":  func() rfEngine { return rf.NewQcluster(core.Options{Scheme: cluster.FullInverse}) },
 	"qpm":           func() rfEngine { return rf.NewQPM() },
-	"mindreader":    func() rfEngine { return rf.NewMindReader() },
 	"qex":           func() rfEngine { return rf.NewQEX(5) },
 	"falcon":        func() rfEngine { return rf.NewFalcon(-5) },
 }

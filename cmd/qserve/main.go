@@ -79,6 +79,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -287,20 +288,6 @@ func loadVectors(path string, cats, perCat, dim int, seed int64) ([][]float64, e
 		}
 		return out, nil
 	}
-	rng := rand.New(rand.NewSource(seed))
-	vectors := make([][]float64, 0, cats*perCat)
-	for c := 0; c < cats; c++ {
-		center := make([]float64, dim)
-		for d := range center {
-			center[d] = rng.NormFloat64() * 5
-		}
-		for i := 0; i < perCat; i++ {
-			v := make([]float64, dim)
-			for d := range v {
-				v[d] = center[d] + rng.NormFloat64()
-			}
-			vectors = append(vectors, v)
-		}
-	}
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(seed)), cats, perCat, dim, 5)
 	return vectors, nil
 }

@@ -3,7 +3,11 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -115,5 +119,29 @@ func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
 	const want = "addr ann-ef backend cats data dataset dim ops parallelism percat seed shards trace-log trace-sample"
 	if got := strings.Join(flags, " "); got != want {
 		t.Errorf("qserve -h lists %d flags:\n%s\nwant the 14 kept:\n%s", len(flags), got, want)
+	}
+}
+
+// TestMix16CorpusDigest pins the synthetic collection the mix16_*
+// benchmark workloads serve (-cats 1000 -percat 64 -dim 16, default
+// seed): the harness keeps its own copy of this generator as its oracle,
+// so the corpus must not drift. The digest is SHA-256 over every
+// component's Float64bits, little-endian, in id order.
+func TestMix16CorpusDigest(t *testing.T) {
+	const want = "804dd53d7dc88453a8bedb7c44d230559796c6aed51450257bcd9565936977fe"
+	vecs, err := loadVectors("", 1000, 64, 16, 2003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range vecs {
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); len(vecs) != 64000 || got != want {
+		t.Fatalf("corpus of %d vectors has digest %s, want 64000 vectors with %s", len(vecs), got, want)
 	}
 }

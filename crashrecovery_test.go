@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 )
 
 // The crash-recovery harness proves the durability contract the hard
@@ -43,7 +44,7 @@ const (
 )
 
 const (
-	crashSeedN = 32 // seed collection size (must match genVectors(1, ...))
+	crashSeedN = 32 // seed collection size, drawn from seed 1
 	crashDim   = 4
 )
 
@@ -51,14 +52,9 @@ const (
 // so parent and child derive identical contents independently.
 func crashVec(id int) []float64 {
 	if id < crashSeedN {
-		return genVectors(1, crashSeedN, crashDim)[id]
+		return synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), crashSeedN, crashDim, 1)[id]
 	}
-	rng := rand.New(rand.NewSource(0x9E3779B9 + int64(id)))
-	v := make([]float64, crashDim)
-	for d := range v {
-		v[d] = rng.NormFloat64()
-	}
-	return v
+	return synth.Gaussian[[]float64](rand.New(rand.NewSource(0x9E3779B9+int64(id))), 1, crashDim, 1)[0]
 }
 
 // TestCrashHelperProcess is not a test: it is the child body, entered
@@ -86,7 +82,7 @@ func TestCrashHelperProcess(t *testing.T) {
 			select {}
 		}
 	})
-	d, err := openDatabase(dir, DurableOptions{Seed: genVectors(1, crashSeedN, crashDim)}, walTuning{
+	d, err := openDatabase(dir, DurableOptions{Seed: synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), crashSeedN, crashDim, 1)}, walTuning{
 		batch:   4,
 		maxWait: 100 * time.Microsecond,
 		// Tiny threshold: rotations happen constantly, so the snapshot
@@ -156,7 +152,7 @@ func runCrashChild(t *testing.T, dir, point string, at int) (acked []int, killed
 // durability contract against the acked set.
 func verifyRecovery(t *testing.T, dir, point string, acked []int) {
 	t.Helper()
-	d, err := OpenDatabase(dir, DurableOptions{Seed: genVectors(1, crashSeedN, crashDim)})
+	d, err := OpenDatabase(dir, DurableOptions{Seed: synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), crashSeedN, crashDim, 1)})
 	if err != nil {
 		t.Fatalf("%s: reopening crashed dir: %v", point, err)
 	}
@@ -266,7 +262,7 @@ func TestDurableConcurrentMixedWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, v := range genVectors(int64(20+w), 60, 4) {
+			for _, v := range synth.Gaussian[[]float64](rand.New(rand.NewSource(int64(20+w))), 60, 4, 1) {
 				if _, err := d.Add(v); err != nil {
 					t.Errorf("Add: %v", err)
 					return
@@ -278,7 +274,7 @@ func TestDurableConcurrentMixedWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			vecs := genVectors(int64(30+w), 60, 4)
+			vecs := synth.Gaussian[[]float64](rand.New(rand.NewSource(int64(30+w))), 60, 4, 1)
 			for i := 0; i < len(vecs); i += 6 {
 				if _, err := d.AddBatch(vecs[i : i+6]); err != nil {
 					t.Errorf("AddBatch: %v", err)
@@ -292,7 +288,7 @@ func TestDurableConcurrentMixedWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			probes := genVectors(int64(40+w), 16, 4)
+			probes := synth.Gaussian[[]float64](rand.New(rand.NewSource(int64(40+w))), 16, 4, 1)
 			for {
 				select {
 				case <-stop:
@@ -312,7 +308,7 @@ func TestDurableConcurrentMixedWorkload(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess := d.NewSession(genVectors(50, 1, 4)[0], Options{})
+		sess := d.NewSession(synth.Gaussian[[]float64](rand.New(rand.NewSource(50)), 1, 4, 1)[0], Options{})
 		for r := 0; r < 10; r++ {
 			res := sess.Results(8)
 			pts := make([]Point, 0, 3)

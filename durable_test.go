@@ -13,30 +13,15 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 	"repro/internal/wal"
 )
 
-// genVectors produces a deterministic collection: vector i's components
-// are a pure function of (seed, i), so tests (and the crash harness's
-// child process) can regenerate any prefix independently.
-func genVectors(seed int64, n, dim int) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]float64, n)
-	for i := range out {
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = rng.NormFloat64()
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// openTestDB opens dir (seeded with genVectors(1, 32, 4) on first boot)
+// openTestDB opens dir (seeded with 32 4-d Gaussian vectors from seed 1 on first boot)
 // under the given group-commit and rotation tuning.
 func openTestDB(t *testing.T, dir string, tun walTuning) *DurableDatabase {
 	t.Helper()
-	d, err := openDatabase(dir, DurableOptions{Seed: genVectors(1, 32, 4)}, tun)
+	d, err := openDatabase(dir, DurableOptions{Seed: synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), 32, 4, 1)}, tun)
 	if err != nil {
 		t.Fatalf("OpenDatabase: %v", err)
 	}
@@ -50,7 +35,7 @@ func requireSameSearch(t *testing.T, want, got *Database) {
 	if want.Len() != got.Len() {
 		t.Fatalf("Len: want %d, got %d", want.Len(), got.Len())
 	}
-	probes := genVectors(99, 8, want.Dim())
+	probes := synth.Gaussian[[]float64](rand.New(rand.NewSource(99)), 8, want.Dim(), 1)
 	for qi, p := range probes {
 		a := want.SearchByExample(p, 10)
 		b := got.SearchByExample(p, 10)
@@ -69,7 +54,7 @@ func requireSameSearch(t *testing.T, want, got *Database) {
 func TestDurableWarmRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
-	added := genVectors(2, 100, 4)
+	added := synth.Gaussian[[]float64](rand.New(rand.NewSource(2)), 100, 4, 1)
 	var ids []int
 	for i := 0; i < len(added); i += 10 {
 		got, err := d.AddBatch(added[i : i+10])
@@ -103,7 +88,7 @@ func TestDurableWarmRestartRoundTrip(t *testing.T) {
 	if h2.ReplayedVectors != 100 {
 		t.Fatalf("expected 100 replayed vectors, got %+v", h2)
 	}
-	all := append(append([][]float64(nil), genVectors(1, 32, 4)...), added...)
+	all := append(append([][]float64(nil), synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), 32, 4, 1)...), added...)
 	ref, err := NewDatabase(all)
 	if err != nil {
 		t.Fatalf("NewDatabase: %v", err)
@@ -114,7 +99,7 @@ func TestDurableWarmRestartRoundTrip(t *testing.T) {
 func TestDurableCheckpointSkipsReplay(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
-	if _, err := d.AddBatch(genVectors(3, 20, 4)); err != nil {
+	if _, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(3)), 20, 4, 1)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
 	if err := d.Checkpoint(); err != nil {
@@ -147,7 +132,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			vecs := genVectors(int64(10+w), 40, 4)
+			vecs := synth.Gaussian[[]float64](rand.New(rand.NewSource(int64(10+w))), 40, 4, 1)
 			for _, v := range vecs {
 				if _, err := d.Add(v); err != nil {
 					t.Errorf("Add: %v", err)
@@ -175,18 +160,18 @@ func TestDurableDegradedModeOnFsyncError(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
 	defer d.Close()
-	if _, err := d.AddBatch(genVectors(4, 5, 4)); err != nil {
+	if _, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(4)), 5, 4, 1)); err != nil {
 		t.Fatalf("healthy AddBatch: %v", err)
 	}
 	faultinject.Set(faultinject.WALFsyncError, nil)
-	_, err := d.AddBatch(genVectors(5, 5, 4))
+	_, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(5)), 5, 4, 1))
 	if !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("fsync failure surfaced as %v, want ErrReadOnly", err)
 	}
 	faultinject.Reset()
 	// Degradation is sticky: storage came back but the process stays
 	// read-only until restarted.
-	if _, err := d.Add(genVectors(6, 1, 4)[0]); !errors.Is(err, ErrReadOnly) {
+	if _, err := d.Add(synth.Gaussian[[]float64](rand.New(rand.NewSource(6)), 1, 4, 1)[0]); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("second add after degrade: %v", err)
 	}
 	h := d.Health()
@@ -194,7 +179,7 @@ func TestDurableDegradedModeOnFsyncError(t *testing.T) {
 		t.Fatalf("health not degraded: %+v", h)
 	}
 	// Reads still work.
-	if res := d.SearchByExample(genVectors(7, 1, 4)[0], 5); len(res) != 5 {
+	if res := d.SearchByExample(synth.Gaussian[[]float64](rand.New(rand.NewSource(7)), 1, 4, 1)[0], 5); len(res) != 5 {
 		t.Fatalf("search in degraded mode returned %d results", len(res))
 	}
 	if err := d.Checkpoint(); !errors.Is(err, ErrReadOnly) {
@@ -226,7 +211,7 @@ func TestDurableRejectsBadVectors(t *testing.T) {
 func TestDurableTornTailRecovered(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
-	if _, err := d.AddBatch(genVectors(8, 10, 4)); err != nil {
+	if _, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(8)), 10, 4, 1)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -258,7 +243,7 @@ func TestDurableMidLogCorruptionRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, walTuning{batch: 1, maxWait: time.Nanosecond, rotateBytes: walRotateBytes})
 	// Sequential adds so the log holds several records.
-	for _, v := range genVectors(9, 6, 4) {
+	for _, v := range synth.Gaussian[[]float64](rand.New(rand.NewSource(9)), 6, 4, 1) {
 		if _, err := d.Add(v); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
@@ -271,9 +256,9 @@ func TestDurableMidLogCorruptionRefusesBoot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read wal: %v", err)
 	}
-	recs, err := wal.ReadAll(walPath)
-	if err != nil || len(recs) < 2 {
-		t.Fatalf("need ≥2 records, got %d (err %v)", len(recs), err)
+	st, err := wal.Replay(walPath, func([]byte) error { return nil })
+	if err != nil || st.Records < 2 {
+		t.Fatalf("need ≥2 records, got %d (err %v)", st.Records, err)
 	}
 	// Flip a payload bit inside the first record: the valid records
 	// after it prove this is not a torn tail, so boot must refuse
@@ -294,7 +279,7 @@ func TestDurableReplaySkipsSnapshotCoveredRecords(t *testing.T) {
 	// snapshot) and lose nothing.
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
-	if _, err := d.AddBatch(genVectors(10, 10, 4)); err != nil {
+	if _, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(10)), 10, 4, 1)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -330,7 +315,7 @@ func TestDurableFirstBootRequiresSeed(t *testing.T) {
 }
 
 func TestDurableSnapshotWriterRoundTrip(t *testing.T) {
-	db, err := NewDatabase(genVectors(11, 50, 6))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rand.New(rand.NewSource(11)), 50, 6, 1))
 	if err != nil {
 		t.Fatalf("NewDatabase: %v", err)
 	}
@@ -366,7 +351,7 @@ func TestDurableCloseIdempotentAndRejectsLateAdds(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := d.Add(genVectors(12, 1, 4)[0]); !errors.Is(err, ErrReadOnly) {
+	if _, err := d.Add(synth.Gaussian[[]float64](rand.New(rand.NewSource(12)), 1, 4, 1)[0]); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("add after close: %v", err)
 	}
 }
@@ -375,7 +360,7 @@ func TestDurableMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDB(t, dir, fixedWAL)
 	defer d.Close()
-	if _, err := d.AddBatch(genVectors(13, 8, 4)); err != nil {
+	if _, err := d.AddBatch(synth.Gaussian[[]float64](rand.New(rand.NewSource(13)), 8, 4, 1)); err != nil {
 		t.Fatalf("AddBatch: %v", err)
 	}
 	snap := d.Metrics()

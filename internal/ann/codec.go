@@ -78,14 +78,6 @@ func EncodeRow(dst []float32, src []float64) error {
 	return nil
 }
 
-// DecodeRow widens a quantized row back to float64 (exact: every
-// float32 is representable as a float64).
-func DecodeRow(dst []float64, src []float32) {
-	for i, f := range src {
-		dst[i] = float64(f)
-	}
-}
-
 // StoreF32 is the quantized mirror of an index.Store: the same rows in
 // the same order, each component narrowed to float32 under the codec's
 // conversion rules. It does no internal locking — the owning Index
@@ -94,15 +86,6 @@ type StoreF32 struct {
 	data []float32 // n*dim components, row i at [i*dim, (i+1)*dim)
 	dim  int
 	n    int
-}
-
-// NewStoreF32 quantizes every current row of the store.
-func NewStoreF32(s *index.Store) (*StoreF32, error) {
-	f := &StoreF32{dim: s.Dim()}
-	if err := f.SyncFrom(s); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // SyncFrom quantizes the store rows appended since the last sync

@@ -63,8 +63,8 @@ func TestStoreF32Sync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewStoreF32(store)
-	if err != nil {
+	f := &StoreF32{dim: store.Dim()}
+	if err := f.SyncFrom(store); err != nil {
 		t.Fatal(err)
 	}
 	if f.Len() != 2 || f.Dim() != 2 {

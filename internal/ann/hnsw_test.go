@@ -10,37 +10,21 @@ import (
 	"repro/internal/distance"
 	"repro/internal/index"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
 
-// clusteredStore builds the synthetic workload the recall tests use:
-// nClusters Gaussian blobs in [0,1]^dim — the data shape the paper's
-// feedback loop assumes (and the one that historically disconnects
-// naive proximity graphs, which is what the diversity heuristic must
-// survive).
-func clusteredStore(t *testing.T, n, dim, nClusters int, seed int64) *index.Store {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, nClusters)
-	for c := range centers {
-		centers[c] = make([]float64, dim)
-		for d := range centers[c] {
-			centers[c][d] = rng.Float64()
-		}
-	}
-	vecs := make([]linalg.Vector, n)
-	for i := range vecs {
-		c := centers[i%nClusters]
-		v := make(linalg.Vector, dim)
-		for d := range v {
-			v[d] = c[d] + rng.NormFloat64()*0.05
-		}
-		vecs[i] = v
-	}
-	store, err := index.NewStore(vecs)
+// The recall tests draw synth.RoundRobin blobs in [0,1]^dim: the data
+// shape the paper's feedback loop assumes, and the one that historically
+// disconnects naive proximity graphs, which the diversity heuristic must
+// survive.
+
+// newStore wraps vectors a test generated, which are always valid.
+func newStore(vecs []linalg.Vector) *index.Store {
+	s, err := index.NewStore(vecs)
 	if err != nil {
-		t.Fatalf("store: %v", err)
+		panic(err)
 	}
-	return store
+	return s
 }
 
 func recallAtK(approx, exact []index.Result) float64 {
@@ -65,7 +49,7 @@ func recallAtK(approx, exact []index.Result) float64 {
 // scan, averaged over query points drawn from the same distribution.
 func TestANNRecallFloor(t *testing.T) {
 	const n, dim, k = 5000, 16, 10
-	store := clusteredStore(t, n, dim, 8, 1)
+	store := newStore(synth.RoundRobin[linalg.Vector](rand.New(rand.NewSource(1)), n, dim, 8, 1, 0.05))
 	ix, err := New(store, Options{M: 16, EfConstruction: 128, Seed: 42})
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -100,7 +84,7 @@ func TestANNRecallFloor(t *testing.T) {
 // identical graphs, observed through identical search results and hop
 // counts on many queries.
 func TestANNDeterministicBuild(t *testing.T) {
-	store := clusteredStore(t, 2000, 8, 5, 3)
+	store := newStore(synth.RoundRobin[linalg.Vector](rand.New(rand.NewSource(3)), 2000, 8, 5, 1, 0.05))
 	opt := Options{M: 8, EfConstruction: 64, Seed: 7}
 	a, err := New(store, opt)
 	if err != nil {
@@ -136,7 +120,7 @@ func TestANNDeterministicBuild(t *testing.T) {
 // TestANNExhaustiveEfIsExact: ef >= n degenerates to the exact sweep —
 // results bit-identical to the linear scan, including Dist bits.
 func TestANNExhaustiveEfIsExact(t *testing.T) {
-	store := clusteredStore(t, 800, 8, 4, 5)
+	store := newStore(synth.RoundRobin[linalg.Vector](rand.New(rand.NewSource(5)), 800, 8, 4, 1, 0.05))
 	ix, err := New(store, Options{M: 8, Seed: 1})
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -172,7 +156,7 @@ func TestANNExhaustiveEfIsExact(t *testing.T) {
 // TestANNMultipointNavigation: a disjunctive metric navigates once per
 // cluster representative and still finds the neighbors of both modes.
 func TestANNMultipointNavigation(t *testing.T) {
-	store := clusteredStore(t, 3000, 8, 2, 8)
+	store := newStore(synth.RoundRobin[linalg.Vector](rand.New(rand.NewSource(8)), 3000, 8, 2, 1, 0.05))
 	ix, err := New(store, Options{M: 12, EfConstruction: 96, Seed: 9})
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -209,7 +193,7 @@ func ones(dim int) linalg.Vector {
 // while a writer keeps growing the graph; every search must return
 // valid ids and never race. (Run with -race in CI.)
 func TestANNConcurrentInsertSearch(t *testing.T) {
-	store := clusteredStore(t, 4000, 8, 6, 10)
+	store := newStore(synth.RoundRobin[linalg.Vector](rand.New(rand.NewSource(10)), 4000, 8, 6, 1, 0.05))
 	// Build the graph over the first half, then grow it concurrently
 	// with searches. The store itself is fully populated up front (the
 	// Database layer serializes store appends; here we exercise the
@@ -273,7 +257,7 @@ func TestANNConcurrentInsertSearch(t *testing.T) {
 // TestANNCancellation: an already-cancelled context yields the context
 // error and a refined (possibly empty) prefix, never a panic.
 func TestANNCancellation(t *testing.T) {
-	store := clusteredStore(t, 1000, 8, 4, 12)
+	store := newStore(synth.RoundRobin[linalg.Vector](rand.New(rand.NewSource(12)), 1000, 8, 4, 1, 0.05))
 	ix, err := New(store, Options{M: 8, Seed: 2})
 	if err != nil {
 		t.Fatalf("build: %v", err)

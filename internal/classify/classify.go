@@ -108,31 +108,6 @@ func (c *Classifier) Best(x linalg.Vector) (k int, score float64) {
 	return k, score
 }
 
-// Posterior returns P(C_i | x) of Eq. 9 for every cluster, using the
-// multivariate normal likelihood with the pooled covariance. The values
-// sum to 1.
-func (c *Classifier) Posterior(x linalg.Vector) []float64 {
-	// Work in log space then normalize for numerical stability.
-	logs := make([]float64, len(c.clusters))
-	maxLog := -1e308
-	for i := range c.clusters {
-		logs[i] = c.Score(i, x)
-		if logs[i] > maxLog {
-			maxLog = logs[i]
-		}
-	}
-	var sum float64
-	out := make([]float64, len(logs))
-	for i, l := range logs {
-		out[i] = math.Exp(l - maxLog)
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
 // InsideRadius reports whether x lies inside cluster k's effective
 // ellipsoid: (x - x̄_k)' S_k⁻¹ (x - x̄_k) < r(α)  (Lemma 1 / Eq. 6),
 // where S_k is cluster k's own covariance under the configured scheme.
@@ -147,9 +122,6 @@ func (c *Classifier) Posterior(x linalg.Vector) []float64 {
 func (c *Classifier) InsideRadius(k int, x linalg.Vector) bool {
 	return c.clusters[k].Mahalanobis(x, c.opt.Scheme) < c.RadiusFor(k)
 }
-
-// Radius exposes the large-sample effective radius χ²_p(1-α).
-func (c *Classifier) Radius() float64 { return c.radius }
 
 // RadiusFor returns the effective radius for cluster k, widened by the
 // finite-sample predictive factor when the cluster is small.
@@ -166,17 +138,6 @@ func (c *Classifier) RadiusFor(k int) float64 {
 	}
 	f := stat.FQuantile(1-c.opt.Alpha, p, n-p)
 	return p * (n*n - 1) / (n * (n - p)) * f
-}
-
-// Assign implements the decision of Algorithm 2 for one point: it returns
-// the index of the cluster x should join, or -1 when x falls outside the
-// winner's effective radius and must seed a new cluster.
-func (c *Classifier) Assign(x linalg.Vector) int {
-	k, _ := c.Best(x)
-	if c.InsideRadius(k, x) {
-		return k
-	}
-	return -1
 }
 
 // ClassifyAll runs Algorithm 2 over a batch of new points against the
@@ -203,8 +164,7 @@ func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) []*
 		} else {
 			cl.reset(work)
 		}
-		// The decision of Assign, opened up so the trace can record the
-		// Eq. 10 winner and the radius test outcome.
+		// Algorithm 2's decision: the Eq. 10 winner, then the radius test.
 		k, score := cl.Best(p.Vec)
 		if cl.InsideRadius(k, p.Vec) {
 			work[k].Add(p)

@@ -53,41 +53,6 @@ func TestPriorBreaksTies(t *testing.T) {
 	}
 }
 
-func TestPosteriorSumsToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	cs := []*cluster.Cluster{
-		gaussCluster(rng, 20, 3, linalg.Vector{0, 0, 0}, 1),
-		gaussCluster(rng, 20, 3, linalg.Vector{5, 5, 5}, 1),
-		gaussCluster(rng, 20, 3, linalg.Vector{-5, 5, 0}, 1),
-	}
-	cl := New(cs, Options{Scheme: cluster.FullInverse})
-	for trial := 0; trial < 10; trial++ {
-		x := linalg.Vector{rng.NormFloat64() * 5, rng.NormFloat64() * 5, rng.NormFloat64() * 5}
-		post := cl.Posterior(x)
-		var sum float64
-		for _, p := range post {
-			if p < 0 || p > 1 {
-				t.Fatalf("posterior out of range: %v", post)
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("posterior sums to %v", sum)
-		}
-		// The argmax of the posterior must agree with Best.
-		k, _ := cl.Best(x)
-		argmax := 0
-		for i, p := range post {
-			if p > post[argmax] {
-				argmax = i
-			}
-		}
-		if k != argmax {
-			t.Fatalf("Best=%d but posterior argmax=%d", k, argmax)
-		}
-	}
-}
-
 func TestEffectiveRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := gaussCluster(rng, 200, 2, linalg.Vector{0, 0}, 1)
@@ -115,22 +80,26 @@ func TestEffectiveRadius(t *testing.T) {
 func TestRadiusGrowsAsAlphaShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	a := gaussCluster(rng, 30, 3, linalg.Vector{0, 0, 0}, 1)
-	r05 := New([]*cluster.Cluster{a}, Options{Alpha: 0.05}).Radius()
-	r01 := New([]*cluster.Cluster{a}, Options{Alpha: 0.01}).Radius()
+	r05 := New([]*cluster.Cluster{a}, Options{Alpha: 0.05}).radius
+	r01 := New([]*cluster.Cluster{a}, Options{Alpha: 0.01}).radius
 	if r01 <= r05 {
 		t.Errorf("radius must grow as α shrinks: α=.01 → %v, α=.05 → %v", r01, r05)
 	}
 }
 
+// Algorithm 2's decision: an inlier joins the Eq. 10 winner; a point
+// outside the winner's effective radius seeds a new cluster.
 func TestAssignOutlierSeedsNewCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	a := gaussCluster(rng, 30, 2, linalg.Vector{0, 0}, 1)
 	cl := New([]*cluster.Cluster{a}, Options{Scheme: cluster.Diagonal, Alpha: 0.05})
-	if k := cl.Assign(linalg.Vector{0.3, -0.2}); k != 0 {
-		t.Errorf("inlier assigned to %d", k)
+	in := linalg.Vector{0.3, -0.2}
+	if k, _ := cl.Best(in); k != 0 || !cl.InsideRadius(k, in) {
+		t.Errorf("inlier assigned to %d (inside radius: %v)", k, cl.InsideRadius(k, in))
 	}
-	if k := cl.Assign(linalg.Vector{30, 30}); k != -1 {
-		t.Errorf("outlier assigned to %d, want -1 (new cluster)", k)
+	out := linalg.Vector{30, 30}
+	if k, _ := cl.Best(out); cl.InsideRadius(k, out) {
+		t.Errorf("outlier joined cluster %d, want a new cluster", k)
 	}
 }
 
@@ -270,14 +239,14 @@ func TestRadiusForWidensSmallClusters(t *testing.T) {
 		t.Errorf("small-cluster radius %v <= big-cluster radius %v", rSmall, rBig)
 	}
 	// Large n converges to the χ² radius.
-	if math.Abs(rBig-cl.Radius())/cl.Radius() > 0.05 {
-		t.Errorf("big-cluster radius %v far from χ² %v", rBig, cl.Radius())
+	if math.Abs(rBig-cl.radius)/cl.radius > 0.05 {
+		t.Errorf("big-cluster radius %v far from χ² %v", rBig, cl.radius)
 	}
 	// Degenerate cluster (n <= p+1) gets the generous fallback.
 	tiny := cluster.FromPoint(cluster.Point{Vec: linalg.Vector{5, 5, 5}, Score: 1})
 	cl2 := New([]*cluster.Cluster{tiny, big}, Options{Alpha: 0.05})
-	if got := cl2.RadiusFor(0); got != 4*cl2.Radius() {
-		t.Errorf("degenerate radius = %v, want %v", got, 4*cl2.Radius())
+	if got := cl2.RadiusFor(0); got != 4*cl2.radius {
+		t.Errorf("degenerate radius = %v, want %v", got, 4*cl2.radius)
 	}
 }
 

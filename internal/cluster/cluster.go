@@ -274,28 +274,6 @@ func (c *Cluster) Mahalanobis(x linalg.Vector, scheme Scheme) float64 {
 // Centroid returns a copy of the cluster centroid.
 func (c *Cluster) Centroid() linalg.Vector { return c.Mean.Clone() }
 
-// RecomputeFromPoints rebuilds Mean, Scatter and Weight by direct
-// summation over Points. Used by tests to validate the incremental
-// updates, and by leave-one-out quality measurement.
-func (c *Cluster) RecomputeFromPoints() {
-	dim := c.Dim()
-	c.Weight = 0
-	c.Mean = linalg.NewVector(dim)
-	c.Scatter = linalg.NewMatrix(dim, dim)
-	for _, p := range c.Points {
-		c.Weight += p.Score
-		c.Mean.AddScaled(p.Score, p.Vec)
-	}
-	if c.Weight == 0 {
-		return
-	}
-	c.Mean = c.Mean.Scale(1 / c.Weight)
-	for _, p := range c.Points {
-		d := p.Vec.Sub(c.Mean)
-		c.Scatter.AddScaledInPlace(p.Score, d.Outer(d))
-	}
-}
-
 // WithoutPoint returns a new cluster over Points minus the point at index
 // i, recomputed exactly. It backs the leave-one-out error rate of
 // Sec. 4.5.
@@ -320,19 +298,6 @@ func TotalWeight(cs []*Cluster) float64 {
 		s += c.Weight
 	}
 	return s
-}
-
-// NormalizedWeights returns w_i = m_i / Σ m_k (Sec. 4.2.1).
-func NormalizedWeights(cs []*Cluster) []float64 {
-	total := TotalWeight(cs)
-	ws := make([]float64, len(cs))
-	if total == 0 {
-		return ws
-	}
-	for i, c := range cs {
-		ws[i] = c.Weight / total
-	}
-	return ws
 }
 
 // Validate checks internal consistency; it returns an error describing the

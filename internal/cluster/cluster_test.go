@@ -21,6 +21,28 @@ func randPoints(rng *rand.Rand, n, dim int, center linalg.Vector, spread float64
 	return ps
 }
 
+// recomputeFromPoints rebuilds c's Mean, Scatter and Weight by direct
+// summation over c.Points (Eqs. 11-13 read literally), the reference the
+// incremental updates must match.
+func recomputeFromPoints(c *Cluster) {
+	dim := c.Dim()
+	c.Weight = 0
+	c.Mean = linalg.NewVector(dim)
+	c.Scatter = linalg.NewMatrix(dim, dim)
+	for _, p := range c.Points {
+		c.Weight += p.Score
+		c.Mean.AddScaled(p.Score, p.Vec)
+	}
+	if c.Weight == 0 {
+		return
+	}
+	c.Mean = c.Mean.Scale(1 / c.Weight)
+	for _, p := range c.Points {
+		d := p.Vec.Sub(c.Mean)
+		c.Scatter.AddScaledInPlace(p.Score, d.Outer(d))
+	}
+}
+
 func TestAddMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
@@ -30,7 +52,7 @@ func TestAddMatchesRecompute(t *testing.T) {
 		ref := &Cluster{Points: ps}
 		ref.Mean = linalg.NewVector(dim)
 		ref.Scatter = linalg.NewMatrix(dim, dim)
-		ref.RecomputeFromPoints()
+		recomputeFromPoints(ref)
 		if !c.Mean.Equal(ref.Mean, 1e-9) {
 			t.Fatalf("trial %d: incremental mean %v != direct %v", trial, c.Mean, ref.Mean)
 		}
@@ -191,12 +213,13 @@ func TestWithoutPoint(t *testing.T) {
 func TestNormalizedWeights(t *testing.T) {
 	a := FromPoint(Point{Vec: linalg.Vector{0}, Score: 1})
 	b := FromPoint(Point{Vec: linalg.Vector{1}, Score: 3})
-	ws := NormalizedWeights([]*Cluster{a, b})
-	if !almostEq(ws[0], 0.25, 1e-12) || !almostEq(ws[1], 0.75, 1e-12) {
-		t.Errorf("weights = %v", ws)
-	}
-	if tw := TotalWeight([]*Cluster{a, b}); tw != 4 {
+	tw := TotalWeight([]*Cluster{a, b})
+	if tw != 4 {
 		t.Errorf("TotalWeight = %v", tw)
+	}
+	// w_i = m_i / Σ m_k (Sec. 4.2.1), the classifier's priors.
+	if w0, w1 := a.Weight/tw, b.Weight/tw; !almostEq(w0, 0.25, 1e-12) || !almostEq(w1, 0.75, 1e-12) {
+		t.Errorf("weights = %v, %v", w0, w1)
 	}
 }
 

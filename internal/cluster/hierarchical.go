@@ -182,56 +182,6 @@ func AgglomerateGap(points []Point, linkage Linkage, gapFactor float64) []*Clust
 	})
 }
 
-// AutoCutoff estimates a reasonable DistanceCutoff for the initial
-// clustering from the data itself: c times the mean nearest-neighbor
-// distance among the points. The multiplier defaults to 2 when c <= 0.
-// Points whose nearest neighbor is much farther than typical stay
-// separate clusters — the bimodal relevant sets of the paper's bird
-// example split exactly here.
-func AutoCutoff(points []Point, c float64) float64 {
-	if c <= 0 {
-		c = 2
-	}
-	if len(points) < 2 {
-		return 0
-	}
-	var sum float64
-	for i := range points {
-		best := math.Inf(1)
-		for j := range points {
-			if i == j {
-				continue
-			}
-			if d := points[i].Vec.Dist(points[j].Vec); d < best {
-				best = d
-			}
-		}
-		sum += best
-	}
-	return c * sum / float64(len(points))
-}
-
-// Assignments returns, for each input point ID, the index of the cluster
-// that contains it; IDs not present map to -1. Useful for evaluating
-// clustering accuracy in the synthetic experiments.
-func Assignments(cs []*Cluster, ids []int) []int {
-	byID := map[int]int{}
-	for ci, c := range cs {
-		for _, p := range c.Points {
-			byID[p.ID] = ci
-		}
-	}
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		if ci, ok := byID[id]; ok {
-			out[i] = ci
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
 // Centroids extracts the centroid of every cluster.
 func Centroids(cs []*Cluster) []linalg.Vector {
 	out := make([]linalg.Vector, len(cs))

@@ -77,37 +77,3 @@ func TestAgglomerateAllMergeWithoutBounds(t *testing.T) {
 		t.Fatalf("merged cluster has %d points", cs[0].N())
 	}
 }
-
-func TestAutoCutoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	ps := twoBlobs(rng, 10)
-	cut := AutoCutoff(ps, 0)
-	if cut <= 0 {
-		t.Fatalf("AutoCutoff = %v", cut)
-	}
-	// The automatic cutoff should separate the two far blobs.
-	cs := Agglomerate(ps, HierarchicalOptions{Linkage: CentroidLinkage, DistanceCutoff: cut})
-	if len(cs) < 2 {
-		t.Errorf("auto cutoff %v merged the far blobs", cut)
-	}
-	if AutoCutoff(ps[:1], 2) != 0 {
-		t.Error("cutoff for a single point must be 0")
-	}
-}
-
-func TestAssignments(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	ps := twoBlobs(rng, 5)
-	cs := Agglomerate(ps, HierarchicalOptions{Linkage: CentroidLinkage, TargetClusters: 2})
-	ids := []int{0, 9, 42}
-	as := Assignments(cs, ids)
-	if as[0] < 0 || as[1] < 0 {
-		t.Error("known IDs must be assigned")
-	}
-	if as[2] != -1 {
-		t.Error("unknown ID must map to -1")
-	}
-	if len(Centroids(cs)) != 2 {
-		t.Error("Centroids length mismatch")
-	}
-}

@@ -105,13 +105,3 @@ func CriticalValue(a, b *Cluster, dim int, alpha float64) float64 {
 	f := stat.FQuantile(1-alpha, p, df2)
 	return p * (m - 2) / df2 * f
 }
-
-// MergeTest reports whether the two clusters should be merged at
-// significance level alpha — i.e. whether the null hypothesis μ_i = μ_j
-// is NOT rejected: T² <= c². It returns the statistic and critical value
-// for experiment logging (Tables 2-3, Figs. 18-19).
-func MergeTest(a, b *Cluster, scheme Scheme, alpha float64) (merge bool, t2, c2 float64) {
-	t2 = T2(a, b, scheme)
-	c2 = CriticalValue(a, b, a.Dim(), alpha)
-	return t2 <= c2, t2, c2
-}

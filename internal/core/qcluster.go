@@ -267,9 +267,6 @@ func (m *QueryModel) ErrorRate() float64 {
 	return classify.ErrorRate(m.clusters, m.classifyOptions())
 }
 
-// TotalWeight returns Σ m_i across query clusters.
-func (m *QueryModel) TotalWeight() float64 { return cluster.TotalWeight(m.clusters) }
-
 // ClusterInfo is a diagnostic snapshot of one query cluster.
 type ClusterInfo struct {
 	// Centroid is the cluster representative x̄_i.

@@ -30,8 +30,8 @@ func TestInitialFeedbackFormsDisjointClusters(t *testing.T) {
 	if g := m.NumClusters(); g != 2 {
 		t.Errorf("NumClusters = %d, want 2 (bimodal relevant set)", g)
 	}
-	if m.TotalWeight() != 20 {
-		t.Errorf("TotalWeight = %v", m.TotalWeight())
+	if cluster.TotalWeight(m.clusters) != 20 {
+		t.Errorf("TotalWeight = %v", cluster.TotalWeight(m.clusters))
 	}
 }
 
@@ -49,10 +49,10 @@ func TestFeedbackSkipsSeenIDs(t *testing.T) {
 	m := New(Options{})
 	pts := blob(rng, 10, 0, 0, 0)
 	m.Feedback(pts)
-	w := m.TotalWeight()
+	w := cluster.TotalWeight(m.clusters)
 	m.Feedback(pts) // same IDs again: no-op
-	if m.TotalWeight() != w {
-		t.Errorf("re-feeding seen points changed weight %v -> %v", w, m.TotalWeight())
+	if cluster.TotalWeight(m.clusters) != w {
+		t.Errorf("re-feeding seen points changed weight %v -> %v", w, cluster.TotalWeight(m.clusters))
 	}
 }
 
@@ -79,8 +79,8 @@ func TestSecondRoundClassification(t *testing.T) {
 	if g := m.NumClusters(); g != 3 {
 		t.Errorf("NumClusters = %d, want 3", g)
 	}
-	if m.TotalWeight() != 26 {
-		t.Errorf("TotalWeight = %v, want 26", m.TotalWeight())
+	if cluster.TotalWeight(m.clusters) != 26 {
+		t.Errorf("TotalWeight = %v, want 26", cluster.TotalWeight(m.clusters))
 	}
 }
 
@@ -193,8 +193,8 @@ func TestSnapshot(t *testing.T) {
 			t.Errorf("centroid dim = %d", info.Centroid.Dim())
 		}
 	}
-	if totalPts != 20 || totalW != m.TotalWeight() {
-		t.Errorf("totals: %d points, weight %v vs %v", totalPts, totalW, m.TotalWeight())
+	if totalPts != 20 || totalW != cluster.TotalWeight(m.clusters) {
+		t.Errorf("totals: %d points, weight %v vs %v", totalPts, totalW, cluster.TotalWeight(m.clusters))
 	}
 }
 
@@ -214,8 +214,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.NumClusters() != m.NumClusters() {
 		t.Fatalf("clusters %d != %d", back.NumClusters(), m.NumClusters())
 	}
-	if back.TotalWeight() != m.TotalWeight() {
-		t.Errorf("weight %v != %v", back.TotalWeight(), m.TotalWeight())
+	if cluster.TotalWeight(back.clusters) != cluster.TotalWeight(m.clusters) {
+		t.Errorf("weight %v != %v", cluster.TotalWeight(back.clusters), cluster.TotalWeight(m.clusters))
 	}
 	if back.Options() != m.Options() {
 		t.Errorf("options differ: %+v vs %+v", back.Options(), m.Options())
@@ -226,10 +226,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("metric differs after round trip: %v vs %v", a, b)
 	}
 	// Seen-id set preserved: re-feeding old points is a no-op.
-	w := back.TotalWeight()
+	w := cluster.TotalWeight(back.clusters)
 	back.Feedback(blob(rng, 0, 0, 0, 0)) // empty
 	back.Feedback([]cluster.Point{{ID: 3, Vec: linalg.Vector{0, 0}, Score: 3}})
-	if back.TotalWeight() != w {
+	if cluster.TotalWeight(back.clusters) != w {
 		t.Error("seen ids were not restored")
 	}
 }

@@ -141,6 +141,19 @@ func refAgglomerateGap(points []cluster.Point, linkage cluster.Linkage, gapFacto
 	})
 }
 
+// normalizedWeights returns w_i = m_i / Σ m_k (Sec. 4.2.1).
+func normalizedWeights(cs []*cluster.Cluster) []float64 {
+	total := cluster.TotalWeight(cs)
+	ws := make([]float64, len(cs))
+	if total == 0 {
+		return ws
+	}
+	for i, c := range cs {
+		ws[i] = c.Weight / total
+	}
+	return ws
+}
+
 // refClassifyAll is Algorithm 2 with everything rebuilt per point.
 func refClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt classify.Options) []*cluster.Cluster {
 	work := append([]*cluster.Cluster(nil), cs...)
@@ -150,7 +163,7 @@ func refClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt classify.
 			continue
 		}
 		pooledInv := cluster.InverseOf(cluster.PooledAll(work), opt.Scheme)
-		ws := cluster.NormalizedWeights(work)
+		ws := normalizedWeights(work)
 		radius := stat.ChiSquareQuantile(1-opt.Alpha, float64(work[0].Dim()))
 		k, best := 0, math.Inf(-1)
 		for i, c := range work {

@@ -455,7 +455,7 @@ func TestPointFilterGates(t *testing.T) {
 		"+Inf bound": q.filter(math.Inf(1)),
 		"NaN bound":  q.filter(math.NaN()),
 		"diagonal":   NewQuadraticDiag(q.Center, w.Diagonal()).filter(bound),
-		"non-PD":     NewQuadraticFull(linalg.Vector{0, 0}, linalg.FromRows([]linalg.Vector{{1, 2}, {2, 1}})).filter(bound),
+		"non-PD":     NewQuadraticFull(linalg.Vector{0, 0}, &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 1}}).filter(bound),
 		"dim 7":      NewQuadraticFull(make(linalg.Vector, 7), randSPDMatrix(rng, 7, 1)).filter(bound),
 	} {
 		if off.on {
@@ -493,7 +493,7 @@ func maxOf(xs []float64) float64 {
 // must then evaluate exactly and never abandon, even under a zero bound.
 func TestEvalBatchNonPDFallbackExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
-	inv := linalg.FromRows([]linalg.Vector{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	inv := &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 1}} // eigenvalues 3, -1
 	q := NewQuadraticFull(linalg.Vector{0.5, -0.5}, inv)
 	rows := make([]linalg.Vector, 32)
 	for i := range rows {
@@ -652,7 +652,8 @@ func mix16Shaped(dim int, shape string) (flat []float64, m *Disjunctive) {
 		id := first + j
 		pts[j] = cluster.Point{ID: id, Vec: flat[id*dim : (id+1)*dim], Score: 1}
 	}
-	return flat, FromClusters([]*cluster.Cluster{cluster.FromPoints(pts)}, cluster.FullInverse)
+	m, _ = FromClustersShrunkInfo([]*cluster.Cluster{cluster.FromPoints(pts)}, cluster.FullInverse, float64(dim+1))
+	return flat, m
 }
 
 // BenchmarkEvalBatch compares the scalar per-row loop against the batch

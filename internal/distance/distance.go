@@ -126,15 +126,6 @@ func NewQuadraticFull(center linalg.Vector, inv *linalg.Matrix) *Quadratic {
 	return q
 }
 
-// FromCluster builds the quadratic distance of a query cluster under the
-// given covariance scheme.
-func FromCluster(c *cluster.Cluster, scheme cluster.Scheme) *Quadratic {
-	if scheme == cluster.Diagonal {
-		return NewQuadraticDiag(c.Mean, c.InverseDiag())
-	}
-	return NewQuadraticFull(c.Mean, c.InverseCov(cluster.FullInverse))
-}
-
 // Dim returns the dimensionality.
 func (q *Quadratic) Dim() int { return q.Center.Dim() }
 
@@ -210,24 +201,6 @@ func NewDisjunctive(parts []*Quadratic, weights []float64) *Disjunctive {
 	return &Disjunctive{Parts: parts, Weights: weights, total: total}
 }
 
-// FromClusters builds Eq. 5 for a set of query clusters under a scheme,
-// with m_i = cluster weights (sums of relevance scores). Each cluster's
-// covariance is shrunk toward the pooled covariance of the whole set
-// (prior strength dim+1, see cluster.ShrunkCov) so the per-cluster
-// quadratic forms share one scale — required for the fuzzy-OR aggregate
-// to rank across clusters sensibly when some clusters are young.
-func FromClusters(cs []*cluster.Cluster, scheme cluster.Scheme) *Disjunctive {
-	return FromClustersShrunk(cs, scheme, float64(dimOf(cs)+1))
-}
-
-// FromClustersShrunk is FromClusters with an explicit shrinkage prior
-// strength tau; tau = 0 uses each cluster's raw sample covariance (the
-// paper's Eq. 5 read literally — exposed for ablation studies).
-func FromClustersShrunk(cs []*cluster.Cluster, scheme cluster.Scheme, tau float64) *Disjunctive {
-	d, _ := FromClustersShrunkInfo(cs, scheme, tau)
-	return d
-}
-
 // BuildInfo reports degradations absorbed while constructing a metric —
 // the observable trace of the graceful-degradation paths (regularized
 // inverses, floored variances) that keep a singular covariance from
@@ -249,8 +222,16 @@ type BuildInfo struct {
 // Degraded reports whether any cluster needed a covariance fallback.
 func (b BuildInfo) Degraded() bool { return b.DegradedClusters > 0 }
 
-// FromClustersShrunkInfo is FromClustersShrunk plus a BuildInfo
-// describing which graceful-degradation paths the construction took.
+// FromClustersShrunkInfo builds Eq. 5 for a set of query clusters under
+// a scheme, with m_i = cluster weights (sums of relevance scores). Each
+// cluster's covariance is shrunk toward the pooled covariance of the
+// whole set with prior strength tau (see cluster.ShrunkCov), so the
+// per-cluster quadratic forms share one scale — required for the fuzzy-OR
+// aggregate to rank across clusters sensibly when some clusters are
+// young. A session uses tau = dim+1; tau = 0 uses each cluster's raw
+// sample covariance (the paper's Eq. 5 read literally, an ablation). The
+// BuildInfo describes which graceful-degradation paths the construction
+// took.
 func FromClustersShrunkInfo(cs []*cluster.Cluster, scheme cluster.Scheme, tau float64) (*Disjunctive, BuildInfo) {
 	if len(cs) == 0 {
 		panic("distance: no clusters")
@@ -277,13 +258,6 @@ func FromClustersShrunkInfo(cs []*cluster.Cluster, scheme cluster.Scheme, tau fl
 		ws[i] = c.Weight
 	}
 	return NewDisjunctive(parts, ws), info
-}
-
-func dimOf(cs []*cluster.Cluster) int {
-	if len(cs) == 0 {
-		return 0
-	}
-	return cs[0].Dim()
 }
 
 // Dim returns the dimensionality.

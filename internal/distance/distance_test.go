@@ -42,7 +42,7 @@ func TestQuadraticDiag(t *testing.T) {
 }
 
 func TestQuadraticFullMatchesDirect(t *testing.T) {
-	inv := linalg.FromRows([]linalg.Vector{{2, 0.5}, {0.5, 1}})
+	inv := &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{2, 0.5, 0.5, 1}}
 	q := NewQuadraticFull(linalg.Vector{1, -1}, inv)
 	x := linalg.Vector{2, 1}
 	d := x.Sub(linalg.Vector{1, -1})
@@ -157,11 +157,11 @@ func TestFromClustersMatchesManual(t *testing.T) {
 		return c
 	}
 	cs := []*cluster.Cluster{mk(0, 0), mk(8, 8)}
-	d := FromClusters(cs, cluster.Diagonal)
-	x := linalg.Vector{1, 1}
-	// Manual Eq. 5 with the pooled-shrunk covariances FromClusters uses.
-	pooled := cluster.PooledAll(cs)
 	tau := float64(cs[0].Dim() + 1)
+	d, _ := FromClustersShrunkInfo(cs, cluster.Diagonal, tau)
+	x := linalg.Vector{1, 1}
+	// Manual Eq. 5 with the pooled-shrunk covariances a session uses.
+	pooled := cluster.PooledAll(cs)
 	var denom, total float64
 	for _, c := range cs {
 		inv := cluster.InverseDiagOf(cluster.ShrunkCov(c, pooled, tau))
@@ -265,7 +265,10 @@ func TestFromClusterBothSchemes(t *testing.T) {
 		})
 	}
 	for _, scheme := range []cluster.Scheme{cluster.Diagonal, cluster.FullInverse} {
-		q := FromCluster(c, scheme)
+		q := NewQuadraticDiag(c.Mean, c.InverseDiag())
+		if scheme == cluster.FullInverse {
+			q = NewQuadraticFull(c.Mean, c.InverseCov(cluster.FullInverse))
+		}
 		if q.Dim() != 2 {
 			t.Fatalf("%v: Dim = %d", scheme, q.Dim())
 		}
@@ -284,7 +287,7 @@ func TestFromClustersShrunkTauZero(t *testing.T) {
 	}
 	// With one cluster and tau=0 the disjunctive metric reduces to that
 	// cluster's raw Mahalanobis distance.
-	d := FromClustersShrunk([]*cluster.Cluster{c}, cluster.Diagonal, 0)
+	d, _ := FromClustersShrunkInfo([]*cluster.Cluster{c}, cluster.Diagonal, 0)
 	x := linalg.Vector{0.7, -0.3}
 	want := c.Mahalanobis(x, cluster.Diagonal)
 	if got := d.Eval(x); math.Abs(got-want) > 1e-9 {

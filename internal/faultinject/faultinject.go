@@ -121,33 +121,3 @@ func Fire(point string) {
 		fn()
 	}
 }
-
-// IdenticalBatch returns n copies of one constant vector — the most
-// degenerate feedback batch possible: zero scatter in every dimension,
-// guaranteeing a singular covariance for any dim >= 1.
-func IdenticalBatch(dim, n int, value float64) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = value
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// CollinearBatch returns n points spaced along a single line in dim-D
-// space: the scatter has rank 1, so the covariance is singular whenever
-// dim > 1 regardless of how many points are supplied.
-func CollinearBatch(dim, n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = float64(i+1) * float64(d+1)
-		}
-		out[i] = v
-	}
-	return out
-}

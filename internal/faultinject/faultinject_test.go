@@ -69,23 +69,3 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestDegenerateBatches(t *testing.T) {
-	b := IdenticalBatch(4, 3, 7.5)
-	if len(b) != 3 || len(b[0]) != 4 || b[2][3] != 7.5 {
-		t.Fatalf("IdenticalBatch shape wrong: %v", b)
-	}
-	c := CollinearBatch(3, 5)
-	if len(c) != 5 || len(c[0]) != 3 {
-		t.Fatalf("CollinearBatch shape wrong: %v", c)
-	}
-	// Every point must be a scalar multiple of the first.
-	for i := 1; i < len(c); i++ {
-		ratio := c[i][0] / c[0][0]
-		for d := range c[i] {
-			if c[i][d] != ratio*c[0][d] {
-				t.Fatalf("point %d not collinear with point 0", i)
-			}
-		}
-	}
-}

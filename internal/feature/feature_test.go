@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 func solid(c color.RGBA, w, h int) *image.RGBA {
@@ -104,9 +106,17 @@ func TestColorMomentsDistinguishColors(t *testing.T) {
 	}
 }
 
+// glcm is the co-occurrence matrix TextureFeatures builds for img.
+func glcm(img *image.RGBA) *linalg.Matrix {
+	b := img.Bounds()
+	m := linalg.NewMatrix(GLCMLevels, GLCMLevels)
+	glcmFromGray(m, grayPlane(img, nil), b.Dx(), b.Dy())
+	return m
+}
+
 func TestGLCMNormalizedAndSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	m := GLCM(noisy(rng, 32, 32))
+	m := glcm(noisy(rng, 32, 32))
 	var sum float64
 	for _, v := range m.Data {
 		sum += v
@@ -125,7 +135,7 @@ func TestGLCMNormalizedAndSymmetric(t *testing.T) {
 
 func TestGLCMSolidConcentrated(t *testing.T) {
 	// A solid image co-occurs only at one (i, i) cell.
-	m := GLCM(solid(color.RGBA{100, 100, 100, 255}, 16, 16))
+	m := glcm(solid(color.RGBA{100, 100, 100, 255}, 16, 16))
 	nonZero := 0
 	for _, v := range m.Data {
 		if v > 0 {
@@ -192,9 +202,9 @@ func TestTextureColorInvariance(t *testing.T) {
 
 func TestGrayPlane(t *testing.T) {
 	img := solid(color.RGBA{255, 0, 0, 255}, 4, 4)
-	g, w, h := Gray(img)
-	if w != 4 || h != 4 || len(g) != 16 {
-		t.Fatalf("w=%d h=%d len=%d", w, h, len(g))
+	g := grayPlane(img, nil)
+	if len(g) != 16 {
+		t.Fatalf("len=%d", len(g))
 	}
 	want := uint8(math.Round(0.299 * 255))
 	if g[0] != want {

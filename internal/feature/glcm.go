@@ -17,20 +17,11 @@ const TextureDim = 16
 // while keeping the matrix small enough to extract at collection scale.
 const GLCMLevels = 32
 
-// GLCM builds the normalized gray-level co-occurrence matrix of the
-// image: cell (i, j) holds the probability that a pixel of quantized
-// level i is adjacent (over the four standard offsets — 0°, 45°, 90°,
-// 135° — symmetrized, which makes the feature rotation-robust) to a
-// pixel of level j.
-func GLCM(img *image.RGBA) *linalg.Matrix {
-	gray, w, h := Gray(img)
-	m := linalg.NewMatrix(GLCMLevels, GLCMLevels)
-	glcmFromGray(m, gray, w, h)
-	return m
-}
-
-// glcmFromGray writes the co-occurrence matrix of the w × h gray plane
-// into m, which is GLCMLevels square.
+// glcmFromGray writes the normalized gray-level co-occurrence matrix of
+// the w × h gray plane into m, which is GLCMLevels square: cell (i, j)
+// holds the probability that a pixel of quantized level i is adjacent
+// (over the four standard offsets — 0°, 45°, 90°, 135° — symmetrized,
+// which makes the feature rotation-robust) to a pixel of level j.
 func glcmFromGray(m *linalg.Matrix, gray []uint8, w, h int) {
 	// pairs[a*L+b] counts each adjacent pair once, as (pixel, neighbour);
 	// the matrix is pairs plus its transpose over twice the pair count,

@@ -79,13 +79,6 @@ func hsvPixels(img *image.RGBA, planes []float64) (hs, ss, vs []float64) {
 	return hs, ss, vs
 }
 
-// Gray returns the 8-bit luminance plane of the image (ITU-R BT.601
-// weights), the input to the co-occurrence texture feature.
-func Gray(img *image.RGBA) ([]uint8, int, int) {
-	b := img.Bounds()
-	return grayPlane(img, make([]uint8, 0, b.Dx()*b.Dy())), b.Dx(), b.Dy()
-}
-
 // grayPlane appends the luminance plane of img to out.
 func grayPlane(img *image.RGBA, out []uint8) []uint8 {
 	rows(img, func(row []uint8) {

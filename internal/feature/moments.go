@@ -60,9 +60,10 @@ var scratchPool = sync.Pool{New: func() any {
 	return &scratch{glcm: linalg.NewMatrix(GLCMLevels, GLCMLevels)}
 }}
 
-// moments returns stat.Mean, stat.StdDev and stat.Skewness of xs, bit for
-// bit, from one mean and one pass over the deviations instead of three
-// means and two passes.
+// moments returns the mean, the population standard deviation and the
+// skewness cbrt(E[(x-μ)³]) of xs from one mean and one pass over the
+// deviations; reference_test.go holds the three-mean, two-pass form it
+// matches bit for bit.
 func moments(xs []float64) (mean, sd, skew float64) {
 	if len(xs) == 0 {
 		return 0, 0, 0

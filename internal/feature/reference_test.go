@@ -83,11 +83,67 @@ func refColorMoments(img image.Image) linalg.Vector {
 	hueMeanDeg := stat.Mean(hs) * 360
 	rad := hueMeanDeg * math.Pi / 180
 	out := make(linalg.Vector, 0, ColorMomentsDim)
-	out = append(out, math.Cos(rad), math.Sin(rad), stat.StdDev(hs), stat.Skewness(hs))
+	out = append(out, math.Cos(rad), math.Sin(rad), refStdDev(hs), refSkewness(hs))
 	for _, ch := range [][]float64{ss, vs} {
-		out = append(out, stat.Mean(ch), stat.StdDev(ch), stat.Skewness(ch))
+		out = append(out, stat.Mean(ch), refStdDev(ch), refSkewness(ch))
 	}
 	return out
+}
+
+// refStdDev is the population standard deviation of xs.
+func refStdDev(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := stat.Mean(xs)
+	var s float64
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(xs)))
+}
+
+// refSkewness is the signed cube root of the third central moment of xs,
+// the convention of Stricker & Orengo's color moments:
+// s = cbrt(E[(x-μ)³]).
+func refSkewness(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := stat.Mean(xs)
+	var s float64
+	for _, x := range xs {
+		d := x - m
+		s += d * d * d
+	}
+	return math.Cbrt(s / float64(len(xs)))
+}
+
+func TestSkewness(t *testing.T) {
+	near := func(name string, got, want, tol float64) {
+		t.Helper()
+		if math.Abs(got-want) > tol {
+			t.Errorf("%s = %v, want %v (tol %v)", name, got, want, tol)
+		}
+	}
+	near("StdDev", refStdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2, 1e-15)
+	if refSkewness(nil) != 0 {
+		t.Error("Skewness of empty input must be 0")
+	}
+	// Symmetric data has zero third moment.
+	near("Skewness symmetric", refSkewness([]float64{-1, 0, 1}), 0, 1e-15)
+	// Right-skewed data has positive skewness.
+	if s := refSkewness([]float64{0, 0, 0, 10}); s <= 0 {
+		t.Errorf("right-skewed data must have positive skewness, got %v", s)
+	}
+	// Shift invariance: skew(x + c) = skew(x).
+	xs := []float64{1, 2, 2, 3, 9}
+	shifted := make([]float64, len(xs))
+	for i, x := range xs {
+		shifted[i] = x + 100
+	}
+	near("Skewness shift-invariant", refSkewness(shifted), refSkewness(xs), 1e-9)
 }
 
 func refAlignHueCircular(hs []float64) (reference float64) {

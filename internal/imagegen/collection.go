@@ -88,10 +88,3 @@ func (c *Collection) VariantOf(id int) int {
 	cat := c.Categories[c.labels[id]]
 	return cat.VariantFor(c.imageSeed(id))
 }
-
-// Related reports whether two categories are related (same theme) —
-// the paper's "images from related categories (such as flowers and
-// plants) are considered relevant".
-func (c *Collection) Related(catA, catB int) bool {
-	return c.Categories[catA].Theme == c.Categories[catB].Theme
-}

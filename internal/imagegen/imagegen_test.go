@@ -131,10 +131,10 @@ func TestCollectionLayout(t *testing.T) {
 func TestCollectionRelated(t *testing.T) {
 	col := NewCollection(CollectionConfig{Seed: 3, NumCategories: 8, ImagesPerCategory: 2, Themes: 4})
 	// Categories 0 and 4 share theme 0.
-	if !col.Related(0, 4) {
+	if col.Categories[0].Theme != col.Categories[4].Theme {
 		t.Error("0 and 4 should be related")
 	}
-	if col.Related(0, 1) {
+	if col.Categories[0].Theme == col.Categories[1].Theme {
 		t.Error("0 and 1 should not be related")
 	}
 }

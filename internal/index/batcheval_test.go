@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
 
 // scalarOnly hides a metric's BatchMetric implementation so a search is
@@ -70,7 +71,7 @@ func TestBatchKNNMatchesScalarAllSubstrates(t *testing.T) {
 	rng := rand.New(rand.NewSource(140))
 	for _, dim := range []int{4, 32} {
 		n := 2000
-		s := randStore(rng, n, dim)
+		s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 		tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
 		par := forceParallel(tree, 4)
 		for name, m := range testMetrics(rng, dim) {
@@ -105,7 +106,7 @@ func TestBatchKNNMatchesScalarAllSubstrates(t *testing.T) {
 func TestBatchKNNAbandonsAndCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	const n, dim = 4000, 16
-	s := randStore(rng, n, dim)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
 	m := testMetrics(rng, dim)["quad-full"]
 	_, stats := tree.KNN(m, 5)
@@ -122,7 +123,7 @@ func TestBatchKNNAbandonsAndCounts(t *testing.T) {
 func TestBatchSeededKNNMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	const n, dim = 3000, 8
-	s := randStore(rng, n, dim)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
 	m := testMetrics(rng, dim)["disjunctive"]
 
@@ -149,7 +150,7 @@ func FuzzBatchKNN(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		dim := int(dim8)%16 + 1
 		k := int(k8)%48 + 1
-		s := randStore(rng, 400+rng.Intn(200), dim)
+		s := newStore(synth.Gaussian[linalg.Vector](rng, 400+rng.Intn(200), dim, 3))
 		tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
 		for name, m := range testMetrics(rng, dim) {
 			want, _ := tree.KNN(scalarOnly{m}, k)
@@ -164,7 +165,7 @@ func FuzzBatchKNN(f *testing.F) {
 func TestBatchKNNHeapNeverFills(t *testing.T) {
 	rng := rand.New(rand.NewSource(144))
 	const n, dim = 500, 6
-	s := randStore(rng, n, dim)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
 	m := testMetrics(rng, dim)["quad-full"]
 	got, stats := tree.KNN(m, n*2)

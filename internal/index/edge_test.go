@@ -9,25 +9,8 @@ import (
 	"repro/internal/distance"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
-
-func buildRandomStore(t *testing.T, n, dim int, seed int64) *Store {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	vecs := make([]linalg.Vector, n)
-	for i := range vecs {
-		v := make(linalg.Vector, dim)
-		for d := range v {
-			v[d] = rng.NormFloat64()
-		}
-		vecs[i] = v
-	}
-	s, err := NewStore(vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 func euclid(center linalg.Vector) distance.Metric {
 	return &distance.Euclidean{Center: center}
@@ -35,7 +18,7 @@ func euclid(center linalg.Vector) distance.Metric {
 
 // k <= 0 must yield empty results from every searcher, not a panic.
 func TestKNNNonPositiveK(t *testing.T) {
-	s := buildRandomStore(t, 50, 4, 1)
+	s := newStore(synth.Gaussian[linalg.Vector](rand.New(rand.NewSource(1)), 50, 4, 1))
 	tree := NewHybridTree(s, TreeOptions{})
 	ref := NewRefinementSearcher(tree)
 	scan := NewLinearScan(s)
@@ -56,7 +39,7 @@ func TestKNNNonPositiveK(t *testing.T) {
 // k larger than the collection must return every item, in ascending
 // distance order, and agree with the linear scan.
 func TestKNNKExceedsLen(t *testing.T) {
-	s := buildRandomStore(t, 37, 5, 2)
+	s := newStore(synth.Gaussian[linalg.Vector](rand.New(rand.NewSource(2)), 37, 5, 1))
 	tree := NewHybridTree(s, TreeOptions{})
 	m := euclid(s.Vector(3))
 	res, _ := tree.KNN(m, 1000)
@@ -98,7 +81,7 @@ func TestKNNSingleItem(t *testing.T) {
 
 // An already-cancelled context stops the traversal before any node work.
 func TestKNNContextPreCancelled(t *testing.T) {
-	s := buildRandomStore(t, 200, 4, 3)
+	s := newStore(synth.Gaussian[linalg.Vector](rand.New(rand.NewSource(3)), 200, 4, 1))
 	tree := NewHybridTree(s, TreeOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -118,7 +101,7 @@ func TestKNNContextPreCancelled(t *testing.T) {
 // partial results found so far plus the context error.
 func TestKNNContextMidTraversalCancel(t *testing.T) {
 	defer faultinject.Reset()
-	s := buildRandomStore(t, 2000, 8, 4)
+	s := newStore(synth.Gaussian[linalg.Vector](rand.New(rand.NewSource(4)), 2000, 8, 1))
 	tree := NewHybridTree(s, TreeOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	pops := 0
@@ -148,22 +131,22 @@ func TestKNNContextMidTraversalCancel(t *testing.T) {
 // Insert bumps the tree epoch and a stale refinement cache is dropped,
 // not reused: searches after an insert still return exact answers.
 func TestRefinementCacheEpochInvalidation(t *testing.T) {
-	s := buildRandomStore(t, 300, 3, 5)
+	s := newStore(synth.Gaussian[linalg.Vector](rand.New(rand.NewSource(5)), 300, 3, 1))
 	tree := NewHybridTree(s, TreeOptions{})
 	ref := NewRefinementSearcher(tree)
 	m := euclid(s.Vector(7))
 	ref.KNN(m, 20) // warm the cache
-	if ref.CachedLeaves() == 0 {
+	if len(ref.cached) == 0 {
 		t.Fatal("cache not warmed")
 	}
-	e0 := tree.Epoch()
+	e0 := tree.epoch
 	// Insert a point that lands in the cached neighborhood.
 	id, err := s.Append(s.Vector(7).Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree.Insert(id)
-	if tree.Epoch() == e0 {
+	if tree.epoch == e0 {
 		t.Fatal("Insert must bump the epoch")
 	}
 	res, _ := ref.KNN(m, 20)

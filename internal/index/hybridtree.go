@@ -21,11 +21,15 @@ import (
 // The tree is bulk-loaded by recursive splitting on the dimension of
 // largest spread at the median — the standard construction for a static
 // collection, which is what the experiments need.
+//
+// The tree does no internal locking: callers that mix Insert with
+// searches must serialize them externally (the public Database does this
+// with an RWMutex).
 type HybridTree struct {
 	store        *Store
 	root         *treeNode
 	leafCapacity int
-	epoch        uint64             // bumped by every Insert; see Epoch
+	epoch        uint64             // bumped by every Insert (which may re-split a leaf in place); cached nodes live only while it holds
 	parallelism  int                // resolved worker count of a swept search (>= 1)
 	parMinItems  int                // smallest store a sweep spreads over more than one worker
 	numLeaves    int                // leaf count, maintained by build and Insert re-splits
@@ -108,28 +112,6 @@ func countLeaves(n *treeNode) int {
 
 // LeafCapacity exposes the effective leaf capacity (for tests and docs).
 func (t *HybridTree) LeafCapacity() int { return t.leafCapacity }
-
-// NumLeaves reports the current leaf count (the denominator of search
-// prune ratios).
-func (t *HybridTree) NumLeaves() int { return t.numLeaves }
-
-// WithParallelism returns a search-only view of the same tree (shared
-// store and nodes) whose swept k-NN queries use the given worker count
-// (0 = GOMAXPROCS, 1 = sequential). The view is meant for searching —
-// Insert through a view diverges the epoch counters and must be avoided.
-func (t *HybridTree) WithParallelism(p int) *HybridTree {
-	view := *t
-	view.parallelism = resolveParallelism(p)
-	return &view
-}
-
-// Epoch returns the tree's structural version: it starts at 0 and is
-// bumped by every Insert. Cached node pointers (RefinementSearcher) are
-// only reused while the epoch is unchanged, since an insert may re-split
-// a cached leaf in place. The tree does no internal locking — callers
-// that mix Insert with searches must serialize them externally (the
-// public Database does this with an RWMutex).
-func (t *HybridTree) Epoch() uint64 { return t.epoch }
 
 // Height returns the tree height (1 for a single leaf).
 func (t *HybridTree) Height() int { return height(t.root) }
@@ -475,6 +457,3 @@ func unionLeaves(visited, cached []*treeNode) []*treeNode {
 
 // Reset drops the cache (for a fresh query session).
 func (r *RefinementSearcher) Reset() { r.cached = nil }
-
-// CachedLeaves reports the current cache size (for tests/metrics).
-func (r *RefinementSearcher) CachedLeaves() int { return len(r.cached) }

@@ -7,17 +7,11 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
 
-func randStore(rng *rand.Rand, n, dim int) *Store {
-	vecs := make([]linalg.Vector, n)
-	for i := range vecs {
-		v := make(linalg.Vector, dim)
-		for d := range v {
-			v[d] = rng.NormFloat64() * 3
-		}
-		vecs[i] = v
-	}
+// newStore wraps vectors a test generated, which are always valid.
+func newStore(vecs []linalg.Vector) *Store {
 	s, err := NewStore(vecs)
 	if err != nil {
 		panic(err)
@@ -70,7 +64,7 @@ func TestHybridTreeMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for trial := 0; trial < 10; trial++ {
 		dim := 2 + rng.Intn(5)
-		s := randStore(rng, 500+rng.Intn(500), dim)
+		s := newStore(synth.Gaussian[linalg.Vector](rng, 500+rng.Intn(500), dim, 3))
 		tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 512})
 		scan := NewLinearScan(s)
 
@@ -118,7 +112,7 @@ func sameResults(a, b []Result) bool {
 
 func TestHybridTreeDisjunctiveMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	s := randStore(rng, 2000, 3)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 2000, 3, 3))
 	tree := NewHybridTree(s, TreeOptions{})
 	scan := NewLinearScan(s)
 
@@ -138,7 +132,7 @@ func TestHybridTreeDisjunctiveMetric(t *testing.T) {
 
 func TestHybridTreePruning(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	s := randStore(rng, 20000, 3)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 20000, 3, 3))
 	// Parallelism 1: the eval-count assertion is about the sequential
 	// traversal's pruning; the parallel path's counts are load-dependent.
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
@@ -170,7 +164,7 @@ func TestHybridTreeDuplicateVectors(t *testing.T) {
 
 func TestHybridTreeKLargerThanStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	s := randStore(rng, 7, 2)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 7, 2, 3))
 	tree := NewHybridTree(s, TreeOptions{})
 	res, _ := tree.KNN(&distance.Euclidean{Center: linalg.Vector{0, 0}}, 100)
 	if len(res) != 7 {
@@ -180,7 +174,7 @@ func TestHybridTreeKLargerThanStore(t *testing.T) {
 
 func TestRefinementSearcherCorrectAndCheaper(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
-	s := randStore(rng, 30000, 3)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 30000, 3, 3))
 	// Parallelism 1: the cached-vs-cold node-count comparison assumes the
 	// deterministic sequential traversal.
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
@@ -194,7 +188,7 @@ func TestRefinementSearcherCorrectAndCheaper(t *testing.T) {
 	if !sameResults(res1, want1) {
 		t.Fatal("iteration 1 results wrong")
 	}
-	if ref.CachedLeaves() == 0 {
+	if len(ref.cached) == 0 {
 		t.Fatal("no leaves cached")
 	}
 
@@ -212,14 +206,14 @@ func TestRefinementSearcherCorrectAndCheaper(t *testing.T) {
 	}
 	_ = stats1
 	ref.Reset()
-	if ref.CachedLeaves() != 0 {
+	if len(ref.cached) != 0 {
 		t.Error("Reset did not clear cache")
 	}
 }
 
 func TestTreeShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
-	s := randStore(rng, 1000, 4)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 1000, 4, 3))
 	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 4096})
 	// 4096/(8*4) = 128 leaf capacity.
 	if tree.LeafCapacity() != 128 {

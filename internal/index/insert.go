@@ -140,9 +140,6 @@ func (t *HybridTree) drainResplits() InsertStats {
 	return st
 }
 
-// PendingResplits reports the current overflowed-leaf backlog.
-func (t *HybridTree) PendingResplits() int { return len(t.pending) }
-
 // growBox extends n's bounding box to contain v.
 func growBox(n *treeNode, v linalg.Vector) {
 	for d, x := range v {

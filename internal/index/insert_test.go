@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
 
 func TestStoreAppend(t *testing.T) {
@@ -24,7 +25,7 @@ func TestStoreAppend(t *testing.T) {
 
 func TestHybridTreeInsertStaysCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(300))
-	s := randStore(rng, 500, 3)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 500, 3, 3))
 	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 512})
 
 	// Insert 500 more vectors one at a time.
@@ -90,7 +91,7 @@ func TestInsertResplitCapDefers(t *testing.T) {
 	// the rest queued — searches stay exact over the oversized leaves,
 	// and later inserts drain the backlog.
 	rng := rand.New(rand.NewSource(302))
-	s := randStore(rng, 64, 2)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 64, 2, 3))
 	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: 1})
 
 	ids := make([]int, 0, 256)
@@ -105,9 +106,9 @@ func TestInsertResplitCapDefers(t *testing.T) {
 	if st.Resplits != 1 {
 		t.Fatalf("Resplits = %d, want exactly the cap (1)", st.Resplits)
 	}
-	if st.Deferred == 0 || tree.PendingResplits() != st.Deferred {
-		t.Fatalf("Deferred = %d, PendingResplits = %d; want a matching non-zero backlog",
-			st.Deferred, tree.PendingResplits())
+	if st.Deferred == 0 || len(tree.pending) != st.Deferred {
+		t.Fatalf("Deferred = %d, pending = %d; want a matching non-zero backlog",
+			st.Deferred, len(tree.pending))
 	}
 
 	// Deferred leaves are oversized, never wrong: the tree still agrees
@@ -122,7 +123,7 @@ func TestInsertResplitCapDefers(t *testing.T) {
 
 	// Later inserts drain the backlog one re-split at a time.
 	var total InsertStats
-	for tree.PendingResplits() > 0 {
+	for len(tree.pending) > 0 {
 		id, err := s.Append(linalg.Vector{rng.NormFloat64(), rng.NormFloat64()})
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +147,7 @@ func TestInsertResplitCapDefers(t *testing.T) {
 func TestInsertUncappedResplits(t *testing.T) {
 	// A negative cap removes the bound: no batch leaves a backlog.
 	rng := rand.New(rand.NewSource(303))
-	s := randStore(rng, 16, 2)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 16, 2, 3))
 	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: -1})
 	ids := make([]int, 0, 512)
 	for i := 0; i < 512; i++ {
@@ -157,7 +158,7 @@ func TestInsertUncappedResplits(t *testing.T) {
 		ids = append(ids, id)
 	}
 	st := tree.InsertBatch(ids)
-	if st.Deferred != 0 || tree.PendingResplits() != 0 {
+	if st.Deferred != 0 || len(tree.pending) != 0 {
 		t.Fatalf("uncapped batch deferred %d re-splits", st.Deferred)
 	}
 	if st.Resplits == 0 {

@@ -13,14 +13,16 @@ import (
 	"repro/internal/distance"
 	"repro/internal/faultinject"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
 
 // forceParallel returns a search view of tree whose sweeps share their
 // chunks out over workers goroutines regardless of store size.
 func forceParallel(t *HybridTree, workers int) *HybridTree {
-	view := t.WithParallelism(workers)
+	view := *t
+	view.parallelism = resolveParallelism(workers)
 	view.parMinItems = 0
-	return view
+	return &view
 }
 
 // probeEvals bounds the evaluations an unseeded search over a
@@ -63,7 +65,7 @@ func TestSweepMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 150 + rng.Intn(1350)
 		dim := 2 + rng.Intn(23)
-		s := randStore(rng, n, dim)
+		s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 		tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 256 << rng.Intn(5)})
 		scan := NewLinearScan(s)
 		// The same collection as two trees under one shared bound: even
@@ -174,7 +176,7 @@ func splitStore(t *testing.T, s *Store) ([2]*HybridTree, [2][]int) {
 func TestSweepKeepsTheVectorThatSetItsBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	const n, dim = 2000, 16
-	s := randStore(rng, n, dim)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 1024})
 	scan := NewLinearScan(s)
 	for trial := 0; trial < 300; trial++ {
@@ -197,7 +199,7 @@ func TestSweepKeepsTheVectorThatSetItsBound(t *testing.T) {
 func TestSweepKNNMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	const n, dim = 3000, 8
-	s := randStore(rng, n, dim)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	seq := NewHybridTree(s, TreeOptions{Parallelism: 1})
 	par := forceParallel(seq, 4)
 
@@ -240,7 +242,7 @@ func TestSweepKNNMatchesSequential(t *testing.T) {
 func TestSweepSharedFullSchemeMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	const n, dim = 4000, 6
-	s := randStore(rng, n, dim)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
 	par := forceParallel(NewHybridTree(s, TreeOptions{}), 8)
 
 	center := make(linalg.Vector, dim)
@@ -261,7 +263,7 @@ func TestSweepCancelMidSweep(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(92))
 	const n, k = 9000, 10
-	s := randStore(rng, n, 12)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, n, 12, 3))
 	for _, workers := range []int{1, 4} {
 		par := forceParallel(NewHybridTree(s, TreeOptions{NodeSizeBytes: 1024}), workers)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -299,7 +301,7 @@ func TestSweepCancelMidSweep(t *testing.T) {
 // stays in the tree however little the tree prunes.
 func TestSweepSkippedWhenStoreAheadOfTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
-	s := randStore(rng, 2000, 8)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 2000, 8, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 512})
 	m := euclid(s.Vector(3))
 	const k = 1500 // the heap is still filling at the check: nothing is pruned
@@ -334,13 +336,13 @@ func TestSweepSkippedWhenStoreAheadOfTree(t *testing.T) {
 func TestRefinementCacheRetainedAcrossInterrupt(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(93))
-	s := randStore(rng, 2000, 4)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 2000, 4, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 256})
 	ref := NewRefinementSearcher(tree)
 
 	m1 := euclid(s.Vector(11))
 	ref.KNN(m1, 60) // completed search warms the cache
-	warm := ref.CachedLeaves()
+	warm := len(ref.cached)
 	if warm == 0 {
 		t.Fatal("cache not warmed")
 	}
@@ -362,7 +364,7 @@ func TestRefinementCacheRetainedAcrossInterrupt(t *testing.T) {
 	}
 	faultinject.Reset()
 
-	if got := ref.CachedLeaves(); got < warm {
+	if got := len(ref.cached); got < warm {
 		t.Fatalf("interrupted search shrank the cache: %d leaves, had %d", got, warm)
 	}
 
@@ -383,12 +385,12 @@ func TestRefinementCacheRetainedAcrossInterrupt(t *testing.T) {
 // the union applies only to same-epoch caches.
 func TestRefinementCacheInterruptAfterInsertDiscards(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
-	s := randStore(rng, 1500, 3)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 1500, 3, 3))
 	tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 256})
 	ref := NewRefinementSearcher(tree)
 	m := euclid(s.Vector(5))
 	ref.KNN(m, 30)
-	if ref.CachedLeaves() == 0 {
+	if len(ref.cached) == 0 {
 		t.Fatal("cache not warmed")
 	}
 	id, err := s.Append(s.Vector(5).Clone())
@@ -404,7 +406,7 @@ func TestRefinementCacheInterruptAfterInsertDiscards(t *testing.T) {
 	if !errors.Is(cerr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", cerr)
 	}
-	if got := ref.CachedLeaves(); got != 0 {
+	if got := len(ref.cached); got != 0 {
 		t.Fatalf("stale cache survived an insert: %d leaves", got)
 	}
 	res, _ := ref.KNN(m, 30)

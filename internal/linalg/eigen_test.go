@@ -24,7 +24,7 @@ func TestEigenSymDiagonal(t *testing.T) {
 
 func TestEigenSymKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	m := FromRows([]Vector{{2, 1}, {1, 2}})
+	m := fromRows([]Vector{{2, 1}, {1, 2}})
 	vals, _ := EigenSym(m)
 	if !vals.Equal(Vector{3, 1}, 1e-12) {
 		t.Errorf("values = %v", vals)

@@ -38,21 +38,6 @@ func Diag(d Vector) *Matrix {
 	return m
 }
 
-// FromRows builds a matrix whose rows are the given vectors.
-func FromRows(rows []Vector) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns m[i,j].
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -214,21 +199,6 @@ func (m *Matrix) QuadFormDiff(x, c Vector) float64 {
 			r += mv * (x[j] - c[j])
 		}
 		s += di * r
-	}
-	return s
-}
-
-// BilinForm returns u' m v for square m.
-func (m *Matrix) BilinForm(u, v Vector) float64 {
-	if m.Rows != len(u) || m.Cols != len(v) {
-		panic("linalg: BilinForm shape mismatch")
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		if u[i] == 0 {
-			continue
-		}
-		s += u[i] * Vector(m.Data[i*m.Cols:(i+1)*m.Cols]).Dot(v)
 	}
 	return s
 }

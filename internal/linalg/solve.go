@@ -70,15 +70,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 	return inv, nil
 }
 
-// Solve solves m x = b for square m using the LU-free Gauss-Jordan path.
-func (m *Matrix) Solve(b Vector) (Vector, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.MulVec(b), nil
-}
-
 // Cholesky returns the lower-triangular L with m = L L' for a symmetric
 // positive-definite matrix, or ErrSingular when m is not positive definite.
 func (m *Matrix) Cholesky() (*Matrix, error) {
@@ -147,65 +138,14 @@ func (m *Matrix) Det() float64 {
 	return det
 }
 
-// LogDet returns ln|det m| and the sign of the determinant for a square
-// matrix; sign 0 means the matrix is singular. This avoids overflow for
-// high-dimensional covariance determinants used by the Bayesian classifier.
-func (m *Matrix) LogDet() (logAbs float64, sign int) {
-	if !m.IsSquare() {
-		panic("linalg: LogDet of non-square matrix")
-	}
-	n := m.Rows
-	a := m.Clone()
-	sign = 1
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best == 0 {
-			return math.Inf(-1), 0
-		}
-		if pivot != col {
-			swapRows(a, pivot, col)
-			sign = -sign
-		}
-		p := a.At(col, col)
-		if p < 0 {
-			sign = -sign
-		}
-		logAbs += math.Log(math.Abs(p))
-		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) / p
-			if f == 0 {
-				continue
-			}
-			ar, ac := a.Row(r), a.Row(col)
-			for j := col; j < n; j++ {
-				ar[j] -= f * ac[j]
-			}
-		}
-	}
-	return logAbs, sign
-}
-
-// InverseOrRegularized inverts m, retrying with an increasing ridge term
-// eps*I on the diagonal when m is singular. This implements the
-// regularization the paper cites for the small-sample covariance
-// singularity problem (Zhou & Huang [21]). It always succeeds for
-// symmetric positive semi-definite input.
-func (m *Matrix) InverseOrRegularized(eps float64) *Matrix {
-	inv, _ := m.InverseOrRegularizedInfo(eps)
-	return inv
-}
-
-// InverseOrRegularizedInfo is InverseOrRegularized plus a report of
-// whether the ridge fallback was needed: regularized is false when m
-// inverted directly and true when the returned inverse is of a
-// ridge-perturbed (or, in the last resort, identity-scaled) matrix.
-// Callers surface this as a degraded-health signal instead of a crash.
+// InverseOrRegularizedInfo inverts m, falling back to RegularizedInverse
+// when m is singular. This implements the regularization the paper cites
+// for the small-sample covariance singularity problem (Zhou & Huang
+// [21]); it always succeeds for symmetric positive semi-definite input.
+// regularized is false when m inverted directly and true when the
+// returned inverse is of a ridge-perturbed (or, in the last resort,
+// identity-scaled) matrix. Callers surface this as a degraded-health
+// signal instead of a crash.
 func (m *Matrix) InverseOrRegularizedInfo(eps float64) (inv *Matrix, regularized bool) {
 	if inv, err := m.Inverse(); err == nil {
 		return inv, false
@@ -215,7 +155,7 @@ func (m *Matrix) InverseOrRegularizedInfo(eps float64) (inv *Matrix, regularized
 
 // RegularizedInverse inverts m after unconditionally adding an
 // increasing ridge eps*I scaled by the mean diagonal magnitude — the
-// fallback path of InverseOrRegularized, exposed so fault-injection can
+// fallback path of InverseOrRegularizedInfo, exposed so fault-injection can
 // force it even for well-conditioned matrices.
 func (m *Matrix) RegularizedInverse(eps float64) *Matrix {
 	if eps <= 0 {

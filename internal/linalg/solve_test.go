@@ -7,12 +7,12 @@ import (
 )
 
 func TestInverseKnown(t *testing.T) {
-	m := FromRows([]Vector{{4, 7}, {2, 6}})
+	m := fromRows([]Vector{{4, 7}, {2, 6}})
 	inv, err := m.Inverse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := FromRows([]Vector{{0.6, -0.7}, {-0.2, 0.4}})
+	want := fromRows([]Vector{{0.6, -0.7}, {-0.2, 0.4}})
 	if !inv.Equal(want, 1e-12) {
 		t.Errorf("Inverse = \n%v", inv)
 	}
@@ -37,20 +37,9 @@ func TestInverseRoundTrip(t *testing.T) {
 }
 
 func TestInverseSingular(t *testing.T) {
-	m := FromRows([]Vector{{1, 2}, {2, 4}})
+	m := fromRows([]Vector{{1, 2}, {2, 4}})
 	if _, err := m.Inverse(); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolve(t *testing.T) {
-	m := FromRows([]Vector{{2, 1}, {1, 3}})
-	x, err := m.Solve(Vector{3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.MulVec(x).Equal(Vector{3, 5}, 1e-12) {
-		t.Errorf("Solve residual too large: x = %v", x)
 	}
 }
 
@@ -78,21 +67,21 @@ func TestCholesky(t *testing.T) {
 }
 
 func TestCholeskyNotPD(t *testing.T) {
-	m := FromRows([]Vector{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	m := fromRows([]Vector{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := m.Cholesky(); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestDetKnown(t *testing.T) {
-	m := FromRows([]Vector{{1, 2}, {3, 4}})
+	m := fromRows([]Vector{{1, 2}, {3, 4}})
 	if got := m.Det(); !almostEq(got, -2, 1e-12) {
 		t.Errorf("Det = %v, want -2", got)
 	}
 	if got := Identity(5).Det(); !almostEq(got, 1, 1e-12) {
 		t.Errorf("Det(I) = %v", got)
 	}
-	sing := FromRows([]Vector{{1, 2}, {2, 4}})
+	sing := fromRows([]Vector{{1, 2}, {2, 4}})
 	if got := sing.Det(); got != 0 {
 		t.Errorf("Det(singular) = %v", got)
 	}
@@ -111,38 +100,13 @@ func TestDetProductRule(t *testing.T) {
 	}
 }
 
-func TestLogDet(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		m := randSPD(rng, 5)
-		logAbs, sign := m.LogDet()
-		if sign != 1 {
-			t.Fatalf("SPD matrix must have positive determinant, sign=%d", sign)
-		}
-		want := math.Log(m.Det())
-		if !almostEq(logAbs, want, 1e-8) {
-			t.Fatalf("LogDet = %v, want %v", logAbs, want)
-		}
-	}
-	// Negative determinant.
-	m := FromRows([]Vector{{0, 1}, {1, 0}})
-	logAbs, sign := m.LogDet()
-	if sign != -1 || !almostEq(logAbs, 0, 1e-12) {
-		t.Errorf("LogDet(perm) = %v, %d", logAbs, sign)
-	}
-	// Singular.
-	if _, sign := FromRows([]Vector{{1, 1}, {1, 1}}).LogDet(); sign != 0 {
-		t.Error("singular matrix must report sign 0")
-	}
-}
-
 func TestInverseOrRegularized(t *testing.T) {
 	// Singular PSD matrix: rank-1 outer product.
 	v := Vector{1, 2, 3}
 	m := v.Outer(v)
-	inv := m.InverseOrRegularized(1e-8)
-	if inv == nil {
-		t.Fatal("nil inverse")
+	inv, regularized := m.InverseOrRegularizedInfo(1e-8)
+	if inv == nil || !regularized {
+		t.Fatalf("singular input: inverse %v, regularized %v", inv, regularized)
 	}
 	// The regularized inverse of (m + ridge I) must satisfy the ridge
 	// equation approximately: (m + r I) inv ≈ I for some small r. We just
@@ -156,7 +120,7 @@ func TestInverseOrRegularized(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	spd := randSPD(rng, 4)
 	want, _ := spd.Inverse()
-	if got := spd.InverseOrRegularized(1e-8); !got.Equal(want, 1e-10) {
+	if got, regularized := spd.InverseOrRegularizedInfo(1e-8); regularized || !got.Equal(want, 1e-10) {
 		t.Error("regularized path must not perturb non-singular input")
 	}
 }

@@ -25,18 +25,6 @@ func (u *UpperTri) At(i, j int) float64 {
 	return u.Data[u.RowOff(i)+j-i]
 }
 
-// Dense expands the packed factor into a full matrix (for tests/debug).
-func (u *UpperTri) Dense() *Matrix {
-	m := NewMatrix(u.N, u.N)
-	for i := 0; i < u.N; i++ {
-		off := u.RowOff(i)
-		for j := i; j < u.N; j++ {
-			m.Set(i, j, u.Data[off+j-i])
-		}
-	}
-	return m
-}
-
 // MulVec returns U v (for tests; the hot paths inline the sweep).
 func (u *UpperTri) MulVec(v Vector) Vector {
 	if len(v) != u.N {

@@ -28,7 +28,12 @@ func TestCholeskyUpperReconstructs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: CholeskyUpper: %v", n, err)
 		}
-		ud := u.Dense()
+		ud := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				ud.Set(i, j, u.At(i, j))
+			}
+		}
 		got := ud.T().Mul(ud) // Uᵀ U must equal m
 		if !got.Equal(m, 1e-9) {
 			t.Fatalf("n=%d: UᵀU != m\n%v\nvs\n%v", n, got, m)
@@ -62,7 +67,7 @@ func TestCholeskyUpperQuadFormIdentity(t *testing.T) {
 }
 
 func TestCholeskyUpperNotPD(t *testing.T) {
-	m := FromRows([]Vector{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	m := fromRows([]Vector{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := m.CholeskyUpper(); err == nil {
 		t.Fatal("expected ErrSingular for an indefinite matrix")
 	}
@@ -107,7 +112,7 @@ func TestSymLambdaMinFloorSoundAndTight(t *testing.T) {
 func TestSymLambdaMinFloorIllConditioned(t *testing.T) {
 	// Strong off-diagonal coupling: Gershgorin alone would give 0, the
 	// bisection must still certify a positive floor.
-	m := FromRows([]Vector{{2, 1.9}, {1.9, 2}}) // eigenvalues 3.9, 0.1
+	m := fromRows([]Vector{{2, 1.9}, {1.9, 2}}) // eigenvalues 3.9, 0.1
 	floor := SymLambdaMinFloor(m)
 	if floor <= 0 || floor > 0.1+1e-9 {
 		t.Fatalf("floor = %v, want in (0, 0.1]", floor)

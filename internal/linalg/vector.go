@@ -48,20 +48,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return out
 }
 
-// SubInto writes v - w into dst, allocating only when dst is too small,
-// and returns dst. It is the hot-path variant of Sub.
-func (v Vector) SubInto(dst, w Vector) Vector {
-	mustSameDim(v, w)
-	if cap(dst) < len(v) {
-		dst = make(Vector, len(v))
-	}
-	dst = dst[:len(v)]
-	for i := range v {
-		dst[i] = v[i] - w[i]
-	}
-	return dst
-}
-
 // Scale returns s*v.
 func (v Vector) Scale(s float64) Vector {
 	out := make(Vector, len(v))

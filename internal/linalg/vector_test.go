@@ -28,23 +28,6 @@ func TestVectorAddSub(t *testing.T) {
 	}
 }
 
-func TestVectorSubInto(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{0.5, 1, 1.5}
-	dst := v.SubInto(nil, w)
-	if !dst.Equal(Vector{0.5, 1, 1.5}, 0) {
-		t.Errorf("SubInto = %v", dst)
-	}
-	// Reuse the same buffer.
-	dst2 := v.SubInto(dst, v)
-	if &dst2[0] != &dst[0] {
-		t.Error("SubInto did not reuse buffer")
-	}
-	if !dst2.Equal(Vector{0, 0, 0}, 0) {
-		t.Errorf("SubInto reuse = %v", dst2)
-	}
-}
-
 func TestVectorScaleDot(t *testing.T) {
 	v := Vector{1, 2, 3}
 	if got := v.Scale(2); !got.Equal(Vector{2, 4, 6}, 0) {
@@ -80,7 +63,7 @@ func TestVectorOuter(t *testing.T) {
 	v := Vector{1, 2}
 	w := Vector{3, 4, 5}
 	m := v.Outer(w)
-	want := FromRows([]Vector{{3, 4, 5}, {6, 8, 10}})
+	want := fromRows([]Vector{{3, 4, 5}, {6, 8, 10}})
 	if !m.Equal(want, 0) {
 		t.Errorf("Outer = \n%v", m)
 	}

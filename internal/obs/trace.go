@@ -150,15 +150,6 @@ func (m *MemorySink) Events() []Event {
 	return append([]Event(nil), m.events...)
 }
 
-// Drain returns the collected events and clears the sink.
-func (m *MemorySink) Drain() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.events
-	m.events = nil
-	return out
-}
-
 // Count returns the number of events named name (any span).
 func (m *MemorySink) Count(name string) int {
 	m.mu.Lock()

@@ -1,8 +1,7 @@
 // Package pca implements the dimension-reduction machinery of the paper's
-// Section 4.4: sample principal components, variance-ratio component
-// selection (the 1-ε rule) and the simplified quadratic forms of
-// Hotelling's T² and the distances in principal-component space
-// (Eq. 17-19).
+// Section 4.4: sample principal components, the variance ratio behind
+// component selection (the 1-ε rule) and projection onto the leading
+// components.
 package pca
 
 import (
@@ -88,18 +87,6 @@ func (p *PCA) VarianceRatio(k int) float64 {
 	return top / total
 }
 
-// ComponentsFor returns the smallest k whose variance ratio is at least
-// 1-ε — the paper's selection rule with ε <= 0.15 (Sec. 4.4.4).
-func (p *PCA) ComponentsFor(epsilon float64) int {
-	target := 1 - epsilon
-	for k := 1; k <= p.dim; k++ {
-		if p.VarianceRatio(k) >= target {
-			return k
-		}
-	}
-	return p.dim
-}
-
 // Project maps x to its first k principal components:
 // z = G_k' (x - x̄)  (Sec. 4.4.1-4.4.2).
 func (p *PCA) Project(x linalg.Vector, k int) linalg.Vector {
@@ -125,62 +112,4 @@ func (p *PCA) ProjectAll(rows []linalg.Vector, k int) []linalg.Vector {
 		out[i] = p.Project(r, k)
 	}
 	return out
-}
-
-// Reconstruct maps a k-component representation back to the original
-// space: x̂ = x̄ + G_k z. Reconstruction error is governed by the
-// discarded eigenvalues.
-func (p *PCA) Reconstruct(z linalg.Vector) linalg.Vector {
-	k := z.Dim()
-	if k > p.dim {
-		panic("pca: reconstruction dimension exceeds original")
-	}
-	x := p.Mean.Clone()
-	for j := 0; j < k; j++ {
-		for i := 0; i < p.dim; i++ {
-			x[i] += p.Components.At(i, j) * z[j]
-		}
-	}
-	return x
-}
-
-// T2PC computes Hotelling's T² in principal-component space using the
-// paper's simplified quadratic form (Eq. 18-19):
-// T² ≈ C · Σ_j (z̄_xj - z̄_yj)² / λ_j over the first k components, with
-// C = m_x m_y / (m_x + m_y). Components with λ_j = 0 are skipped (they
-// carry no variation).
-func (p *PCA) T2PC(zx, zy linalg.Vector, mx, my float64) float64 {
-	if zx.Dim() != zy.Dim() {
-		panic("pca: projected dimension mismatch")
-	}
-	c := mx * my / (mx + my)
-	var s float64
-	for j := range zx {
-		l := p.Eigenvalues[j]
-		if l <= 0 {
-			continue
-		}
-		d := zx[j] - zy[j]
-		s += d * d / l
-	}
-	return c * s
-}
-
-// QuadFormPC computes the simplified per-cluster quadratic distance in
-// PC space: Σ_j (z_xj - z_cj)² / λ_j, the PC-space form of Eq. 1 noted
-// after Eq. 19.
-func (p *PCA) QuadFormPC(zx, zc linalg.Vector) float64 {
-	if zx.Dim() != zc.Dim() {
-		panic("pca: projected dimension mismatch")
-	}
-	var s float64
-	for j := range zx {
-		l := p.Eigenvalues[j]
-		if l <= 0 {
-			continue
-		}
-		d := zx[j] - zc[j]
-		s += d * d / l
-	}
-	return s
 }

@@ -48,13 +48,6 @@ func TestVarianceRatioAndSelection(t *testing.T) {
 	if got := p.VarianceRatio(0); got != 0 {
 		t.Errorf("ratio(0) = %v", got)
 	}
-	// 1-ε = 0.85 needs 2 components (0.8 < 0.85 <= 0.9).
-	if got := p.ComponentsFor(0.15); got != 2 {
-		t.Errorf("ComponentsFor(0.15) = %v", got)
-	}
-	if got := p.ComponentsFor(0); got != 4 {
-		t.Errorf("ComponentsFor(0) = %v", got)
-	}
 }
 
 func TestProjectionDecorrelates(t *testing.T) {
@@ -81,70 +74,6 @@ func TestProjectionDecorrelates(t *testing.T) {
 	}
 	if math.Abs(c00-p.Eigenvalues[0]) > 0.05*p.Eigenvalues[0] {
 		t.Errorf("var(z1) = %v, λ1 = %v", c00, p.Eigenvalues[0])
-	}
-}
-
-func TestProjectReconstructRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	rows := anisotropicData(rng, 500)
-	p, _ := Fit(rows)
-	// Full-dimension round trip is exact.
-	for i := 0; i < 10; i++ {
-		x := rows[i]
-		back := p.Reconstruct(p.Project(x, 3))
-		if !back.Equal(x, 1e-9) {
-			t.Fatalf("full round trip failed: %v -> %v", x, back)
-		}
-	}
-	// k=1 reconstruction error is bounded by discarded variance on average.
-	var errSq float64
-	for _, x := range rows {
-		back := p.Reconstruct(p.Project(x, 1))
-		errSq += x.SqDist(back)
-	}
-	meanErr := errSq / float64(len(rows))
-	discarded := p.Eigenvalues[1] + p.Eigenvalues[2]
-	if meanErr > 1.5*discarded {
-		t.Errorf("mean reconstruction error %v ≫ discarded variance %v", meanErr, discarded)
-	}
-}
-
-func TestT2PCAgainstDirect(t *testing.T) {
-	// Eq. 17: T² in full PC space equals T² in the original space when
-	// S_pooled equals the PCA covariance. Construct that situation:
-	// both "clusters" share the PCA covariance by sampling from the same
-	// distribution, then compare the PC-space quadratic form against the
-	// direct quadratic form with the same covariance.
-	rng := rand.New(rand.NewSource(43))
-	rows := anisotropicData(rng, 4000)
-	p, _ := Fit(rows)
-
-	xbar := linalg.Vector{0.5, -0.3, 0.05}
-	ybar := linalg.Vector{-0.2, 0.4, -0.02}
-	zx := p.Project(xbar, 3)
-	zy := p.Project(ybar, 3)
-	const mx, my = 30, 30
-	got := p.T2PC(zx, zy, mx, my)
-
-	// Direct: C (x̄-ȳ)' S⁻¹ (x̄-ȳ) with S the fitted covariance
-	// reconstructed from eigenpairs.
-	S := p.Components.Mul(linalg.Diag(p.Eigenvalues)).Mul(p.Components.T())
-	inv, err := S.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := xbar.Sub(ybar)
-	want := mx * my / (mx + my) * inv.QuadForm(d)
-	if math.Abs(got-want) > 1e-6*want {
-		t.Errorf("T2PC = %v, direct = %v", got, want)
-	}
-}
-
-func TestQuadFormPCSkipsZeroEigenvalues(t *testing.T) {
-	p := &PCA{Eigenvalues: linalg.Vector{2, 0}, dim: 2}
-	got := p.QuadFormPC(linalg.Vector{1, 5}, linalg.Vector{0, 0})
-	if math.Abs(got-0.5) > 1e-12 { // only (1-0)²/2
-		t.Errorf("QuadFormPC = %v", got)
 	}
 }
 

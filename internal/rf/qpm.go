@@ -16,23 +16,15 @@ import (
 // current relevant feature values along it (the MARS re-weighting rule).
 // Like the original system, it carries the past only through the moved
 // point — no per-round accumulation of evidence — which is exactly the
-// limitation the multipoint methods attack.
+// limitation the multipoint methods attack. As in the paper's
+// experiments, only positive feedback moves the point.
 type QPM struct {
 	// Alpha is the Rocchio carry-over weight of the previous query point
 	// (0.5 by default, balancing history and fresh feedback).
 	Alpha float64
-	// Gamma is the Rocchio negative-feedback weight: when > 0 and
-	// non-relevant points are supplied via FeedbackNegative, the query
-	// point additionally moves AWAY from their centroid,
-	// q' = α q + (1-α) x̄_rel − γ x̄_nonrel (renormalized). The paper's
-	// description of MARS — "move this point toward good matches, as
-	// well as to move it away from bad result points" — is this term;
-	// the main experiments use only positive feedback (γ = 0).
-	Gamma float64
 
 	query   linalg.Vector
 	invDiag linalg.Vector // current per-dimension weights (nil = Euclidean)
-	negMean linalg.Vector // most recent non-relevant centroid (nil = none)
 	rounds  int
 }
 
@@ -46,23 +38,7 @@ func (e *QPM) Name() string { return "QPM" }
 func (e *QPM) Init(q linalg.Vector) {
 	e.query = q.Clone()
 	e.invDiag = nil
-	e.negMean = nil
 	e.rounds = 0
-}
-
-// FeedbackNegative supplies this round's NON-relevant points (results the
-// user explicitly rejected). Call it before Feedback for the same round;
-// it only takes effect when Gamma > 0.
-func (e *QPM) FeedbackNegative(points []cluster.Point) {
-	if len(points) == 0 {
-		e.negMean = nil
-		return
-	}
-	mean := linalg.NewVector(points[0].Vec.Dim())
-	for _, p := range points {
-		mean.AddScaled(1, p.Vec)
-	}
-	e.negMean = mean.Scale(1 / float64(len(points)))
 }
 
 // Feedback implements Engine: move the query point and recompute the
@@ -87,14 +63,7 @@ func (e *QPM) Feedback(points []cluster.Point) {
 		moved.AddScaled(1-e.Alpha, c.Mean)
 		e.query = moved
 	}
-	if e.Gamma > 0 && e.negMean != nil {
-		// Move away from the non-relevant centroid and renormalize so
-		// the coefficients still sum to one.
-		e.query.AddScaled(-e.Gamma, e.negMean)
-		e.query = e.query.Scale(1 / (1 - e.Gamma))
-	}
 	e.invDiag = c.InverseDiag()
-	e.negMean = nil
 	e.rounds++
 }
 

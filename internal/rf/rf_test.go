@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/linalg"
+	"repro/internal/synth"
 )
 
 // testWorld is a synthetic retrieval universe: categories are Gaussian
@@ -21,35 +21,23 @@ type testWorld struct {
 }
 
 func buildWorld(seed int64, perCat int) *testWorld {
-	rng := rand.New(rand.NewSource(seed))
-	var vecs []linalg.Vector
-	var labels []int
-	addBlob := func(cat, n int, cx, cy, cz, spread float64) {
-		for i := 0; i < n; i++ {
-			vecs = append(vecs, linalg.Vector{
-				cx + spread*rng.NormFloat64(),
-				cy + spread*rng.NormFloat64(),
-				cz + spread*rng.NormFloat64(),
-			})
-			labels = append(labels, cat)
-		}
-	}
-	// Category 0: bimodal — mode A near the origin, mode B near
-	// (4,4,4). The modes are close enough that the initial k-NN from an
-	// A-mode query surfaces a few B-mode images (as in the paper's bird
-	// example, Fig. 3), yet far enough apart that a single moved query
-	// point cannot cover both without sweeping in the midpoint clutter.
-	addBlob(0, perCat/2, 0, 0, 0, 0.4)
-	addBlob(0, perCat-perCat/2, 4, 4, 4, 0.4)
-	// Category 1: unimodal, far away (theme-related to category 0 for the
-	// oracle tests but spatially irrelevant to category-0 queries).
-	addBlob(1, perCat, 8, -8, 0, 0.4)
-	// Category 2: unimodal near (-8, 8, 3).
-	addBlob(2, perCat, -8, 8, 3, 0.4)
-	// Category 3: clutter concentrated between the two category-0 modes —
-	// exactly where query-point movement's single contour must pass.
-	addBlob(3, 20, 2, 2, 2, 1.2)
-
+	vecs, labels := synth.Blobs[linalg.Vector](rand.New(rand.NewSource(seed)),
+		// Category 0: bimodal — mode A near the origin, mode B near
+		// (4,4,4). The modes are close enough that the initial k-NN from an
+		// A-mode query surfaces a few B-mode images (as in the paper's bird
+		// example, Fig. 3), yet far enough apart that a single moved query
+		// point cannot cover both without sweeping in the midpoint clutter.
+		synth.Blob{Label: 0, N: perCat / 2, Center: []float64{0, 0, 0}, Spread: 0.4},
+		synth.Blob{Label: 0, N: perCat - perCat/2, Center: []float64{4, 4, 4}, Spread: 0.4},
+		// Category 1: unimodal, far away (theme-related to category 0 for the
+		// oracle tests but spatially irrelevant to category-0 queries).
+		synth.Blob{Label: 1, N: perCat, Center: []float64{8, -8, 0}, Spread: 0.4},
+		// Category 2: unimodal near (-8, 8, 3).
+		synth.Blob{Label: 2, N: perCat, Center: []float64{-8, 8, 3}, Spread: 0.4},
+		// Category 3: clutter concentrated between the two category-0 modes —
+		// exactly where query-point movement's single contour must pass.
+		synth.Blob{Label: 3, N: 20, Center: []float64{2, 2, 2}, Spread: 1.2},
+	)
 	store, err := index.NewStore(vecs)
 	if err != nil {
 		panic(err)
@@ -237,108 +225,5 @@ func TestEnginesResetOnInit(t *testing.T) {
 		if e.NumQueryPoints() != 1 {
 			t.Errorf("%s: %d query points after re-Init", e.Name(), e.NumQueryPoints())
 		}
-	}
-}
-
-func TestMindReaderBasics(t *testing.T) {
-	w := buildWorld(9, 20)
-	e := NewMindReader()
-	s := w.session(e, 30)
-	iters := s.Run(20, 1, 3)
-	if len(iters) != 4 {
-		t.Fatalf("iterations = %d", len(iters))
-	}
-	r0 := w.recallAt(iters[0].Results, 1)
-	rN := w.recallAt(iters[3].Results, 1)
-	if rN < r0 {
-		t.Errorf("MindReader recall degraded %v -> %v", r0, rN)
-	}
-	if e.NumQueryPoints() != 1 {
-		t.Errorf("NumQueryPoints = %d", e.NumQueryPoints())
-	}
-	if e.Name() != "MindReader" {
-		t.Errorf("Name = %q", e.Name())
-	}
-}
-
-func TestMindReaderHandlesSingularCovariance(t *testing.T) {
-	// Fewer relevant points than dimensions: the covariance is singular
-	// and must be regularized, not crash.
-	w := buildWorld(10, 20)
-	e := NewMindReader()
-	e.Init(w.store.Vector(0))
-	e.Feedback([]cluster.Point{
-		{ID: 0, Vec: w.store.Vector(0), Score: 3},
-		{ID: 1, Vec: w.store.Vector(1), Score: 3},
-	})
-	m := e.Metric()
-	if d := m.Eval(w.store.Vector(2)); d < 0 {
-		t.Errorf("negative distance %v", d)
-	}
-}
-
-func TestMindReaderEmptyFeedbackKeepsQuery(t *testing.T) {
-	w := buildWorld(11, 20)
-	e := NewMindReader()
-	e.Init(w.store.Vector(0))
-	e.Feedback(nil)
-	// Still the initial Euclidean query.
-	if e.NumQueryPoints() != 1 {
-		t.Error("query points changed on empty feedback")
-	}
-	res1 := e.Metric().Eval(w.store.Vector(0))
-	if res1 != 0 {
-		t.Errorf("self-distance = %v", res1)
-	}
-}
-
-func TestQPMNegativeFeedback(t *testing.T) {
-	// With γ > 0, the query point moves away from the rejected centroid.
-	mk := func(gamma float64) linalg.Vector {
-		e := NewQPM()
-		e.Gamma = gamma
-		e.Init(linalg.Vector{0, 0})
-		// Relevant at (1,0); two rounds so Rocchio carry-over engages.
-		e.Feedback([]cluster.Point{
-			{ID: 1, Vec: linalg.Vector{1, 0}, Score: 3},
-			{ID: 2, Vec: linalg.Vector{1.2, 0}, Score: 3},
-		})
-		e.FeedbackNegative([]cluster.Point{
-			{ID: 3, Vec: linalg.Vector{0, 5}, Score: 1},
-		})
-		e.Feedback([]cluster.Point{
-			{ID: 4, Vec: linalg.Vector{0.9, 0}, Score: 3},
-		})
-		// Extract the moved point via the metric minimum: probe a grid.
-		m := e.Metric()
-		best := linalg.Vector{0, 0}
-		bestD := m.Eval(best)
-		for x := -3.0; x <= 3; x += 0.05 {
-			for y := -3.0; y <= 3; y += 0.05 {
-				p := linalg.Vector{x, y}
-				if d := m.Eval(p); d < bestD {
-					bestD, best = d, p
-				}
-			}
-		}
-		return best
-	}
-	plain := mk(0)
-	pushed := mk(0.25)
-	// The negative centroid is at +y; the pushed query must sit at a
-	// smaller y than the plain one.
-	if pushed[1] >= plain[1] {
-		t.Errorf("negative feedback did not push away: plain y=%v, pushed y=%v",
-			plain[1], pushed[1])
-	}
-	// Clearing negatives: FeedbackNegative(nil) resets.
-	e := NewQPM()
-	e.Gamma = 0.5
-	e.Init(linalg.Vector{0, 0})
-	e.FeedbackNegative([]cluster.Point{{ID: 1, Vec: linalg.Vector{9, 9}, Score: 1}})
-	e.FeedbackNegative(nil)
-	e.Feedback([]cluster.Point{{ID: 2, Vec: linalg.Vector{1, 1}, Score: 3}})
-	if d := e.Metric().Eval(linalg.Vector{1, 1}); d > 1e-9 {
-		t.Errorf("cleared negatives still affected the query: %v", d)
 	}
 }

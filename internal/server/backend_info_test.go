@@ -1,9 +1,11 @@
 package server
 
 import (
+	"math/rand"
 	"testing"
 
 	qcluster "repro"
+	"repro/internal/synth"
 )
 
 // TestBackendInfoSurfaced checks that the active search backend (and the
@@ -11,7 +13,7 @@ import (
 // session-create responses — the client's only way to know whether its
 // results carry an exactness or a recall contract.
 func TestBackendInfoSurfaced(t *testing.T) {
-	vectors, _ := mixture(11, 6, 30, 5)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(11)), 6, 30, 5, 6)
 	for _, tc := range []struct {
 		opt  qcluster.IndexOptions
 		want qcluster.IndexInfo

@@ -7,30 +7,18 @@ import (
 
 	qcluster "repro"
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 )
 
 func durableTestDB(t *testing.T, backend qcluster.IndexBackend) *qcluster.DurableDatabase {
 	t.Helper()
-	vectors, _ := mixture(7, 10, 40, 6)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(7)), 10, 40, 6, 6)
 	d, err := qcluster.OpenDatabase(t.TempDir(), qcluster.DurableOptions{Index: qcluster.IndexOptions{Backend: backend}, Seed: vectors})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = d.Close() })
 	return d
-}
-
-func randVecs(seed int64, n, dim int) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]float64, n)
-	for i := range out {
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = rng.NormFloat64()
-		}
-		out[i] = v
-	}
-	return out
 }
 
 func TestIngestEndpoint(t *testing.T) {
@@ -40,13 +28,13 @@ func TestIngestEndpoint(t *testing.T) {
 	before := d.Len()
 	var resp addVectorsResponse
 	status, raw := call(t, s, "POST", "/v1/vectors",
-		addVectorsRequest{Vector: randVecs(1, 1, 6)[0]}, &resp)
+		addVectorsRequest{Vector: synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), 1, 6, 1)[0]}, &resp)
 	if status != http.StatusOK || len(resp.IDs) != 1 || resp.IDs[0] != before {
 		t.Fatalf("single add: status %d ids %v (%s)", status, resp.IDs, raw)
 	}
 
 	status, raw = call(t, s, "POST", "/v1/vectors",
-		addVectorsRequest{Vectors: randVecs(2, 5, 6)}, &resp)
+		addVectorsRequest{Vectors: synth.Gaussian[[]float64](rand.New(rand.NewSource(2)), 5, 6, 1)}, &resp)
 	if status != http.StatusOK || len(resp.IDs) != 5 {
 		t.Fatalf("batch add: status %d ids %v (%s)", status, resp.IDs, raw)
 	}
@@ -57,7 +45,7 @@ func TestIngestEndpoint(t *testing.T) {
 	// Ingested vectors are immediately searchable.
 	var sr searchResponse
 	status, raw = call(t, s, "POST", "/v1/search",
-		searchRequest{Vector: randVecs(2, 5, 6)[0], K: 3}, &sr)
+		searchRequest{Vector: synth.Gaussian[[]float64](rand.New(rand.NewSource(2)), 5, 6, 1)[0], K: 3}, &sr)
 	if status != http.StatusOK || len(sr.Results) != 3 {
 		t.Fatalf("search after ingest: status %d (%s)", status, raw)
 	}
@@ -81,7 +69,7 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("empty request: status %d, want 400", status)
 	}
 	if status, _ = call(t, s, "POST", "/v1/vectors",
-		addVectorsRequest{Vector: randVecs(3, 1, 6)[0], Vectors: randVecs(3, 1, 6)}, nil); status != http.StatusBadRequest {
+		addVectorsRequest{Vector: synth.Gaussian[[]float64](rand.New(rand.NewSource(3)), 1, 6, 1)[0], Vectors: synth.Gaussian[[]float64](rand.New(rand.NewSource(3)), 1, 6, 1)}, nil); status != http.StatusBadRequest {
 		t.Fatalf("both vector and vectors: status %d, want 400", status)
 	}
 	if got := s.Metrics().Counters["server.ingested"]; got != 6 {
@@ -103,7 +91,7 @@ func TestIngestDegradedModeSurfaces503AndHealthz(t *testing.T) {
 
 	faultinject.Set(faultinject.WALFsyncError, nil)
 	status, raw := call(t, s, "POST", "/v1/vectors",
-		addVectorsRequest{Vector: randVecs(4, 1, 6)[0]}, nil)
+		addVectorsRequest{Vector: synth.Gaussian[[]float64](rand.New(rand.NewSource(4)), 1, 6, 1)[0]}, nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("degraded ingest: status %d (%s), want 503", status, raw)
 	}
@@ -117,7 +105,7 @@ func TestIngestDegradedModeSurfaces503AndHealthz(t *testing.T) {
 	}
 	var sr searchResponse
 	if status, raw = call(t, s, "POST", "/v1/search",
-		searchRequest{Vector: randVecs(5, 1, 6)[0], K: 3}, &sr); status != http.StatusOK {
+		searchRequest{Vector: synth.Gaussian[[]float64](rand.New(rand.NewSource(5)), 1, 6, 1)[0], K: 3}, &sr); status != http.StatusOK {
 		t.Fatalf("search in degraded mode: %d (%s)", status, raw)
 	}
 }
@@ -128,7 +116,7 @@ func TestIngestFallsBackToDatabase(t *testing.T) {
 	before := db.Len()
 	var resp addVectorsResponse
 	status, raw := call(t, s, "POST", "/v1/vectors",
-		addVectorsRequest{Vector: randVecs(6, 1, 6)[0]}, &resp)
+		addVectorsRequest{Vector: synth.Gaussian[[]float64](rand.New(rand.NewSource(6)), 1, 6, 1)[0]}, &resp)
 	if status != http.StatusOK || len(resp.IDs) != 1 {
 		t.Fatalf("fallback add: status %d (%s)", status, raw)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	qcluster "repro"
+	"repro/internal/synth"
 )
 
 // TestServeLoad64Users is the acceptance load test: 64 concurrent
@@ -28,7 +30,7 @@ func TestServeLoad64Users(t *testing.T) {
 		rounds = 3
 		k      = 20
 	)
-	vectors, labels := mixture(99, 16, 50, 6)
+	vectors, labels := synth.Mixture[[]float64](rand.New(rand.NewSource(99)), 16, 50, 6, 6)
 	db, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)

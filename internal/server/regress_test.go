@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,5 +196,48 @@ func TestFeedbackMarkCountCapped(t *testing.T) {
 	zeros.Points[maxK] = feedbackPoint{ID: 2, Score: 3}
 	if st, raw := call(t, s, "POST", base+"/feedback", zeros, nil); st != 200 {
 		t.Fatalf("1000 zero-score marks plus one positive = %d %s, want 200", st, raw)
+	}
+}
+
+// TestFeedbackBodyAtLimitAllocs fills a feedback body up to maxBodyBytes
+// with distinct client vectors — the largest mark flood one request can
+// carry — and expects the mark-count 400, with the whole request
+// allocating a small multiple of the body, as TestMarksFloodAllocs does
+// for malformed floods.
+func TestFeedbackBodyAtLimitAllocs(t *testing.T) {
+	db, _ := testDB(t)
+	s := startServer(t, db, Options{})
+	exID := 0
+	var created createSessionResponse
+	if st, raw := call(t, s, "POST", "/v1/sessions", createSessionRequest{ExampleID: &exID}, &created); st != 201 {
+		t.Fatalf("create session = %d %s", st, raw)
+	}
+	const head, tail = `{"points":[`, `]}`
+	body := []byte(head)
+	n := 0
+	for ; ; n++ {
+		mark := fmt.Sprintf(`{"id":-1,"score":1,"vector":[%d,%d,0.5,1.5,2.5,3.5]},`, n, n%7)
+		if len(body)+len(mark)-1+len(tail) > maxBodyBytes {
+			break
+		}
+		body = append(body, mark...)
+	}
+	body = append(body[:len(body)-1], tail...)
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "/v1/sessions/"+created.SessionID+"/feedback", bytes.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	want := fmt.Sprintf(`{"error":"feedback carries %d positively scored points; at most 1000"}`, n) + "\n"
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+		t.Fatalf("%d-mark body of %d bytes = %d %q, want 400 %q", n, len(body), rec.Code, rec.Body.String(), want)
+	}
+	if a := after.TotalAlloc - before.TotalAlloc; a > 8*uint64(len(body)) {
+		t.Errorf("%d bytes allocated for a %d-byte body, want ≤ 8×", a, len(body))
+	} else {
+		t.Logf("%d marks: %.2f× the body allocated", n, float64(a)/float64(len(body)))
 	}
 }

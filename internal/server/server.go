@@ -255,9 +255,6 @@ func (s *Server) ServeOps(addr string) (*obs.DebugServer, error) {
 // /debug/slow serves.
 func (s *Server) SlowLog() *obs.SlowLog { return s.trc.SlowLog() }
 
-// Draining reports whether Close has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains the server: new requests are rejected 503, in-flight
 // requests get up to drainTimeout to finish, the session reaper and
 // (for a Start-ed server) the acceptor goroutine are stopped and

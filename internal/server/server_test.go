@@ -15,31 +15,12 @@ import (
 
 	qcluster "repro"
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 )
-
-// mixture builds a small labeled Gaussian-mixture collection.
-func mixture(seed int64, cats, perCat, dim int) (vectors [][]float64, labels []int) {
-	rng := rand.New(rand.NewSource(seed))
-	for c := 0; c < cats; c++ {
-		ctr := make([]float64, dim)
-		for d := range ctr {
-			ctr[d] = rng.NormFloat64() * 6
-		}
-		for i := 0; i < perCat; i++ {
-			v := make([]float64, dim)
-			for d := range v {
-				v[d] = ctr[d] + rng.NormFloat64()
-			}
-			vectors = append(vectors, v)
-			labels = append(labels, c)
-		}
-	}
-	return vectors, labels
-}
 
 func testDB(t *testing.T) (*qcluster.Database, []int) {
 	t.Helper()
-	vectors, labels := mixture(7, 10, 40, 6)
+	vectors, labels := synth.Mixture[[]float64](rand.New(rand.NewSource(7)), 10, 40, 6, 6)
 	db, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -398,8 +379,8 @@ func TestServerDrainingRejects(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Draining() {
-		t.Fatal("Draining() must be true after Close")
+	if !s.draining.Load() {
+		t.Fatal("draining must be set after Close")
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

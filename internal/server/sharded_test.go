@@ -3,11 +3,13 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"testing"
 
 	qcluster "repro"
 	"repro/internal/shard"
+	"repro/internal/synth"
 )
 
 func startShardedServer(t *testing.T, set *shard.Set, opt Options) *Server {
@@ -26,7 +28,7 @@ func startShardedServer(t *testing.T, set *shard.Set, opt Options) *Server {
 // ingest must route by placement, and healthz/metrics must carry
 // per-shard blocks.
 func TestShardedServerEndToEnd(t *testing.T) {
-	vectors, _ := mixture(3, 8, 60, 6)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(3)), 8, 60, 6, 6)
 	const shards = 3
 	set, err := shard.New(vectors, shards, qcluster.IndexOptions{})
 	if err != nil {
@@ -91,7 +93,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	}
 
 	// Ingest routes by placement and is immediately searchable.
-	newVec, _ := mixture(99, 1, 2, 6)
+	newVec, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(99)), 1, 2, 6, 6)
 	var added addVectorsResponse
 	if st, raw := call(t, s, "POST", "/v1/vectors", addVectorsRequest{Vectors: newVec}, &added); st != http.StatusOK {
 		t.Fatalf("add vectors = %d: %s", st, raw)

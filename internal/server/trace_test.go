@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	qcluster "repro"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/synth"
 )
 
 // jsonBody marshals a request payload for a hand-built http.Request.
@@ -74,7 +76,7 @@ func spanNames(events []qcluster.TraceEvent) map[string]int {
 // merge — and the feedback path must additionally hang the session-lock
 // and feedback-round spans off the request trace.
 func TestTraceEndToEndSharded(t *testing.T) {
-	vectors, _ := mixture(11, 8, 50, 6)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(11)), 8, 50, 6, 6)
 	const shards = 4
 	set, err := shard.New(vectors, shards, qcluster.IndexOptions{})
 	if err != nil {
@@ -222,7 +224,7 @@ func TestTraceEndToEndSharded(t *testing.T) {
 // root span under their own trace id, with every child parented to it —
 // no cross-request bleed.
 func TestTracePropagationConcurrent(t *testing.T) {
-	vectors, _ := mixture(13, 6, 40, 6)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(13)), 6, 40, 6, 6)
 	set, err := shard.New(vectors, 4, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +351,7 @@ func TestRetryAfterOnShed(t *testing.T) {
 // TestHealthzInfo verifies the /healthz identity block on both
 // backends.
 func TestHealthzInfo(t *testing.T) {
-	vectors, _ := mixture(17, 6, 40, 6)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(17)), 6, 40, 6, 6)
 	set, err := shard.New(vectors, 4, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +396,7 @@ func TestNoPricingSeries(t *testing.T) {
 	deleted := []string{"server.window.", "server.admission."}
 
 	db, _ := testDB(t)
-	vectors, _ := mixture(17, 6, 40, 6)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(17)), 6, 40, 6, 6)
 	set, err := shard.New(vectors, 2, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +497,7 @@ func TestSlowLogEndpoint(t *testing.T) {
 // collection in the root span's end event and in Session.Stats, and a
 // swept tree search's counters under /debug/slow's keys.
 func TestSearchWorkReachesEverySurface(t *testing.T) {
-	vectors, _ := mixture(11, 6, 30, 5)
+	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(11)), 6, 30, 5, 6)
 	annDB, err := qcluster.NewDatabaseWithOptions(vectors, qcluster.IndexOptions{
 		Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: 16}})
 	if err != nil {
@@ -530,7 +532,7 @@ func TestSearchWorkReachesEverySurface(t *testing.T) {
 	}
 
 	// 12-d Gaussian noise: the tree cannot prune it, so the search sweeps.
-	noise, _ := mixture(14, 1, 4000, 12)
+	noise, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(14)), 1, 4000, 12, 6)
 	treeDB, err := qcluster.NewDatabase(noise)
 	if err != nil {
 		t.Fatal(err)

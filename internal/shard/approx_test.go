@@ -3,9 +3,11 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	qcluster "repro"
+	"repro/internal/synth"
 )
 
 // TestShardedApproxEquivalence runs the sharded ANN path with an
@@ -16,7 +18,7 @@ import (
 // TestSessionParity.
 func TestShardedApproxEquivalence(t *testing.T) {
 	const n, dim, k = 1200, 6, 25
-	vectors := makeVectors(n, dim, 13)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(13)), n, dim, 16, 10, 0.5)
 	control, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,19 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	qcluster "repro"
+	"repro/internal/synth"
 )
 
 // TestDurableShardedWarmRestart: a durable set must recover every
 // acknowledged cross-shard batch bit-identically after Close + Open.
 func TestDurableShardedWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	seed := makeVectors(1200, 6, 31)
-	extra := makeVectors(400, 6, 32)
+	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(31)), 1200, 6, 16, 10, 0.5)
+	extra := synth.RoundRobin[[]float64](rand.New(rand.NewSource(32)), 400, 6, 16, 10, 0.5)
 
 	set, err := Open(dir, 3, qcluster.DurableOptions{Seed: seed})
 	if err != nil {
@@ -60,7 +62,7 @@ func TestDurableShardedWarmRestart(t *testing.T) {
 func TestDurableShardedTornBatchTrim(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 3
-	seed := makeVectors(1500, 5, 41)
+	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(41)), 1500, 5, 16, 10, 0.5)
 	set, err := Open(dir, shards, qcluster.DurableOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 	var sub [][]float64
 	for g := 1500; g < 1520; g++ {
 		if placement(g, shards) == victim {
-			sub = append(sub, makeVectors(1, 5, int64(g))[0])
+			sub = append(sub, synth.RoundRobin[[]float64](rand.New(rand.NewSource(int64(g))), 1, 5, 16, 10, 0.5)[0])
 		}
 	}
 	// Recovery keeps the longest globally consistent prefix: the leading
@@ -140,7 +142,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 
 	// The set keeps ingesting after the rollback: the next global batch
 	// starts right after the recovered prefix.
-	ids, err := reopened.AddBatchContext(context.Background(), makeVectors(10, 5, 99))
+	ids, err := reopened.AddBatchContext(context.Background(), synth.RoundRobin[[]float64](rand.New(rand.NewSource(99)), 10, 5, 16, 10, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 // unsharded control over the recovered collection.
 func TestDurableShardedSessionsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	seed := makeVectors(2000, 6, 55)
+	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(55)), 2000, 6, 16, 10, 0.5)
 	set, err := Open(dir, 2, qcluster.DurableOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)

@@ -11,31 +11,8 @@ import (
 
 	qcluster "repro"
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 )
-
-// makeVectors builds a clustered synthetic collection: deterministic for
-// a seed, with plenty of near-ties so the (Dist, ID) tie-break is
-// actually exercised.
-func makeVectors(n, dim int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, 16)
-	for c := range centers {
-		centers[c] = make([]float64, dim)
-		for d := range centers[c] {
-			centers[c][d] = rng.Float64() * 10
-		}
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		c := centers[i%len(centers)]
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = c[d] + rng.NormFloat64()*0.5
-		}
-		out[i] = v
-	}
-	return out
-}
 
 func sameResults(t *testing.T, label string, want, got []qcluster.Result) {
 	t.Helper()
@@ -63,7 +40,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 		dim = 8
 		k   = 20
 	)
-	vectors := makeVectors(n, dim, 7)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(7)), n, dim, 16, 10, 0.5)
 	control, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +135,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 // TestScatterGatherKLargerThanSet covers the heap-never-fills edge: k
 // beyond the collection size must return everything, still identical.
 func TestScatterGatherKLargerThanSet(t *testing.T) {
-	vectors := makeVectors(400, 6, 3)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(3)), 400, 6, 16, 10, 0.5)
 	control, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +161,7 @@ func TestScatterGatherKLargerThanSet(t *testing.T) {
 // into a sorted, duplicate-free best-effort answer tagged with both
 // ErrPartialResults and the context error.
 func TestScatterGatherCancellation(t *testing.T) {
-	vectors := makeVectors(6000, 8, 21)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(21)), 6000, 8, 16, 10, 0.5)
 	set, err := New(vectors, 4, qcluster.IndexOptions{SearchParallelism: 1})
 	if err != nil {
 		t.Fatal(err)

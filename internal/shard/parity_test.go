@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	qcluster "repro"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // parityColumn is one place a session can search: an unsharded
@@ -73,12 +75,12 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 func TestSessionParity(t *testing.T) {
 	defer faultinject.Reset()
 	const n, dim, k = 1200, 6, 25
-	vectors := makeVectors(n, dim, 31)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(31)), n, dim, 16, 10, 0.5)
 	ef := n + 1
 	ctx := context.Background()
 	cols := parityColumns(t, vectors, ef, 1, 3)
 
-	// The script's oracle: makeVectors puts id i in cluster i%16.
+	// The script's oracle: synth.RoundRobin deals id i to cluster i%16.
 	example := vectors[5]
 	relevant := func(id int) bool { return id%16 == 5 }
 
@@ -271,7 +273,7 @@ func TestSessionParity(t *testing.T) {
 // an ingest between two rounds changes nothing but the page.
 func TestSessionStateless(t *testing.T) {
 	const n, dim, k = 1200, 6, 25
-	vectors := makeVectors(n, dim, 37)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(37)), n, dim, 16, 10, 0.5)
 	ctx := context.Background()
 	for _, col := range parityColumns(t, vectors, n+8, 2) {
 		t.Run(col.name, func(t *testing.T) {
@@ -306,7 +308,7 @@ func TestSessionStateless(t *testing.T) {
 			page := twice("example query")
 			var marks []qcluster.Point
 			for _, r := range page {
-				if r.ID%16 == 5 && len(marks) < 6 { // makeVectors puts id i in cluster i%16
+				if r.ID%16 == 5 && len(marks) < 6 { // synth.RoundRobin deals id i to cluster i%16
 					marks = append(marks, qcluster.Point{ID: r.ID, Vec: vectors[r.ID], Score: 3})
 				}
 			}
@@ -364,7 +366,7 @@ func boolInt(b bool) int64 {
 // retrieval reports its own index work, and the request's index work is
 // attributed once — by the gather, not again by each leg's pipeline.
 func TestShardLegsAttributedOnce(t *testing.T) {
-	vectors := makeVectors(1500, 6, 19)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(19)), 1500, 6, 16, 10, 0.5)
 	set, err := New(vectors, 2, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)

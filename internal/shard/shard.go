@@ -274,9 +274,6 @@ func (s *Set) Len() int {
 	return s.total
 }
 
-// Placement reports which shard holds (or will hold) global id.
-func (s *Set) Placement(id int) int { return placement(id, len(s.shards)) }
-
 // NewSession starts a feedback session over the whole set:
 // qcluster.Session — the one implementation of retrieve, mark, refine —
 // searching through the set's scatter-gather.

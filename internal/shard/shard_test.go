@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	qcluster "repro"
+	"repro/internal/synth"
 )
 
 func TestPlacementDeterministicAndCovering(t *testing.T) {
@@ -38,7 +40,7 @@ func TestPlacementDeterministicAndCovering(t *testing.T) {
 }
 
 func TestMappingRoundTrip(t *testing.T) {
-	vectors := makeVectors(1500, 4, 9)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(9)), 1500, 4, 16, 10, 0.5)
 	set, err := New(vectors, 4, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +68,8 @@ func TestMappingRoundTrip(t *testing.T) {
 // vector on its placement shard, keep global ids sequential, and keep
 // search bit-identical to an unsharded control fed the same stream.
 func TestAddBatchRoutesByPlacement(t *testing.T) {
-	vectors := makeVectors(2000, 6, 13)
-	extra := makeVectors(900, 6, 14)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(13)), 2000, 6, 16, 10, 0.5)
+	extra := synth.RoundRobin[[]float64](rand.New(rand.NewSource(14)), 900, 6, 16, 10, 0.5)
 	set, err := New(vectors, 3, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func TestAddBatchRoutesByPlacement(t *testing.T) {
 }
 
 func TestSetRejectsEmptyShards(t *testing.T) {
-	if _, err := New(makeVectors(3, 4, 1), 8, qcluster.IndexOptions{}); err == nil {
+	if _, err := New(synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 3, 4, 16, 10, 0.5), 8, qcluster.IndexOptions{}); err == nil {
 		t.Fatal("3 vectors across 8 shards must fail (some shard is empty)")
 	}
 	if _, err := New(nil, 0, qcluster.IndexOptions{}); err == nil {
@@ -137,11 +139,11 @@ func TestSetRejectsEmptyShards(t *testing.T) {
 func TestSetRejectsBadBackend(t *testing.T) {
 	for _, backend := range []qcluster.IndexBackend{"vafile", "nope"} {
 		opt := qcluster.IndexOptions{Backend: backend}
-		if _, err := New(makeVectors(100, 4, 1), 2, opt); err == nil {
+		if _, err := New(synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 100, 4, 16, 10, 0.5), 2, opt); err == nil {
 			t.Errorf("New with backend %q must fail", backend)
 		}
 		dir := filepath.Join(t.TempDir(), "set")
-		if _, err := Open(dir, 2, qcluster.DurableOptions{Index: opt, Seed: makeVectors(100, 4, 1)}); err == nil {
+		if _, err := Open(dir, 2, qcluster.DurableOptions{Index: opt, Seed: synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 100, 4, 16, 10, 0.5)}); err == nil {
 			t.Errorf("Open with backend %q must fail", backend)
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
@@ -151,7 +153,7 @@ func TestSetRejectsBadBackend(t *testing.T) {
 }
 
 func TestSetMetricsAndHealth(t *testing.T) {
-	vectors := makeVectors(1000, 4, 2)
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(2)), 1000, 4, 16, 10, 0.5)
 	set, err := New(vectors, 2, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,5 @@
 package stat
 
-import "math"
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -10,20 +8,6 @@ func Mean(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (divisor n).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
 	}
 	return s / float64(len(xs))
 }
@@ -40,62 +24,4 @@ func SampleVariance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Skewness returns the standardized third moment of xs, as used by the
-// color-moment feature (mean, standard deviation, skewness per channel).
-// It is defined as the signed cube root convention used by Stricker &
-// Orengo's color moments: s = cbrt(E[(x-μ)³]).
-func Skewness(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d * d
-	}
-	return math.Cbrt(s / float64(len(xs)))
-}
-
-// MinMax returns the minimum and maximum of xs. For empty input it
-// returns (+Inf, -Inf), which composes correctly with iterative merging.
-func MinMax(xs []float64) (min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Quantile returns the q-quantile of xs (0<=q<=1) using linear
-// interpolation over the sorted copy of the data.
-func Quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := lo + 1
-	if hi >= n {
-		return sorted[n-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -1,63 +1,20 @@
 package stat
 
 import (
-	"math"
-	"sort"
 	"testing"
 )
 
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	approx(t, "Mean", Mean(xs), 5, 1e-15)
-	approx(t, "Variance", Variance(xs), 4, 1e-15)
-	approx(t, "StdDev", StdDev(xs), 2, 1e-15)
 	approx(t, "SampleVariance", SampleVariance(xs), 32.0/7, 1e-12)
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Skewness(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty inputs must return 0")
 	}
 	if SampleVariance([]float64{1}) != 0 {
 		t.Error("single-element sample variance must be 0")
-	}
-	min, max := MinMax(nil)
-	if !math.IsInf(min, 1) || !math.IsInf(max, -1) {
-		t.Error("MinMax(nil) must return (+Inf, -Inf)")
-	}
-}
-
-func TestSkewness(t *testing.T) {
-	// Symmetric data has zero third moment.
-	approx(t, "Skewness symmetric", Skewness([]float64{-1, 0, 1}), 0, 1e-15)
-	// Right-skewed data has positive skewness.
-	if s := Skewness([]float64{0, 0, 0, 10}); s <= 0 {
-		t.Errorf("right-skewed data must have positive skewness, got %v", s)
-	}
-	// Shift invariance: skew(x + c) = skew(x).
-	xs := []float64{1, 2, 2, 3, 9}
-	shifted := make([]float64, len(xs))
-	for i, x := range xs {
-		shifted[i] = x + 100
-	}
-	approx(t, "Skewness shift-invariant", Skewness(shifted), Skewness(xs), 1e-9)
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 4, 1, 5})
-	if min != -1 || max != 5 {
-		t.Errorf("MinMax = %v, %v", min, max)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	sort.Float64s(xs)
-	approx(t, "median", Quantile(xs, 0.5), 3, 1e-15)
-	approx(t, "min", Quantile(xs, 0), 1, 1e-15)
-	approx(t, "max", Quantile(xs, 1), 5, 1e-15)
-	approx(t, "interpolated", Quantile(xs, 0.125), 1.5, 1e-15)
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) must be NaN")
 	}
 }

@@ -1,81 +1,17 @@
 package stat
 
-import (
-	"math/rand"
-
-	"repro/internal/linalg"
-)
-
-// MVNSampler draws samples from a multivariate normal distribution
-// N(mean, cov) via the Cholesky factor of the covariance. It backs the
-// synthetic cluster generators of Section 5 (spherical z ~ N(0, I) and
-// elliptical y = Az with COV(y) = AA').
-type MVNSampler struct {
-	mean linalg.Vector
-	chol *linalg.Matrix // lower-triangular L with cov = L L'
-}
-
-// NewMVNSampler builds a sampler for N(mean, cov). cov must be symmetric
-// positive definite.
-func NewMVNSampler(mean linalg.Vector, cov *linalg.Matrix) (*MVNSampler, error) {
-	l, err := cov.Cholesky()
-	if err != nil {
-		return nil, err
-	}
-	return &MVNSampler{mean: mean.Clone(), chol: l}, nil
-}
-
-// NewMVNSamplerFromTransform builds a sampler for y = mean + A z with
-// z ~ N(0, I), i.e. COV(y) = A A'. This mirrors the paper's elliptical
-// synthetic-data construction directly, without refactoring through the
-// covariance.
-func NewMVNSamplerFromTransform(mean linalg.Vector, a *linalg.Matrix) *MVNSampler {
-	return &MVNSampler{mean: mean.Clone(), chol: a.Clone()}
-}
-
-// Dim returns the dimensionality of the sampler.
-func (s *MVNSampler) Dim() int { return len(s.mean) }
-
-// Sample draws one vector using rng.
-func (s *MVNSampler) Sample(rng *rand.Rand) linalg.Vector {
-	n := len(s.mean)
-	z := make(linalg.Vector, n)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	out := s.chol.MulVec(z)
-	for i := range out {
-		out[i] += s.mean[i]
-	}
-	return out
-}
-
-// SampleN draws n vectors.
-func (s *MVNSampler) SampleN(rng *rand.Rand, n int) []linalg.Vector {
-	out := make([]linalg.Vector, n)
-	for i := range out {
-		out[i] = s.Sample(rng)
-	}
-	return out
-}
+import "math/rand"
 
 // RandomF draws a value distributed as the paper's Equation (20):
 // random F_{d1,d2} = (χ²_{d1}/ ... )/(χ²_{d2}/ ...) built from sums of
 // squared N(0,1) variables. The paper's Eq. 20 omits the conventional
 // per-degree normalization (it literally writes Σx²/Σy²); we follow the
 // convention F = (χ²_{d1}/d1)/(χ²_{d2}/d2) so the values match the
-// F-distribution quantiles used elsewhere in Section 5, and expose the
-// raw ratio via RandomChiSquareRatio for completeness.
+// F-distribution quantiles used elsewhere in Section 5.
 func RandomF(rng *rand.Rand, d1, d2 int) float64 {
 	num := chiSquareDraw(rng, d1) / float64(d1)
 	den := chiSquareDraw(rng, d2) / float64(d2)
 	return num / den
-}
-
-// RandomChiSquareRatio draws Σ_{i<=d1} x_i² / Σ_{i<=d2} y_i² with
-// x, y ~ N(0,1), the literal form of the paper's Equation (20).
-func RandomChiSquareRatio(rng *rand.Rand, d1, d2 int) float64 {
-	return chiSquareDraw(rng, d1) / chiSquareDraw(rng, d2)
 }
 
 func chiSquareDraw(rng *rand.Rand, df int) float64 {

@@ -4,74 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/linalg"
 )
-
-func TestMVNSamplerMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	mean := linalg.Vector{1, -2}
-	cov := linalg.FromRows([]linalg.Vector{{2, 0.5}, {0.5, 1}})
-	s, err := NewMVNSampler(mean, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 60000
-	sum := linalg.NewVector(2)
-	sumSq := linalg.NewMatrix(2, 2)
-	for i := 0; i < n; i++ {
-		x := s.Sample(rng)
-		d := x.Sub(mean)
-		sum.AddScaled(1, x)
-		sumSq.AddScaledInPlace(1, d.Outer(d))
-	}
-	empMean := sum.Scale(1.0 / n)
-	empCov := sumSq.Scale(1.0 / n)
-	if !empMean.Equal(mean, 0.03) {
-		t.Errorf("empirical mean = %v", empMean)
-	}
-	if !empCov.Equal(cov, 0.05) {
-		t.Errorf("empirical cov = \n%v", empCov)
-	}
-}
-
-func TestMVNSamplerNotPD(t *testing.T) {
-	cov := linalg.FromRows([]linalg.Vector{{1, 1}, {1, 1}}) // rank 1
-	if _, err := NewMVNSampler(linalg.Vector{0, 0}, cov); err == nil {
-		t.Error("expected error for non-PD covariance")
-	}
-}
-
-func TestMVNSamplerFromTransform(t *testing.T) {
-	// y = A z should have covariance A A' — the paper's elliptical
-	// synthetic-data construction.
-	rng := rand.New(rand.NewSource(9))
-	a := linalg.FromRows([]linalg.Vector{{2, 0}, {1, 1}})
-	want := a.Mul(a.T())
-	s := NewMVNSamplerFromTransform(linalg.Vector{0, 0}, a)
-	const n = 60000
-	cov := linalg.NewMatrix(2, 2)
-	for i := 0; i < n; i++ {
-		x := s.Sample(rng)
-		cov.AddScaledInPlace(1, x.Outer(x))
-	}
-	cov = cov.Scale(1.0 / n)
-	if !cov.Equal(want, 0.1) {
-		t.Errorf("empirical cov = \n%v\nwant\n%v", cov, want)
-	}
-}
-
-func TestSampleN(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s, _ := NewMVNSampler(linalg.Vector{0}, linalg.Identity(1))
-	xs := s.SampleN(rng, 10)
-	if len(xs) != 10 {
-		t.Fatalf("len = %d", len(xs))
-	}
-	if s.Dim() != 1 {
-		t.Fatalf("Dim = %d", s.Dim())
-	}
-}
 
 func TestRandomFMean(t *testing.T) {
 	// E[F(d1, d2)] = d2/(d2-2) for d2 > 2.
@@ -85,14 +18,5 @@ func TestRandomFMean(t *testing.T) {
 	want := 20.0 / 18
 	if math.Abs(got-want) > 0.05 {
 		t.Errorf("mean RandomF = %v, want ≈ %v", got, want)
-	}
-}
-
-func TestRandomChiSquareRatioPositive(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for i := 0; i < 1000; i++ {
-		if v := RandomChiSquareRatio(rng, 12, 48); v <= 0 || math.IsNaN(v) {
-			t.Fatalf("draw %d: %v", i, v)
-		}
 	}
 }

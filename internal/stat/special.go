@@ -1,8 +1,8 @@
 // Package stat implements the statistical machinery the Qcluster paper
 // relies on: the chi-square distribution (effective radius, Lemma 1), the
 // F distribution (Hotelling's T² critical value, Eq. 16), the normal
-// distribution, descriptive statistics and multivariate-normal sampling
-// for the synthetic experiments of Section 5.
+// distribution, descriptive statistics and the random F draws (Eq. 20)
+// behind the synthetic experiments of Section 5.
 package stat
 
 import (
@@ -33,21 +33,6 @@ func GammaP(a, x float64) float64 {
 		return gammaPSeries(a, x)
 	default:
 		return 1 - gammaQContinuedFraction(a, x)
-	}
-}
-
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaPSeries(a, x)
-	default:
-		return gammaQContinuedFraction(a, x)
 	}
 }
 

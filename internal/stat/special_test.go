@@ -24,16 +24,6 @@ func TestGammaPKnown(t *testing.T) {
 	}
 }
 
-func TestGammaPQComplement(t *testing.T) {
-	for _, a := range []float64{0.5, 1, 2.5, 10, 50} {
-		for _, x := range []float64{0.1, 1, 5, 20, 100} {
-			if s := GammaP(a, x) + GammaQ(a, x); math.Abs(s-1) > 1e-12 {
-				t.Errorf("P+Q = %v for a=%v x=%v", s, a, x)
-			}
-		}
-	}
-}
-
 func TestGammaPEdges(t *testing.T) {
 	if GammaP(2, 0) != 0 {
 		t.Error("GammaP(a,0) != 0")

@@ -2,7 +2,9 @@
 // the uniform cube of Example 3 (Fig. 5), the 3-cluster Gaussian data in
 // ℝ¹⁶ with varying inter-cluster distance and spherical/elliptical shape
 // (Figs. 14-17), and the size-30 cluster pairs with same/different means
-// behind Tables 2-3 and the Q-Q plots of Figs. 18-19.
+// behind Tables 2-3 and the Q-Q plots of Figs. 18-19. worlds.go holds
+// the seeded worlds tests and benchmarks draw from, which also build
+// qserve's synthetic collection.
 package synth
 
 import (

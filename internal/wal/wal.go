@@ -93,9 +93,6 @@ func Open(path string, met Metrics) (*Writer, error) {
 	return w, nil
 }
 
-// Path returns the log file path.
-func (w *Writer) Path() string { return w.path }
-
 // AppendedBytes returns the bytes appended since Open.
 func (w *Writer) AppendedBytes() int64 {
 	w.mu.Lock()
@@ -109,9 +106,6 @@ func (w *Writer) Err() error {
 	defer w.mu.Unlock()
 	return w.err
 }
-
-// EncodedSize returns the on-disk size of a record with n payload bytes.
-func EncodedSize(n int) int { return headerSize + n }
 
 // appendLocked frames and writes payloads to the OS buffer. Caller
 // holds w.mu.
@@ -350,33 +344,4 @@ func truncate(path string, size int64) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadAll is Replay without side effects on the file: it collects every
-// intact record's payload (copied) and never truncates. For tests and
-// offline inspection.
-func ReadAll(path string) ([][]byte, error) {
-	var out [][]byte
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	off, n := int64(0), int64(len(data))
-	for off+headerSize <= n {
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxRecordBytes || off+headerSize+length > n {
-			break
-		}
-		payload := data[off+headerSize : off+headerSize+length]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break
-		}
-		out = append(out, append([]byte(nil), payload...))
-		off += headerSize + length
-	}
-	return out, nil
 }

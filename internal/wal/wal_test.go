@@ -274,17 +274,6 @@ func TestCommitAfterClose(t *testing.T) {
 	}
 }
 
-func TestReadAll(t *testing.T) {
-	path := walPath(t)
-	w, _ := Open(path, Metrics{})
-	mustCommit(t, w, []byte("a"), []byte("bb"))
-	w.Close()
-	got, err := ReadAll(path)
-	if err != nil || len(got) != 2 || string(got[1]) != "bb" {
-		t.Fatalf("ReadAll: %q err=%v", got, err)
-	}
-}
-
 // FuzzReplay feeds arbitrary bytes through Replay (on a copy) and
 // asserts it never panics, never reports more intact bytes than the
 // file holds, and that a replay of the repaired file is clean.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/synth"
 )
 
 // TestManySessionsConcurrentFeedback is the multi-tenant stress test
@@ -15,7 +17,7 @@ import (
 // index) is properly synchronized.
 func TestManySessionsConcurrentFeedback(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // runFeedbackRounds drives a session through a few feedback rounds,
@@ -41,7 +42,7 @@ func runFeedbackRounds(t *testing.T, s *Session, db *Database, labels []int, rou
 // "search.done" and per-metric "metric.build" events.
 func TestSessionTraceEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +126,7 @@ func TestSessionTraceEvents(t *testing.T) {
 // histograms, prune ratios and last-search index work must be exposed.
 func TestSessionStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +178,7 @@ func TestSessionStats(t *testing.T) {
 // four Search* entry points plus the outcome counters.
 func TestDatabaseMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestDatabaseMetrics(t *testing.T) {
 // a recorded search shows up in the Prometheus exposition.
 func TestServeDebugEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)

@@ -7,31 +7,22 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/synth"
 )
 
-// buildVectors makes a clustered 3-D collection: category c occupies a
-// blob; category 0 is bimodal.
-func buildVectors(rng *rand.Rand) (vectors [][]float64, labels []int) {
-	add := func(cat, n int, cx, cy, cz, spread float64) {
-		for i := 0; i < n; i++ {
-			vectors = append(vectors, []float64{
-				cx + spread*rng.NormFloat64(),
-				cy + spread*rng.NormFloat64(),
-				cz + spread*rng.NormFloat64(),
-			})
-			labels = append(labels, cat)
-		}
-	}
-	add(0, 15, 0, 0, 0, 0.4)
-	add(0, 15, 4, 4, 4, 0.4)
-	add(1, 30, -6, 6, 0, 0.5)
-	add(2, 20, 2, 2, 2, 1.2) // clutter between the category-0 modes
-	return vectors, labels
+// testBlobs is a clustered 3-D collection: category c occupies a blob;
+// category 0 is bimodal.
+var testBlobs = []synth.Blob{
+	{Label: 0, N: 15, Center: []float64{0, 0, 0}, Spread: 0.4},
+	{Label: 0, N: 15, Center: []float64{4, 4, 4}, Spread: 0.4},
+	{Label: 1, N: 30, Center: []float64{-6, 6, 0}, Spread: 0.5},
+	{Label: 2, N: 20, Center: []float64{2, 2, 2}, Spread: 1.2}, // clutter between the category-0 modes
 }
 
 func TestDatabaseBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +55,7 @@ func TestNewDatabaseErrors(t *testing.T) {
 
 func TestSessionFeedbackLoopFindsBothModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	db, err := NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +121,7 @@ func TestQueryAPI(t *testing.T) {
 
 func TestSearchWithQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	db, _ := NewDatabase(vectors)
 	q := NewQuery(Options{})
 	// Feed both category-0 modes directly.
@@ -205,7 +196,7 @@ func TestFeedbackValidation(t *testing.T) {
 
 func TestMarkRelevantValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	db, _ := NewDatabase(vectors)
 	s := db.NewSession(db.Vector(0), Options{})
 	if err := s.MarkRelevant([]Point{{ID: 1, Vec: []float64{1}, Score: 3}}); err == nil {
@@ -218,7 +209,7 @@ func TestMarkRelevantValidation(t *testing.T) {
 
 func TestQuerySaveLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	vectors, labels := buildVectors(rng)
+	vectors, labels := synth.Blobs[[]float64](rng, testBlobs...)
 	db, _ := NewDatabase(vectors)
 	q := NewQuery(Options{})
 	var pts []Point
@@ -258,7 +249,7 @@ func TestDatabaseConcurrentSearch(t *testing.T) {
 	// Database is immutable after construction: concurrent searches must
 	// be safe and agree with the serial answer.
 	rng := rand.New(rand.NewSource(6))
-	vectors, _ := buildVectors(rng)
+	vectors, _ := synth.Blobs[[]float64](rng, testBlobs...)
 	db, _ := NewDatabase(vectors)
 	want := db.SearchByExample(db.Vector(3), 10)
 

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/synth"
 )
 
 // Vector used to panic on an out-of-range id; it must return nil, and
 // VectorOK must report presence explicitly.
 func TestVectorOutOfRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	db, err := NewDatabase(randomVectors(rng, 10, 4))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 10, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestVectorOutOfRange(t *testing.T) {
 func TestQuerySaveLoadDegradedHealthAndRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	dim := 8
-	db, err := NewDatabase(randomVectors(rng, 300, dim))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 300, dim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

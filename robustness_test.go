@@ -11,25 +11,14 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
-
-func randomVectors(rng *rand.Rand, n, dim int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = rng.NormFloat64()
-		}
-		out[i] = v
-	}
-	return out
-}
 
 // An already-cancelled context returns promptly with context.Canceled
 // (wrapped), no results and no panic — on every context entry point.
 func TestSearchContextPreCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	db, err := NewDatabase(randomVectors(rng, 500, 6))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 500, 6, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +51,7 @@ func TestSearchContextPreCancelled(t *testing.T) {
 func TestSearchContextMidSearchDeadline(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(11))
-	db, err := NewDatabase(randomVectors(rng, 3000, 8))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 3000, 8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +96,7 @@ func TestSearchContextMidSearchDeadline(t *testing.T) {
 func TestSweptSearchReportedAndInterruptible(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(14))
-	db, err := NewDatabase(randomVectors(rng, 4000, 12))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 4000, 12, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +145,7 @@ func TestSweptSearchReportedAndInterruptible(t *testing.T) {
 func TestFullInverseSingularCovarianceDegradesGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	dim := 8
-	db, err := NewDatabase(randomVectors(rng, 300, dim))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 300, dim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +185,7 @@ func TestForcedSingularCovariance(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(13))
 	dim := 3
-	db, err := NewDatabase(randomVectors(rng, 200, dim))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 200, dim, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +216,7 @@ func TestForcedSingularCovariance(t *testing.T) {
 // into typed *InternalError values instead of crashing.
 func TestPanicBarrier(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	db, err := NewDatabase(randomVectors(rng, 100, 3))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 100, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +249,7 @@ func TestPanicBarrier(t *testing.T) {
 // SearchContext on a query with no feedback returns ErrNotReady.
 func TestSearchContextNotReady(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	db, err := NewDatabase(randomVectors(rng, 50, 3))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 50, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +262,7 @@ func TestSearchContextNotReady(t *testing.T) {
 // absorb nothing — through both Query.Feedback and Session.MarkRelevant.
 func TestFeedbackRejectsNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	db, err := NewDatabase(randomVectors(rng, 50, 3))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 50, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,18 +294,68 @@ func TestFeedbackRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// Degenerate feedback batches from the faultinject generators (identical
-// and collinear points — singular covariance by construction) must flow
-// through the whole pipeline without panicking.
+// identicalBatch returns n copies of one constant vector — the most
+// degenerate feedback batch possible: zero scatter in every dimension,
+// guaranteeing a singular covariance for any dim >= 1.
+func identicalBatch(dim, n int, value float64) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		v := make([]float64, dim)
+		for d := range v {
+			v[d] = value
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// collinearBatch returns n points spaced along a single line in dim-D
+// space: the scatter has rank 1, so the covariance is singular whenever
+// dim > 1 regardless of how many points are supplied.
+func collinearBatch(dim, n int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		v := make([]float64, dim)
+		for d := range v {
+			v[d] = float64(i+1) * float64(d+1)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+func TestDegenerateBatches(t *testing.T) {
+	b := identicalBatch(4, 3, 7.5)
+	if len(b) != 3 || len(b[0]) != 4 || b[2][3] != 7.5 {
+		t.Fatalf("identicalBatch shape wrong: %v", b)
+	}
+	c := collinearBatch(3, 5)
+	if len(c) != 5 || len(c[0]) != 3 {
+		t.Fatalf("collinearBatch shape wrong: %v", c)
+	}
+	// Every point must be a scalar multiple of the first.
+	for i := 1; i < len(c); i++ {
+		ratio := c[i][0] / c[0][0]
+		for d := range c[i] {
+			if c[i][d] != ratio*c[0][d] {
+				t.Fatalf("point %d not collinear with point 0", i)
+			}
+		}
+	}
+}
+
+// Degenerate feedback batches (identical and collinear points — singular
+// covariance by construction) must flow through the whole pipeline
+// without panicking.
 func TestDegenerateFeedbackBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	db, err := NewDatabase(randomVectors(rng, 200, 4))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 200, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, batch := range map[string][][]float64{
-		"identical": faultinject.IdenticalBatch(4, 6, 0.5),
-		"collinear": faultinject.CollinearBatch(4, 6),
+		"identical": identicalBatch(4, 6, 0.5),
+		"collinear": collinearBatch(4, 6),
 	} {
 		for _, scheme := range []Scheme{Diagonal, FullInverse} {
 			q := NewQuery(Options{Scheme: scheme})

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/synth"
 )
 
 // Search on a query with no feedback must return nil, not reach the
@@ -12,7 +14,7 @@ import (
 // barrier — the panic used to escape to the caller).
 func TestSearchNotReadyReturnsNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
-	db, err := NewDatabase(randomVectors(rng, 60, 3))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 60, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestSearchNotReadyReturnsNil(t *testing.T) {
 // dimensions.
 func TestSearchByExampleDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
-	db, err := NewDatabase(randomVectors(rng, 80, 4))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 80, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestSearchByExampleDimensionMismatch(t *testing.T) {
 // ResultsContext.
 func TestNewSessionDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	db, err := NewDatabase(randomVectors(rng, 80, 4))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 80, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestNewSessionDimensionMismatch(t *testing.T) {
 // default one.
 func TestNewDatabaseWithOptionsParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
-	vecs := randomVectors(rng, 500, 6)
+	vecs := synth.Gaussian[[]float64](rng, 500, 6, 1)
 	seqDB, err := NewDatabaseWithOptions(vecs, IndexOptions{SearchParallelism: 1})
 	if err != nil {
 		t.Fatal(err)

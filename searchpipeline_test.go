@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 )
 
 // TestPanicBarrierNonContextForms is the regression test for the forms
@@ -25,7 +26,7 @@ func TestPanicBarrierNonContextForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	// Small collection: the traversal is sequential, so the KNNPop hook
 	// panics on the calling goroutine, under the barrier.
-	db, err := NewDatabase(randomVectors(rng, 100, 3))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 100, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
