@@ -50,12 +50,8 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 	return benchDS
 }
 
-func benchRetrievalConfig(ds *dataset.Dataset, f dataset.Feature) eval.RetrievalConfig {
-	return eval.RetrievalConfig{
-		DS: ds, Feature: f,
-		NumQueries: 10, Iterations: 5, K: 50, Seed: 7, UseIndex: true,
-	}
-}
+// benchConfig is the retrieval protocol of the Figs. 6-13 cells.
+var benchConfig = eval.Config{NumQueries: 10, Iterations: 5, K: 50, Seed: 7}
 
 // BenchmarkFig5DisjunctiveCube reproduces Example 3 / Fig. 5: the
 // aggregate disjunctive distance over 10,000 uniform cube points.
@@ -79,12 +75,12 @@ func BenchmarkFig6Scheme(b *testing.B) {
 	for _, scheme := range []cluster.Scheme{cluster.Diagonal, cluster.FullInverse} {
 		scheme := scheme
 		b.Run(scheme.String(), func(b *testing.B) {
-			cfg := benchRetrievalConfig(ds, dataset.ColorMoments)
+			w := eval.ImageWorld(ds, dataset.ColorMoments)
 			var last eval.EngineSeries
 			for i := 0; i < b.N; i++ {
-				last = eval.RunRetrieval(cfg, func() rf.Engine {
+				last = eval.Run(benchConfig, w, func() rf.Engine {
 					return rf.NewQcluster(core.Options{Scheme: scheme})
-				})
+				})[0].Series()
 			}
 			b.ReportMetric(last.Recall[len(last.Recall)-1], "recall@5")
 			b.ReportMetric(mean(last.CPUMillis), "ms/retrieval")
@@ -112,11 +108,12 @@ func BenchmarkFig7ExecutionCost(b *testing.B) {
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := benchRetrievalConfig(ds, dataset.ColorMoments)
+			w := eval.ImageWorld(ds, dataset.ColorMoments)
+			cfg := benchConfig
 			cfg.UseRefinementCache = tc.cached
 			var last eval.EngineSeries
 			for i := 0; i < b.N; i++ {
-				last = eval.RunRetrieval(cfg, tc.mk)
+				last = eval.Run(cfg, w, tc.mk)[0].Series()
 			}
 			b.ReportMetric(mean(last.NodesVisited), "nodes/retrieval")
 			b.ReportMetric(mean(last.DistanceEvals), "evals/retrieval")
@@ -133,12 +130,12 @@ func BenchmarkFig9PRTexture(b *testing.B) { benchPR(b, dataset.CooccurrenceTextu
 
 func benchPR(b *testing.B, f dataset.Feature) {
 	ds := benchDataset(b)
-	cfg := benchRetrievalConfig(ds, f)
+	w := eval.ImageWorld(ds, f)
 	var last eval.EngineSeries
 	for i := 0; i < b.N; i++ {
-		last = eval.RunRetrieval(cfg, func() rf.Engine {
+		last = eval.Run(benchConfig, w, func() rf.Engine {
 			return rf.NewQcluster(core.Options{})
-		})
+		})[0].Series()
 	}
 	end := len(last.Recall) - 1
 	b.ReportMetric(last.Recall[0], "recall@iter0")
@@ -165,10 +162,10 @@ func BenchmarkFig10to13Compare(b *testing.B) {
 		for _, e := range engines {
 			e := e
 			b.Run(f.String()+"/"+e.name, func(b *testing.B) {
-				cfg := benchRetrievalConfig(ds, f)
+				w := eval.ImageWorld(ds, f)
 				var last eval.EngineSeries
 				for i := 0; i < b.N; i++ {
-					last = eval.RunRetrieval(cfg, e.mk)
+					last = eval.Run(benchConfig, w, e.mk)[0].Series()
 				}
 				end := len(last.Recall) - 1
 				b.ReportMetric(last.Recall[end], "recall@final")
@@ -494,17 +491,18 @@ func BenchmarkANN(b *testing.B) {
 // on the complex-query vector world; the reported recall shows what each
 // correction contributes (see DESIGN.md "Implementation notes").
 func BenchmarkAblations(b *testing.B) {
-	wcfg := eval.VectorWorldConfig{Seed: 9, NumCategories: 16, PerCategory: 60}
-	cfg := eval.WorkloadConfig{
-		NumQueries: 8, Iterations: 4, K: 100, Seed: 5,
-		UseIndex: true, RelatedScore: -1,
+	w := eval.BuildVectorWorld(eval.VectorWorldConfig{Seed: 9, NumCategories: 16, PerCategory: 60})
+	cfg := eval.Config{NumQueries: 8, Iterations: 4, K: 100, Seed: 5}
+	engines := make([]func() rf.Engine, len(eval.Ablations))
+	for i, a := range eval.Ablations {
+		engines[i] = a.Engine
 	}
-	var results []eval.AblationResult
+	var sweeps []eval.Sweep
 	for i := 0; i < b.N; i++ {
-		results = eval.RunAblations(cfg, wcfg)
+		sweeps = eval.Run(cfg, w, engines...)
 	}
-	for _, r := range results {
-		last := len(r.Series.Recall) - 1
-		b.ReportMetric(r.Series.Recall[last], "recall/"+r.Name)
+	for i, s := range sweeps {
+		recall := s.Series().Recall
+		b.ReportMetric(recall[len(recall)-1], "recall/"+eval.Ablations[i].Name)
 	}
 }

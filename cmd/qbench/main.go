@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -71,17 +72,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "no experiments selected")
 		os.Exit(2)
 	}
-	runner := newRunner(cfg)
-	for _, id := range ids {
-		fn, ok := runner.experiments[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; registered: %s\n",
-				id, strings.Join(runner.ids(), " "))
-			os.Exit(2)
-		}
-		fmt.Printf("==== %s ====\n", id)
-		fn()
-		fmt.Println()
+	if err := newRunner(cfg, os.Stdout).run(ids); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 }
 
@@ -102,14 +95,27 @@ func expandExperiments(s string) []string {
 	return out
 }
 
+// vectorWorld keys the controlled vector world beside the collection's
+// features.
+const vectorWorld dataset.Feature = -1
+
+// sweepKey names one engine's trials: each is run once per process.
+type sweepKey struct {
+	world  dataset.Feature
+	engine string
+	cached bool
+}
+
 type runner struct {
 	cfg         config
+	out         io.Writer
 	ds          *dataset.Dataset
+	sweeps      map[sweepKey]eval.Sweep
 	experiments map[string]func()
 }
 
-func newRunner(cfg config) *runner {
-	r := &runner{cfg: cfg}
+func newRunner(cfg config, out io.Writer) *runner {
+	r := &runner{cfg: cfg, out: out, sweeps: map[sweepKey]eval.Sweep{}}
 	r.experiments = map[string]func(){
 		"fig5":   r.fig5,
 		"fig6":   r.fig6,
@@ -137,8 +143,8 @@ func newRunner(cfg config) *runner {
 		// beyond the paper, which evaluates each feature separately.
 		"fig10c": func() { r.compare(dataset.Combined, "Fig. 10 (combined feature)", "recall") },
 		"fig12c": func() { r.compare(dataset.Combined, "Fig. 12 (combined feature)", "precision") },
-		"fig10v": func() { r.compareVec("Fig. 10 (vector world)", "recall") },
-		"fig12v": func() { r.compareVec("Fig. 12 (vector world)", "precision") },
+		"fig10v": func() { r.compare(vectorWorld, "Fig. 10 (vector world)", "recall") },
+		"fig12v": func() { r.compare(vectorWorld, "Fig. 12 (vector world)", "precision") },
 		// Ablation study: each small-sample correction removed in turn
 		// (DESIGN.md "Implementation notes"), on the complex-query
 		// vector-world workload.
@@ -148,6 +154,20 @@ func newRunner(cfg config) *runner {
 		"convergence": r.convergence,
 	}
 	return r
+}
+
+// run prints each experiment in order under a header line.
+func (r *runner) run(ids []string) error {
+	for _, id := range ids {
+		fn, ok := r.experiments[id]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q; registered: %s", id, strings.Join(r.ids(), " "))
+		}
+		fmt.Fprintf(r.out, "==== %s ====\n", id)
+		fn()
+		fmt.Fprintln(r.out)
+	}
+	return nil
 }
 
 // ids returns the registered experiment ids, sorted.
@@ -193,99 +213,116 @@ func (r *runner) dataset() *dataset.Dataset {
 	return ds
 }
 
-func (r *runner) retrievalConfig(f dataset.Feature) eval.RetrievalConfig {
-	return eval.RetrievalConfig{
-		DS:      r.dataset(),
-		Feature: f,
-		// Iterations and scale from flags.
-		NumQueries: r.cfg.queries,
-		Iterations: r.cfg.iters,
-		K:          r.cfg.k,
-		Seed:       r.cfg.seed,
-		UseIndex:   true,
+// sweep returns the trials of engine id (built by mk) on the image
+// collection under feature f or on the vector world, running them the
+// first time any experiment asks.
+func (r *runner) sweep(f dataset.Feature, id string, cached bool, mk func() rf.Engine) eval.Sweep {
+	key := sweepKey{f, id, cached}
+	if s, ok := r.sweeps[key]; ok {
+		return s
 	}
+	cfg := eval.Config{
+		NumQueries: r.cfg.queries, Iterations: r.cfg.iters, K: r.cfg.k,
+		Seed: r.cfg.seed, UseRefinementCache: cached,
+	}
+	var w *eval.World
+	if f == vectorWorld {
+		w = eval.BuildVectorWorld(eval.VectorWorldConfig{Seed: r.cfg.seed, NumCategories: 40, PerCategory: 60})
+		cfg.K = 100 // the complex-query workload runs at the paper's k
+	} else {
+		w = eval.ImageWorld(r.dataset(), f)
+	}
+	s := eval.Run(cfg, w, mk)[0]
+	r.sweeps[key] = s
+	return s
+}
+
+// series folds the named engines' uncached sweeps into table columns.
+func (r *runner) series(f dataset.Feature, ids ...string) []eval.EngineSeries {
+	out := make([]eval.EngineSeries, len(ids))
+	for i, id := range ids {
+		out[i] = r.sweep(f, id, false, engineFactories[id]).Series()
+	}
+	return out
 }
 
 func (r *runner) fig5() {
 	res := eval.RunExample3(r.cfg.seed)
-	fmt.Print(eval.RenderExample3(res))
+	fmt.Fprint(r.out, eval.RenderExample3(res))
 }
 
 func (r *runner) fig6() {
-	cfg := r.retrievalConfig(dataset.ColorMoments)
-	series := []eval.EngineSeries{
-		eval.RunRetrieval(cfg, engines()["qcluster-diag"]),
-		eval.RunRetrieval(cfg, engines()["qcluster-inv"]),
-	}
+	series := r.series(dataset.ColorMoments, "qcluster-diag", "qcluster-inv")
 	series[0].Name = "diagonal"
 	series[1].Name = "inverse"
-	fmt.Print(eval.RenderSeriesTable(
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Fig. 6: CPU time per iteration, inverse vs diagonal scheme (color moments)",
 		"mean ms per retrieval", series,
 		func(s eval.EngineSeries) []float64 { return s.CPUMillis }))
 }
 
 func (r *runner) fig7() {
-	cfg := r.retrievalConfig(dataset.ColorMoments)
-	cached := cfg
-	cached.UseRefinementCache = true
-	series := []eval.EngineSeries{
-		eval.RunRetrieval(cached, engines()["qcluster-diag"]),
-		eval.RunRetrieval(cfg, engines()["qpm"]),
-		eval.RunRetrieval(cfg, engines()["qex"]),
-		eval.RunRetrieval(cfg, engines()["falcon"]),
-	}
-	series[0].Name = "Qcluster(cached)"
-	fmt.Print(eval.RenderSeriesTable(
+	cached := r.sweep(dataset.ColorMoments, "qcluster-diag", true, engineFactories["qcluster-diag"]).Series()
+	cached.Name = "Qcluster(cached)"
+	series := append([]eval.EngineSeries{cached}, r.series(dataset.ColorMoments, "qpm", "qex", "falcon")...)
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Fig. 7: execution cost per iteration (index nodes visited)",
 		"mean nodes visited", series,
 		func(s eval.EngineSeries) []float64 { return s.NodesVisited }))
-	fmt.Println()
-	fmt.Print(eval.RenderSeriesTable(
+	fmt.Fprintln(r.out)
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Fig. 7 (companion): distance evaluations per iteration",
 		"mean distance evals", series,
 		func(s eval.EngineSeries) []float64 { return s.DistanceEvals }))
-	fmt.Println()
-	fmt.Print(eval.RenderSeriesTable(
+	fmt.Fprintln(r.out)
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Fig. 7 (companion): wall-clock execution cost per iteration",
 		"mean ms per retrieval", series,
 		func(s eval.EngineSeries) []float64 { return s.CPUMillis }))
 }
 
 func (r *runner) prCurves(f dataset.Feature, figure string) {
-	cfg := r.retrievalConfig(f)
-	s := eval.RunRetrieval(cfg, engines()["qcluster-diag"])
+	s := r.series(f, "qcluster-diag")[0]
 	scopes := []int{1, 10, 20, 40, 60, 80, 100}
-	fmt.Print(eval.RenderPRCurves(
+	fmt.Fprint(r.out, eval.RenderPRCurves(
 		fmt.Sprintf("%s: precision-recall per iteration, Qcluster (%s)", figure, f),
 		s.Curves, scopes))
 }
 
+// compare prints the three-approach table of Figs. 10-13 on world f,
+// with the paired t-tests and the simple/complex split of the same
+// trials on the image collection.
 func (r *runner) compare(f dataset.Feature, figure, metric string) {
-	cfg := r.retrievalConfig(f)
-	series := []eval.EngineSeries{
-		eval.RunRetrieval(cfg, engines()["qcluster-diag"]),
-		eval.RunRetrieval(cfg, engines()["qpm"]),
-		eval.RunRetrieval(cfg, engines()["qex"]),
+	ids := []string{"qcluster-diag", "qpm", "qex"}
+	sweeps := make([]eval.Sweep, len(ids))
+	series := make([]eval.EngineSeries, len(ids))
+	for i, id := range ids {
+		sweeps[i] = r.sweep(f, id, false, engineFactories[id])
+		series[i] = sweeps[i].Series()
 	}
 	pick := func(s eval.EngineSeries) []float64 { return s.Recall }
 	if metric == "precision" {
 		pick = func(s eval.EngineSeries) []float64 { return s.Precision }
 	}
-	fmt.Print(eval.RenderSeriesTable(
-		fmt.Sprintf("%s: %s per iteration, three approaches (%s)", figure, metric, f),
-		metric, series, pick))
+	title := fmt.Sprintf("%s: %s per iteration, three approaches (%s)", figure, metric, f)
+	if f == vectorWorld {
+		title = fmt.Sprintf("%s: %s per iteration, complex queries on disjoint-mode categories", figure, metric)
+	}
+	fmt.Fprint(r.out, eval.RenderSeriesTable(title, metric, series, pick))
 	r.printGains(series, pick, metric)
+	if f == vectorWorld {
+		return
+	}
 	// Paired significance of the headline comparison on the same queries.
-	for _, baseline := range []string{"qpm", "qex"} {
-		p := eval.RunPairedImage(cfg, engines()["qcluster-diag"], engines()[baseline])
-		fmt.Printf("paired t-test %s vs %s over %d queries: Δrecall=%+.4f, t=%.2f, p=%.3f\n",
+	for _, baseline := range sweeps[1:] {
+		p := eval.Paired(sweeps[0], baseline)
+		fmt.Fprintf(r.out, "paired t-test %s vs %s over %d queries: Δrecall=%+.4f, t=%.2f, p=%.3f\n",
 			p.NameA, p.NameB, p.Queries, p.MeanDiff, p.TStat, p.PValue)
 	}
 	// Difficulty split: the paper's thesis concerns the complex column.
-	for _, id := range []string{"qcluster-diag", "qpm", "qex"} {
-		b := eval.RunModalityImage(cfg, engines()[id])
-		fmt.Printf("%-9s final recall — simple categories: %.3f (%d queries), complex: %.3f (%d queries)\n",
+	for _, s := range sweeps {
+		b := s.Split()
+		fmt.Fprintf(r.out, "%-9s final recall — simple categories: %.3f (%d queries), complex: %.3f (%d queries)\n",
 			b.Name, b.SimpleRecall, b.SimpleQueries, b.ComplexRecall, b.ComplexQueries)
 	}
 }
@@ -299,103 +336,54 @@ func (r *runner) printGains(series []eval.EngineSeries, pick func(eval.EngineSer
 	for _, s := range series[1:] {
 		b := pick(s)[last]
 		if b > 0 {
-			fmt.Printf("final-iteration %s gain of %s over %s: %+.1f%%\n",
+			fmt.Fprintf(r.out, "final-iteration %s gain of %s over %s: %+.1f%%\n",
 				metric, series[0].Name, s.Name, 100*(q-b)/b)
 		}
 	}
 }
 
-func (r *runner) compareVec(figure, metric string) {
-	wcfg := eval.VectorWorldConfig{Seed: r.cfg.seed, NumCategories: 40, PerCategory: 60}
-	world := eval.BuildVectorWorld(wcfg)
-	cfg := eval.WorkloadConfig{
-		NumQueries: r.cfg.queries,
-		Iterations: r.cfg.iters,
-		K:          100,
-		Seed:       r.cfg.seed,
-		UseIndex:   true,
-		// Complex-query workload: queries drawn from multi-mode
-		// categories only, feedback restricted to same-category images.
-		RelatedScore: -1,
-	}
-	series := []eval.EngineSeries{
-		eval.RunVectorRetrieval(cfg, world, wcfg, true, engines()["qcluster-diag"]),
-		eval.RunVectorRetrieval(cfg, world, wcfg, true, engines()["qpm"]),
-		eval.RunVectorRetrieval(cfg, world, wcfg, true, engines()["qex"]),
-	}
-	pick := func(s eval.EngineSeries) []float64 { return s.Recall }
-	if metric == "precision" {
-		pick = func(s eval.EngineSeries) []float64 { return s.Precision }
-	}
-	fmt.Print(eval.RenderSeriesTable(
-		fmt.Sprintf("%s: %s per iteration, complex queries on disjoint-mode categories", figure, metric),
-		metric, series, pick))
-	r.printGains(series, pick, metric)
-}
-
+// ablation prints the ablation cases on the vector world's complex
+// queries and on the image collection, where small relevant sets and
+// higher-variance category structure make the small-sample corrections
+// earn their keep.
 func (r *runner) ablation() {
-	wcfg := eval.VectorWorldConfig{Seed: r.cfg.seed, NumCategories: 40, PerCategory: 60}
-	cfg := eval.WorkloadConfig{
-		NumQueries:   r.cfg.queries,
-		Iterations:   r.cfg.iters,
-		K:            100,
-		Seed:         r.cfg.seed,
-		UseIndex:     true,
-		RelatedScore: -1,
+	cases := func(f dataset.Feature) []eval.EngineSeries {
+		out := make([]eval.EngineSeries, len(eval.Ablations))
+		for i, a := range eval.Ablations {
+			id := a.Name
+			if a.Off == (core.Ablations{}) {
+				id = "qcluster-diag" // the same engine as the Qcluster column
+			}
+			out[i] = r.sweep(f, id, false, a.Engine).Series()
+			out[i].Name = a.Name
+		}
+		return out
 	}
-	results := eval.RunAblations(cfg, wcfg)
-	series := make([]eval.EngineSeries, len(results))
-	for i, res := range results {
-		series[i] = res.Series
-	}
-	fmt.Print(eval.RenderSeriesTable(
+	recall := func(s eval.EngineSeries) []float64 { return s.Recall }
+	series := cases(vectorWorld)
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Ablation: recall per iteration with small-sample corrections removed",
-		"recall", series,
-		func(s eval.EngineSeries) []float64 { return s.Recall }))
-	fmt.Println()
-	fmt.Print(eval.RenderSeriesTable(
+		"recall", series, recall))
+	fmt.Fprintln(r.out)
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Ablation: mean query points per iteration",
 		"query points", series,
 		func(s eval.EngineSeries) []float64 { return s.QueryPoints }))
-
-	// The same ablations on the image collection, where small relevant
-	// sets and higher-variance category structure make the small-sample
-	// corrections earn their keep.
-	icfg := r.retrievalConfig(dataset.ColorMoments)
-	ablations := []struct {
-		name string
-		abl  core.Ablations
-	}{
-		{"full", core.Ablations{}},
-		{"raw-covariances", core.Ablations{RawCovariances: true}},
-		{"plain-chi2-radius", core.Ablations{PlainChiSquareRadius: true}},
-		{"no-overlap-merge", core.Ablations{NoOverlapMerge: true}},
-	}
-	iseries := make([]eval.EngineSeries, 0, len(ablations))
-	for _, tc := range ablations {
-		abl := tc.abl
-		s := eval.RunRetrieval(icfg, func() rfEngine {
-			return rf.NewQcluster(core.Options{Ablations: abl})
-		})
-		s.Name = tc.name
-		iseries = append(iseries, s)
-	}
-	fmt.Println()
-	fmt.Print(eval.RenderSeriesTable(
+	fmt.Fprintln(r.out)
+	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Ablation (image collection, color): recall per iteration",
-		"recall", iseries,
-		func(s eval.EngineSeries) []float64 { return s.Recall }))
+		"recall", cases(dataset.ColorMoments), recall))
 }
 
 func (r *runner) convergence() {
-	res := eval.RunConvergence(r.retrievalConfig(dataset.ColorMoments))
-	fmt.Println("Convergence of Qcluster (color moments): per-iteration deltas")
-	fmt.Printf("%-10s %12s %12s %12s\n", "iteration", "recall-gain", "result-churn", "model-drift")
+	res := r.sweep(dataset.ColorMoments, "qcluster-diag", false, engineFactories["qcluster-diag"]).Convergence()
+	fmt.Fprintln(r.out, "Convergence of Qcluster (color moments): per-iteration deltas")
+	fmt.Fprintf(r.out, "%-10s %12s %12s %12s\n", "iteration", "recall-gain", "result-churn", "model-drift")
 	for i := 1; i < len(res.RecallGain); i++ {
-		fmt.Printf("%-10d %12.4f %12.4f %12.4f\n",
+		fmt.Fprintf(r.out, "%-10d %12.4f %12.4f %12.4f\n",
 			i, res.RecallGain[i], res.ResultChurn[i], res.ModelDrift[i])
 	}
-	fmt.Println("fast convergence = large first-iteration gain, vanishing tail")
+	fmt.Fprintln(r.out, "fast convergence = large first-iteration gain, vanishing tail")
 }
 
 func (r *runner) classification(shape synth.Shape, scheme cluster.Scheme, figure string) {
@@ -405,7 +393,7 @@ func (r *runner) classification(shape synth.Shape, scheme cluster.Scheme, figure
 		Trials: r.cfg.trials,
 		Seed:   r.cfg.seed,
 	})
-	fmt.Print(eval.RenderClassification(
+	fmt.Fprint(r.out, eval.RenderClassification(
 		fmt.Sprintf("%s: classification error rate, %s data, %s matrix", figure, shape, scheme),
 		res))
 }
@@ -413,7 +401,7 @@ func (r *runner) classification(shape synth.Shape, scheme cluster.Scheme, figure
 func (r *runner) qq(scheme cluster.Scheme, figure string) {
 	pts, threshold := eval.RunQQ(scheme, r.cfg.pairs, 12, r.cfg.seed)
 	step := len(pts) / 25
-	fmt.Print(eval.RenderQQ(
+	fmt.Fprint(r.out, eval.RenderQQ(
 		fmt.Sprintf("%s: Q-Q plot of T² vs critical distance, %s matrix (dim 12)", figure, scheme),
 		pts, step))
 	// Summary: decision accuracy at the actual critical value.
@@ -431,7 +419,7 @@ func (r *runner) qq(scheme cluster.Scheme, figure string) {
 			}
 		}
 	}
-	fmt.Printf("decision at F(0.95) = %.2f: same-mean merged %d/%d; different-mean separated %d/%d\n",
+	fmt.Fprintf(r.out, "decision at F(0.95) = %.2f: same-mean merged %d/%d; different-mean separated %d/%d\n",
 		threshold, sameOK, same, diffOK, diff)
 }
 
@@ -447,14 +435,8 @@ func (r *runner) t2Table(sameMean bool, name string) {
 		if !sameMean {
 			label = "different means"
 		}
-		fmt.Print(eval.RenderT2Table(
+		fmt.Fprint(r.out, eval.RenderT2Table(
 			fmt.Sprintf("%s: T² with %s matrix, %s", name, scheme, label), rows))
-		fmt.Println()
+		fmt.Fprintln(r.out)
 	}
-}
-
-// engines returns the engine factories by id. Declared as a function so
-// each call yields fresh closures.
-func engines() map[string]func() rfEngine {
-	return engineFactories
 }

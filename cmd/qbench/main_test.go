@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -38,7 +41,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := append(expandExperiments("all"),
 		"fig10c", "fig12c", "fig10v", "fig12v", "ablation", "convergence")
 	sort.Strings(want)
-	if got := newRunner(config{}).ids(); !reflect.DeepEqual(got, want) {
+	if got := newRunner(config{}, io.Discard).ids(); !reflect.DeepEqual(got, want) {
 		t.Errorf("registered experiments\n got %v\nwant %v", got, want)
 	}
 }
@@ -52,7 +55,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	if flag.Lookup("exp") == nil { // once per process: -count=2 reruns the test
 		registerFlags(&config{})
 	}
-	registry := newRunner(config{}).experiments
+	registry := newRunner(config{}, io.Discard).experiments
 	artifact := regexp.MustCompile(`BENCH_[a-z]+\.json`)
 	invocation := regexp.MustCompile(`qbench((?:\s+-[a-z]+\s+[^\s-]\S*)+)`)
 	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
@@ -109,8 +112,57 @@ func TestSyntheticExperimentsRun(t *testing.T) {
 	}
 	// Smoke: the dataset-free experiments run end to end without
 	// panicking at tiny scale.
-	r := newRunner(config{queries: 2, iters: 1, k: 10, pairs: 4, trials: 1, seed: 1})
+	r := newRunner(config{queries: 2, iters: 1, k: 10, pairs: 4, trials: 1, seed: 1}, io.Discard)
 	for _, id := range []string{"fig5", "fig18", "table2"} {
 		r.experiments[id]()
+	}
+}
+
+// TestTablesGolden pins the retrieval tables byte for byte at a small
+// scale: every experiment over the image collection and the vector
+// world, at 12 queries of which 9 hit complex categories. Fig. 7's
+// wall-clock table is cut, the one timing the golden file cannot hold.
+// Go fuses x*y+z into one rounding on some architectures, so the bytes
+// hold only where it does not.
+func TestTablesGolden(t *testing.T) {
+	switch runtime.GOARCH {
+	case "arm64", "loong64", "ppc64", "ppc64le", "riscv64", "s390x":
+		t.Skipf("GOARCH %s fuses multiply-add; the tables were recorded without fusion", runtime.GOARCH)
+	}
+	var out bytes.Buffer
+	r := newRunner(config{cats: 12, perCat: 30, size: 24, bimodal: 0.5,
+		queries: 12, iters: 3, k: 30, seed: 7}, &out)
+	ids := expandExperiments("fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig10c,fig12c,fig10v,fig12v,ablation,convergence")
+	if err := r.run(ids); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	start := strings.Index(got, "Fig. 7 (companion): wall-clock")
+	if start < 0 {
+		t.Fatalf("no wall-clock table in\n%s", got)
+	}
+	end := strings.Index(got[start:], "\n\n")
+	if end < 0 {
+		t.Fatalf("wall-clock table not followed by a blank line in\n%s", got)
+	}
+	got = got[:start] + got[start+end+2:]
+	want, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("line %d:\n got %q\nwant %q", i+1, g, w)
+			}
+		}
 	}
 }

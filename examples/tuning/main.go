@@ -30,21 +30,18 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	base := eval.RetrievalConfig{
-		DS:      ds,
-		Feature: dataset.ColorMoments,
-		// A modest workload keeps the sweep quick.
-		NumQueries: 20, Iterations: 4, K: 50, Seed: 99, UseIndex: true,
-	}
+	w := eval.ImageWorld(ds, dataset.ColorMoments)
+	// A modest workload keeps the sweep quick.
+	cfg := eval.Config{NumQueries: 20, Iterations: 4, K: 50, Seed: 99}
 
 	fmt.Printf("%-10s %-9s %10s %10s %8s %10s\n",
 		"alpha", "scheme", "recall@4", "prec@4", "qpoints", "time")
 	for _, scheme := range []cluster.Scheme{cluster.Diagonal, cluster.FullInverse} {
 		for _, alpha := range []float64{0.2, 0.05, 0.01, 0.001} {
 			start := time.Now()
-			s := eval.RunRetrieval(base, func() rf.Engine {
+			s := eval.Run(cfg, w, func() rf.Engine {
 				return rf.NewQcluster(core.Options{Scheme: scheme, Alpha: alpha})
-			})
+			})[0].Series()
 			last := len(s.Recall) - 1
 			fmt.Printf("%-10.3f %-9s %10.3f %10.3f %8.2f %10s\n",
 				alpha, scheme, s.Recall[last], s.Precision[last],

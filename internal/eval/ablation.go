@@ -5,41 +5,29 @@ import (
 	"repro/internal/rf"
 )
 
-// AblationResult holds one ablation configuration's outcome on the
-// controlled complex-query workload.
-type AblationResult struct {
-	Name   string
-	Series EngineSeries
+// Ablation is one case of the ablation study: Qcluster with the listed
+// small-sample corrections switched off.
+type Ablation struct {
+	Name string
+	Off  core.Ablations
 }
 
-// RunAblations evaluates the full Qcluster configuration against each
-// single-correction-removed variant on the vector world's complex
-// queries. The corrections under test are the three small-sample
-// measures DESIGN.md documents: pooled-shrunk covariances in Eq. 5,
-// the finite-sample effective radius, and the ellipsoid-overlap merge
+// Ablations are the full configuration, each correction removed in turn
+// and all three removed. The corrections are the small-sample measures
+// DESIGN.md documents: pooled-shrunk covariances in Eq. 5, the
+// finite-sample effective radius, and the ellipsoid-overlap merge
 // criterion.
-func RunAblations(cfg WorkloadConfig, wcfg VectorWorldConfig) []AblationResult {
-	world := BuildVectorWorld(wcfg)
-	cases := []struct {
-		name string
-		abl  core.Ablations
-	}{
-		{"full", core.Ablations{}},
-		{"raw-covariances", core.Ablations{RawCovariances: true}},
-		{"plain-chi2-radius", core.Ablations{PlainChiSquareRadius: true}},
-		{"no-overlap-merge", core.Ablations{NoOverlapMerge: true}},
-		{"all-off", core.Ablations{
-			RawCovariances: true, PlainChiSquareRadius: true, NoOverlapMerge: true,
-		}},
-	}
-	out := make([]AblationResult, 0, len(cases))
-	for _, tc := range cases {
-		abl := tc.abl
-		series := RunVectorRetrieval(cfg, world, wcfg, true, func() rf.Engine {
-			return rf.NewQcluster(core.Options{Ablations: abl})
-		})
-		series.Name = tc.name
-		out = append(out, AblationResult{Name: tc.name, Series: series})
-	}
-	return out
+var Ablations = []Ablation{
+	{"full", core.Ablations{}},
+	{"raw-covariances", core.Ablations{RawCovariances: true}},
+	{"plain-chi2-radius", core.Ablations{PlainChiSquareRadius: true}},
+	{"no-overlap-merge", core.Ablations{NoOverlapMerge: true}},
+	{"all-off", core.Ablations{
+		RawCovariances: true, PlainChiSquareRadius: true, NoOverlapMerge: true,
+	}},
+}
+
+// Engine builds a fresh Qcluster engine for the case.
+func (a Ablation) Engine() rf.Engine {
+	return rf.NewQcluster(core.Options{Ablations: a.Off})
 }

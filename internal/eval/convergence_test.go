@@ -3,16 +3,12 @@ package eval
 import (
 	"testing"
 
-	"repro/internal/dataset"
+	"repro/internal/rf"
 )
 
 func TestRunConvergence(t *testing.T) {
-	ds := testDataset(t)
-	cfg := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 8, Iterations: 4, K: 20, Seed: 3,
-	}
-	res := RunConvergence(cfg)
+	cfg := Config{NumQueries: 8, Iterations: 4, K: 20, Seed: 3}
+	res := Run(cfg, testWorld(t), qcluster)[0].Convergence()
 	if len(res.RecallGain) != 5 {
 		t.Fatalf("series length = %d", len(res.RecallGain))
 	}
@@ -40,7 +36,7 @@ func TestRunConvergence(t *testing.T) {
 }
 
 func TestChurnAndDriftHelpers(t *testing.T) {
-	prev := map[int]bool{1: true, 2: true}
+	prev := []int{1, 2}
 	if got := churn(prev, []int{1, 3}); got != 0.5 {
 		t.Errorf("churn = %v", got)
 	}
@@ -53,17 +49,21 @@ func TestChurnAndDriftHelpers(t *testing.T) {
 }
 
 func TestRunAblationsShape(t *testing.T) {
-	wcfg := VectorWorldConfig{Seed: 1, NumCategories: 8, PerCategory: 30}
-	cfg := WorkloadConfig{NumQueries: 4, Iterations: 2, K: 40, Seed: 2, UseIndex: true, RelatedScore: -1}
-	out := RunAblations(cfg, wcfg)
+	w := BuildVectorWorld(VectorWorldConfig{Seed: 1, NumCategories: 8, PerCategory: 30})
+	cfg := Config{NumQueries: 4, Iterations: 2, K: 40, Seed: 2}
+	engines := make([]func() rf.Engine, len(Ablations))
+	for i, a := range Ablations {
+		engines[i] = a.Engine
+	}
+	out := Run(cfg, w, engines...)
 	if len(out) != 5 {
 		t.Fatalf("ablation cases = %d", len(out))
 	}
 	names := map[string]bool{}
-	for _, r := range out {
-		names[r.Name] = true
-		if len(r.Series.Recall) != 3 {
-			t.Fatalf("%s: series length %d", r.Name, len(r.Series.Recall))
+	for i, s := range out {
+		names[Ablations[i].Name] = true
+		if n := len(s.Series().Recall); n != 3 {
+			t.Fatalf("%s: series length %d", Ablations[i].Name, n)
 		}
 	}
 	for _, want := range []string{"full", "raw-covariances", "plain-chi2-radius", "no-overlap-merge", "all-off"} {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,13 +27,17 @@ func testDataset(t *testing.T) *dataset.Dataset {
 	return ds
 }
 
+// testWorld is the small test collection under the colour feature.
+func testWorld(t *testing.T) *World {
+	t.Helper()
+	return ImageWorld(testDataset(t), dataset.ColorMoments)
+}
+
+func qcluster() rf.Engine { return rf.NewQcluster(core.Options{}) }
+
 func TestRunRetrievalShapes(t *testing.T) {
-	ds := testDataset(t)
-	cfg := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 5, Iterations: 2, K: 20, Seed: 1,
-	}
-	s := RunRetrieval(cfg, func() rf.Engine { return rf.NewQcluster(core.Options{}) })
+	cfg := Config{NumQueries: 5, Iterations: 2, K: 20, Seed: 1}
+	s := Run(cfg, testWorld(t), qcluster)[0].Series()
 	if s.Name != "Qcluster" {
 		t.Errorf("Name = %q", s.Name)
 	}
@@ -54,41 +59,13 @@ func TestRunRetrievalShapes(t *testing.T) {
 	}
 }
 
-func TestRunRetrievalIndexMatchesScan(t *testing.T) {
-	ds := testDataset(t)
-	base := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 4, Iterations: 1, K: 15, Seed: 3,
-	}
-	scan := RunRetrieval(base, func() rf.Engine { return rf.NewQPM() })
-	idx := base
-	idx.UseIndex = true
-	tree := RunRetrieval(idx, func() rf.Engine { return rf.NewQPM() })
-	for i := range scan.Recall {
-		if diff := scan.Recall[i] - tree.Recall[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("iteration %d: scan recall %v != indexed recall %v",
-				i, scan.Recall[i], tree.Recall[i])
-		}
-	}
-	// The index must never do more distance work than the scan (with a
-	// collection this small the tree may be a single leaf, so equality is
-	// acceptable; the pruning behaviour itself is covered in the index
-	// package tests at scale).
-	if tree.DistanceEvals[0] > scan.DistanceEvals[0] {
-		t.Errorf("index evals %v > scan evals %v", tree.DistanceEvals[0], scan.DistanceEvals[0])
-	}
-}
-
 func TestRunRetrievalRefinementCacheCutsWork(t *testing.T) {
-	ds := testDataset(t)
-	base := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 4, Iterations: 3, K: 15, Seed: 5, UseIndex: true,
-	}
-	cold := RunRetrieval(base, func() rf.Engine { return rf.NewQcluster(core.Options{}) })
+	w := testWorld(t)
+	base := Config{NumQueries: 4, Iterations: 3, K: 15, Seed: 5}
+	cold := Run(base, w, qcluster)[0].Series()
 	warm := base
 	warm.UseRefinementCache = true
-	cached := RunRetrieval(warm, func() rf.Engine { return rf.NewQcluster(core.Options{}) })
+	cached := Run(warm, w, qcluster)[0].Series()
 	// Same quality.
 	for i := range cold.Recall {
 		if diff := cold.Recall[i] - cached.Recall[i]; diff > 1e-9 || diff < -1e-9 {
@@ -103,6 +80,28 @@ func TestRunRetrievalRefinementCacheCutsWork(t *testing.T) {
 	}
 	if warmNodes > coldNodes {
 		t.Errorf("cache increased node work: %v > %v", warmNodes, coldNodes)
+	}
+}
+
+// TestFoldsShareOneQueryDraw pins the single query draw: on one Run the
+// paired fold's MeanA and the split's query-weighted mean are the
+// series' final recall.
+func TestFoldsShareOneQueryDraw(t *testing.T) {
+	cfg := Config{NumQueries: 12, Iterations: 2, K: 20, Seed: 8}
+	sweeps := Run(cfg, testWorld(t), qcluster, func() rf.Engine { return rf.NewQPM() })
+	s := sweeps[0].Series()
+	final := s.Recall[len(s.Recall)-1]
+	if p := Paired(sweeps[0], sweeps[1]); p.MeanA != final {
+		t.Errorf("paired MeanA %v != series final recall %v", p.MeanA, final)
+	}
+	b := sweeps[0].Split()
+	if b.SimpleQueries == 0 || b.ComplexQueries == 0 {
+		t.Fatalf("split %d + %d: the draw must hit both classes", b.SimpleQueries, b.ComplexQueries)
+	}
+	weighted := (b.SimpleRecall*float64(b.SimpleQueries) + b.ComplexRecall*float64(b.ComplexQueries)) /
+		float64(b.SimpleQueries+b.ComplexQueries)
+	if math.Abs(weighted-final) > 1e-12 {
+		t.Errorf("split weighted recall %v != series final recall %v", weighted, final)
 	}
 }
 
@@ -289,39 +288,5 @@ func TestRenderers(t *testing.T) {
 	curves := [][]PRPoint{{{Scope: 1, Precision: 1, Recall: 0.5}}}
 	if out := RenderPRCurves("t", curves, []int{1}); !strings.Contains(out, "0.5") {
 		t.Errorf("pr curves:\n%s", out)
-	}
-}
-
-func TestRunRetrievalParallelMatchesSerial(t *testing.T) {
-	ds := testDataset(t)
-	base := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 6, Iterations: 2, K: 15, Seed: 21, UseIndex: true,
-	}
-	serial := RunRetrieval(base, func() rf.Engine { return rf.NewQcluster(core.Options{}) })
-	par := base
-	// Parallel is plumbed through the workload config.
-	wl := par.workload()
-	wl.Parallel = true
-	vecs := ds.Vectors(dataset.ColorMoments)
-	labels := ds.Col.Labels()
-	themes := make([]int, len(ds.Col.Categories))
-	for i, c := range ds.Col.Categories {
-		themes[i] = c.Theme
-	}
-	pool := make([]int, len(vecs))
-	for i := range pool {
-		pool[i] = i
-	}
-	parallel := runWorkload(wl, vecs, labels, themes, pool,
-		func() rf.Engine { return rf.NewQcluster(core.Options{}) })
-	for i := range serial.Recall {
-		if serial.Recall[i] != parallel.Recall[i] {
-			t.Errorf("iteration %d: serial %v != parallel %v",
-				i, serial.Recall[i], parallel.Recall[i])
-		}
-		if serial.Precision[i] != parallel.Precision[i] {
-			t.Errorf("iteration %d: precision differs", i)
-		}
 	}
 }

@@ -3,21 +3,16 @@ package eval
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/rf"
 )
 
 func TestRunPairedSelfComparisonIsNull(t *testing.T) {
 	// An engine compared against itself must show zero mean difference
 	// and a p-value of 1 (no variance in the differences).
-	ds := testDataset(t)
-	cfg := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 6, Iterations: 2, K: 20, Seed: 4, UseIndex: true,
-	}
+	cfg := Config{NumQueries: 6, Iterations: 2, K: 20, Seed: 4}
 	mk := func() rf.Engine { return rf.NewQPM() }
-	out := RunPairedImage(cfg, mk, mk)
+	sweeps := Run(cfg, testWorld(t), mk, mk)
+	out := Paired(sweeps[0], sweeps[1])
 	if out.MeanDiff != 0 {
 		t.Errorf("self-comparison MeanDiff = %v", out.MeanDiff)
 	}
@@ -36,22 +31,10 @@ func TestRunPairedDetectsRealDifference(t *testing.T) {
 	// Qcluster vs QEX on the complex-query vector world: a genuine
 	// difference should come out with a small p-value given enough
 	// queries.
-	wcfg := VectorWorldConfig{Seed: 3, NumCategories: 16, PerCategory: 60}
-	w := BuildVectorWorld(wcfg)
-	var pool []int
-	for id, l := range w.Labels {
-		if l < w.NumCategories && w.ComplexCategory(wcfg, l) {
-			pool = append(pool, id)
-		}
-	}
-	cfg := WorkloadConfig{
-		NumQueries: 24, Iterations: 3, K: 100, Seed: 5,
-		UseIndex: true, RelatedScore: -1,
-	}
-	out := RunPaired(cfg, w.Vectors, w.Labels, w.Themes, pool,
-		func() rf.Engine { return rf.NewQcluster(core.Options{}) },
-		func() rf.Engine { return rf.NewQEX(5) },
-	)
+	w := BuildVectorWorld(VectorWorldConfig{Seed: 3, NumCategories: 16, PerCategory: 60})
+	cfg := Config{NumQueries: 24, Iterations: 3, K: 100, Seed: 5}
+	sweeps := Run(cfg, w, qcluster, func() rf.Engine { return rf.NewQEX(5) })
+	out := Paired(sweeps[0], sweeps[1])
 	if out.NameA != "Qcluster" || out.NameB != "QEX" {
 		t.Errorf("names = %q, %q", out.NameA, out.NameB)
 	}
@@ -64,12 +47,8 @@ func TestRunPairedDetectsRealDifference(t *testing.T) {
 }
 
 func TestRunModalityImage(t *testing.T) {
-	ds := testDataset(t)
-	cfg := RetrievalConfig{
-		DS: ds, Feature: dataset.ColorMoments,
-		NumQueries: 8, Iterations: 2, K: 20, Seed: 6,
-	}
-	b := RunModalityImage(cfg, func() rf.Engine { return rf.NewQcluster(core.Options{}) })
+	cfg := Config{NumQueries: 8, Iterations: 2, K: 20, Seed: 6}
+	b := Run(cfg, testWorld(t), qcluster)[0].Split()
 	if b.SimpleQueries+b.ComplexQueries != 8 {
 		t.Errorf("query split %d + %d != 8", b.SimpleQueries, b.ComplexQueries)
 	}

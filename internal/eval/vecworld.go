@@ -7,23 +7,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// VectorWorld is a controlled retrieval universe used alongside the image
-// collection: categories are sets of tight Gaussian modes in feature
-// space with clutter placed INSIDE each complex category's convex hull —
-// the geometry of the paper's Example 1 / Figure 4, where the relevant
-// images of one query form clearly disjoint clusters and a single convex
-// contour over them must sweep through foreign images. The image
-// collection exercises the full pipeline; this world isolates the
-// disjunctive-query mechanism itself at a configurable scale.
-type VectorWorld struct {
-	Vectors []linalg.Vector
-	Labels  []int
-	Themes  []int // category -> theme (each category its own theme here)
-	// NumCategories counts real categories; clutter points carry label
-	// NumCategories (one shared clutter class, never a query).
-	NumCategories int
-}
-
 // VectorWorldConfig sizes the world.
 type VectorWorldConfig struct {
 	Seed          int64
@@ -56,14 +39,26 @@ func (c VectorWorldConfig) withDefaults() VectorWorldConfig {
 	return c
 }
 
-// BuildVectorWorld lays the categories out on a coarse grid so category
-// neighborhoods never overlap, then builds each complex category as 2-3
-// tight modes on a ring with shared clutter at the ring center.
-func BuildVectorWorld(cfg VectorWorldConfig) *VectorWorld {
+// BuildVectorWorld builds a controlled retrieval universe used alongside
+// the image collection: categories are sets of tight Gaussian modes in
+// feature space with clutter placed INSIDE each complex category's convex
+// hull — the geometry of the paper's Example 1 / Figure 4, where the
+// relevant images of one query form clearly disjoint clusters and a
+// single convex contour over them must sweep through foreign images. The
+// image collection exercises the full pipeline; this world isolates the
+// disjunctive-query mechanism itself at a configurable scale.
+//
+// The categories are laid out on a coarse grid so category neighborhoods
+// never overlap; each complex category is 2-3 tight modes on a ring with
+// shared clutter at the ring center. Clutter points carry the one extra
+// category NumCategories, which is never a query. Queries are drawn from
+// the complex categories only — the paper's "complex image query" case —
+// and each category is its own theme.
+func BuildVectorWorld(cfg VectorWorldConfig) *World {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	w := &VectorWorld{NumCategories: cfg.NumCategories}
+	w := &World{}
 	const (
 		gridStep   = 6.0  // distance between category anchors
 		modeRadius = 0.65 // ring radius for complex categories
@@ -124,15 +119,15 @@ func BuildVectorWorld(cfg VectorWorldConfig) *VectorWorld {
 		}
 	}
 	w.Themes = make([]int, cfg.NumCategories+1)
+	w.Complex = make([]bool, cfg.NumCategories+1)
 	for i := range w.Themes {
 		w.Themes[i] = i
+		w.Complex[i] = i < min(numComplex, cfg.NumCategories)
+	}
+	for id, l := range w.Labels {
+		if w.Complex[l] {
+			w.Pool = append(w.Pool, id)
+		}
 	}
 	return w
-}
-
-// ComplexCategory reports whether a category was built with multiple
-// modes (categories below the complex fraction cutoff).
-func (w *VectorWorld) ComplexCategory(cfg VectorWorldConfig, cat int) bool {
-	cfg = cfg.withDefaults()
-	return cat < int(float64(cfg.NumCategories)*cfg.ComplexFrac)
 }

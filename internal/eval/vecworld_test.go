@@ -3,15 +3,14 @@ package eval
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/rf"
 )
 
 func TestBuildVectorWorldLayout(t *testing.T) {
 	cfg := VectorWorldConfig{Seed: 1, NumCategories: 10, PerCategory: 30}
 	w := BuildVectorWorld(cfg)
-	if w.NumCategories != 10 {
-		t.Fatalf("NumCategories = %d", w.NumCategories)
+	if len(w.Themes) != 11 || len(w.Complex) != 11 {
+		t.Fatalf("%d themes, %d complex flags: want 10 categories + clutter", len(w.Themes), len(w.Complex))
 	}
 	counts := map[int]int{}
 	for _, l := range w.Labels {
@@ -30,9 +29,18 @@ func TestBuildVectorWorldLayout(t *testing.T) {
 	if len(w.Vectors) != len(w.Labels) {
 		t.Error("vectors/labels length mismatch")
 	}
-	// Complexity predicate: first half complex.
-	if !w.ComplexCategory(cfg, 0) || w.ComplexCategory(cfg, 9) {
-		t.Error("ComplexCategory cutoff wrong")
+	// Complexity flag: first half complex, clutter never.
+	if !w.Complex[0] || !w.Complex[4] || w.Complex[5] || w.Complex[10] {
+		t.Errorf("complex flags = %v", w.Complex)
+	}
+	// Queries come from complex categories only.
+	if len(w.Pool) != 5*30 {
+		t.Errorf("query pool has %d ids", len(w.Pool))
+	}
+	for _, id := range w.Pool {
+		if !w.Complex[w.Labels[id]] {
+			t.Fatalf("pool id %d is in simple category %d", id, w.Labels[id])
+		}
 	}
 }
 
@@ -51,18 +59,10 @@ func TestVectorWorldComplexQueryAdvantage(t *testing.T) {
 	// On the controlled disjoint-mode geometry, Qcluster must beat the
 	// single-contour baselines on complex queries — the paper's headline
 	// phenomenon in its cleanest form.
-	wcfg := VectorWorldConfig{Seed: 3, NumCategories: 16, PerCategory: 60}
-	w := BuildVectorWorld(wcfg)
-	cfg := WorkloadConfig{
-		NumQueries: 16, Iterations: 4, K: 100,
-		Seed: 5, UseIndex: true, RelatedScore: -1,
-	}
-	qc := RunVectorRetrieval(cfg, w, wcfg, true, func() rf.Engine {
-		return rf.NewQcluster(core.Options{})
-	})
-	qpm := RunVectorRetrieval(cfg, w, wcfg, true, func() rf.Engine {
-		return rf.NewQPM()
-	})
+	w := BuildVectorWorld(VectorWorldConfig{Seed: 3, NumCategories: 16, PerCategory: 60})
+	cfg := Config{NumQueries: 16, Iterations: 4, K: 100, Seed: 5}
+	sweeps := Run(cfg, w, qcluster, func() rf.Engine { return rf.NewQPM() })
+	qc, qpm := sweeps[0].Series(), sweeps[1].Series()
 	last := len(qc.Recall) - 1
 	if qc.Recall[last] <= qpm.Recall[last] {
 		t.Errorf("Qcluster %.3f <= QPM %.3f on complex queries",

@@ -51,5 +51,8 @@ func (e *Qcluster) NumQueryPoints() int {
 	return e.model.NumClusters()
 }
 
+// Representatives returns the query model's cluster centroids.
+func (e *Qcluster) Representatives() []linalg.Vector { return e.model.Representatives() }
+
 // Model exposes the underlying query model (for quality diagnostics).
 func (e *Qcluster) Model() *core.QueryModel { return e.model }

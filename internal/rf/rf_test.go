@@ -62,10 +62,10 @@ func (w *testWorld) session(e Engine, k int) *Session {
 }
 
 // recallAt computes the fraction of the query category retrieved.
-func (w *testWorld) recallAt(results []index.Result, cat int) float64 {
+func (w *testWorld) recallAt(ids []int, cat int) float64 {
 	hits := 0
-	for _, r := range results {
-		if w.labels[r.ID] == cat {
+	for _, id := range ids {
+		if w.labels[id] == cat {
 			hits++
 		}
 	}
@@ -125,8 +125,8 @@ func TestSessionShape(t *testing.T) {
 			t.Fatalf("%s: %d iterations", e.Name(), len(iters))
 		}
 		for i, it := range iters {
-			if len(it.Results) != 30 {
-				t.Fatalf("%s iter %d: %d results", e.Name(), i, len(it.Results))
+			if len(it.IDs) != 30 {
+				t.Fatalf("%s iter %d: %d results", e.Name(), i, len(it.IDs))
 			}
 			if it.QueryPoints < 1 {
 				t.Fatalf("%s iter %d: %d query points", e.Name(), i, it.QueryPoints)
@@ -140,15 +140,15 @@ func TestSessionShape(t *testing.T) {
 
 func TestAllEnginesShareInitialResults(t *testing.T) {
 	w := buildWorld(4, 20)
-	var first []index.Result
+	var first []int
 	for _, e := range allEngines() {
 		iters := w.session(e, 25).Run(5, 0, 0)
 		if first == nil {
-			first = iters[0].Results
+			first = iters[0].IDs
 			continue
 		}
 		for i := range first {
-			if first[i].ID != iters[0].Results[i].ID {
+			if first[i] != iters[0].IDs[i] {
 				t.Fatalf("%s: initial results differ at rank %d", e.Name(), i)
 			}
 		}
@@ -161,8 +161,8 @@ func TestFeedbackImprovesRecallUnimodal(t *testing.T) {
 		s := w.session(e, 40)
 		// Query from unimodal category 1 (first image index 20).
 		iters := s.Run(20, 1, 3)
-		r0 := w.recallAt(iters[0].Results, 1)
-		rN := w.recallAt(iters[len(iters)-1].Results, 1)
+		r0 := w.recallAt(iters[0].IDs, 1)
+		rN := w.recallAt(iters[len(iters)-1].IDs, 1)
 		if rN < r0 {
 			t.Errorf("%s: recall degraded %v -> %v", e.Name(), r0, rN)
 		}
@@ -176,8 +176,8 @@ func TestQclusterBeatsQPMOnBimodal(t *testing.T) {
 	qc := w.session(NewQcluster(core.Options{}), k).Run(0, 0, 3)
 	qpm := w.session(NewQPM(), k).Run(0, 0, 3)
 
-	qcRecall := w.recallAt(qc[3].Results, 0)
-	qpmRecall := w.recallAt(qpm[3].Results, 0)
+	qcRecall := w.recallAt(qc[3].IDs, 0)
+	qpmRecall := w.recallAt(qpm[3].IDs, 0)
 	if qcRecall <= qpmRecall {
 		t.Errorf("Qcluster recall %v <= QPM recall %v on bimodal category", qcRecall, qpmRecall)
 	}
@@ -196,8 +196,8 @@ func TestQclusterBeatsQEXOnBimodal(t *testing.T) {
 	k := 40
 	qc := w.session(NewQcluster(core.Options{}), k).Run(0, 0, 3)
 	qex := w.session(NewQEX(5), k).Run(0, 0, 3)
-	qcRecall := w.recallAt(qc[3].Results, 0)
-	qexRecall := w.recallAt(qex[3].Results, 0)
+	qcRecall := w.recallAt(qc[3].IDs, 0)
+	qexRecall := w.recallAt(qex[3].IDs, 0)
 	if qcRecall < qexRecall {
 		t.Errorf("Qcluster recall %v < QEX recall %v on bimodal category", qcRecall, qexRecall)
 	}

@@ -5,19 +5,22 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/linalg"
-	"repro/internal/obs"
 )
 
 // Iteration is the outcome of one retrieval round.
 type Iteration struct {
-	// Results are the k-NN answers, ascending distance.
-	Results []index.Result
+	// IDs are the k-NN answers, ascending distance.
+	IDs []int
 	// Stats is the index work the retrieval performed.
 	Stats index.SearchStats
-	// Elapsed is the wall-clock retrieval + feedback time.
+	// Elapsed is the wall-clock time of the metric build and the search.
 	Elapsed time.Duration
 	// QueryPoints is the number of query representatives used.
 	QueryPoints int
+	// Reps are the engine's query representatives after the search and
+	// before the round's feedback, for engines that expose them (Qcluster;
+	// nil for the others).
+	Reps []linalg.Vector
 }
 
 // Session drives one full Algorithm-1 loop: initial k-NN query from an
@@ -30,11 +33,6 @@ type Session struct {
 	Vec func(int) linalg.Vector
 	// K is the result size (the paper: 100).
 	K int
-	// Sink, when non-nil, receives an "rf.session" span with one
-	// "iteration" event per retrieval (latency, query points, index
-	// work). The engine's own feedback-round tracing is wired
-	// separately (core.QueryModel.SetSink).
-	Sink obs.Sink
 }
 
 // Run performs the initial query plus the given number of feedback
@@ -42,39 +40,30 @@ type Session struct {
 // returns one Iteration per retrieval (iterations+1 entries).
 func (s *Session) Run(queryID, queryCat, iterations int) []Iteration {
 	s.Engine.Init(s.Vec(queryID))
-	span := obs.StartSpan(s.Sink, "rf.session",
-		obs.F("query_id", queryID), obs.F("iterations", iterations))
 	out := make([]Iteration, 0, iterations+1)
 	for it := 0; it <= iterations; it++ {
 		start := time.Now()
 		metric := s.Engine.Metric()
 		results, stats := s.Searcher.KNN(metric, s.K)
 		elapsed := time.Since(start)
-		out = append(out, Iteration{
-			Results:     results,
-			Stats:       stats,
-			Elapsed:     elapsed,
-			QueryPoints: s.Engine.NumQueryPoints(),
-		})
-		if span.Enabled() {
-			span.Event("iteration",
-				obs.F("iteration", it),
-				obs.F("latency_ms", elapsed.Seconds()*1e3),
-				obs.F("results", len(results)),
-				obs.F("query_points", s.Engine.NumQueryPoints()),
-				obs.F("distance_evals", stats.DistanceEvals),
-				obs.F("leaves_visited", stats.LeavesVisited),
-				obs.F("prune_ratio", stats.PruneRatio()))
-		}
-		if it == iterations {
-			break
-		}
 		ids := make([]int, len(results))
 		for i, r := range results {
 			ids[i] = r.ID
 		}
+		round := Iteration{
+			IDs:         ids,
+			Stats:       stats,
+			Elapsed:     elapsed,
+			QueryPoints: s.Engine.NumQueryPoints(),
+		}
+		if r, ok := s.Engine.(interface{ Representatives() []linalg.Vector }); ok {
+			round.Reps = r.Representatives()
+		}
+		out = append(out, round)
+		if it == iterations {
+			break
+		}
 		s.Engine.Feedback(s.Oracle.Mark(queryCat, ids, s.Vec))
 	}
-	span.End(obs.F("retrievals", len(out)))
 	return out
 }
