@@ -487,9 +487,10 @@ func BenchmarkANN(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations runs each small-sample correction removed in turn
-// on the complex-query vector world; the reported recall shows what each
-// correction contributes (see DESIGN.md "Implementation notes").
+// BenchmarkAblations runs the full model and the model without its
+// covariance shrinkage on the complex-query vector world; the reported
+// recall shows what the correction contributes (see DESIGN.md
+// "Implementation notes").
 func BenchmarkAblations(b *testing.B) {
 	w := eval.BuildVectorWorld(eval.VectorWorldConfig{Seed: 9, NumCategories: 16, PerCategory: 60})
 	cfg := eval.Config{NumQueries: 8, Iterations: 4, K: 100, Seed: 5}

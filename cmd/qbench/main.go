@@ -145,9 +145,9 @@ func newRunner(cfg config, out io.Writer) *runner {
 		"fig12c": func() { r.compare(dataset.Combined, "Fig. 12 (combined feature)", "precision") },
 		"fig10v": func() { r.compare(vectorWorld, "Fig. 10 (vector world)", "recall") },
 		"fig12v": func() { r.compare(vectorWorld, "Fig. 12 (vector world)", "precision") },
-		// Ablation study: each small-sample correction removed in turn
-		// (DESIGN.md "Implementation notes"), on the complex-query
-		// vector-world workload.
+		// Ablation study: the model's one correction to the paper,
+		// covariance shrinkage in Eq. 5, removed (DESIGN.md
+		// "Implementation notes"), with paired t-tests against full.
 		"ablation": r.ablation,
 		// Convergence study (the paper's second experimental goal):
 		// per-iteration recall gain, result churn and query-model drift.
@@ -315,9 +315,7 @@ func (r *runner) compare(f dataset.Feature, figure, metric string) {
 	}
 	// Paired significance of the headline comparison on the same queries.
 	for _, baseline := range sweeps[1:] {
-		p := eval.Paired(sweeps[0], baseline)
-		fmt.Fprintf(r.out, "paired t-test %s vs %s over %d queries: Δrecall=%+.4f, t=%.2f, p=%.3f\n",
-			p.NameA, p.NameB, p.Queries, p.MeanDiff, p.TStat, p.PValue)
+		r.printPaired(sweeps[0], baseline)
 	}
 	// Difficulty split: the paper's thesis concerns the complex column.
 	for _, s := range sweeps {
@@ -325,6 +323,14 @@ func (r *runner) compare(f dataset.Feature, figure, metric string) {
 		fmt.Fprintf(r.out, "%-9s final recall — simple categories: %.3f (%d queries), complex: %.3f (%d queries)\n",
 			b.Name, b.SimpleRecall, b.SimpleQueries, b.ComplexRecall, b.ComplexQueries)
 	}
+}
+
+// printPaired prints the paired t-test of a's final recall against b's
+// over the queries both ran.
+func (r *runner) printPaired(a, b eval.Sweep) {
+	p := eval.Paired(a, b)
+	fmt.Fprintf(r.out, "paired t-test %s vs %s over %d queries: Δrecall=%+.4f, t=%.2f, p=%.3f\n",
+		p.NameA, p.NameB, p.Queries, p.MeanDiff, p.TStat, p.PValue)
 }
 
 // printGains reports the final-iteration relative improvement of Qcluster
@@ -343,36 +349,41 @@ func (r *runner) printGains(series []eval.EngineSeries, pick func(eval.EngineSer
 }
 
 // ablation prints the ablation cases on the vector world's complex
-// queries and on the image collection, where small relevant sets and
-// higher-variance category structure make the small-sample corrections
-// earn their keep.
+// queries and on the image collection. Each recall table is followed by
+// the paired t-test of every case against full on the same trials: the
+// evidence that keeps the one correction the model adds to the paper.
 func (r *runner) ablation() {
-	cases := func(f dataset.Feature) []eval.EngineSeries {
-		out := make([]eval.EngineSeries, len(eval.Ablations))
+	cases := func(f dataset.Feature) ([]eval.Sweep, []eval.EngineSeries) {
+		sweeps := make([]eval.Sweep, len(eval.Ablations))
+		series := make([]eval.EngineSeries, len(eval.Ablations))
 		for i, a := range eval.Ablations {
 			id := a.Name
 			if a.Off == (core.Ablations{}) {
 				id = "qcluster-diag" // the same engine as the Qcluster column
 			}
-			out[i] = r.sweep(f, id, false, a.Engine).Series()
-			out[i].Name = a.Name
+			sweeps[i] = r.sweep(f, id, false, a.Engine)
+			sweeps[i].Name = a.Name
+			series[i] = sweeps[i].Series()
 		}
-		return out
+		return sweeps, series
 	}
-	recall := func(s eval.EngineSeries) []float64 { return s.Recall }
-	series := cases(vectorWorld)
-	fmt.Fprint(r.out, eval.RenderSeriesTable(
-		"Ablation: recall per iteration with small-sample corrections removed",
-		"recall", series, recall))
+	recall := func(title string, sweeps []eval.Sweep, series []eval.EngineSeries) {
+		fmt.Fprint(r.out, eval.RenderSeriesTable(title, "recall", series,
+			func(s eval.EngineSeries) []float64 { return s.Recall }))
+		for _, s := range sweeps[1:] {
+			r.printPaired(s, sweeps[0])
+		}
+	}
+	sweeps, series := cases(vectorWorld)
+	recall("Ablation: recall per iteration with the covariance shrinkage removed", sweeps, series)
 	fmt.Fprintln(r.out)
 	fmt.Fprint(r.out, eval.RenderSeriesTable(
 		"Ablation: mean query points per iteration",
 		"query points", series,
 		func(s eval.EngineSeries) []float64 { return s.QueryPoints }))
 	fmt.Fprintln(r.out)
-	fmt.Fprint(r.out, eval.RenderSeriesTable(
-		"Ablation (image collection, color): recall per iteration",
-		"recall", cases(dataset.ColorMoments), recall))
+	sweeps, series = cases(dataset.ColorMoments)
+	recall("Ablation (image collection, color): recall per iteration", sweeps, series)
 }
 
 func (r *runner) convergence() {

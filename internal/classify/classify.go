@@ -23,13 +23,9 @@ type Options struct {
 	// χ²_p(1-α): with α = 0.05, 95% of a Gaussian cluster's mass falls
 	// inside the ellipsoid (Lemma 1). Defaults to 0.05.
 	Alpha float64
-	// PlainChiSquareRadius disables the finite-sample widening of the
-	// effective radius (Lemma 1 read literally: always χ²_p(1-α)).
-	// Exposed for ablation studies; see RadiusFor.
-	PlainChiSquareRadius bool
 	// Trace, when non-nil, receives one event per Algorithm-2 decision
 	// in ClassifyAll: "classify.assign" (point joined the Eq. 10 winner)
-	// or "classify.new_cluster" (point fell outside the winner's χ²/F
+	// or "classify.new_cluster" (point fell outside the winner's χ²
 	// effective radius and seeded a new cluster).
 	Trace *obs.Span
 }
@@ -109,35 +105,10 @@ func (c *Classifier) Best(x linalg.Vector) (k int, score float64) {
 }
 
 // InsideRadius reports whether x lies inside cluster k's effective
-// ellipsoid: (x - x̄_k)' S_k⁻¹ (x - x̄_k) < r(α)  (Lemma 1 / Eq. 6),
+// ellipsoid: (x - x̄_k)' S_k⁻¹ (x - x̄_k) < χ²_p(1-α)  (Lemma 1 / Eq. 6),
 // where S_k is cluster k's own covariance under the configured scheme.
-//
-// The radius is the χ²_p(1-α) quantile in the large-sample limit, but for
-// a cluster whose covariance was estimated from few points the correct
-// predictive contour is wider: a new point from the same population
-// satisfies (x-x̄)'S⁻¹(x-x̄) ~ p(n²-1)/(n(n-p)) F_{p,n-p} (Johnson &
-// Wichern, the paper's Ref. [12]). Using the χ² radius with a young
-// cluster's shrunken sample covariance would brand typical members
-// outliers and fragment the query model into micro-clusters.
 func (c *Classifier) InsideRadius(k int, x linalg.Vector) bool {
-	return c.clusters[k].Mahalanobis(x, c.opt.Scheme) < c.RadiusFor(k)
-}
-
-// RadiusFor returns the effective radius for cluster k, widened by the
-// finite-sample predictive factor when the cluster is small.
-func (c *Classifier) RadiusFor(k int) float64 {
-	if c.opt.PlainChiSquareRadius {
-		return c.radius
-	}
-	n := c.clusters[k].Weight
-	p := float64(c.clusters[k].Dim())
-	if n <= p+1 {
-		// Too few points for the F quantile: accept anything within the
-		// χ² contour scaled by a generous small-sample factor.
-		return 4 * c.radius
-	}
-	f := stat.FQuantile(1-c.opt.Alpha, p, n-p)
-	return p * (n*n - 1) / (n * (n - p)) * f
+	return c.clusters[k].Mahalanobis(x, c.opt.Scheme) < c.radius
 }
 
 // ClassifyAll runs Algorithm 2 over a batch of new points against the
@@ -178,7 +149,7 @@ func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) []*
 				opt.Trace.Event("classify.new_cluster",
 					obs.F("point_id", p.ID), obs.F("nearest", k),
 					obs.F("mahalanobis", work[k].Mahalanobis(p.Vec, opt.Scheme)),
-					obs.F("radius", cl.RadiusFor(k)),
+					obs.F("radius", cl.radius),
 					obs.F("clusters", len(work)+1))
 			}
 			work = append(work, cluster.FromPoint(p))

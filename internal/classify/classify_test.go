@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/linalg"
+	"repro/internal/stat"
+	"repro/internal/synth"
 )
 
 func gaussCluster(rng *rand.Rand, n, dim int, center linalg.Vector, scale float64) *cluster.Cluster {
@@ -227,46 +229,97 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 	New(nil, Options{})
 }
 
-func TestRadiusForWidensSmallClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	small := gaussCluster(rng, 6, 3, linalg.Vector{0, 0, 0}, 1)
-	big := gaussCluster(rng, 500, 3, linalg.Vector{10, 0, 0}, 1)
-	cl := New([]*cluster.Cluster{small, big}, Options{Alpha: 0.05})
+// TestAlgorithm2Property replays ClassifyAll one point at a time over
+// generated mixtures (dims 2-8, both schemes, three α) and checks each
+// decision against an independent reading of Algorithm 2: a point that
+// joins a cluster joins the Eq. 10 winner and lay inside its χ²_p(1-α)
+// radius at that moment (Lemma 1), and a point that seeds a new cluster
+// lay outside the winner's radius. The replay must also end where one
+// ClassifyAll over the whole batch ends.
+func TestAlgorithm2Property(t *testing.T) {
+	var assigned, seeded int
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dim := 2 + int(seed%7)
+		opt := Options{
+			Scheme: []cluster.Scheme{cluster.Diagonal, cluster.FullInverse}[(seed/7)%2],
+			Alpha:  []float64{0.05, 0.01, 0.2}[rng.Intn(3)],
+		}
+		radius := stat.ChiSquareQuantile(1-opt.Alpha, float64(dim))
+		vecs, _ := synth.Mixture[linalg.Vector](rng, 1+rng.Intn(3), 20, dim, 2+4*rng.Float64())
+		pts := make([]cluster.Point, len(vecs))
+		for i, j := range rng.Perm(len(vecs)) {
+			pts[i] = cluster.Point{ID: i, Vec: vecs[j], Score: []float64{1, 3}[rng.Intn(2)]}
+		}
+		n0 := 2 + rng.Intn(8)
+		start, rest := cluster.AgglomerateGap(pts[:n0]), pts[n0:]
 
-	rSmall := cl.RadiusFor(0)
-	rBig := cl.RadiusFor(1)
-	if rSmall <= rBig {
-		t.Errorf("small-cluster radius %v <= big-cluster radius %v", rSmall, rBig)
-	}
-	// Large n converges to the χ² radius.
-	if math.Abs(rBig-cl.radius)/cl.radius > 0.05 {
-		t.Errorf("big-cluster radius %v far from χ² %v", rBig, cl.radius)
-	}
-	// Degenerate cluster (n <= p+1) gets the generous fallback.
-	tiny := cluster.FromPoint(cluster.Point{Vec: linalg.Vector{5, 5, 5}, Score: 1})
-	cl2 := New([]*cluster.Cluster{tiny, big}, Options{Alpha: 0.05})
-	if got := cl2.RadiusFor(0); got != 4*cl2.radius {
-		t.Errorf("degenerate radius = %v, want %v", got, 4*cl2.radius)
-	}
-}
+		work := cloneAll(start)
+		for _, p := range rest {
+			before := cloneAll(work)
+			k := eq10Winner(before, p.Vec, opt.Scheme)
+			d := before[k].Mahalanobis(p.Vec, opt.Scheme)
+			work = ClassifyAll(work, []cluster.Point{p}, opt)
+			if len(work) == len(before)+1 {
+				seeded++
+				if d < radius {
+					t.Fatalf("seed %d point %d: new cluster, but d²=%v < χ²=%v of winner %d", seed, p.ID, d, radius, k)
+				}
+				continue
+			}
+			assigned++
+			joined := -1
+			for i := range before {
+				if work[i].N() == before[i].N()+1 {
+					joined = i
+				}
+			}
+			if joined != k || d >= radius {
+				t.Fatalf("seed %d point %d: joined %d (winner %d) at d²=%v, χ²=%v", seed, p.ID, joined, k, d, radius)
+			}
+		}
 
-func TestPredictiveRadiusCoverage(t *testing.T) {
-	// A new point from the same population must fall inside the
-	// predictive radius ≈ 95% of the time even when the cluster is small
-	// — the finite-sample correction the plain χ² radius lacks.
-	rng := rand.New(rand.NewSource(41))
-	inside, total := 0, 0
-	for trial := 0; trial < 300; trial++ {
-		c := gaussCluster(rng, 8, 3, linalg.Vector{0, 0, 0}, 1)
-		cl := New([]*cluster.Cluster{c}, Options{Alpha: 0.05, Scheme: cluster.FullInverse})
-		x := linalg.Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		total++
-		if cl.InsideRadius(0, x) {
-			inside++
+		batch := ClassifyAll(cloneAll(start), rest, opt)
+		if len(batch) != len(work) {
+			t.Fatalf("seed %d: batch made %d clusters, replay %d", seed, len(batch), len(work))
+		}
+		for i := range batch {
+			if batch[i].N() != work[i].N() {
+				t.Fatalf("seed %d cluster %d: batch has %d points, replay %d", seed, i, batch[i].N(), work[i].N())
+			}
 		}
 	}
-	rate := float64(inside) / float64(total)
-	if rate < 0.88 {
-		t.Errorf("predictive radius coverage = %v, want ≈0.95", rate)
+	if assigned == 0 || seeded == 0 {
+		t.Fatalf("generated worlds exercised only one branch: %d assigned, %d seeded", assigned, seeded)
 	}
+	t.Logf("%d points assigned, %d seeded new clusters", assigned, seeded)
+}
+
+// eq10Winner is Algorithm 2 line 3 recomputed from the clusters: the
+// index maximising -½ (x - x̄_i)' S_pooled⁻¹ (x - x̄_i) + ln(w_i), the
+// first on ties.
+func eq10Winner(cs []*cluster.Cluster, x linalg.Vector, scheme cluster.Scheme) int {
+	inv := cluster.InverseOf(cluster.PooledAll(cs), scheme)
+	total := cluster.TotalWeight(cs)
+	k, best := 0, math.Inf(-1)
+	for i, c := range cs {
+		if s := -0.5*inv.QuadForm(x.Sub(c.Mean)) + math.Log(c.Weight/total); s > best {
+			k, best = i, s
+		}
+	}
+	return k
+}
+
+// cloneAll deep-copies clusters: ClassifyAll adds points in place.
+func cloneAll(cs []*cluster.Cluster) []*cluster.Cluster {
+	out := make([]*cluster.Cluster, len(cs))
+	for i, c := range cs {
+		out[i] = &cluster.Cluster{
+			Points:  append([]cluster.Point(nil), c.Points...),
+			Mean:    c.Mean.Clone(),
+			Scatter: c.Scatter.Clone(),
+			Weight:  c.Weight,
+		}
+	}
+	return out
 }

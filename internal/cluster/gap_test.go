@@ -22,7 +22,7 @@ func gaussPoints(rng *rand.Rand, n int, cx, cy, spread float64, idBase int) []Po
 func TestAgglomerateGapUnimodal(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	pts := gaussPoints(rng, 25, 0, 0, 1, 0)
-	cs := AgglomerateGap(pts, CentroidLinkage, 2)
+	cs := AgglomerateGap(pts)
 	if len(cs) != 1 {
 		t.Errorf("unimodal set split into %d clusters", len(cs))
 	}
@@ -32,7 +32,7 @@ func TestAgglomerateGapBimodal(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	pts := gaussPoints(rng, 15, 0, 0, 0.3, 0)
 	pts = append(pts, gaussPoints(rng, 15, 6, 0, 0.3, 100)...)
-	cs := AgglomerateGap(pts, CentroidLinkage, 2)
+	cs := AgglomerateGap(pts)
 	if len(cs) != 2 {
 		t.Fatalf("bimodal set gave %d clusters", len(cs))
 	}
@@ -51,7 +51,7 @@ func TestAgglomerateGapThreeModes(t *testing.T) {
 	pts := gaussPoints(rng, 12, 0, 0, 0.3, 0)
 	pts = append(pts, gaussPoints(rng, 12, 6, 0, 0.3, 100)...)
 	pts = append(pts, gaussPoints(rng, 12, 0, 6, 0.3, 200)...)
-	cs := AgglomerateGap(pts, CentroidLinkage, 2)
+	cs := AgglomerateGap(pts)
 	if len(cs) != 3 {
 		t.Errorf("three-mode set gave %d clusters", len(cs))
 	}
@@ -63,18 +63,18 @@ func TestAgglomerateGapRobustToCoincidentPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	pts := gaussPoints(rng, 20, 0, 0, 1, 0)
 	pts = append(pts, Point{ID: 999, Vec: pts[0].Vec.Clone(), Score: 1})
-	cs := AgglomerateGap(pts, CentroidLinkage, 2)
+	cs := AgglomerateGap(pts)
 	if len(cs) != 1 {
 		t.Errorf("coincident pair caused %d clusters", len(cs))
 	}
 }
 
 func TestAgglomerateGapTinyInputs(t *testing.T) {
-	if out := AgglomerateGap(nil, CentroidLinkage, 2); out != nil {
+	if out := AgglomerateGap(nil); out != nil {
 		t.Error("nil input must give nil")
 	}
 	one := []Point{{Vec: linalg.Vector{0}, Score: 1}}
-	if out := AgglomerateGap(one, CentroidLinkage, 2); len(out) != 1 {
+	if out := AgglomerateGap(one); len(out) != 1 {
 		t.Error("single point must give one cluster")
 	}
 	two := []Point{
@@ -83,7 +83,7 @@ func TestAgglomerateGapTinyInputs(t *testing.T) {
 	}
 	// Two points carry no dendrogram statistics: the gap rule merges
 	// them (callers with tiny sets should use the statistical merge).
-	out := AgglomerateGap(two, CentroidLinkage, 2)
+	out := AgglomerateGap(two)
 	if len(out) != 1 {
 		t.Errorf("two points gave %d clusters", len(out))
 	}

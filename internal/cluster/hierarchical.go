@@ -6,56 +6,27 @@ import (
 	"repro/internal/linalg"
 )
 
-// Linkage selects the inter-cluster distance used by agglomerative
-// clustering.
-type Linkage int
-
-const (
-	// SingleLinkage uses the minimum pairwise point distance.
-	SingleLinkage Linkage = iota
-	// CompleteLinkage uses the maximum pairwise point distance.
-	CompleteLinkage
-	// AverageLinkage uses the mean pairwise point distance (UPGMA).
-	AverageLinkage
-	// CentroidLinkage uses the distance between weighted centroids. This
-	// is the default: it groups points into the hyperspherical regions
-	// the paper's initial clustering asks for (Sec. 4.1).
-	CentroidLinkage
-)
-
-// HierarchicalOptions configures Agglomerate.
-type HierarchicalOptions struct {
-	Linkage Linkage
-	// TargetClusters stops merging when this many clusters remain
-	// (0 means "no count bound").
-	TargetClusters int
-	// DistanceCutoff stops merging once the closest pair is farther than
-	// this Euclidean distance (0 means "no cutoff"). With both bounds
-	// zero, everything merges into one cluster.
-	DistanceCutoff float64
-}
-
-// Agglomerate runs bottom-up hierarchical clustering over scored points:
-// every point starts as its own cluster, and the closest pair (under the
-// chosen linkage) merges until a stopping bound holds. This is the
-// paper's basic clustering method (Sec. 3.1) used to form the initial
-// clusters of the first feedback iteration.
-func Agglomerate(points []Point, opt HierarchicalOptions) []*Cluster {
-	return agglomerate(points, opt.Linkage, func(live int, best float64) bool {
-		return opt.TargetClusters > 0 && live <= opt.TargetClusters ||
-			opt.DistanceCutoff > 0 && best > opt.DistanceCutoff
+// Agglomerate runs bottom-up hierarchical clustering over scored points
+// under centroid linkage: every point starts as its own cluster, and the
+// pair with the closest weighted centroids merges until target clusters
+// remain (target <= 0 merges everything into one). This is the paper's
+// basic clustering method (Sec. 3.1); centroid linkage groups points into
+// the hyperspherical regions its initial clustering asks for (Sec. 4.1).
+func Agglomerate(points []Point, target int) []*Cluster {
+	return agglomerate(points, func(live int, _ float64) bool {
+		return target > 0 && live <= target
 	})
 }
 
 // agglomerate is the merge loop behind Agglomerate and AgglomerateGap.
 // Before each merge it asks stop(live clusters, closest-pair distance) and
 // returns the current clusters when told to. It keeps one pairwise
-// linkage-distance matrix and, after a merge, refreshes only the merged
+// centroid-distance matrix and, after a merge, refreshes only the merged
 // cluster's row and column. The closest pair is the first minimum in
 // (i, j) scan order over the live clusters, i < j, exactly as if every
 // distance were recomputed from scratch each step, so ties break the same
 // way.
-func agglomerate(points []Point, l Linkage, stop func(live int, best float64) bool) []*Cluster {
+func agglomerate(points []Point, stop func(live int, best float64) bool) []*Cluster {
 	n := len(points)
 	if n == 0 {
 		return nil
@@ -73,7 +44,7 @@ func agglomerate(points []Point, l Linkage, stop func(live int, best float64) bo
 	for i := range work {
 		slot[i] = i
 		for j := i + 1; j < n; j++ {
-			dist[i*n+j] = linkageDistance(work[i], work[j], l)
+			dist[i*n+j] = work[i].Mean.Dist(work[j].Mean)
 		}
 	}
 	for len(work) > 1 {
@@ -95,63 +66,21 @@ func agglomerate(points []Point, l Linkage, stop func(live int, best float64) bo
 		for k := range work {
 			switch {
 			case k < bi:
-				dist[slot[k]*n+slot[bi]] = linkageDistance(work[k], work[bi], l)
+				dist[slot[k]*n+slot[bi]] = work[k].Mean.Dist(work[bi].Mean)
 			case k > bi:
-				dist[slot[bi]*n+slot[k]] = linkageDistance(work[bi], work[k], l)
+				dist[slot[bi]*n+slot[k]] = work[bi].Mean.Dist(work[k].Mean)
 			}
 		}
 	}
 	return work
 }
 
-func linkageDistance(a, b *Cluster, l Linkage) float64 {
-	switch l {
-	case SingleLinkage:
-		best := math.Inf(1)
-		for _, pa := range a.Points {
-			for _, pb := range b.Points {
-				if d := pa.Vec.Dist(pb.Vec); d < best {
-					best = d
-				}
-			}
-		}
-		return best
-	case CompleteLinkage:
-		worst := 0.0
-		for _, pa := range a.Points {
-			for _, pb := range b.Points {
-				if d := pa.Vec.Dist(pb.Vec); d > worst {
-					worst = d
-				}
-			}
-		}
-		return worst
-	case AverageLinkage:
-		var sum float64
-		var n int
-		for _, pa := range a.Points {
-			for _, pb := range b.Points {
-				sum += pa.Vec.Dist(pb.Vec)
-				n++
-			}
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return sum / float64(n)
-	case CentroidLinkage:
-		return a.Mean.Dist(b.Mean)
-	default:
-		panic("cluster: unknown linkage")
-	}
-}
-
 // AgglomerateGap runs agglomerative clustering with an automatic
 // stopping rule: it watches the sequence of merge distances and cuts it
-// just before the first merge whose distance jumps by more than gapFactor
-// over the largest distance seen so far. A unimodal point set has a
-// smoothly growing merge-distance sequence and collapses to one cluster; a
-// set with well-separated modes shows a sharp jump at the first cross-mode
+// just before the first merge whose distance is more than twice the
+// largest distance seen so far. A unimodal point set has a smoothly
+// growing merge-distance sequence and collapses to one cluster; a set with
+// well-separated modes shows a sharp jump at the first cross-mode
 // merge and is cut there, yielding one cluster per mode. This makes the
 // initial clustering of the relevant set (Sec. 4.1) self-calibrating: no
 // distance threshold has to be guessed.
@@ -163,15 +92,10 @@ func linkageDistance(a, b *Cluster, l Linkage) float64 {
 // distance vanishingly small). Both conditions depend only on merges
 // already made, so the cut is taken in the same single pass that builds
 // the clusters — nothing is replayed.
-//
-// gapFactor defaults to 2 when <= 1.
-func AgglomerateGap(points []Point, linkage Linkage, gapFactor float64) []*Cluster {
-	if gapFactor <= 1 {
-		gapFactor = 2
-	}
+func AgglomerateGap(points []Point) []*Cluster {
 	step, prevMax := 0, 0.0
-	return agglomerate(points, linkage, func(_ int, d float64) bool {
-		if prevMax > 0 && 2*step >= len(points)-1 && d/prevMax > gapFactor {
+	return agglomerate(points, func(_ int, d float64) bool {
+		if prevMax > 0 && 2*step >= len(points)-1 && d/prevMax > 2 {
 			return true
 		}
 		if d > prevMax {

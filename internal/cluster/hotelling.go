@@ -73,7 +73,7 @@ func ShrunkCov(c *Cluster, pooled *linalg.Matrix, tau float64) *linalg.Matrix {
 
 // pooledGap returns the centroid gap under the two-cluster pooled
 // within-covariance, (x̄_i - x̄_j)' S_pooled⁻¹ (x̄_i - x̄_j) — the quadratic
-// form T² scales and the small-sample/overlap merge criterion thresholds.
+// form T² scales and the small-sample merge rule thresholds.
 func pooledGap(a, b *Cluster, scheme Scheme) float64 {
 	inv := InverseOf(PooledTwo(a, b), scheme)
 	return inv.QuadForm(a.Mean.Sub(b.Mean))

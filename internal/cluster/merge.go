@@ -19,11 +19,6 @@ type MergeOptions struct {
 	// paper's "increase critical distance c² using α" requeue loop
 	// (Algorithm 3 lines 7-11).
 	MaxClusters int
-	// DisableOverlap turns off the ellipsoid-overlap merge criterion,
-	// leaving only the T² test (with its small-sample fallback) — the
-	// paper's Algorithm 3 read literally. Exposed for ablation studies;
-	// see decideMerge for why the criterion exists.
-	DisableOverlap bool
 	// Trace, when non-nil, receives one "merge.accept" event per
 	// test-passing merge, one "merge.forced" event per bound-enforcing
 	// merge, and a closing "merge.done" summary (pairs tested, accepted,
@@ -38,39 +33,24 @@ func (o MergeOptions) withDefaults() MergeOptions {
 	return o
 }
 
-// decideMerge runs the merge tests for a pair. Two criteria, either of
-// which merges:
-//
-//  1. Hotelling's T² equality-of-means test (Eq. 16), when defined.
-//  2. The ellipsoid-overlap criterion: the centroid gap measured under
-//     the pooled WITHIN-covariance lies inside the χ²_p(1-α) contour —
-//     the same quadratic form as the small-sample fallback, applied at
-//     every sample size. This is what keeps Algorithm 3 from
-//     over-splitting a densely sampled mode: fragments of one region
-//     have means that differ *statistically* (T² rejects them at any
-//     n), but their gap is small relative to their within-spread, so
-//     they describe one perceptual region and must stay one query
-//     cluster.
-//
-// When the F test is undefined (too few points), criterion 2 alone
-// decides: genuinely distant singleton clusters stay separate (they are
-// the point of disjunctive queries) while nearby fragments still coalesce.
-// Both criteria share one pooled inverse: T² is the same gap scaled by
-// m_i m_j / (m_i + m_j).
+// decideMerge runs Algorithm 3's test for a pair: Hotelling's T²
+// equality-of-means test (Eq. 16). The F test needs real degrees of
+// freedom: POINT counts, not relevance mass (a pair of heavily-scored
+// singletons has weight above p+1 but a zero pooled covariance, and the
+// tiny-df F quantile is so large the test would merge anything). When it
+// is undefined, the centroid gap under the pooled covariance decides
+// against the χ²_p(1-α) contour instead: genuinely distant singletons
+// stay separate (they are the point of disjunctive queries) while nearby
+// ones still coalesce, so a first round of a few marks can form clusters.
+// T² is that same gap scaled by m_i m_j / (m_i + m_j).
 func decideMerge(a, b *Cluster, opt MergeOptions) (merge bool, t2, c2 float64) {
 	gap := pooledGap(a, b, opt.Scheme)
-	radius := stat.ChiSquareQuantile(1-opt.Alpha, float64(a.Dim()))
-	// The F test needs real degrees of freedom: POINT counts, not
-	// relevance mass (a pair of heavily-scored singletons has weight
-	// above p+1 but a zero pooled covariance, and the tiny-df F quantile
-	// is so large the test would merge anything).
 	if float64(a.N()+b.N())-float64(a.Dim())-1 > 0 {
 		t2 = t2Factor(a, b) * gap
 		c2 = CriticalValue(a, b, a.Dim(), opt.Alpha)
-		return t2 <= c2 || !opt.DisableOverlap && gap <= radius, t2, c2
+		return t2 <= c2, t2, c2
 	}
-	// DisableOverlap (literal Algorithm 3) still needs this small-sample
-	// rule: without it singletons could never form initial clusters.
+	radius := stat.ChiSquareQuantile(1-opt.Alpha, float64(a.Dim()))
 	return gap <= radius, gap, radius
 }
 

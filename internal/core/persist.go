@@ -163,6 +163,9 @@ func Load(r io.Reader) (*QueryModel, error) {
 // guarantees only well-formed Go values, not model invariants, so every
 // semantic constraint is re-checked here.
 func restore(snap modelSnapshot) (*QueryModel, error) {
+	if err := snap.Options.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w: %w", ErrCorruptSnapshot, err)
+	}
 	m := New(snap.Options)
 	if snap.Rounds < 0 {
 		return nil, fmt.Errorf("core: %w: negative round count", ErrCorruptSnapshot)

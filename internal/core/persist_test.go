@@ -2,10 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/linalg"
 )
 
@@ -94,37 +100,36 @@ func TestLoadLegacyHeaderlessSnapshot(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsSemanticDamage(t *testing.T) {
-	reencode := func(mutate func(*modelSnapshot)) []byte {
-		rng := rand.New(rand.NewSource(7))
-		m := New(Options{Alpha: 0.01, MaxClusters: 3})
-		m.Feedback(blob(rng, 12, 0, 0, 0))
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		// Decode through the public path is impossible for a damaged
-		// struct, so rebuild the snapshot by hand via Save's layout.
-		snap := modelSnapshot{Options: m.opt, Rounds: m.rounds}
-		for id := range m.seen {
-			snap.SeenIDs = append(snap.SeenIDs, id)
-		}
-		for _, c := range m.clusters {
-			cs := clusterSnapshot{Mean: c.Mean, Scatter: c.Scatter, Weight: c.Weight}
-			for _, p := range c.Points {
-				cs.IDs = append(cs.IDs, p.ID)
-				cs.Vecs = append(cs.Vecs, p.Vec)
-				cs.Scores = append(cs.Scores, p.Score)
-			}
-			snap.Clusters = append(snap.Clusters, cs)
-		}
-		mutate(&snap)
-		var payload bytes.Buffer
-		if err := writeFramedSnapshot(&payload, &snap); err != nil {
-			t.Fatal(err)
-		}
-		return payload.Bytes()
+// reencoded saves a small model, rebuilds its snapshot by hand via
+// Save's layout, applies mutate and frames the result: decoding through
+// the public path is impossible for a damaged struct.
+func reencoded(t *testing.T, mutate func(*modelSnapshot)) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	m := New(Options{Alpha: 0.01, MaxClusters: 3})
+	m.Feedback(blob(rng, 12, 0, 0, 0))
+	snap := modelSnapshot{Options: m.opt, Rounds: m.rounds}
+	for id := range m.seen {
+		snap.SeenIDs = append(snap.SeenIDs, id)
 	}
+	for _, c := range m.clusters {
+		cs := clusterSnapshot{Mean: c.Mean, Scatter: c.Scatter, Weight: c.Weight}
+		for _, p := range c.Points {
+			cs.IDs = append(cs.IDs, p.ID)
+			cs.Vecs = append(cs.Vecs, p.Vec)
+			cs.Scores = append(cs.Scores, p.Score)
+		}
+		snap.Clusters = append(snap.Clusters, cs)
+	}
+	mutate(&snap)
+	var payload bytes.Buffer
+	if err := writeFramedSnapshot(&payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return payload.Bytes()
+}
+
+func TestLoadRejectsSemanticDamage(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*modelSnapshot)
@@ -134,13 +139,84 @@ func TestLoadRejectsSemanticDamage(t *testing.T) {
 		{"non-positive score", func(s *modelSnapshot) { s.Clusters[0].Scores[0] = 0 }},
 		{"point dim mismatch", func(s *modelSnapshot) { s.Clusters[0].Vecs[1] = linalg.Vector{1} }},
 		{"missing scatter", func(s *modelSnapshot) { s.Clusters[0].Scatter = nil }},
+		// Options no model can run with: an unknown scheme would load and
+		// then fail its next Feedback inside the merge stage, and an α
+		// outside [0, 1) would silently disable the merge test or
+		// collapse every cluster.
+		{"unknown scheme", func(s *modelSnapshot) { s.Options.Scheme = cluster.Scheme(7) }},
+		{"alpha one", func(s *modelSnapshot) { s.Options.Alpha = 1 }},
+		{"alpha above one", func(s *modelSnapshot) { s.Options.Alpha = 1.5 }},
+		{"negative alpha", func(s *modelSnapshot) { s.Options.Alpha = -0.5 }},
+		{"NaN alpha", func(s *modelSnapshot) { s.Options.Alpha = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Load(bytes.NewReader(reencode(tc.mutate))); !errors.Is(err, ErrCorruptSnapshot) {
+			if _, err := Load(bytes.NewReader(reencoded(t, tc.mutate))); !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("%v, want ErrCorruptSnapshot", err)
 			}
 		})
+	}
+}
+
+// legacyOptions is core.Options as builds before the clustering knobs and
+// two of the three ablation switches were deleted wrote it; gob matches
+// fields by name, so these stand in for that build's types.
+type legacyOptions struct {
+	Scheme           cluster.Scheme
+	Alpha            float64
+	MaxClusters      int
+	InitialLinkage   int
+	InitialGapFactor float64
+	Ablations        struct{ RawCovariances, PlainChiSquareRadius, NoOverlapMerge bool }
+}
+
+type legacySnapshot struct {
+	Options  legacyOptions
+	Clusters []clusterSnapshot
+	SeenIDs  []int
+	Rounds   int
+}
+
+// A query snapshot written before the option fields were deleted still
+// loads: gob skips the fields the destination no longer has, and the
+// surviving options and the clusters come back as saved.
+func TestLoadSnapshotWithDeletedOptionFields(t *testing.T) {
+	var snap modelSnapshot
+	want, err := Load(bytes.NewReader(reencoded(t, func(s *modelSnapshot) {
+		s.Options.Scheme = cluster.FullInverse
+		s.Options.Ablations.RawCovariances = true
+		snap = *s
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacySnapshot{Clusters: snap.Clusters, SeenIDs: snap.SeenIDs, Rounds: snap.Rounds}
+	legacy.Options = legacyOptions{
+		Scheme: snap.Options.Scheme, Alpha: snap.Options.Alpha, MaxClusters: snap.Options.MaxClusters,
+		InitialLinkage: 3, InitialGapFactor: 2,
+	}
+	legacy.Options.Ablations.RawCovariances = true
+	legacy.Options.Ablations.PlainChiSquareRadius = true
+	legacy.Options.Ablations.NoOverlapMerge = true
+
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [13]byte
+	copy(hdr[:4], modelMagic[:])
+	hdr[4] = modelFormatVersion
+	binary.LittleEndian.PutUint32(hdr[5:9], uint32(payload.Len()))
+	binary.LittleEndian.PutUint32(hdr[9:13], crc32.Checksum(payload.Bytes(), persistCastagnoli))
+	got, err := Load(io.MultiReader(bytes.NewReader(hdr[:]), &payload))
+	if err != nil {
+		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+	if got.Options() != want.Options() || got.Rounds() != want.Rounds() {
+		t.Fatalf("options %+v rounds %d, want %+v rounds %d", got.Options(), got.Rounds(), want.Options(), want.Rounds())
+	}
+	if err := sameClusters(got.Clusters(), want.Clusters()); err != nil {
+		t.Fatal(err)
 	}
 }
 

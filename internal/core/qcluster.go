@@ -7,6 +7,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/classify"
@@ -19,46 +20,52 @@ import (
 
 // Options tunes the query model. The zero value gives the paper's
 // defaults: diagonal covariance scheme, α = 0.05, at most 5 query points.
+// The first round always clusters by centroid linkage cut at the first
+// doubling of the merge distance (cluster.AgglomerateGap); Algorithm 2
+// tests against Lemma 1's χ²_p(1-α) radius and Algorithm 3 merges on
+// Hotelling's T², both as the paper prints them.
 type Options struct {
 	// Scheme selects diagonal (paper default, Fig. 6) or full-inverse
 	// covariance handling throughout classification, merging and search.
 	Scheme cluster.Scheme
 	// Alpha is the significance level used for both the effective radius
-	// (Lemma 1) and the T² merge test (Eq. 16). Defaults to 0.05.
+	// (Lemma 1) and the T² merge test (Eq. 16), in [0, 1). Zero means
+	// 0.05.
 	Alpha float64
 	// MaxClusters bounds the number of query points after merging; the
 	// merge stage relaxes α until the bound holds (Algorithm 3 lines
 	// 7-11). Defaults to 5. Zero keeps the default; negative means
 	// unbounded.
 	MaxClusters int
-	// InitialLinkage selects the hierarchical-clustering linkage for the
-	// first iteration (Sec. 4.1). Defaults to centroid linkage, which
-	// groups points into hyperspherical regions.
-	InitialLinkage cluster.Linkage
-	// InitialGapFactor is the merge-distance jump ratio at which the
-	// initial hierarchical clustering cuts the dendrogram (see
-	// cluster.AgglomerateGap). Defaults to 2.
-	InitialGapFactor float64
-	// Ablations disables individual small-sample corrections for
-	// controlled comparisons against the literally-read paper algorithm.
+	// Ablations switches off the one correction the model adds to the
+	// paper, for the controlled comparison of cmd/qbench -exp ablation.
 	Ablations Ablations
 }
 
-// Ablations toggles the implementation's small-sample corrections off,
-// one at a time, so their individual contributions can be measured (the
-// ablation experiment in cmd/qbench and bench_test.go). All false — the
-// default — is the recommended configuration.
+// Ablations toggles the implementation's small-sample correction off, so
+// its contribution can be measured (the ablation experiment in cmd/qbench
+// and bench_test.go). False — the default — is the recommended
+// configuration.
 type Ablations struct {
 	// RawCovariances makes the aggregate disjunctive distance (Eq. 5)
-	// use raw per-cluster sample covariances instead of pooled-shrunk
-	// ones. Young clusters then rank on incompatible Mahalanobis scales.
+	// use raw per-cluster sample covariances instead of ones shrunk
+	// toward the pooled covariance with τ = p + 1. Young clusters then
+	// rank on incompatible Mahalanobis scales.
 	RawCovariances bool
-	// PlainChiSquareRadius uses χ²_p(1-α) as the effective radius for
-	// every cluster regardless of its sample size (Lemma 1 literal).
-	PlainChiSquareRadius bool
-	// NoOverlapMerge restricts Algorithm 3 to the T² test only; dense
-	// relevant regions then stay fragmented across micro-clusters.
-	NoOverlapMerge bool
+}
+
+// Validate reports options no query model can run with: an unknown
+// Scheme, or an Alpha outside [0, 1) — α ≥ 1 gives radius 0 and c² = 0,
+// so nothing ever merges, and a negative α gives +Inf for both, so
+// everything collapses into one cluster.
+func (o Options) Validate() error {
+	if o.Scheme != cluster.Diagonal && o.Scheme != cluster.FullInverse {
+		return fmt.Errorf("unknown scheme %v", o.Scheme)
+	}
+	if !(o.Alpha >= 0 && o.Alpha < 1) {
+		return fmt.Errorf("alpha %g out of (0, 1)", o.Alpha)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -70,12 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxClusters < 0 {
 		o.MaxClusters = 0 // unbounded for the merge stage
-	}
-	if o.InitialGapFactor <= 1 {
-		o.InitialGapFactor = 2
-	}
-	if o.InitialLinkage == 0 {
-		o.InitialLinkage = cluster.CentroidLinkage
 	}
 	return o
 }
@@ -192,7 +193,7 @@ func (m *QueryModel) Feedback(points []cluster.Point) {
 			span.Event("initial.cluster",
 				obs.F("path", "singletons"), obs.F("clusters", len(m.clusters)))
 		} else {
-			m.clusters = cluster.AgglomerateGap(fresh, m.opt.InitialLinkage, m.opt.InitialGapFactor)
+			m.clusters = cluster.AgglomerateGap(fresh)
 			span.Event("initial.cluster",
 				obs.F("path", "hierarchical"), obs.F("clusters", len(m.clusters)))
 		}
@@ -203,21 +204,16 @@ func (m *QueryModel) Feedback(points []cluster.Point) {
 	}
 
 	m.clusters = cluster.Merge(m.clusters, cluster.MergeOptions{
-		Scheme:         m.opt.Scheme,
-		Alpha:          m.opt.Alpha,
-		MaxClusters:    m.opt.MaxClusters,
-		DisableOverlap: m.opt.Ablations.NoOverlapMerge,
-		Trace:          span,
+		Scheme:      m.opt.Scheme,
+		Alpha:       m.opt.Alpha,
+		MaxClusters: m.opt.MaxClusters,
+		Trace:       span,
 	})
 	span.End(obs.F("clusters", len(m.clusters)))
 }
 
 func (m *QueryModel) classifyOptions() classify.Options {
-	return classify.Options{
-		Scheme:               m.opt.Scheme,
-		Alpha:                m.opt.Alpha,
-		PlainChiSquareRadius: m.opt.Ablations.PlainChiSquareRadius,
-	}
+	return classify.Options{Scheme: m.opt.Scheme, Alpha: m.opt.Alpha}
 }
 
 // Metric returns the current aggregate disjunctive distance (Eq. 5) over

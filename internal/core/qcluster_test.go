@@ -135,7 +135,7 @@ func TestErrorRate(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	m := New(Options{})
 	o := m.Options()
-	if o.Alpha != 0.05 || o.MaxClusters != 5 || o.InitialGapFactor != 2 {
+	if o.Alpha != 0.05 || o.MaxClusters != 5 {
 		t.Errorf("defaults = %+v", o)
 	}
 	// Negative MaxClusters means unbounded.

@@ -2,14 +2,17 @@ package core
 
 // Reference implementations of one feedback round as it was computed
 // before the hot path was de-duplicated: the two-pass AgglomerateGap that
-// recomputes every linkage distance at every step and then clusters a
+// recomputes every centroid distance at every step and then clusters a
 // second time up to the cut, the ClassifyAll that rebuilds a classifier
 // (pooled inverse, priors, χ² radius) for every marked point, and the
-// decideMerge that inverts the pooled covariance once for the overlap test
-// and again for T². They are written against the packages' public
-// building blocks only and kept here, next to QueryModel.Feedback, because
-// this is the one place all three meet. The generated tests below require
-// the production path to agree with them bit for bit.
+// decideMerge that inverts the pooled covariance afresh for each pair.
+// They follow the paper's rules: centroid linkage, Lemma 1's plain
+// χ²_p(1-α) radius, and Hotelling's T² as the only merge test (with the
+// χ² gap rule where the F test is undefined). They are written against
+// the packages' public building blocks only and kept here, next to
+// QueryModel.Feedback, because this is the one place all three meet. The
+// generated tests below require the production path to agree with them
+// bit for bit.
 
 import (
 	"fmt"
@@ -24,48 +27,9 @@ import (
 	"repro/internal/stat"
 )
 
-func refLinkageDistance(a, b *cluster.Cluster, l cluster.Linkage) float64 {
-	switch l {
-	case cluster.SingleLinkage:
-		best := math.Inf(1)
-		for _, pa := range a.Points {
-			for _, pb := range b.Points {
-				if d := pa.Vec.Dist(pb.Vec); d < best {
-					best = d
-				}
-			}
-		}
-		return best
-	case cluster.CompleteLinkage:
-		worst := 0.0
-		for _, pa := range a.Points {
-			for _, pb := range b.Points {
-				if d := pa.Vec.Dist(pb.Vec); d > worst {
-					worst = d
-				}
-			}
-		}
-		return worst
-	case cluster.AverageLinkage:
-		var sum float64
-		var n int
-		for _, pa := range a.Points {
-			for _, pb := range b.Points {
-				sum += pa.Vec.Dist(pb.Vec)
-				n++
-			}
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return sum / float64(n)
-	case cluster.CentroidLinkage:
-		return a.Mean.Dist(b.Mean)
-	}
-	panic("unknown linkage")
-}
-
-func refAgglomerate(points []cluster.Point, opt cluster.HierarchicalOptions) []*cluster.Cluster {
+// refAgglomerate merges the pair with the closest centroids until target
+// clusters remain (target <= 0: one).
+func refAgglomerate(points []cluster.Point, target int) []*cluster.Cluster {
 	if len(points) == 0 {
 		return nil
 	}
@@ -74,19 +38,16 @@ func refAgglomerate(points []cluster.Point, opt cluster.HierarchicalOptions) []*
 		work[i] = cluster.FromPoint(p)
 	}
 	for len(work) > 1 {
-		if opt.TargetClusters > 0 && len(work) <= opt.TargetClusters {
+		if target > 0 && len(work) <= target {
 			break
 		}
 		bi, bj, best := -1, -1, math.Inf(1)
 		for i := 0; i < len(work); i++ {
 			for j := i + 1; j < len(work); j++ {
-				if d := refLinkageDistance(work[i], work[j], opt.Linkage); d < best {
+				if d := work[i].Mean.Dist(work[j].Mean); d < best {
 					best, bi, bj = d, i, j
 				}
 			}
-		}
-		if opt.DistanceCutoff > 0 && best > opt.DistanceCutoff {
-			break
 		}
 		work[bi] = cluster.MergeStats(work[bi], work[bj])
 		work = append(work[:bj], work[bj+1:]...)
@@ -94,13 +55,9 @@ func refAgglomerate(points []cluster.Point, opt cluster.HierarchicalOptions) []*
 	return work
 }
 
-func refAgglomerateGap(points []cluster.Point, linkage cluster.Linkage, gapFactor float64) []*cluster.Cluster {
-	if gapFactor <= 1 {
-		gapFactor = 2
-	}
-	one := cluster.HierarchicalOptions{Linkage: linkage, TargetClusters: 1}
+func refAgglomerateGap(points []cluster.Point) []*cluster.Cluster {
 	if len(points) <= 1 {
-		return refAgglomerate(points, one)
+		return refAgglomerate(points, 1)
 	}
 	// Pass 1: the full merge sequence, for its distances only.
 	work := make([]*cluster.Cluster, len(points))
@@ -112,7 +69,7 @@ func refAgglomerateGap(points []cluster.Point, linkage cluster.Linkage, gapFacto
 		bi, bj, best := -1, -1, math.Inf(1)
 		for i := 0; i < len(work); i++ {
 			for j := i + 1; j < len(work); j++ {
-				if d := refLinkageDistance(work[i], work[j], linkage); d < best {
+				if d := work[i].Mean.Dist(work[j].Mean); d < best {
 					best, bi, bj = d, i, j
 				}
 			}
@@ -124,7 +81,7 @@ func refAgglomerateGap(points []cluster.Point, linkage cluster.Linkage, gapFacto
 	cut := len(distances)
 	prevMax := 0.0
 	for i, d := range distances {
-		if prevMax > 0 && 2*i >= len(distances) && d/prevMax > gapFactor {
+		if prevMax > 0 && 2*i >= len(distances) && d/prevMax > 2 {
 			cut = i
 			break
 		}
@@ -132,13 +89,8 @@ func refAgglomerateGap(points []cluster.Point, linkage cluster.Linkage, gapFacto
 			prevMax = d
 		}
 	}
-	if cut == len(distances) {
-		return refAgglomerate(points, one)
-	}
 	// Pass 2: cluster again from scratch, up to the cut.
-	return refAgglomerate(points, cluster.HierarchicalOptions{
-		Linkage: linkage, TargetClusters: len(points) - cut,
-	})
+	return refAgglomerate(points, len(points)-cut)
 }
 
 // normalizedWeights returns w_i = m_i / Σ m_k (Sec. 4.2.1).
@@ -175,16 +127,7 @@ func refClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt classify.
 				k, best = i, s
 			}
 		}
-		r := radius
-		if !opt.PlainChiSquareRadius {
-			n, dim := work[k].Weight, float64(work[k].Dim())
-			if n <= dim+1 {
-				r = 4 * radius
-			} else {
-				r = dim * (n*n - 1) / (n * (n - dim)) * stat.FQuantile(1-opt.Alpha, dim, n-dim)
-			}
-		}
-		if work[k].Mahalanobis(p.Vec, opt.Scheme) < r {
+		if work[k].Mahalanobis(p.Vec, opt.Scheme) < radius {
 			work[k].Add(p)
 		} else {
 			work = append(work, cluster.FromPoint(p))
@@ -194,18 +137,14 @@ func refClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt classify.
 }
 
 func refDecideMerge(a, b *cluster.Cluster, opt cluster.MergeOptions) (merge bool, t2, c2 float64) {
-	// The small-sample / overlap test, with its own pooled inverse...
 	inv := cluster.InverseOf(cluster.PooledTwo(a, b), opt.Scheme)
+	if float64(a.N()+b.N())-float64(a.Dim())-1 > 0 {
+		t2 = a.Weight * b.Weight / (a.Weight + b.Weight) * inv.QuadForm(a.Mean.Sub(b.Mean))
+		c2 = cluster.CriticalValue(a, b, a.Dim(), opt.Alpha)
+		return t2 <= c2, t2, c2
+	}
 	gap := inv.QuadForm(a.Mean.Sub(b.Mean))
 	radius := stat.ChiSquareQuantile(1-opt.Alpha, float64(a.Dim()))
-	overlap := gap <= radius && !opt.DisableOverlap
-	if float64(a.N()+b.N())-float64(a.Dim())-1 > 0 {
-		// ...and T² with a second one.
-		inv2 := cluster.InverseOf(cluster.PooledTwo(a, b), opt.Scheme)
-		t2 = a.Weight * b.Weight / (a.Weight + b.Weight) * inv2.QuadForm(a.Mean.Sub(b.Mean))
-		c2 = cluster.CriticalValue(a, b, a.Dim(), opt.Alpha)
-		return t2 <= c2 || overlap, t2, c2
-	}
 	return gap <= radius, gap, radius
 }
 
@@ -273,7 +212,6 @@ func (m *refModel) feedback(points []cluster.Point) {
 	case len(m.clusters) > 0:
 		m.clusters = refClassifyAll(m.clusters, fresh, classify.Options{
 			Scheme: m.opt.Scheme, Alpha: m.opt.Alpha,
-			PlainChiSquareRadius: m.opt.Ablations.PlainChiSquareRadius,
 		})
 	case len(fresh) <= 4:
 		m.clusters = nil
@@ -281,11 +219,10 @@ func (m *refModel) feedback(points []cluster.Point) {
 			m.clusters = append(m.clusters, cluster.FromPoint(p))
 		}
 	default:
-		m.clusters = refAgglomerateGap(fresh, m.opt.InitialLinkage, m.opt.InitialGapFactor)
+		m.clusters = refAgglomerateGap(fresh)
 	}
 	m.clusters = refMerge(m.clusters, cluster.MergeOptions{
 		Scheme: m.opt.Scheme, Alpha: m.opt.Alpha, MaxClusters: m.opt.MaxClusters,
-		DisableOverlap: m.opt.Ablations.NoOverlapMerge,
 	})
 }
 
@@ -353,11 +290,9 @@ func sameClusters(got, want []*cluster.Cluster) error {
 
 // TestAgglomerationMatchesReference: the single-pass dendrogram (one
 // distance matrix, the gap cut taken on the way) builds the clusters of
-// the two-pass reference, for every linkage, on inputs with ties,
-// duplicates and 0-4 points. 4 linkages x 2 entry points x 160 seeds.
+// the two-pass reference, on inputs with ties, duplicates and 0-4
+// points. 2 entry points x 160 seeds.
 func TestAgglomerationMatchesReference(t *testing.T) {
-	linkages := []cluster.Linkage{cluster.SingleLinkage, cluster.CompleteLinkage,
-		cluster.AverageLinkage, cluster.CentroidLinkage}
 	for seed := int64(0); seed < 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dim := []int{3, 16}[seed%2]
@@ -366,19 +301,12 @@ func TestAgglomerationMatchesReference(t *testing.T) {
 			n = rng.Intn(5)
 		}
 		pts := genPoints(rng, n, dim, 0)
-		gap := []float64{0, 1.5, 3}[rng.Intn(3)]
-		hopt := cluster.HierarchicalOptions{TargetClusters: rng.Intn(4)}
-		if rng.Intn(2) == 0 {
-			hopt.DistanceCutoff = 4 * rng.Float64()
+		if err := sameClusters(cluster.AgglomerateGap(pts), refAgglomerateGap(pts)); err != nil {
+			t.Fatalf("seed %d n %d dim %d: AgglomerateGap: %v", seed, n, dim, err)
 		}
-		for _, l := range linkages {
-			if err := sameClusters(cluster.AgglomerateGap(pts, l, gap), refAgglomerateGap(pts, l, gap)); err != nil {
-				t.Fatalf("seed %d linkage %d n %d dim %d: AgglomerateGap(gap %v): %v", seed, l, n, dim, gap, err)
-			}
-			hopt.Linkage = l
-			if err := sameClusters(cluster.Agglomerate(pts, hopt), refAgglomerate(pts, hopt)); err != nil {
-				t.Fatalf("seed %d n %d dim %d: Agglomerate(%+v): %v", seed, n, dim, hopt, err)
-			}
+		target := rng.Intn(4)
+		if err := sameClusters(cluster.Agglomerate(pts, target), refAgglomerate(pts, target)); err != nil {
+			t.Fatalf("seed %d n %d dim %d: Agglomerate(%d): %v", seed, n, dim, target, err)
 		}
 	}
 }
@@ -419,15 +347,9 @@ func TestFeedbackSessionsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		dim := []int{3, 16}[seed%2]
 		opt := Options{
-			Scheme:           []cluster.Scheme{cluster.Diagonal, cluster.FullInverse}[(seed/2)%2],
-			Alpha:            []float64{0, 0.01, 0.2}[rng.Intn(3)],
-			MaxClusters:      []int{0, -1, 2}[rng.Intn(3)],
-			InitialLinkage:   cluster.Linkage(rng.Intn(4)),
-			InitialGapFactor: []float64{0, 1.5}[rng.Intn(2)],
-			Ablations: Ablations{
-				PlainChiSquareRadius: rng.Intn(4) == 0,
-				NoOverlapMerge:       rng.Intn(4) == 0,
-			},
+			Scheme:      []cluster.Scheme{cluster.Diagonal, cluster.FullInverse}[(seed/2)%2],
+			Alpha:       []float64{0, 0.01, 0.2}[rng.Intn(3)],
+			MaxClusters: []int{0, -1, 2}[rng.Intn(3)],
 		}
 		store := make([]linalg.Vector, 600)
 		for i := range store {

@@ -214,8 +214,10 @@ type BuildInfo struct {
 	DegradedClusters int
 	// Scheme is the covariance scheme the metric was constructed under.
 	Scheme cluster.Scheme
-	// Tau is the shrinkage prior strength the construction used (0 means
-	// raw sample covariances — the ablation path).
+	// Tau is the shrinkage prior strength the construction used: p + 1
+	// in a session, 0 for raw sample covariances (core's RawCovariances
+	// ablation, which switches off the model's one correction to the
+	// paper).
 	Tau float64
 }
 

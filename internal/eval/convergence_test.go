@@ -56,7 +56,7 @@ func TestRunAblationsShape(t *testing.T) {
 		engines[i] = a.Engine
 	}
 	out := Run(cfg, w, engines...)
-	if len(out) != 5 {
+	if len(out) != 2 {
 		t.Fatalf("ablation cases = %d", len(out))
 	}
 	names := map[string]bool{}
@@ -66,7 +66,7 @@ func TestRunAblationsShape(t *testing.T) {
 			t.Fatalf("%s: series length %d", Ablations[i].Name, n)
 		}
 	}
-	for _, want := range []string{"full", "raw-covariances", "plain-chi2-radius", "no-overlap-merge", "all-off"} {
+	for _, want := range []string{"full", "raw-covariances"} {
 		if !names[want] {
 			t.Errorf("missing ablation %q", want)
 		}

@@ -63,10 +63,7 @@ func (e *QEX) Feedback(points []cluster.Point) {
 		pool = append(pool, r)
 	}
 
-	cs := cluster.Agglomerate(pool, cluster.HierarchicalOptions{
-		Linkage:        cluster.CentroidLinkage,
-		TargetClusters: e.maxClusters,
-	})
+	cs := cluster.Agglomerate(pool, e.maxClusters)
 	// Per-representative covariances are shrunk toward the pooled
 	// covariance exactly as in the Qcluster engine, so the comparison
 	// isolates the aggregate SHAPE (convex combination vs fuzzy OR)

@@ -58,7 +58,8 @@ type Options struct {
 	// Scheme selects Diagonal (default) or FullInverse covariances.
 	Scheme Scheme
 	// Alpha is the significance level α shared by the effective-radius
-	// test (Lemma 1) and the T² merge test (Eq. 16). Default 0.05.
+	// test (Lemma 1) and the T² merge test (Eq. 16). Default 0.05;
+	// Feedback refuses a value outside [0, 1).
 	Alpha float64
 	// MaxQueryPoints bounds the number of cluster representatives after
 	// merging. Default 5; negative means unbounded.
@@ -117,15 +118,18 @@ func (q *Query) SetSink(s Sink) {
 
 // Feedback absorbs one round of relevance-marked points. Points with
 // non-positive scores or already-seen IDs are ignored. It returns an
-// error (and absorbs nothing) when any point's dimensionality conflicts
-// with the query's established dimensionality or with the rest of the
-// batch, or when any positively scored point carries a non-finite
-// (NaN or ±Inf) component — a poisoned vector would otherwise silently
-// corrupt the cluster means.
+// error (and absorbs nothing) when the query's Alpha lies outside
+// [0, 1), when any point's dimensionality conflicts with the query's
+// established dimensionality or with the rest of the batch, or when any
+// positively scored point carries a non-finite (NaN or ±Inf) component —
+// a poisoned vector would otherwise silently corrupt the cluster means.
 func (q *Query) Feedback(points []Point) (err error) {
 	defer barrier("Feedback", &err)
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if err := q.model.Options().Validate(); err != nil {
+		return fmt.Errorf("qcluster: %w", err)
+	}
 	dim := q.dim
 	ps := make([]cluster.Point, 0, len(points))
 	for i, p := range points {

@@ -3,8 +3,10 @@ package qcluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,6 +293,37 @@ func TestFeedbackRejectsNonFinite(t *testing.T) {
 		{ID: 1, Vec: []float64{1, 2, 3}, Score: 3},
 	}); err != nil {
 		t.Errorf("zero-score non-finite point must be ignored: %v", err)
+	}
+}
+
+// An α outside [0, 1) would silently break both tests of the model (α > 1
+// gives radius 0 and c² = 0, a negative α gives +Inf for both), so the
+// first feedback refuses it — through both Query.Feedback and
+// Session.MarkRelevant — and absorbs nothing.
+func TestFeedbackRejectsAlphaOutOfRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	db, err := NewDatabase(synth.Gaussian[[]float64](rng, 50, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := []Point{{ID: 1, Vec: db.Vector(1), Score: 3}, {ID: 2, Vec: db.Vector(2), Score: 3}}
+	for _, alpha := range []float64{1, 1.5, -0.5, math.NaN()} {
+		want := fmt.Sprintf("alpha %g out of (0, 1)", alpha)
+		q := NewQuery(Options{Alpha: alpha})
+		if err := q.Feedback(marks); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("alpha %v: Feedback err = %v, want %q", alpha, err, want)
+		} else if q.Ready() || q.Rounds() != 0 {
+			t.Errorf("alpha %v: refused feedback still mutated the query", alpha)
+		}
+		s := db.NewSession(db.Vector(0), Options{Alpha: alpha})
+		if err := s.MarkRelevant(marks); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("alpha %v: MarkRelevant err = %v, want %q", alpha, err, want)
+		}
+	}
+	for _, alpha := range []float64{0, 0.01, 0.5} {
+		if err := NewQuery(Options{Alpha: alpha}).Feedback(marks); err != nil {
+			t.Errorf("alpha %v refused: %v", alpha, err)
+		}
 	}
 }
 
