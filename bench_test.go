@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	qcluster "repro"
 	"repro/internal/ann"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -506,4 +507,48 @@ func BenchmarkAblations(b *testing.B) {
 		recall := s.Series().Recall
 		b.ReportMetric(recall[len(recall)-1], "recall/"+eval.Ablations[i].Name)
 	}
+}
+
+// BenchmarkSessionRounds times whole in-process feedback sessions on the
+// mix16-shaped store (64k 16-d vectors in 64-point clusters, full-inverse
+// scheme, k = 100), one session per op: create → round 0 → 5 × (oracle
+// marks → results), the oracle marking every same-cluster id of the
+// page with score 3, as the benchmark's mix16 workloads do. It reports
+// ns per round (one results request and, after round 0, its marks) and
+// the share of refined retrievals served from the session's page memo
+// ("session.pages_reused" over the refined retrievals).
+func BenchmarkSessionRounds(b *testing.B) {
+	const k, rounds = 100, 5
+	rng := rand.New(rand.NewSource(mix16Seed))
+	vecs, labels := synth.Mixture[[]float64](rng, mix16Cats, mix16PerCat, 16, 5)
+	db, err := qcluster.NewDatabase(vecs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	opt := qcluster.Options{Scheme: qcluster.FullInverse}
+	reused := func() int64 { return db.Metrics().Counters["session.pages_reused"] }
+	before := reused()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := rng.Intn(len(vecs))
+		sess := db.NewSession(vecs[q], opt)
+		page, err := sess.ResultsContext(ctx, k)
+		for r := 0; r < rounds && err == nil; r++ {
+			var marks []qcluster.Point
+			for _, res := range page {
+				if labels[res.ID] == labels[q] {
+					marks = append(marks, qcluster.Point{ID: res.ID, Vec: vecs[res.ID], Score: 3})
+				}
+			}
+			if err = sess.MarkRelevant(marks); err == nil {
+				page, err = sess.ResultsContext(ctx, k)
+			}
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(rounds+1)), "ns/round")
+	b.ReportMetric(float64(reused()-before)/float64(b.N*rounds), "reused-share")
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -266,43 +267,51 @@ type searchRequest struct {
 	// attributes the request's search stage and per-shard work itself,
 	// and merges whatever the legs of an interrupted query had found.
 	leg bool
+	// trapped marks a Database's own session round: Session.retrieve
+	// holds the panic barrier and counts "search.errors", so execute
+	// sets none.
+	trapped bool
 }
 
 // execute is the one pipeline every retrieval on this database runs
-// through: panic barrier, cancellation check, metric resolution, timed
-// dispatch, metrics, cost profile and the partial-results error — each
-// exactly once.
-func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result, stats index.SearchStats, err error) {
-	defer db.trapSearch(req.op, &err)
+// through: panic barrier (a session round's is the session's),
+// cancellation check, metric resolution, timed dispatch, metrics, cost
+// profile and the partial-results error — each exactly once. It returns
+// the dispatch's wall-clock, which a session reports as its latency.
+func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result, stats index.SearchStats, elapsed time.Duration, err error) {
+	if !req.trapped {
+		defer trapSearch(req.op, db.met.source.errors, &err)
+	}
 	if cerr := ctx.Err(); cerr != nil {
 		if req.leg {
-			return nil, stats, wrapInterrupt(cerr, 0)
+			return nil, stats, 0, wrapInterrupt(cerr, 0)
 		}
-		return nil, stats, fmt.Errorf("qcluster: search not started: %w", cerr)
+		return nil, stats, 0, fmt.Errorf("qcluster: search not started: %w", cerr)
 	}
 	// A caller that built the metric itself (a session) counts its
 	// degradation itself; health stays zero here.
 	var health Health
 	if req.metric == nil {
 		if req.metric, health, err = resolveMetric(req.query, req.example, db.Dim(), &db.met.source); err != nil {
-			return nil, stats, err
+			return nil, stats, 0, err
 		}
 	}
 	start := time.Now()
 	res, stats, cerr := db.knnBackend(ctx, req)
-	elapsed := time.Since(start)
+	elapsed = time.Since(start)
 	db.met.observeSearch(elapsed, req.k, len(res), stats, health.Degraded(), cerr != nil)
 	if !req.leg {
 		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats)
 	}
-	return res, stats, wrapInterrupt(cerr, len(res))
+	return res, stats, elapsed, wrapInterrupt(cerr, len(res))
 }
 
-// trapSearch is execute's panic barrier: barrier, plus "search.errors" —
-// execute is the one place that sees every search.
-func (db *Database) trapSearch(op string, err *error) {
+// trapSearch is the search panic barrier: barrier, plus "search.errors"
+// on the collection's registry. execute sets it for every search but a
+// session round, whose retrieve sets it over the whole round.
+func trapSearch(op string, searchErrors *obs.Counter, err *error) {
 	if r := recover(); r != nil {
-		db.met.searchErrors.Inc()
+		searchErrors.Inc()
 		*err = &InternalError{Op: op, Value: r}
 	}
 }
@@ -349,7 +358,7 @@ func (db *Database) SearchByExample(example []float64, k int) []Result {
 // matching both ErrPartialResults and the context error. A mismatched
 // example dimensionality returns ErrDimensionMismatch.
 func (db *Database) SearchByExampleContext(ctx context.Context, example []float64, k int) ([]Result, error) {
-	res, _, err := db.execute(ctx, searchRequest{op: "SearchByExampleContext", example: example, k: k})
+	res, _, _, err := db.execute(ctx, searchRequest{op: "SearchByExampleContext", example: example, k: k})
 	return res, err
 }
 
@@ -369,7 +378,7 @@ func (db *Database) Search(q *Query, k int) []Result {
 // degradations encountered while building the metric are recorded on
 // the query's Health.
 func (db *Database) SearchContext(ctx context.Context, q *Query, k int) ([]Result, error) {
-	res, _, err := db.execute(ctx, searchRequest{op: "SearchContext", query: q, k: k})
+	res, _, _, err := db.execute(ctx, searchRequest{op: "SearchContext", query: q, k: k})
 	return res, err
 }
 
@@ -381,36 +390,76 @@ type SessionSearcher interface {
 	// Dim is the collection's feature dimensionality.
 	Dim() int
 	// Registry is the backend registry the session counts its feedback
-	// rounds, degraded metrics and dimension mismatches on.
+	// rounds, degraded metrics, dimension mismatches, trapped panics and
+	// reused pages on.
 	Registry() *Registry
+	// CollectionVersion is how many vectors a search started now sees at
+	// least: the store length a search reads under its lock, summed over
+	// a set's shards. The collection only grows, so two equal readings
+	// bracket no insert a search could see; a Session keys its page memo
+	// on the reading it takes before the search.
+	CollectionVersion() int
 	// SearchMetric answers one retrieval under m on the backend the
-	// collection was built with. An interrupted search returns
-	// best-effort results with ErrPartialResults. Safe for concurrent use.
-	SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, error)
+	// collection was built with, and reports how long the search took —
+	// the session's latency. An interrupted search returns best-effort
+	// results with ErrPartialResults. A session calls it inside its own
+	// panic barrier. Safe for concurrent use.
+	SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, time.Duration, error)
 }
 
+// CollectionVersion makes *Database a SessionSearcher: the store length
+// under the read lock every search takes.
+func (db *Database) CollectionVersion() int { return db.Len() }
+
 // SearchMetric makes *Database a SessionSearcher: one session round under
-// the metric the session built.
-func (db *Database) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, error) {
+// the metric the session built, behind execute's panic barrier.
+func (db *Database) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, time.Duration, error) {
 	return db.execute(ctx, searchRequest{op: "ResultsContext", metric: m, k: k})
+}
+
+// sessionRounds is the SessionSearcher a Database's own sessions search
+// through: Session.retrieve's barrier covers the whole round, so execute
+// sets none of its own. The exported SearchMetric, open to any caller,
+// keeps execute's.
+type sessionRounds struct{ *Database }
+
+func (r sessionRounds) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]Result, index.SearchStats, time.Duration, error) {
+	return r.execute(ctx, searchRequest{op: "ResultsContext", metric: m, k: k, trapped: true})
 }
 
 // Session is the end-to-end feedback loop over one collection: retrieve,
 // mark, refine — Algorithm 1 behind a two-method API, and its only
 // implementation: a sharded session is this type over another
-// SessionSearcher. A Session is a query model and nothing else: every
-// retrieval is an independent search under the model's current metric,
-// so it is safe for concurrent use and an Add between rounds changes
-// nothing but the page.
+// SessionSearcher. A Session is a query model plus the last page it
+// served: every search is an independent search under the model's
+// current metric, and a retrieval whose key — the model version (its
+// absorbed-round count, which moves exactly when Feedback absorbs a
+// point), k and the collection version — matches the last complete page's
+// returns a copy of that page without building the metric or searching.
+// A round that marks only already-seen points leaves the model, and so
+// the page, as it was. It is safe for concurrent use, and an Add between
+// rounds changes nothing but the page.
 type Session struct {
-	mu        sync.Mutex // guards lastStats
+	mu        sync.Mutex // guards lastStats and memo
 	on        SessionSearcher
 	dim       int // on.Dim(), fixed for the collection's lifetime
 	query     *Query
 	example   linalg.Vector
 	met       *sessionMetrics   // always non-nil; see Stats
 	lastStats index.SearchStats // index work of the most recent search
+	memo      pageMemo          // the last complete page and its key
 	sink      Sink              // trace sink from Options (nil = disabled)
+}
+
+// pageKey is what a session page is a function of: the query model's
+// version, the page size and the collection version.
+type pageKey struct{ model, k, collection int }
+
+// pageMemo is a session's last page that no error cut short; page is nil
+// until one is stored.
+type pageMemo struct {
+	key  pageKey
+	page []Result
 }
 
 // NewSession starts a retrieval session from an example feature vector.
@@ -419,7 +468,7 @@ type Session struct {
 // (Results) or ErrDimensionMismatch (ResultsContext) instead of
 // panicking inside the index.
 func (db *Database) NewSession(example []float64, opt Options) *Session {
-	return NewSessionOver(db, example, opt)
+	return NewSessionOver(sessionRounds{db}, example, opt)
 }
 
 // NewSessionOver starts a retrieval session that searches through on —
@@ -449,36 +498,67 @@ func (s *Session) ResultsContext(ctx context.Context, k int) ([]Result, error) {
 	return s.retrieve(ctx, k)
 }
 
-// retrieve is the session's one retrieval: resolve the current metric,
-// search where the session searches, record. Searches that never ran
-// (cancelled up front, trapped panic) are not counted.
+// retrieve is the session's one retrieval: serve the memo when its key
+// matches, else resolve the current metric, search where the session
+// searches, record, and memoize a page no error cut short. Retrievals
+// that never ran (cancelled up front, trapped panic) are not counted.
+// The keys are read before the metric build and the search, so a page
+// is never filed under a state newer than the one it was computed from.
 func (s *Session) retrieve(ctx context.Context, k int) (_ []Result, err error) {
-	defer barrier("ResultsContext", &err)
+	defer trapSearch("ResultsContext", s.met.backend.errors, &err)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("qcluster: search not started: %w", cerr)
+	}
+	key := pageKey{model: s.query.Rounds(), k: k, collection: s.on.CollectionVersion()}
+	if page, ok := s.reuse(key); ok {
+		s.met.observeReuse()
+		s.emitDone(key, page, 0, index.SearchStats{}, false, true)
+		return page, nil
+	}
 	m, health, err := resolveMetric(s.query, s.example, s.dim, &s.met.backend)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res, stats, err := s.on.SearchMetric(ctx, m, k)
-	elapsed := time.Since(start) // before s.mu: another retrieval's lock hold is not this one's latency
+	res, stats, elapsed, err := s.on.SearchMetric(ctx, m, k)
 	partial := errors.Is(err, ErrPartialResults)
 	if err != nil && !partial {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.lastStats = stats
+	if err == nil {
+		s.memo = pageMemo{key: key, page: res}
+		res = slices.Clone(res)
+	}
 	s.mu.Unlock()
 	s.met.observeRetrieval(elapsed, stats, health.Degraded(), partial)
-	if s.sink != nil {
-		obs.EmitEvent(s.sink, "search.done",
-			obs.F("k", k), obs.F("results", len(res)),
-			obs.F("refined", health.Clusters > 0),
-			obs.F("latency_ms", elapsed.Seconds()*1e3),
-			obs.F("leaves_visited", stats.LeavesVisited),
-			obs.F("prune_ratio", stats.PruneRatio()),
-			obs.F("partial", partial))
-	}
+	s.emitDone(key, res, elapsed, stats, partial, false)
 	return res, err
+}
+
+// reuse returns a copy of the memoized page when its key is key.
+func (s *Session) reuse(key pageKey) ([]Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.memo.page == nil || s.memo.key != key {
+		return nil, false
+	}
+	return slices.Clone(s.memo.page), true
+}
+
+// emitDone sends the retrieval's "search.done" event to the sink, if any.
+func (s *Session) emitDone(key pageKey, res []Result, elapsed time.Duration, stats index.SearchStats, partial, reused bool) {
+	if s.sink == nil {
+		return
+	}
+	obs.EmitEvent(s.sink, "search.done",
+		obs.F("k", key.k), obs.F("results", len(res)),
+		obs.F("refined", key.model > 0),
+		obs.F("latency_ms", elapsed.Seconds()*1e3),
+		obs.F("leaves_visited", stats.LeavesVisited),
+		obs.F("prune_ratio", stats.PruneRatio()),
+		obs.F("partial", partial),
+		obs.F("reused", reused))
 }
 
 // MarkRelevant feeds the user's relevance judgement back into the query.

@@ -1,10 +1,5 @@
 package index
 
-import (
-	"cmp"
-	"slices"
-)
-
 // resultHeap is a bounded max-heap keeping the k smallest results under
 // the total order (Dist, ID). The ID tie-break makes the kept set — not
 // just the kept distances — deterministic, so a parallel search that
@@ -99,11 +94,19 @@ func (h *resultHeap) down(i int) {
 	}
 }
 
+// sorted drains the heap into its results in ascending (Dist, ID) order:
+// an in-place heapsort that swaps the maximum to the end of the shrinking
+// heap, so it allocates nothing and compares only through resultLess.
+// (Dist, ID) is a total order on the finite-or-+Inf distances the kernels
+// return, so the page is the one any (Dist, ID) sort gives. The heap is
+// empty afterwards.
 func (h *resultHeap) sorted() []Result {
-	out := make([]Result, len(h.items))
-	copy(out, h.items)
-	slices.SortFunc(out, func(a, b Result) int {
-		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
-	})
+	out := h.items
+	for n := len(out) - 1; n > 0; n-- {
+		out[0], out[n] = out[n], out[0]
+		h.items = out[:n]
+		h.down(0)
+	}
+	h.items = nil
 	return out
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/distance"
@@ -57,6 +59,39 @@ func TestResultHeapKeepsKSmallest(t *testing.T) {
 	out := h.sorted()
 	if len(out) != 3 || out[0].Dist != 1 || out[1].Dist != 2 || out[2].Dist != 3 {
 		t.Errorf("out = %v", out)
+	}
+}
+
+// TestResultHeapSortedMatchesCompareSort: draining the heap in place
+// gives, bit for bit, the page the former copy-and-sort gave under
+// cmp.Or(cmp.Compare(Dist), cmp.Compare(ID)), on generated offers whose
+// distances tie heavily and mix -0, +0 and +Inf.
+func TestResultHeapSortedMatchesCompareSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pool := []float64{math.Copysign(0, -1), 0, 0.5, 1, 1, 2, math.Inf(1), math.Inf(1)}
+	for trial := 0; trial < 500; trial++ {
+		k := rng.Intn(40)
+		h := newResultHeap(k)
+		for id := rng.Perm(1 + rng.Intn(120)); len(id) > 0; id = id[1:] {
+			d := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				d = float64(rng.Intn(4)) / 4
+			}
+			h.offer(Result{ID: id[0], Dist: d})
+		}
+		want := slices.Clone(h.items)
+		slices.SortFunc(want, func(a, b Result) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+		})
+		got := h.sorted()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("trial %d, rank %d: got %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -10,9 +10,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	qcluster "repro"
+	"repro/internal/distance"
 	"repro/internal/faultinject"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/synth"
 )
@@ -24,6 +27,7 @@ type parityColumn struct {
 	ann        bool // built with BackendANN
 	shards     int  // 0 for the database
 	newSession func(example []float64, opt qcluster.Options) *qcluster.Session
+	searcher   qcluster.SessionSearcher // what newSession's sessions search through, minus any wrapper
 	search     func(ctx context.Context, example []float64, k int) ([]qcluster.Result, error)
 	add        func(ctx context.Context, vectors [][]float64) ([]int, error)
 	registry   *obs.Registry
@@ -48,7 +52,7 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 		}
 		cols = append(cols, parityColumn{
 			name: be.name + "/database", ann: be.name == "ann",
-			newSession: db.NewSession, search: db.SearchByExampleContext, add: db.AddBatchContext,
+			newSession: db.NewSession, searcher: db, search: db.SearchByExampleContext, add: db.AddBatchContext,
 			registry: db.Registry(), metrics: db.Metrics,
 		})
 		for _, shards := range shardCounts {
@@ -58,7 +62,7 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 			}
 			cols = append(cols, parityColumn{
 				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), ann: be.name == "ann", shards: shards,
-				newSession: set.NewSession, search: set.SearchByExampleContext, add: set.AddBatchContext,
+				newSession: set.NewSession, searcher: set, search: set.SearchByExampleContext, add: set.AddBatchContext,
 				registry: set.Registry(), metrics: set.Metrics,
 			})
 		}
@@ -71,7 +75,8 @@ func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int
 // ann with an exhaustive beam} — and asserts there is one Session: the
 // same pages bit for bit, the same sentinel errors, the same Stats, the
 // same "search.done" events, and the same movement of the backend
-// registry's feedback and degradation counters, sharded or not.
+// registry's feedback, degradation and page-memo counters, sharded or
+// not.
 func TestSessionParity(t *testing.T) {
 	defer faultinject.Reset()
 	const n, dim, k = 1200, 6, 25
@@ -113,6 +118,7 @@ func TestSessionParity(t *testing.T) {
 			// re-marks the previous round's first id.
 			res := page("example query")
 			remark := -1
+			marked := map[int]bool{}
 			for round := 0; round < 3; round++ {
 				var marks []qcluster.Point
 				if remark >= 0 {
@@ -127,6 +133,9 @@ func TestSessionParity(t *testing.T) {
 					t.Fatalf("round %d: the oracle marked nothing", round)
 				}
 				remark = marks[len(marks)-1].ID
+				for _, p := range marks {
+					marked[p.ID] = true
+				}
 				if err := sess.MarkRelevant(marks); err != nil {
 					t.Fatalf("round %d: MarkRelevant: %v", round, err)
 				}
@@ -162,31 +171,11 @@ func TestSessionParity(t *testing.T) {
 				t.Fatalf("pre-cancelled: err = %v, want context.Canceled and not ErrPartialResults", err)
 			}
 
-			// A context cancelled at the first tree-traversal pop: the
-			// tree columns return partial results; the ANN graph never
-			// pops the tree, so there the retrieval simply completes.
-			mid, cancelMid := context.WithCancel(ctx)
-			var fired atomic.Bool
-			faultinject.Set(faultinject.KNNPop, func() {
-				if fired.CompareAndSwap(false, true) {
-					cancelMid()
-				}
-			})
-			_, err := sess.ResultsContext(mid, k)
-			faultinject.Clear(faultinject.KNNPop)
-			cancelMid()
-			if col.ann {
-				if err != nil {
-					t.Fatalf("ann retrieval under the tree hook: %v", err)
-				}
-			} else if !errors.Is(err, qcluster.ErrPartialResults) || !errors.Is(err, context.Canceled) {
-				t.Fatalf("mid-search cancel: err = %v, want ErrPartialResults and context.Canceled", err)
-			}
-
 			// A singular full-inverse model: a search that never runs —
-			// cancelled up front — is a degraded search on neither the
-			// session nor the backend registry; the one that runs is one
-			// on both.
+			// cancelled up front — and a page served from the memo are a
+			// degraded search on neither the session nor the backend
+			// registry; the one that runs after a fresh round is one on
+			// both.
 			faultinject.Set(faultinject.SingularCovariance, nil)
 			degraded := func() int64 {
 				n := sess.Stats().DegradedSearches
@@ -202,17 +191,52 @@ func TestSessionParity(t *testing.T) {
 			if got := degraded(); got != before {
 				t.Fatalf("a search that never ran moved the degraded count %d → %d", before, got)
 			}
+			page("reused page")
+			if got := degraded(); got != before {
+				t.Fatalf("a reused page moved the degraded count %d → %d", before, got)
+			}
+			var fresh []qcluster.Point
+			for id := 5; len(fresh) == 0; id += 16 {
+				if !marked[id] {
+					fresh = append(fresh, qcluster.Point{ID: id, Vec: vectors[id], Score: 3})
+				}
+			}
+			if err := sess.MarkRelevant(fresh); err != nil {
+				t.Fatalf("fresh round: MarkRelevant: %v", err)
+			}
 			page("singular model")
 			if got := degraded(); got != before+1 {
 				t.Fatalf("one degraded retrieval moved the degraded count %d → %d", before, got)
 			}
 			faultinject.Clear(faultinject.SingularCovariance)
 
+			// A context cancelled at the first tree-traversal pop, at a k
+			// no page is memoized for: the tree columns return partial
+			// results; the ANN graph never pops the tree, so there the
+			// retrieval simply completes.
+			mid, cancelMid := context.WithCancel(ctx)
+			var fired atomic.Bool
+			faultinject.Set(faultinject.KNNPop, func() {
+				if fired.CompareAndSwap(false, true) {
+					cancelMid()
+				}
+			})
+			_, err := sess.ResultsContext(mid, k+1)
+			faultinject.Clear(faultinject.KNNPop)
+			cancelMid()
+			if col.ann {
+				if err != nil {
+					t.Fatalf("ann retrieval under the tree hook: %v", err)
+				}
+			} else if !errors.Is(err, qcluster.ErrPartialResults) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-search cancel: err = %v, want ErrPartialResults and context.Canceled", err)
+			}
+
 			out.stats = sess.Stats()
 			out.events = sink.Count("search.done")
 			snap := col.registry.Snapshot()
 			out.counters = map[string]int64{}
-			for _, name := range []string{"feedback.rounds", "feedback.points", "search.degraded", "search.dimension_mismatch"} {
+			for _, name := range []string{"feedback.rounds", "feedback.points", "search.degraded", "search.dimension_mismatch", "session.pages_reused"} {
 				out.counters[name] = snap.Counters[name]
 			}
 			if int64(out.events) != out.stats.Searches {
@@ -232,8 +256,9 @@ func TestSessionParity(t *testing.T) {
 	}
 
 	ref := outcomes[0]
-	if ref.stats.Searches != 6 || ref.stats.FeedbackRounds != 3 || ref.stats.FeedbackPoints == 0 ||
-		ref.stats.DegradedSearches == 0 || ref.counters["search.dimension_mismatch"] != 2 {
+	if ref.stats.Searches != 7 || ref.stats.FeedbackRounds != 4 || ref.stats.FeedbackPoints == 0 ||
+		ref.stats.DegradedSearches == 0 || ref.counters["search.dimension_mismatch"] != 2 ||
+		ref.counters["session.pages_reused"] != 1 {
 		t.Fatalf("script did not exercise what it claims: stats %+v counters %v", ref.stats, ref.counters)
 	}
 	for c, col := range cols[1:] {
@@ -263,96 +288,198 @@ func TestSessionParity(t *testing.T) {
 	}
 }
 
-// TestSessionStateless: a session is a query model and nothing else. On
-// {Database, 2-shard Set} × {tree, ann}, the same session retrieving
-// twice with no feedback in between returns the same page bit for bit
-// and reports the same index work — a session that kept leaves from its
-// last round seeded the second search from them, so the tree rows
-// diverged; the ann rows pin that the graph route never kept any.
-// Concurrent retrievals on one session agree with the serial page, and
-// an ingest between two rounds changes nothing but the page.
+// TestSessionStateless: a session is a query model plus its last page.
+// On {Database, 2-shard Set} × {tree, ann}, at every step the session's
+// search returns the page, and reports the index work, of a fresh
+// session given the same marks that has run no search before — a session
+// that kept leaves from its last round seeded its next search from them,
+// so the tree rows diverged; the ann rows pin that the graph route never
+// kept any. A second retrieval with nothing changed is the same page
+// from the memo (one "session.pages_reused", LastSearch unchanged).
+// Twelve retrievals held in flight at once right after a round that
+// absorbed a new point all search, and agree with the fresh page; an
+// ingest between two rounds changes nothing but the page.
 func TestSessionStateless(t *testing.T) {
 	const n, dim, k = 1200, 6, 25
 	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(37)), n, dim, 16, 10, 0.5)
 	ctx := context.Background()
 	for _, col := range parityColumns(t, vectors, n+8, 2) {
 		t.Run(col.name, func(t *testing.T) {
-			sess := col.newSession(vectors[5], qcluster.Options{})
+			held := &heldSearcher{SessionSearcher: col.searcher}
+			sess := qcluster.NewSessionOver(held, vectors[5], qcluster.Options{})
+			var rounds [][]qcluster.Point // the marks sess was given, round by round
+			mark := func(marks []qcluster.Point) {
+				t.Helper()
+				if err := sess.MarkRelevant(marks); err != nil {
+					t.Fatal(err)
+				}
+				rounds = append(rounds, marks)
+			}
 			retrievals := int64(0)
+			reused := func() int64 { return col.registry.Snapshot().Counters["session.pages_reused"] }
+			work := func(s *qcluster.Session) qcluster.SearchStats {
+				st := s.Stats().LastSearch
+				if col.shards > 1 && !col.ann {
+					// Tree legs prune against a bound their siblings
+					// tighten concurrently, so how much each visits is
+					// timing; what no timing moves is compared.
+					st = qcluster.SearchStats{LeavesTotal: st.LeavesTotal, CacheSeedLeaves: st.CacheSeedLeaves, Workers: st.Workers}
+				}
+				return st
+			}
+			// fresh is the page and index work of a session that has run
+			// no search before, given the marks sess was given.
+			fresh := func(label string) ([]qcluster.Result, qcluster.SearchStats) {
+				t.Helper()
+				f := col.newSession(vectors[5], qcluster.Options{})
+				for _, marks := range rounds {
+					if err := f.MarkRelevant(marks); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := f.ResultsContext(ctx, k)
+				if err != nil {
+					t.Fatalf("%s: fresh session: %v", label, err)
+				}
+				return res, work(f)
+			}
 			twice := func(label string) []qcluster.Result {
 				t.Helper()
+				before := reused()
 				var pages [2][]qcluster.Result
-				var work [2]qcluster.SearchStats
+				var stats [2]qcluster.SearchStats
 				for i := range pages {
 					var err error
 					if pages[i], err = sess.ResultsContext(ctx, k); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					retrievals++
-					work[i] = sess.Stats().LastSearch
-					if col.shards > 1 && !col.ann {
-						// Tree legs prune against a bound their siblings
-						// tighten concurrently, so how much each visits is
-						// timing; what no timing moves is compared.
-						st := work[i]
-						work[i] = qcluster.SearchStats{LeavesTotal: st.LeavesTotal, CacheSeedLeaves: st.CacheSeedLeaves, Workers: st.Workers}
-					}
+					stats[i] = work(sess)
+				}
+				retrievals += 2
+				if got := reused() - before; got != 1 {
+					t.Errorf("%s: %d pages reused over two retrievals, want 1", label, got)
 				}
 				sameResults(t, label+": second retrieval vs first", pages[0], pages[1])
-				if work[0] != work[1] {
-					t.Errorf("%s: second retrieval reports %+v, first %+v", label, work[1], work[0])
+				if stats[1] != stats[0] {
+					t.Errorf("%s: the reused page moved LastSearch %+v → %+v", label, stats[0], stats[1])
+				}
+				want, wantWork := fresh(label)
+				sameResults(t, label+": session vs fresh session", want, pages[0])
+				if stats[0] != wantWork {
+					t.Errorf("%s: the session's search reports %+v, a fresh session's %+v", label, stats[0], wantWork)
 				}
 				return pages[0]
 			}
 
 			page := twice("example query")
-			var marks []qcluster.Point
-			for _, r := range page {
-				if r.ID%16 == 5 && len(marks) < 6 { // synth.RoundRobin deals id i to cluster i%16
-					marks = append(marks, qcluster.Point{ID: r.ID, Vec: vectors[r.ID], Score: 3})
+			marked := map[int]bool{}
+			pick := func(page []qcluster.Result, max int) []qcluster.Point {
+				var marks []qcluster.Point
+				for _, r := range page {
+					if r.ID%16 == 5 && !marked[r.ID] && len(marks) < max { // synth.RoundRobin deals id i to cluster i%16
+						marks = append(marks, qcluster.Point{ID: r.ID, Vec: vectors[r.ID], Score: 3})
+						marked[r.ID] = true
+					}
 				}
+				if len(marks) == 0 {
+					t.Fatal("the page holds no unmarked id of the example's cluster")
+				}
+				return marks
 			}
-			if err := sess.MarkRelevant(marks); err != nil {
-				t.Fatal(err)
-			}
+			mark(pick(page, 6))
 			refined := twice("refined query")
 
-			const users, each = 4, 3
-			pages := make([][]qcluster.Result, users*each)
-			errs := make([]error, users*each)
+			// A round that absorbs a new point, then twelve retrievals
+			// held inside SearchMetric until all have arrived: none can
+			// find a page in the memo, so all twelve search at once.
+			mark(pick(refined, 1))
+			if got := sess.Query().Rounds(); got != 2 {
+				t.Fatalf("model rounds = %d after two rounds of new points, want 2", got)
+			}
+			want, wantWork := fresh("second round")
+			const users = 12
+			pages := make([][]qcluster.Result, users)
+			errs := make([]error, users)
+			before := reused()
+			held.hold(users)
 			var wg sync.WaitGroup
 			for u := 0; u < users; u++ {
 				wg.Add(1)
 				go func(u int) {
 					defer wg.Done()
-					for i := u * each; i < (u+1)*each; i++ {
-						pages[i], errs[i] = sess.ResultsContext(ctx, k)
-					}
+					pages[u], errs[u] = sess.ResultsContext(ctx, k)
 				}(u)
 			}
+			held.arrived.Wait()
+			close(held.release)
 			wg.Wait()
-			retrievals += users * each
-			for i := range pages {
-				if errs[i] != nil {
-					t.Fatalf("concurrent retrieval %d: %v", i, errs[i])
+			held.hold(0)
+			retrievals += users
+			for u := range pages {
+				if errs[u] != nil {
+					t.Fatalf("concurrent retrieval %d: %v", u, errs[u])
 				}
-				sameResults(t, fmt.Sprintf("concurrent retrieval %d vs serial", i), refined, pages[i])
+				sameResults(t, fmt.Sprintf("concurrent retrieval %d vs fresh session", u), want, pages[u])
+			}
+			if got := reused() - before; got != 0 {
+				t.Errorf("%d of %d retrievals held in flight together were served from the memo, want 0", got, users)
+			}
+			if got := work(sess); got != wantWork {
+				t.Errorf("concurrent searches report %+v, a fresh session's %+v", got, wantWork)
+			}
+			before = reused()
+			after, err := sess.ResultsContext(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			retrievals++
+			sameResults(t, "retrieval after the concurrent ones", want, after)
+			if got := reused() - before; got != 1 {
+				t.Errorf("the retrieval after the concurrent ones reused %d pages, want 1", got)
 			}
 
 			// A twin of the best hit lands right behind it (same distance
 			// bits, larger id); everything else keeps its place.
-			ids, err := col.add(ctx, [][]float64{vectors[refined[0].ID]})
+			ids, err := col.add(ctx, [][]float64{vectors[want[0].ID]})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := append([]qcluster.Result{refined[0], {ID: ids[0], Dist: refined[0].Dist}}, refined[1:k-1]...)
+			want = append([]qcluster.Result{want[0], {ID: ids[0], Dist: want[0].Dist}}, want[1:k-1]...)
 			sameResults(t, "after ingest", want, twice("after ingest"))
 			st := sess.Stats()
-			if st.Searches != retrievals || st.PartialSearches != 0 || st.FeedbackRounds != 1 || sess.Query().Rounds() != 1 {
-				t.Errorf("after %d retrievals, 1 round and an ingest: Stats %+v, model rounds %d", retrievals, st, sess.Query().Rounds())
+			if st.Searches != retrievals || st.PartialSearches != 0 || st.FeedbackRounds != 2 || sess.Query().Rounds() != 2 {
+				t.Errorf("after %d retrievals, 2 rounds and an ingest: Stats %+v, model rounds %d", retrievals, st, sess.Query().Rounds())
 			}
 		})
 	}
+}
+
+// heldSearcher passes every call through to the SessionSearcher it
+// wraps, except that while hold(n) is in force each SearchMetric checks
+// in on arrived and waits for release — so a test can keep n searches
+// of one session in flight at once.
+type heldSearcher struct {
+	qcluster.SessionSearcher
+	arrived sync.WaitGroup
+	release chan struct{} // nil: pass straight through
+}
+
+// hold arms the next n SearchMetric calls, or disarms with n = 0. Call
+// it only while no search is running.
+func (h *heldSearcher) hold(n int) {
+	h.release = nil
+	if n > 0 {
+		h.arrived.Add(n)
+		h.release = make(chan struct{})
+	}
+}
+
+func (h *heldSearcher) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcluster.Result, index.SearchStats, time.Duration, error) {
+	if h.release != nil {
+		h.arrived.Done()
+		<-h.release
+	}
+	return h.SessionSearcher.SearchMetric(ctx, m, k)
 }
 
 func boolInt(b bool) int64 {

@@ -34,10 +34,12 @@ import (
 //
 // SearchMetric is the one body behind every retrieval on the set — the
 // stateless searches and, as the set's qcluster.SessionSearcher method,
-// every session round — on the backend the shards were built with.
-func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcluster.Result, index.SearchStats, error) {
+// every session round — on the backend the shards were built with. The
+// duration it returns is the scatter-gather's wall-clock, merge
+// included.
+func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcluster.Result, index.SearchStats, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, index.SearchStats{}, fmt.Errorf("shard: search not started: %w", err)
+		return nil, index.SearchStats{}, 0, fmt.Errorf("shard: search not started: %w", err)
 	}
 	n := len(s.shards)
 	sb := index.NewSharedBound()
@@ -90,7 +92,7 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcl
 				continue
 			}
 			s.met.searches.Inc()
-			return nil, stats, fmt.Errorf("shard %d: %w", i, err)
+			return nil, stats, time.Since(start), fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	mergeStart := time.Now()
@@ -104,8 +106,9 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcl
 		merged = merged[:k]
 	}
 	prof.StageAt(obs.StageMerge, mergeStart, time.Since(mergeStart))
+	elapsed := time.Since(start)
 	s.met.searches.Inc()
-	s.met.searchS.Observe(time.Since(start).Seconds())
+	s.met.searchS.Observe(elapsed.Seconds())
 	if partial {
 		s.met.partials.Inc()
 		cause := ctx.Err()
@@ -119,10 +122,10 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcl
 				}
 			}
 		}
-		return merged, stats, fmt.Errorf("shard: scatter-gather interrupted after %d results: %w: %w",
+		return merged, stats, elapsed, fmt.Errorf("shard: scatter-gather interrupted after %d results: %w: %w",
 			len(merged), qcluster.ErrPartialResults, cause)
 	}
-	return merged, stats, nil
+	return merged, stats, elapsed, nil
 }
 
 // SearchByExampleContext answers a plain k-NN query around an example
@@ -135,6 +138,6 @@ func (s *Set) SearchByExampleContext(ctx context.Context, example []float64, k i
 		return nil, fmt.Errorf("shard: example has dimension %d, set has %d: %w",
 			len(example), s.dim, qcluster.ErrDimensionMismatch)
 	}
-	res, _, err := s.SearchMetric(ctx, qcluster.EuclideanMetric(example), k)
+	res, _, _, err := s.SearchMetric(ctx, qcluster.EuclideanMetric(example), k)
 	return res, err
 }

@@ -274,6 +274,19 @@ func (s *Set) Len() int {
 	return s.total
 }
 
+// CollectionVersion makes the set a qcluster.SessionSearcher: the sum
+// of the shards' own lengths, which is what a search started now sees.
+// Len is the wrong reading for this: AddBatchContext assigns a batch's
+// global ids before the cross-shard commit, so a page memoized under Len
+// could lack a batch that later lands under the same Len.
+func (s *Set) CollectionVersion() int {
+	n := 0
+	for _, db := range s.shards {
+		n += db.Len()
+	}
+	return n
+}
+
 // NewSession starts a feedback session over the whole set:
 // qcluster.Session — the one implementation of retrieve, mark, refine —
 // searching through the set's scatter-gather.

@@ -71,7 +71,8 @@ type SearchStats = index.SearchStats
 // index work of the most recent search.
 type SessionStats struct {
 	// Searches counts retrievals the session ran (Results and
-	// ResultsContext, both the example and the refined query path).
+	// ResultsContext, both the example and the refined query path),
+	// pages served from the session's page memo included.
 	Searches int64
 	// PartialSearches counts retrievals interrupted by context
 	// cancellation (results returned with ErrPartialResults).
@@ -86,9 +87,11 @@ type SessionStats struct {
 	FeedbackPoints int64
 	// QueryPoints is the current number of cluster representatives m.
 	QueryPoints int
-	// LastSearch is the index work of the most recent retrieval.
+	// LastSearch is the index work of the most recent search; a page
+	// served from the memo did none and leaves it as it was.
 	LastSearch SearchStats
-	// SearchLatencySeconds is the retrieval wall-clock histogram.
+	// SearchLatencySeconds is the search wall-clock histogram; a page
+	// served from the memo searched nothing and is not in it.
 	SearchLatencySeconds HistogramSnapshot
 	// PruneRatio is the per-search leaf prune-ratio histogram.
 	PruneRatio HistogramSnapshot
@@ -108,7 +111,6 @@ type dbMetrics struct {
 
 	source        sourceCounters
 	searches      *obs.Counter
-	searchErrors  *obs.Counter
 	partial       *obs.Counter
 	swept         *obs.Counter
 	latency       *obs.Histogram
@@ -130,13 +132,15 @@ type dbMetrics struct {
 	resplitQueue  *obs.Gauge
 }
 
-// sourceCounters are the registry series metric resolution moves (see
-// resolveMetric). A Database's registry and a shard set's carry them
-// under the same names, so a session counts alike on either.
+// sourceCounters are the registry series metric resolution and the
+// panic barrier move (see resolveMetric and trapSearch). A Database's
+// registry and a shard set's carry them under the same names, so a
+// session counts alike on either.
 type sourceCounters struct {
 	notReady    *obs.Counter
 	dimMismatch *obs.Counter
 	degraded    *obs.Counter
+	errors      *obs.Counter
 }
 
 func newSourceCounters(reg *obs.Registry) sourceCounters {
@@ -144,6 +148,7 @@ func newSourceCounters(reg *obs.Registry) sourceCounters {
 		notReady:    reg.Counter("search.not_ready"),
 		dimMismatch: reg.Counter("search.dimension_mismatch"),
 		degraded:    reg.Counter("search.degraded"),
+		errors:      reg.Counter("search.errors"),
 	}
 }
 
@@ -153,7 +158,6 @@ func newDBMetrics() *dbMetrics {
 		reg:           reg,
 		source:        newSourceCounters(reg),
 		searches:      reg.Counter("search.total"),
-		searchErrors:  reg.Counter("search.errors"),
 		partial:       reg.Counter("search.partial"),
 		swept:         reg.Counter("search.swept"),
 		latency:       reg.Histogram("search.latency_seconds", obs.LatencyBuckets()),
@@ -227,7 +231,9 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 // and "index.refine_evals" on the ANN backend), insert-maintenance
 // counters ("index.resplits", "search.resplit_ns",
 // "index.resplit_pending"), "search.errors" (trapped search panics) and,
-// once a session exists, "feedback.rounds" / "feedback.points". Safe to
+// once a session exists, "feedback.rounds" / "feedback.points" and
+// "session.pages_reused" (retrievals a session served from its page
+// memo, see Session). Safe to
 // call at any time, including while searches are running.
 func (db *Database) Metrics() MetricsSnapshot { return db.met.reg.Snapshot() }
 
@@ -256,6 +262,7 @@ type sessionMetrics struct {
 	backend   sourceCounters
 	beRounds  *obs.Counter
 	bePoints  *obs.Counter
+	beReused  *obs.Counter
 	searches  obs.Counter
 	partial   obs.Counter
 	degraded  obs.Counter
@@ -273,12 +280,21 @@ func newSessionMetrics(reg *obs.Registry) *sessionMetrics {
 		backend:  newSourceCounters(reg),
 		beRounds: reg.Counter("feedback.rounds"),
 		bePoints: reg.Counter("feedback.points"),
+		beReused: reg.Counter("session.pages_reused"),
 		latency:  obs.NewHistogram(obs.LatencyBuckets()),
 		prune:    obs.NewHistogram(obs.RatioBuckets()),
 	}
 }
 
-// observeRetrieval records one session retrieval (allocation-free).
+// observeReuse records one session retrieval served from the page
+// memo: a retrieval, but no search, no metric build and no latency.
+func (m *sessionMetrics) observeReuse() {
+	m.searches.Inc()
+	m.beReused.Inc()
+}
+
+// observeRetrieval records one session retrieval that searched
+// (allocation-free).
 func (m *sessionMetrics) observeRetrieval(elapsed time.Duration, stats index.SearchStats, degraded, partial bool) {
 	m.searches.Inc()
 	if degraded {

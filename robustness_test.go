@@ -182,7 +182,9 @@ func TestFullInverseSingularCovarianceDegradesGracefully(t *testing.T) {
 }
 
 // The SingularCovariance hook forces the ridge path even for a
-// well-conditioned cluster, and the degradation shows up in Health.
+// well-conditioned cluster, and the degradation shows up in Health once a
+// fresh feedback round makes the session build its metric again; a page
+// reused at the same model version builds none.
 func TestForcedSingularCovariance(t *testing.T) {
 	defer faultinject.Reset()
 	rng := rand.New(rand.NewSource(13))
@@ -206,6 +208,12 @@ func TestForcedSingularCovariance(t *testing.T) {
 		t.Fatalf("30-point clusters in 3-D should be healthy: %+v", s.Health())
 	}
 	faultinject.Set(faultinject.SingularCovariance, nil)
+	if res := s.Results(10); len(res) != 10 || s.Health().Degraded() {
+		t.Fatalf("reused page: %d results, health %+v; want 10 and no rebuild", len(res), s.Health())
+	}
+	if err := s.MarkRelevant([]Point{{ID: 30, Vec: db.Vector(30), Score: 3}}); err != nil {
+		t.Fatal(err)
+	}
 	if res := s.Results(10); len(res) != 10 {
 		t.Fatalf("forced-singular results = %d", len(res))
 	}

@@ -1,6 +1,8 @@
 package qcluster
 
 import (
+	"context"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -56,9 +58,15 @@ func TestPanicBarrierNonContextForms(t *testing.T) {
 	if res := sess.Results(5); res != nil {
 		t.Fatalf("Session.Results under a trapped panic returned %d results, want nil", len(res))
 	}
+	// The exported SessionSearcher method keeps execute's barrier: a
+	// caller outside a Session has no barrier of its own.
+	var ie *InternalError
+	if _, _, _, err := db.SearchMetric(context.Background(), EuclideanMetric(db.Vector(0)), 5); !errors.As(err, &ie) {
+		t.Fatalf("SearchMetric under a trapped panic: err = %v, want *InternalError", err)
+	}
 	faultinject.Clear(faultinject.KNNPop)
-	if got := searchErrors(); got != 3 {
-		t.Fatalf("search.errors = %d after three trapped panics, want 3", got)
+	if got := searchErrors(); got != 4 {
+		t.Fatalf("search.errors = %d after four trapped panics, want 4", got)
 	}
 	if st := sess.Stats(); st.Searches != 0 {
 		t.Fatalf("session counted %d searches, none completed", st.Searches)
@@ -70,8 +78,8 @@ func TestPanicBarrierNonContextForms(t *testing.T) {
 	if res := sess.Results(5); len(res) != 5 {
 		t.Fatalf("session unusable after a trapped panic: %d results", len(res))
 	}
-	if got := searchErrors(); got != 3 {
-		t.Fatalf("search.errors = %d after healthy searches, want it to stay 3", got)
+	if got := searchErrors(); got != 4 {
+		t.Fatalf("search.errors = %d after healthy searches, want it to stay 4", got)
 	}
 }
 

@@ -37,5 +37,6 @@ func EuclideanMetric(example []float64) distance.Metric {
 // the context error. The leg feeds only this shard database's registry;
 // the request's cost profile is the gather's to fill.
 func (db *Database) SearchLeg(ctx context.Context, m distance.Metric, k int, sb *index.SharedBound) ([]Result, index.SearchStats, error) {
-	return db.execute(ctx, searchRequest{op: "SearchLeg", metric: m, k: k, bound: sb, leg: true})
+	res, stats, _, err := db.execute(ctx, searchRequest{op: "SearchLeg", metric: m, k: k, bound: sb, leg: true})
+	return res, stats, err
 }
