@@ -338,10 +338,12 @@ const mix16Cats, mix16PerCat, mix16Seed = 1000, 64, 16
 // GOMAXPROCS: Euclidean queries over random collections on a dim ∈
 // {8, 32} × N ∈ {10k, 100k} grid, plus a cell shaped like the benchmark's
 // mix16 workloads (64k 16-d vectors in 64-point clusters, full-inverse
-// queries, k = 100). Each cell reports the share of its searches that
-// finished as a sweep beside exact-evals per search, so the regime
-// boundary shows in one run. CI runs this with -benchtime=1x as a smoke
-// test.
+// queries, k = 100), the same store under first-page Euclidean queries
+// (-euclid), and both over the vectors with shuffled ids (-shuffled, where
+// no storage block can be skipped). Each cell reports the share of its
+// searches that finished as a sweep beside exact-evals and skipped-evals
+// per search, so the regime boundary shows in one run. CI runs this with
+// -benchtime=1x as a smoke test.
 func BenchmarkKNN(b *testing.B) {
 	const k = 100
 	type cell struct {
@@ -380,7 +382,23 @@ func BenchmarkKNN(b *testing.B) {
 			// cluster (core.MetricInfo), never with a bare *Quadratic.
 			metrics[i] = fullEq5(cluster.FromPoints(pts))
 		}
-		cells = append(cells, cell{"dim16/n64k", store, metrics})
+		// A session's first page: Euclidean at a stored vector.
+		euclid := make([]distance.Metric, 16)
+		for i := range euclid {
+			euclid[i] = &distance.Euclidean{Center: store.Vector(rng.Intn(store.Len()))}
+		}
+		// The control: the same vectors under shuffled ids, so no 64-row
+		// storage block holds one cluster and no block box can be skipped.
+		shuffled := make([]linalg.Vector, len(vecs))
+		for i, p := range rng.Perm(len(vecs)) {
+			shuffled[p] = vecs[i]
+		}
+		shuffledStore := mustStore(b, shuffled)
+		cells = append(cells,
+			cell{"dim16/n64k", store, metrics},
+			cell{"dim16/n64k-euclid", store, euclid},
+			cell{"dim16/n64k-shuffled", shuffledStore, metrics},
+			cell{"dim16/n64k-euclid-shuffled", shuffledStore, euclid})
 	}
 	for _, c := range cells {
 		modes := []struct {
@@ -399,6 +417,7 @@ func BenchmarkKNN(b *testing.B) {
 				}
 				b.ReportMetric(float64(total.DistanceEvals)/float64(b.N), "exact-evals")
 				b.ReportMetric(float64(total.Swept)/float64(b.N), "swept")
+				b.ReportMetric(float64(total.SkippedEvals)/float64(b.N), "skipped-evals")
 			})
 		}
 	}

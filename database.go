@@ -556,6 +556,7 @@ func (s *Session) emitDone(key pageKey, res []Result, elapsed time.Duration, sta
 		obs.F("refined", key.model > 0),
 		obs.F("latency_ms", elapsed.Seconds()*1e3),
 		obs.F("leaves_visited", stats.LeavesVisited),
+		obs.F("skipped_evals", stats.SkippedEvals),
 		obs.F("prune_ratio", stats.PruneRatio()),
 		obs.F("partial", partial),
 		obs.F("reused", reused))

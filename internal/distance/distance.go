@@ -48,18 +48,68 @@ func (e *Euclidean) Dim() int { return e.Center.Dim() }
 // LowerBound returns the exact squared distance from the rectangle to the
 // center (MINDIST).
 func (e *Euclidean) LowerBound(lo, hi linalg.Vector) float64 {
-	center := e.Center
-	_, _ = lo[len(center)-1], hi[len(center)-1] // hoist bounds checks
+	return boxDist2(e.Center, lo, hi)
+}
+
+// boxDist2 is the squared distance from c to the box [lo, hi]: Σ d_i²
+// with d_i = max(lo_i − c_i, c_i − hi_i, 0), which compiles to no
+// branch. It adds its terms in the Euclidean row kernel's order —
+// eight-term chunks summed as a balanced tree, then the tail one by one —
+// so for every x in the box each term, and hence the sum, is at most
+// what evalRowBound computes for x in floating point, not only in real
+// arithmetic: rounding is monotone and |x_i − c_i| ≥ d_i. A swept search
+// skips a whole storage block on this bound without evaluating its rows,
+// so a bound an ulp over a row's distance would lose the row.
+func boxDist2(c, lo, hi linalg.Vector) float64 {
+	lo, hi = lo[:len(c)], hi[:len(c)] // equal lengths let the compiler drop the checks
 	var s float64
-	for i, c := range center {
-		switch {
-		case c < lo[i]:
-			d := lo[i] - c
-			s += d * d
-		case c > hi[i]:
-			d := c - hi[i]
-			s += d * d
-		}
+	i := 0
+	for ; i+abandonChunk <= len(c); i += abandonChunk {
+		cs := c[i : i+abandonChunk : i+abandonChunk]
+		ls := lo[i : i+abandonChunk : i+abandonChunk]
+		hs := hi[i : i+abandonChunk : i+abandonChunk]
+		d0 := max(ls[0]-cs[0], cs[0]-hs[0], 0)
+		d1 := max(ls[1]-cs[1], cs[1]-hs[1], 0)
+		d2 := max(ls[2]-cs[2], cs[2]-hs[2], 0)
+		d3 := max(ls[3]-cs[3], cs[3]-hs[3], 0)
+		d4 := max(ls[4]-cs[4], cs[4]-hs[4], 0)
+		d5 := max(ls[5]-cs[5], cs[5]-hs[5], 0)
+		d6 := max(ls[6]-cs[6], cs[6]-hs[6], 0)
+		d7 := max(ls[7]-cs[7], cs[7]-hs[7], 0)
+		s += ((d0*d0 + d1*d1) + (d2*d2 + d3*d3)) + ((d4*d4 + d5*d5) + (d6*d6 + d7*d7))
+	}
+	for ; i < len(c); i++ {
+		d := max(lo[i]-c[i], c[i]-hi[i], 0)
+		s += d * d
+	}
+	return s
+}
+
+// boxDist2W is boxDist2 with axis i weighted by w_i, in the diagonal
+// quadratic row kernel's order: Σ d_i²·w_i.
+func boxDist2W(c, w, lo, hi linalg.Vector) float64 {
+	w, lo, hi = w[:len(c)], lo[:len(c)], hi[:len(c)]
+	var s float64
+	i := 0
+	for ; i+abandonChunk <= len(c); i += abandonChunk {
+		cs := c[i : i+abandonChunk : i+abandonChunk]
+		ws := w[i : i+abandonChunk : i+abandonChunk]
+		ls := lo[i : i+abandonChunk : i+abandonChunk]
+		hs := hi[i : i+abandonChunk : i+abandonChunk]
+		d0 := max(ls[0]-cs[0], cs[0]-hs[0], 0)
+		d1 := max(ls[1]-cs[1], cs[1]-hs[1], 0)
+		d2 := max(ls[2]-cs[2], cs[2]-hs[2], 0)
+		d3 := max(ls[3]-cs[3], cs[3]-hs[3], 0)
+		d4 := max(ls[4]-cs[4], cs[4]-hs[4], 0)
+		d5 := max(ls[5]-cs[5], cs[5]-hs[5], 0)
+		d6 := max(ls[6]-cs[6], cs[6]-hs[6], 0)
+		d7 := max(ls[7]-cs[7], cs[7]-hs[7], 0)
+		s += ((d0*d0*ws[0] + d1*d1*ws[1]) + (d2*d2*ws[2] + d3*d3*ws[3])) +
+			((d4*d4*ws[4] + d5*d5*ws[5]) + (d6*d6*ws[6] + d7*d7*ws[7]))
+	}
+	for ; i < len(c); i++ {
+		d := max(lo[i]-c[i], c[i]-hi[i], 0)
+		s += d * d * w[i]
 	}
 	return s
 }
@@ -144,35 +194,9 @@ func (q *Quadratic) Eval(x linalg.Vector) float64 {
 // bound since (x-c)'W(x-c) >= λ_min ||x-c||².
 func (q *Quadratic) LowerBound(lo, hi linalg.Vector) float64 {
 	if q.invDiag != nil {
-		center, w := q.Center, q.invDiag
-		_, _, _ = lo[len(center)-1], hi[len(center)-1], w[len(center)-1] // hoist bounds checks
-		var s float64
-		for i, c := range center {
-			var d float64
-			switch {
-			case c < lo[i]:
-				d = lo[i] - c
-			case c > hi[i]:
-				d = c - hi[i]
-			}
-			s += d * d * w[i]
-		}
-		return s
+		return boxDist2W(q.Center, q.invDiag, lo, hi)
 	}
-	center := q.Center
-	_, _ = lo[len(center)-1], hi[len(center)-1] // hoist bounds checks
-	var s float64
-	for i, c := range center {
-		switch {
-		case c < lo[i]:
-			d := lo[i] - c
-			s += d * d
-		case c > hi[i]:
-			d := c - hi[i]
-			s += d * d
-		}
-	}
-	return q.lambda * s
+	return q.lambda * boxDist2(q.Center, lo, hi)
 }
 
 // Disjunctive is the paper's aggregate distance (Eq. 5):

@@ -1,11 +1,11 @@
 package distance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cluster"
 	"repro/internal/linalg"
@@ -52,53 +52,208 @@ func TestQuadraticFullMatchesDirect(t *testing.T) {
 	}
 }
 
-// Property: the rectangle lower bound never exceeds Eval at any sampled
-// point inside the rectangle — for every metric family.
+// Property: the rectangle lower bound never exceeds Eval anywhere in
+// the rectangle, in floating point — a swept search skips a storage
+// block on it without evaluating its rows, and the tree prunes a node on
+// it, so a bound one ulp over a row's distance loses that row. The cases
+// are generated over dims 1–48 (lowerBoundMetrics, lowerBoundBox), and
+// each box is probed where the bound is tight: its corners (every one up
+// to dim 10, 256 drawn above), every face midpoint, the point of the box
+// nearest each center, and interior samples.
 func TestPropLowerBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	metrics := func(r *rand.Rand) []Metric {
-		center := linalg.Vector{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
-		invd := linalg.Vector{0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64()}
-		a := linalg.Identity(3)
-		for i := range a.Data {
-			a.Data[i] += 0.3 * r.NormFloat64()
-		}
-		spd := a.Mul(a.T())
-		c2 := linalg.Vector{r.NormFloat64() * 2, r.NormFloat64() * 2, r.NormFloat64() * 2}
-		qd := NewQuadraticDiag(center, invd)
-		qf := NewQuadraticFull(c2, spd)
-		return []Metric{
-			&Euclidean{Center: center},
-			qd,
-			qf,
-			NewDisjunctive([]*Quadratic{qd, qf}, []float64{2, 3}),
-			NewAggregate([]Metric{&Euclidean{Center: center}, &Euclidean{Center: c2}}, -2),
-			NewAggregate([]Metric{&Euclidean{Center: center}, &Euclidean{Center: c2}}, 1),
-		}
+	boxes := 6
+	if testing.Short() {
+		boxes = 2
 	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		lo := linalg.Vector{r.NormFloat64() * 2, r.NormFloat64() * 2, r.NormFloat64() * 2}
-		hi := lo.Clone()
-		for i := range hi {
-			hi[i] += r.Float64() * 3
-		}
-		for _, m := range metrics(r) {
-			lb := m.LowerBound(lo, hi)
-			for s := 0; s < 30; s++ {
-				x := make(linalg.Vector, 3)
-				for i := range x {
-					x[i] = lo[i] + r.Float64()*(hi[i]-lo[i])
-				}
-				if ev := m.Eval(x); ev < lb-1e-9*(1+math.Abs(ev)) {
-					return false
-				}
+	for dim := 1; dim <= 48; dim++ {
+		for b := 0; b < boxes; b++ {
+			ms := lowerBoundMetrics(rng, dim)
+			lo, hi := lowerBoundBox(rng, ms)
+			for name, m := range ms {
+				checkLowerBound(t, fmt.Sprintf("dim %d box %d %s", dim, b, name), m, lo, hi, rng)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
-		t.Error(err)
+}
+
+// FuzzLowerBound is TestPropLowerBoundSound over fuzzer-chosen seeds,
+// dims and box scales (a CI smoke step).
+func FuzzLowerBound(f *testing.F) {
+	f.Add(int64(1), uint8(3), 1.0)
+	f.Add(int64(2), uint8(16), 0.0)
+	f.Add(int64(3), uint8(47), 1e3)
+	f.Add(int64(4), uint8(8), 1e-6)
+	f.Fuzz(func(t *testing.T, seed int64, dim8 uint8, width float64) {
+		if math.IsNaN(width) || math.IsInf(width, 0) || math.Abs(width) > 1e100 {
+			t.Skip()
+		}
+		dim := int(dim8)%48 + 1
+		rng := rand.New(rand.NewSource(seed))
+		ms := lowerBoundMetrics(rng, dim)
+		lo, hi := lowerBoundBox(rng, ms)
+		for i := range hi {
+			hi[i] += math.Abs(width) * rng.Float64()
+		}
+		for name, m := range ms {
+			checkLowerBound(t, name, m, lo, hi, rng)
+		}
+	})
+}
+
+// lowerBoundMetrics draws every metric family a search bounds boxes with
+// at dimension dim: Euclidean; both quadratic schemes over a well-
+// conditioned weight and over a floored or regularised covariance (a
+// cluster flat along some axes, as a session's young clusters are); the
+// served Eq. 5 metric over those clusters; Eq. 5 over 1–5 mixed parts
+// with unequal weights; and the α-mean aggregates.
+func lowerBoundMetrics(rng *rand.Rand, dim int) map[string]Metric {
+	invDiag := make(linalg.Vector, dim)
+	for i := range invDiag {
+		invDiag[i] = math.Pow(10, 4*rng.Float64()-2)
+	}
+	parts := []*Quadratic{
+		NewQuadraticDiag(randVec(rng, dim, 2), invDiag),
+		NewQuadraticFull(randVec(rng, dim, 2), randSPDMatrix(rng, dim, 0.5)),
+	}
+	var cs []*cluster.Cluster
+	for range 2 {
+		c := flatCluster(rng, dim)
+		cov := c.SampleCov()
+		inv, floored := cluster.InverseDiagOfInfo(cov)
+		w, regularised := cluster.InverseOfInfo(cov, cluster.FullInverse)
+		if !floored || !regularised {
+			panic("lowerBoundMetrics: a flat cluster's covariance was not degraded")
+		}
+		parts = append(parts, NewQuadraticDiag(c.Mean, inv), NewQuadraticFull(c.Mean, w))
+		cs = append(cs, c)
+	}
+	ms := map[string]Metric{
+		"euclidean":          &Euclidean{Center: randVec(rng, dim, 2)},
+		"quad-diag":          parts[0],
+		"quad-full":          parts[1],
+		"quad-diag-floored":  parts[2],
+		"quad-full-regular":  parts[3],
+		"aggregate-2":        NewAggregate([]Metric{parts[0], &Euclidean{Center: randVec(rng, dim, 2)}}, -2),
+		"aggregate-1":        NewAggregate([]Metric{parts[1], parts[2]}, 1),
+		"aggregate-neg-half": NewAggregate([]Metric{parts[3], parts[4]}, -0.5),
+	}
+	for _, scheme := range []cluster.Scheme{cluster.Diagonal, cluster.FullInverse} {
+		m, _ := FromClustersShrunkInfo(cs, scheme, float64(dim+1))
+		ms["eq5-"+scheme.String()] = m
+	}
+	for n := 1; n <= 5; n++ {
+		ps := make([]*Quadratic, n)
+		ws := make([]float64, n)
+		for i := range ps {
+			ps[i] = parts[rng.Intn(len(parts))]
+			ws[i] = 0.1 + 5*rng.Float64()
+		}
+		ms[fmt.Sprintf("disjunctive-%d", n)] = NewDisjunctive(ps, ws)
+	}
+	return ms
+}
+
+// flatCluster is a cluster of 2–dim+1 points that share their
+// coordinate on at least one axis, so its sample covariance is singular
+// and both schemes take their fallback.
+func flatCluster(rng *rand.Rand, dim int) *cluster.Cluster {
+	base := randVec(rng, dim, 3)
+	flat := make([]bool, dim)
+	flat[rng.Intn(dim)] = true
+	for i := range flat {
+		flat[i] = flat[i] || rng.Intn(4) == 0
+	}
+	pts := make([]cluster.Point, 2+rng.Intn(dim))
+	for j := range pts {
+		v := base.Add(randVec(rng, dim, 0.5))
+		for i, f := range flat {
+			if f {
+				v[i] = base[i]
+			}
+		}
+		pts[j] = cluster.Point{ID: j, Vec: v, Score: 1}
+	}
+	return cluster.FromPoints(pts)
+}
+
+// lowerBoundBox draws a box around a point near one of the metrics'
+// centers, so a center lies inside it on some axes and outside on the
+// rest; an axis is zero-width one time in eight, as in a block whose
+// rows share a coordinate.
+func lowerBoundBox(rng *rand.Rand, ms map[string]Metric) (lo, hi linalg.Vector) {
+	var centers []linalg.Vector
+	for _, m := range ms {
+		centers = append(centers, Centers(m)...)
+	}
+	at := centers[rng.Intn(len(centers))]
+	lo, hi = make(linalg.Vector, len(at)), make(linalg.Vector, len(at))
+	for i, c := range at {
+		lo[i] = c + rng.NormFloat64()*2
+		hi[i] = lo[i]
+		if rng.Intn(8) != 0 {
+			hi[i] += rng.ExpFloat64()
+		}
+	}
+	return lo, hi
+}
+
+// checkLowerBound fails unless m.Eval(x) >= m.LowerBound(lo, hi) at the
+// box's corners, face midpoints, nearest points to m's centers and 30
+// interior samples.
+func checkLowerBound(t *testing.T, name string, m Metric, lo, hi linalg.Vector, rng *rand.Rand) {
+	t.Helper()
+	lb := m.LowerBound(lo, hi)
+	dim := len(lo)
+	check := func(what string, x linalg.Vector) {
+		t.Helper()
+		if ev := m.Eval(x); !(ev >= lb) {
+			t.Fatalf("%s: Eval at %s = %v < LowerBound %v (x=%v lo=%v hi=%v)", name, what, ev, lb, x, lo, hi)
+		}
+	}
+	x := make(linalg.Vector, dim)
+	if dim <= 10 {
+		for mask := 0; mask < 1<<dim; mask++ {
+			for i := range x {
+				x[i] = lo[i]
+				if mask>>i&1 == 1 {
+					x[i] = hi[i]
+				}
+			}
+			check("corner", x)
+		}
+	} else {
+		for range 256 {
+			for i := range x {
+				x[i] = lo[i]
+				if rng.Intn(2) == 1 {
+					x[i] = hi[i]
+				}
+			}
+			check("corner", x)
+		}
+	}
+	for f := 0; f < 2*dim; f++ {
+		for i := range x {
+			x[i] = lo[i] + (hi[i]-lo[i])/2
+		}
+		x[f/2] = lo[f/2]
+		if f%2 == 1 {
+			x[f/2] = hi[f/2]
+		}
+		check("face midpoint", x)
+	}
+	for _, c := range Centers(m) {
+		for i := range x {
+			x[i] = min(max(c[i], lo[i]), hi[i])
+		}
+		check("nearest point", x)
+	}
+	for range 30 {
+		for i := range x {
+			x[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+		}
+		check("interior sample", x)
 	}
 }
 

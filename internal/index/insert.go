@@ -14,7 +14,8 @@ import (
 // the new vector automatically — call the index's Insert with the
 // returned id. A grow may reallocate the block; subslices handed out
 // earlier by Vector stay valid (they alias the old block, whose contents
-// are never mutated).
+// are never mutated). The vector widens the box of the store's last
+// block, or opens a new block.
 func (s *Store) Append(v linalg.Vector) (int, error) {
 	if v.Dim() != s.dim {
 		return 0, fmt.Errorf("index: append dim %d, store has %d", v.Dim(), s.dim)
@@ -26,6 +27,7 @@ func (s *Store) Append(v linalg.Vector) (int, error) {
 	}
 	s.data = append(s.data, v...)
 	s.n++
+	s.widenBoxes(s.n - 1)
 	return s.n - 1, nil
 }
 

@@ -16,15 +16,25 @@ import (
 	"repro/internal/obs"
 )
 
+// blockRows is the row count of one storage block: the store keeps the
+// bounding box of every blockRows consecutive vectors, and a swept
+// search skips a block whose box is provably past its k-th best. A
+// divisor of sweepChunk, so a sweep's chunks are whole blocks. Smaller
+// blocks skip more of a clustered store but pay more box checks where
+// nothing skips.
+const blockRows = 64
+
 // Store is an append-only in-memory feature-vector database. Vector i
 // belongs to image/object i. All vectors live in one contiguous
 // []float64 block, so leaf scans walk memory sequentially instead of
-// chasing per-vector pointers. It does no internal locking — the public
-// Database layer serializes Append against readers.
+// chasing per-vector pointers. Beside it the store keeps one bounding
+// box per blockRows rows in storage order. It does no internal locking —
+// the public Database layer serializes Append against readers.
 type Store struct {
-	data []float64 // n*dim components, vector i at [i*dim, (i+1)*dim)
-	dim  int
-	n    int
+	data  []float64 // n*dim components, vector i at [i*dim, (i+1)*dim)
+	boxes []float64 // 2*dim per block: block b's lo at [2b*dim, (2b+1)*dim), its hi after
+	dim   int
+	n     int
 }
 
 // NewStore copies the given vectors into one contiguous block. All
@@ -50,13 +60,50 @@ func NewStore(vecs []linalg.Vector) (*Store, error) {
 	for _, v := range vecs {
 		data = append(data, v...)
 	}
-	return &Store{data: data, dim: dim, n: len(vecs)}, nil
+	return buildStore(data, dim), nil
+}
+
+// buildStore wraps a validated block and builds its block boxes.
+func buildStore(data []float64, dim int) *Store {
+	n := len(data) / dim
+	s := &Store{data: data, dim: dim, n: n}
+	s.boxes = make([]float64, 0, (n+blockRows-1)/blockRows*2*dim)
+	s.widenBoxes(0)
+	return s
+}
+
+// widenBoxes folds rows [from, n) into the block boxes: a row that
+// starts a block opens its box, any other widens the box of the block
+// it ends.
+func (s *Store) widenBoxes(from int) {
+	dim := s.dim
+	for id := from; id < s.n; id++ {
+		row := s.data[id*dim : (id+1)*dim]
+		if id%blockRows == 0 {
+			s.boxes = append(s.boxes, row...)
+			s.boxes = append(s.boxes, row...)
+			continue
+		}
+		box := s.boxes[len(s.boxes)-2*dim:]
+		lo, hi := box[:dim], box[dim:]
+		for d, x := range row {
+			lo[d] = min(lo[d], x)
+			hi[d] = max(hi[d], x)
+		}
+	}
+}
+
+// blockBox returns the bounding box of block b, rows [b*blockRows,
+// min((b+1)*blockRows, n)), aliased: treat as read-only.
+func (s *Store) blockBox(b int) (lo, hi linalg.Vector) {
+	off := 2 * b * s.dim
+	return s.boxes[off : off+s.dim : off+s.dim], s.boxes[off+s.dim : off+2*s.dim : off+2*s.dim]
 }
 
 // NewStoreFlat wraps an already-contiguous component block (row-major,
 // one vector per dim components) without copying. len(data) must be a
 // positive multiple of dim and every component finite. The slice is
-// retained.
+// retained; the block boxes are built beside it.
 func NewStoreFlat(data []float64, dim int) (*Store, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("index: non-positive dim %d", dim)
@@ -69,7 +116,7 @@ func NewStoreFlat(data []float64, dim int) (*Store, error) {
 			return nil, fmt.Errorf("index: vector %d component %d is not finite", i/dim, i%dim)
 		}
 	}
-	return &Store{data: data, dim: dim, n: len(data) / dim}, nil
+	return buildStore(data, dim), nil
 }
 
 // Len returns the number of vectors.

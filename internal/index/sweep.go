@@ -25,8 +25,10 @@ const (
 	sweepCheckLeaves = 8
 	sweepCheckShare  = 32
 	// sweepChunk is the id range one worker takes from the cursor at a
-	// time: the pruning bound is re-read, and ctx checked, between chunks.
-	sweepChunk = 256
+	// time, ctx checked and the shared bound tightened between chunks: a
+	// whole number of storage blocks (blockRows), since chunks start at
+	// multiples of it.
+	sweepChunk = 4 * blockRows
 )
 
 // resolveParallelism maps the TreeOptions knob to a worker count:
@@ -99,12 +101,17 @@ func (t *HybridTree) sweepPays(q nodeQueue, bound float64) bool {
 // once, in storage order, through the metric's batch kernel straight
 // over the store's block (scalar Eval for metrics without one) into a
 // fresh result heap per worker. Workers take chunks from an atomic
-// cursor and abandon against min(own k-th best, shared bound), the
-// shared bound being the caller's ext or a new one seeded with the
-// probe's. Both are upper bounds of the final k-th best and abandonment
-// is strict, so the heaps merged by (Dist, ID) are the linear scan's
-// answer bit for bit. An interrupted sweep returns what it and the probe
-// found, plus ctx.Err().
+// cursor and check them one storage block at a time against bound =
+// min(own k-th best, shared bound), the shared bound being the caller's
+// ext or a new one seeded with the probe's. Both are upper bounds of the
+// final k-th best. Once bound is armed (under the heap sentinel, where
+// the kernel's abandonment also switches on) a block whose box lower
+// bound exceeds it is skipped whole: each of its rows has Eval ≥ that
+// lower bound > bound. Every other block goes through the kernel, whose
+// abandonment is strict too, so the heaps merged by (Dist, ID) are the
+// linear scan's answer bit for bit. An unarmed bound — a heap still
+// filling, distances that overflowed to +Inf — skips nothing. An
+// interrupted sweep returns what it and the probe found, plus ctx.Err().
 func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *resultHeap, ext *SharedBound, stats *SearchStats) ([]Result, error) {
 	n := t.store.Len()
 	shared := ext
@@ -117,11 +124,25 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 		workers = t.parallelism
 	}
 	type part struct {
-		h                *resultHeap
-		evals, abandoned int
+		h                           *resultHeap
+		reached, skipped, abandoned int
 	}
 	parts := make([]part, workers)
 	var cursor atomic.Int64
+	// eval offers the rows [first, last) to p's heap, abandoning against
+	// bound.
+	eval := func(p *part, be *batchEvaluator, first, last int, bound float64) {
+		if first == last {
+			return
+		}
+		if be != nil {
+			p.abandoned += be.evalRange(first, last, bound, p.h)
+			return
+		}
+		for id := first; id < last; id++ {
+			p.h.offer(Result{ID: id, Dist: m.Eval(t.store.Vector(id))})
+		}
+	}
 	work := func(p *part) {
 		p.h = newResultHeap(probe.k)
 		be := newBatchEvaluator(m, t.store) // scratch buffers are per-goroutine
@@ -132,15 +153,26 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 				return
 			}
 			hi := min(lo+sweepChunk, n)
-			if be != nil {
-				p.abandoned += be.evalRange(lo, hi, min(p.h.bound(), shared.Load()), p.h)
-			} else {
-				for id := lo; id < hi; id++ {
-					p.h.offer(Result{ID: id, Dist: m.Eval(t.store.Vector(id))})
+			// Blocks that are not skipped go through the kernel in one call
+			// per run of them, as a whole chunk does when none is: a call
+			// per block pays the full-scheme kernel's per-call setup and its
+			// point-filter gates' warm-up four times as often (≈7 % of a
+			// sweep where no block skips, in a CPU profile).
+			run := lo
+			for first := lo; first < hi; first += blockRows {
+				last := min(first+blockRows, hi)
+				bound := min(p.h.bound(), shared.Load())
+				if bound < inf {
+					if blo, bhi := t.store.blockBox(first / blockRows); m.LowerBound(blo, bhi) > bound {
+						eval(p, be, run, first, bound)
+						p.skipped += last - first
+						run = last
+					}
 				}
 			}
+			eval(p, be, run, hi, min(p.h.bound(), shared.Load()))
 			shared.Tighten(p.h.bound())
-			p.evals += hi - lo
+			p.reached += hi - lo
 		}
 	}
 	var wg sync.WaitGroup
@@ -154,21 +186,24 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 	work(&parts[0])
 	wg.Wait()
 
-	h, done, abandoned := parts[0].h, parts[0].evals, parts[0].abandoned
+	h, reached, skipped, abandoned := parts[0].h, parts[0].reached, parts[0].skipped, parts[0].abandoned
 	for _, p := range parts[1:] {
 		h.merge(p.h)
-		done += p.evals
+		reached += p.reached
+		skipped += p.skipped
 		abandoned += p.abandoned
 	}
+	evals := reached - skipped
 	stats.Swept = 1
 	stats.Workers = workers
 	stats.LeavesVisited = stats.LeavesTotal
-	stats.DistanceEvals += done
+	stats.DistanceEvals += evals
 	if _, batched := m.(distance.BatchMetric); batched {
-		stats.BatchedEvals += done
+		stats.BatchedEvals += evals
 	}
 	stats.AbandonedEvals += abandoned
-	if done == n {
+	stats.SkippedEvals += skipped
+	if reached == n {
 		return h.sorted(), nil
 	}
 	// Interrupted: the probe's results stand for the ids not reached.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -50,87 +51,243 @@ func sweepMetrics(rng *rand.Rand, dim int) map[string]distance.Metric {
 }
 
 // Whatever the collection, metric family, k, worker count and seeding —
-// and whether the search ends in the tree or as a sweep — every page
-// must be the linear scan's, bit for bit. The cases are generated: n,
-// dim, leaf size and the query are drawn per trial, 1 or 4 workers per
-// case, and k spans 1, a page, an unfilled heap at the frontier check,
-// k = n and k > n.
+// whether the search ends in the tree or as a sweep, and whether the
+// sweep skips storage blocks or not — every page must be the linear
+// scan's, bit for bit. The cases are generated: n, dim, leaf size and the
+// queries are drawn per trial, 1 or 4 workers per case, and k spans 1, a
+// page, an unfilled heap at the frontier check, k = n and k > n. Each
+// trial lays its vectors out three ways: Gaussian noise, a synth.Mixture
+// stored category by category (whose blocks a sweep skips) and the same
+// mixture shuffled (whose blocks it cannot). Between two rounds of
+// searches 1–70 vectors are appended, into a partial tail block, to the
+// store and to the two half stores searched under one shared bound.
 func TestSweepMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(240))
-	trials := 16
+	trials := 4
 	if testing.Short() {
-		trials = 4
+		trials = 1
 	}
-	swept, stayed := 0, 0
+	var c sweepCounts
+	skippedBy := map[string]int{}
 	for trial := 0; trial < trials; trial++ {
-		n := 150 + rng.Intn(1350)
 		dim := 2 + rng.Intn(23)
-		s := newStore(synth.Gaussian[linalg.Vector](rng, n, dim, 3))
-		tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 256 << rng.Intn(5)})
-		scan := NewLinearScan(s)
-		// The same collection as two trees under one shared bound: even
-		// ids in one store, odd in the other.
-		halves, globals := splitStore(t, s)
-		for name, m := range sweepMetrics(rng, dim) {
-			for _, k := range []int{1, 1 + rng.Intn(100), n / 2, n, n + 7} {
-				want, _ := scan.KNN(m, k)
-				{
-					workers := 1 + 3*rng.Intn(2)
-					label := fmt.Sprintf("trial %d n=%d dim=%d %s k=%d workers=%d", trial, n, dim, name, k, workers)
-					view := forceParallel(tree, workers)
-
-					got, stats := view.KNN(m, k)
-					assertSameKNN(t, label, want, got)
-					if stats.Swept == 1 {
-						swept++
-						if stats.LeavesVisited != stats.LeavesTotal || stats.PruneRatio() != 0 {
-							t.Fatalf("%s: swept search reports %d of %d leaves", label, stats.LeavesVisited, stats.LeavesTotal)
-						}
-						if probe := stats.DistanceEvals - n; probe <= 0 || probe > probeEvals(tree) {
-							t.Fatalf("%s: swept search reports %d evals, want n=%d plus a probe of at most %d",
-								label, stats.DistanceEvals, n, probeEvals(tree))
-						}
-					} else {
-						stayed++
-						if stats.DistanceEvals > n {
-							t.Fatalf("%s: tree search evaluated %d of %d vectors", label, stats.DistanceEvals, n)
-						}
-					}
-
-					// Seeded: the second search starts from the first's leaves.
-					ref := NewRefinementSearcher(view)
-					ref.KNN(m, k)
-					got, _ = ref.KNN(m, k)
-					assertSameKNN(t, label+" seeded", want, got)
-
-					// Two trees searched at once under one bound, merged by
-					// (Dist, global id).
-					sb := NewSharedBound()
-					var legs [2][]Result
-					var wg sync.WaitGroup
-					for i, half := range halves {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							legs[i], _, _ = forceParallel(half, workers).KNNSharedContext(context.Background(), m, k, sb)
-						}()
-					}
-					wg.Wait()
-					var merged []Result
-					for i, leg := range legs {
-						for _, r := range leg {
-							merged = append(merged, Result{ID: globals[i][r.ID], Dist: r.Dist})
-						}
-					}
-					sortResults(merged)
-					assertSameKNN(t, label+" shared", want, merged[:min(k, len(merged))])
+		perCat := 16 + rng.Intn(80)
+		mixture, _ := synth.Mixture[linalg.Vector](rng, 150/perCat+rng.Intn(1350/perCat), perCat, dim, 5)
+		n := len(mixture)
+		shuffled := make([]linalg.Vector, n)
+		for i, p := range rng.Perm(n) {
+			shuffled[p] = mixture[i]
+		}
+		layouts := []struct {
+			name string
+			vecs []linalg.Vector
+		}{
+			{"gaussian", synth.Gaussian[linalg.Vector](rng, n, dim, 3)},
+			{"mixture", mixture},
+			{"shuffled", shuffled},
+		}
+		nodeSize := 256 << rng.Intn(5)
+		for _, layout := range layouts {
+			s := newStore(layout.vecs)
+			tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: nodeSize})
+			// The same collection as two trees under one shared bound: even
+			// ids in one store, odd in the other.
+			halves, globals := splitStore(t, s)
+			ms := sweepMetrics(rng, dim)
+			ms["euclidean-at-row"] = euclid(s.Vector(rng.Intn(n)).Clone())
+			for round := 0; round < 2; round++ {
+				label := fmt.Sprintf("trial %d %s n=%d dim=%d round %d", trial, layout.name, s.Len(), dim, round)
+				skipped := checkSweepPages(t, rng, label, tree, halves, globals, ms, &c)
+				skippedBy[layout.name] += skipped
+				for range 1 + rng.Intn(70) {
+					appendRow(t, rng, tree, halves, &globals, s.Vector(rng.Intn(s.Len())))
 				}
+				checkBlockBoxes(t, label, s)
 			}
 		}
 	}
-	t.Logf("%d searches swept, %d stayed in the tree", swept, stayed)
-	if swept == 0 || stayed == 0 {
-		t.Fatalf("generator covered one regime only: %d swept, %d stayed in the tree", swept, stayed)
+	t.Logf("%d searches swept, %d stayed in the tree; rows skipped by layout: %v", c.swept, c.stayed, skippedBy)
+	if c.swept == 0 || c.stayed == 0 {
+		t.Fatalf("generator covered one regime only: %d swept, %d stayed in the tree", c.swept, c.stayed)
+	}
+	if skippedBy["mixture"] == 0 {
+		t.Fatal("no sweep over a category-ordered store skipped a block")
+	}
+}
+
+type sweepCounts struct{ swept, stayed int }
+
+// checkSweepPages runs every metric of ms at five k against the tree —
+// unseeded, seeded from its own leaves, and as two half trees under one
+// shared bound — and fails unless each page is the linear scan's. It
+// returns the rows the unseeded searches skipped.
+func checkSweepPages(t *testing.T, rng *rand.Rand, label string, tree *HybridTree, halves [2]*HybridTree, globals [2][]int, ms map[string]distance.Metric, c *sweepCounts) (skipped int) {
+	t.Helper()
+	n := tree.store.Len()
+	scan := NewLinearScan(tree.store)
+	for name, m := range ms {
+		for _, k := range []int{1, 1 + rng.Intn(100), n / 2, n, n + 7} {
+			want, _ := scan.KNN(m, k)
+			workers := 1 + 3*rng.Intn(2)
+			label := fmt.Sprintf("%s %s k=%d workers=%d", label, name, k, workers)
+			view := forceParallel(tree, workers)
+
+			got, stats := view.KNN(m, k)
+			assertSameKNN(t, label, want, got)
+			skipped += stats.SkippedEvals
+			if stats.Swept == 1 {
+				c.swept++
+				if stats.LeavesVisited != stats.LeavesTotal || stats.PruneRatio() != 0 {
+					t.Fatalf("%s: swept search reports %d of %d leaves", label, stats.LeavesVisited, stats.LeavesTotal)
+				}
+				// A row the sweep skips is not evaluated, but it is reached.
+				if probe := stats.DistanceEvals + stats.SkippedEvals - n; probe <= 0 || probe > probeEvals(tree) {
+					t.Fatalf("%s: swept search reports %d evals and %d skipped, want n=%d plus a probe of at most %d",
+						label, stats.DistanceEvals, stats.SkippedEvals, n, probeEvals(tree))
+				}
+			} else {
+				c.stayed++
+				if stats.DistanceEvals > n || stats.SkippedEvals != 0 {
+					t.Fatalf("%s: tree search evaluated %d of %d vectors, skipped %d", label, stats.DistanceEvals, n, stats.SkippedEvals)
+				}
+			}
+
+			// Seeded: the second search starts from the first's leaves.
+			ref := NewRefinementSearcher(view)
+			ref.KNN(m, k)
+			got, _ = ref.KNN(m, k)
+			assertSameKNN(t, label+" seeded", want, got)
+
+			// Two trees searched at once under one bound, merged by
+			// (Dist, global id).
+			sb := NewSharedBound()
+			var legs [2][]Result
+			var wg sync.WaitGroup
+			for i, half := range halves {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					legs[i], _, _ = forceParallel(half, workers).KNNSharedContext(context.Background(), m, k, sb)
+				}()
+			}
+			wg.Wait()
+			var merged []Result
+			for i, leg := range legs {
+				for _, r := range leg {
+					merged = append(merged, Result{ID: globals[i][r.ID], Dist: r.Dist})
+				}
+			}
+			sortResults(merged)
+			assertSameKNN(t, label+" shared", want, merged[:min(k, len(merged))])
+		}
+	}
+	return skipped
+}
+
+// appendRow appends a vector near v to the tree's store and to the half
+// store of its parity, and inserts it into both trees.
+func appendRow(t *testing.T, rng *rand.Rand, tree *HybridTree, halves [2]*HybridTree, globals *[2][]int, v linalg.Vector) {
+	t.Helper()
+	w := v.Clone()
+	w[rng.Intn(len(w))] += rng.NormFloat64()
+	id, err := tree.store.Append(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.Insert(id)
+	half := halves[id%2]
+	local, err := half.store.Append(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half.Insert(local)
+	globals[id%2] = append(globals[id%2], id)
+}
+
+// checkBlockBoxes fails unless every block box of s is exactly the
+// bounding box of the block's rows.
+func checkBlockBoxes(t *testing.T, label string, s *Store) {
+	t.Helper()
+	blocks := (s.Len() + blockRows - 1) / blockRows
+	if len(s.boxes) != 2*blocks*s.Dim() {
+		t.Fatalf("%s: %d box components for %d blocks of dim %d", label, len(s.boxes), blocks, s.Dim())
+	}
+	for b := 0; b < blocks; b++ {
+		lo, hi := s.blockBox(b)
+		for d := 0; d < s.Dim(); d++ {
+			wlo, whi := math.Inf(1), math.Inf(-1)
+			for id := b * blockRows; id < min((b+1)*blockRows, s.Len()); id++ {
+				wlo, whi = min(wlo, s.Vector(id)[d]), max(whi, s.Vector(id)[d])
+			}
+			if lo[d] != wlo || hi[d] != whi {
+				t.Fatalf("%s: block %d axis %d box [%v, %v], rows span [%v, %v]", label, b, d, lo[d], hi[d], wlo, whi)
+			}
+		}
+	}
+}
+
+// A store whose distances overflow to +Inf: every searcher, the sweep
+// included, returns the page the search gave before storage blocks had
+// boxes, and a sweep whose k-th best is +Inf (an unarmed bound) skips
+// nothing. The padded store puts 64-row blocks of overflowing rows among
+// finite ones, so a sweep meets them with its heap filling and full.
+func TestSweepOverflowStore(t *testing.T) {
+	s, err := NewStore([]linalg.Vector{{1e200, 0}, {0, 0}, {1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := NewHybridTree(s, TreeOptions{Parallelism: 1})
+	m := euclid(linalg.Vector{0, 0})
+	page := []Result{{ID: 1, Dist: 0}, {ID: 2, Dist: 2}, {ID: 0, Dist: math.Inf(1)}}
+	for k := 1; k <= 4; k++ {
+		want := page[:min(k, len(page))]
+		got, _ := tree.KNN(m, k)
+		assertSameKNN(t, fmt.Sprintf("tree k=%d", k), want, got)
+		got, _ = NewLinearScan(s).KNN(m, k)
+		assertSameKNN(t, fmt.Sprintf("scan k=%d", k), want, got)
+		var stats SearchStats
+		got, err := tree.sweep(context.Background(), m, newResultHeap(k), nil, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameKNN(t, fmt.Sprintf("sweep k=%d", k), want, got)
+		if stats.SkippedEvals != 0 {
+			t.Fatalf("sweep k=%d skipped %d rows", k, stats.SkippedEvals)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(97))
+	var vecs []linalg.Vector
+	finite := 0
+	for b := 0; b < 40; b++ {
+		for range blockRows {
+			if b%3 == 1 {
+				vecs = append(vecs, linalg.Vector{1e200 * (1 + rng.Float64()), rng.NormFloat64()})
+			} else {
+				vecs = append(vecs, linalg.Vector{rng.NormFloat64(), rng.NormFloat64()})
+				finite++
+			}
+		}
+	}
+	padded := newStore(vecs)
+	ptree := NewHybridTree(padded, TreeOptions{Parallelism: 1, NodeSizeBytes: 256})
+	for _, k := range []int{1, 50, finite, finite + 10, len(vecs)} {
+		want, _ := NewLinearScan(padded).KNN(m, k)
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("padded k=%d workers=%d", k, workers)
+			var stats SearchStats
+			got, err := forceParallel(ptree, workers).sweep(context.Background(), m, newResultHeap(k), nil, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameKNN(t, label, want, got)
+			if k > finite && stats.SkippedEvals != 0 {
+				t.Fatalf("%s: skipped %d rows under a +Inf k-th best", label, stats.SkippedEvals)
+			}
+			if got, _ := forceParallel(ptree, workers).KNN(m, k); len(got) != len(want) {
+				t.Fatalf("%s: tree search returned %d results", label, len(got))
+			}
+		}
 	}
 }
 

@@ -63,7 +63,8 @@ func (s Stage) String() string {
 // /debug/slow carry it as is. A swept search (Swept) reports the whole
 // store as visited: LeavesVisited = LeavesTotal, so PruneRatio reads 0,
 // and DistanceEvals is the probe phase's evaluations plus one per stored
-// vector, summed over the sweep's workers.
+// vector the sweep's workers evaluated, SkippedEvals one per vector they
+// skipped.
 type SearchStats struct {
 	NodesVisited  int `json:"nodes_visited"` // internal + leaf nodes expanded
 	LeavesVisited int `json:"leaves_visited"`
@@ -82,6 +83,11 @@ type SearchStats struct {
 	// asked for), so AbandonedEvals/BatchedEvals is the fraction of
 	// candidate evaluations the kernels did not pay in full.
 	AbandonedEvals int `json:"abandoned_evals"`
+	// SkippedEvals counts the stored vectors a sweep never evaluated
+	// because the bounding box of their 64-row storage block was already
+	// past its k-th best. They are not in DistanceEvals: a completed
+	// sweep has DistanceEvals + SkippedEvals = probe + store size.
+	SkippedEvals int `json:"skipped_evals"`
 	// Swept counts tree searches that found the tree not pruning and
 	// finished as a sweep of the store in storage order (0 or 1 for one
 	// search; Add sums the legs of a sharded one).
@@ -112,6 +118,7 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.DistanceEvals += other.DistanceEvals
 	s.BatchedEvals += other.BatchedEvals
 	s.AbandonedEvals += other.AbandonedEvals
+	s.SkippedEvals += other.SkippedEvals
 	s.Swept += other.Swept
 	s.GraphHops += other.GraphHops
 	s.RefineEvals += other.RefineEvals
@@ -449,6 +456,7 @@ func (t *Tracer) export(p *CostProfile) {
 			F("distance_evals", sc.Stats.DistanceEvals),
 			F("batched_evals", sc.Stats.BatchedEvals),
 			F("abandoned_evals", sc.Stats.AbandonedEvals),
+			F("skipped_evals", sc.Stats.SkippedEvals),
 			F("swept", sc.Stats.Swept),
 			F("graph_hops", sc.Stats.GraphHops),
 			F("refine_evals", sc.Stats.RefineEvals),
@@ -464,6 +472,7 @@ func (t *Tracer) export(p *CostProfile) {
 		F("leaves_visited", p.Stats.LeavesVisited),
 		F("distance_evals", p.Stats.DistanceEvals),
 		F("abandoned_evals", p.Stats.AbandonedEvals),
+		F("skipped_evals", p.Stats.SkippedEvals),
 		F("swept", p.Stats.Swept),
 		F("graph_hops", p.Stats.GraphHops),
 		F("refine_evals", p.Stats.RefineEvals),

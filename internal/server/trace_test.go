@@ -495,7 +495,8 @@ func TestSlowLogEndpoint(t *testing.T) {
 // SearchStats struct, and a field dropped from it (or from the span's
 // field list) goes missing here: the graph counters of an ANN-built
 // collection in the root span's end event and in Session.Stats, and a
-// swept tree search's counters under /debug/slow's keys.
+// swept tree search's counters under /debug/slow's keys (its skipped
+// blocks in the root span's end event too).
 func TestSearchWorkReachesEverySurface(t *testing.T) {
 	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(11)), 6, 30, 5, 6)
 	annDB, err := qcluster.NewDatabaseWithOptions(vectors, qcluster.IndexOptions{
@@ -531,15 +532,30 @@ func TestSearchWorkReachesEverySurface(t *testing.T) {
 		t.Errorf("Session.Stats().LastSearch lost the graph work: %+v", last)
 	}
 
-	// 12-d Gaussian noise: the tree cannot prune it, so the search sweeps.
-	noise, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(14)), 1, 4000, 12, 6)
-	treeDB, err := qcluster.NewDatabase(noise)
+	// 64 16-d categories of 64, stored category by category: the tree
+	// cannot prune them, so the search sweeps, and skips the storage
+	// blocks of far categories.
+	mix, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(14)), 64, 64, 16, 5)
+	treeDB, err := qcluster.NewDatabase(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := startServer(t, treeDB, Options{}, recordAll)
-	if st, raw := call(t, ts, "POST", "/v1/search", searchRequest{Vector: noise[0], K: 25}, nil); st != 200 {
+	treeSink := &qcluster.MemorySink{}
+	ts := startServer(t, treeDB, Options{TraceSink: treeSink, TraceSampleRate: 1}, recordAll)
+	if st, raw := call(t, ts, "POST", "/v1/search", searchRequest{Vector: mix[0], K: 100}, nil); st != 200 {
 		t.Fatalf("tree search = %d %s", st, raw)
+	}
+	ends = 0
+	for _, e := range treeSink.Events() {
+		if e.Span == "request.search" && e.Name == "end" {
+			ends++
+			if n, _ := e.Field("skipped_evals").(int); n <= 0 {
+				t.Errorf("root span end: skipped_evals = %v, want > 0 on a swept search of a clustered store", e.Field("skipped_evals"))
+			}
+		}
+	}
+	if ends != 1 {
+		t.Fatalf("%d root end events for one tree search", ends)
 	}
 	ops, err := ts.ServeOps("127.0.0.1:0")
 	if err != nil {
@@ -562,7 +578,7 @@ func TestSearchWorkReachesEverySurface(t *testing.T) {
 	if len(doc.Slow) != 1 {
 		t.Fatalf("/debug/slow has %d entries for one search", len(doc.Slow))
 	}
-	for _, key := range []string{"swept", "batched_evals", "abandoned_evals"} {
+	for _, key := range []string{"swept", "batched_evals", "abandoned_evals", "skipped_evals"} {
 		if doc.Slow[0].Stats[key] <= 0 {
 			t.Errorf("/debug/slow stats[%q] = %d, want > 0 on a swept search: %v", key, doc.Slow[0].Stats[key], doc.Slow[0].Stats)
 		}

@@ -122,6 +122,7 @@ type dbMetrics struct {
 	distanceEvals *obs.Counter
 	batchedEvals  *obs.Counter
 	abandonEvals  *obs.Counter
+	skippedEvals  *obs.Counter
 	pruneRatio    *obs.Histogram
 	graphHops     *obs.Counter
 	refineEvals   *obs.Counter
@@ -169,6 +170,7 @@ func newDBMetrics() *dbMetrics {
 		distanceEvals: reg.Counter("index.distance_evals"),
 		batchedEvals:  reg.Counter("index.batched_evals"),
 		abandonEvals:  reg.Counter("index.abandoned_evals"),
+		skippedEvals:  reg.Counter("index.skipped_evals"),
 		pruneRatio:    reg.Histogram("index.prune_ratio", obs.RatioBuckets()),
 		graphHops:     reg.Counter("index.graph_hops"),
 		refineEvals:   reg.Counter("index.refine_evals"),
@@ -197,6 +199,7 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	m.distanceEvals.Add(int64(stats.DistanceEvals))
 	m.batchedEvals.Add(int64(stats.BatchedEvals))
 	m.abandonEvals.Add(int64(stats.AbandonedEvals))
+	m.skippedEvals.Add(int64(stats.SkippedEvals))
 	m.graphHops.Add(int64(stats.GraphHops))
 	m.refineEvals.Add(int64(stats.RefineEvals))
 	if stats.LeavesTotal > 0 {
@@ -227,7 +230,9 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 // histograms ("search.latency_seconds", "search.results", "search.k"),
 // index-work counters ("index.leaves_visited", "index.leaves_pruned",
 // "index.distance_evals", "index.batched_evals",
-// "index.abandoned_evals", "index.prune_ratio", plus "index.graph_hops"
+// "index.abandoned_evals", "index.skipped_evals" — stored vectors a
+// sweep passed over on their storage block's box —, "index.prune_ratio",
+// plus "index.graph_hops"
 // and "index.refine_evals" on the ANN backend), insert-maintenance
 // counters ("index.resplits", "search.resplit_ns",
 // "index.resplit_pending"), "search.errors" (trapped search panics) and,

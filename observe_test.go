@@ -116,8 +116,8 @@ func TestSessionTraceEvents(t *testing.T) {
 		t.Fatalf("no metric.build event recorded\n%s", sink)
 	}
 	for _, e := range evs {
-		if e.Name == "search.done" && e.Field("prune_ratio") == nil {
-			t.Fatalf("search.done missing prune_ratio: %+v", e)
+		if e.Name == "search.done" && (e.Field("prune_ratio") == nil || e.Field("skipped_evals") == nil) {
+			t.Fatalf("search.done missing prune_ratio or skipped_evals: %+v", e)
 		}
 	}
 }
