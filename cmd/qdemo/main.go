@@ -73,8 +73,9 @@ func main() {
 	in := bufio.NewScanner(os.Stdin)
 	for round := 0; round <= *iters; round++ {
 		results, _ := searcher.KNN(engine.Metric(), *k)
+		d := engine.Describe()
 		hits := 0
-		fmt.Printf("\n-- round %d (%d query points) --\n", round, engine.NumQueryPoints())
+		fmt.Printf("\n-- round %d (%d query points) --\n", round, max(1, len(d.Clusters)))
 		for rank, r := range results {
 			cat := labels[r.ID]
 			mark := " "
@@ -88,10 +89,10 @@ func main() {
 		fmt.Printf("precision %.2f, recall %.2f\n",
 			float64(hits)/float64(len(results)),
 			float64(hits)/float64(oracle.CategorySize(qcat)))
-		if m := engine.Model(); m != nil {
-			for ci, info := range m.Snapshot() {
-				fmt.Printf("   cluster %d: %d images, weight %.0f, rms radius %.3f\n",
-					ci, info.Points, info.Weight, info.RMSRadius)
+		if d.Rounds > 0 {
+			fmt.Printf("   feedback round %d: %s\n", d.Rounds, placed(d.Round))
+			for ci, c := range d.Clusters {
+				fmt.Printf("   cluster %d: %d images, weight %.0f\n", ci, len(c.IDs), c.Weight)
 			}
 		}
 		if round == *iters {
@@ -136,6 +137,21 @@ func main() {
 		}
 		fmt.Printf("\nquery model saved to %s\n", *saveTo)
 	}
+}
+
+// placed says how a feedback round placed its marks (Algorithm 2) and
+// merged clusters (Algorithm 3).
+func placed(r core.Round) string {
+	s := r.Initial + " start"
+	if r.Initial == "" {
+		s = fmt.Sprintf("%d marks classified", len(r.Decisions))
+		for _, d := range r.Decisions {
+			if d.New {
+				s += fmt.Sprintf(", img %d seeded a cluster", d.PointID)
+			}
+		}
+	}
+	return fmt.Sprintf("%s; %d merges over %d pairs", s, len(r.Merge.Steps), r.Merge.PairsTested)
 }
 
 func loadOrBuild(path string, seed int64) *dataset.Dataset {

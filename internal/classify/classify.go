@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/stat"
 )
 
@@ -23,11 +22,6 @@ type Options struct {
 	// χ²_p(1-α): with α = 0.05, 95% of a Gaussian cluster's mass falls
 	// inside the ellipsoid (Lemma 1). Defaults to 0.05.
 	Alpha float64
-	// Trace, when non-nil, receives one event per Algorithm-2 decision
-	// in ClassifyAll: "classify.assign" (point joined the Eq. 10 winner)
-	// or "classify.new_cluster" (point fell outside the winner's χ²
-	// effective radius and seeded a new cluster).
-	Trace *obs.Span
 }
 
 func (o Options) withDefaults() Options {
@@ -107,8 +101,22 @@ func (c *Classifier) Best(x linalg.Vector) (k int, score float64) {
 // InsideRadius reports whether x lies inside cluster k's effective
 // ellipsoid: (x - x̄_k)' S_k⁻¹ (x - x̄_k) < χ²_p(1-α)  (Lemma 1 / Eq. 6),
 // where S_k is cluster k's own covariance under the configured scheme.
-func (c *Classifier) InsideRadius(k int, x linalg.Vector) bool {
-	return c.clusters[k].Mahalanobis(x, c.opt.Scheme) < c.radius
+// d is that Mahalanobis distance.
+func (c *Classifier) InsideRadius(k int, x linalg.Vector) (d float64, inside bool) {
+	d = c.clusters[k].Mahalanobis(x, c.opt.Scheme)
+	return d, d < c.radius
+}
+
+// Decision is Algorithm 2's verdict on one point: the Eq. 10 winner (-1
+// with no clusters to score) and its score, the point's Mahalanobis
+// distance from it against the χ² radius, and whether the point joined
+// it or seeded a new cluster, appended after the others.
+type Decision struct {
+	PointID             int
+	Winner              int
+	Score               float64
+	Mahalanobis, Radius float64
+	New                 bool
 }
 
 // ClassifyAll runs Algorithm 2 over a batch of new points against the
@@ -118,16 +126,16 @@ func (c *Classifier) InsideRadius(k int, x linalg.Vector) bool {
 // insertion so later points see updated statistics, matching the
 // sequential loop of Algorithm 2; only what an insertion cannot change
 // (the χ² radius, the buffers) is kept across points. It returns the
-// resulting cluster set.
-func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) []*cluster.Cluster {
+// resulting cluster set and one decision per point, in order.
+func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) ([]*cluster.Cluster, []Decision) {
 	work := make([]*cluster.Cluster, len(cs))
 	copy(work, cs)
+	decisions := make([]Decision, len(points))
 	var cl *Classifier
-	for _, p := range points {
+	for i, p := range points {
 		if len(work) == 0 {
 			work = append(work, cluster.FromPoint(p))
-			opt.Trace.Event("classify.new_cluster",
-				obs.F("point_id", p.ID), obs.F("clusters", len(work)))
+			decisions[i] = Decision{PointID: p.ID, Winner: -1, New: true}
 			continue
 		}
 		if cl == nil {
@@ -137,25 +145,16 @@ func ClassifyAll(cs []*cluster.Cluster, points []cluster.Point, opt Options) []*
 		}
 		// Algorithm 2's decision: the Eq. 10 winner, then the radius test.
 		k, score := cl.Best(p.Vec)
-		if cl.InsideRadius(k, p.Vec) {
+		d, inside := cl.InsideRadius(k, p.Vec)
+		decisions[i] = Decision{PointID: p.ID, Winner: k, Score: score,
+			Mahalanobis: d, Radius: cl.radius, New: !inside}
+		if inside {
 			work[k].Add(p)
-			if opt.Trace.Enabled() {
-				opt.Trace.Event("classify.assign",
-					obs.F("point_id", p.ID), obs.F("cluster", k),
-					obs.F("score", score))
-			}
 		} else {
-			if opt.Trace.Enabled() {
-				opt.Trace.Event("classify.new_cluster",
-					obs.F("point_id", p.ID), obs.F("nearest", k),
-					obs.F("mahalanobis", work[k].Mahalanobis(p.Vec, opt.Scheme)),
-					obs.F("radius", cl.radius),
-					obs.F("clusters", len(work)+1))
-			}
 			work = append(work, cluster.FromPoint(p))
 		}
 	}
-	return work
+	return work, decisions
 }
 
 // ErrorRate measures clustering quality per Sec. 4.5: for every point,

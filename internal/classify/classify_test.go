@@ -3,6 +3,7 @@ package classify
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -65,7 +66,7 @@ func TestEffectiveRadius(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		x := linalg.Vector{rng.NormFloat64(), rng.NormFloat64()}
-		if cl.InsideRadius(0, x) {
+		if _, in := cl.InsideRadius(0, x); in {
 			inside++
 		}
 	}
@@ -74,7 +75,7 @@ func TestEffectiveRadius(t *testing.T) {
 		t.Errorf("inside rate = %v, want ≈0.95", rate)
 	}
 	// A far point must be outside.
-	if cl.InsideRadius(0, linalg.Vector{50, 50}) {
+	if _, in := cl.InsideRadius(0, linalg.Vector{50, 50}); in {
 		t.Error("far point inside effective radius")
 	}
 }
@@ -96,11 +97,13 @@ func TestAssignOutlierSeedsNewCluster(t *testing.T) {
 	a := gaussCluster(rng, 30, 2, linalg.Vector{0, 0}, 1)
 	cl := New([]*cluster.Cluster{a}, Options{Scheme: cluster.Diagonal, Alpha: 0.05})
 	in := linalg.Vector{0.3, -0.2}
-	if k, _ := cl.Best(in); k != 0 || !cl.InsideRadius(k, in) {
-		t.Errorf("inlier assigned to %d (inside radius: %v)", k, cl.InsideRadius(k, in))
+	k, _ := cl.Best(in)
+	if _, inside := cl.InsideRadius(k, in); k != 0 || !inside {
+		t.Errorf("inlier assigned to %d (inside radius: %v)", k, inside)
 	}
 	out := linalg.Vector{30, 30}
-	if k, _ := cl.Best(out); cl.InsideRadius(k, out) {
+	k, _ = cl.Best(out)
+	if _, inside := cl.InsideRadius(k, out); inside {
 		t.Errorf("outlier joined cluster %d, want a new cluster", k)
 	}
 }
@@ -113,7 +116,7 @@ func TestClassifyAll(t *testing.T) {
 		{ID: 1001, Vec: linalg.Vector{20, 20}, Score: 1},     // new cluster
 		{ID: 1002, Vec: linalg.Vector{20.5, 19.5}, Score: 1}, // joins the new one or another new
 	}
-	out := ClassifyAll(start, points, Options{Scheme: cluster.Diagonal, Alpha: 0.05})
+	out, _ := ClassifyAll(start, points, Options{Scheme: cluster.Diagonal, Alpha: 0.05})
 	if len(out) < 2 {
 		t.Fatalf("expected at least 2 clusters, got %d", len(out))
 	}
@@ -142,7 +145,7 @@ func TestClassifyAllFromEmpty(t *testing.T) {
 		{ID: 0, Vec: linalg.Vector{0, 0}, Score: 1},
 		{ID: 1, Vec: linalg.Vector{0.1, 0}, Score: 1},
 	}
-	out := ClassifyAll(nil, points, Options{})
+	out, _ := ClassifyAll(nil, points, Options{})
 	if len(out) == 0 {
 		t.Fatal("no clusters created")
 	}
@@ -234,8 +237,9 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 // decision against an independent reading of Algorithm 2: a point that
 // joins a cluster joins the Eq. 10 winner and lay inside its χ²_p(1-α)
 // radius at that moment (Lemma 1), and a point that seeds a new cluster
-// lay outside the winner's radius. The replay must also end where one
-// ClassifyAll over the whole batch ends.
+// lay outside the winner's radius. Each returned decision must say so,
+// and the replay must end where one ClassifyAll over the whole batch
+// ends, with the same decisions.
 func TestAlgorithm2Property(t *testing.T) {
 	var assigned, seeded int
 	for seed := int64(0); seed < 300; seed++ {
@@ -255,11 +259,18 @@ func TestAlgorithm2Property(t *testing.T) {
 		start, rest := cluster.AgglomerateGap(pts[:n0]), pts[n0:]
 
 		work := cloneAll(start)
+		var replayed []Decision
 		for _, p := range rest {
 			before := cloneAll(work)
 			k := eq10Winner(before, p.Vec, opt.Scheme)
 			d := before[k].Mahalanobis(p.Vec, opt.Scheme)
-			work = ClassifyAll(work, []cluster.Point{p}, opt)
+			var dec []Decision
+			work, dec = ClassifyAll(work, []cluster.Point{p}, opt)
+			if want := (Decision{PointID: p.ID, Winner: k, Score: dec[0].Score, Mahalanobis: d, Radius: radius,
+				New: len(work) == len(before)+1}); len(dec) != 1 || dec[0] != want {
+				t.Fatalf("seed %d point %d: decisions %+v, want [%+v]", seed, p.ID, dec, want)
+			}
+			replayed = append(replayed, dec[0])
 			if len(work) == len(before)+1 {
 				seeded++
 				if d < radius {
@@ -279,9 +290,12 @@ func TestAlgorithm2Property(t *testing.T) {
 			}
 		}
 
-		batch := ClassifyAll(cloneAll(start), rest, opt)
+		batch, decisions := ClassifyAll(cloneAll(start), rest, opt)
 		if len(batch) != len(work) {
 			t.Fatalf("seed %d: batch made %d clusters, replay %d", seed, len(batch), len(work))
+		}
+		if !reflect.DeepEqual(decisions, replayed) {
+			t.Fatalf("seed %d: batch decisions differ from the replay's", seed)
 		}
 		for i := range batch {
 			if batch[i].N() != work[i].N() {

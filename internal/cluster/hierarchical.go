@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"math"
-
-	"repro/internal/linalg"
-)
+import "math"
 
 // Agglomerate runs bottom-up hierarchical clustering over scored points
 // under centroid linkage: every point starts as its own cluster, and the
@@ -104,13 +100,4 @@ func AgglomerateGap(points []Point) []*Cluster {
 		step++
 		return false
 	})
-}
-
-// Centroids extracts the centroid of every cluster.
-func Centroids(cs []*Cluster) []linalg.Vector {
-	out := make([]linalg.Vector, len(cs))
-	for i, c := range cs {
-		out[i] = c.Centroid()
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 
-	"repro/internal/obs"
 	"repro/internal/stat"
 )
 
@@ -19,11 +18,6 @@ type MergeOptions struct {
 	// paper's "increase critical distance c² using α" requeue loop
 	// (Algorithm 3 lines 7-11).
 	MaxClusters int
-	// Trace, when non-nil, receives one "merge.accept" event per
-	// test-passing merge, one "merge.forced" event per bound-enforcing
-	// merge, and a closing "merge.done" summary (pairs tested, accepted,
-	// forced, final cluster count).
-	Trace *obs.Span
 }
 
 func (o MergeOptions) withDefaults() MergeOptions {
@@ -54,6 +48,22 @@ func decideMerge(a, b *Cluster, opt MergeOptions) (merge bool, t2, c2 float64) {
 	return gap <= radius, gap, radius
 }
 
+// MergeStep is one Algorithm-3 merge: the merged pair's T² statistic and
+// its critical value c² (the centroid gap and the χ² radius where the F
+// test is undefined), and whether the pair merged only to hold
+// MaxClusters rather than because the test accepted it.
+type MergeStep struct {
+	T2, C2 float64
+	Forced bool
+}
+
+// MergeRecord is what one Merge call decided: its merges in order and
+// the number of pairs it tested.
+type MergeRecord struct {
+	Steps       []MergeStep
+	PairsTested int
+}
+
 // Merge implements Algorithm 3. Starting from the given clusters it
 // repeatedly merges the pair with the smallest T²/c² ratio while the
 // tests accept the pair, recomputing statistics incrementally via
@@ -63,46 +73,26 @@ func decideMerge(a, b *Cluster, opt MergeOptions) (merge bool, t2, c2 float64) {
 // using α" requeue loop.
 //
 // The input slice is not modified; the result holds merged clusters plus
-// survivors.
-func Merge(cs []*Cluster, opt MergeOptions) []*Cluster {
+// survivors, and the record says which merges formed them.
+func Merge(cs []*Cluster, opt MergeOptions) ([]*Cluster, MergeRecord) {
 	opt = opt.withDefaults()
 	// Work on a copy.
 	work := make([]*Cluster, len(cs))
 	copy(work, cs)
-	var tested, accepted, forced int
+	var rec MergeRecord
 
 	// Phase 1: merge while pairs pass the tests at the configured α. The
 	// pair with the smallest T²/c² ratio merges first. g is small (tens
 	// at most), so the O(g²) rescan per merge is cheap and keeps
 	// statistics exact after each merge.
 	for len(work) > 1 {
-		bestI, bestJ := -1, -1
-		bestRatio := math.Inf(1)
-		var bestT2, bestC2 float64
-		for i := 0; i < len(work); i++ {
-			for j := i + 1; j < len(work); j++ {
-				tested++
-				ok, t2, c2 := decideMerge(work[i], work[j], opt)
-				if !ok {
-					continue
-				}
-				ratio := t2 / math.Max(c2, 1e-300)
-				if ratio < bestRatio {
-					bestRatio, bestI, bestJ = ratio, i, j
-					bestT2, bestC2 = t2, c2
-				}
-			}
-		}
-		if bestI < 0 {
+		rec.PairsTested += len(work) * (len(work) - 1) / 2
+		i, j, step := closestPair(work, opt, true)
+		if i < 0 {
 			break
 		}
-		work = mergeAt(work, bestI, bestJ)
-		accepted++
-		if opt.Trace.Enabled() {
-			opt.Trace.Event("merge.accept",
-				obs.F("t2", bestT2), obs.F("c2", bestC2),
-				obs.F("clusters", len(work)))
-		}
+		work = mergeAt(work, i, j)
+		rec.Steps = append(rec.Steps, step)
 	}
 
 	// Phase 2: if the cluster count still exceeds the bound, merge the
@@ -110,37 +100,38 @@ func Merge(cs []*Cluster, opt MergeOptions) []*Cluster {
 	// that would pass first as α shrinks and c² grows — the paper's
 	// "increase critical distance c² using α" requeue loop), one pair at
 	// a time, stopping exactly at the bound.
-	if opt.MaxClusters > 0 {
-		for len(work) > opt.MaxClusters && len(work) > 1 {
-			bestI, bestJ := 0, 1
-			bestRatio := math.Inf(1)
-			var bestT2, bestC2 float64
-			for i := 0; i < len(work); i++ {
-				for j := i + 1; j < len(work); j++ {
-					tested++
-					_, t2, c2 := decideMerge(work[i], work[j], opt)
-					ratio := t2 / math.Max(c2, 1e-300)
-					if ratio < bestRatio {
-						bestRatio, bestI, bestJ = ratio, i, j
-						bestT2, bestC2 = t2, c2
-					}
-				}
+	for opt.MaxClusters > 0 && len(work) > opt.MaxClusters && len(work) > 1 {
+		rec.PairsTested += len(work) * (len(work) - 1) / 2
+		i, j, step := closestPair(work, opt, false)
+		if i < 0 {
+			// No finite ratio: merge the first pair.
+			i, j, step = 0, 1, MergeStep{Forced: true}
+		}
+		work = mergeAt(work, i, j)
+		rec.Steps = append(rec.Steps, step)
+	}
+	return work, rec
+}
+
+// closestPair scans the pairs (i < j) in order and returns the one with
+// the smallest T²/c² ratio — among the pairs the test accepts when
+// mustPass — with its merge step; i is -1 when no pair qualifies.
+func closestPair(work []*Cluster, opt MergeOptions, mustPass bool) (bi, bj int, step MergeStep) {
+	bi, bj = -1, -1
+	bestRatio := math.Inf(1)
+	for i := 0; i < len(work); i++ {
+		for j := i + 1; j < len(work); j++ {
+			ok, t2, c2 := decideMerge(work[i], work[j], opt)
+			if mustPass && !ok {
+				continue
 			}
-			work = mergeAt(work, bestI, bestJ)
-			forced++
-			if opt.Trace.Enabled() {
-				opt.Trace.Event("merge.forced",
-					obs.F("t2", bestT2), obs.F("c2", bestC2),
-					obs.F("clusters", len(work)))
+			if ratio := t2 / math.Max(c2, 1e-300); ratio < bestRatio {
+				bestRatio, bi, bj = ratio, i, j
+				step = MergeStep{T2: t2, C2: c2, Forced: !mustPass}
 			}
 		}
 	}
-	if opt.Trace.Enabled() {
-		opt.Trace.Event("merge.done",
-			obs.F("pairs_tested", tested), obs.F("accepted", accepted),
-			obs.F("forced", forced), obs.F("clusters", len(work)))
-	}
-	return work
+	return bi, bj, step
 }
 
 func mergeAt(work []*Cluster, i, j int) []*Cluster {

@@ -15,9 +15,18 @@ func TestMergeCollapsesSameMean(t *testing.T) {
 		gaussCluster(rng, 20, 3, linalg.Vector{0, 0, 0}, 1),
 		gaussCluster(rng, 20, 3, linalg.Vector{0, 0, 0}, 1),
 	}
-	out := Merge(cs, MergeOptions{Scheme: FullInverse, Alpha: 0.05})
+	out, rec := Merge(cs, MergeOptions{Scheme: FullInverse, Alpha: 0.05})
 	if len(out) != 1 {
 		t.Errorf("same-population clusters: got %d clusters, want 1", len(out))
+	}
+	// Two accepted merges, after scanning 3 pairs and then 1.
+	if len(rec.Steps) != 2 || rec.Steps[0].Forced || rec.Steps[1].Forced || rec.PairsTested != 4 {
+		t.Errorf("record %+v, want 2 accepted merges over 4 pairs", rec)
+	}
+	for _, st := range rec.Steps {
+		if !(st.T2 <= st.C2) {
+			t.Errorf("accepted merge with T² %v > c² %v", st.T2, st.C2)
+		}
 	}
 }
 
@@ -27,7 +36,7 @@ func TestMergeKeepsDistantClusters(t *testing.T) {
 		gaussCluster(rng, 20, 3, linalg.Vector{0, 0, 0}, 0.5),
 		gaussCluster(rng, 20, 3, linalg.Vector{10, 10, 10}, 0.5),
 	}
-	out := Merge(cs, MergeOptions{Scheme: FullInverse, Alpha: 0.05})
+	out, _ := Merge(cs, MergeOptions{Scheme: FullInverse, Alpha: 0.05})
 	if len(out) != 2 {
 		t.Errorf("distant clusters: got %d clusters, want 2", len(out))
 	}
@@ -43,9 +52,12 @@ func TestMergeRespectsMaxClusters(t *testing.T) {
 		gaussCluster(rng, 15, 2, linalg.Vector{0, 8}, 0.3),
 		gaussCluster(rng, 15, 2, linalg.Vector{8, 8}, 0.3),
 	}
-	out := Merge(cs, MergeOptions{Scheme: FullInverse, Alpha: 0.05, MaxClusters: 2})
+	out, rec := Merge(cs, MergeOptions{Scheme: FullInverse, Alpha: 0.05, MaxClusters: 2})
 	if len(out) > 2 {
 		t.Errorf("got %d clusters, want <= 2", len(out))
+	}
+	if len(rec.Steps) != len(cs)-len(out) || !rec.Steps[len(rec.Steps)-1].Forced {
+		t.Errorf("record %+v for %d → %d clusters, want one step per merge, the last forced", rec, len(cs), len(out))
 	}
 }
 
@@ -61,7 +73,7 @@ func TestMergePreservesTotalWeightAndPoints(t *testing.T) {
 	for _, c := range cs {
 		wantN += c.N()
 	}
-	out := Merge(cs, MergeOptions{Scheme: Diagonal, Alpha: 0.05})
+	out, _ := Merge(cs, MergeOptions{Scheme: Diagonal, Alpha: 0.05})
 	if got := TotalWeight(out); !almostEq(got, wantW, 1e-9) {
 		t.Errorf("total weight changed: %v -> %v", wantW, got)
 	}
@@ -94,24 +106,24 @@ func TestMergeSingletonsSmallSampleFallback(t *testing.T) {
 		FromPoint(Point{Vec: linalg.Vector{0, 0}, Score: 1}),
 		FromPoint(Point{Vec: linalg.Vector{100, 100}, Score: 1}),
 	}
-	if out := Merge(far, MergeOptions{Scheme: Diagonal, Alpha: 0.05}); len(out) != 2 {
+	if out, _ := Merge(far, MergeOptions{Scheme: Diagonal, Alpha: 0.05}); len(out) != 2 {
 		t.Errorf("far singletons merged: %d clusters", len(out))
 	}
 	near := []*Cluster{
 		FromPoint(Point{Vec: linalg.Vector{0, 0}, Score: 1}),
 		FromPoint(Point{Vec: linalg.Vector{0, 0}, Score: 1}),
 	}
-	if out := Merge(near, MergeOptions{Scheme: Diagonal, Alpha: 0.05}); len(out) != 1 {
+	if out, _ := Merge(near, MergeOptions{Scheme: Diagonal, Alpha: 0.05}); len(out) != 1 {
 		t.Errorf("coincident singletons stayed apart: %d clusters", len(out))
 	}
 }
 
 func TestMergeEmptyAndSingle(t *testing.T) {
-	if out := Merge(nil, MergeOptions{}); len(out) != 0 {
+	if out, _ := Merge(nil, MergeOptions{}); len(out) != 0 {
 		t.Error("nil input must give empty output")
 	}
 	one := []*Cluster{FromPoint(Point{Vec: linalg.Vector{1}, Score: 1})}
-	if out := Merge(one, MergeOptions{}); len(out) != 1 {
+	if out, _ := Merge(one, MergeOptions{}); len(out) != 1 {
 		t.Error("single cluster must pass through")
 	}
 }

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/classify"
 	"repro/internal/cluster"
@@ -90,6 +89,7 @@ type QueryModel struct {
 	health   Health   // degradation trace of the last Metric construction
 	sink     obs.Sink // trace sink; nil disables tracing (see SetSink)
 	rounds   int      // feedback rounds that absorbed at least one point
+	round    Round    // decisions of the last round that absorbed points
 }
 
 // Health is the query-health status: it records how the most recent
@@ -136,12 +136,6 @@ func (m *QueryModel) NumClusters() int { return len(m.clusters) }
 // Clusters exposes the current query clusters (read-only by convention).
 func (m *QueryModel) Clusters() []*cluster.Cluster { return m.clusters }
 
-// Representatives returns the current cluster centroids — the multipoint
-// query set Q.
-func (m *QueryModel) Representatives() []linalg.Vector {
-	return cluster.Centroids(m.clusters)
-}
-
 // Feedback absorbs one round of user-marked relevant points (Algorithm 1
 // steps 4-15). Points whose IDs were absorbed in earlier rounds are
 // skipped — Algorithm 2 classifies only points new to the relevant set.
@@ -169,11 +163,25 @@ func (m *QueryModel) Feedback(points []cluster.Point) {
 		return
 	}
 	m.rounds++
+	before := len(m.clusters)
 	span := obs.StartSpan(m.sink, "feedback.round",
 		obs.F("round", m.rounds), obs.F("new_points", len(fresh)),
-		obs.F("clusters_before", len(m.clusters)))
+		obs.F("clusters_before", before))
 
-	if len(m.clusters) == 0 {
+	m.round = Round{}
+	switch {
+	case before > 0:
+		m.clusters, m.round.Decisions = classify.ClassifyAll(m.clusters, fresh, m.classifyOptions())
+	case len(fresh) <= 4:
+		// Too few points for dendrogram statistics (e.g. a user's
+		// handful of example images): start from singletons and let
+		// the statistical merge below decide what belongs together.
+		m.round.Initial = "singletons"
+		m.clusters = make([]*cluster.Cluster, len(fresh))
+		for i, p := range fresh {
+			m.clusters[i] = cluster.FromPoint(p)
+		}
+	default:
 		// Initial iteration (Sec. 4.1): hierarchical clustering groups
 		// the relevant points, cutting the dendrogram at the first large
 		// relative jump in merge distance — the first cross-mode merge.
@@ -182,34 +190,57 @@ func (m *QueryModel) Feedback(points []cluster.Point) {
 		// cannot do this job: greedy nearest-pair merges produce tiny
 		// fragments whose sample covariances wildly underestimate the
 		// mode scale, so every equality-of-means test keeps them apart.
-		if len(fresh) <= 4 {
-			// Too few points for dendrogram statistics (e.g. a user's
-			// handful of example images): start from singletons and let
-			// the statistical merge below decide what belongs together.
-			m.clusters = make([]*cluster.Cluster, len(fresh))
-			for i, p := range fresh {
-				m.clusters[i] = cluster.FromPoint(p)
-			}
-			span.Event("initial.cluster",
-				obs.F("path", "singletons"), obs.F("clusters", len(m.clusters)))
-		} else {
-			m.clusters = cluster.AgglomerateGap(fresh)
-			span.Event("initial.cluster",
-				obs.F("path", "hierarchical"), obs.F("clusters", len(m.clusters)))
-		}
-	} else {
-		copt := m.classifyOptions()
-		copt.Trace = span
-		m.clusters = classify.ClassifyAll(m.clusters, fresh, copt)
+		m.round.Initial = "hierarchical"
+		m.clusters = cluster.AgglomerateGap(fresh)
 	}
-
-	m.clusters = cluster.Merge(m.clusters, cluster.MergeOptions{
+	m.clusters, m.round.Merge = cluster.Merge(m.clusters, cluster.MergeOptions{
 		Scheme:      m.opt.Scheme,
 		Alpha:       m.opt.Alpha,
 		MaxClusters: m.opt.MaxClusters,
-		Trace:       span,
 	})
+	if span.Enabled() {
+		m.round.trace(span, before, len(m.clusters))
+	}
 	span.End(obs.F("clusters", len(m.clusters)))
+}
+
+// Round records what one feedback round decided: the first round's
+// grouping ("singletons" or "hierarchical") or, on a later round,
+// Algorithm 2's decision per point; then Algorithm 3's merges.
+type Round struct {
+	Initial   string
+	Decisions []classify.Decision
+	Merge     cluster.MergeRecord
+}
+
+// trace emits the round on span as the initial.cluster, classify.* and
+// merge.* events, in the order they were decided. The round started
+// with before clusters and ended with after.
+func (r Round) trace(span *obs.Span, before, after int) {
+	n := after + len(r.Merge.Steps) // the count Algorithm 3 started from
+	if r.Initial != "" {
+		span.Event("initial.cluster", obs.F("path", r.Initial), obs.F("clusters", n))
+	}
+	for _, d := range r.Decisions {
+		if d.New {
+			before++
+			span.Event("classify.new_cluster", obs.F("point_id", d.PointID), obs.F("nearest", d.Winner),
+				obs.F("mahalanobis", d.Mahalanobis), obs.F("radius", d.Radius), obs.F("clusters", before))
+		} else {
+			span.Event("classify.assign", obs.F("point_id", d.PointID), obs.F("cluster", d.Winner), obs.F("score", d.Score))
+		}
+	}
+	forced := 0
+	for _, st := range r.Merge.Steps {
+		n--
+		name := "merge.accept"
+		if st.Forced {
+			name, forced = "merge.forced", forced+1
+		}
+		span.Event(name, obs.F("t2", st.T2), obs.F("c2", st.C2), obs.F("clusters", n))
+	}
+	span.Event("merge.done", obs.F("pairs_tested", r.Merge.PairsTested),
+		obs.F("accepted", len(r.Merge.Steps)-forced), obs.F("forced", forced), obs.F("clusters", after))
 }
 
 func (m *QueryModel) classifyOptions() classify.Options {
@@ -263,36 +294,35 @@ func (m *QueryModel) ErrorRate() float64 {
 	return classify.ErrorRate(m.clusters, m.classifyOptions())
 }
 
-// ClusterInfo is a diagnostic snapshot of one query cluster.
-type ClusterInfo struct {
-	// Centroid is the cluster representative x̄_i.
-	Centroid linalg.Vector
-	// Points is the number of member images n_i.
-	Points int
-	// Weight is the relevance mass m_i.
-	Weight float64
-	// RMSRadius is the root-mean-square Euclidean distance of members
-	// from the centroid — a scale indicator for display.
-	RMSRadius float64
+// Description is the query model as one value: the rounds absorbed, the
+// health of the last metric build, the clusters of Eq. 5's disjunctive
+// query Q = {x̄_1, ..., x̄_g}, and the record of the last round that
+// absorbed points. It shares nothing the model later changes.
+type Description struct {
+	Rounds   int
+	Health   Health
+	Clusters []ClusterDescription
+	Round    Round
 }
 
-// Snapshot returns per-cluster diagnostics for display and debugging.
-func (m *QueryModel) Snapshot() []ClusterInfo {
-	out := make([]ClusterInfo, len(m.clusters))
-	for i, c := range m.clusters {
-		info := ClusterInfo{
-			Centroid: c.Centroid(),
-			Points:   c.N(),
-			Weight:   c.Weight,
+// ClusterDescription is one query cluster: its representative x̄_i, the
+// ids of its member images and its relevance mass m_i.
+type ClusterDescription struct {
+	Centroid linalg.Vector
+	IDs      []int
+	Weight   float64
+}
+
+// Describe returns the model's description. The round record is not
+// persisted, so a loaded model's Round is empty until its next round.
+func (m *QueryModel) Describe() Description {
+	d := Description{Rounds: m.rounds, Health: m.health, Round: m.round}
+	for _, c := range m.clusters {
+		ids := make([]int, len(c.Points))
+		for i, p := range c.Points {
+			ids[i] = p.ID
 		}
-		var s float64
-		for _, p := range c.Points {
-			s += p.Vec.SqDist(c.Mean)
-		}
-		if c.N() > 0 {
-			info.RMSRadius = math.Sqrt(s / float64(c.N()))
-		}
-		out[i] = info
+		d.Clusters = append(d.Clusters, ClusterDescription{Centroid: c.Centroid(), IDs: ids, Weight: c.Weight})
 	}
-	return out
+	return d
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/linalg"
+	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 func blob(rng *rand.Rand, n int, cx, cy float64, idBase int) []cluster.Point {
@@ -148,10 +151,11 @@ func TestRepresentatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	m := New(Options{})
 	m.Feedback(append(blob(rng, 10, 0, 0, 0), blob(rng, 10, 10, 10, 100)...))
-	reps := m.Representatives()
-	if len(reps) != 2 {
-		t.Fatalf("reps = %d", len(reps))
+	d := m.Describe()
+	if len(d.Clusters) != 2 {
+		t.Fatalf("reps = %d", len(d.Clusters))
 	}
+	reps := []linalg.Vector{d.Clusters[0].Centroid, d.Clusters[1].Centroid}
 	// One representative near each mode.
 	nearOrigin := reps[0].Norm() < 1 || reps[1].Norm() < 1
 	nearFar := reps[0].Dist(linalg.Vector{10, 10}) < 1 || reps[1].Dist(linalg.Vector{10, 10}) < 1
@@ -173,29 +177,146 @@ func TestFullInverseSchemeWorks(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	m := New(Options{})
-	m.Feedback(append(blob(rng, 10, 0, 0, 0), blob(rng, 10, 10, 10, 100)...))
-	snap := m.Snapshot()
-	if len(snap) != m.NumClusters() {
-		t.Fatalf("snapshot %d entries for %d clusters", len(snap), m.NumClusters())
-	}
-	var totalPts int
-	var totalW float64
-	for _, info := range snap {
-		totalPts += info.Points
-		totalW += info.Weight
-		if info.RMSRadius < 0 || info.RMSRadius > 2 {
-			t.Errorf("rms radius = %v", info.RMSRadius)
+// TestDescribeMatchesTrace: over generated sessions (dims 3 and 16, both
+// schemes, a first round of singletons or of a dendrogram, then rounds
+// that absorb fresh marks beside re-marked ones) each round's
+// Description.Round holds the decisions its feedback.round span traced,
+// in count and order; member ids partition the absorbed ids; and each
+// centroid and weight is its cluster's, bit for bit.
+func TestDescribeMatchesTrace(t *testing.T) {
+	bits := math.Float64bits
+	kinds := map[string]int{}
+	for _, dim := range []int{3, 16} {
+		for _, scheme := range []cluster.Scheme{cluster.Diagonal, cluster.FullInverse} {
+			for _, first := range []int{3, 12} {
+				name := fmt.Sprintf("dim%d/%v/first%d", dim, scheme, first)
+				rng := rand.New(rand.NewSource(int64(dim + first)))
+				vecs, labels := synth.Mixture[linalg.Vector](rng, 3, 40, dim, 4)
+				order := rng.Perm(len(vecs))
+				sink := &obs.MemorySink{}
+				m := New(Options{Scheme: scheme})
+				m.SetSink(sink)
+				absorbed := map[int]bool{}
+				var earlier []int // ids absorbed by earlier rounds
+				for round := 1; round <= 4; round++ {
+					n := first
+					if round > 1 {
+						n = 10
+					}
+					var marks []cluster.Point
+					for _, id := range order[:n] {
+						marks = append(marks, cluster.Point{ID: id, Vec: vecs[id], Score: []float64{1, 3}[labels[id]%2]})
+						absorbed[id] = true
+					}
+					for _, id := range earlier[:min(3, len(earlier))] { // re-marks, which the round skips
+						marks = append(marks, cluster.Point{ID: id, Vec: vecs[id], Score: 3})
+					}
+					earlier = append(earlier, order[:n]...)
+					order = order[n:]
+					traced := len(sink.Events())
+					m.Feedback(marks)
+
+					d := m.Describe()
+					if d.Rounds != round {
+						t.Fatalf("%s round %d: Rounds %d", name, round, d.Rounds)
+					}
+					var steps []obs.Event
+					for _, e := range sink.Events()[traced:] {
+						if e.Span == "feedback.round" && e.Name != "start" && e.Name != "end" {
+							steps = append(steps, e)
+						}
+					}
+					if err := sameAsTrace(d.Round, steps, round, n); err != nil {
+						t.Fatalf("%s round %d: %v\n%s", name, round, err, sink)
+					}
+					for _, e := range steps {
+						kinds[e.Name]++
+					}
+
+					seen := map[int]bool{}
+					for ci, c := range d.Clusters {
+						mc := m.Clusters()[ci]
+						for _, id := range c.IDs {
+							if seen[id] || !absorbed[id] {
+								t.Fatalf("%s round %d: id %d repeated or never absorbed", name, round, id)
+							}
+							seen[id] = true
+						}
+						if bits(c.Weight) != bits(mc.Weight) || len(c.Centroid) != len(mc.Mean) {
+							t.Fatalf("%s round %d cluster %d: weight %v, dim %d; the cluster has %v, %d",
+								name, round, ci, c.Weight, len(c.Centroid), mc.Weight, len(mc.Mean))
+						}
+						for i := range mc.Mean {
+							if bits(c.Centroid[i]) != bits(mc.Mean[i]) {
+								t.Fatalf("%s round %d cluster %d: centroid[%d] %v, mean %v", name, round, ci, i, c.Centroid[i], mc.Mean[i])
+							}
+						}
+					}
+					if len(seen) != len(absorbed) {
+						t.Fatalf("%s round %d: clusters hold %d ids, %d absorbed", name, round, len(seen), len(absorbed))
+					}
+				}
+			}
 		}
-		if info.Centroid.Dim() != 2 {
-			t.Errorf("centroid dim = %d", info.Centroid.Dim())
+	}
+	for _, k := range []string{"initial.cluster", "classify.assign", "classify.new_cluster", "merge.accept", "merge.done"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event in any round: %v", k, kinds)
 		}
 	}
-	if totalPts != 20 || totalW != cluster.TotalWeight(m.clusters) {
-		t.Errorf("totals: %d points, weight %v vs %v", totalPts, totalW, cluster.TotalWeight(m.clusters))
+}
+
+// sameAsTrace checks a round record against the events its span traced
+// between start and end. A first round groups its points; a later one
+// decides each of its fresh points.
+func sameAsTrace(r Round, steps []obs.Event, round, fresh int) error {
+	bits := math.Float64bits
+	if (round == 1) != (r.Initial != "") || (round > 1 && len(r.Decisions) != fresh) {
+		return fmt.Errorf("round record %q with %d decisions for %d fresh points", r.Initial, len(r.Decisions), fresh)
 	}
+	want := len(r.Decisions) + len(r.Merge.Steps) + 1
+	if r.Initial != "" {
+		want++
+	}
+	if len(steps) != want {
+		return fmt.Errorf("%d events traced, the record has %d", len(steps), want)
+	}
+	if r.Initial != "" {
+		if e := steps[0]; e.Name != "initial.cluster" || e.Field("path") != r.Initial {
+			return fmt.Errorf("traced %s %v, record says %q", e.Name, e.Fields, r.Initial)
+		}
+		steps = steps[1:]
+	}
+	for i, d := range r.Decisions {
+		e := steps[i]
+		ok := e.Field("point_id") == d.PointID
+		if d.New {
+			ok = ok && e.Name == "classify.new_cluster" && e.Field("nearest") == d.Winner &&
+				bits(e.Field("mahalanobis").(float64)) == bits(d.Mahalanobis) &&
+				bits(e.Field("radius").(float64)) == bits(d.Radius)
+		} else {
+			ok = ok && e.Name == "classify.assign" && e.Field("cluster") == d.Winner &&
+				bits(e.Field("score").(float64)) == bits(d.Score)
+		}
+		if !ok {
+			return fmt.Errorf("decision %d: traced %s %v, record %+v", i, e.Name, e.Fields, d)
+		}
+	}
+	steps = steps[len(r.Decisions):]
+	for i, st := range r.Merge.Steps {
+		e := steps[i]
+		name := "merge.accept"
+		if st.Forced {
+			name = "merge.forced"
+		}
+		if e.Name != name || bits(e.Field("t2").(float64)) != bits(st.T2) || bits(e.Field("c2").(float64)) != bits(st.C2) {
+			return fmt.Errorf("merge %d: traced %s %v, record %+v", i, e.Name, e.Fields, st)
+		}
+	}
+	if e := steps[len(r.Merge.Steps)]; e.Name != "merge.done" || e.Field("pairs_tested") != r.Merge.PairsTested {
+		return fmt.Errorf("traced %s %v, record tested %d pairs", e.Name, e.Fields, r.Merge.PairsTested)
+	}
+	return nil
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

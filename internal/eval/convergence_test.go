@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rf"
 )
 
@@ -43,7 +44,7 @@ func TestChurnAndDriftHelpers(t *testing.T) {
 	if got := churn(prev, nil); got != 0 {
 		t.Errorf("churn(empty) = %v", got)
 	}
-	if got := repDrift(nil, nil); got != 0 {
+	if got := repDrift(core.Description{}, core.Description{}); got != 0 {
 		t.Errorf("repDrift(no prev) = %v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/stat"
 )
@@ -21,7 +22,8 @@ type EngineSeries struct {
 	// DistanceEvals and NodesVisited are mean index work per iteration.
 	DistanceEvals []float64
 	NodesVisited  []float64
-	// QueryPoints is the mean number of query representatives.
+	// QueryPoints is the mean number of Qcluster query points: 1 before
+	// any feedback and for engines without a query model.
 	QueryPoints []float64
 	// Curves[i] is the mean precision-recall curve of iteration i
 	// (scope 1..K) — the lines of Figs. 8-9.
@@ -51,7 +53,7 @@ func (s Sweep) Series() EngineSeries {
 			out.CPUMillis[i] += float64(it.Elapsed) / float64(time.Millisecond)
 			out.DistanceEvals[i] += float64(it.Stats.DistanceEvals)
 			out.NodesVisited[i] += float64(it.Stats.NodesVisited)
-			out.QueryPoints[i] += float64(it.QueryPoints)
+			out.QueryPoints[i] += float64(max(1, len(it.Model.Clusters)))
 			curves[i] = append(curves[i], PRCurve(it.IDs, rel, total))
 		}
 	}
@@ -188,7 +190,7 @@ func (s Sweep) Convergence() ConvergenceResult {
 				prev := t.Rounds[i-1]
 				res.RecallGain[i] += recall - prevRecall
 				res.ResultChurn[i] += churn(prev.IDs, it.IDs)
-				res.ModelDrift[i] += repDrift(prev.Reps, it.Reps) / scale
+				res.ModelDrift[i] += repDrift(prev.Model, it.Model) / scale
 			}
 			prevRecall = recall
 		}
@@ -220,17 +222,17 @@ func churn(prev, cur []int) float64 {
 	return float64(changed) / float64(len(cur))
 }
 
-// repDrift sums, over current representatives, the distance to the
-// nearest previous representative (0 when there was no previous model).
-func repDrift(prev, cur []linalg.Vector) float64 {
-	if len(prev) == 0 {
+// repDrift sums, over current cluster centroids, the distance to the
+// nearest previous centroid (0 when there was no previous model).
+func repDrift(prev, cur core.Description) float64 {
+	if len(prev.Clusters) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, c := range cur {
+	for _, c := range cur.Clusters {
 		best := math.Inf(1)
-		for _, p := range prev {
-			if d := c.Dist(p); d < best {
+		for _, p := range prev.Clusters {
+			if d := c.Centroid.Dist(p.Centroid); d < best {
 				best = d
 			}
 		}

@@ -62,13 +62,14 @@ func TestEigenSymTraceAndDet(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		m := randSPD(rng, n)
 		vals, _ := EigenSym(m)
-		var sum, prod float64 = 0, 1
-		for _, v := range vals {
+		var sum, prod, trace float64 = 0, 1, 0
+		for i, v := range vals {
 			sum += v
 			prod *= v
+			trace += m.At(i, i)
 		}
-		if !almostEq(sum, m.Trace(), 1e-8*math.Max(1, math.Abs(m.Trace()))) {
-			t.Fatalf("trial %d: Σλ=%v trace=%v", trial, sum, m.Trace())
+		if !almostEq(sum, trace, 1e-8*math.Max(1, math.Abs(trace))) {
+			t.Fatalf("trial %d: Σλ=%v trace=%v", trial, sum, trace)
 		}
 		det := m.Det()
 		if math.Abs(prod-det) > 1e-6*math.Max(1, math.Abs(det)) {

@@ -219,18 +219,6 @@ func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 	return true
 }
 
-// Trace returns the sum of the diagonal of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if !m.IsSquare() {
-		panic("linalg: Trace of non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.At(i, i)
-	}
-	return t
-}
-
 // String renders m for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder

@@ -112,13 +112,6 @@ func TestDiagAndDiagonal(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	m := fromRows([]Vector{{1, 9}, {9, 2}})
-	if got := m.Trace(); got != 3 {
-		t.Errorf("Trace = %v", got)
-	}
-}
-
 func TestRowColAliasing(t *testing.T) {
 	m := fromRows([]Vector{{1, 2}, {3, 4}})
 	r := m.Row(0)
@@ -173,7 +166,6 @@ func TestMatrixPanics(t *testing.T) {
 	mustPanicM(t, func() { fromRows([]Vector{{1}}).Add(fromRows([]Vector{{1, 2}})) })
 	mustPanicM(t, func() { fromRows([]Vector{{1, 2}}).Mul(fromRows([]Vector{{1, 2}})) })
 	mustPanicM(t, func() { fromRows([]Vector{{1, 2}}).MulVec(Vector{1}) })
-	mustPanicM(t, func() { fromRows([]Vector{{1, 2}}).Trace() })
 	mustPanicM(t, func() { fromRows([]Vector{{1, 2}}).QuadForm(Vector{1, 2}) })
 	mustPanicM(t, func() { fromRows([]Vector{{1, 2}}).Inverse() })
 	mustPanicM(t, func() { fromRows([]Vector{{1, 2}}).Cholesky() })

@@ -20,7 +20,8 @@ func F(key string, value any) Field { return Field{Key: key, Value: value} }
 // Event is one structured trace event: a named occurrence inside a
 // span, with attributes. The feedback pipeline emits one span per
 // feedback round whose events record every classification decision,
-// merge accept/reject and the final cluster count.
+// every merge (accepted by the T² test or forced by the cluster bound)
+// and the final cluster count.
 type Event struct {
 	// Span is the name of the enclosing span ("" for free events).
 	Span string

@@ -7,6 +7,7 @@ package rf
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/linalg"
 )
@@ -25,10 +26,14 @@ type Engine interface {
 	Feedback(points []cluster.Point)
 	// Metric returns the distance function for the next retrieval.
 	Metric() distance.Metric
-	// NumQueryPoints reports the current number of query representatives
-	// (1 for single-point methods).
-	NumQueryPoints() int
+	// Describe returns the engine's Qcluster query model; the baselines
+	// keep none and return the zero Description.
+	Describe() core.Description
 }
+
+type noModel struct{} // the baselines' Describe
+
+func (noModel) Describe() core.Description { return core.Description{} }
 
 // initialMetric is the iteration-0 distance every engine shares: plain
 // Euclidean distance to the example point, so all methods start from the

@@ -13,6 +13,7 @@ import (
 // queries but carries one distance evaluation per relevant point per
 // database object, which is what makes it expensive (paper Fig. 7).
 type Falcon struct {
+	noModel
 	query    linalg.Vector
 	relevant []cluster.Point
 	seen     map[int]bool
@@ -61,12 +62,4 @@ func (e *Falcon) Metric() distance.Metric {
 		parts[i] = &distance.Euclidean{Center: p.Vec.Clone()}
 	}
 	return distance.NewAggregate(parts, e.alpha)
-}
-
-// NumQueryPoints implements Engine.
-func (e *Falcon) NumQueryPoints() int {
-	if len(e.relevant) == 0 {
-		return 1
-	}
-	return len(e.relevant)
 }

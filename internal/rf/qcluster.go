@@ -43,16 +43,8 @@ func (e *Qcluster) Metric() distance.Metric {
 	return e.model.Metric()
 }
 
-// NumQueryPoints implements Engine.
-func (e *Qcluster) NumQueryPoints() int {
-	if e.model == nil || e.model.NumClusters() == 0 {
-		return 1
-	}
-	return e.model.NumClusters()
-}
-
-// Representatives returns the query model's cluster centroids.
-func (e *Qcluster) Representatives() []linalg.Vector { return e.model.Representatives() }
+// Describe implements Engine.
+func (e *Qcluster) Describe() core.Description { return e.model.Describe() }
 
 // Model exposes the underlying query model (for quality diagnostics).
 func (e *Qcluster) Model() *core.QueryModel { return e.model }

@@ -16,6 +16,7 @@ import (
 // representatives — the "single large contour" the paper's Examples 1-2
 // criticize for complex queries.
 type QEX struct {
+	noModel
 	maxClusters int
 
 	query linalg.Vector
@@ -89,12 +90,4 @@ func (e *QEX) Metric() distance.Metric {
 		return initialMetric(e.query)
 	}
 	return distance.NewConvexCombination(e.parts, e.ws)
-}
-
-// NumQueryPoints implements Engine.
-func (e *QEX) NumQueryPoints() int {
-	if len(e.parts) == 0 {
-		return 1
-	}
-	return len(e.parts)
 }

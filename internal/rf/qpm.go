@@ -19,6 +19,7 @@ import (
 // limitation the multipoint methods attack. As in the paper's
 // experiments, only positive feedback moves the point.
 type QPM struct {
+	noModel
 	// Alpha is the Rocchio carry-over weight of the previous query point
 	// (0.5 by default, balancing history and fresh feedback).
 	Alpha float64
@@ -75,6 +76,3 @@ func (e *QPM) Metric() distance.Metric {
 	}
 	return distance.NewQuadraticDiag(e.query, e.invDiag)
 }
-
-// NumQueryPoints implements Engine.
-func (e *QPM) NumQueryPoints() int { return 1 }

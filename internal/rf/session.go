@@ -3,6 +3,7 @@ package rf
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/linalg"
 )
@@ -15,12 +16,9 @@ type Iteration struct {
 	Stats index.SearchStats
 	// Elapsed is the wall-clock time of the metric build and the search.
 	Elapsed time.Duration
-	// QueryPoints is the number of query representatives used.
-	QueryPoints int
-	// Reps are the engine's query representatives after the search and
-	// before the round's feedback, for engines that expose them (Qcluster;
-	// nil for the others).
-	Reps []linalg.Vector
+	// Model is the engine's query model after the search and before the
+	// round's feedback (the zero value for engines that keep none).
+	Model core.Description
 }
 
 // Session drives one full Algorithm-1 loop: initial k-NN query from an
@@ -50,16 +48,12 @@ func (s *Session) Run(queryID, queryCat, iterations int) []Iteration {
 		for i, r := range results {
 			ids[i] = r.ID
 		}
-		round := Iteration{
-			IDs:         ids,
-			Stats:       stats,
-			Elapsed:     elapsed,
-			QueryPoints: s.Engine.NumQueryPoints(),
-		}
-		if r, ok := s.Engine.(interface{ Representatives() []linalg.Vector }); ok {
-			round.Reps = r.Representatives()
-		}
-		out = append(out, round)
+		out = append(out, Iteration{
+			IDs:     ids,
+			Stats:   stats,
+			Elapsed: elapsed,
+			Model:   s.Engine.Describe(),
+		})
 		if it == iterations {
 			break
 		}

@@ -109,10 +109,10 @@ type feedbackPoint struct {
 	Score  float64   `json:"score"`
 }
 
-// feedbackRequest is also parsed by parseMarks (wire.go). A field added
-// here reaches only decodeBody until parseMarks learns it: correct, but
-// every such body takes the slow path. The results page, the search page
-// and the feedback ack have no wire types; wire.go appends them.
+// feedbackRequest is filled by parseMarks (wire.go), whose grammar
+// spells these json keys; a field added here is refused until
+// parseMarks learns it. The results page, the search page and the
+// feedback ack have no wire types; wire.go appends them.
 type feedbackRequest struct {
 	Points []feedbackPoint `json:"points"`
 }

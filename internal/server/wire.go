@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -18,8 +19,8 @@ import (
 // stateless search page and the feedback ack are appended into a pooled
 // buffer without reflection, and the marks body is parsed in one pass.
 // Every byte written is what encoding/json would write for the same
-// value; a marks body the parser does not take goes to decodeBody, so
-// acceptance and error text are encoding/json's.
+// value. The marks parser's grammar is the feedback body's contract:
+// every body it takes encoding/json takes too, to the same points.
 
 // bufPool holds response and request-body buffers. A buffer grown past
 // maxPooledBuf (a huge marks body) is dropped rather than pinned.
@@ -137,20 +138,21 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// decodeMarks reads a feedback body into req. It is decodeBody for
-// feedbackRequest: the body is read once into a pooled buffer and
-// parsed in place, and anything the parser does not take (escapes,
-// other key cases, duplicates, null, out-of-range numbers, bad JSON, a
-// read error) is replayed to decodeBody, which accepts or refuses it.
+// decodeMarks reads a feedback body into req: the body is read once
+// into a pooled buffer and parsed in place. A read error or a body
+// outside parseMarks' grammar is a 400, the latter naming the byte where
+// parsing stopped.
 func decodeMarks(w http.ResponseWriter, r *http.Request, req *feedbackRequest) int {
 	bp := getBuf()
 	body, err := readAll(io.LimitReader(r.Body, maxBodyBytes), *bp)
 	defer putBuf(bp, body)
-	if err == nil && parseMarks(body, req) {
-		return 0
+	if err == nil {
+		err = parseMarks(body, req)
 	}
-	r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), errReader{err}))
-	return decodeBody(w, r, req)
+	if err != nil {
+		return fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return 0
 }
 
 // readAll is io.ReadAll of a body into b's spare capacity. It doubles
@@ -175,20 +177,11 @@ func readAll(r io.Reader, b []byte) ([]byte, error) {
 	}
 }
 
-// errReader replays a body read's outcome after its bytes: the read
-// error, or EOF.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) {
-	if e.err == nil {
-		return 0, io.EOF
-	}
-	return 0, e.err
-}
-
 // marksParser walks a marks body: {"points":[{"id":int,"score":number,
 // "vector":[number,…]}…]} with any JSON whitespace and each key at most
-// once. Every method reports false on anything else.
+// once, spelled exactly so: no escapes, no other case, no null. An int
+// or a number is one encoding/json takes for an int or a float64. Every
+// method reports false on anything else.
 type marksParser struct {
 	b []byte
 	i int
@@ -198,10 +191,12 @@ type marksParser struct {
 // it, append grows the slice as values actually parse.
 const maxPrealloc = 1024
 
-func parseMarks(body []byte, req *feedbackRequest) bool {
+// parseMarks parses a marks body into req, or reports the byte where it
+// left the grammar.
+func parseMarks(body []byte, req *feedbackRequest) error {
 	p := marksParser{b: body}
 	if !p.eat('{') || !p.key(keyPoints) || !p.eat('[') {
-		return false
+		return p.refuse()
 	}
 	// Every point opens one brace, so this bounds a well-formed body's
 	// slice exactly; maxPrealloc keeps a brace flood from sizing it.
@@ -210,26 +205,30 @@ func parseMarks(body []byte, req *feedbackRequest) bool {
 		for {
 			var pt feedbackPoint
 			if !p.point(&pt) {
-				return false
+				return p.refuse()
 			}
 			pts = append(pts, pt)
 			if p.eat(']') {
 				break
 			}
 			if !p.eat(',') {
-				return false
+				return p.refuse()
 			}
 		}
 	}
 	if !p.eat('}') {
-		return false
+		return p.refuse()
 	}
 	p.space()
 	if p.i != len(p.b) {
-		return false
+		return p.refuse()
 	}
 	req.Points = pts
-	return true
+	return nil
+}
+
+func (p *marksParser) refuse() error {
+	return fmt.Errorf("not a marks body at byte %d", p.i)
 }
 
 func (p *marksParser) point(pt *feedbackPoint) bool {
@@ -316,8 +315,8 @@ func (p *marksParser) eat(c byte) bool {
 }
 
 // key consumes a quoted key (quotes included in k) and its colon. It
-// matches bytes exactly, so an escaped or differently-cased key is left
-// for decodeBody.
+// matches bytes exactly, so an escaped or differently-cased key is
+// refused.
 func (p *marksParser) key(k []byte) bool {
 	p.space()
 	if !bytes.HasPrefix(p.b[p.i:], k) {
@@ -395,7 +394,11 @@ func (p *marksParser) integer() (int, bool) {
 	if !ok || !integer {
 		return 0, false
 	}
-	return atoi(lit)
+	if n, ok := atoi(lit); ok {
+		return n, true
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 0)
+	return int(n), err == nil
 }
 
 // number parses a float64 literal. An integer literal converts exactly
@@ -419,8 +422,7 @@ func (p *marksParser) number() (float64, bool) {
 }
 
 // atoi converts a validated integer literal. Past 18 digits it could
-// overflow, so it reports false and leaves the range check to strconv
-// or decodeBody.
+// overflow, so it reports false and leaves the range check to strconv.
 func atoi(lit []byte) (int, bool) {
 	neg := lit[0] == '-'
 	if neg {

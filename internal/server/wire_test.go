@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -148,7 +149,7 @@ func TestWireRefusesNonFiniteDistance(t *testing.T) {
 }
 
 // marksOutcome is what a feedback body decodes to: the status and text
-// decodeBody writes on refusal, or the points on acceptance.
+// written on refusal, or the points on acceptance.
 type marksOutcome struct {
 	status int
 	body   string
@@ -183,18 +184,28 @@ func sameMarks(a, b marksOutcome) bool {
 	return true
 }
 
+// checkMarks holds a body to the marks contract: a body decodeMarks
+// takes, encoding/json (decodeBody) takes too, to Float64bits-equal
+// points; a body it refuses is a 400 "bad request body".
 func checkMarks(t *testing.T, body []byte) {
 	t.Helper()
+	got := decodeWith(body, decodeMarks)
+	if got.status != 0 {
+		if got.status != http.StatusBadRequest || !strings.HasPrefix(got.body, `{"error":"bad request body: `) {
+			t.Fatalf("body %.200q refused with %d %q, want a 400 bad request body", body, got.status, got.body)
+		}
+		return
+	}
 	decodeJSON := func(w http.ResponseWriter, r *http.Request, req *feedbackRequest) int { return decodeBody(w, r, req) }
-	got, want := decodeWith(body, decodeMarks), decodeWith(body, decodeJSON)
-	if !sameMarks(got, want) {
+	if want := decodeWith(body, decodeJSON); !sameMarks(got, want) {
 		t.Fatalf("body %.200q:\n decodeMarks %d %q %+v\n  decodeBody %d %q %+v",
 			body, got.status, got.body, got.points, want.status, want.body, want.points)
 	}
 }
 
-// FuzzFeedbackBody: for any body, the one-pass marks parser and its
-// decodeBody fallback decide exactly what decodeBody alone decides.
+// FuzzFeedbackBody: every body the one-pass marks parser accepts,
+// encoding/json accepts to the same points; every body it refuses is a
+// 400.
 func FuzzFeedbackBody(f *testing.F) {
 	for _, s := range []string{
 		`{"points":[{"id":12,"score":3},{"id":7,"score":1}]}`,
@@ -224,6 +235,45 @@ func TestMarksBodyCutAtLimit(t *testing.T) {
 	checkMarks(t, []byte(`{"points":[`+strings.Repeat(point, maxBodyBytes/len(point))+`{"id":1,"score":3}]}`))
 }
 
+// TestMarksRefusals pins the 400 text of a refused marks body, on the
+// bodies encoding/json took before the parser's grammar became the
+// contract: null values, escaped or case-variant keys, repeated keys.
+// The bodies every in-repo client sends still parse: bench/'s {id,
+// score} structs, examples/serving's maps, and marks with a vector.
+func TestMarksRefusals(t *testing.T) {
+	for body, at := range map[string]int{
+		`null`: 0, `{}`: 1, `{"points":null}`: 10, `{"points":[null]}`: 11,
+		`{"points":[{"id":1,"score":null}]}`: 27, `{"points":[{"id":1,"score":1,"vector":null}]}`: 38,
+		`{"p\u006fints":[]}`: 1, `{"Points":[{"id":1,"score":1}]}`: 1, `{"points":[{"ID":1,"score":1}]}`: 12,
+		`{"points":[{"id":1,"id":2,"score":1}]}`: 19, `{"points":[],"points":[]}`: 12,
+	} {
+		out := decodeWith([]byte(body), decodeMarks)
+		if want := fmt.Sprintf(`{"error":"bad request body: not a marks body at byte %d"}`+"\n", at); out.status != http.StatusBadRequest || out.body != want {
+			t.Errorf("%s: %d %q, want 400 %q", body, out.status, out.body, want)
+		}
+	}
+	type benchPoint struct {
+		ID    int     `json:"id"`
+		Score float64 `json:"score"`
+	}
+	for _, v := range []any{
+		struct {
+			Points []benchPoint `json:"points"`
+		}{[]benchPoint{{ID: 29123, Score: 3}, {ID: 7, Score: 1}}},
+		map[string]any{"points": []map[string]any{{"id": 4, "score": 3}, {"id": 11, "score": 3}}},
+		feedbackRequest{Points: []feedbackPoint{{ID: -1, Vector: []float64{0.25, -1e-7, 3}, Score: 1}, {ID: 2, Score: 3}}},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := decodeWith(body, decodeMarks); out.status != 0 || len(out.points) != 2 {
+			t.Errorf("client body %s: %d %q", body, out.status, out.body)
+		}
+		checkMarks(t, body)
+	}
+}
+
 // TestWireAllocs: with a warm pool a 100-row page appends without
 // allocating, and a 30-point marks body allocates only its Points.
 func TestWireAllocs(t *testing.T) {
@@ -251,8 +301,8 @@ func TestWireAllocs(t *testing.T) {
 	}
 	var req feedbackRequest
 	if n := testing.AllocsPerRun(200, func() {
-		if !parseMarks(body, &req) {
-			t.Fatal("parseMarks refused the client's body")
+		if err := parseMarks(body, &req); err != nil {
+			t.Fatalf("parseMarks refused the client's body: %v", err)
 		}
 	}); n != 1 {
 		t.Errorf("parsing a 30-point body: %v allocs, want 1 (the Points slice)", n)

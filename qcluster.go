@@ -194,10 +194,10 @@ func (q *Query) NumQueryPoints() int {
 func (q *Query) Representatives() [][]float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	reps := q.model.Representatives()
-	out := make([][]float64, len(reps))
-	for i, r := range reps {
-		out[i] = r
+	cs := q.model.Clusters()
+	out := make([][]float64, len(cs))
+	for i, c := range cs {
+		out[i] = c.Centroid()
 	}
 	return out
 }
@@ -234,8 +234,8 @@ func LoadQuery(r io.Reader) (*Query, error) {
 		return nil, err
 	}
 	q := &Query{model: m}
-	if reps := m.Representatives(); len(reps) > 0 {
-		q.dim = reps[0].Dim()
+	if cs := m.Clusters(); len(cs) > 0 {
+		q.dim = cs[0].Dim()
 	}
 	return q, nil
 }
