@@ -24,6 +24,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/linalg"
 	"repro/internal/rf"
+	"repro/internal/shard"
 	"repro/internal/synth"
 )
 
@@ -340,7 +341,9 @@ const mix16Cats, mix16PerCat, mix16Seed = 1000, 64, 16
 // mix16 workloads (64k 16-d vectors in 64-point clusters, full-inverse
 // queries, k = 100), the same store under first-page Euclidean queries
 // (-euclid), and both over the vectors with shuffled ids (-shuffled, where
-// no storage block can be skipped). Each cell reports the share of its
+// no storage block can be skipped), and the Euclidean queries on a 2-shard
+// set of the mix16 store through its scatter-gather (-euclid/shards2,
+// whose skipped-evals sum the legs'). Each cell reports the share of its
 // searches that finished as a sweep beside exact-evals and skipped-evals
 // per search, so the regime boundary shows in one run. CI runs this with
 // -benchtime=1x as a smoke test.
@@ -352,6 +355,8 @@ func BenchmarkKNN(b *testing.B) {
 		metrics []distance.Metric
 	}
 	var cells []cell
+	var mixVecs []linalg.Vector
+	var mixEuclid []distance.Metric
 	for _, n := range []int{10000, 100000} {
 		for _, dim := range []int{8, 32} {
 			rng := rand.New(rand.NewSource(int64(31*n + dim)))
@@ -371,6 +376,7 @@ func BenchmarkKNN(b *testing.B) {
 		rng := rand.New(rand.NewSource(mix16Seed))
 		vecs, _ := synth.Mixture[linalg.Vector](rng, mix16Cats, mix16PerCat, 16, 5)
 		store := mustStore(b, vecs)
+		mixVecs = vecs
 		metrics := make([]distance.Metric, 16)
 		for i := range metrics {
 			first := rng.Intn(mix16Cats) * mix16PerCat
@@ -387,6 +393,7 @@ func BenchmarkKNN(b *testing.B) {
 		for i := range euclid {
 			euclid[i] = &distance.Euclidean{Center: store.Vector(rng.Intn(store.Len()))}
 		}
+		mixEuclid = euclid
 		// The control: the same vectors under shuffled ids, so no 64-row
 		// storage block holds one cluster and no block box can be skipped.
 		shuffled := make([]linalg.Vector, len(vecs))
@@ -415,12 +422,36 @@ func BenchmarkKNN(b *testing.B) {
 					_, stats := mode.tree.KNN(c.metrics[i%len(c.metrics)], k)
 					total.Add(stats)
 				}
-				b.ReportMetric(float64(total.DistanceEvals)/float64(b.N), "exact-evals")
-				b.ReportMetric(float64(total.Swept)/float64(b.N), "swept")
-				b.ReportMetric(float64(total.SkippedEvals)/float64(b.N), "skipped-evals")
+				reportSearchWork(b, total)
 			})
 		}
 	}
+	rows := make([][]float64, len(mixVecs))
+	for i, v := range mixVecs {
+		rows[i] = v
+	}
+	set, err := shard.New(rows, 2, qcluster.IndexOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("dim16/n64k-euclid/shards2", func(b *testing.B) {
+		var total index.SearchStats
+		for i := 0; i < b.N; i++ {
+			_, stats, _, err := set.SearchMetric(context.Background(), mixEuclid[i%len(mixEuclid)], k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			total.Add(stats)
+		}
+		reportSearchWork(b, total)
+	})
+}
+
+// reportSearchWork reports a k-NN cell's index work per search.
+func reportSearchWork(b *testing.B, total index.SearchStats) {
+	b.ReportMetric(float64(total.DistanceEvals)/float64(b.N), "exact-evals")
+	b.ReportMetric(float64(total.Swept)/float64(b.N), "swept")
+	b.ReportMetric(float64(total.SkippedEvals)/float64(b.N), "skipped-evals")
 }
 
 // BenchmarkANN is what the ANN backend has earned (ROADMAP item 12, the

@@ -31,11 +31,14 @@
 // "degraded" with the failure message.
 //
 // With -shards N the collection is partitioned into N scatter-gather
-// shards (deterministic hash placement by id): searches fan out to all
-// shards under one shared k-th-best bound and merge bit-identically to
-// the unsharded answer, and /healthz + /metrics carry per-shard blocks.
-// Combined with -data, each shard keeps its own WAL directory under the
-// data root. -parallelism sizes a swept search's workers.
+// shards (each run of 64 consecutive ids, one storage block, on one
+// shard, round-robin): searches fan out to all shards under one shared
+// k-th-best bound and merge bit-identically to the unsharded answer,
+// and /healthz + /metrics carry per-shard blocks. Combined with -data,
+// each shard keeps its own WAL directory under the data root, and the
+// root records N: a root written with another N, or by a build that
+// hashed ids to shards, is refused at boot. -parallelism sizes a swept
+// search's workers.
 //
 // With -backend the k-NN execution path is selectable: tree (default,
 // exact hybrid-tree) or ann (approximate HNSW-style graph over

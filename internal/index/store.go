@@ -16,19 +16,20 @@ import (
 	"repro/internal/obs"
 )
 
-// blockRows is the row count of one storage block: the store keeps the
-// bounding box of every blockRows consecutive vectors, and a swept
+// BlockRows is the row count of one storage block: the store keeps the
+// bounding box of every BlockRows consecutive vectors, and a swept
 // search skips a block whose box is provably past its k-th best. A
 // divisor of sweepChunk, so a sweep's chunks are whole blocks. Smaller
 // blocks skip more of a clustered store but pay more box checks where
-// nothing skips.
-const blockRows = 64
+// nothing skips. internal/shard places ids in runs of BlockRows, so a
+// shard's blocks are the unsharded store's.
+const BlockRows = 64
 
 // Store is an append-only in-memory feature-vector database. Vector i
 // belongs to image/object i. All vectors live in one contiguous
 // []float64 block, so leaf scans walk memory sequentially instead of
 // chasing per-vector pointers. Beside it the store keeps one bounding
-// box per blockRows rows in storage order. It does no internal locking —
+// box per BlockRows rows in storage order. It does no internal locking —
 // the public Database layer serializes Append against readers.
 type Store struct {
 	data  []float64 // n*dim components, vector i at [i*dim, (i+1)*dim)
@@ -67,7 +68,7 @@ func NewStore(vecs []linalg.Vector) (*Store, error) {
 func buildStore(data []float64, dim int) *Store {
 	n := len(data) / dim
 	s := &Store{data: data, dim: dim, n: n}
-	s.boxes = make([]float64, 0, (n+blockRows-1)/blockRows*2*dim)
+	s.boxes = make([]float64, 0, (n+BlockRows-1)/BlockRows*2*dim)
 	s.widenBoxes(0)
 	return s
 }
@@ -79,7 +80,7 @@ func (s *Store) widenBoxes(from int) {
 	dim := s.dim
 	for id := from; id < s.n; id++ {
 		row := s.data[id*dim : (id+1)*dim]
-		if id%blockRows == 0 {
+		if id%BlockRows == 0 {
 			s.boxes = append(s.boxes, row...)
 			s.boxes = append(s.boxes, row...)
 			continue
@@ -93,8 +94,8 @@ func (s *Store) widenBoxes(from int) {
 	}
 }
 
-// blockBox returns the bounding box of block b, rows [b*blockRows,
-// min((b+1)*blockRows, n)), aliased: treat as read-only.
+// blockBox returns the bounding box of block b, rows [b*BlockRows,
+// min((b+1)*BlockRows, n)), aliased: treat as read-only.
 func (s *Store) blockBox(b int) (lo, hi linalg.Vector) {
 	off := 2 * b * s.dim
 	return s.boxes[off : off+s.dim : off+s.dim], s.boxes[off+s.dim : off+2*s.dim : off+2*s.dim]

@@ -26,9 +26,9 @@ const (
 	sweepCheckShare  = 32
 	// sweepChunk is the id range one worker takes from the cursor at a
 	// time, ctx checked and the shared bound tightened between chunks: a
-	// whole number of storage blocks (blockRows), since chunks start at
+	// whole number of storage blocks (BlockRows), since chunks start at
 	// multiples of it.
-	sweepChunk = 4 * blockRows
+	sweepChunk = 4 * BlockRows
 )
 
 // resolveParallelism maps the TreeOptions knob to a worker count:
@@ -159,11 +159,11 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 			// point-filter gates' warm-up four times as often (≈7 % of a
 			// sweep where no block skips, in a CPU profile).
 			run := lo
-			for first := lo; first < hi; first += blockRows {
-				last := min(first+blockRows, hi)
+			for first := lo; first < hi; first += BlockRows {
+				last := min(first+BlockRows, hi)
 				bound := min(p.h.bound(), shared.Load())
 				if bound < inf {
-					if blo, bhi := t.store.blockBox(first / blockRows); m.LowerBound(blo, bhi) > bound {
+					if blo, bhi := t.store.blockBox(first / BlockRows); m.LowerBound(blo, bhi) > bound {
 						eval(p, be, run, first, bound)
 						p.skipped += last - first
 						run = last

@@ -208,7 +208,7 @@ func appendRow(t *testing.T, rng *rand.Rand, tree *HybridTree, halves [2]*Hybrid
 // bounding box of the block's rows.
 func checkBlockBoxes(t *testing.T, label string, s *Store) {
 	t.Helper()
-	blocks := (s.Len() + blockRows - 1) / blockRows
+	blocks := (s.Len() + BlockRows - 1) / BlockRows
 	if len(s.boxes) != 2*blocks*s.Dim() {
 		t.Fatalf("%s: %d box components for %d blocks of dim %d", label, len(s.boxes), blocks, s.Dim())
 	}
@@ -216,7 +216,7 @@ func checkBlockBoxes(t *testing.T, label string, s *Store) {
 		lo, hi := s.blockBox(b)
 		for d := 0; d < s.Dim(); d++ {
 			wlo, whi := math.Inf(1), math.Inf(-1)
-			for id := b * blockRows; id < min((b+1)*blockRows, s.Len()); id++ {
+			for id := b * BlockRows; id < min((b+1)*BlockRows, s.Len()); id++ {
 				wlo, whi = min(wlo, s.Vector(id)[d]), max(whi, s.Vector(id)[d])
 			}
 			if lo[d] != wlo || hi[d] != whi {
@@ -260,7 +260,7 @@ func TestSweepOverflowStore(t *testing.T) {
 	var vecs []linalg.Vector
 	finite := 0
 	for b := 0; b < 40; b++ {
-		for range blockRows {
+		for range BlockRows {
 			if b%3 == 1 {
 				vecs = append(vecs, linalg.Vector{1e200 * (1 + rng.Float64()), rng.NormFloat64()})
 			} else {

@@ -36,8 +36,8 @@ type dbBackend struct {
 }
 
 // setBackend adapts a sharded set: searches scatter-gather across every
-// shard, ingest routes by placement, and healthz/metrics grow per-shard
-// blocks.
+// shard, ingest routes each 64-id storage block to its shard, and
+// healthz/metrics grow per-shard blocks.
 type setBackend struct {
 	*shard.Set
 }

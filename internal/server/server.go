@@ -147,8 +147,8 @@ func New(db *qcluster.Database, opt Options) *Server {
 
 // NewSharded builds a server over a sharded set: /v1/search fans out to
 // every shard (scatter-gather, bit-identical to unsharded), POST
-// /v1/vectors routes by placement, and healthz/metrics grow per-shard
-// blocks.
+// /v1/vectors routes each 64-id storage block to its shard, and
+// healthz/metrics grow per-shard blocks.
 func NewSharded(set *shard.Set, opt Options) *Server {
 	return newServer(setBackend{set}, opt, fixedLimits())
 }

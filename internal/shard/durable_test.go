@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	qcluster "repro"
+	"repro/internal/index"
 	"repro/internal/synth"
 )
 
@@ -76,23 +80,29 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 	}
 
 	// Tear a batch by hand: commit the sub-batch of global ids
-	// 1500..1519 that lands on shard `victim` directly into that shard's
-	// durable directory — exactly the on-disk state a crash between
-	// per-shard commits leaves.
+	// [1500, tornEnd) that lands on shard `victim` directly into that
+	// shard's durable directory — exactly the on-disk state a crash
+	// between per-shard commits leaves. The range crosses stripe
+	// boundaries until it comes back to the victim, so the victim holds
+	// ids past ones its peers never committed.
+	const tornEnd = 1500 + shards*index.BlockRows
 	victim := placement(1500, shards)
 	var sub [][]float64
-	for g := 1500; g < 1520; g++ {
+	for g := 1500; g < tornEnd; g++ {
 		if placement(g, shards) == victim {
 			sub = append(sub, synth.RoundRobin[[]float64](rand.New(rand.NewSource(int64(g))), 1, 5, 16, 10, 0.5)[0])
 		}
 	}
 	// Recovery keeps the longest globally consistent prefix: the leading
-	// run of torn ids that happen to land on the victim are consistent
-	// (every id's vector is on its shard) and stay, like unacked-but-
-	// durable WAL records in the unsharded database; the rest trims.
+	// run of torn ids that land on the victim are consistent (every id's
+	// vector is on its shard) and stay, like unacked-but-durable WAL
+	// records in the unsharded database; the rest trims.
 	leading := 0
-	for g := 1500; placement(g, shards) == victim; g++ {
+	for g := 1500; g < tornEnd && placement(g, shards) == victim; g++ {
 		leading++
+	}
+	if leading == 0 || leading == len(sub) {
+		t.Fatalf("tear keeps %d of the victim's %d torn vectors; want some kept and some trimmed", leading, len(sub))
 	}
 	sdb, err := qcluster.OpenDatabase(shardDir(dir, victim), qcluster.DurableOptions{})
 	if err != nil {
@@ -121,7 +131,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 	if h[victim].Items != preTear+leading {
 		t.Fatalf("victim shard holds %d items after trim, want %d", h[victim].Items, preTear+leading)
 	}
-	if h[victim].Durability.TrimmedVectors != len(sub)-leading {
+	if trimmed := h[victim].Durability.TrimmedVectors; trimmed == 0 || trimmed != len(sub)-leading {
 		t.Fatalf("victim trimmed %d vectors, want %d", h[victim].Durability.TrimmedVectors, len(sub)-leading)
 	}
 	// ...and searches must match an unsharded control holding exactly
@@ -194,4 +204,65 @@ func TestDurableShardedSessionsSurviveRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestOpenRefusesForeignLayout: a durable set boots only under the
+// placement rule and shard count its root records. Booting a 3-shard
+// root as 2 shards, or a root an earlier build placed by hashed id,
+// would map global ids to the wrong vectors, so Open names the reason
+// and touches nothing.
+func TestOpenRefusesForeignLayout(t *testing.T) {
+	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(61)), 1500, 5, 16, 10, 0.5)
+	refuse := func(label, dir string, shards int, reason string) {
+		t.Helper()
+		set, err := Open(dir, shards, qcluster.DurableOptions{})
+		if err == nil {
+			set.Close()
+			t.Fatalf("%s: Open booted a set of %d vectors", label, set.Len())
+		}
+		if !strings.Contains(err.Error(), reason) {
+			t.Fatalf("%s: error %q does not name %q", label, err, reason)
+		}
+	}
+
+	// A different shard count.
+	dir := t.TempDir()
+	set, err := Open(dir, 3, qcluster.DurableOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refuse("2 shards over 3", dir, 2, "built with 3 shards, not 2")
+	reopened, err := Open(dir, 3, qcluster.DurableOptions{})
+	if err != nil {
+		t.Fatalf("the refused Open damaged the set: %v", err)
+	}
+	if reopened.Len() != len(seed) {
+		t.Fatalf("reopened set has %d vectors, want %d", reopened.Len(), len(seed))
+	}
+	got, err := reopened.SearchByExampleContext(context.Background(), seed[7], 1)
+	if err != nil || got[0].ID != 7 || got[0].Dist != 0 {
+		t.Fatalf("seed[7] answers %v (%v), want id 7 at distance 0", got, err)
+	}
+	reopened.Close()
+
+	// An unknown placement rule.
+	if err := os.WriteFile(filepath.Join(dir, layoutFile), []byte("placement splitmix64\nshards 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refuse("unknown rule", dir, 3, `unknown placement rule "splitmix64"`)
+
+	// Shard directories and no record: what an earlier build that hashed
+	// ids to shards leaves behind.
+	dir = t.TempDir()
+	for i := 0; i < 3; i++ {
+		db, err := qcluster.OpenDatabase(shardDir(dir, i), qcluster.DurableOptions{Seed: seed[i*500 : (i+1)*500]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+	}
+	refuse("no record", dir, 3, "shard directories but no "+layoutFile)
 }

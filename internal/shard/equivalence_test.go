@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	qcluster "repro"
 	"repro/internal/faultinject"
+	"repro/internal/index"
 	"repro/internal/synth"
 )
 
@@ -167,14 +169,25 @@ func TestScatterGatherCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	// Count the pops of the whole uncancelled search, then cancel at half
+	// that count, so the cancel lands mid-traversal whatever the count.
 	var pops atomic.Int32 // the hook fires on every shard's leg at once
+	faultinject.Set(faultinject.KNNPop, func() { pops.Add(1) })
+	defer faultinject.Clear(faultinject.KNNPop)
+	if _, err := set.SearchByExampleContext(context.Background(), vectors[100], 25); err != nil {
+		t.Fatal(err)
+	}
+	half := pops.Load() / 2
+	if half < 1 {
+		t.Fatalf("uncancelled search popped %d times; nothing to interrupt", pops.Load())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	pops.Store(0)
 	faultinject.Set(faultinject.KNNPop, func() {
-		if pops.Add(1) == 40 {
+		if pops.Add(1) == half {
 			cancel() // some shards mid-traversal, others possibly done: a subset answers
 		}
 	})
-	defer faultinject.Clear(faultinject.KNNPop)
 
 	res, err := set.SearchByExampleContext(ctx, vectors[100], 25)
 	if err == nil {
@@ -202,5 +215,85 @@ func TestScatterGatherCancellation(t *testing.T) {
 	cancel2()
 	if _, err := set.SearchByExampleContext(done, vectors[0], 5); err == nil {
 		t.Fatal("expired context did not fail")
+	}
+}
+
+// TestShardLegsSkipBlocks: stripe placement makes every shard-local
+// storage block one global block, so on the mix16 store (1 000
+// categories of 64, dim 16, laid out category by category) the legs of
+// a swept Euclidean first page skip what the unsharded store skips,
+// before and after odd-sized ingest batches, and every page stays
+// bit-identical to the unsharded one. The legs share the least of their
+// own k-th bests, which is looser than the union's k-th best, so they
+// evaluate somewhat more rows than one store; hashed placement skipped
+// about a thousandth of what one store does.
+func TestShardLegsSkipBlocks(t *testing.T) {
+	const (
+		cats, perCat, dim, k = 1000, 64, 16, 100
+		queries              = 24 // per phase
+	)
+	rng := rand.New(rand.NewSource(43))
+	vectors, _ := synth.Mixture[[]float64](rng, cats, perCat, dim, 5)
+	extra, _ := synth.Mixture[[]float64](rng, 8, perCat, dim, 5)
+	control, err := qcluster.NewDatabase(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[int]*Set{}
+	for _, shards := range []int{2, 3} {
+		if sets[shards], err = New(vectors, shards, qcluster.IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	skipped := map[int]int{} // by shard count; 0 is the unsharded store
+	for phase, batch := range []int{0, 37, 101, 3, 250} {
+		if batch > 0 {
+			for _, set := range sets {
+				if _, err := set.AddBatchContext(context.Background(), extra[:batch]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := control.AddBatch(extra[:batch]); err != nil {
+				t.Fatal(err)
+			}
+			extra = extra[batch:]
+		}
+		for shards, set := range sets {
+			for p, db := range set.shards {
+				for l := 0; l < db.Len(); l++ {
+					g := global(p, l, shards)
+					if first := global(p, l/index.BlockRows*index.BlockRows, shards); g/index.BlockRows != first/index.BlockRows {
+						t.Fatalf("shards=%d phase=%d: shard %d local %d is global %d, outside its block's global block %d",
+							shards, phase, p, l, g, first/index.BlockRows)
+					}
+					if want, got := control.Vector(g), db.Vector(l); !slices.Equal(want, got) {
+						t.Fatalf("shards=%d phase=%d: shard %d local %d does not hold global %d's vector", shards, phase, p, l, g)
+					}
+				}
+			}
+		}
+		for q := 0; q < queries; q++ {
+			m := qcluster.EuclideanMetric(control.Vector(rng.Intn(control.Len())))
+			want, stats, _, err := control.SearchMetric(context.Background(), m, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skipped[0] += stats.SkippedEvals
+			for shards, set := range sets {
+				got, stats, _, err := set.SearchMetric(context.Background(), m, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, fmt.Sprintf("shards=%d phase=%d query %d", shards, phase, q), want, got)
+				skipped[shards] += stats.SkippedEvals
+			}
+		}
+	}
+	for shards := range sets {
+		t.Logf("shards=%d: legs skipped %d rows, the unsharded store %d (%.3f×)",
+			shards, skipped[shards], skipped[0], float64(skipped[shards])/float64(skipped[0]))
+		if skipped[0] == 0 || float64(skipped[shards]) < 0.9*float64(skipped[0]) {
+			t.Errorf("shards=%d: legs skipped %d rows, the unsharded store %d; want ≥ 0.9×", shards, skipped[shards], skipped[0])
+		}
 	}
 }

@@ -56,14 +56,8 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcl
 		go func(i int) {
 			defer func() { done <- i }()
 			res, stats, err := s.shards[i].SearchLeg(ctx, m, k, sb)
-			// Remap local ids to global under the mapping lock: any
-			// vector visible to the search had its mapping entry
-			// published before it entered the shard's tree.
-			s.mu.RLock()
-			g := s.globals[i]
-			s.mu.RUnlock()
 			for j := range res {
-				res[j].ID = g[res[j].ID]
+				res[j].ID = global(i, res[j].ID, n)
 			}
 			outs[i] = out{res: res, stats: stats, dur: time.Since(start), err: err}
 		}(i)
@@ -133,10 +127,10 @@ func (s *Set) SearchMetric(ctx context.Context, m distance.Metric, k int) ([]qcl
 // Database.SearchByExampleContext, bit-identical to it over the same
 // collection. k <= 0 yields no results.
 func (s *Set) SearchByExampleContext(ctx context.Context, example []float64, k int) ([]qcluster.Result, error) {
-	if len(example) != s.dim {
+	if len(example) != s.Dim() {
 		s.met.badDim.Inc()
 		return nil, fmt.Errorf("shard: example has dimension %d, set has %d: %w",
-			len(example), s.dim, qcluster.ErrDimensionMismatch)
+			len(example), s.Dim(), qcluster.ErrDimensionMismatch)
 	}
 	res, _, _, err := s.SearchMetric(ctx, qcluster.EuclideanMetric(example), k)
 	return res, err

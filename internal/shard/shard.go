@@ -9,12 +9,12 @@
 // to the same search over one unsharded database holding the same
 // vectors in the same global-id order.
 //
-// Vector placement is a deterministic hash of the global id
-// (splitmix64 mod N), so any process that knows N can route an ingest
-// or locate a vector without a directory service. Global ids are
-// assigned sequentially; within a shard, local ids are therefore
-// monotone in global-id order, which keeps the per-shard (Dist, ID)
-// tie-break consistent with the global one.
+// Placement deals runs of index.BlockRows consecutive global ids to the
+// shards round-robin, so each shard-local storage block is one global
+// block and a shard's sweep skips what one store would. The id map is
+// arithmetic: any process that knows N can route an ingest or locate a
+// vector. Local ids are monotone in global-id order, which keeps the
+// per-shard (Dist, ID) tie-break consistent with the global one.
 package shard
 
 import (
@@ -27,39 +27,37 @@ import (
 	"sync/atomic"
 
 	qcluster "repro"
+	"repro/internal/index"
 	"repro/internal/obs"
 )
 
-// placement maps a global vector id to its shard with a splitmix64
-// finalizer — deterministic across processes, dependency-free, and
-// well-mixed even on the sequential id stream.
-func placement(id, shards int) int {
-	x := uint64(id) + 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int(x % uint64(shards))
-}
+// stripe is the run of consecutive global ids placed on one shard: one
+// storage block.
+const stripe = index.BlockRows
 
-// Set is a sharded collection: N shard databases plus the global↔local
-// id mapping and the scatter-gather search layer over them. A Set is
-// safe for concurrent use; ingest batches are serialized internally
-// (each spans every shard) while searches share read access.
+// placement maps a global vector id to its shard: stripe s goes to
+// shard s mod N.
+func placement(g, shards int) int { return g / stripe % shards }
+
+// local maps a global id to its local id on its placement shard.
+func local(g, shards int) int { return g/(stripe*shards)*stripe + g%stripe }
+
+// global maps local id l on shard p back to its global id.
+func global(p, l, shards int) int { return (l/stripe*shards+p)*stripe + l%stripe }
+
+// Set is a sharded collection: N shard databases and the
+// scatter-gather search layer over them. A Set is safe for concurrent
+// use; ingest batches are serialized internally (each spans every
+// shard) while searches share read access.
 type Set struct {
 	shards  []*qcluster.Database
 	durable []*qcluster.DurableDatabase // nil when memory-only
-	dim     int
 	met     *setMetrics
 
-	// mu guards the id mapping; ingestMu serializes whole cross-shard
-	// batches (global ids must be assigned in one total order).
-	mu      sync.RWMutex
-	total   int     // global ids assigned
-	locals  []int   // global id -> local id within its shard
-	globals [][]int // shard -> local id -> global id
-
+	// total counts the global ids assigned. ingestMu serializes whole
+	// cross-shard batches (global ids must be assigned in one total
+	// order), so a batch is total's only writer.
+	total    atomic.Int64
 	ingestMu sync.Mutex
 	degraded atomic.Bool
 	degErr   error // first failure that degraded the set; guarded by ingestMu
@@ -99,8 +97,7 @@ func newSetMetrics() *setMetrics {
 // New builds a memory-only sharded set over the given vectors: vector i
 // receives global id i and lands on shard placement(i, shards). Every
 // shard must receive at least one vector (the index rejects empty
-// stores); with a well-mixed hash this only bites when len(vectors) is
-// tiny relative to shards.
+// stores), so N shards need at least index.BlockRows·(N−1)+1 vectors.
 func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
@@ -112,7 +109,7 @@ func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, erro
 	if err != nil {
 		return nil, err
 	}
-	s := newSet(shards)
+	s := &Set{shards: make([]*qcluster.Database, shards), met: newSetMetrics()}
 	for i, part := range parts {
 		db, err := qcluster.NewDatabaseWithOptions(part, opt)
 		if err != nil {
@@ -128,6 +125,10 @@ func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, erro
 // qcluster durable directory per shard (dir/shard-0000, ...). opt is
 // the per-shard durable configuration; opt.Seed is the *global* seed
 // collection, partitioned by placement on first boot.
+//
+// Open refuses a root whose layout file records another placement rule
+// or N, or that has shard directories and no record (an earlier build
+// hashed ids to shards): booting it would map ids to the wrong vectors.
 //
 // Boot recovery: each shard recovers independently (snapshot + WAL
 // replay), then the set computes the longest global-id prefix the
@@ -155,7 +156,10 @@ func Open(dir string, shards int, opt qcluster.DurableOptions) (*Set, error) {
 			return nil, err
 		}
 	}
-	s := newSet(shards)
+	if err := checkLayout(dir, shards); err != nil {
+		return nil, err
+	}
+	s := &Set{shards: make([]*qcluster.Database, shards), met: newSetMetrics()}
 	s.durable = make([]*qcluster.DurableDatabase, shards)
 	counts := make([]int, shards)
 	for i := range s.shards {
@@ -166,7 +170,7 @@ func Open(dir string, shards int, opt qcluster.DurableOptions) (*Set, error) {
 		}
 		db, err := qcluster.OpenDatabase(shardDir(dir, i), per)
 		if err != nil {
-			closeShards(s.durable[:i])
+			eachDurable(s.durable, (*qcluster.DurableDatabase).Close)
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.durable[i], s.shards[i] = db, db.Database
@@ -194,7 +198,7 @@ func Open(dir string, shards int, opt qcluster.DurableOptions) (*Set, error) {
 			per.TrimToItems = quota[i]
 			db, err := qcluster.OpenDatabase(shardDir(dir, i), per)
 			if err != nil {
-				closeShards(s.durable)
+				eachDurable(s.durable, (*qcluster.DurableDatabase).Close)
 				return nil, fmt.Errorf("shard %d (trim to %d): %w", i, quota[i], err)
 			}
 			s.durable[i], s.shards[i] = db, db.Database
@@ -208,33 +212,56 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
 }
 
-func closeShards(dbs []*qcluster.DurableDatabase) {
-	for _, db := range dbs {
-		if db != nil {
-			db.Close()
+// layoutFile, at a durable set's root, records the placement rule and
+// N the set's shard directories were written under.
+const layoutFile = "LAYOUT"
+
+var layoutRule = fmt.Sprintf("stripe/%d", stripe)
+
+// checkLayout holds dir to this build's placement over shards. Before
+// the first shard directory exists it (re)writes the record and fsyncs
+// it, so a torn record never guards data; after, the record must match.
+func checkLayout(dir string, shards int) error {
+	path := filepath.Join(dir, layoutFile)
+	if _, err := os.Stat(shardDir(dir, 0)); os.IsNotExist(err) {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
 		}
+		_, err = fmt.Fprintf(f, "placement %s\nshards %d\n", layoutRule, shards)
+		if err = errors.Join(err, f.Sync(), f.Close()); err != nil {
+			return err
+		}
+		if f, err = os.Open(dir); err != nil {
+			return err
+		}
+		return errors.Join(f.Sync(), f.Close())
 	}
+	body, err := os.ReadFile(path)
+	var rule string
+	var n int
+	if err == nil {
+		_, err = fmt.Sscanf(string(body), "placement %s\nshards %d\n", &rule, &n)
+	}
+	switch {
+	case os.IsNotExist(err):
+		return fmt.Errorf("shard: %s holds shard directories but no %s: an earlier build placed them by hashed id; rebuild the set from its seed",
+			dir, layoutFile)
+	case err != nil:
+		return fmt.Errorf("shard: layout: %w", err)
+	case rule != layoutRule:
+		return fmt.Errorf("shard: %s: unknown placement rule %q (this build places by %q); rebuild the set from its seed",
+			path, rule, layoutRule)
+	case n != shards:
+		return fmt.Errorf("shard: %s: set was built with %d shards, not %d", path, n, shards)
+	}
+	return nil
 }
 
-func newSet(shards int) *Set {
-	return &Set{
-		shards:  make([]*qcluster.Database, shards),
-		globals: make([][]int, shards),
-		met:     newSetMetrics(),
-	}
-}
-
-// finishInit builds the id mapping for the first n global ids and the
-// set-level gauges. Called once from New/Open before the Set escapes.
+// finishInit records the first n global ids and the set-level gauges.
+// Called once from New/Open before the Set escapes.
 func (s *Set) finishInit(n int) {
-	s.dim = s.shards[0].Dim()
-	s.locals = make([]int, n)
-	for g := 0; g < n; g++ {
-		p := placement(g, len(s.shards))
-		s.locals[g] = len(s.globals[p])
-		s.globals[p] = append(s.globals[p], g)
-	}
-	s.total = n
+	s.total.Store(int64(n))
 	s.met.shards.Set(float64(len(s.shards)))
 	s.met.items.Set(float64(n))
 }
@@ -242,16 +269,14 @@ func (s *Set) finishInit(n int) {
 // partition splits vectors by placement of their (sequential) global
 // ids, erroring if any shard would start empty.
 func partition(vectors [][]float64, shards int) ([][][]float64, error) {
+	if need := stripe*(shards-1) + 1; len(vectors) < need {
+		return nil, fmt.Errorf("shard: %d vectors leave shard %d of %d empty; %d shards need at least %d vectors",
+			len(vectors), shards-1, shards, shards, need)
+	}
 	parts := make([][][]float64, shards)
 	for i, v := range vectors {
 		p := placement(i, shards)
 		parts[p] = append(parts[p], v)
-	}
-	for i, part := range parts {
-		if len(part) == 0 {
-			return nil, fmt.Errorf("shard: %d vectors leave shard %d of %d empty; use fewer shards or more vectors",
-				len(vectors), i, shards)
-		}
 	}
 	return parts, nil
 }
@@ -260,7 +285,7 @@ func partition(vectors [][]float64, shards int) ([][][]float64, error) {
 func (s *Set) NumShards() int { return len(s.shards) }
 
 // Dim returns the feature dimensionality.
-func (s *Set) Dim() int { return s.dim }
+func (s *Set) Dim() int { return s.shards[0].Dim() }
 
 // IndexInfo reports the active search backend and its parameters. All
 // shards are built from the same IndexOptions, so shard 0 speaks for
@@ -268,11 +293,7 @@ func (s *Set) Dim() int { return s.dim }
 func (s *Set) IndexInfo() qcluster.IndexInfo { return s.shards[0].IndexInfo() }
 
 // Len returns the number of globally visible vectors.
-func (s *Set) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.total
-}
+func (s *Set) Len() int { return int(s.total.Load()) }
 
 // CollectionVersion makes the set a qcluster.SessionSearcher: the sum
 // of the shards' own lengths, which is what a search started now sees.
@@ -303,14 +324,11 @@ func (s *Set) Vector(id int) []float64 {
 
 // VectorOK returns global id's feature vector and whether it is live.
 func (s *Set) VectorOK(id int) ([]float64, bool) {
-	s.mu.RLock()
-	if id < 0 || id >= s.total {
-		s.mu.RUnlock()
+	if id < 0 || id >= s.Len() {
 		return nil, false
 	}
-	local := s.locals[id]
-	s.mu.RUnlock()
-	return s.shards[placement(id, len(s.shards))].VectorOK(local)
+	n := len(s.shards)
+	return s.shards[placement(id, n)].VectorOK(local(id, n))
 }
 
 // Durable reports whether the set persists ingest (built by Open).
@@ -334,7 +352,7 @@ func (s *Set) AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, 
 		return nil, nil
 	}
 	// Every shard is built from the same IndexOptions, so shard 0's rule
-	// is the set's; a batch it refuses must not move the id map.
+	// is the set's; a batch it refuses must not be assigned ids.
 	if err := s.shards[0].ValidateBatch(vectors); err != nil {
 		return nil, err
 	}
@@ -345,28 +363,23 @@ func (s *Set) AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, 
 		return nil, fmt.Errorf("shard: set degraded: %w", errors.Join(qcluster.ErrReadOnly, s.degErr))
 	}
 
-	// Assign global ids and extend the mapping before committing: the
-	// mapping must cover a vector by the time it becomes visible in any
-	// shard's tree, and commit order per shard follows enqueue order.
+	// Assign global ids before committing; each shard's sub-batch must
+	// start at the local id its first global id maps to.
 	n := len(s.shards)
 	ids := make([]int, len(vectors))
 	parts := make([][][]float64, n)
 	starts := make([]int, n)
-	s.mu.Lock()
-	base := s.total
-	for i := range s.shards {
-		starts[i] = len(s.globals[i])
-	}
+	base := s.Len()
 	for j, v := range vectors {
 		g := base + j
 		p := placement(g, n)
+		if len(parts[p]) == 0 {
+			starts[p] = local(g, n)
+		}
 		ids[j] = g
-		s.locals = append(s.locals, len(s.globals[p]))
-		s.globals[p] = append(s.globals[p], g)
 		parts[p] = append(parts[p], v)
 	}
-	s.total = base + len(vectors)
-	s.mu.Unlock()
+	s.total.Store(int64(base + len(vectors)))
 
 	// Parallel cross-shard commit. Deliberately context-free: see the
 	// method comment.
@@ -429,26 +442,21 @@ func (s *Set) degrade(err error) {
 
 // Checkpoint snapshots every durable shard (no-op when memory-only).
 func (s *Set) Checkpoint() error {
-	if s.durable == nil {
-		return nil
-	}
-	var firstErr error
-	for i, db := range s.durable {
-		if err := db.Checkpoint(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return firstErr
+	return eachDurable(s.durable, (*qcluster.DurableDatabase).Checkpoint)
 }
 
 // Close closes every durable shard (no-op when memory-only).
-func (s *Set) Close() error {
-	if s.durable == nil {
-		return nil
-	}
+func (s *Set) Close() error { return eachDurable(s.durable, (*qcluster.DurableDatabase).Close) }
+
+// eachDurable applies f to every opened shard in dbs and returns the
+// first error, naming its shard.
+func eachDurable(dbs []*qcluster.DurableDatabase, f func(*qcluster.DurableDatabase) error) error {
 	var firstErr error
-	for i, db := range s.durable {
-		if err := db.Close(); err != nil && firstErr == nil {
+	for i, db := range dbs {
+		if db == nil {
+			continue
+		}
+		if err := f(db); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -497,31 +505,22 @@ func (s *Set) ReadOnly() bool {
 // Registry exposes the set-level metrics registry (for ServeDebug).
 func (s *Set) Registry() *obs.Registry { return s.met.reg }
 
-// Metrics returns the set-level snapshot merged with every shard's own
-// snapshot re-keyed under a "shard<i>." prefix (the obs merge
-// overwrites name collisions, so per-shard blocks must be disjoint).
+// Metrics returns the set-level snapshot with every shard's own
+// snapshot re-keyed under a "shard<i>." prefix, so per-shard blocks
+// never overwrite each other or the set's series.
 func (s *Set) Metrics() obs.Snapshot {
 	snap := s.met.reg.Snapshot()
 	for i, db := range s.shards {
-		snap.Merge(prefixSnapshot(fmt.Sprintf("shard%d.", i), db.Metrics()))
+		p, in := fmt.Sprintf("shard%d.", i), db.Metrics()
+		for name, v := range in.Counters {
+			snap.Counters[p+name] = v
+		}
+		for name, v := range in.Gauges {
+			snap.Gauges[p+name] = v
+		}
+		for name, v := range in.Histograms {
+			snap.Histograms[p+name] = v
+		}
 	}
 	return snap
-}
-
-func prefixSnapshot(p string, in obs.Snapshot) obs.Snapshot {
-	out := obs.Snapshot{
-		Counters:   make(map[string]int64, len(in.Counters)),
-		Gauges:     make(map[string]float64, len(in.Gauges)),
-		Histograms: make(map[string]obs.HistogramSnapshot, len(in.Histograms)),
-	}
-	for name, v := range in.Counters {
-		out.Counters[p+name] = v
-	}
-	for name, v := range in.Gauges {
-		out.Gauges[p+name] = v
-	}
-	for name, v := range in.Histograms {
-		out.Histograms[p+name] = v
-	}
-	return out
 }

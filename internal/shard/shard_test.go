@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	qcluster "repro"
+	"repro/internal/index"
 	"repro/internal/synth"
 )
 
@@ -26,10 +27,16 @@ func TestPlacementDeterministicAndCovering(t *testing.T) {
 			if p < 0 || p >= shards {
 				t.Fatalf("placement(%d, %d) = %d out of range", id, shards, p)
 			}
+			// The id map is a bijection that numbers each shard's ids
+			// densely in global order.
+			if l := local(id, shards); l != counts[p] || global(p, l, shards) != id {
+				t.Fatalf("shards=%d: global %d maps to local %d (want %d), which maps back to %d",
+					shards, id, l, counts[p], global(p, l, shards))
+			}
 			counts[p]++
 		}
-		// splitmix64 mixes the sequential stream well: every shard gets
-		// within 20% of the fair share at this n.
+		// Stripes of index.BlockRows ids deal round-robin: every shard
+		// gets within 20% of the fair share at this n.
 		fair := 20000 / shards
 		for s, c := range counts {
 			if c < fair*4/5 || c > fair*6/5 {
@@ -128,6 +135,16 @@ func TestAddBatchRoutesByPlacement(t *testing.T) {
 func TestSetRejectsEmptyShards(t *testing.T) {
 	if _, err := New(synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 3, 4, 16, 10, 0.5), 8, qcluster.IndexOptions{}); err == nil {
 		t.Fatal("3 vectors across 8 shards must fail (some shard is empty)")
+	}
+	// N shards need index.BlockRows·(N−1)+1 vectors: the last shard's
+	// first stripe starts at that id.
+	need := index.BlockRows*2 + 1
+	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), need, 4, 16, 10, 0.5)
+	if _, err := New(vectors[:need-1], 3, qcluster.IndexOptions{}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at least %d vectors", need)) {
+		t.Fatalf("%d vectors across 3 shards: got %v, want an error naming the minimum %d", need-1, err, need)
+	}
+	if set, err := New(vectors, 3, qcluster.IndexOptions{}); err != nil || set.Health()[2].Items != 1 {
+		t.Fatalf("%d vectors across 3 shards: %v; want the last shard to hold 1", need, err)
 	}
 	if _, err := New(nil, 0, qcluster.IndexOptions{}); err == nil {
 		t.Fatal("0 shards must fail")
