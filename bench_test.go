@@ -341,9 +341,9 @@ const mix16Cats, mix16PerCat, mix16Seed = 1000, 64, 16
 // mix16 workloads (64k 16-d vectors in 64-point clusters, full-inverse
 // queries, k = 100), the same store under first-page Euclidean queries
 // (-euclid), and both over the vectors with shuffled ids (-shuffled, where
-// no storage block can be skipped), and the Euclidean queries on a 2-shard
-// set of the mix16 store through its scatter-gather (-euclid/shards2,
-// whose skipped-evals sum the legs'). Each cell reports the share of its
+// no storage block can be skipped), and both query sets on a 2-shard set
+// of the mix16 store through its scatter-gather (shards2 and
+// -euclid/shards2, whose skipped-evals sum the legs'). Each cell reports the share of its
 // searches that finished as a sweep beside exact-evals and skipped-evals
 // per search, so the regime boundary shows in one run. CI runs this with
 // -benchtime=1x as a smoke test.
@@ -356,7 +356,7 @@ func BenchmarkKNN(b *testing.B) {
 	}
 	var cells []cell
 	var mixVecs []linalg.Vector
-	var mixEuclid []distance.Metric
+	var mixEq5, mixEuclid []distance.Metric
 	for _, n := range []int{10000, 100000} {
 		for _, dim := range []int{8, 32} {
 			rng := rand.New(rand.NewSource(int64(31*n + dim)))
@@ -393,7 +393,7 @@ func BenchmarkKNN(b *testing.B) {
 		for i := range euclid {
 			euclid[i] = &distance.Euclidean{Center: store.Vector(rng.Intn(store.Len()))}
 		}
-		mixEuclid = euclid
+		mixEq5, mixEuclid = metrics, euclid
 		// The control: the same vectors under shuffled ids, so no 64-row
 		// storage block holds one cluster and no block box can be skipped.
 		shuffled := make([]linalg.Vector, len(vecs))
@@ -434,17 +434,22 @@ func BenchmarkKNN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("dim16/n64k-euclid/shards2", func(b *testing.B) {
-		var total index.SearchStats
-		for i := 0; i < b.N; i++ {
-			_, stats, _, err := set.SearchMetric(context.Background(), mixEuclid[i%len(mixEuclid)], k)
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		metrics []distance.Metric
+	}{{"dim16/n64k/shards2", mixEq5}, {"dim16/n64k-euclid/shards2", mixEuclid}} {
+		b.Run(c.name, func(b *testing.B) {
+			var total index.SearchStats
+			for i := 0; i < b.N; i++ {
+				_, stats, _, err := set.SearchMetric(context.Background(), c.metrics[i%len(c.metrics)], k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total.Add(stats)
 			}
-			total.Add(stats)
-		}
-		reportSearchWork(b, total)
-	})
+			reportSearchWork(b, total)
+		})
+	}
 }
 
 // reportSearchWork reports a k-NN cell's index work per search.

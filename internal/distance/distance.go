@@ -135,6 +135,9 @@ type Quadratic struct {
 	floor   linalg.Vector    // full scheme: μ·W_kk, nil when μ is too small to arm
 	invFull *linalg.Matrix   // full scheme fallback when W is not PD
 	lambda  float64          // certified floor of λ_min(W) for rectangle bounds
+	// ballScale is √λ̄ for ball bounds, λ̄ a certified ceiling of λ_max(W):
+	// the largest inverse variance for the diagonal scheme.
+	ballScale float64
 }
 
 // NewQuadraticDiag builds the diagonal-scheme quadratic distance. invDiag
@@ -143,15 +146,24 @@ func NewQuadraticDiag(center, invDiag linalg.Vector) *Quadratic {
 	if center.Dim() != invDiag.Dim() {
 		panic("distance: dimension mismatch")
 	}
-	return &Quadratic{Center: center.Clone(), invDiag: invDiag.Clone()}
+	var wmax float64
+	for _, w := range invDiag {
+		wmax = max(wmax, w)
+	}
+	return &Quadratic{Center: center.Clone(), invDiag: invDiag.Clone(), ballScale: ceilSqrt(wmax)}
 }
+
+// ceilSqrt is √x grown by an ulp-scale factor, so that it is not under
+// the real square root of x.
+func ceilSqrt(x float64) float64 { return math.Sqrt(x) * (1 + 0x1p-50) }
 
 // NewQuadraticFull builds the full inverse-matrix quadratic distance
 // (MindReader-style). The weight matrix is Cholesky-factored once here:
 // the factor both whitens evaluation (||U(x-c)||², half the flops of
 // the dense form with early-abandonment support) and certifies the
 // λ_min floor for rectangle lower bounds without the per-rebuild Jacobi
-// eigensolve this constructor used to pay. A second certified floor, of
+// eigensolve this constructor used to pay; a certified λ_max ceiling
+// scales the ball lower bound the same way. A second certified floor, of
 // the unit-diagonal scaling of W, arms the point filter's diagonal stage
 // (diagonalFloor). Non-positive-definite input (possible for degraded
 // regularized inverses) keeps the old dense path and eigensolve.
@@ -164,6 +176,7 @@ func NewQuadraticFull(center linalg.Vector, inv *linalg.Matrix) *Quadratic {
 		q.whiten = u
 		q.floor = diagonalFloor(inv)
 		q.lambda = linalg.SymLambdaMinFloor(inv)
+		q.ballScale = ceilSqrt(linalg.SymLambdaMaxCeil(inv))
 		return q
 	}
 	vals, _ := linalg.EigenSym(inv)

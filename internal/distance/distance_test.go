@@ -3,6 +3,7 @@ package distance
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
@@ -52,33 +53,75 @@ func TestQuadraticFullMatchesDirect(t *testing.T) {
 	}
 }
 
-// Property: the rectangle lower bound never exceeds Eval anywhere in
-// the rectangle, in floating point — a swept search skips a storage
-// block on it without evaluating its rows, and the tree prunes a node on
-// it, so a bound one ulp over a row's distance loses that row. The cases
-// are generated over dims 1–48 (lowerBoundMetrics, lowerBoundBox), and
-// each box is probed where the bound is tight: its corners (every one up
-// to dim 10, 256 drawn above), every face midpoint, the point of the box
-// nearest each center, and interior samples.
+// Property: the rectangle and ball lower bounds never exceed Eval
+// anywhere in the rectangle or ball, in floating point — a swept search
+// skips a storage block on either without evaluating its rows, and the
+// tree prunes a node on the first, so a bound one ulp over a row's
+// distance loses that row. The cases are generated over dims 1–48
+// (lowerBoundMetrics, lowerBoundBox), and each box is probed where the
+// bound is tight: its corners (every one up to dim 10, 256 drawn above),
+// every face midpoint, the point of the box nearest each center, and
+// interior samples; each ball, around the box midpoint, at its midpoint,
+// on its sphere as close as floating point allows (axis points, drawn
+// directions, the point nearest each center) and inside it.
 func TestPropLowerBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	boxes := 6
 	if testing.Short() {
 		boxes = 2
 	}
+	positive := 0
 	for dim := 1; dim <= 48; dim++ {
 		for b := 0; b < boxes; b++ {
 			ms := lowerBoundMetrics(rng, dim)
 			lo, hi := lowerBoundBox(rng, ms)
+			mid, r := lowerBoundBall(rng, lo, hi)
 			for name, m := range ms {
-				checkLowerBound(t, fmt.Sprintf("dim %d box %d %s", dim, b, name), m, lo, hi, rng)
+				label := fmt.Sprintf("dim %d box %d %s", dim, b, name)
+				checkLowerBound(t, label, m, lo, hi, rng)
+				if checkBallLowerBound(t, label, m.(BallMetric), mid, r, rng) > epsilonDist {
+					positive++
+				}
+			}
+		}
+	}
+	if positive == 0 {
+		t.Fatal("no ball bound was positive: the property checked nothing")
+	}
+}
+
+// Non-finite balls — a radius that overflowed to +Inf, a NaN midpoint —
+// bound nothing: every family returns a finite value no larger than its
+// bound over the whole space, and Euclidean and the quadratic forms
+// return 0.
+func TestBallLowerBoundNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	ms := lowerBoundMetrics(rng, 4)
+	mid := randVec(rng, 4, 1)
+	nan := linalg.Vector{math.NaN(), 0, 0, 0}
+	huge := linalg.Vector{1e300, -1e300, 1e300, 0}
+	for name, m := range ms {
+		bm := m.(BallMetric)
+		floor := m.LowerBound(linalg.Vector{-math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64},
+			linalg.Vector{math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64})
+		for _, c := range []struct {
+			what string
+			mid  linalg.Vector
+			r    float64
+		}{{"+Inf radius", mid, math.Inf(1)}, {"NaN radius", mid, math.NaN()}, {"NaN midpoint", nan, 1}, {"overflowing midpoint", huge, 1e300}} {
+			got := bm.BallLowerBound(c.mid, c.r)
+			if math.IsNaN(got) || got > floor {
+				t.Errorf("%s %s: BallLowerBound = %v, want at most %v", name, c.what, got, floor)
+			}
+			if _, isQuad := m.(*Quadratic); (isQuad || name == "euclidean") && got != 0 {
+				t.Errorf("%s %s: BallLowerBound = %v, want 0", name, c.what, got)
 			}
 		}
 	}
 }
 
 // FuzzLowerBound is TestPropLowerBoundSound over fuzzer-chosen seeds,
-// dims and box scales (a CI smoke step).
+// dims and box scales, boxes and balls alike (a CI smoke step).
 func FuzzLowerBound(f *testing.F) {
 	f.Add(int64(1), uint8(3), 1.0)
 	f.Add(int64(2), uint8(16), 0.0)
@@ -95,8 +138,10 @@ func FuzzLowerBound(f *testing.F) {
 		for i := range hi {
 			hi[i] += math.Abs(width) * rng.Float64()
 		}
+		mid, r := lowerBoundBall(rng, lo, hi)
 		for name, m := range ms {
 			checkLowerBound(t, name, m, lo, hi, rng)
+			checkBallLowerBound(t, name, m.(BallMetric), mid, r, rng)
 		}
 	})
 }
@@ -255,6 +300,121 @@ func checkLowerBound(t *testing.T, name string, m Metric, lo, hi linalg.Vector, 
 		}
 		check("interior sample", x)
 	}
+}
+
+// lowerBoundBall draws a ball around the box's midpoint (computed as a
+// store computes a block's: lo/2 + hi/2): radius 0 one time in eight, as
+// in a block of one row, otherwise up to the box's half diagonal.
+func lowerBoundBall(rng *rand.Rand, lo, hi linalg.Vector) (mid linalg.Vector, r float64) {
+	mid = make(linalg.Vector, len(lo))
+	var half float64
+	for i := range lo {
+		mid[i] = lo[i]*0.5 + hi[i]*0.5
+		half += (hi[i] - lo[i]) * (hi[i] - lo[i]) / 4
+	}
+	if rng.Intn(8) == 0 {
+		return mid, 0
+	}
+	return mid, math.Sqrt(half) * rng.Float64()
+}
+
+// checkBallLowerBound fails unless m.Eval(x) >= m.BallLowerBound(mid, r)
+// at the midpoint, at 2·dim axis points and 8 drawn directions on the
+// sphere, at the sphere point nearest each of m's centers (or the center
+// itself, inside the ball), and at 8 interior samples. Every sphere point
+// is moved toward mid an ulp per axis at a time until it is inside the
+// ball in exact arithmetic, so it is as far out as floating point allows.
+// It returns the bound.
+func checkBallLowerBound(t *testing.T, name string, m BallMetric, mid linalg.Vector, r float64, rng *rand.Rand) float64 {
+	t.Helper()
+	lb := m.BallLowerBound(mid, r)
+	if math.IsNaN(lb) || lb < 0 {
+		t.Fatalf("%s: BallLowerBound(%v, %v) = %v", name, mid, r, lb)
+	}
+	dim := len(mid)
+	check := func(what string, x linalg.Vector) {
+		t.Helper()
+		if ev := m.Eval(x); !(ev >= lb) {
+			t.Fatalf("%s: Eval at %s = %v < BallLowerBound %v (x=%v mid=%v r=%v)", name, what, ev, lb, x, mid, r)
+		}
+	}
+	onSphere := func(dir linalg.Vector, scale float64) linalg.Vector {
+		x := make(linalg.Vector, dim)
+		for i := range x {
+			x[i] = mid[i] + scale*dir[i]
+		}
+		for !insideBall(x, mid, r) {
+			for i := range x {
+				x[i] = math.Nextafter(x[i], mid[i])
+			}
+		}
+		return x
+	}
+	check("midpoint", mid)
+	for a := 0; a < 2*dim; a++ {
+		dir := make(linalg.Vector, dim)
+		dir[a/2] = float64(1 - 2*(a%2))
+		check("axis point", onSphere(dir, r))
+	}
+	for range 8 {
+		dir := randVec(rng, dim, 1)
+		check("sphere point", onSphere(dir, r/dir.Norm()))
+	}
+	for _, c := range Centers(m) {
+		dir := c.Sub(mid)
+		if d := dir.Norm(); d > r {
+			check("sphere point nearest a center", onSphere(dir, r/d))
+		} else {
+			check("center inside the ball", c)
+		}
+	}
+	for range 8 {
+		dir := randVec(rng, dim, 1)
+		check("interior sample", onSphere(dir, r*rng.Float64()/dir.Norm()))
+	}
+	return lb
+}
+
+// insideBall reports whether ‖x − mid‖ <= r in exact arithmetic: in
+// float64 when its rounding cannot change the answer, otherwise in
+// big.Float, wide enough that every difference and square is exact.
+func insideBall(x, mid linalg.Vector, r float64) bool {
+	var q float64
+	span, dlo, dhi := 0, math.MaxInt, math.MinInt
+	for i := range x {
+		d := x[i] - mid[i]
+		q += d * d
+		_, ex := math.Frexp(x[i])
+		_, em := math.Frexp(mid[i])
+		span = max(span, ex-em, em-ex)
+		if d != 0 {
+			_, ed := math.Frexp(d)
+			dlo, dhi = min(dlo, ed), max(dhi, ed)
+		}
+	}
+	if rr := r * r; rr > 0x1p-900 && !math.IsInf(rr, 1) && !math.IsInf(q, 1) {
+		err := float64(len(x)+4) * 0x1p-52
+		if q*(1+err) < rr*(1-err) {
+			return true
+		}
+		if q*(1-err) > rr*(1+err) {
+			return false
+		}
+	}
+	// Exact: each difference needs span+54 bits, its square twice that,
+	// and the sum the squares' exponent range on top.
+	prec := uint(2*(span+60) + 64)
+	if dlo <= dhi {
+		prec += uint(2 * (dhi - dlo))
+	}
+	sum := new(big.Float).SetPrec(prec)
+	d := new(big.Float).SetPrec(prec)
+	for i := range x {
+		d.Sub(new(big.Float).SetPrec(prec).SetFloat64(x[i]), new(big.Float).SetFloat64(mid[i]))
+		sum.Add(sum, d.Mul(d, d))
+	}
+	rr := new(big.Float).SetPrec(prec).SetFloat64(r)
+	return sum.Cmp(rr.Mul(rr, rr)) <= 0
 }
 
 func TestDisjunctiveClosestClusterDominates(t *testing.T) {

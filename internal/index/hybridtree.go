@@ -279,7 +279,11 @@ func (t *HybridTree) KNNSharedContext(ctx context.Context, m distance.Metric, k 
 // The traversal is sequential. Once, after the leaf that brings the
 // count to max(sweepCheckLeaves, numLeaves/sweepCheckShare), it asks
 // whether the tree is still pruning (sweepPays); if not, the search
-// finishes as a sweep of the store in storage order.
+// finishes as a sweep of the store in storage order. On a tree where
+// that late check comes after leaf sweepCheckLeaves, an early one at
+// that leaf may instead finish the search as a nearest-first sweep of
+// the storage blocks: when the tree is not pruning and the blocks within
+// the bound hold fewer rows than the tree's frontier (planBlocks).
 //
 // A non-nil ext couples this search to concurrent sibling-shard searches
 // through one shared atomic bound (see KNNSharedContext): pruning and
@@ -342,7 +346,9 @@ func (t *HybridTree) knnSeeded(ctx context.Context, m distance.Metric, k int, se
 		}
 	}
 
-	checkAt := max(sweepCheckLeaves, t.numLeaves/sweepCheckShare)
+	lateCheck := max(sweepCheckLeaves, t.numLeaves/sweepCheckShare)
+	checkAt := sweepCheckLeaves
+	var plan *blockPlan // the early check's, reused by a late sweep
 	q := nodeQueue{{node: t.root, bound: m.LowerBound(t.root.lo, t.root.hi)}}
 	for len(q) > 0 {
 		faultinject.Fire(faultinject.KNNPop)
@@ -371,9 +377,21 @@ func (t *HybridTree) knnSeeded(ctx context.Context, m distance.Metric, k int, se
 		}
 		evalLeaf(n)
 		if stats.LeavesVisited >= checkAt {
-			checkAt = math.MaxInt // the check runs once
-			if t.sweepPays(q, bound()) {
-				res, err := t.sweep(ctx, m, h, ext, &stats)
+			b := bound()
+			frontier, pays := t.sweepPays(q, b)
+			if pays && b < inf && checkAt < lateCheck {
+				if plan = t.planBlocks(m, b, frontier); plan.order != nil {
+					res, err := t.sweep(ctx, m, h, ext, plan, &stats)
+					return res, stats, visited, err
+				}
+			}
+			if stats.LeavesVisited < lateCheck {
+				checkAt = lateCheck
+				continue
+			}
+			checkAt = math.MaxInt // the late check runs once
+			if pays {
+				res, err := t.sweep(ctx, m, h, ext, plan, &stats)
 				return res, stats, visited, err
 			}
 		}

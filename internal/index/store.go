@@ -28,12 +28,14 @@ const BlockRows = 64
 // Store is an append-only in-memory feature-vector database. Vector i
 // belongs to image/object i. All vectors live in one contiguous
 // []float64 block, so leaf scans walk memory sequentially instead of
-// chasing per-vector pointers. Beside it the store keeps one bounding
-// box per BlockRows rows in storage order. It does no internal locking —
-// the public Database layer serializes Append against readers.
+// chasing per-vector pointers. Beside it the store keeps, per BlockRows
+// rows in storage order, the rows' bounding box and the radius of a
+// ball around the box midpoint that holds them. It does no internal
+// locking — the public Database layer serializes Append against readers.
 type Store struct {
 	data  []float64 // n*dim components, vector i at [i*dim, (i+1)*dim)
 	boxes []float64 // 2*dim per block: block b's lo at [2b*dim, (2b+1)*dim), its hi after
+	radii []float64 // per block: max Euclidean distance of a row from the box midpoint (blockBall), rounded up
 	dim   int
 	n     int
 }
@@ -68,37 +70,94 @@ func NewStore(vecs []linalg.Vector) (*Store, error) {
 func buildStore(data []float64, dim int) *Store {
 	n := len(data) / dim
 	s := &Store{data: data, dim: dim, n: n}
-	s.boxes = make([]float64, 0, (n+BlockRows-1)/BlockRows*2*dim)
+	blocks := (n + BlockRows - 1) / BlockRows
+	s.boxes = make([]float64, 0, blocks*2*dim)
+	s.radii = make([]float64, 0, blocks)
 	s.widenBoxes(0)
 	return s
 }
 
-// widenBoxes folds rows [from, n) into the block boxes: a row that
-// starts a block opens its box, any other widens the box of the block
-// it ends.
+// widenBoxes folds rows [from, n) into the block boxes and radii: a row
+// that starts a block opens its box, any other widens the box of the
+// block it ends. A block opened here, or the block from lands in if its
+// box widened (which moves its midpoint), is then measured over all its
+// rows; if that box held, only the new rows are measured against the
+// old radius.
 func (s *Store) widenBoxes(from int) {
 	dim := s.dim
+	widened := false
 	for id := from; id < s.n; id++ {
 		row := s.data[id*dim : (id+1)*dim]
 		if id%BlockRows == 0 {
 			s.boxes = append(s.boxes, row...)
 			s.boxes = append(s.boxes, row...)
+			s.radii = append(s.radii, 0)
 			continue
 		}
 		box := s.boxes[len(s.boxes)-2*dim:]
 		lo, hi := box[:dim], box[dim:]
 		for d, x := range row {
+			widened = widened || x < lo[d] || x > hi[d]
 			lo[d] = min(lo[d], x)
 			hi[d] = max(hi[d], x)
 		}
 	}
+	for b := from / BlockRows; b < len(s.radii); b++ {
+		first := b * BlockRows
+		if first < from && !widened {
+			first = from
+		} else {
+			s.radii[b] = 0
+		}
+		s.radii[b] = max(s.radii[b], s.measure(b, first))
+	}
 }
+
+// radiusSlack rounds a measured block radius up past the rounding of
+// its sum of squares and square root.
+const radiusSlack = 0x1p-40
+
+// measure returns the largest Euclidean distance from block b's
+// midpoint of its rows [first, block end), rounded up: +Inf when a
+// distance overflows.
+func (s *Store) measure(b, first int) float64 {
+	dim := s.dim
+	lo, hi := s.blockBox(b)
+	var r2 float64
+	for id := first; id < min((b+1)*BlockRows, s.n); id++ {
+		row := s.data[id*dim : (id+1)*dim]
+		var d2 float64
+		for d, x := range row {
+			dx := x - (lo[d]*0.5 + hi[d]*0.5)
+			d2 += dx * dx
+		}
+		r2 = max(r2, d2)
+	}
+	return math.Sqrt(r2) * (1 + radiusSlack)
+}
+
+// blocks returns the number of storage blocks.
+func (s *Store) blocks() int { return len(s.radii) }
+
+// blockLen returns the rows of block b: BlockRows, fewer for the tail.
+func (s *Store) blockLen(b int) int { return min(BlockRows, s.n-b*BlockRows) }
 
 // blockBox returns the bounding box of block b, rows [b*BlockRows,
 // min((b+1)*BlockRows, n)), aliased: treat as read-only.
 func (s *Store) blockBox(b int) (lo, hi linalg.Vector) {
 	off := 2 * b * s.dim
 	return s.boxes[off : off+s.dim : off+s.dim], s.boxes[off+s.dim : off+2*s.dim : off+2*s.dim]
+}
+
+// blockBall writes block b's box midpoint, lo/2 + hi/2 (which cannot
+// overflow), into mid and returns the block's radius: every row of the
+// block is within it of mid.
+func (s *Store) blockBall(b int, mid linalg.Vector) float64 {
+	lo, hi := s.blockBox(b)
+	for d := range mid {
+		mid[d] = lo[d]*0.5 + hi[d]*0.5
+	}
+	return s.radii[b]
 }
 
 // NewStoreFlat wraps an already-contiguous component block (row-major,

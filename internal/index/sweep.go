@@ -1,14 +1,17 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/distance"
 	"repro/internal/faultinject"
+	"repro/internal/linalg"
 )
 
 const (
@@ -76,44 +79,110 @@ func (b *SharedBound) Tighten(v float64) {
 	}
 }
 
-// sweepPays is the frontier check: it reports whether the queued nodes
-// still within bound hold more than half the stored vectors. Then the
-// traversal would go on to gather most of the store leaf by leaf, each
-// leaf's ids scattered over the block, and one pass in storage order is
-// cheaper. A tree that does not index every stored vector (Store.Append
-// without Insert) never sweeps: its answer is over its own vectors.
-func (t *HybridTree) sweepPays(q nodeQueue, bound float64) bool {
+// sweepPays is the frontier check: it returns the vectors under queued
+// nodes still within bound and reports whether they are more than half
+// the store. Then the traversal would go on to gather most of the store
+// leaf by leaf, each leaf's ids scattered over the block, and one pass
+// over the block is cheaper. A tree that does not index every stored
+// vector (Store.Append without Insert) never sweeps: its answer is over
+// its own vectors.
+func (t *HybridTree) sweepPays(q nodeQueue, bound float64) (frontier int, pays bool) {
 	n := t.store.Len()
 	if t.root.count != n {
-		return false
+		return 0, false
 	}
-	frontier := 0
 	for _, e := range q {
 		if e.bound <= bound {
 			frontier += e.node.count
 		}
 	}
-	return 2*frontier > n
+	return frontier, 2*frontier > n
+}
+
+// blockBound is a storage block and its box lower bound under one
+// search's metric: the order of a nearest-first sweep.
+type blockBound struct {
+	bound float64
+	block int
+}
+
+// blockPlan is what a search knows of the storage blocks under its
+// metric: the box lower bounds of blocks [0, len(box)), each computed
+// once per search, and, when the blocks prune better than the tree, the
+// order of a nearest-first sweep.
+type blockPlan struct {
+	box   []float64
+	order []blockBound
+}
+
+// planBlocks asks whether the storage blocks prune better than the tree:
+// whether the blocks whose box lower bound is within bound hold fewer
+// rows than the tree's frontier. If so the plan's order holds them,
+// nearest first by (bound, block). If not, it stops bounding blocks as
+// soon as they reach the frontier, and the storage-order sweep a later
+// check may start reuses the bounds it has: on a store the blocks do not
+// prune, nearly every block is within bound, this pass bounds as many
+// blocks as it has rows for the frontier, and computing them twice cost
+// a 100k × 8-d search 7 % in a CPU profile. The bound must be armed:
+// under a heap still filling, a block whose box bound overflowed to +Inf
+// would be left off the order though its rows belong on the page.
+func (t *HybridTree) planBlocks(m distance.Metric, bound float64, frontier int) *blockPlan {
+	s := t.store
+	p := &blockPlan{box: make([]float64, 0, s.blocks())}
+	rows := 0
+	for b := range s.blocks() {
+		lo, hi := s.blockBox(b)
+		lb := m.LowerBound(lo, hi)
+		p.box = append(p.box, lb)
+		if lb <= bound {
+			if rows += s.blockLen(b); rows >= frontier {
+				return p
+			}
+		}
+	}
+	p.order = make([]blockBound, 0, rows/BlockRows+1)
+	for b, lb := range p.box {
+		if lb <= bound {
+			p.order = append(p.order, blockBound{bound: lb, block: b})
+		}
+	}
+	slices.SortFunc(p.order, func(a, b blockBound) int {
+		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.block, b.block))
+	})
+	return p
 }
 
 // sweep finishes a search whose probe phase (the traversal so far, its
-// results in probe) found the tree not pruning: every id [0, n) goes
-// once, in storage order, through the metric's batch kernel straight
-// over the store's block (scalar Eval for metrics without one) into a
-// fresh result heap per worker. Workers take chunks from an atomic
-// cursor and check them one storage block at a time against bound =
-// min(own k-th best, shared bound), the shared bound being the caller's
-// ext or a new one seeded with the probe's. Both are upper bounds of the
-// final k-th best. Once bound is armed (under the heap sentinel, where
-// the kernel's abandonment also switches on) a block whose box lower
-// bound exceeds it is skipped whole: each of its rows has Eval ≥ that
-// lower bound > bound. Every other block goes through the kernel, whose
-// abandonment is strict too, so the heaps merged by (Dist, ID) are the
-// linear scan's answer bit for bit. An unarmed bound — a heap still
-// filling, distances that overflowed to +Inf — skips nothing. An
-// interrupted sweep returns what it and the probe found, plus ctx.Err().
-func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *resultHeap, ext *SharedBound, stats *SearchStats) ([]Result, error) {
-	n := t.store.Len()
+// results in probe) found the tree not pruning: every storage block is
+// visited once, or provably passed over, and its rows go through the
+// metric's batch kernel straight over the store's block (scalar Eval for
+// metrics without one) into a fresh result heap per worker. Workers take
+// runs of sweepChunk/BlockRows blocks from an atomic cursor and check
+// each block against bound = min(own k-th best, shared bound), the
+// shared bound being the caller's ext or a new one seeded with the
+// probe's. Both are upper bounds of the final k-th best, and every skip
+// below is strict (a row's Eval is at least the block's lower bound,
+// which exceeds bound), so the heaps merged by (Dist, ID) are the linear
+// scan's answer bit for bit. An unarmed bound — a heap still filling,
+// distances that overflowed to +Inf — skips nothing.
+//
+// Without a plan's order the blocks go in storage order, and a block
+// whose box lower bound (the plan's, where it has one) exceeds bound is
+// skipped. With an order (planBlocks) only the listed blocks go, nearest
+// first, and the first block whose box bound exceeds bound ends the
+// sweep, since every later block is at least as far; a block whose ball
+// lower bound exceeds bound is skipped.
+// Consecutive blocks that are not skipped go through the kernel in one
+// call: a call per block pays the full-scheme kernel's per-call setup
+// and its point-filter gates' warm-up four times as often (≈7 % of a
+// sweep where no block skips, in a CPU profile).
+//
+// Rows skipped, ended or left off the order count in SkippedEvals, so a
+// sweep that runs to the end reaches all n rows. An interrupted sweep
+// returns what it and the probe found, plus ctx.Err().
+func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *resultHeap, ext *SharedBound, plan *blockPlan, stats *SearchStats) ([]Result, error) {
+	s := t.store
+	n := s.Len()
 	shared := ext
 	if shared == nil {
 		shared = NewSharedBound()
@@ -123,56 +192,113 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 	if n >= t.parMinItems {
 		workers = t.parallelism
 	}
+	positions := s.blocks()
+	var ball distance.BallMetric
+	var box []float64
+	var order []blockBound
+	if plan != nil {
+		box, order = plan.box, plan.order
+	}
+	listed := n
+	if order != nil {
+		positions = len(order)
+		ball, _ = m.(distance.BallMetric)
+		listed = 0
+		for _, o := range order {
+			listed += s.blockLen(o.block)
+		}
+	}
 	type part struct {
 		h                           *resultHeap
 		reached, skipped, abandoned int
 	}
 	parts := make([]part, workers)
 	var cursor atomic.Int64
-	// eval offers the rows [first, last) to p's heap, abandoning against
-	// bound.
-	eval := func(p *part, be *batchEvaluator, first, last int, bound float64) {
-		if first == last {
-			return
-		}
-		if be != nil {
-			p.abandoned += be.evalRange(first, last, bound, p.h)
-			return
-		}
-		for id := first; id < last; id++ {
-			p.h.offer(Result{ID: id, Dist: m.Eval(t.store.Vector(id))})
-		}
-	}
+	const chunkBlocks = sweepChunk / BlockRows
 	work := func(p *part) {
 		p.h = newResultHeap(probe.k)
-		be := newBatchEvaluator(m, t.store) // scratch buffers are per-goroutine
-		for {
-			faultinject.Fire(faultinject.KNNSweepChunk)
-			lo := int(cursor.Add(sweepChunk)) - sweepChunk
-			if lo >= n || ctx.Err() != nil {
+		be := newBatchEvaluator(m, s) // scratch buffers are per-goroutine
+		var mid linalg.Vector
+		if ball != nil {
+			mid = make(linalg.Vector, s.dim)
+		}
+		// run is the pending row range [first, last) of blocks not
+		// skipped; flush offers it to p's heap, abandoning against the
+		// current bound.
+		var first, last int
+		flush := func() {
+			if first == last {
 				return
 			}
-			hi := min(lo+sweepChunk, n)
-			// Blocks that are not skipped go through the kernel in one call
-			// per run of them, as a whole chunk does when none is: a call
-			// per block pays the full-scheme kernel's per-call setup and its
-			// point-filter gates' warm-up four times as often (≈7 % of a
-			// sweep where no block skips, in a CPU profile).
-			run := lo
-			for first := lo; first < hi; first += BlockRows {
-				last := min(first+BlockRows, hi)
-				bound := min(p.h.bound(), shared.Load())
-				if bound < inf {
-					if blo, bhi := t.store.blockBox(first / BlockRows); m.LowerBound(blo, bhi) > bound {
-						eval(p, be, run, first, bound)
-						p.skipped += last - first
-						run = last
-					}
+			bound := min(p.h.bound(), shared.Load())
+			if be != nil {
+				p.abandoned += be.evalRange(first, last, bound, p.h)
+			} else {
+				for id := first; id < last; id++ {
+					p.h.offer(Result{ID: id, Dist: m.Eval(s.Vector(id))})
 				}
 			}
-			eval(p, be, run, hi, min(p.h.bound(), shared.Load()))
+			first, last = 0, 0
+		}
+		for {
+			faultinject.Fire(faultinject.KNNSweepChunk)
+			lo := int(cursor.Add(chunkBlocks)) - chunkBlocks
+			if lo >= positions || ctx.Err() != nil {
+				return
+			}
+			hi := min(lo+chunkBlocks, positions)
+			for pos := lo; pos < hi; pos++ {
+				b := pos
+				if order != nil {
+					b = order[pos].block
+				}
+				rows := s.blockLen(b)
+				p.reached += rows
+				bound := min(p.h.bound(), shared.Load())
+				if bound < inf {
+					if order == nil {
+						var lb float64
+						if b < len(box) {
+							lb = box[b]
+						} else {
+							blo, bhi := s.blockBox(b)
+							lb = m.LowerBound(blo, bhi)
+						}
+						if lb > bound {
+							flush()
+							p.skipped += rows
+							continue
+						}
+					} else if order[pos].bound > bound {
+						// The end: this block and every later one are past
+						// bound. Take the unclaimed rest of the order, so
+						// no other worker reaches it, and count it all.
+						flush()
+						shared.Tighten(p.h.bound())
+						rest := min(int(cursor.Swap(int64(positions))), positions)
+						for _, o := range order[pos+1 : hi] {
+							rows += s.blockLen(o.block)
+						}
+						for _, o := range order[rest:] {
+							rows += s.blockLen(o.block)
+						}
+						p.reached += rows - s.blockLen(b)
+						p.skipped += rows
+						return
+					} else if ball != nil && ball.BallLowerBound(mid, s.blockBall(b, mid)) > bound {
+						flush()
+						p.skipped += rows
+						continue
+					}
+				}
+				if b*BlockRows != last {
+					flush()
+					first = b * BlockRows
+				}
+				last = b*BlockRows + rows
+			}
+			flush()
 			shared.Tighten(p.h.bound())
-			p.reached += hi - lo
 		}
 	}
 	var wg sync.WaitGroup
@@ -193,6 +319,9 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 		skipped += p.skipped
 		abandoned += p.abandoned
 	}
+	// Rows left off the order were passed over before the sweep began.
+	reached += n - listed
+	skipped += n - listed
 	evals := reached - skipped
 	stats.Swept = 1
 	stats.Workers = workers

@@ -112,7 +112,7 @@ func SymLambdaMinFloor(m *Matrix) float64 {
 		if mid <= lo || mid >= hi {
 			break
 		}
-		if shiftedCholeskyOK(m, mid, l) {
+		if shiftedCholeskyOK(m, 1, mid, l) {
 			lo = mid
 		} else {
 			hi = mid
@@ -121,17 +121,78 @@ func SymLambdaMinFloor(m *Matrix) float64 {
 	return lo * (1 - 1e-9)
 }
 
-// shiftedCholeskyOK reports whether m - shift*I is positive definite by
-// attempting a Cholesky factorization into the scratch l (no allocation,
-// and no copy of m: the shift is taken off each diagonal entry as it is
-// read). Only l's lower triangle is written, and every entry read was
-// written earlier in the same attempt, so l needs no clearing.
-func shiftedCholeskyOK(m *Matrix, shift float64, l *Matrix) bool {
+// SymLambdaMaxCeil returns a certified upper bound on the largest
+// eigenvalue of a symmetric matrix, within a few percent of the true
+// λ_max: the mirror of SymLambdaMinFloor. sI - m admitting a Cholesky
+// factorization proves λ_max(m) < s, so the ceiling is lowered by
+// bisection from the Gershgorin ceiling toward the max-diagonal floor,
+// and the returned value is grown by a one-ulp-scale safety factor. A
+// matrix with a non-finite entry yields +Inf.
+func SymLambdaMaxCeil(m *Matrix) float64 {
+	if !m.IsSquare() {
+		panic("linalg: SymLambdaMaxCeil of non-square matrix")
+	}
+	n := m.Rows
+	if n == 0 {
+		return 0
+	}
+	// Gershgorin: λ_max ≤ max_i (a_ii + Σ_{j≠i} |a_ij|); and for
+	// symmetric m, λ_max ≥ max_i a_ii.
+	lo, hi := math.Inf(-1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		row := m.Data[i*n : (i+1)*n]
+		var off float64
+		for j, v := range row {
+			if j != i {
+				off += math.Abs(v)
+			}
+		}
+		g := row[i] + off
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			return math.Inf(1)
+		}
+		hi = max(hi, g)
+		lo = max(lo, row[i])
+	}
+	if hi <= lo {
+		return ceilSlack(hi)
+	}
+	l := NewMatrix(n, n)
+	for iter := 0; iter < 24 && hi-lo > 1e-3*math.Abs(hi); iter++ {
+		mid := lo + 0.5*(hi-lo)
+		if mid <= lo || mid >= hi {
+			break
+		}
+		if shiftedCholeskyOK(m, -1, -mid, l) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return ceilSlack(hi)
+}
+
+// ceilSlack grows a certified ceiling by the same one-ulp-scale factor
+// SymLambdaMinFloor shrinks its floor by, whatever its sign.
+func ceilSlack(x float64) float64 {
+	if x < 0 {
+		return x * (1 - 1e-9)
+	}
+	return x * (1 + 1e-9)
+}
+
+// shiftedCholeskyOK reports whether sign*m - shift*I (sign ±1) is
+// positive definite by attempting a Cholesky factorization into the
+// scratch l (no allocation, and no copy of m: the sign and shift are
+// applied to each entry as it is read). Only l's lower triangle is
+// written, and every entry read was written earlier in the same attempt,
+// so l needs no clearing.
+func shiftedCholeskyOK(m *Matrix, sign, shift float64, l *Matrix) bool {
 	n := m.Rows
 	for i := 0; i < n; i++ {
 		li := l.Data[i*n : (i+1)*n]
 		for j := 0; j <= i; j++ {
-			sum := m.Data[i*n+j]
+			sum := sign * m.Data[i*n+j]
 			if i == j {
 				sum -= shift
 			}

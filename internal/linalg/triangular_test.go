@@ -109,6 +109,52 @@ func TestSymLambdaMinFloorSoundAndTight(t *testing.T) {
 	}
 }
 
+// The ceiling must sit above the true largest eigenvalue (soundness —
+// it scales the ball bound a swept search skips storage blocks on) and
+// within a few percent of it (tightness), on well-conditioned matrices
+// and on ill-conditioned ones: a nearly singular Gram matrix, a diagonal
+// spread over twelve decades, and the 2×2 whose Gershgorin disc is
+// twice its spectrum.
+func TestSymLambdaMaxCeilSoundAndTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	var cases []*Matrix
+	for _, n := range []int{1, 2, 3, 8, 16, 32, 48} {
+		for trial := 0; trial < 10; trial++ {
+			cases = append(cases, randomSPD(rng, n, 0.1+rng.Float64()*3))
+		}
+		// Rank-deficient Gram matrix plus a tiny ridge: λ_min/λ_max ≈ 1e-12.
+		a := NewMatrix(n, max(1, n/2))
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		g := a.Mul(a.T())
+		for i := 0; i < n; i++ {
+			g.Data[i*n+i] += 1e-12
+		}
+		cases = append(cases, g)
+		d := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			d.Data[i*n+i] = math.Pow(10, 12*rng.Float64()-6)
+		}
+		cases = append(cases, d)
+	}
+	cases = append(cases, fromRows([]Vector{{2, 1.9}, {1.9, 2}})) // eigenvalues 3.9, 0.1
+	for i, m := range cases {
+		vals, _ := EigenSym(m)
+		trueMax := vals[0]
+		ceil := SymLambdaMaxCeil(m)
+		if ceil < trueMax {
+			t.Fatalf("case %d (n=%d): ceiling %v under true λ_max %v", i, m.Rows, ceil, trueMax)
+		}
+		if ceil > trueMax*1.02 {
+			t.Fatalf("case %d (n=%d): ceiling %v too loose for λ_max %v", i, m.Rows, ceil, trueMax)
+		}
+	}
+	if got := SymLambdaMaxCeil(fromRows([]Vector{{1, math.NaN()}, {math.NaN(), 1}})); !math.IsInf(got, 1) {
+		t.Fatalf("ceiling of a NaN matrix = %v, want +Inf", got)
+	}
+}
+
 func TestSymLambdaMinFloorIllConditioned(t *testing.T) {
 	// Strong off-diagonal coupling: Gershgorin alone would give 0, the
 	// bisection must still certify a positive floor.
