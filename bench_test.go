@@ -340,8 +340,9 @@ const mix16Cats, mix16PerCat, mix16Seed = 1000, 64, 16
 // {8, 32} × N ∈ {10k, 100k} grid, plus a cell shaped like the benchmark's
 // mix16 workloads (64k 16-d vectors in 64-point clusters, full-inverse
 // queries, k = 100), the same store under first-page Euclidean queries
-// (-euclid), and both over the vectors with shuffled ids (-shuffled, where
-// no storage block can be skipped), and both query sets on a 2-shard set
+// (-euclid), Eq. 5 over two marked categories (/m2), the first two over
+// the vectors with shuffled ids (-shuffled, where no storage block can
+// be skipped), and the first two on a 2-shard set
 // of the mix16 store through its scatter-gather (shards2 and
 // -euclid/shards2, whose skipped-evals sum the legs'). Each cell reports the share of its
 // searches that finished as a sweep beside exact-evals and skipped-evals
@@ -401,8 +402,26 @@ func BenchmarkKNN(b *testing.B) {
 			shuffled[p] = vecs[i]
 		}
 		shuffledStore := mustStore(b, shuffled)
+		// Eq. 5 over two marked categories: a session whose marks came
+		// from two clusters of the page.
+		two := make([]distance.Metric, 16)
+		for i := range two {
+			c1 := rng.Intn(mix16Cats)
+			c2 := (c1 + 1 + rng.Intn(mix16Cats-1)) % mix16Cats
+			var cs []*cluster.Cluster
+			for _, c := range []int{c1, c2} {
+				pts := make([]cluster.Point, mix16PerCat)
+				for j := range pts {
+					id := c*mix16PerCat + j
+					pts[j] = cluster.Point{ID: id, Vec: store.Vector(id), Score: 1}
+				}
+				cs = append(cs, cluster.FromPoints(pts))
+			}
+			two[i] = fullEq5(cs...)
+		}
 		cells = append(cells,
 			cell{"dim16/n64k", store, metrics},
+			cell{"dim16/n64k/m2", store, two},
 			cell{"dim16/n64k-euclid", store, euclid},
 			cell{"dim16/n64k-shuffled", shuffledStore, metrics},
 			cell{"dim16/n64k-euclid-shuffled", shuffledStore, euclid})

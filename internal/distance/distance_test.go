@@ -63,7 +63,10 @@ func TestQuadraticFullMatchesDirect(t *testing.T) {
 // every face midpoint, the point of the box nearest each center, and
 // interior samples; each ball, around the box midpoint, at its midpoint,
 // on its sphere as close as floating point allows (axis points, drawn
-// directions, the point nearest each center) and inside it.
+// directions, the point nearest each center) and inside it. The same
+// balls hold the tangent planes' row test to the row kernel
+// (checkTangents): a row it rejects must have Eval and EvalBatch above
+// the bound.
 func TestPropLowerBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	boxes := 6
@@ -71,6 +74,7 @@ func TestPropLowerBoundSound(t *testing.T) {
 		boxes = 2
 	}
 	positive := 0
+	var planes tangentCounts
 	for dim := 1; dim <= 48; dim++ {
 		for b := 0; b < boxes; b++ {
 			ms := lowerBoundMetrics(rng, dim)
@@ -83,23 +87,39 @@ func TestPropLowerBoundSound(t *testing.T) {
 					positive++
 				}
 			}
+			if b == 0 { // the planes are checked at ~30 metrics a ball
+				checkTangents(t, fmt.Sprintf("dim %d box %d", dim, b), ms, mid, r, rng, &planes)
+			}
 		}
 	}
 	if positive == 0 {
 		t.Fatal("no ball bound was positive: the property checked nothing")
+	}
+	t.Logf("tangent planes: %+v", planes)
+	if planes.anchored == 0 || planes.rejected == 0 || planes.tight == 0 {
+		t.Fatalf("the tangent test checked nothing: %+v", planes)
 	}
 }
 
 // Non-finite balls — a radius that overflowed to +Inf, a NaN midpoint —
 // bound nothing: every family returns a finite value no larger than its
 // bound over the whole space, and Euclidean and the quadratic forms
-// return 0.
+// return 0. No metric anchors tangent planes on them, nor on a ball so
+// far out or so small that the row kernel's rounding stops being
+// relative, while every full-scheme form anchors on a plain ball.
 func TestBallLowerBoundNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	ms := lowerBoundMetrics(rng, 4)
 	mid := randVec(rng, 4, 1)
+	for name, m := range tangentMetrics(rng, 4, mid) {
+		ms["tangent-"+name] = m
+		if !m.Anchor(new(Tangent), mid, 1) {
+			t.Errorf("%s: no anchor on a plain ball", name)
+		}
+	}
 	nan := linalg.Vector{math.NaN(), 0, 0, 0}
 	huge := linalg.Vector{1e300, -1e300, 1e300, 0}
+	far := linalg.Vector{1e200, 0, 0, 0}
 	for name, m := range ms {
 		bm := m.(BallMetric)
 		floor := m.LowerBound(linalg.Vector{-math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64},
@@ -108,7 +128,7 @@ func TestBallLowerBoundNonFinite(t *testing.T) {
 			what string
 			mid  linalg.Vector
 			r    float64
-		}{{"+Inf radius", mid, math.Inf(1)}, {"NaN radius", mid, math.NaN()}, {"NaN midpoint", nan, 1}, {"overflowing midpoint", huge, 1e300}} {
+		}{{"+Inf radius", mid, math.Inf(1)}, {"NaN radius", mid, math.NaN()}, {"NaN midpoint", nan, 1}, {"overflowing midpoint", huge, 1e300}, {"far midpoint", far, 1}} {
 			got := bm.BallLowerBound(c.mid, c.r)
 			if math.IsNaN(got) || got > floor {
 				t.Errorf("%s %s: BallLowerBound = %v, want at most %v", name, c.what, got, floor)
@@ -116,12 +136,19 @@ func TestBallLowerBoundNonFinite(t *testing.T) {
 			if _, isQuad := m.(*Quadratic); (isQuad || name == "euclidean") && got != 0 {
 				t.Errorf("%s %s: BallLowerBound = %v, want 0", name, c.what, got)
 			}
+			if tm, ok := m.(TangentMetric); ok && tm.Anchor(new(Tangent), c.mid, c.r) {
+				t.Errorf("%s %s: anchored", name, c.what)
+			}
 		}
+	}
+	if NewQuadraticFull(linalg.Vector{0, 0}, linalg.Identity(2)).Anchor(new(Tangent), linalg.Vector{0x1p-500, 0}, 0x1p-500) {
+		t.Error("a ball of radius 2⁻⁵⁰⁰ at the centre anchored")
 	}
 }
 
 // FuzzLowerBound is TestPropLowerBoundSound over fuzzer-chosen seeds,
-// dims and box scales, boxes and balls alike (a CI smoke step).
+// dims and box scales: boxes, balls and tangent planes alike (a CI smoke
+// step).
 func FuzzLowerBound(f *testing.F) {
 	f.Add(int64(1), uint8(3), 1.0)
 	f.Add(int64(2), uint8(16), 0.0)
@@ -143,6 +170,7 @@ func FuzzLowerBound(f *testing.F) {
 			checkLowerBound(t, name, m, lo, hi, rng)
 			checkBallLowerBound(t, name, m.(BallMetric), mid, r, rng)
 		}
+		checkTangents(t, fmt.Sprintf("dim %d", dim), ms, mid, r, rng, new(tangentCounts))
 	})
 }
 
@@ -319,60 +347,73 @@ func lowerBoundBall(rng *rand.Rand, lo, hi linalg.Vector) (mid linalg.Vector, r 
 }
 
 // checkBallLowerBound fails unless m.Eval(x) >= m.BallLowerBound(mid, r)
-// at the midpoint, at 2·dim axis points and 8 drawn directions on the
-// sphere, at the sphere point nearest each of m's centers (or the center
-// itself, inside the ball), and at 8 interior samples. Every sphere point
-// is moved toward mid an ulp per axis at a time until it is inside the
-// ball in exact arithmetic, so it is as far out as floating point allows.
-// It returns the bound.
+// at every one of the ball's probes (ballProbes). It returns the bound.
 func checkBallLowerBound(t *testing.T, name string, m BallMetric, mid linalg.Vector, r float64, rng *rand.Rand) float64 {
 	t.Helper()
 	lb := m.BallLowerBound(mid, r)
 	if math.IsNaN(lb) || lb < 0 {
 		t.Fatalf("%s: BallLowerBound(%v, %v) = %v", name, mid, r, lb)
 	}
+	for _, p := range ballProbes(rng, mid, r, Centers(m)) {
+		if ev := m.Eval(p.x); !(ev >= lb) {
+			t.Fatalf("%s: Eval at %s = %v < BallLowerBound %v (x=%v mid=%v r=%v)", name, p.what, ev, lb, p.x, mid, r)
+		}
+	}
+	return lb
+}
+
+// ballProbe is a point of a ball that the bounds over it are checked at.
+type ballProbe struct {
+	what string
+	x    linalg.Vector
+}
+
+// ballProbes returns the ball's midpoint, 2·dim axis points and 8 drawn
+// directions on its sphere, the sphere point nearest each center (or the
+// center itself, inside the ball), and 8 interior samples. Every sphere
+// point is moved toward mid an ulp per axis at a time until it is inside
+// the ball in exact arithmetic, so it is as far out as floating point
+// allows.
+func ballProbes(rng *rand.Rand, mid linalg.Vector, r float64, centers []linalg.Vector) []ballProbe {
 	dim := len(mid)
-	check := func(what string, x linalg.Vector) {
-		t.Helper()
-		if ev := m.Eval(x); !(ev >= lb) {
-			t.Fatalf("%s: Eval at %s = %v < BallLowerBound %v (x=%v mid=%v r=%v)", name, what, ev, lb, x, mid, r)
-		}
-	}
-	onSphere := func(dir linalg.Vector, scale float64) linalg.Vector {
-		x := make(linalg.Vector, dim)
-		for i := range x {
-			x[i] = mid[i] + scale*dir[i]
-		}
-		for !insideBall(x, mid, r) {
-			for i := range x {
-				x[i] = math.Nextafter(x[i], mid[i])
-			}
-		}
-		return x
-	}
-	check("midpoint", mid)
+	probes := []ballProbe{{"midpoint", mid}}
 	for a := 0; a < 2*dim; a++ {
 		dir := make(linalg.Vector, dim)
 		dir[a/2] = float64(1 - 2*(a%2))
-		check("axis point", onSphere(dir, r))
+		probes = append(probes, ballProbe{"axis point", towardBall(mid, dir, r, r)})
 	}
 	for range 8 {
 		dir := randVec(rng, dim, 1)
-		check("sphere point", onSphere(dir, r/dir.Norm()))
+		probes = append(probes, ballProbe{"sphere point", towardBall(mid, dir, r/dir.Norm(), r)})
 	}
-	for _, c := range Centers(m) {
+	for _, c := range centers {
 		dir := c.Sub(mid)
 		if d := dir.Norm(); d > r {
-			check("sphere point nearest a center", onSphere(dir, r/d))
+			probes = append(probes, ballProbe{"sphere point nearest a center", towardBall(mid, dir, r/d, r)})
 		} else {
-			check("center inside the ball", c)
+			probes = append(probes, ballProbe{"center inside the ball", c})
 		}
 	}
 	for range 8 {
 		dir := randVec(rng, dim, 1)
-		check("interior sample", onSphere(dir, r*rng.Float64()/dir.Norm()))
+		probes = append(probes, ballProbe{"interior sample", towardBall(mid, dir, r*rng.Float64()/dir.Norm(), r)})
 	}
-	return lb
+	return probes
+}
+
+// towardBall returns mid + scale·dir, moved toward mid an ulp per axis
+// at a time until it is within r of mid in exact arithmetic.
+func towardBall(mid, dir linalg.Vector, scale, r float64) linalg.Vector {
+	x := make(linalg.Vector, len(mid))
+	for i := range x {
+		x[i] = mid[i] + scale*dir[i]
+	}
+	for !insideBall(x, mid, r) {
+		for i := range x {
+			x[i] = math.Nextafter(x[i], mid[i])
+		}
+	}
+	return x
 }
 
 // insideBall reports whether ‖x − mid‖ <= r in exact arithmetic: in

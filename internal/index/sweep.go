@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"runtime"
@@ -99,20 +98,20 @@ func (t *HybridTree) sweepPays(q nodeQueue, bound float64) (frontier int, pays b
 	return frontier, 2*frontier > n
 }
 
-// blockBound is a storage block and its box lower bound under one
-// search's metric: the order of a nearest-first sweep.
+// blockBound is a storage block and a lower bound of its rows'
+// distances under one search's metric: the key of a nearest-first sweep.
 type blockBound struct {
 	bound float64
 	block int
 }
 
 // blockPlan is what a search knows of the storage blocks under its
-// metric: the box lower bounds of blocks [0, len(box)), each computed
-// once per search, and, when the blocks prune better than the tree, the
-// order of a nearest-first sweep.
+// metric: lower bounds of blocks [0, len(bounds)), each computed once per
+// search, and, when the blocks prune better than the tree, the order of
+// a nearest-first sweep.
 type blockPlan struct {
-	box   []float64
-	order []blockBound
+	bounds []float64
+	order  []blockBound
 }
 
 // planBlocks asks whether the storage blocks prune better than the tree:
@@ -124,32 +123,91 @@ type blockPlan struct {
 // prune, nearly every block is within bound, this pass bounds as many
 // blocks as it has rows for the frontier, and computing them twice cost
 // a 100k × 8-d search 7 % in a CPU profile. The bound must be armed:
-// under a heap still filling, a block whose box bound overflowed to +Inf
+// under a heap still filling, a block whose bound overflowed to +Inf
 // would be left off the order though its rows belong on the page.
+//
+// A distance.TangentMetric's box bound, the full scheme's
+// λ_min·MINDIST², keeps nearly every block of a clustered store, which
+// left the decision to a few hundred rows either way. So for one the
+// box pass bounds every block, and where the kept blocks hold as many
+// rows as the frontier, kept blocks are bounded again by the larger of
+// their box and ball bounds until enough rows fall past bound for the
+// blocks to win; the rest keep their box keys, which are lower bounds
+// too, and the sweep's tangent planes bound every block it visits
+// anyway (ball-bounding every kept block cost the two-cluster Eq. 5
+// cell 10–20 %). A ball that holds one of the metric's centers bounds
+// next to nothing (its part's ball bound is 0), and the plan does not
+// compute it: on a store whose blocks span many clusters that is most
+// blocks.
 func (t *HybridTree) planBlocks(m distance.Metric, bound float64, frontier int) *blockPlan {
 	s := t.store
-	p := &blockPlan{box: make([]float64, 0, s.blocks())}
+	p := &blockPlan{bounds: make([]float64, 0, s.blocks())}
+	tm, planes := m.(distance.TangentMetric)
 	rows := 0
 	for b := range s.blocks() {
 		lo, hi := s.blockBox(b)
 		lb := m.LowerBound(lo, hi)
-		p.box = append(p.box, lb)
+		p.bounds = append(p.bounds, lb)
 		if lb <= bound {
-			if rows += s.blockLen(b); rows >= frontier {
+			if rows += s.blockLen(b); rows >= frontier && !planes {
 				return p
 			}
 		}
 	}
+	if rows >= frontier {
+		centers := distance.Centers(m)
+		mid := make(linalg.Vector, s.dim)
+		need := rows - frontier + 1 // rows the ball bounds must put past bound
+		for b, lb := range p.bounds {
+			if lb > bound {
+				continue
+			}
+			if r := s.blockBall(b, mid); !holdsAny(mid, r, centers) {
+				lb = max(lb, tm.BallLowerBound(mid, r))
+				p.bounds[b] = lb
+				if lb > bound {
+					rows -= s.blockLen(b)
+					if need -= s.blockLen(b); need <= 0 {
+						break
+					}
+				}
+			}
+		}
+		if need > 0 {
+			return p
+		}
+	}
 	p.order = make([]blockBound, 0, rows/BlockRows+1)
-	for b, lb := range p.box {
+	for b, lb := range p.bounds {
 		if lb <= bound {
 			p.order = append(p.order, blockBound{bound: lb, block: b})
 		}
 	}
 	slices.SortFunc(p.order, func(a, b blockBound) int {
-		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.block, b.block))
+		switch { // no NaN is within bound
+		case a.bound < b.bound:
+			return -1
+		case a.bound > b.bound:
+			return 1
+		}
+		return a.block - b.block
 	})
 	return p
+}
+
+// holdsAny reports whether one of centers is within about r of mid.
+func holdsAny(mid linalg.Vector, r float64, centers []linalg.Vector) bool {
+	for _, c := range centers {
+		var d2 float64
+		for i, x := range c {
+			d := x - mid[i]
+			d2 += d * d
+		}
+		if d2 <= r*r {
+			return true
+		}
+	}
+	return false
 }
 
 // sweep finishes a search whose probe phase (the traversal so far, its
@@ -167,19 +225,30 @@ func (t *HybridTree) planBlocks(m distance.Metric, bound float64, frontier int) 
 // distances that overflowed to +Inf — skips nothing.
 //
 // Without a plan's order the blocks go in storage order, and a block
-// whose box lower bound (the plan's, where it has one) exceeds bound is
-// skipped. With an order (planBlocks) only the listed blocks go, nearest
-// first, and the first block whose box bound exceeds bound ends the
-// sweep, since every later block is at least as far; a block whose ball
-// lower bound exceeds bound is skipped.
+// whose lower bound (the plan's, where it has one, else its box bound)
+// exceeds bound is skipped. With an order (planBlocks) only the listed
+// blocks go, nearest first, and the first block whose key exceeds bound
+// ends the sweep, since every later block is at least as far. There a
+// distance.TangentMetric anchors its tangent planes at each block's
+// midpoint: a block whose planes' least value over its ball (or its ball
+// bound, which comes with them) exceeds bound is skipped, and otherwise
+// only the rows its planes do not certify past bound go to the kernel.
+// Any other metric skips a block whose ball lower bound exceeds bound.
+// Storage-order sweeps do without the row test: there the blocks span
+// many clusters, the planes reject little, and the test slowed the
+// shuffled mix16 store 1.3×.
 // Consecutive blocks that are not skipped go through the kernel in one
 // call: a call per block pays the full-scheme kernel's per-call setup
 // and its point-filter gates' warm-up four times as often (≈7 % of a
-// sweep where no block skips, in a CPU profile).
+// sweep where no block skips, in a CPU profile). The rows a block's
+// planes keep go through it at once, so that the next block's planes
+// test against the bound they tightened (on the mix16 store that cuts
+// the rows evaluated by a tenth).
 //
-// Rows skipped, ended or left off the order count in SkippedEvals, so a
-// sweep that runs to the end reaches all n rows. An interrupted sweep
-// returns what it and the probe found, plus ctx.Err().
+// Rows skipped, ended, left off the order or rejected by a plane count
+// in SkippedEvals, so a sweep that runs to the end reaches all n rows.
+// An interrupted sweep returns what it and the probe found, plus
+// ctx.Err().
 func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *resultHeap, ext *SharedBound, plan *blockPlan, stats *SearchStats) ([]Result, error) {
 	s := t.store
 	n := s.Len()
@@ -193,16 +262,18 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 		workers = t.parallelism
 	}
 	positions := s.blocks()
-	var ball distance.BallMetric
-	var box []float64
+	var bounds []float64
 	var order []blockBound
 	if plan != nil {
-		box, order = plan.box, plan.order
+		bounds, order = plan.bounds, plan.order
 	}
 	listed := n
+	var ball distance.BallMetric
+	var tm distance.TangentMetric
 	if order != nil {
 		positions = len(order)
 		ball, _ = m.(distance.BallMetric)
+		tm, _ = m.(distance.TangentMetric)
 		listed = 0
 		for _, o := range order {
 			listed += s.blockLen(o.block)
@@ -219,26 +290,36 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 		p.h = newResultHeap(probe.k)
 		be := newBatchEvaluator(m, s) // scratch buffers are per-goroutine
 		var mid linalg.Vector
+		var tan distance.Tangent
 		if ball != nil {
 			mid = make(linalg.Vector, s.dim)
 		}
 		// run is the pending row range [first, last) of blocks not
-		// skipped; flush offers it to p's heap, abandoning against the
-		// current bound.
+		// skipped, and kept the rows of one block its planes kept; flush
+		// offers them to p's heap, abandoning against the current bound.
 		var first, last int
+		var kept []int
 		flush := func() {
-			if first == last {
+			if first == last && len(kept) == 0 {
 				return
 			}
 			bound := min(p.h.bound(), shared.Load())
 			if be != nil {
-				p.abandoned += be.evalRange(first, last, bound, p.h)
+				if first < last {
+					p.abandoned += be.evalRange(first, last, bound, p.h)
+				}
+				if len(kept) > 0 {
+					p.abandoned += be.evalInto(kept, bound, p.h)
+				}
 			} else {
 				for id := first; id < last; id++ {
 					p.h.offer(Result{ID: id, Dist: m.Eval(s.Vector(id))})
 				}
+				for _, id := range kept {
+					p.h.offer(Result{ID: id, Dist: m.Eval(s.Vector(id))})
+				}
 			}
-			first, last = 0, 0
+			first, last, kept = 0, 0, kept[:0]
 		}
 		for {
 			faultinject.Fire(faultinject.KNNSweepChunk)
@@ -258,8 +339,8 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 				if bound < inf {
 					if order == nil {
 						var lb float64
-						if b < len(box) {
-							lb = box[b]
+						if b < len(bounds) {
+							lb = bounds[b]
 						} else {
 							blo, bhi := s.blockBox(b)
 							lb = m.LowerBound(blo, bhi)
@@ -285,6 +366,16 @@ func (t *HybridTree) sweep(ctx context.Context, m distance.Metric, probe *result
 						p.reached += rows - s.blockLen(b)
 						p.skipped += rows
 						return
+					} else if tm != nil && tm.Anchor(&tan, mid, s.blockBall(b, mid)) {
+						if tan.Min() > bound {
+							p.skipped += rows
+							continue
+						}
+						at := b * BlockRows
+						kept = tan.Keep(s.data[at*s.dim:(at+rows)*s.dim], at, bound, kept)
+						p.skipped += rows - len(kept)
+						flush()
+						continue
 					} else if ball != nil && ball.BallLowerBound(mid, s.blockBall(b, mid)) > bound {
 						flush()
 						p.skipped += rows
