@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	qcluster "repro"
-	"repro/internal/ann"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -476,90 +475,6 @@ func reportSearchWork(b *testing.B, total index.SearchStats) {
 	b.ReportMetric(float64(total.DistanceEvals)/float64(b.N), "exact-evals")
 	b.ReportMetric(float64(total.Swept)/float64(b.N), "swept")
 	b.ReportMetric(float64(total.SkippedEvals)/float64(b.N), "skipped-evals")
-}
-
-// BenchmarkANN is what the ANN backend has earned (ROADMAP item 12, the
-// ledger row in EXPERIMENTS.md): ann.Index.KNNEf at beam widths 100 and
-// 512 beside the exact tree on one worker, k = 100, on BenchmarkKNN's
-// dim16/n64k and dim32/n100000 stores, under the three metrics a session
-// searches with — the Euclidean example query, the Eq. 5 aggregate over
-// one cluster of 20 marks, and over two such clusters from two categories.
-// A cluster's marks are the 20 nearest stored neighbours of a stored
-// vector, which is what marking the first page gives (on dim16/n64k they
-// share its 64-point category). Each graph cell reports recall@100
-// against the tree's page: the graph is built under Euclidean distance,
-// so the one-cluster cell, whose k = 100 reaches past the category into a
-// Mahalanobis tail, is the one it does not answer.
-func BenchmarkANN(b *testing.B) {
-	const k, queries, marks = 100, 16, 20
-	mixRng := rand.New(rand.NewSource(mix16Seed))
-	mixVecs, _ := synth.Mixture[linalg.Vector](mixRng, mix16Cats, mix16PerCat, 16, 5)
-	mix16 := mustStore(b, mixVecs)
-	dimRng := rand.New(rand.NewSource(31*100000 + 32))
-	dim32 := mustStore(b, synth.Gaussian[linalg.Vector](dimRng, 100000, 32, 3))
-	for _, c := range []struct {
-		name  string
-		store *index.Store
-		rng   *rand.Rand
-	}{{"dim16/n64k", mix16, mixRng}, {"dim32/n100000", dim32, dimRng}} {
-		tree := index.NewHybridTree(c.store, index.TreeOptions{Parallelism: 1})
-		graph, err := ann.New(c.store, ann.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		marked := func(seed int) *cluster.Cluster {
-			page, _ := tree.KNN(&distance.Euclidean{Center: c.store.Vector(seed)}, marks)
-			pts := make([]cluster.Point, len(page))
-			for i, r := range page {
-				pts[i] = cluster.Point{ID: r.ID, Vec: c.store.Vector(r.ID), Score: 1}
-			}
-			return cluster.FromPoints(pts)
-		}
-		families := [3]string{"euclid", "one-cluster", "two-clusters"}
-		var byFamily [3][]distance.Metric
-		for q := 0; q < queries; q++ {
-			// Two seeds at least one category apart on the clustered store.
-			seed := c.rng.Intn(c.store.Len() / 2)
-			c1, c2 := marked(seed), marked(seed+c.store.Len()/2)
-			byFamily[0] = append(byFamily[0], &distance.Euclidean{Center: c.store.Vector(seed)})
-			byFamily[1] = append(byFamily[1], fullEq5(c1))
-			byFamily[2] = append(byFamily[2], fullEq5(c1, c2))
-		}
-		for f, family := range families {
-			metrics := byFamily[f]
-			exact := make([]map[int]bool, len(metrics))
-			for i, m := range metrics {
-				page, _ := tree.KNN(m, k)
-				exact[i] = make(map[int]bool, len(page))
-				for _, r := range page {
-					exact[i][r.ID] = true
-				}
-			}
-			b.Run(c.name+"/"+family+"/exact", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					tree.KNN(metrics[i%len(metrics)], k)
-				}
-			})
-			for _, ef := range []int{100, 512} {
-				b.Run(fmt.Sprintf("%s/%s/ef%d", c.name, family, ef), func(b *testing.B) {
-					hits := 0
-					for i, m := range metrics {
-						page, _, _ := graph.KNNEf(context.Background(), m, k, ef)
-						for _, r := range page {
-							if exact[i][r.ID] {
-								hits++
-							}
-						}
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						graph.KNNEf(context.Background(), metrics[i%len(metrics)], k, ef)
-					}
-					b.ReportMetric(float64(hits)/float64(k*len(metrics)), "recall@100")
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkAblations runs the full model and the model without its

@@ -40,14 +40,6 @@
 // hashed ids to shards, is refused at boot. -parallelism sizes a swept
 // search's workers.
 //
-// With -backend the k-NN execution path is selectable: tree (default,
-// exact hybrid-tree) or ann (approximate HNSW-style graph over
-// float32-quantized vectors with exact full-precision refinement of the
-// candidates; recall tuned by -ann-ef). /healthz's info block and
-// session-create responses report the active backend so clients know
-// which contract results carry. An unknown backend exits before any
-// data is loaded.
-//
 // Every request is traced: qserve honors and propagates W3C
 // traceparent headers, and -trace-sample exports span trees (admission
 // queue, session lock, per-shard search legs, merge, encode) as JSON
@@ -56,8 +48,8 @@
 // /debug/slow on the ops port.
 //
 // Everything else — session capacity and TTL, admission, deadlines,
-// WAL group commit and rotation, the ANN graph's shape — is a fixed
-// constant (README "Fixed serving constants").
+// WAL group commit and rotation — is a fixed constant (README "Fixed
+// serving constants").
 //
 // The ops port (-ops) serves /debug/vars, /metrics (Prometheus text),
 // /debug/slow and /debug/pprof with the server and database registries
@@ -104,29 +96,13 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "workers of a swept search, one the tree cannot prune (0 = GOMAXPROCS)")
 		shards      = flag.Int("shards", 1, "partition the collection into N scatter-gather shards, bit-identical to unsharded (1 = unsharded)")
 
-		// Search backend. The tree backend is exact; ann is an
-		// HNSW-style graph over float32-quantized vectors whose
-		// candidates are exactly refined at full precision (recall <= 1
-		// controlled by -ann-ef, results bit-exact given the candidates).
-		backend = flag.String("backend", "tree", "k-NN execution path: tree (exact) or ann (approximate graph + exact refinement)")
-		annEf   = flag.Int("ann-ef", 0, "ann: query-time beam width efSearch, the recall/latency knob (0 = 64)")
-
 		// Tracing.
 		traceSample = flag.Float64("trace-sample", 0, "head-sampling probability for span export, 0..1 (slow requests are always exported once a sink exists)")
 		traceLog    = flag.String("trace-log", "", "span export destination: a JSON-lines file path, or '-' for stderr (implied stderr when -trace-sample > 0)")
 	)
 	flag.Parse()
 
-	if err := qcluster.IndexBackend(*backend).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	indexOpt := qcluster.IndexOptions{
-		SearchParallelism: *parallelism,
-		Backend:           qcluster.IndexBackend(*backend),
-		ANN:               qcluster.ANNOptions{EfSearch: *annEf},
-	}
+	indexOpt := qcluster.IndexOptions{SearchParallelism: *parallelism}
 	opt := server.Options{TraceSampleRate: *traceSample}
 	if *traceLog != "" || *traceSample > 0 {
 		var w io.Writer = os.Stderr
@@ -197,8 +173,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "building database: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("collection ready (memory-only): %d vectors, %d dims, backend %s\n",
-			db.Len(), db.Dim(), db.IndexInfo().Backend)
+		fmt.Printf("collection ready (memory-only): %d vectors, %d dims\n", db.Len(), db.Dim())
 	}
 
 	// Installed before the listeners come up: a SIGTERM that lands right

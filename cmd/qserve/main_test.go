@@ -70,18 +70,20 @@ func TestSIGTERMRightAfterBootDrains(t *testing.T) {
 	}
 }
 
-// TestRemovedBackendAndFlagsExitBeforeLoading: -backend vafile and every
-// removed flag (each limit it set is now a fixed constant) must fail
-// before any collection is loaded or any data directory is created, the
-// backend error must name tree, and -h must list exactly the kept flags.
+// TestRemovedBackendAndFlagsExitBeforeLoading: every removed flag —
+// -backend and -ann-ef with the approximate backend, the others because
+// each limit they set is now a fixed constant — must fail before any
+// collection is loaded or any data directory is created, and -h must
+// list exactly the kept flags.
 func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
 	type row struct {
 		args    []string
 		wantErr string
 	}
 	rows := []row{
-		{[]string{"-backend", "vafile"}, "tree is the exact backend"},
-		{[]string{"-backend", "nope"}, "unknown index backend"},
+		{[]string{"-backend", "ann"}, "flag provided but not defined: -backend"},
+		{[]string{"-backend", "vafile"}, "flag provided but not defined: -backend"},
+		{[]string{"-ann-ef", "64"}, "flag provided but not defined: -ann-ef"},
 	}
 	for _, name := range strings.Fields(`plan crash wal-batch wal-maxwait snapshot-bytes max-sessions session-ttl
 		max-inflight queue-wait request-timeout drain-timeout ann-m ann-efc ann-seed slow-threshold slowlog`) {
@@ -116,9 +118,9 @@ func TestRemovedBackendAndFlagsExitBeforeLoading(t *testing.T) {
 			flags = append(flags, strings.Fields(rest)[0])
 		}
 	}
-	const want = "addr ann-ef backend cats data dataset dim ops parallelism percat seed shards trace-log trace-sample"
+	const want = "addr cats data dataset dim ops parallelism percat seed shards trace-log trace-sample"
 	if got := strings.Join(flags, " "); got != want {
-		t.Errorf("qserve -h lists %d flags:\n%s\nwant the 14 kept:\n%s", len(flags), got, want)
+		t.Errorf("qserve -h lists %d flags:\n%s\nwant the 12 kept:\n%s", len(flags), got, want)
 	}
 }
 

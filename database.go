@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/distance"
 	"repro/internal/index"
 	"repro/internal/linalg"
@@ -32,12 +31,6 @@ type Database struct {
 	store *index.Store
 	tree  *index.HybridTree
 	met   *dbMetrics // always non-nil; see Metrics and ServeDebug
-
-	// backend selects the k-NN execution path; annIdx is non-nil exactly
-	// when it is BackendANN. The tree is always built regardless — it is
-	// the substrate of durability snapshots.
-	backend IndexBackend
-	annIdx  *ann.Index
 }
 
 // IndexOptions tunes the database's search index. The zero value is the
@@ -51,12 +44,6 @@ type IndexOptions struct {
 	// tree traversal itself, and the scan of a small collection (below
 	// 8192 items), are sequential regardless.
 	SearchParallelism int
-	// Backend selects the k-NN execution path, fixed for the database's
-	// lifetime: BackendTree (default, exact) or BackendANN (graph
-	// navigation + exact refinement, recall below 1).
-	Backend IndexBackend
-	// ANN tunes the BackendANN graph (ignored by the other backends).
-	ANN ANNOptions
 }
 
 // NewDatabase indexes the given vectors with default index options. All
@@ -69,9 +56,6 @@ func NewDatabase(vectors [][]float64) (*Database, error) {
 // NewDatabaseWithOptions is NewDatabase with explicit index tuning.
 func NewDatabaseWithOptions(vectors [][]float64, opt IndexOptions) (_ *Database, err error) {
 	defer barrier("NewDatabase", &err)
-	if err := opt.Backend.Validate(); err != nil {
-		return nil, err
-	}
 	vecs := make([]linalg.Vector, len(vectors))
 	for i, v := range vectors {
 		vecs[i] = linalg.Vector(v)
@@ -80,27 +64,19 @@ func NewDatabaseWithOptions(vectors [][]float64, opt IndexOptions) (_ *Database,
 	if err != nil {
 		return nil, fmt.Errorf("qcluster: %w", err)
 	}
-	return newDatabaseFromStore(store, opt)
+	return newDatabaseFromStore(store, opt), nil
 }
 
 // newDatabaseFromStore finishes construction over a populated store:
-// the hybrid tree, the selected backend's auxiliary index, metrics.
-func newDatabaseFromStore(store *index.Store, opt IndexOptions) (*Database, error) {
-	backend, err := opt.Backend.normalize()
-	if err != nil {
-		return nil, err
-	}
+// the hybrid tree and the metrics.
+func newDatabaseFromStore(store *index.Store, opt IndexOptions) *Database {
 	db := &Database{
-		store:   store,
-		tree:    index.NewHybridTree(store, index.TreeOptions{Parallelism: opt.SearchParallelism}),
-		met:     newDBMetrics(),
-		backend: backend,
-	}
-	if err := db.buildBackend(opt); err != nil {
-		return nil, err
+		store: store,
+		tree:  index.NewHybridTree(store, index.TreeOptions{Parallelism: opt.SearchParallelism}),
+		met:   newDBMetrics(),
 	}
 	db.met.items.Set(float64(store.Len()))
-	return db, nil
+	return db
 }
 
 // Add appends a new item to the database and the index, returning its
@@ -118,11 +94,6 @@ func (db *Database) Add(vector []float64) (id int, err error) {
 		return 0, fmt.Errorf("qcluster: %w", err)
 	}
 	ist := db.tree.Insert(id)
-	if err := db.syncBackendLocked([]int{id}); err != nil {
-		// Unreachable after ValidateBatch; a failure here would leave the
-		// graph behind the store, so surface it loudly.
-		panic(err)
-	}
 	db.met.observeInsert(ist)
 	db.met.adds.Inc()
 	db.met.items.Set(float64(db.store.Len()))
@@ -160,9 +131,6 @@ func (db *Database) addBatch(ctx context.Context, vectors [][]float64) (ids []in
 	}
 	resplitStart := time.Now()
 	ist := db.tree.InsertBatch(ids)
-	if err := db.syncBackendLocked(ids); err != nil {
-		panic(err) // unreachable after ValidateBatch, see Add
-	}
 	db.met.observeInsert(ist)
 	if ist.ResplitTime > 0 {
 		// The re-split work becomes its own child span on the request
@@ -191,10 +159,9 @@ func (db *Database) AddBatchContext(ctx context.Context, vectors [][]float64) (_
 
 // ValidateBatch is the ingest rule, checked by every write path before
 // it changes anything: each vector has the collection's dimension and
-// finite components, and on the ANN backend every component fits a
-// float32 (the graph mirror cannot hold it otherwise). DurableDatabase
-// checks it before a batch reaches the log and a shard set before its
-// id map moves, so a batch it accepts always applies.
+// finite components. DurableDatabase checks it before a batch reaches
+// the log and a shard set before its id map moves, so a batch it
+// accepts always applies.
 func (db *Database) ValidateBatch(vectors [][]float64) error {
 	dim := db.Dim()
 	for i, v := range vectors {
@@ -205,11 +172,6 @@ func (db *Database) ValidateBatch(vectors [][]float64) error {
 		for d, x := range v {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return fmt.Errorf("qcluster: batch vector %d component %d is not finite (%v)", i, d, x)
-			}
-			if db.backend == BackendANN {
-				if _, err := ann.Quantize(x); err != nil {
-					return fmt.Errorf("qcluster: vector %d component %d: %w", i, d, err)
-				}
 			}
 		}
 	}
@@ -262,7 +224,7 @@ type searchRequest struct {
 	query   *Query
 	example linalg.Vector
 	k       int
-	bound   *index.SharedBound // cross-shard k-th-best bound (tree backend only)
+	bound   *index.SharedBound // cross-shard k-th-best bound
 	// leg marks one shard's leg of a scatter-gather query: the gather
 	// attributes the request's search stage and per-shard work itself,
 	// and merges whatever the legs of an interrupted query had found.
@@ -297,13 +259,22 @@ func (db *Database) execute(ctx context.Context, req searchRequest) (_ []Result,
 		}
 	}
 	start := time.Now()
-	res, stats, cerr := db.knnBackend(ctx, req)
+	res, stats, cerr := db.searchTree(ctx, req)
 	elapsed = time.Since(start)
 	db.met.observeSearch(elapsed, req.k, len(res), stats, health.Degraded(), cerr != nil)
 	if !req.leg {
 		obs.ProfileFromContext(ctx).AddSearch(start, elapsed, stats)
 	}
 	return res, stats, elapsed, wrapInterrupt(cerr, len(res))
+}
+
+// searchTree is the one k-NN call execute funnels every search through:
+// the tree's search under the read lock, with the request's cross-shard
+// bound.
+func (db *Database) searchTree(ctx context.Context, req searchRequest) ([]index.Result, index.SearchStats, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tree.KNNSharedContext(ctx, req.metric, req.k, req.bound)
 }
 
 // trapSearch is the search panic barrier: barrier, plus "search.errors"

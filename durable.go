@@ -189,9 +189,6 @@ func OpenDatabase(dir string, opt DurableOptions) (*DurableDatabase, error) {
 
 func openDatabase(dir string, opt DurableOptions, tun walTuning) (_ *DurableDatabase, err error) {
 	defer barrier("OpenDatabase", &err)
-	if err := opt.Index.Backend.Validate(); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qcluster: create data dir: %w", err)
 	}

@@ -409,12 +409,10 @@ func (a *Aggregate) combine(f func(Metric) float64) float64 {
 
 // Centers extracts a metric's query representatives: the single center
 // of a Euclidean or quadratic form, and every cluster center of the
-// paper's disjunctive / aggregate multipoint metrics. Index layers that
-// navigate toward the query (the ANN graph descends once per
-// representative and unions the candidate sets) use this instead of
-// type-switching themselves; an unrecognized metric yields nil, which
-// such callers must treat as "no navigation target" and fall back to an
-// exact sweep.
+// paper's disjunctive / aggregate multipoint metrics; nil for any other
+// metric. The tree's nearest-first sweep plan uses it instead of
+// type-switching itself: a block whose ball holds a center gets no ball
+// bound, since that part's bound there is 0.
 func Centers(m Metric) []linalg.Vector {
 	switch t := m.(type) {
 	case *Euclidean:

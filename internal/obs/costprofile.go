@@ -83,21 +83,18 @@ type SearchStats struct {
 	// asked for), so AbandonedEvals/BatchedEvals is the fraction of
 	// candidate evaluations the kernels did not pay in full.
 	AbandonedEvals int `json:"abandoned_evals"`
-	// SkippedEvals counts the stored vectors a sweep never evaluated
-	// because the bounding box of their 64-row storage block was already
-	// past its k-th best. They are not in DistanceEvals: a completed
+	// SkippedEvals counts the stored vectors a sweep never evaluated: the
+	// rows of a 64-row storage block whose box or ball bound was already
+	// past its k-th best, the rows a tangent plane placed past it, and
+	// the rows a nearest-first sweep left off its order or never reached
+	// because it ended early. They are not in DistanceEvals: a completed
 	// sweep has DistanceEvals + SkippedEvals = probe + store size.
 	SkippedEvals int `json:"skipped_evals"`
 	// Swept counts tree searches that found the tree not pruning and
-	// finished as a sweep of the store in storage order (0 or 1 for one
-	// search; Add sums the legs of a sharded one).
+	// finished as a sweep of the store's storage blocks, in storage order
+	// or nearest first (0 or 1 for one search; Add sums the legs of a
+	// sharded one).
 	Swept int `json:"swept,omitempty"`
-	// GraphHops counts ANN graph nodes expanded during navigation
-	// (greedy descent + layer-0 beam). 0 on the exact backends.
-	GraphHops int `json:"graph_hops,omitempty"`
-	// RefineEvals counts full-precision exact re-evaluations of ANN
-	// candidates — a subset of DistanceEvals. 0 on the exact backends.
-	RefineEvals int `json:"refine_evals,omitempty"`
 	// Workers is the number of goroutines that evaluated candidates: 1
 	// unless the search swept a store large enough to share out. Like
 	// CacheSeedLeaves it is read in process (Session.Stats, benchmarks)
@@ -120,8 +117,6 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.AbandonedEvals += other.AbandonedEvals
 	s.SkippedEvals += other.SkippedEvals
 	s.Swept += other.Swept
-	s.GraphHops += other.GraphHops
-	s.RefineEvals += other.RefineEvals
 	s.CacheSeedLeaves += other.CacheSeedLeaves
 	if other.Workers > s.Workers {
 		s.Workers = other.Workers
@@ -458,8 +453,6 @@ func (t *Tracer) export(p *CostProfile) {
 			F("abandoned_evals", sc.Stats.AbandonedEvals),
 			F("skipped_evals", sc.Stats.SkippedEvals),
 			F("swept", sc.Stats.Swept),
-			F("graph_hops", sc.Stats.GraphHops),
-			F("refine_evals", sc.Stats.RefineEvals),
 			F("prune_ratio", sc.Stats.PruneRatio()),
 		}})
 	}
@@ -474,8 +467,6 @@ func (t *Tracer) export(p *CostProfile) {
 		F("abandoned_evals", p.Stats.AbandonedEvals),
 		F("skipped_evals", p.Stats.SkippedEvals),
 		F("swept", p.Stats.Swept),
-		F("graph_hops", p.Stats.GraphHops),
-		F("refine_evals", p.Stats.RefineEvals),
 		F("prune_ratio", p.Stats.PruneRatio()),
 	}
 	t.sink.Emit(Event{Span: rootName, Name: "end", Time: p.End, Fields: rootEnd})

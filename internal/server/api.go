@@ -48,16 +48,13 @@ type healthzResponse struct {
 	Shards []shard.ShardHealth `json:"shards,omitempty"`
 }
 
-// healthzInfo is the box/binary identity block of /healthz. The
-// embedded IndexInfo flattens the active search backend (and ANN graph
-// parameters) into the same block.
+// healthzInfo is the box/binary identity block of /healthz.
 type healthzInfo struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	GoVersion     string  `json:"go_version"`
 	Commit        string  `json:"vcs_commit,omitempty"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	Shards        int     `json:"shards"`
-	qcluster.IndexInfo
 }
 
 // addVectorsRequest appends vectors. Exactly one of vector (single) or
@@ -94,11 +91,6 @@ type createSessionRequest struct {
 type createSessionResponse struct {
 	SessionID  string  `json:"session_id"`
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-	// The embedded IndexInfo tells the client which search path will
-	// serve this session's retrievals ("tree", or "ann" + graph
-	// parameters) — an "ann" session's results carry a recall contract,
-	// not an exactness one.
-	qcluster.IndexInfo
 }
 
 // feedbackPoint is one relevance judgement. A point whose vector is
@@ -225,7 +217,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) int
 	writeJSON(w, http.StatusCreated, createSessionResponse{
 		SessionID:  s.mgr.insert(s.be.NewSession(example, opt), relay, timeNow()),
 		TTLSeconds: s.lim.sessionTTL.Seconds(),
-		IndexInfo:  s.be.IndexInfo(),
 	})
 	return http.StatusCreated
 }

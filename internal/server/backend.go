@@ -10,8 +10,8 @@ import (
 
 // Backend is the retrieval engine behind the HTTP layer: the two
 // collection shapes bench/ and qserve serve, one unsharded database
-// (New) or a sharded set (NewSharded). The set is closed: an ANN index
-// is an IndexOptions.Backend of either shape, not a third one.
+// (New) or a sharded set (NewSharded), each searched by its hybrid
+// trees. The set is closed: there is no third shape.
 type Backend interface {
 	Len() int
 	Dim() int
@@ -23,11 +23,6 @@ type Backend interface {
 	AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, error)
 	Metrics() obs.Snapshot
 	Registry() *obs.Registry
-	// IndexInfo reports the active k-NN execution path ("tree" or
-	// "ann") and, for the ANN backend, the resolved graph parameters —
-	// surfaced in /healthz's info block and session-create responses so a
-	// client can tell which recall contract its results carry.
-	IndexInfo() qcluster.IndexInfo
 }
 
 // dbBackend adapts a single qcluster.Database.

@@ -10,10 +10,10 @@ import (
 	"repro/internal/synth"
 )
 
-func durableTestDB(t *testing.T, backend qcluster.IndexBackend) *qcluster.DurableDatabase {
+func durableTestDB(t *testing.T) *qcluster.DurableDatabase {
 	t.Helper()
 	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(7)), 10, 40, 6, 6)
-	d, err := qcluster.OpenDatabase(t.TempDir(), qcluster.DurableOptions{Index: qcluster.IndexOptions{Backend: backend}, Seed: vectors})
+	d, err := qcluster.OpenDatabase(t.TempDir(), qcluster.DurableOptions{Seed: vectors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func durableTestDB(t *testing.T, backend qcluster.IndexBackend) *qcluster.Durabl
 }
 
 func TestIngestEndpoint(t *testing.T) {
-	d := durableTestDB(t, qcluster.BackendANN)
+	d := durableTestDB(t)
 	s := startServer(t, d.Database, Options{Ingestor: d})
 
 	before := d.Len()
@@ -55,16 +55,6 @@ func TestIngestEndpoint(t *testing.T) {
 		addVectorsRequest{Vector: []float64{1, 2}}, nil); status != http.StatusBadRequest {
 		t.Fatalf("dim mismatch: status %d, want 400", status)
 	}
-	// An ann collection refuses a float32-overflowing component before
-	// the WAL, so the node stays writable.
-	if status, _ = call(t, s, "POST", "/v1/vectors",
-		addVectorsRequest{Vector: []float64{1e300, 0, 0, 0, 0, 0}}, nil); status != http.StatusBadRequest {
-		t.Fatalf("unquantizable: status %d, want 400", status)
-	}
-	var hz healthzResponse
-	if call(t, s, "GET", "/healthz", nil, &hz); hz.Status != "ok" {
-		t.Fatalf("healthz after an unquantizable add: %+v", hz)
-	}
 	if status, _ = call(t, s, "POST", "/v1/vectors", addVectorsRequest{}, nil); status != http.StatusBadRequest {
 		t.Fatalf("empty request: status %d, want 400", status)
 	}
@@ -79,7 +69,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 func TestIngestDegradedModeSurfaces503AndHealthz(t *testing.T) {
 	defer faultinject.Reset()
-	d := durableTestDB(t, qcluster.BackendTree)
+	d := durableTestDB(t)
 	s := startServer(t, d.Database, Options{Ingestor: d})
 
 	// Healthy: healthz has a durability block, status ok.

@@ -444,7 +444,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Commit:        bi.commit,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Shards:        1,
-		IndexInfo:     s.be.IndexInfo(),
 	}
 	resp := healthzResponse{
 		Status:      "ok",

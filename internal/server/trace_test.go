@@ -493,45 +493,10 @@ func TestSlowLogEndpoint(t *testing.T) {
 // TestSearchWorkReachesEverySurface fails if a work counter is lost
 // between the index that counts it and a place it is read — there is one
 // SearchStats struct, and a field dropped from it (or from the span's
-// field list) goes missing here: the graph counters of an ANN-built
-// collection in the root span's end event and in Session.Stats, and a
-// swept tree search's counters under /debug/slow's keys (its skipped
-// blocks in the root span's end event too).
+// field list) goes missing here: a swept tree search's counters in
+// Session.Stats, under /debug/slow's keys and (its skipped blocks) in
+// the root span's end event.
 func TestSearchWorkReachesEverySurface(t *testing.T) {
-	vectors, _ := synth.Mixture[[]float64](rand.New(rand.NewSource(11)), 6, 30, 5, 6)
-	annDB, err := qcluster.NewDatabaseWithOptions(vectors, qcluster.IndexOptions{
-		Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &qcluster.MemorySink{}
-	s := startServer(t, annDB, Options{TraceSink: sink, TraceSampleRate: 1})
-	if st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: vectors[0], K: 5}, nil); st != 200 {
-		t.Fatalf("ann search = %d %s", st, raw)
-	}
-	ends := 0
-	for _, e := range sink.Events() {
-		if e.Span != "request.search" || e.Name != "end" {
-			continue
-		}
-		ends++
-		for _, key := range []string{"graph_hops", "refine_evals"} {
-			if n, _ := e.Field(key).(int); n <= 0 {
-				t.Errorf("root span end: %s = %v, want > 0 on an ANN search", key, e.Field(key))
-			}
-		}
-	}
-	if ends != 1 {
-		t.Fatalf("%d root end events for one search", ends)
-	}
-	sess := annDB.NewSession(vectors[0], qcluster.Options{})
-	if res := sess.Results(5); len(res) != 5 {
-		t.Fatalf("ann session returned %d results", len(res))
-	}
-	if last := sess.Stats().LastSearch; last.GraphHops <= 0 || last.RefineEvals <= 0 {
-		t.Errorf("Session.Stats().LastSearch lost the graph work: %+v", last)
-	}
-
 	// 64 16-d categories of 64, stored category by category: the tree
 	// cannot prune them, so the search sweeps, and skips the storage
 	// blocks of far categories.
@@ -540,12 +505,19 @@ func TestSearchWorkReachesEverySurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := treeDB.NewSession(mix[0], qcluster.Options{})
+	if res := sess.Results(100); len(res) != 100 {
+		t.Fatalf("session returned %d results", len(res))
+	}
+	if last := sess.Stats().LastSearch; last.Swept <= 0 || last.SkippedEvals <= 0 || last.BatchedEvals <= 0 {
+		t.Errorf("Session.Stats().LastSearch lost the sweep's work: %+v", last)
+	}
 	treeSink := &qcluster.MemorySink{}
 	ts := startServer(t, treeDB, Options{TraceSink: treeSink, TraceSampleRate: 1}, recordAll)
 	if st, raw := call(t, ts, "POST", "/v1/search", searchRequest{Vector: mix[0], K: 100}, nil); st != 200 {
 		t.Fatalf("tree search = %d %s", st, raw)
 	}
-	ends = 0
+	ends := 0
 	for _, e := range treeSink.Events() {
 		if e.Span == "request.search" && e.Name == "end" {
 			ends++

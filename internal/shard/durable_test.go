@@ -11,15 +11,14 @@ import (
 
 	qcluster "repro"
 	"repro/internal/index"
-	"repro/internal/synth"
 )
 
 // TestDurableShardedWarmRestart: a durable set must recover every
 // acknowledged cross-shard batch bit-identically after Close + Open.
 func TestDurableShardedWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(31)), 1200, 6, 16, 10, 0.5)
-	extra := synth.RoundRobin[[]float64](rand.New(rand.NewSource(32)), 400, 6, 16, 10, 0.5)
+	seed := roundRobin(rand.New(rand.NewSource(31)), 1200, 6, 16, 10, 0.5)
+	extra := roundRobin(rand.New(rand.NewSource(32)), 400, 6, 16, 10, 0.5)
 
 	set, err := Open(dir, 3, qcluster.DurableOptions{Seed: seed})
 	if err != nil {
@@ -66,7 +65,7 @@ func TestDurableShardedWarmRestart(t *testing.T) {
 func TestDurableShardedTornBatchTrim(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 3
-	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(41)), 1500, 5, 16, 10, 0.5)
+	seed := roundRobin(rand.New(rand.NewSource(41)), 1500, 5, 16, 10, 0.5)
 	set, err := Open(dir, shards, qcluster.DurableOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 	var sub [][]float64
 	for g := 1500; g < tornEnd; g++ {
 		if placement(g, shards) == victim {
-			sub = append(sub, synth.RoundRobin[[]float64](rand.New(rand.NewSource(int64(g))), 1, 5, 16, 10, 0.5)[0])
+			sub = append(sub, roundRobin(rand.New(rand.NewSource(int64(g))), 1, 5, 16, 10, 0.5)[0])
 		}
 	}
 	// Recovery keeps the longest globally consistent prefix: the leading
@@ -152,7 +151,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 
 	// The set keeps ingesting after the rollback: the next global batch
 	// starts right after the recovered prefix.
-	ids, err := reopened.AddBatchContext(context.Background(), synth.RoundRobin[[]float64](rand.New(rand.NewSource(99)), 10, 5, 16, 10, 0.5))
+	ids, err := reopened.AddBatchContext(context.Background(), roundRobin(rand.New(rand.NewSource(99)), 10, 5, 16, 10, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestDurableShardedTornBatchTrim(t *testing.T) {
 // unsharded control over the recovered collection.
 func TestDurableShardedSessionsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(55)), 2000, 6, 16, 10, 0.5)
+	seed := roundRobin(rand.New(rand.NewSource(55)), 2000, 6, 16, 10, 0.5)
 	set, err := Open(dir, 2, qcluster.DurableOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +211,7 @@ func TestDurableShardedSessionsSurviveRestart(t *testing.T) {
 // would map global ids to the wrong vectors, so Open names the reason
 // and touches nothing.
 func TestOpenRefusesForeignLayout(t *testing.T) {
-	seed := synth.RoundRobin[[]float64](rand.New(rand.NewSource(61)), 1500, 5, 16, 10, 0.5)
+	seed := roundRobin(rand.New(rand.NewSource(61)), 1500, 5, 16, 10, 0.5)
 	refuse := func(label, dir string, shards int, reason string) {
 		t.Helper()
 		set, err := Open(dir, shards, qcluster.DurableOptions{})

@@ -42,7 +42,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 		dim = 8
 		k   = 20
 	)
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(7)), n, dim, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(7)), n, dim, 16, 10, 0.5)
 	control, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 // TestScatterGatherKLargerThanSet covers the heap-never-fills edge: k
 // beyond the collection size must return everything, still identical.
 func TestScatterGatherKLargerThanSet(t *testing.T) {
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(3)), 400, 6, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(3)), 400, 6, 16, 10, 0.5)
 	control, err := qcluster.NewDatabase(vectors)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestScatterGatherKLargerThanSet(t *testing.T) {
 // into a sorted, duplicate-free best-effort answer tagged with both
 // ErrPartialResults and the context error.
 func TestScatterGatherCancellation(t *testing.T) {
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(21)), 6000, 8, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(21)), 6000, 8, 16, 10, 0.5)
 	set, err := New(vectors, 4, qcluster.IndexOptions{SearchParallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -17,15 +17,13 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/index"
 	"repro/internal/obs"
-	"repro/internal/synth"
 )
 
 // parityColumn is one place a session can search: an unsharded
-// database or a shard set, on one backend.
+// database or a shard set.
 type parityColumn struct {
 	name       string
-	ann        bool // built with BackendANN
-	shards     int  // 0 for the database
+	shards     int // 0 for the database
 	newSession func(example []float64, opt qcluster.Options) *qcluster.Session
 	searcher   qcluster.SessionSearcher // what newSession's sessions search through, minus any wrapper
 	search     func(ctx context.Context, example []float64, k int) ([]qcluster.Result, error)
@@ -34,56 +32,45 @@ type parityColumn struct {
 	metrics    func() obs.Snapshot
 }
 
-// parityColumns builds, per backend, the database column and then one
-// set column per shard count.
-func parityColumns(t *testing.T, vectors [][]float64, ef int, shardCounts ...int) []parityColumn {
+// parityColumns builds the database column and then one set column per
+// shard count, all on the tree.
+func parityColumns(t *testing.T, vectors [][]float64, shardCounts ...int) []parityColumn {
 	t.Helper()
-	var cols []parityColumn
-	for _, be := range []struct {
-		name string
-		opt  qcluster.IndexOptions
-	}{
-		{"tree", qcluster.IndexOptions{}},
-		{"ann", qcluster.IndexOptions{Backend: qcluster.BackendANN, ANN: qcluster.ANNOptions{EfSearch: ef}}},
-	} {
-		db, err := qcluster.NewDatabaseWithOptions(vectors, be.opt)
+	db, err := qcluster.NewDatabase(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []parityColumn{{
+		name:       "tree/database",
+		newSession: db.NewSession, searcher: db, search: db.SearchByExampleContext, add: db.AddBatchContext,
+		registry: db.Registry(), metrics: db.Metrics,
+	}}
+	for _, shards := range shardCounts {
+		set, err := New(vectors, shards, qcluster.IndexOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cols = append(cols, parityColumn{
-			name: be.name + "/database", ann: be.name == "ann",
-			newSession: db.NewSession, searcher: db, search: db.SearchByExampleContext, add: db.AddBatchContext,
-			registry: db.Registry(), metrics: db.Metrics,
+			name: fmt.Sprintf("tree/%d-shard set", shards), shards: shards,
+			newSession: set.NewSession, searcher: set, search: set.SearchByExampleContext, add: set.AddBatchContext,
+			registry: set.Registry(), metrics: set.Metrics,
 		})
-		for _, shards := range shardCounts {
-			set, err := New(vectors, shards, be.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cols = append(cols, parityColumn{
-				name: fmt.Sprintf("%s/%d-shard set", be.name, shards), ann: be.name == "ann", shards: shards,
-				newSession: set.NewSession, searcher: set, search: set.SearchByExampleContext, add: set.AddBatchContext,
-				registry: set.Registry(), metrics: set.Metrics,
-			})
-		}
 	}
 	return cols
 }
 
 // TestSessionParity runs one seeded feedback script against every place
-// a session can search — {Database, 1-shard Set, 3-shard Set} × {tree,
-// ann with an exhaustive beam} — and asserts there is one Session: the
-// same pages bit for bit, the same sentinel errors, the same Stats, the
-// same "search.done" events, and the same movement of the backend
-// registry's feedback, degradation and page-memo counters, sharded or
-// not.
+// a session can search — Database, 1-shard Set, 3-shard Set — and
+// asserts there is one Session: the same pages bit for bit, the same
+// sentinel errors, the same Stats, the same "search.done" events, and
+// the same movement of the backend registry's feedback, degradation and
+// page-memo counters, sharded or not.
 func TestSessionParity(t *testing.T) {
 	defer faultinject.Reset()
 	const n, dim, k = 1200, 6, 25
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(31)), n, dim, 16, 10, 0.5)
-	ef := n + 1
+	vectors := roundRobin(rand.New(rand.NewSource(31)), n, dim, 16, 10, 0.5)
 	ctx := context.Background()
-	cols := parityColumns(t, vectors, ef, 1, 3)
+	cols := parityColumns(t, vectors, 1, 3)
 
 	// The script's oracle: synth.RoundRobin deals id i to cluster i%16.
 	example := vectors[5]
@@ -211,9 +198,7 @@ func TestSessionParity(t *testing.T) {
 			faultinject.Clear(faultinject.SingularCovariance)
 
 			// A context cancelled at the first tree-traversal pop, at a k
-			// no page is memoized for: the tree columns return partial
-			// results; the ANN graph never pops the tree, so there the
-			// retrieval simply completes.
+			// no page is memoized for, returns partial results.
 			mid, cancelMid := context.WithCancel(ctx)
 			var fired atomic.Bool
 			faultinject.Set(faultinject.KNNPop, func() {
@@ -224,11 +209,7 @@ func TestSessionParity(t *testing.T) {
 			_, err := sess.ResultsContext(mid, k+1)
 			faultinject.Clear(faultinject.KNNPop)
 			cancelMid()
-			if col.ann {
-				if err != nil {
-					t.Fatalf("ann retrieval under the tree hook: %v", err)
-				}
-			} else if !errors.Is(err, qcluster.ErrPartialResults) || !errors.Is(err, context.Canceled) {
+			if !errors.Is(err, qcluster.ErrPartialResults) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-search cancel: err = %v, want ErrPartialResults and context.Canceled", err)
 			}
 
@@ -266,7 +247,7 @@ func TestSessionParity(t *testing.T) {
 		for p := range ref.pages {
 			sameResults(t, fmt.Sprintf("%s page %d vs %s", col.name, p, cols[0].name), ref.pages[p], got.pages[p])
 		}
-		if got.stats.Searches != ref.stats.Searches || got.stats.PartialSearches+boolInt(col.ann) != ref.stats.PartialSearches ||
+		if got.stats.Searches != ref.stats.Searches || got.stats.PartialSearches != ref.stats.PartialSearches ||
 			got.stats.FeedbackRounds != ref.stats.FeedbackRounds || got.stats.FeedbackPoints != ref.stats.FeedbackPoints ||
 			got.stats.DegradedSearches != ref.stats.DegradedSearches || got.stats.QueryPoints != ref.stats.QueryPoints {
 			t.Errorf("%s: Stats %+v diverge from %s's %+v", col.name, got.stats, cols[0].name, ref.stats)
@@ -274,10 +255,8 @@ func TestSessionParity(t *testing.T) {
 		if got.events != ref.events {
 			t.Errorf("%s: %d search.done events, %s emitted %d", col.name, got.events, cols[0].name, ref.events)
 		}
-		// Registry movement is compared sharded against unsharded on the
-		// same backend.
-		unsharded := outcomes[(c+1)/3*3]
-		for name, want := range unsharded.counters {
+		// Registry movement is compared sharded against unsharded.
+		for name, want := range ref.counters {
 			if got.counters[name] != want {
 				t.Errorf("%s: registry %s = %d, unsharded moved it by %d", col.name, name, got.counters[name], want)
 			}
@@ -289,21 +268,20 @@ func TestSessionParity(t *testing.T) {
 }
 
 // TestSessionStateless: a session is a query model plus its last page.
-// On {Database, 2-shard Set} × {tree, ann}, at every step the session's
-// search returns the page, and reports the index work, of a fresh
-// session given the same marks that has run no search before — a session
-// that kept leaves from its last round seeded its next search from them,
-// so the tree rows diverged; the ann rows pin that the graph route never
-// kept any. A second retrieval with nothing changed is the same page
+// On a Database and a 2-shard Set, at every step the session's search
+// returns the page, and reports the index work, of a fresh session given
+// the same marks that has run no search before — a session that kept
+// leaves from its last round seeded its next search from them, so the
+// rows diverged. A second retrieval with nothing changed is the same page
 // from the memo (one "session.pages_reused", LastSearch unchanged).
 // Twelve retrievals held in flight at once right after a round that
 // absorbed a new point all search, and agree with the fresh page; an
 // ingest between two rounds changes nothing but the page.
 func TestSessionStateless(t *testing.T) {
 	const n, dim, k = 1200, 6, 25
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(37)), n, dim, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(37)), n, dim, 16, 10, 0.5)
 	ctx := context.Background()
-	for _, col := range parityColumns(t, vectors, n+8, 2) {
+	for _, col := range parityColumns(t, vectors, 2) {
 		t.Run(col.name, func(t *testing.T) {
 			held := &heldSearcher{SessionSearcher: col.searcher}
 			sess := qcluster.NewSessionOver(held, vectors[5], qcluster.Options{})
@@ -319,7 +297,7 @@ func TestSessionStateless(t *testing.T) {
 			reused := func() int64 { return col.registry.Snapshot().Counters["session.pages_reused"] }
 			work := func(s *qcluster.Session) qcluster.SearchStats {
 				st := s.Stats().LastSearch
-				if col.shards > 1 && !col.ann {
+				if col.shards > 1 {
 					// Tree legs prune against a bound their siblings
 					// tighten concurrently, so how much each visits is
 					// timing; what no timing moves is compared.
@@ -482,18 +460,11 @@ func (h *heldSearcher) SearchMetric(ctx context.Context, m distance.Metric, k in
 	return h.SessionSearcher.SearchMetric(ctx, m, k)
 }
 
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // TestShardLegsAttributedOnce: every per-shard leg of a profiled session
 // retrieval reports its own index work, and the request's index work is
 // attributed once — by the gather, not again by each leg's pipeline.
 func TestShardLegsAttributedOnce(t *testing.T) {
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(19)), 1500, 6, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(19)), 1500, 6, 16, 10, 0.5)
 	set, err := New(vectors, 2, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)

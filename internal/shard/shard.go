@@ -102,9 +102,6 @@ func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, erro
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
 	}
-	if err := opt.Backend.Validate(); err != nil {
-		return nil, err
-	}
 	parts, err := partition(vectors, shards)
 	if err != nil {
 		return nil, err
@@ -142,9 +139,6 @@ func New(vectors [][]float64, shards int, opt qcluster.IndexOptions) (*Set, erro
 func Open(dir string, shards int, opt qcluster.DurableOptions) (*Set, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
-	}
-	if err := opt.Index.Backend.Validate(); err != nil {
-		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: create data dir: %w", err)
@@ -286,11 +280,6 @@ func (s *Set) NumShards() int { return len(s.shards) }
 
 // Dim returns the feature dimensionality.
 func (s *Set) Dim() int { return s.shards[0].Dim() }
-
-// IndexInfo reports the active search backend and its parameters. All
-// shards are built from the same IndexOptions, so shard 0 speaks for
-// the set.
-func (s *Set) IndexInfo() qcluster.IndexInfo { return s.shards[0].IndexInfo() }
 
 // Len returns the number of globally visible vectors.
 func (s *Set) Len() int { return int(s.total.Load()) }

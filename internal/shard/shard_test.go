@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	qcluster "repro"
 	"repro/internal/index"
-	"repro/internal/synth"
 )
 
 func TestPlacementDeterministicAndCovering(t *testing.T) {
@@ -47,7 +44,7 @@ func TestPlacementDeterministicAndCovering(t *testing.T) {
 }
 
 func TestMappingRoundTrip(t *testing.T) {
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(9)), 1500, 4, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(9)), 1500, 4, 16, 10, 0.5)
 	set, err := New(vectors, 4, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +72,8 @@ func TestMappingRoundTrip(t *testing.T) {
 // vector on its placement shard, keep global ids sequential, and keep
 // search bit-identical to an unsharded control fed the same stream.
 func TestAddBatchRoutesByPlacement(t *testing.T) {
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(13)), 2000, 6, 16, 10, 0.5)
-	extra := synth.RoundRobin[[]float64](rand.New(rand.NewSource(14)), 900, 6, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(13)), 2000, 6, 16, 10, 0.5)
+	extra := roundRobin(rand.New(rand.NewSource(14)), 900, 6, 16, 10, 0.5)
 	set, err := New(vectors, 3, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -133,13 +130,13 @@ func TestAddBatchRoutesByPlacement(t *testing.T) {
 }
 
 func TestSetRejectsEmptyShards(t *testing.T) {
-	if _, err := New(synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 3, 4, 16, 10, 0.5), 8, qcluster.IndexOptions{}); err == nil {
+	if _, err := New(roundRobin(rand.New(rand.NewSource(1)), 3, 4, 16, 10, 0.5), 8, qcluster.IndexOptions{}); err == nil {
 		t.Fatal("3 vectors across 8 shards must fail (some shard is empty)")
 	}
 	// N shards need index.BlockRows·(N−1)+1 vectors: the last shard's
 	// first stripe starts at that id.
 	need := index.BlockRows*2 + 1
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), need, 4, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(1)), need, 4, 16, 10, 0.5)
 	if _, err := New(vectors[:need-1], 3, qcluster.IndexOptions{}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at least %d vectors", need)) {
 		t.Fatalf("%d vectors across 3 shards: got %v, want an error naming the minimum %d", need-1, err, need)
 	}
@@ -151,26 +148,8 @@ func TestSetRejectsEmptyShards(t *testing.T) {
 	}
 }
 
-// A bad backend name is refused before the seed is partitioned or any
-// shard directory is created.
-func TestSetRejectsBadBackend(t *testing.T) {
-	for _, backend := range []qcluster.IndexBackend{"vafile", "nope"} {
-		opt := qcluster.IndexOptions{Backend: backend}
-		if _, err := New(synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 100, 4, 16, 10, 0.5), 2, opt); err == nil {
-			t.Errorf("New with backend %q must fail", backend)
-		}
-		dir := filepath.Join(t.TempDir(), "set")
-		if _, err := Open(dir, 2, qcluster.DurableOptions{Index: opt, Seed: synth.RoundRobin[[]float64](rand.New(rand.NewSource(1)), 100, 4, 16, 10, 0.5)}); err == nil {
-			t.Errorf("Open with backend %q must fail", backend)
-		}
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Errorf("Open with backend %q created %s before refusing", backend, dir)
-		}
-	}
-}
-
 func TestSetMetricsAndHealth(t *testing.T) {
-	vectors := synth.RoundRobin[[]float64](rand.New(rand.NewSource(2)), 1000, 4, 16, 10, 0.5)
+	vectors := roundRobin(rand.New(rand.NewSource(2)), 1000, 4, 16, 10, 0.5)
 	set, err := New(vectors, 2, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -227,4 +206,28 @@ func TestSetMetricsAndHealth(t *testing.T) {
 	if set.ReadOnly() {
 		t.Fatal("fresh memory-only set reports read-only")
 	}
+}
+
+// roundRobin draws k centres uniform in [0, width)^dim, then n vectors
+// dealt round-robin over them: vector i is centre i mod k plus an
+// N(0, sigma²) draw per component. Neighbouring ids land in different
+// clusters, and the tight clusters give many near-ties.
+func roundRobin(rng *rand.Rand, n, dim, k int, width, sigma float64) [][]float64 {
+	centres := make([][]float64, k)
+	for c := range centres {
+		centres[c] = make([]float64, dim)
+		for d := range centres[c] {
+			centres[c][d] = rng.Float64() * width
+		}
+	}
+	out := make([][]float64, n)
+	for i := range out {
+		c := centres[i%k]
+		v := make([]float64, dim)
+		for d := range v {
+			v[d] = c[d] + rng.NormFloat64()*sigma
+		}
+		out[i] = v
+	}
+	return out
 }

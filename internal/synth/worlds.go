@@ -68,27 +68,3 @@ func Blobs[V ~[]float64](rng *rand.Rand, blobs ...Blob) (vectors []V, labels []i
 	}
 	return vectors, labels
 }
-
-// RoundRobin draws k centres uniform in [0, width)^dim, then n vectors
-// dealt round-robin over them: vector i is centre i mod k plus an
-// N(0, sigma²) draw per component. Neighbouring ids land in different
-// clusters, and the tight clusters give many near-ties.
-func RoundRobin[V ~[]float64](rng *rand.Rand, n, dim, k int, width, sigma float64) []V {
-	centres := make([][]float64, k)
-	for c := range centres {
-		centres[c] = make([]float64, dim)
-		for d := range centres[c] {
-			centres[c][d] = rng.Float64() * width
-		}
-	}
-	out := make([]V, n)
-	for i := range out {
-		c := centres[i%k]
-		v := make(V, dim)
-		for d := range v {
-			v[d] = c[d] + rng.NormFloat64()*sigma
-		}
-		out[i] = v
-	}
-	return out
-}

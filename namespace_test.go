@@ -11,9 +11,8 @@ import (
 )
 
 // TestNoPlanSeries pins the shrunken metric namespace: after a search, a
-// database on either backend and a sharded set (its own block plus every
-// shard's, re-keyed "shard<i>.") export no series under a deleted
-// prefix, and the backend they report is one of the two that exist.
+// database and a sharded set (its own block plus every shard's, re-keyed
+// "shard<i>.") export no series under a deleted prefix.
 func TestNoPlanSeries(t *testing.T) {
 	deleted := []string{"plan.", "cost.window.", "index.cache_seed_leaves"}
 
@@ -23,19 +22,14 @@ func TestNoPlanSeries(t *testing.T) {
 		vectors[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	snaps := map[string]qcluster.MetricsSnapshot{}
-	for _, backend := range []qcluster.IndexBackend{"", qcluster.BackendTree, qcluster.BackendANN} {
-		db, err := qcluster.NewDatabaseWithOptions(vectors, qcluster.IndexOptions{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := db.IndexInfo().Backend; got != "tree" && got != "ann" {
-			t.Errorf("backend %q: IndexInfo().Backend = %q, want tree or ann", backend, got)
-		}
-		if _, err := db.SearchByExampleContext(context.Background(), vectors[0], 5); err != nil {
-			t.Fatal(err)
-		}
-		snaps["database "+string(backend)] = db.Metrics()
+	db, err := qcluster.NewDatabase(vectors)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := db.SearchByExampleContext(context.Background(), vectors[0], 5); err != nil {
+		t.Fatal(err)
+	}
+	snaps["database"] = db.Metrics()
 	set, err := shard.New(vectors, 2, qcluster.IndexOptions{})
 	if err != nil {
 		t.Fatal(err)

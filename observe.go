@@ -62,8 +62,8 @@ type Registry = obs.Registry
 
 // SearchStats describes the index work one search performed: nodes and
 // leaves visited against the leaf total, distance evaluations (batched,
-// abandoned, ANN-refined), whether it finished as a sweep, workers and
-// graph hops, with LeavesPruned and PruneRatio derived from them.
+// abandoned, skipped), whether it finished as a sweep and its workers,
+// with LeavesPruned and PruneRatio derived from them.
 type SearchStats = index.SearchStats
 
 // SessionStats is a Session's observability snapshot: cumulative search
@@ -124,8 +124,6 @@ type dbMetrics struct {
 	abandonEvals  *obs.Counter
 	skippedEvals  *obs.Counter
 	pruneRatio    *obs.Histogram
-	graphHops     *obs.Counter
-	refineEvals   *obs.Counter
 	adds          *obs.Counter
 	items         *obs.Gauge
 	resplits      *obs.Counter
@@ -172,8 +170,6 @@ func newDBMetrics() *dbMetrics {
 		abandonEvals:  reg.Counter("index.abandoned_evals"),
 		skippedEvals:  reg.Counter("index.skipped_evals"),
 		pruneRatio:    reg.Histogram("index.prune_ratio", obs.RatioBuckets()),
-		graphHops:     reg.Counter("index.graph_hops"),
-		refineEvals:   reg.Counter("index.refine_evals"),
 		adds:          reg.Counter("db.adds"),
 		items:         reg.Gauge("db.items"),
 		resplits:      reg.Counter("index.resplits"),
@@ -200,8 +196,6 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	m.batchedEvals.Add(int64(stats.BatchedEvals))
 	m.abandonEvals.Add(int64(stats.AbandonedEvals))
 	m.skippedEvals.Add(int64(stats.SkippedEvals))
-	m.graphHops.Add(int64(stats.GraphHops))
-	m.refineEvals.Add(int64(stats.RefineEvals))
 	if stats.LeavesTotal > 0 {
 		m.pruneRatio.Observe(stats.PruneRatio())
 	}
@@ -231,9 +225,7 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 // index-work counters ("index.leaves_visited", "index.leaves_pruned",
 // "index.distance_evals", "index.batched_evals",
 // "index.abandoned_evals", "index.skipped_evals" — stored vectors a
-// sweep passed over on their storage block's box —, "index.prune_ratio",
-// plus "index.graph_hops"
-// and "index.refine_evals" on the ANN backend), insert-maintenance
+// sweep passed over —, "index.prune_ratio"), insert-maintenance
 // counters ("index.resplits", "search.resplit_ns",
 // "index.resplit_pending"), "search.errors" (trapped search panics) and,
 // once a session exists, "feedback.rounds" / "feedback.points" and

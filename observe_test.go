@@ -347,3 +347,43 @@ func benchmarkSearchContext(b *testing.B, sink Sink) {
 		}
 	}
 }
+
+func TestResplitMetricsSurface(t *testing.T) {
+	// Small leaves + a large batch ⇒ re-splits must show up in the
+	// maintenance metrics ("index.resplits", "search.resplit_ns") and the
+	// backlog gauge must drain to zero eventually.
+	rng := rand.New(rand.NewSource(45))
+	vectors := make([][]float64, 64)
+	for i := range vectors {
+		vectors[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	db, err := NewDatabase(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.tree = index.NewHybridTree(db.store, index.TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: 1})
+	batch := make([][]float64, 256)
+	for i := range batch {
+		batch[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
+	}
+	if _, err := db.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Metrics()
+	if snap.Counters["index.resplits"] == 0 || snap.Counters["search.resplit_ns"] == 0 {
+		t.Fatalf("re-split metrics missing: %+v", snap.Counters)
+	}
+	if snap.Gauges["index.resplit_pending"] == 0 {
+		t.Fatal("capped batch should leave a deferred backlog")
+	}
+	for db.Metrics().Gauges["index.resplit_pending"] > 0 {
+		if _, err := db.Add([]float64{rng.NormFloat64(), rng.NormFloat64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Exactness held throughout.
+	res := db.SearchByExample([]float64{0, 0}, db.Len())
+	if len(res) != db.Len() {
+		t.Fatalf("found %d of %d items", len(res), db.Len())
+	}
+}

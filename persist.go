@@ -165,7 +165,7 @@ func newDatabaseFlat(flat []float64, dim int, opt IndexOptions) (*Database, erro
 	if err != nil {
 		return nil, fmt.Errorf("qcluster: %w", err)
 	}
-	return newDatabaseFromStore(store, opt)
+	return newDatabaseFromStore(store, opt), nil
 }
 
 // writeSnapshotFile writes a snapshot image crash-safely: encode to

@@ -128,19 +128,19 @@ func funcRefs(t *testing.T, dir string) map[string]map[string]bool {
 }
 
 // TestSearchChokePoint keeps the one search pipeline one: in the root
-// package only execute and the dispatch it calls may touch the k-NN
-// dispatch, the ANN graph, the search metrics, the cost profile's
-// search stage or the partial-results error; and across the root,
+// package only execute and the dispatch it calls may touch the tree's
+// k-NN search, the search metrics, the cost profile's search stage or
+// the partial-results error; and across the root,
 // internal/shard and internal/server the feedback validation, the
 // MarkRelevant loop and the "refined or example?" metric decision each
 // live in exactly one function. A new entry point is a request handed
 // to execute, not another copy of the wrapper.
 func TestSearchChokePoint(t *testing.T) {
 	pipeline := map[string]bool{
-		"database.go:execute":   true,
-		"backend.go:knnBackend": true,
+		"database.go:execute":    true,
+		"database.go:searchTree": true,
 	}
-	guarded := []string{"knnBackend", "KNNContext", "KNNSharedContext", "observeSearch", "AddSearch", "wrapInterrupt"}
+	guarded := []string{"searchTree", "KNNContext", "KNNSharedContext", "observeSearch", "AddSearch", "wrapInterrupt"}
 	root := funcRefs(t, ".")
 	for name := range pipeline {
 		if root[name] == nil {

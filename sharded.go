@@ -30,12 +30,13 @@ func EuclideanMetric(example []float64) distance.Metric {
 // SearchLeg answers one shard's leg of a scatter-gather query under the
 // database's read lock with the gather's shared bound (nil behaves like
 // a private bound). Results use this database's local ids; the caller
-// merges them across shards by (Dist, ID). An ANN-built database ignores
-// the bound (the graph prunes nothing, so each leg returns its full local
-// top-k and the merge stays correct). An interrupted leg returns its
-// best-effort results with an error matching both ErrPartialResults and
-// the context error. The leg feeds only this shard database's registry;
-// the request's cost profile is the gather's to fill.
+// merges them across shards by (Dist, ID). The leg's tree prunes
+// against the tighter of its own k-th best and the shared bound; a row
+// past the shared bound cannot enter the merged top-k, so the merge
+// stays exact. An interrupted leg returns its best-effort results with
+// an error matching both ErrPartialResults and the context error. The
+// leg feeds only this shard database's registry; the request's cost
+// profile is the gather's to fill.
 func (db *Database) SearchLeg(ctx context.Context, m distance.Metric, k int, sb *index.SharedBound) ([]Result, index.SearchStats, error) {
 	res, stats, _, err := db.execute(ctx, searchRequest{op: "SearchLeg", metric: m, k: k, bound: sb, leg: true})
 	return res, stats, err
