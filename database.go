@@ -35,8 +35,8 @@ type Database struct {
 
 // IndexOptions tunes the database's search index. The zero value is the
 // default configuration. The rest is fixed: the paper's 4 KB index node
-// (leaf capacity 4096 / (8 × dim)) and at most 8 leaf re-splits per
-// insert batch (index.TreeOptions' defaults).
+// (leaf capacity 4096 / (8 × dim)), and an insert re-splits every leaf
+// it overflows before it returns.
 type IndexOptions struct {
 	// SearchParallelism is the worker count of a swept search — one the
 	// tree cannot prune, which finishes as a scan of the store in storage
@@ -84,20 +84,11 @@ func newDatabaseFromStore(store *index.Store, opt IndexOptions) *Database {
 // the database serializes the mutation internally against all readers.
 func (db *Database) Add(vector []float64) (id int, err error) {
 	defer barrier("Add", &err)
-	if err := db.ValidateBatch([][]float64{vector}); err != nil {
+	ids, err := db.addBatch(context.Background(), [][]float64{vector})
+	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	id, err = db.store.Append(linalg.Vector(vector))
-	if err != nil {
-		return 0, fmt.Errorf("qcluster: %w", err)
-	}
-	ist := db.tree.Insert(id)
-	db.met.observeInsert(ist)
-	db.met.adds.Inc()
-	db.met.items.Set(float64(db.store.Len()))
-	return id, nil
+	return ids[0], nil
 }
 
 // AddBatch appends a batch of items under one write lock, returning
@@ -146,9 +137,9 @@ func (db *Database) addBatch(ctx context.Context, vectors [][]float64) (ids []in
 // AddBatchContext is AddBatch with an up-front cancellation check — the
 // form the serving layer's ingest path calls. The batch itself is not
 // interruptible (it holds the write lock briefly); on a DurableDatabase
-// the context also bounds the wait for the group-commit fsync. Deferred
-// leaf re-splits the batch drains are attributed to the request's cost
-// profile as a "resplit" stage.
+// the context also bounds the wait for the group-commit fsync. The leaf
+// re-splits the batch runs are attributed to the request's cost profile
+// as a "resplit" stage.
 func (db *Database) AddBatchContext(ctx context.Context, vectors [][]float64) (_ []int, err error) {
 	defer barrier("AddBatchContext", &err)
 	if cerr := ctx.Err(); cerr != nil {

@@ -68,8 +68,8 @@ func (b *batchEvaluator) evalRange(lo, hi int, bound float64, h *resultHeap) (ab
 
 // run hands rows to the batch kernel and offers the survivors to h: row
 // k is candidate ids[k], or lo+k when ids is nil. A bound at or above
-// the heap sentinel (heap not full yet, so every candidate must be
-// admitted) disables abandonment entirely; only when it is armed are
+// inf (the heap not full yet, so every candidate must be admitted)
+// disables abandonment entirely; only when it is armed are
 // +Inf entries abandonment markers rather than genuine distances.
 func (b *batchEvaluator) run(rows []float64, bound float64, h *resultHeap, ids []int, lo int) (abandoned int) {
 	dim := b.s.dim

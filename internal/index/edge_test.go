@@ -85,7 +85,7 @@ func TestKNNContextPreCancelled(t *testing.T) {
 	tree := NewHybridTree(s, TreeOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, stats, err := tree.KNNContext(ctx, euclid(s.Vector(0)), 10)
+	res, stats, err := tree.KNNSharedContext(ctx, euclid(s.Vector(0)), 10, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -111,7 +111,7 @@ func TestKNNContextMidTraversalCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	res, _, err := tree.KNNContext(ctx, euclid(s.Vector(0)), 10)
+	res, _, err := tree.KNNSharedContext(ctx, euclid(s.Vector(0)), 10, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,5 +1,7 @@
 package index
 
+import "math"
+
 // resultHeap is a bounded max-heap keeping the k smallest results under
 // the total order (Dist, ID). The ID tie-break makes the kept set — not
 // just the kept distances — deterministic, so a parallel search that
@@ -36,7 +38,7 @@ func (h *resultHeap) bound() float64 {
 		return -inf
 	}
 	if len(h.items) < h.k {
-		return inf
+		return math.Inf(1)
 	}
 	return h.items[0].Dist
 }

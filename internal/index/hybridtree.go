@@ -29,13 +29,10 @@ type HybridTree struct {
 	store        *Store
 	root         *treeNode
 	leafCapacity int
-	epoch        uint64             // bumped by every Insert (which may re-split a leaf in place); cached nodes live only while it holds
-	parallelism  int                // resolved worker count of a swept search (>= 1)
-	parMinItems  int                // smallest store a sweep spreads over more than one worker
-	numLeaves    int                // leaf count, maintained by build and Insert re-splits
-	maxResplits  int                // re-split budget per insert batch (<0 = unlimited)
-	pending      []*treeNode        // overflowed leaves awaiting re-split
-	pendingSet   map[*treeNode]bool // membership for the pending queue
+	epoch        uint64 // bumped by every InsertBatch (which may re-split a leaf in place); cached nodes live only while it holds
+	parallelism  int    // resolved worker count of a swept search (>= 1)
+	parMinItems  int    // smallest store a sweep spreads over more than one worker
+	numLeaves    int    // leaf count, maintained by build and InsertBatch re-splits
 }
 
 type treeNode struct {
@@ -58,18 +55,7 @@ type TreeOptions struct {
 	// of a small store (below 8192 items), where hand-off costs more than
 	// the scan.
 	Parallelism int
-	// MaxResplitsPerBatch caps how many overflowed leaves one Insert or
-	// InsertBatch call may rebuild while it holds the write lock; the
-	// rest stay queued (still exact, just oversized) for later batches.
-	// 0 uses the default (8); negative removes the cap.
-	MaxResplitsPerBatch int
 }
-
-// defaultMaxResplits bounds per-batch re-split work: rebuilding a leaf
-// is O(cap·log) with sorting, so 8 rebuilds keep the write-lock hold in
-// the tens of microseconds while still draining any realistic overflow
-// rate faster than it accrues.
-const defaultMaxResplits = 8
 
 // NewHybridTree bulk-loads the index over the store.
 func NewHybridTree(s *Store, opt TreeOptions) *HybridTree {
@@ -84,16 +70,11 @@ func NewHybridTree(s *Store, opt TreeOptions) *HybridTree {
 	for i := range ids {
 		ids[i] = i
 	}
-	maxResplits := opt.MaxResplitsPerBatch
-	if maxResplits == 0 {
-		maxResplits = defaultMaxResplits
-	}
 	t := &HybridTree{
 		store:        s,
 		leafCapacity: capacity,
 		parallelism:  resolveParallelism(opt.Parallelism),
 		parMinItems:  parallelMinItems,
-		maxResplits:  maxResplits,
 	}
 	t.root = t.build(ids)
 	t.numLeaves = countLeaves(t.root)
@@ -148,18 +129,14 @@ func (t *HybridTree) build(ids []int) *treeNode {
 	sort.Slice(ids, func(i, j int) bool {
 		return t.store.Vector(ids[i])[splitDim] < t.store.Vector(ids[j])[splitDim]
 	})
+	// Split at the median; when the lower half is all the smallest key
+	// and a larger key exists, move mid to the first larger one. Both
+	// sides stay non-empty (len(ids) > leafCapacity >= 4), so identical
+	// vectors split by count and build leaves no leaf over capacity.
 	mid := len(ids) / 2
-	// Guard against all-equal keys on the split dimension producing an
-	// empty side: move mid to the first differing position when possible.
-	for mid < len(ids) && mid > 0 &&
-		t.store.Vector(ids[mid])[splitDim] == t.store.Vector(ids[0])[splitDim] &&
+	for t.store.Vector(ids[mid])[splitDim] == t.store.Vector(ids[0])[splitDim] &&
 		t.store.Vector(ids[len(ids)-1])[splitDim] != t.store.Vector(ids[0])[splitDim] {
 		mid++
-	}
-	if mid == 0 || mid == len(ids) {
-		// Degenerate data (all equal on every spread dimension): leaf it.
-		n.items = ids
-		return n
 	}
 	left := append([]int(nil), ids[:mid]...)
 	right := append([]int(nil), ids[mid:]...)
@@ -246,23 +223,18 @@ func (t *HybridTree) KNN(m distance.Metric, k int) ([]Result, SearchStats) {
 	return res, stats
 }
 
-// KNNContext is KNN with cooperative cancellation: the best-first loop
-// checks ctx between node expansions and, when the context is cancelled
-// or its deadline passes mid-traversal, stops early and returns the
-// best-effort results accumulated so far together with ctx.Err(). A nil
-// error means the search ran to completion and the results are exact.
-func (t *HybridTree) KNNContext(ctx context.Context, m distance.Metric, k int) ([]Result, SearchStats, error) {
-	res, stats, _, err := t.knnSeeded(ctx, m, k, nil, nil)
-	return res, stats, err
-}
-
-// KNNSharedContext is KNNContext with an externally owned pruning bound:
-// concurrent searches over sibling shards pass the same *SharedBound so
-// each tightens — and prunes against — the global k-th-best distance.
-// Each participant still returns its own local top-k (restricted to
+// KNNSharedContext is KNN with cooperative cancellation and an optional
+// externally owned pruning bound. The best-first loop checks ctx between
+// node expansions and, when the context is cancelled or its deadline
+// passes mid-traversal, stops early and returns the best-effort results
+// accumulated so far together with ctx.Err(); a nil error means the
+// search ran to completion and the results are exact. Concurrent
+// searches over sibling shards pass the same *SharedBound so each
+// tightens — and prunes against — the global k-th-best distance. Each
+// participant still returns its own local top-k (restricted to
 // candidates that can reach the global top-k); the caller merges the
 // per-shard result sets with the usual (Dist, ID) order. A nil ext
-// behaves exactly like KNNContext.
+// prunes against the local k-th best alone.
 func (t *HybridTree) KNNSharedContext(ctx context.Context, m distance.Metric, k int, ext *SharedBound) ([]Result, SearchStats, error) {
 	res, stats, _, err := t.knnSeeded(ctx, m, k, nil, ext)
 	return res, stats, err
@@ -417,61 +389,13 @@ func NewRefinementSearcher(t *HybridTree) *RefinementSearcher {
 }
 
 // KNN answers the query, seeding from and then replacing the leaf cache.
-// A cache taken at an older tree epoch (i.e. before an Insert, which may
+// A cache taken at an older tree epoch (i.e. before an insert, which may
 // have re-split cached leaves) is discarded rather than reused.
 func (r *RefinementSearcher) KNN(m distance.Metric, k int) ([]Result, SearchStats) {
-	res, stats, _ := r.KNNContext(context.Background(), m, k)
-	return res, stats
-}
-
-// KNNContext is KNN with cooperative cancellation (see
-// HybridTree.KNNContext). A completed search replaces the leaf cache
-// with exactly the leaves it visited; an interrupted search instead
-// unions the leaves it reached with the same-epoch cache it was seeded
-// from — the unreached cached leaves are still valid seeds, and
-// discarding them would make the retry start colder than the previous
-// completed search.
-func (r *RefinementSearcher) KNNContext(ctx context.Context, m distance.Metric, k int) ([]Result, SearchStats, error) {
-	return r.KNNSharedContext(ctx, m, k, nil)
-}
-
-// KNNSharedContext is KNNContext with an externally owned pruning bound
-// (see HybridTree.KNNSharedContext): per-shard refinement searchers pass
-// one *SharedBound per scatter-gather query so the shards prune against
-// the global k-th best while each keeps its own cross-iteration leaf
-// cache. A nil ext behaves exactly like KNNContext.
-func (r *RefinementSearcher) KNNSharedContext(ctx context.Context, m distance.Metric, k int, ext *SharedBound) ([]Result, SearchStats, error) {
 	if r.epoch != r.tree.epoch {
 		r.cached = nil
 	}
-	res, stats, visited, err := r.tree.knnSeeded(ctx, m, k, r.cached, ext)
-	if err != nil {
-		r.cached = unionLeaves(visited, r.cached)
-	} else {
-		r.cached = visited
-	}
-	r.epoch = r.tree.epoch
-	return res, stats, err
+	res, stats, visited, _ := r.tree.knnSeeded(context.Background(), m, k, r.cached, nil)
+	r.cached, r.epoch = visited, r.tree.epoch
+	return res, stats
 }
-
-// unionLeaves returns visited plus every leaf of cached not already in
-// visited, preserving visited's order (the warmest seeds first).
-func unionLeaves(visited, cached []*treeNode) []*treeNode {
-	if len(cached) == 0 {
-		return visited
-	}
-	seen := make(map[*treeNode]bool, len(visited))
-	for _, n := range visited {
-		seen[n] = true
-	}
-	out := visited
-	for _, n := range cached {
-		if !seen[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Reset drops the cache (for a fresh query session).
-func (r *RefinementSearcher) Reset() { r.cached = nil }

@@ -32,65 +32,51 @@ func (s *Store) Append(v linalg.Vector) (int, error) {
 }
 
 // InsertStats reports the index-maintenance work of one Insert or
-// InsertBatch call — the visibility half of the re-split fix: inserts
-// used to re-split every overflowing leaf inline under the store write
-// lock with no trace, so an unlucky batch stalled every reader behind
-// an invisible rebuild.
+// InsertBatch call: the leaf re-splits it ran while the caller held the
+// store write lock, which every search waits behind.
 type InsertStats struct {
-	// Resplits counts overflowed leaves rebuilt into subtrees by this
-	// call (bounded by the per-batch cap).
+	// Resplits counts overflowed leaves rebuilt into subtrees.
 	Resplits int
 	// ResplitTime is the wall-clock those rebuilds held the write lock.
 	ResplitTime time.Duration
-	// Deferred is the overflowed-leaf backlog left for later batches.
-	// Deferred leaves stay valid (searches remain exact), just oversized.
-	Deferred int
 }
 
-// Add accumulates other into s.
-func (s *InsertStats) Add(other InsertStats) {
-	s.Resplits += other.Resplits
-	s.ResplitTime += other.ResplitTime
-	if other.Deferred > s.Deferred {
-		s.Deferred = other.Deferred // backlog size, not a sum
-	}
-}
-
-// Insert adds store vector id to the tree: it descends to the leaf whose
-// live-space box needs the least enlargement (growing every box on the
-// path) and appends the item. An overflowing leaf is queued and
-// re-split by the bounded drain below — see InsertBatch. The tree stays
-// exactly correct for search either way: live-space boxes always
-// contain their subtree's points, and an oversized leaf is still a
-// valid leaf.
+// Insert adds store vector id to the tree: InsertBatch of one.
 func (t *HybridTree) Insert(id int) InsertStats {
-	t.epoch++
-	t.insertOne(id)
-	return t.drainResplits()
+	return t.InsertBatch([]int{id})
 }
 
-// InsertBatch adds a contiguous run of store vectors to the tree under a
-// single epoch bump — the batch-ingest path. One bump is enough for
-// correctness (refinement caches taken before the batch are invalidated
-// exactly once) and keeps cross-iteration caches warmer than bumping per
-// vector would.
-//
-// Re-split work is capped per batch (TreeOptions.MaxResplitsPerBatch):
-// leaves that overflow beyond the cap stay queued and are drained by
-// later inserts, so one pathological batch cannot hold the write lock
-// for an unbounded rebuild while every search waits.
+// InsertBatch adds store vectors to the tree under a single epoch bump.
+// Each vector descends to the leaf whose live-space box needs the least
+// enlargement (growing every box on the path) and joins it. Then every
+// leaf the batch filled past capacity is rebuilt once, with the bulk
+// load's median split, so no leaf is over capacity when it returns.
 func (t *HybridTree) InsertBatch(ids []int) InsertStats {
+	var st InsertStats
 	if len(ids) == 0 {
-		return InsertStats{Deferred: len(t.pending)}
+		return st
 	}
 	t.epoch++
+	var overflowed []*treeNode
 	for _, id := range ids {
-		t.insertOne(id)
+		// build leaves no leaf over capacity, so a leaf overflows in
+		// this batch at exactly one insert.
+		if n := t.insertOne(id); len(n.items) == t.leafCapacity+1 {
+			overflowed = append(overflowed, n)
+		}
 	}
-	return t.drainResplits()
+	for _, n := range overflowed {
+		start := time.Now()
+		*n = *t.build(n.items)
+		t.numLeaves += countLeaves(n) - 1 // the leaf became a subtree
+		st.ResplitTime += time.Since(start)
+		st.Resplits++
+	}
+	return st
 }
 
-func (t *HybridTree) insertOne(id int) {
+// insertOne files store vector id under a leaf and returns that leaf.
+func (t *HybridTree) insertOne(id int) *treeNode {
 	if id < 0 || id >= t.store.Len() {
 		panic(fmt.Sprintf("index: insert id %d out of range", id))
 	}
@@ -108,38 +94,7 @@ func (t *HybridTree) insertOne(id int) {
 	growBox(n, v)
 	n.count++
 	n.items = append(n.items, id)
-	if len(n.items) > t.leafCapacity && !t.pendingSet[n] {
-		if t.pendingSet == nil {
-			t.pendingSet = make(map[*treeNode]bool)
-		}
-		t.pendingSet[n] = true
-		t.pending = append(t.pending, n)
-	}
-}
-
-// drainResplits rebuilds queued overflowed leaves, oldest first, up to
-// the per-batch cap, with the same median-split construction used at
-// bulk load. A queued node that an earlier drain already rebuilt (it
-// became an internal node in place) is skipped.
-func (t *HybridTree) drainResplits() InsertStats {
-	var st InsertStats
-	budget := t.maxResplits
-	for len(t.pending) > 0 && (budget < 0 || st.Resplits < budget) {
-		n := t.pending[0]
-		t.pending = t.pending[1:]
-		delete(t.pendingSet, n)
-		if !n.isLeaf() || len(n.items) <= t.leafCapacity {
-			continue
-		}
-		start := time.Now()
-		rebuilt := t.build(n.items)
-		*n = *rebuilt
-		t.numLeaves += countLeaves(n) - 1 // the leaf became a subtree
-		st.ResplitTime += time.Since(start)
-		st.Resplits++
-	}
-	st.Deferred = len(t.pending)
-	return st
+	return n
 }
 
 // growBox extends n's bounding box to contain v.

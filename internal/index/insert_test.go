@@ -85,72 +85,18 @@ func TestHybridTreeInsertPanicsOutOfRange(t *testing.T) {
 	tree.Insert(5)
 }
 
-func TestInsertResplitCapDefers(t *testing.T) {
-	// A capacity-16 tree with a cap of one re-split per batch: a batch
-	// that overflows several leaves must rebuild exactly one and leave
-	// the rest queued — searches stay exact over the oversized leaves,
-	// and later inserts drain the backlog.
+// One batch that overflows many leaves must rebuild every one of them
+// before it returns: afterwards no leaf is over capacity, the leaf count
+// is the tree's, and the tree still answers exactly.
+func TestInsertBatchResplitsEveryOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
-	s := newStore(synth.Gaussian[linalg.Vector](rng, 64, 2, 3))
-	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: 1})
-
-	ids := make([]int, 0, 256)
-	for i := 0; i < 256; i++ {
-		id, err := s.Append(linalg.Vector{rng.NormFloat64() * 3, rng.NormFloat64() * 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+	s := newStore(synth.Gaussian[linalg.Vector](rng, 512, 2, 3))
+	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 256})
+	if tree.LeafCapacity() != 16 {
+		t.Fatalf("LeafCapacity = %d, want 16", tree.LeafCapacity())
 	}
-	st := tree.InsertBatch(ids)
-	if st.Resplits != 1 {
-		t.Fatalf("Resplits = %d, want exactly the cap (1)", st.Resplits)
-	}
-	if st.Deferred == 0 || len(tree.pending) != st.Deferred {
-		t.Fatalf("Deferred = %d, pending = %d; want a matching non-zero backlog",
-			st.Deferred, len(tree.pending))
-	}
-
-	// Deferred leaves are oversized, never wrong: the tree still agrees
-	// with a linear scan.
-	scan := NewLinearScan(s)
-	m := &distance.Euclidean{Center: linalg.Vector{0, 0}}
-	want, _ := scan.KNN(m, 25)
-	got, _ := tree.KNN(m, 25)
-	if !sameResults(got, want) {
-		t.Fatal("kNN mismatch with deferred re-splits outstanding")
-	}
-
-	// Later inserts drain the backlog one re-split at a time.
-	var total InsertStats
-	for len(tree.pending) > 0 {
-		id, err := s.Append(linalg.Vector{rng.NormFloat64(), rng.NormFloat64()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ist := tree.Insert(id)
-		if ist.Resplits > 1 {
-			t.Fatalf("single insert drained %d re-splits past the cap", ist.Resplits)
-		}
-		total.Add(ist)
-	}
-	if total.Resplits == 0 || total.ResplitTime <= 0 {
-		t.Fatalf("drain did no timed re-split work: %+v", total)
-	}
-	want, _ = scan.KNN(m, 25)
-	got, _ = tree.KNN(m, 25)
-	if !sameResults(got, want) {
-		t.Fatal("kNN mismatch after the backlog drained")
-	}
-}
-
-func TestInsertUncappedResplits(t *testing.T) {
-	// A negative cap removes the bound: no batch leaves a backlog.
-	rng := rand.New(rand.NewSource(303))
-	s := newStore(synth.Gaussian[linalg.Vector](rng, 16, 2, 3))
-	tree := NewHybridTree(s, TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: -1})
 	ids := make([]int, 0, 512)
-	for i := 0; i < 512; i++ {
+	for range 512 {
 		id, err := s.Append(linalg.Vector{rng.NormFloat64() * 3, rng.NormFloat64() * 3})
 		if err != nil {
 			t.Fatal(err)
@@ -158,10 +104,39 @@ func TestInsertUncappedResplits(t *testing.T) {
 		ids = append(ids, id)
 	}
 	st := tree.InsertBatch(ids)
-	if st.Deferred != 0 || len(tree.pending) != 0 {
-		t.Fatalf("uncapped batch deferred %d re-splits", st.Deferred)
+	if st.Resplits == 0 || st.ResplitTime <= 0 {
+		t.Fatalf("512 inserts into capacity-16 leaves did no timed re-split work: %+v", st)
 	}
-	if st.Resplits == 0 {
-		t.Fatal("512 inserts into capacity-16 leaves re-split nothing")
+
+	var leaves, items int
+	var walk func(n *treeNode)
+	walk = func(n *treeNode) {
+		if !n.isLeaf() {
+			walk(n.left)
+			walk(n.right)
+			return
+		}
+		leaves++
+		items += len(n.items)
+		if len(n.items) > tree.LeafCapacity() {
+			t.Errorf("leaf holds %d items after the batch, capacity %d", len(n.items), tree.LeafCapacity())
+		}
+	}
+	walk(tree.root)
+	if leaves != tree.numLeaves || items != s.Len() || tree.root.count != s.Len() {
+		t.Fatalf("tree has %d leaves holding %d items (root count %d); numLeaves = %d, store %d",
+			leaves, items, tree.root.count, tree.numLeaves, s.Len())
+	}
+
+	scan := NewLinearScan(s)
+	for trial := range 5 {
+		m := &distance.Euclidean{Center: linalg.Vector{rng.NormFloat64() * 3, rng.NormFloat64() * 3}}
+		for _, k := range []int{1, 25, 300} {
+			want, _ := scan.KNN(m, k)
+			got, _ := tree.KNN(m, k)
+			if !sameResults(got, want) {
+				t.Fatalf("trial %d k=%d: kNN mismatch after the batch", trial, k)
+			}
+		}
 	}
 }

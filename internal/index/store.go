@@ -244,4 +244,7 @@ func (l *LinearScan) KNN(m distance.Metric, k int) ([]Result, SearchStats) {
 	return h.sorted(), stats
 }
 
+// inf arms a bound: block skips, the early sweep plan and kernel
+// abandonment act only on a bound below it. A heap still filling bounds
+// at +Inf, so none of them act before k results are held.
 const inf = 1e308

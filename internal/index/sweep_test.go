@@ -551,7 +551,7 @@ func TestSweepCancelMidSweep(t *testing.T) {
 				cancel()
 			}
 		})
-		res, stats, err := par.KNNContext(ctx, euclid(s.Vector(0)), k)
+		res, stats, err := par.KNNSharedContext(ctx, euclid(s.Vector(0)), k, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -706,95 +706,6 @@ func TestSweepSkippedWhenStoreAheadOfTree(t *testing.T) {
 	}
 	want, _ = NewLinearScan(s).KNN(m, k)
 	assertSameKNN(t, "after insert", want, got)
-}
-
-// An interrupted refinement search must not shrink the same-epoch leaf
-// cache: the leaves it failed to reach remain valid seeds and are
-// unioned with the ones it visited, so the retry starts at least as
-// warm as the previous completed search.
-func TestRefinementCacheRetainedAcrossInterrupt(t *testing.T) {
-	defer faultinject.Reset()
-	rng := rand.New(rand.NewSource(93))
-	s := newStore(synth.Gaussian[linalg.Vector](rng, 2000, 4, 3))
-	tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 256})
-	ref := NewRefinementSearcher(tree)
-
-	m1 := euclid(s.Vector(11))
-	ref.KNN(m1, 60) // completed search warms the cache
-	warm := len(ref.cached)
-	if warm == 0 {
-		t.Fatal("cache not warmed")
-	}
-
-	// Interrupt the next (slightly moved) search almost immediately, so
-	// it visits fewer leaves than are cached.
-	ctx, cancel := context.WithCancel(context.Background())
-	pops := 0
-	faultinject.Set(faultinject.KNNPop, func() {
-		pops++
-		if pops == 1 {
-			cancel()
-		}
-	})
-	m2 := euclid(s.Vector(12))
-	_, _, err := ref.KNNContext(ctx, m2, 60)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	faultinject.Reset()
-
-	if got := len(ref.cached); got < warm {
-		t.Fatalf("interrupted search shrank the cache: %d leaves, had %d", got, warm)
-	}
-
-	// The retry must still be exact.
-	res, _, err := ref.KNNContext(context.Background(), m2, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewLinearScan(s).KNN(m2, 60)
-	for i := range want {
-		if res[i] != want[i] {
-			t.Fatalf("retry result %d: %+v != %+v", i, res[i], want[i])
-		}
-	}
-}
-
-// A cache taken at an older epoch is still discarded on interrupt paths:
-// the union applies only to same-epoch caches.
-func TestRefinementCacheInterruptAfterInsertDiscards(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	s := newStore(synth.Gaussian[linalg.Vector](rng, 1500, 3, 3))
-	tree := NewHybridTree(s, TreeOptions{Parallelism: 1, NodeSizeBytes: 256})
-	ref := NewRefinementSearcher(tree)
-	m := euclid(s.Vector(5))
-	ref.KNN(m, 30)
-	if len(ref.cached) == 0 {
-		t.Fatal("cache not warmed")
-	}
-	id, err := s.Append(s.Vector(5).Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.Insert(id)
-	// Pre-cancelled context: the search is interrupted before any work;
-	// the stale cache must have been dropped, not unioned back in.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, cerr := ref.KNNContext(ctx, m, 30)
-	if !errors.Is(cerr, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", cerr)
-	}
-	if got := len(ref.cached); got != 0 {
-		t.Fatalf("stale cache survived an insert: %d leaves", got)
-	}
-	res, _ := ref.KNN(m, 30)
-	want, _ := NewLinearScan(s).KNN(m, 30)
-	for i := range want {
-		if res[i] != want[i] {
-			t.Fatalf("post-insert result %d: %+v != %+v", i, res[i], want[i])
-		}
-	}
 }
 
 // NewStoreFlat wraps a contiguous block without copying and agrees with

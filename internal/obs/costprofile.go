@@ -39,9 +39,9 @@ const (
 	StageFeedback
 	// StageEncode is the response encoding and write.
 	StageEncode
-	// StageResplit is deferred index maintenance an ingest request paid
-	// for: overflowed tree leaves re-split under the store write lock
-	// (capped per batch; see index.InsertStats).
+	// StageResplit is the index maintenance an ingest request paid for:
+	// the tree leaves its batch overflowed, re-split under the store
+	// write lock (see index.InsertStats).
 	StageResplit
 	numStages
 )

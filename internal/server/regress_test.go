@@ -135,12 +135,16 @@ func TestNonFiniteDistanceIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := startServer(t, db, Options{})
-	st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: []float64{0, 0}, K: 3}, nil)
-	if st != http.StatusInternalServerError || raw != `{"error":"result 0 has a non-finite distance"}`+"\n" {
-		t.Fatalf("search over an overflowing distance = %d %q, want 500 naming result 0", st, raw)
-	}
-	if got := s.Metrics().Counters["server.errors_5xx"]; got != 1 {
-		t.Fatalf("server.errors_5xx = %d, want 1", got)
+	// At [-1e200,0] every distance overflows, the root's lower bound too:
+	// the search still reaches the rows and answers the same 500.
+	for i, q := range [][]float64{{0, 0}, {-1e200, 0}} {
+		st, raw := call(t, s, "POST", "/v1/search", searchRequest{Vector: q, K: 3}, nil)
+		if st != http.StatusInternalServerError || raw != `{"error":"result 0 has a non-finite distance"}`+"\n" {
+			t.Fatalf("search at %v over an overflowing distance = %d %q, want 500 naming result 0", q, st, raw)
+		}
+		if got := s.Metrics().Counters["server.errors_5xx"]; got != int64(i+1) {
+			t.Fatalf("server.errors_5xx = %d, want %d", got, i+1)
+		}
 	}
 }
 

@@ -128,7 +128,6 @@ type dbMetrics struct {
 	items         *obs.Gauge
 	resplits      *obs.Counter
 	resplitNS     *obs.Counter
-	resplitQueue  *obs.Gauge
 }
 
 // sourceCounters are the registry series metric resolution and the
@@ -174,7 +173,6 @@ func newDBMetrics() *dbMetrics {
 		items:         reg.Gauge("db.items"),
 		resplits:      reg.Counter("index.resplits"),
 		resplitNS:     reg.Counter("search.resplit_ns"),
-		resplitQueue:  reg.Gauge("index.resplit_pending"),
 	}
 }
 
@@ -204,16 +202,14 @@ func (m *dbMetrics) observeSearch(elapsed time.Duration, k, results int, stats i
 	}
 }
 
-// observeInsert records the index-maintenance side of one insert:
-// inline leaf re-splits drained (count + write-lock nanoseconds under
-// "search.resplit_ns", since that time is what searches queue behind)
-// and the current deferred-leaf backlog.
+// observeInsert records the index-maintenance side of one insert: the
+// leaf re-splits it ran (count + write-lock nanoseconds under
+// "search.resplit_ns", since that time is what searches queue behind).
 func (m *dbMetrics) observeInsert(st index.InsertStats) {
 	if st.Resplits > 0 {
 		m.resplits.Add(int64(st.Resplits))
 		m.resplitNS.Add(st.ResplitTime.Nanoseconds())
 	}
-	m.resplitQueue.Set(float64(st.Deferred))
 }
 
 // Metrics returns a point-in-time snapshot of the database's metrics
@@ -226,12 +222,12 @@ func (m *dbMetrics) observeInsert(st index.InsertStats) {
 // "index.distance_evals", "index.batched_evals",
 // "index.abandoned_evals", "index.skipped_evals" — stored vectors a
 // sweep passed over —, "index.prune_ratio"), insert-maintenance
-// counters ("index.resplits", "search.resplit_ns",
-// "index.resplit_pending"), "search.errors" (trapped search panics) and,
-// once a session exists, "feedback.rounds" / "feedback.points" and
-// "session.pages_reused" (retrievals a session served from its page
-// memo, see Session). Safe to
-// call at any time, including while searches are running.
+// counters ("index.resplits" — leaves an insert overflowed and
+// re-split —, "search.resplit_ns"), "search.errors" (trapped search
+// panics) and, once a session exists, "feedback.rounds" /
+// "feedback.points" and "session.pages_reused" (retrievals a session
+// served from its page memo, see Session). Safe to call at any time,
+// including while searches are running.
 func (db *Database) Metrics() MetricsSnapshot { return db.met.reg.Snapshot() }
 
 // ServeDebug starts an HTTP debug server for this database's metrics on

@@ -350,8 +350,9 @@ func benchmarkSearchContext(b *testing.B, sink Sink) {
 
 func TestResplitMetricsSurface(t *testing.T) {
 	// Small leaves + a large batch ⇒ re-splits must show up in the
-	// maintenance metrics ("index.resplits", "search.resplit_ns") and the
-	// backlog gauge must drain to zero eventually.
+	// maintenance metrics ("index.resplits", "search.resplit_ns"), and so
+	// must the re-split of a single Add that overflows a leaf. Nothing is
+	// left for later: there is no backlog gauge.
 	rng := rand.New(rand.NewSource(45))
 	vectors := make([][]float64, 64)
 	for i := range vectors {
@@ -361,7 +362,7 @@ func TestResplitMetricsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.tree = index.NewHybridTree(db.store, index.TreeOptions{NodeSizeBytes: 256, MaxResplitsPerBatch: 1})
+	db.tree = index.NewHybridTree(db.store, index.TreeOptions{NodeSizeBytes: 256})
 	batch := make([][]float64, 256)
 	for i := range batch {
 		batch[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
@@ -373,15 +374,20 @@ func TestResplitMetricsSurface(t *testing.T) {
 	if snap.Counters["index.resplits"] == 0 || snap.Counters["search.resplit_ns"] == 0 {
 		t.Fatalf("re-split metrics missing: %+v", snap.Counters)
 	}
-	if snap.Gauges["index.resplit_pending"] == 0 {
-		t.Fatal("capped batch should leave a deferred backlog")
+	if _, ok := snap.Gauges["index.resplit_pending"]; ok {
+		t.Fatal("index.resplit_pending is registered: an insert defers no re-split")
 	}
-	for db.Metrics().Gauges["index.resplit_pending"] > 0 {
-		if _, err := db.Add([]float64{rng.NormFloat64(), rng.NormFloat64()}); err != nil {
+	// Vectors at one point fill one leaf: the 17th overflows it at the
+	// latest, and that Add re-splits it.
+	before := snap.Counters["index.resplits"]
+	for i := 0; db.Metrics().Counters["index.resplits"] == before; i++ {
+		if i > db.tree.LeafCapacity() {
+			t.Fatalf("%d Adds at one point re-split nothing", i)
+		}
+		if _, err := db.Add([]float64{0.5, 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Exactness held throughout.
 	res := db.SearchByExample([]float64{0, 0}, db.Len())
 	if len(res) != db.Len() {
 		t.Fatalf("found %d of %d items", len(res), db.Len())

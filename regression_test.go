@@ -2,9 +2,15 @@ package qcluster
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/distance"
+	"repro/internal/index"
+	"repro/internal/linalg"
 	"repro/internal/synth"
 )
 
@@ -99,5 +105,57 @@ func TestQuerySaveLoadDegradedHealthAndRounds(t *testing.T) {
 	}
 	if back.Rounds() != 2 {
 		t.Errorf("rounds after resume = %d, want 2", back.Rounds())
+	}
+}
+
+// A query whose distances overflow to +Inf must still be answered: a
+// heap that holds fewer than k results bounds at +Inf, so a node whose
+// lower bound overflowed is not pruned and a shard leg publishes +Inf,
+// not a finite sentinel. The tree, a shared-bound search and the
+// Database all return the linear scan's page, +Inf distances included.
+func TestOverflowedDistancesMatchLinearScan(t *testing.T) {
+	vectors := [][]float64{{1e200, 0}, {0, 0}, {1, 1}}
+	vecs := make([]linalg.Vector, len(vectors))
+	for i, v := range vectors {
+		vecs[i] = v
+	}
+	store, err := index.NewStore(vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := index.NewHybridTree(store, index.TreeOptions{})
+	db, err := NewDatabase(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(label string, got, want []Result) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %v, want %v", label, got, want)
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("%s: %v, want %v", label, got, want)
+			}
+		}
+	}
+	for _, q := range []linalg.Vector{{-1e200, 0}, {0, 0}, {1e200, 1e200}} {
+		for k := 1; k <= 4; k++ {
+			m := &distance.Euclidean{Center: q}
+			want, _ := index.NewLinearScan(store).KNN(m, k)
+			label := fmt.Sprintf("query %v k=%d", q, k)
+			got, _ := tree.KNN(m, k)
+			same(label+" tree", got, want)
+			got, _, err := tree.KNNSharedContext(context.Background(), m, k, index.NewSharedBound())
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(label+" shared bound", got, want)
+			got, err = db.SearchByExampleContext(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(label+" database", got, want)
+		}
 	}
 }

@@ -130,7 +130,8 @@ func funcRefs(t *testing.T, dir string) map[string]map[string]bool {
 // TestSearchChokePoint keeps the one search pipeline one: in the root
 // package only execute and the dispatch it calls may touch the tree's
 // k-NN search, the search metrics, the cost profile's search stage or
-// the partial-results error; and across the root,
+// the partial-results error, and only addBatch may append to the store,
+// insert into the tree or record an insert's metrics; and across the root,
 // internal/shard and internal/server the feedback validation, the
 // MarkRelevant loop and the "refined or example?" metric decision each
 // live in exactly one function. A new entry point is a request handed
@@ -140,20 +141,27 @@ func TestSearchChokePoint(t *testing.T) {
 		"database.go:execute":    true,
 		"database.go:searchTree": true,
 	}
-	guarded := []string{"searchTree", "KNNContext", "KNNSharedContext", "observeSearch", "AddSearch", "wrapInterrupt"}
+	guarded := []string{"searchTree", "KNNSharedContext", "observeSearch", "AddSearch", "wrapInterrupt"}
+	const writer = "database.go:addBatch"
+	writes := []string{"Append", "InsertBatch", "Insert", "observeInsert"}
 	root := funcRefs(t, ".")
 	for name := range pipeline {
 		if root[name] == nil {
 			t.Errorf("pipeline function %s not found — update the test's allow-list with the rename", name)
 		}
 	}
+	if root[writer] == nil {
+		t.Errorf("write path %s not found — update the test with the rename", writer)
+	}
 	for fn, refs := range root {
-		if pipeline[fn] {
-			continue
-		}
 		for _, g := range guarded {
-			if refs[g] {
+			if refs[g] && !pipeline[fn] {
 				t.Errorf("%s references %s: only execute and its dispatch may — build a searchRequest and call execute", fn, g)
+			}
+		}
+		for _, w := range writes {
+			if refs[w] && fn != writer {
+				t.Errorf("%s references %s: only addBatch may — call it with a batch (of one, for a single vector)", fn, w)
 			}
 		}
 	}
