@@ -83,8 +83,7 @@ func TestCrashHelperProcess(t *testing.T) {
 		}
 	})
 	d, err := openDatabase(dir, DurableOptions{Seed: synth.Gaussian[[]float64](rand.New(rand.NewSource(1)), crashSeedN, crashDim, 1)}, walTuning{
-		batch:   4,
-		maxWait: 100 * time.Microsecond,
+		batch: 4,
 		// Tiny threshold: rotations happen constantly, so the snapshot
 		// fault points get exercised by ordinary ingest volume.
 		rotateBytes: 2048,
@@ -253,7 +252,7 @@ func TestCrashRecoveryBackToBack(t *testing.T) {
 // reopen must both reproduce the final state exactly.
 func TestDurableConcurrentMixedWorkload(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, walTuning{batch: 8, maxWait: 200 * time.Microsecond, rotateBytes: walRotateBytes})
+	d := openTestDB(t, dir, walTuning{batch: 8, rotateBytes: walRotateBytes})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

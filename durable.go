@@ -36,20 +36,18 @@ type DurableOptions struct {
 // The write-ahead log's group commit and rotation, fixed because no
 // deployment or workload has set another value.
 const (
-	walBatch       = 256                  // adds coalesced into one WAL record + fsync
-	walMaxWait     = 2 * time.Millisecond // bound on a forming batch's absorb phase
-	walRotateBytes = 64 << 20             // active-log size that triggers a background snapshot
+	walBatch       = 256      // vectors coalesced into one WAL record + fsync
+	walRotateBytes = 64 << 20 // active-log size that triggers a background snapshot
 )
 
 // walTuning carries those constants: OpenDatabase serves fixedWAL, and
 // only this package's tests call openDatabase with others.
 type walTuning struct {
 	batch       int
-	maxWait     time.Duration
 	rotateBytes int64
 }
 
-var fixedWAL = walTuning{batch: walBatch, maxWait: walMaxWait, rotateBytes: walRotateBytes}
+var fixedWAL = walTuning{batch: walBatch, rotateBytes: walRotateBytes}
 
 // DurabilityHealth is a DurableDatabase's durability status: whether a
 // disk failure degraded it to read-only, what boot recovery did, and
@@ -92,8 +90,9 @@ type DurabilityHealth struct {
 // Writes MUST go through the DurableDatabase methods (Add, AddBatch,
 // AddBatchContext); calling the embedded Database's Add directly would
 // bypass the log and the write would not survive a crash. Concurrent
-// Adds are coalesced by an internal batcher (size + max-wait flush)
-// into single-lock AddBatch applications behind one group-commit fsync.
+// Adds are coalesced by an internal batcher into single-lock AddBatch
+// applications behind one WAL record and one fsync: the write path's
+// only group commit.
 //
 // A persistent disk error flips the database into read-only degraded
 // mode: ingest calls fail fast with ErrReadOnly while searches and
@@ -341,6 +340,9 @@ func (d *DurableDatabase) AddBatchContext(ctx context.Context, vectors [][]float
 		return nil, err
 	}
 	req := &addReq{vecs: vectors, done: make(chan struct{})}
+	// Enqueue under the close lock, so Close's drain sees every queued
+	// request. A full queue only delays Close: the batcher keeps
+	// consuming until Close owns the lock.
 	d.closeMu.RLock()
 	if d.closed {
 		d.closeMu.RUnlock()
@@ -349,16 +351,9 @@ func (d *DurableDatabase) AddBatchContext(ctx context.Context, vectors [][]float
 	select {
 	case d.reqs <- req:
 		d.closeMu.RUnlock()
-	default:
+	case <-ctx.Done():
 		d.closeMu.RUnlock()
-		// Queue full: block outside the close lock, still cancellable.
-		select {
-		case d.reqs <- req:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("qcluster: add queue wait: %w", ctx.Err())
-		case <-d.stop:
-			return nil, fmt.Errorf("qcluster: add on closing database: %w", ErrReadOnly)
-		}
+		return nil, fmt.Errorf("qcluster: add queue wait: %w", ctx.Err())
 	}
 	select {
 	case <-req.done:
@@ -372,69 +367,38 @@ func (d *DurableDatabase) AddBatchContext(ctx context.Context, vectors [][]float
 	return req.ids, nil
 }
 
-// run is the ingest batcher: classic group commit. It blocks for the
-// first queued add, greedily absorbs everything else already queued (up
-// to walBatch vectors), and flushes the moment the queue runs empty —
-// with closed-loop producers, everyone who could join the batch is
-// already in it, so waiting longer would add latency without adding
-// batching. Batches still form naturally: while one flush's fsync is in
-// flight, new adds pile up in the queue and ride the next flush
-// together. walMaxWait bounds the absorb phase in the opposite regime,
-// where arrivals trickle in fast enough to keep the queue non-empty but
-// below walBatch. The queue is drained on Close.
+// run is the ingest batcher, the write path's one group commit. It
+// blocks for the first queued add, absorbs everything else already
+// queued (up to walBatch vectors), and flushes the moment the queue
+// runs empty — with closed-loop producers, everyone who could join the
+// batch is already in it, so waiting longer would add latency without
+// adding batching. Batches still form naturally: while one flush's
+// fsync is in flight, new adds pile up in the queue and ride the next
+// flush together. run is the queue's only receiver, so a non-empty
+// queue cannot block its receives.
+//
+// Once Close closes stop, run drains the queue in the same batches and
+// returns. Close holds the write side of closeMu before closing stop,
+// so no request can be queued after that.
 func (d *DurableDatabase) run() {
 	defer close(d.done)
-	timer := time.NewTimer(0)
-	stopTimer(timer)
 	for {
-		var batch []*addReq
-		var vecs int
+		var r *addReq
 		select {
-		case r := <-d.reqs:
+		case r = <-d.reqs:
+		case <-d.stop:
+			if len(d.reqs) == 0 {
+				return
+			}
+			r = <-d.reqs
+		}
+		batch, vecs := []*addReq{r}, len(r.vecs)
+		for vecs < d.tun.batch && len(d.reqs) > 0 {
+			r := <-d.reqs
 			batch = append(batch, r)
 			vecs += len(r.vecs)
-		case <-d.stop:
-			d.drain()
-			return
 		}
-		timer.Reset(d.tun.maxWait)
-	absorb:
-		for vecs < d.tun.batch {
-			select {
-			case r := <-d.reqs:
-				batch = append(batch, r)
-				vecs += len(r.vecs)
-			case <-timer.C:
-				break absorb
-			default:
-				break absorb // queue empty: flush now
-			}
-		}
-		stopTimer(timer)
 		d.flush(batch, vecs)
-	}
-}
-
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// drain empties the request queue after Close began. Close holds the
-// write side of closeMu before closing stop, so no new request can be
-// queued while drain runs.
-func (d *DurableDatabase) drain() {
-	for {
-		select {
-		case r := <-d.reqs:
-			d.flush([]*addReq{r}, len(r.vecs))
-		default:
-			return
-		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -126,7 +128,7 @@ func TestDurableAutomaticRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny threshold: every flush overflows it, so rotation exercises
 	// concurrently with ingest.
-	d := openTestDB(t, dir, walTuning{batch: 4, maxWait: walMaxWait, rotateBytes: 1})
+	d := openTestDB(t, dir, walTuning{batch: 4, rotateBytes: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -152,6 +154,177 @@ func TestDurableAutomaticRotation(t *testing.T) {
 	defer d2.Close()
 	if got := d2.Len(); got != 32+4*40 {
 		t.Fatalf("after rotation+restart Len = %d, want %d", got, 32+4*40)
+	}
+}
+
+// TestDurableGroupCommitCoalesces holds the first flush inside its fsync
+// until K more adders are queued, then checks that the batcher commits
+// all K as one WAL record behind one fsync — also when Close begins
+// while they are queued, so its drain batches them the same way.
+func TestDurableGroupCommitCoalesces(t *testing.T) {
+	for _, closing := range []bool{false, true} {
+		t.Run(map[bool]string{false: "open", true: "closing"}[closing], func(t *testing.T) {
+			testGroupCommitCoalesces(t, closing)
+		})
+	}
+}
+
+func testGroupCommitCoalesces(t *testing.T, closing bool) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	d := openTestDB(t, dir, fixedWAL)
+	const k, per = 8, 3
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	faultinject.Set(faultinject.WALPreFsync, func() {
+		once.Do(func() {
+			close(reached)
+			<-release
+		})
+	})
+	batches := make([][][]float64, k+1)
+	ids := make([][]int, k+1)
+	errs := make([]error, k+1)
+	var wg sync.WaitGroup
+	add := func(i int) {
+		defer wg.Done()
+		ids[i], errs[i] = d.AddBatch(batches[i])
+	}
+	batches[0] = synth.Gaussian[[]float64](rand.New(rand.NewSource(40)), 1, 4, 1)
+	wg.Add(1)
+	go add(0)
+	<-reached // the first flush now holds its fsync
+	for i := 1; i <= k; i++ {
+		batches[i] = synth.Gaussian[[]float64](rand.New(rand.NewSource(int64(40+i))), per, 4, 1)
+		wg.Add(1)
+		go add(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(d.reqs) != k; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d of %d adders queued", len(d.reqs), k)
+		}
+	}
+	closed := make(chan error, 1)
+	if closing {
+		go func() { closed <- d.Close() }()
+		for !d.isClosed() {
+			runtime.Gosched()
+		}
+	}
+	close(release)
+	wg.Wait()
+	if closing {
+		if err := <-closed; err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("adder %d: %v", i, err)
+		}
+		for j := 1; j < len(ids[i]); j++ {
+			if ids[i][j] != ids[i][j-1]+1 {
+				t.Fatalf("adder %d: non-contiguous ids %v", i, ids[i])
+			}
+		}
+	}
+	snap := d.Metrics()
+	for _, name := range []string{"ingest.batches", "wal.fsyncs", "wal.records"} {
+		if got := snap.Counters[name]; got != 2 {
+			t.Fatalf("%s = %d, want 2 (the held flush, then the %d queued adders as one)", name, got, k)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	d2 := openTestDB(t, dir, fixedWAL)
+	defer d2.Close()
+	if h := d2.Health(); h.ReplayedRecords != 2 || h.ReplayedVectors != 1+k*per {
+		t.Fatalf("replay after reopen: %+v, want 2 records of %d vectors", h, 1+k*per)
+	}
+	for i, b := range batches {
+		for j, want := range b {
+			got, ok := d2.VectorOK(ids[i][j])
+			if !ok || !slices.Equal(got, want) {
+				t.Fatalf("adder %d vector %d: replayed %v, want %v", i, j, got, want)
+			}
+		}
+	}
+}
+
+func (d *DurableDatabase) isClosed() bool {
+	d.closeMu.RLock()
+	defer d.closeMu.RUnlock()
+	return d.closed
+}
+
+// TestDurableCloseWithFullQueue closes the database while the batcher is
+// held inside an fsync and the request queue is full: Close must not
+// deadlock against the blocked adder, and every add must be either
+// acknowledged and replayed after a reopen, or refused with ErrReadOnly.
+func TestDurableCloseWithFullQueue(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	d := openTestDB(t, dir, walTuning{batch: 1, rotateBytes: walRotateBytes})
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	faultinject.Set(faultinject.WALPreFsync, func() {
+		once.Do(func() {
+			close(reached)
+			<-release
+		})
+	})
+	n := 2 + cap(d.reqs) // one held in flush, a full queue, one blocked on it
+	vecs := synth.Gaussian[[]float64](rand.New(rand.NewSource(50)), n, 4, 1)
+	ids := make([]int, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range vecs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ids[i], errs[i] = d.Add(vecs[i])
+		}(i)
+		if i == 0 {
+			<-reached
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(d.reqs) != cap(d.reqs); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("queue holds %d of %d", len(d.reqs), cap(d.reqs))
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	close(release)
+	wg.Wait()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	acked := map[int][]float64{}
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			acked[ids[i]] = vecs[i]
+		case !errors.Is(err, ErrReadOnly):
+			t.Fatalf("add %d: %v, want an ack or ErrReadOnly", i, err)
+		}
+	}
+	if len(acked) < n-1 {
+		t.Fatalf("%d of %d adds acknowledged; only the blocked one may be refused", len(acked), n)
+	}
+	d2 := openTestDB(t, dir, fixedWAL)
+	defer d2.Close()
+	if h := d2.Health(); h.ReplayedVectors != len(acked) {
+		t.Fatalf("replayed %d vectors, want the %d acknowledged", h.ReplayedVectors, len(acked))
+	}
+	for id, want := range acked {
+		if got, ok := d2.VectorOK(id); !ok || !slices.Equal(got, want) {
+			t.Fatalf("id %d: replayed %v, want %v", id, got, want)
+		}
 	}
 }
 
@@ -241,7 +414,7 @@ func TestDurableTornTailRecovered(t *testing.T) {
 
 func TestDurableMidLogCorruptionRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDB(t, dir, walTuning{batch: 1, maxWait: time.Nanosecond, rotateBytes: walRotateBytes})
+	d := openTestDB(t, dir, walTuning{batch: 1, rotateBytes: walRotateBytes})
 	// Sequential adds so the log holds several records.
 	for _, v := range synth.Gaussian[[]float64](rand.New(rand.NewSource(9)), 6, 4, 1) {
 		if _, err := d.Add(v); err != nil {

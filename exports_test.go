@@ -187,3 +187,54 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("exported but referenced by no non-test file (and by tests in fewer than two other packages): %s", b)
 	}
 }
+
+// TestDurableRedeclaresEveryAdd fails when an exported *Database method
+// whose name starts with Add has no *DurableDatabase declaration.
+// DurableDatabase embeds *Database, so such a method would be promoted
+// and would write around the write-ahead log.
+func TestDurableRedeclaresEveryAdd(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	methods := map[string]map[string]bool{} // receiver type -> method names
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		af, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range af.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if recv, ok := star.X.(*ast.Ident); ok {
+				if methods[recv.Name] == nil {
+					methods[recv.Name] = map[string]bool{}
+				}
+				methods[recv.Name][fd.Name.Name] = true
+			}
+		}
+	}
+	adds := 0
+	for name := range methods["Database"] {
+		if !strings.HasPrefix(name, "Add") || !token.IsExported(name) {
+			continue
+		}
+		adds++
+		if !methods["DurableDatabase"][name] {
+			t.Errorf("(*Database).%s is promoted into DurableDatabase and bypasses the write-ahead log; declare (*DurableDatabase).%s", name, name)
+		}
+	}
+	if adds == 0 {
+		t.Fatal("found no exported Add methods on *Database")
+	}
+}

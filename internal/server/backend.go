@@ -5,7 +5,6 @@ import (
 
 	qcluster "repro"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // Backend is the retrieval engine behind the HTTP layer: the two
@@ -23,16 +22,4 @@ type Backend interface {
 	AddBatchContext(ctx context.Context, vectors [][]float64) ([]int, error)
 	Metrics() obs.Snapshot
 	Registry() *obs.Registry
-}
-
-// dbBackend adapts a single qcluster.Database.
-type dbBackend struct {
-	*qcluster.Database
-}
-
-// setBackend adapts a sharded set: searches scatter-gather across every
-// shard, ingest routes each 64-id storage block to its shard, and
-// healthz/metrics grow per-shard blocks.
-type setBackend struct {
-	*shard.Set
 }

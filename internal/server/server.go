@@ -142,7 +142,7 @@ type Server struct {
 // session reaper. The caller owns serving Handler() and must Close the
 // server to stop the reaper.
 func New(db *qcluster.Database, opt Options) *Server {
-	return newServer(dbBackend{db}, opt, fixedLimits())
+	return newServer(db, opt, fixedLimits())
 }
 
 // NewSharded builds a server over a sharded set: /v1/search fans out to
@@ -150,7 +150,7 @@ func New(db *qcluster.Database, opt Options) *Server {
 // /v1/vectors routes each 64-id storage block to its shard, and
 // healthz/metrics grow per-shard blocks.
 func NewSharded(set *shard.Set, opt Options) *Server {
-	return newServer(setBackend{set}, opt, fixedLimits())
+	return newServer(set, opt, fixedLimits())
 }
 
 func newServer(be Backend, opt Options, lim limits) *Server {
@@ -462,7 +462,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	if sb, ok := s.be.(setBackend); ok {
+	if sb, ok := s.be.(*shard.Set); ok {
 		info.Shards = sb.NumShards()
 		resp.Shards = sb.Health()
 		if sb.ReadOnly() {

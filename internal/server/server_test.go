@@ -45,7 +45,7 @@ func startTuned(db *qcluster.Database, opt Options, tune ...func(*limits)) (*Ser
 	for _, f := range tune {
 		f(&lim)
 	}
-	return listen("127.0.0.1:0", newServer(dbBackend{db}, opt, lim))
+	return listen("127.0.0.1:0", newServer(db, opt, lim))
 }
 
 // oneSlot shrinks admission to one in-flight slot and a queue wait.

@@ -1,17 +1,14 @@
 // Package wal is a write-ahead log for the durable ingest path: an
 // append-only file of length-prefixed, CRC32C-checksummed records with
-// fsync-batched group commit on the write side and torn-tail detection
-// and truncation on replay.
+// torn-tail detection and truncation on replay.
 //
 // Record layout (little-endian):
 //
 //	[u32 payload length][u32 CRC32C(payload)][payload bytes]
 //
-// Commit appends records and returns only after an fsync covers them.
-// Concurrent Commits coalesce: while one fsync is in flight, later
-// callers append to the OS buffer and wait; the first waiter to wake
-// becomes the next leader and syncs everything appended so far, so N
-// concurrent commits cost far fewer than N fsyncs (group commit).
+// Commit appends one record and returns only after an fsync covers it.
+// The writer does no group commit of its own: the durable layer's
+// batcher already coalesces concurrent adds into one record per fsync.
 //
 // Replay streams records back in append order. A tail that ends
 // mid-record — the image left by a crash or power cut during a write —
@@ -67,17 +64,13 @@ type Metrics struct {
 // use; a write or fsync failure is sticky — every later Commit fails
 // with the same error, so a durable layer above can flip read-only.
 type Writer struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	f        *os.File
-	path     string
-	met      Metrics
-	appended int64 // records handed to the OS buffer
-	synced   int64 // records covered by a completed fsync
-	syncing  bool  // an fsync is in flight
-	bytes    int64 // bytes appended since Open (headers included)
-	err      error // sticky fatal error
-	closed   bool
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	met    Metrics
+	bytes  int64 // bytes appended since Open (headers included)
+	err    error // sticky fatal error
+	closed bool
 }
 
 // Open opens (creating if absent) the log at path for appending. The
@@ -88,9 +81,7 @@ func Open(path string, met Metrics) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	w := &Writer{f: f, path: path, met: met}
-	w.cond = sync.NewCond(&w.mu)
-	return w, nil
+	return &Writer{f: f, path: path, met: met}, nil
 }
 
 // AppendedBytes returns the bytes appended since Open.
@@ -100,110 +91,65 @@ func (w *Writer) AppendedBytes() int64 {
 	return w.bytes
 }
 
-// Err returns the sticky fatal error, if any.
-func (w *Writer) Err() error {
+// Commit appends payload as one record and returns once an fsync
+// covers it. Commits serialize on the writer's mutex, one fsync each.
+func (w *Writer) Commit(payload []byte) error {
+	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.err
+	if w.closed {
+		return ErrClosed
+	}
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.appendRecord(payload); err != nil {
+		w.err = err
+		return err
+	}
+	if w.met.AppendSeconds != nil {
+		w.met.AppendSeconds.Observe(time.Since(start).Seconds())
+	}
+	if err := w.fsync(); err != nil {
+		w.err = err
+		return err
+	}
+	return nil
 }
 
-// appendLocked frames and writes payloads to the OS buffer. Caller
+// appendRecord frames payload and writes it to the OS buffer. Caller
 // holds w.mu.
-func (w *Writer) appendLocked(payloads [][]byte) error {
-	total := 0
-	for _, p := range payloads {
-		total += headerSize + len(p)
-	}
-	buf := make([]byte, 0, total)
-	for _, p := range payloads {
-		var hdr [headerSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
-	}
+func (w *Writer) appendRecord(payload []byte) error {
+	buf := make([]byte, headerSize, headerSize+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
+	buf = append(buf, payload...)
 	if faultinject.Enabled(faultinject.WALTornAppend) {
 		// Write a prefix that ends mid-record — the torn tail a power
 		// cut leaves — flush it to disk, then fire the hook (a crash
 		// harness SIGKILLs the process here). If the process survives,
 		// the writer is poisoned like any other append failure.
-		torn := buf[:len(buf)-(headerSize+len(payloads[len(payloads)-1]))/2-1]
-		if _, err := w.f.Write(torn); err == nil {
+		if _, err := w.f.Write(buf[:len(buf)/2]); err == nil {
 			_ = w.f.Sync()
 		}
 		faultinject.Fire(faultinject.WALTornAppend)
-		w.err = fmt.Errorf("wal: torn append injected at %s", w.path)
-		return w.err
+		return fmt.Errorf("wal: torn append injected at %s", w.path)
 	}
 	if _, err := w.f.Write(buf); err != nil {
-		w.err = fmt.Errorf("wal: append %s: %w", w.path, err)
-		return w.err
+		return fmt.Errorf("wal: append %s: %w", w.path, err)
 	}
-	w.appended += int64(len(payloads))
-	w.bytes += int64(total)
+	w.bytes += int64(len(buf))
 	if w.met.Records != nil {
-		w.met.Records.Add(int64(len(payloads)))
+		w.met.Records.Inc()
 	}
 	if w.met.Bytes != nil {
-		w.met.Bytes.Add(int64(total))
+		w.met.Bytes.Add(int64(len(buf)))
 	}
 	return nil
 }
 
-// Commit appends the payloads and returns once an fsync covers them
-// (group commit: concurrent Commits share fsyncs). An empty call syncs
-// any unsynced records.
-func (w *Writer) Commit(payloads ...[]byte) error {
-	start := time.Now()
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if len(payloads) > 0 {
-		if err := w.appendLocked(payloads); err != nil {
-			w.cond.Broadcast()
-			w.mu.Unlock()
-			return err
-		}
-		if w.met.AppendSeconds != nil {
-			w.met.AppendSeconds.Observe(time.Since(start).Seconds())
-		}
-	}
-	target := w.appended
-	for w.synced < target && w.err == nil {
-		if w.syncing {
-			// Another commit's fsync is in flight; it cannot cover our
-			// records (they may have landed after it started), so wait
-			// for it and let the first waiter lead the next one.
-			w.cond.Wait()
-			continue
-		}
-		w.syncing = true
-		upTo := w.appended // everything appended so far rides this fsync
-		w.mu.Unlock()
-		err := w.fsync()
-		w.mu.Lock()
-		w.syncing = false
-		if err != nil {
-			w.err = err
-		} else {
-			w.synced = upTo
-		}
-		w.cond.Broadcast()
-	}
-	err := w.err
-	w.mu.Unlock()
-	return err
-}
-
-// fsync runs one fsync with the crash/fault hooks around it. Called
-// without w.mu held.
+// fsync runs one fsync with the crash/fault hooks around it. Caller
+// holds w.mu.
 func (w *Writer) fsync() error {
 	faultinject.Fire(faultinject.WALPreFsync)
 	start := time.Now()
@@ -226,24 +172,16 @@ func (w *Writer) fsync() error {
 	return err
 }
 
-// Close syncs and closes the file. Further Commits fail with ErrClosed.
+// Close closes the file. Every record is already synced by its own
+// Commit. Further Commits fail with ErrClosed.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	var err error
-	if w.err == nil && w.appended > w.synced {
-		err = w.f.Sync()
-	}
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return err
+	return w.f.Close()
 }
 
 // ReplayStats describes what a replay recovered and repaired.
